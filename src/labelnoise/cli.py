@@ -17,8 +17,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .embedder import TrainConfig, load_model, save_model, train, write_loss_curve
 from .errors import ConfigurationError, LabelNoiseError, ParseError
@@ -385,7 +383,7 @@ def cmd_simulate(resolved: dict, seed: int, args) -> None:
         d["class_count"], d["per_class"], d["latent_dim"], d["feature_dim"],
         d["within_class_spread"], seed=derive_seed(seed, "data-train"), mix_seed=mix_seed,
     )
-    in_dirs = np.stack([s.latent_direction for s in clean.class_specs])
+    in_dirs = clean.directions
     aux = generate_dataset(
         d["aux_class_count"], d["aux_per_class"], d["latent_dim"], d["feature_dim"],
         d["within_class_spread"], seed=derive_seed(seed, "data-aux"), mix_seed=mix_seed,
@@ -494,13 +492,13 @@ def cmd_detect(resolved: dict, seed: int, args) -> None:
             classifier = make_inter_classifier(
                 model, ds, resolved["detect"]["centroid_temperature"], embeddings=emb)
             scores = inter_inconsistency(model, ds, classifier, embeddings=emb)
-        result = detection_precision(rank_and_select(scores, q, len(ds)), ds)
+        result = detection_precision(rank_and_select(scores, ds.utt_id, q), ds)
         rows = export_score_histogram(scores, ds, resolved["detect"]["histogram_bins"])
 
         scores_path = out / f"scores_{method}.csv"
         det_path = out / f"detection_{method}.json"
         hist_path = out / f"histogram_{method}.csv"
-        write_scores_csv(scores, ds, scores_path)
+        write_scores_csv(scores, ds, method, scores_path)
         write_detection_json(result, method, seed, digest, det_path)
         _load_json(det_path, "detection")  # validate the artifact parses
         write_histogram_csv(rows, hist_path)

@@ -63,7 +63,7 @@ def init_mlp(layer_dims: tuple[int, ...], rng: np.random.Generator) -> MlpParams
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Batched forward pass; returns (output, per-layer inputs for backward)."""
+    """Forward pass on (n, d) features; returns (output, per-layer inputs for backward)."""
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.weights[0].shape[1]:
         raise DomainError(
@@ -97,15 +97,6 @@ def mlp_backward(
         grad_b[i] = d.sum(axis=0)
         d = d @ params.weights[i]
     return grad_w, grad_b, d
-
-
-def embed(params: MlpParams, features: np.ndarray) -> np.ndarray:
-    """Deterministic forward pass for one feature vector."""
-    v = np.asarray(features, dtype=np.float64)
-    if v.ndim != 1:
-        raise DomainError(f"expected a 1-D feature vector, got shape {v.shape}")
-    out, _ = mlp_forward(params, v[None, :])
-    return out[0]
 
 
 def embed_batch(params: MlpParams, features: np.ndarray) -> np.ndarray:
@@ -167,32 +158,16 @@ def adam_step(
     return params, state
 
 
-@dataclass
-class Batch:
-    """A speaker-balanced batch: N groups of M utterances."""
-
-    features: np.ndarray  # (N, M, d)
-    labels: np.ndarray  # (N,) observed class per group
-    positions: np.ndarray  # (N, M) indices into the dataset's utterance list
-
-    @property
-    def flat_features(self) -> np.ndarray:
-        n, m, d = self.features.shape
-        return self.features.reshape(n * m, d)
-
-    @property
-    def flat_labels(self) -> np.ndarray:
-        m = self.features.shape[1]
-        return np.repeat(self.labels, m)
-
-
-def _class_positions(ds: Dataset) -> dict[int, np.ndarray]:
-    return {c: np.asarray(pos, dtype=np.intp) for c, pos in ds.ids_by_observed_class().items()}
-
-
 def _sample_positions(
     groups: dict[int, np.ndarray], n_speakers: int, m_utts: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Draw N distinct observed classes (uniform, no replacement) and M
+    positions from each (uniform, no replacement); returns the (N, M)
+    dataset positions and the N class labels.
+
+    Classes with fewer than M utterances are excluded from the draw; if
+    fewer than N classes remain eligible the batch is infeasible.
+    """
     eligible = sorted(c for c, pos in groups.items() if len(pos) >= m_utts)
     if len(eligible) < n_speakers:
         raise ConfigurationError(
@@ -204,21 +179,6 @@ def _sample_positions(
     for row, c in enumerate(labels):
         positions[row] = rng.choice(groups[c], size=m_utts, replace=False)
     return positions, labels
-
-
-def sample_batch(ds: Dataset, n_speakers: int, m_utts: int, rng: np.random.Generator) -> Batch:
-    """Draw N distinct observed classes (uniform, no replacement) and M
-    utterances from each (uniform, no replacement).
-
-    Classes with fewer than M utterances are excluded from the draw; if
-    fewer than N classes remain eligible the batch is infeasible.
-    """
-    groups = _class_positions(ds)
-    positions, labels = _sample_positions(groups, n_speakers, m_utts, rng)
-    feats = np.stack([
-        np.stack([ds.utterances[p].features for p in row]) for row in positions
-    ])
-    return Batch(features=feats, labels=labels, positions=positions)
 
 
 @dataclass(frozen=True)
@@ -357,16 +317,14 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
         names += ["ge2e.w", "ge2e.b"]
     state = AdamState.fresh(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
 
-    groups = _class_positions(ds)
-    all_feats = np.stack([u.features for u in ds.utterances]) if len(ds) else None
+    groups = ds.ids_by_observed_class()
     boundary = easy_margin_boundary(cfg)
     n_spk, m_utt = cfg.batch_speakers, cfg.utts_per_speaker
 
     curve: list[tuple[int, float]] = []
     for step in range(cfg.total_steps):
         positions, labels = _sample_positions(groups, n_spk, m_utt, batch_rng)
-        flat = all_feats[positions.reshape(-1)]
-        emb, cache = mlp_forward(mlp, flat)
+        emb, cache = mlp_forward(mlp, ds.features[positions.reshape(-1)])
 
         if isinstance(loss_cfg, CEConfig):
             out = ce_loss(emb, np.repeat(labels, m_utt), clf)

@@ -21,10 +21,13 @@ import numpy as np
 from .embedder import TrainConfig, TrainedModel, embed_batch, train
 from .errors import ConfigurationError, DomainError, ParseError
 from .jsonutil import dump_json17
+from .numerics import row_dot
 from .seeding import named_rng
 from .synthdata import Dataset
 
 logger = logging.getLogger(__name__)
+
+_TRIAL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -65,38 +68,41 @@ def generate_trials(ds: Dataset, pairs_per_kind: int, seed: int) -> list[Trial]:
         raise ConfigurationError("trials must come from a clean dataset")
     rng = named_rng(seed, "trials")
 
-    groups = ds.ids_by_observed_class()
-    ids = [u.utt_id for u in ds.utterances]
-    target_pool: list[tuple[int, int]] = []
-    for c in sorted(groups):
-        members = sorted(ds.utterances[p].utt_id for p in groups[c])
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                target_pool.append((members[i], members[j]))
-    if len(target_pool) < pairs_per_kind:
+    # same-class pairs (enroll < test), class by class in ascending order
+    enroll, test = [], []
+    for pos in ds.ids_by_observed_class().values():
+        members = np.sort(ds.utt_id[pos])
+        i, j = np.triu_indices(len(members), 1)
+        enroll.append(members[i])
+        test.append(members[j])
+    target_enroll = np.concatenate(enroll).tolist() if enroll else []
+    target_test = np.concatenate(test).tolist() if test else []
+    pool_size = len(target_enroll)
+    if pool_size < pairs_per_kind:
         raise ConfigurationError(
-            f"dataset supplies only {len(target_pool)} same-class pairs, "
-            f"need {pairs_per_kind}"
+            f"dataset supplies only {pool_size} same-class pairs, need {pairs_per_kind}"
         )
+    ids = ds.utt_id.tolist()
+    observed = ds.observed_class.tolist()
     n = len(ids)
-    cross_total = n * (n - 1) // 2 - len(target_pool)
+    cross_total = n * (n - 1) // 2 - pool_size
     if cross_total < pairs_per_kind:
         raise ConfigurationError(
             f"dataset supplies only {cross_total} cross-class pairs, "
             f"need {pairs_per_kind}"
         )
 
-    pick = rng.choice(len(target_pool), size=pairs_per_kind, replace=False)
-    trials = [Trial(*target_pool[int(i)], is_target=True) for i in sorted(pick)]
+    pick = rng.choice(pool_size, size=pairs_per_kind, replace=False)
+    trials = [Trial(target_enroll[i], target_test[i], is_target=True)
+              for i in np.sort(pick).tolist()]
 
-    class_of = {u.utt_id: u.observed_class for u in ds.utterances}
     seen: set[tuple[int, int]] = set()
     while len(seen) < pairs_per_kind:
         a, b = int(rng.integers(n)), int(rng.integers(n))
-        if a == b:
+        if a == b or observed[a] == observed[b]:
             continue
         pair = (ids[min(a, b)], ids[max(a, b)])
-        if class_of[pair[0]] == class_of[pair[1]] or pair in seen:
+        if pair in seen:
             continue
         seen.add(pair)
     trials.extend(Trial(e, t, is_target=False) for e, t in sorted(seen))
@@ -110,28 +116,29 @@ def score_trials(model: TrainedModel, trials: list[Trial], ds: Dataset
     Trials whose enroll or test embedding has zero norm are dropped with
     a warning rather than given an arbitrary score.
     """
-    feats = np.stack([u.features for u in ds.utterances])
-    emb = embed_batch(model.embedder, feats)
-    row_of = {u.utt_id: i for i, u in enumerate(ds.utterances)}
+    emb = embed_batch(model.embedder, ds.features)
+    row_of = dict(zip(ds.utt_id.tolist(), range(len(ds))))
     missing = [t for t in trials if t.enroll_utt_id not in row_of or t.test_utt_id not in row_of]
     if missing:
         raise ConfigurationError(
             f"{len(missing)} trial(s) reference utterances absent from the dataset, "
             f"first: {missing[0]}"
         )
+    i = np.asarray([row_of[t.enroll_utt_id] for t in trials], dtype=np.intp)
+    j = np.asarray([row_of[t.test_utt_id] for t in trials], dtype=np.intp)
+    labels = np.asarray([t.is_target for t in trials], dtype=bool)
     norms = np.linalg.norm(emb, axis=1)
-    scores, labels, dropped = [], [], 0
-    for t in trials:
-        i, j = row_of[t.enroll_utt_id], row_of[t.test_utt_id]
-        if norms[i] == 0.0 or norms[j] == 0.0:
-            dropped += 1
-            continue
-        cos = float(np.dot(emb[i], emb[j]) / (norms[i] * norms[j]))
-        scores.append(min(1.0, max(-1.0, cos)))
-        labels.append(t.is_target)
+    keep = (norms[i] != 0.0) & (norms[j] != 0.0)
+    dropped = int(np.count_nonzero(~keep))
     if dropped:
         logger.warning("dropped %d trial(s) with zero-norm embeddings", dropped)
-    return np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=bool), dropped
+    i, j = i[keep], j[keep]
+    # gather the embedding pairs in blocks to bound the memory they take
+    dots = np.empty(len(i))
+    for k in range(0, len(i), _TRIAL_BLOCK):
+        block = slice(k, k + _TRIAL_BLOCK)
+        dots[block] = row_dot(emb[i[block]], emb[j[block]])
+    return np.clip(dots / (norms[i] * norms[j]), -1.0, 1.0), labels[keep], dropped
 
 
 def compute_eer(scores: np.ndarray, is_target: np.ndarray) -> EERResult:
@@ -180,16 +187,10 @@ def evaluate_model(model: TrainedModel, heldout: Dataset, trials: list[Trial]) -
 
 def remove_predicted(ds: Dataset, predicted: set[int]) -> Dataset:
     """Dataset minus the predicted-noisy utterances (same metadata)."""
-    kept = [u for u in ds.utterances if u.utt_id not in predicted]
-    if not kept:
+    keep = ~np.isin(ds.utt_id, list(predicted))
+    if not keep.any():
         raise ConfigurationError("removal would leave an empty dataset")
-    return Dataset(
-        utterances=kept,
-        class_count=ds.class_count,
-        feature_dim=ds.feature_dim,
-        provenance=ds.provenance,
-        class_specs=ds.class_specs,
-    )
+    return ds.subset(keep)
 
 
 def retrain_after_removal(ds: Dataset, predicted: set[int], cfg: TrainConfig,
@@ -206,11 +207,9 @@ def retrain_after_removal(ds: Dataset, predicted: set[int], cfg: TrainConfig,
     filtered = remove_predicted(ds, predicted)
     removed = len(ds) - len(filtered)
 
-    sizes: dict[int, int] = {}
-    for u in filtered.utterances:
-        sizes[u.observed_class] = sizes.get(u.observed_class, 0) + 1
-    observed = {u.observed_class for u in ds.utterances}
-    eligible_classes = {c for c, k in sizes.items() if k >= cfg.utts_per_speaker}
+    sizes = np.bincount(filtered.observed_class, minlength=ds.class_count)
+    observed = set(np.unique(ds.observed_class).tolist())
+    eligible_classes = set(np.flatnonzero(sizes >= cfg.utts_per_speaker).tolist())
     dropped = sorted(observed - eligible_classes)
     if dropped:
         logger.warning("removal left %d class(es) below %d utterance(s): %s",

@@ -333,7 +333,7 @@ def aamsc_loss(embeddings: np.ndarray, labels, params: ClassifierParams,
 
 def ge2e_loss(embeddings: np.ndarray, params: ClassifierParams,
               cfg: GE2EConfig) -> LossOutput:
-    """Batch-contrastive loss on N x M grouped embeddings.
+    """Contrastive (GE2E) loss on N x M grouped embeddings.
 
     Each utterance scores against every speaker's batch centroid (its own
     speaker's centroid excludes the utterance itself) via

@@ -24,7 +24,7 @@ from .embedder import TrainedModel, embed_batch
 from .errors import ConfigurationError, InternalError
 from .jsonutil import dump_json17
 from .losses import GE2EConfig, classify_confidence
-from .numerics import softmax
+from .numerics import row_dot, softmax
 from .synthdata import Dataset
 
 logger = logging.getLogger(__name__)
@@ -50,13 +50,6 @@ class CentroidBank:
     skipped_classes: list[int]
 
 
-@dataclass(frozen=True)
-class InconsistencyScore:
-    utt_id: int
-    score: float
-    method: str
-
-
 @dataclass
 class DetectionResult:
     predicted_noisy: set[int]
@@ -71,8 +64,7 @@ class DetectionResult:
 
 def embed_dataset(model: TrainedModel, ds: Dataset) -> np.ndarray:
     """Embeddings for every utterance, in dataset order."""
-    feats = np.stack([u.features for u in ds.utterances])
-    return embed_batch(model.embedder, feats)
+    return embed_batch(model.embedder, ds.features)
 
 
 def compute_centroids(model: TrainedModel, ds: Dataset,
@@ -102,32 +94,34 @@ def compute_centroids(model: TrainedModel, ds: Dataset,
     )
 
 
+def _warn_degenerate(ds: Dataset, bad: np.ndarray, what: str, method: str) -> None:
+    for utt_id in ds.utt_id[bad].tolist():
+        logger.warning("utterance %d: %s, assigning maximal %s score", utt_id, what, method)
+
+
 def intra_inconsistency(model: TrainedModel, ds: Dataset, bank: CentroidBank,
-                        embeddings: np.ndarray | None = None) -> list[InconsistencyScore]:
-    """1 - cos(embedding, own observed-class centroid) per utterance.
+                        embeddings: np.ndarray | None = None) -> np.ndarray:
+    """1 - cos(embedding, own observed-class centroid), in dataset order.
 
     A zero-norm embedding or centroid yields the maximal score 2.0 with a
     warning rather than failing the run: a degenerate embedding is itself
     maximally inconsistent evidence.
     """
     emb = embed_dataset(model, ds) if embeddings is None else embeddings
-    scores: list[InconsistencyScore] = []
-    for i, u in enumerate(ds.utterances):
-        x = emb[i]
-        c = bank.centroids.get(u.observed_class)
-        xn = np.linalg.norm(x)
-        cn = 0.0 if c is None else np.linalg.norm(c)
-        if c is None or xn == 0.0 or cn == 0.0:
-            logger.warning(
-                "utterance %d: degenerate embedding/centroid, assigning maximal "
-                "intra-class score", u.utt_id,
-            )
-            s = MAX_INTRA_SCORE
-        else:
-            cos = float(np.dot(x, c) / (xn * cn))
-            s = 1.0 - min(1.0, max(-1.0, cos))
-        scores.append(InconsistencyScore(utt_id=u.utt_id, score=s, method=METHOD_INTRA))
-    return scores
+    if len(ds) == 0:
+        return np.empty(0)
+    # a class missing from the bank gets a zero centroid, hence the maximal score
+    classes, row_class = np.unique(ds.observed_class, return_inverse=True)
+    zero = np.zeros(emb.shape[1])
+    cent = np.stack([bank.centroids.get(c, zero) for c in classes.tolist()])[row_class]
+    # sqrt of the row self-dot has the bits of np.linalg.norm on each row
+    xn = np.sqrt(row_dot(emb, emb))
+    cn = np.sqrt(row_dot(cent, cent))
+    bad = (xn == 0.0) | (cn == 0.0)
+    _warn_degenerate(ds, bad, "degenerate embedding/centroid", "intra-class")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = row_dot(emb, cent) / (xn * cn)
+    return np.where(bad, MAX_INTRA_SCORE, 1.0 - np.clip(cos, -1.0, 1.0))
 
 
 class ParametricClassifier:
@@ -194,63 +188,51 @@ def make_inter_classifier(model: TrainedModel, ds: Dataset,
 
 
 def inter_inconsistency(model: TrainedModel, ds: Dataset, classifier,
-                        embeddings: np.ndarray | None = None) -> list[InconsistencyScore]:
-    """1 - confidence in the observed label, per utterance.
+                        embeddings: np.ndarray | None = None) -> np.ndarray:
+    """1 - confidence in the observed label, in dataset order.
 
-    Evaluates both the masked-minimum form (min over classes of
-    1 - onehot * p) and its scalar reduction and checks they agree; a
-    classifier output that does not sum to 1 is an internal error.
+    A classifier output that is not a probability vector (a negative
+    entry, or a sum away from 1) is an internal error.
     """
     emb = embed_dataset(model, ds) if embeddings is None else embeddings
     index_of = {c: i for i, c in enumerate(classifier.class_ids)}
-    scores: list[InconsistencyScore] = []
-    for i, u in enumerate(ds.utterances):
-        x = emb[i]
-        if np.linalg.norm(x) == 0.0 or u.observed_class not in index_of:
-            logger.warning(
-                "utterance %d: no usable confidence (degenerate embedding or "
-                "missing class), assigning maximal inter-class score", u.utt_id,
-            )
-            scores.append(InconsistencyScore(utt_id=u.utt_id, score=MAX_INTER_SCORE,
-                                             method=METHOD_INTER))
-            continue
-        p = classifier.confidences(x)
-        if abs(float(np.sum(p)) - 1.0) > 1e-6:
+    bad = (np.sqrt(row_dot(emb, emb)) == 0.0) | ~np.isin(ds.observed_class, classifier.class_ids)
+    _warn_degenerate(ds, bad, "no usable confidence (degenerate embedding or missing class)",
+                     "inter-class")
+    observed = ds.observed_class.tolist()
+    scores = np.full(len(ds), MAX_INTER_SCORE)
+    for i in np.flatnonzero(~bad).tolist():
+        p = classifier.confidences(emb[i])
+        total, lowest = float(np.sum(p)), float(np.min(p))
+        if abs(total - 1.0) > 1e-6 or lowest < 0.0:
             raise InternalError(
-                f"classifier output sums to {float(np.sum(p))!r}, expected 1"
+                f"classifier output is not a probability vector (sum {total!r}, min {lowest!r})"
             )
-        onehot = np.zeros_like(p)
-        onehot[index_of[u.observed_class]] = 1.0
-        masked_min = float(np.min(1.0 - onehot * p))
-        reduced = 1.0 - float(p[index_of[u.observed_class]])
-        if abs(masked_min - reduced) > 1e-15:
-            raise InternalError(
-                f"masked-minimum form ({masked_min!r}) disagrees with its "
-                f"reduction ({reduced!r})"
-            )
-        scores.append(InconsistencyScore(utt_id=u.utt_id, score=reduced, method=METHOD_INTER))
+        scores[i] = 1.0 - float(p[index_of[observed[i]]])
     return scores
 
 
-def rank_and_select(scores: list[InconsistencyScore], q: float, dataset_size: int
-                    ) -> DetectionResult:
+def rank_and_select(scores: np.ndarray, utt_id: np.ndarray, q: float) -> DetectionResult:
     """Predict the ceil(q/100 * n) utterances with the largest scores.
 
-    Boundary ties break toward ascending utt_id. ``q = 0`` produces an
-    empty (valid) prediction.
+    ``scores`` and ``utt_id`` are parallel arrays. Boundary ties break
+    toward ascending utt_id. ``q = 0`` produces an empty (valid)
+    prediction.
     """
     if not 0.0 <= q <= 100.0:
         raise ConfigurationError(f"q must be in [0, 100], got {q}")
-    if len(scores) != dataset_size:
+    scores = np.asarray(scores, dtype=np.float64)
+    utt_id = np.asarray(utt_id)
+    if scores.shape != utt_id.shape:
         raise ConfigurationError(
-            f"expected one score per utterance ({dataset_size}), got {len(scores)}"
+            f"expected one score per utterance ({len(utt_id)}), got {len(scores)}"
         )
     if q == 0.0:
         return DetectionResult(predicted_noisy=set(), q_used=q)
     # tiny slack keeps ceil() immune to float round-up on exact multiples
-    k = math.ceil(q * dataset_size / 100.0 - 1e-9)
-    ranked = sorted(scores, key=lambda s: (-s.score, s.utt_id))
-    return DetectionResult(predicted_noisy={s.utt_id for s in ranked[:k]}, q_used=q)
+    k = math.ceil(q * len(scores) / 100.0 - 1e-9)
+    ranked = np.lexsort((utt_id, -scores))
+    return DetectionResult(predicted_noisy=set(utt_id[ranked[:k]].tolist()), q_used=q)
 
 
 def detection_precision(result: DetectionResult, ds: Dataset) -> DetectionResult:
@@ -262,9 +244,10 @@ def detection_precision(result: DetectionResult, ds: Dataset) -> DetectionResult
     return replace(result, precision=precision, recall=recall)
 
 
-def export_score_histogram(scores: list[InconsistencyScore], ds: Dataset, bins: int
+def export_score_histogram(scores: np.ndarray, ds: Dataset, bins: int
                            ) -> list[tuple[float, float, int, int]]:
-    """Min-max normalize scores to [0, 1] and count clean/noisy per bin.
+    """Min-max normalize scores (dataset order) to [0, 1] and count
+    clean/noisy per bin.
 
     Bins are right-closed ((lo, hi], with 0 falling into the first bin).
     Identical scores degenerate to a single all-containing bin, with a
@@ -272,9 +255,8 @@ def export_score_histogram(scores: list[InconsistencyScore], ds: Dataset, bins: 
     """
     if bins < 2:
         raise ConfigurationError(f"need at least 2 bins, got {bins}")
-    noisy_by_id = {u.utt_id: u.is_noisy for u in ds.utterances}
-    values = np.asarray([s.score for s in scores], dtype=np.float64)
-    flags = np.asarray([noisy_by_id[s.utt_id] for s in scores], dtype=bool)
+    values = np.asarray(scores, dtype=np.float64)
+    flags = ds.is_noisy
     lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         logger.warning("all %d scores identical (%.6g); emitting a single bin", len(scores), lo)
@@ -290,17 +272,16 @@ def export_score_histogram(scores: list[InconsistencyScore], ds: Dataset, bins: 
     return rows
 
 
-def write_scores_csv(scores: list[InconsistencyScore], ds: Dataset, path) -> None:
+def write_scores_csv(scores: np.ndarray, ds: Dataset, method: str, path) -> None:
     """CSV columns: utt_id,method,score,is_noisy_truth (sorted by utt_id)."""
-    noisy_by_id = {u.utt_id: u.is_noisy for u in ds.utterances}
+    order = np.argsort(ds.utt_id, kind="stable")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("utt_id,method,score,is_noisy_truth\n")
-        for s in sorted(scores, key=lambda s: s.utt_id):
-            fh.write(
-                "%d,%s,%s,%s\n"
-                % (s.utt_id, s.method, format(s.score, ".17g"),
-                   "true" if noisy_by_id[s.utt_id] else "false")
-            )
+        for utt_id, score, noisy in zip(ds.utt_id[order].tolist(),
+                                        np.asarray(scores)[order].tolist(),
+                                        ds.is_noisy[order].tolist()):
+            fh.write("%d,%s,%s,%s\n"
+                     % (utt_id, method, format(score, ".17g"), "true" if noisy else "false"))
 
 
 def write_detection_json(result: DetectionResult, method: str, seed: int,

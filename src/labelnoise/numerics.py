@@ -12,37 +12,7 @@ import numpy as np
 
 from .errors import DomainError
 
-
-def as_vector(a, name: str = "input") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
-    v = np.asarray(a, dtype=np.float64)
-    if v.ndim != 1:
-        raise DomainError(f"{name} must be 1-D, got shape {v.shape}")
-    if v.size == 0:
-        raise DomainError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(v)):
-        raise DomainError(f"{name} contains non-finite entries")
-    return v
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1].
-
-    Raises DomainError on dimension mismatch or a zero-norm argument,
-    naming which argument is degenerate.
-    """
-    va = as_vector(a, "a")
-    vb = as_vector(b, "b")
-    if va.shape != vb.shape:
-        raise DomainError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0:
-        raise DomainError("argument 'a' has zero norm")
-    if nb == 0.0:
-        raise DomainError("argument 'b' has zero norm")
-    c = float(np.dot(va, vb) / (na * nb))
-    return min(1.0, max(-1.0, c))
+_UNDERFLOW_NORM = 1e-150
 
 
 def softmax(z, axis: int = -1) -> np.ndarray:
@@ -69,13 +39,14 @@ def log_sum_exp(z, axis: int = -1):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def l2_normalize(a) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm."""
-    v = as_vector(a, "input")
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise DomainError("cannot normalize a zero-norm vector")
-    return v / n
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``.
+
+    Evaluated as a stack of (1 x d) @ (d x 1) products, which gives the
+    same bits as ``np.dot`` on each row pair; ``(a * b).sum(axis=1)`` and
+    ``einsum`` round differently.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def l2_normalize_rows(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
@@ -86,6 +57,13 @@ def l2_normalize_rows(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, 
     """
     x = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(x, axis=1)
+    # Below this norm the squared entries underflow and the norm loses its
+    # precision; such rows are measured again after scaling by their peak.
+    small = np.flatnonzero(norms < _UNDERFLOW_NORM)
+    if small.size:
+        peak = np.max(np.abs(x[small]), axis=1)
+        scaled = x[small] / np.where(peak > 0.0, peak, 1.0)[:, None]
+        norms[small] = peak * np.linalg.norm(scaled, axis=1)
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
         raise DomainError(f"{what} row {int(bad[0])} has zero norm")

@@ -17,10 +17,10 @@ written with 17 significant digits so the round trip is lossless.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,10 +41,10 @@ DEFAULT_WITHIN_CLASS_SPREAD = 0.2
 PERMUTE = "permute"
 OPEN_SET = "open_set"
 
-
-class Origin(enum.Enum):
-    IN_DISTRIBUTION = "in_distribution"
-    OUT_OF_DISTRIBUTION = "out_of_distribution"
+# Values of the JSONL "origin" field; a row is out of distribution when
+# open-set noise replaced its features.
+ORIGIN_IN = "in_distribution"
+ORIGIN_OUT = "out_of_distribution"
 
 
 @dataclass(frozen=True)
@@ -69,55 +69,45 @@ class NoiseSpec:
         return NoiseSpec(kind=d["kind"], level_q=float(d["level_q"]), seed=int(d["seed"]))
 
 
-@dataclass(frozen=True)
-class ClassSpec:
-    """A class identity with its latent unit direction."""
-
-    class_id: int
-    latent_direction: np.ndarray
-
-
-@dataclass
-class Utterance:
-    """One sample: features plus true/observed labels and noise provenance."""
-
-    utt_id: int
-    features: np.ndarray
-    true_class: int
-    observed_class: int
-    is_noisy: bool = False
-    origin: Origin = Origin.IN_DISTRIBUTION
-
-    def __eq__(self, other):
-        if not isinstance(other, Utterance):
-            return NotImplemented
-        return (
-            self.utt_id == other.utt_id
-            and self.true_class == other.true_class
-            and self.observed_class == other.observed_class
-            and self.is_noisy == other.is_noisy
-            and self.origin == other.origin
-            and np.array_equal(self.features, other.features)
-        )
-
-
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """A sequence of utterances with class count and feature dimension.
+    """Utterances as columns: row ``i`` of every array is utterance ``i``.
 
-    ``class_specs`` carries the latent directions when the dataset was
-    generated in-process; it does not survive serialization and is
-    excluded from equality.
+    ``features`` is ``(n, d)`` float64; ``utt_id``, ``true_class`` and
+    ``observed_class`` are int64 and ``is_ood`` is bool, all of length
+    ``n``. ``directions`` holds the ``(C, latent)`` unit class directions
+    when the dataset was generated in-process; it does not survive
+    serialization and is excluded from equality.
     """
 
-    utterances: list[Utterance]
+    features: np.ndarray
+    utt_id: np.ndarray
+    true_class: np.ndarray
+    observed_class: np.ndarray
+    is_ood: np.ndarray
     class_count: int
     feature_dim: int
     provenance: NoiseSpec | str = "clean"
-    class_specs: list[ClassSpec] | None = field(default=None, compare=False)
+    directions: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.utt_id = np.asarray(self.utt_id, dtype=np.int64)
+        self.true_class = np.asarray(self.true_class, dtype=np.int64)
+        self.observed_class = np.asarray(self.observed_class, dtype=np.int64)
+        self.is_ood = np.asarray(self.is_ood, dtype=bool)
+        n = len(self.utt_id)
+        self.features = np.asarray(self.features, dtype=np.float64)
+        if n == 0:
+            self.features = self.features.reshape(0, self.feature_dim)
+        columns = (self.true_class, self.observed_class, self.is_ood)
+        if (self.features.shape != (n, self.feature_dim)
+                or any(c.shape != (n,) for c in (self.utt_id, *columns))):
+            raise ConfigurationError(
+                f"dataset columns disagree: {n} utterances, features {self.features.shape}"
+            )
 
     def __len__(self) -> int:
-        return len(self.utterances)
+        return len(self.utt_id)
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
@@ -126,22 +116,38 @@ class Dataset:
             self.class_count == other.class_count
             and self.feature_dim == other.feature_dim
             and self.provenance == other.provenance
-            and self.utterances == other.utterances
+            and all(np.array_equal(getattr(self, k), getattr(other, k))
+                    for k in ("utt_id", "true_class", "observed_class", "is_ood", "features"))
         )
 
     @property
+    def is_noisy(self) -> np.ndarray:
+        """Ground truth: relabeled or replaced by an out-of-distribution row."""
+        return (self.observed_class != self.true_class) | self.is_ood
+
+    @property
     def is_clean(self) -> bool:
-        return self.provenance == "clean" and not any(u.is_noisy for u in self.utterances)
+        return self.provenance == "clean" and not self.is_noisy.any()
 
     def noisy_ids(self) -> set[int]:
-        return {u.utt_id for u in self.utterances if u.is_noisy}
+        return set(self.utt_id[self.is_noisy].tolist())
 
-    def ids_by_observed_class(self) -> dict[int, list[int]]:
+    def ids_by_observed_class(self) -> dict[int, np.ndarray]:
         """Observed class -> positions (not utt_ids) of its members, in order."""
-        groups: dict[int, list[int]] = {}
-        for pos, u in enumerate(self.utterances):
-            groups.setdefault(u.observed_class, []).append(pos)
-        return groups
+        order = np.argsort(self.observed_class, kind="stable")
+        classes, starts = np.unique(self.observed_class[order], return_index=True)
+        return dict(zip(classes.tolist(), np.split(order, starts[1:])))
+
+    def subset(self, rows) -> "Dataset":
+        """The rows selected by a boolean mask or index array, same metadata."""
+        return replace(
+            self,
+            features=self.features[rows],
+            utt_id=self.utt_id[rows],
+            true_class=self.true_class[rows],
+            observed_class=self.observed_class[rows],
+            is_ood=self.is_ood[rows],
+        )
 
 
 def sample_unit_directions(
@@ -219,24 +225,21 @@ def generate_dataset(
     directions = sample_unit_directions(class_count, latent_dim, rng_dirs, avoid=avoid_directions)
     mix = rng_mix.standard_normal((feature_dim, latent_dim)) / math.sqrt(latent_dim)
 
-    utterances: list[Utterance] = []
-    specs: list[ClassSpec] = []
-    utt_id = 0
+    n = class_count * per_class
+    features = np.empty((n, feature_dim), dtype=np.float64)
     for c in range(class_count):
-        specs.append(ClassSpec(class_id=c, latent_direction=directions[c]))
         eps = rng_feat.standard_normal((per_class, latent_dim)) * within_class_spread
-        feats = (directions[c] + eps) @ mix.T
-        for row in feats:
-            utterances.append(
-                Utterance(utt_id=utt_id, features=row, true_class=c, observed_class=c)
-            )
-            utt_id += 1
+        features[c * per_class:(c + 1) * per_class] = (directions[c] + eps) @ mix.T
+    labels = np.repeat(np.arange(class_count, dtype=np.int64), per_class)
     return Dataset(
-        utterances=utterances,
+        features=features,
+        utt_id=np.arange(n, dtype=np.int64),
+        true_class=labels,
+        observed_class=labels.copy(),
+        is_ood=np.zeros(n, dtype=bool),
         class_count=class_count,
         feature_dim=feature_dim,
-        provenance="clean",
-        class_specs=specs,
+        directions=directions,
     )
 
 
@@ -262,22 +265,12 @@ def apply_permute_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
 
     rng = named_rng(spec.seed, "permute-noise")
     p = spec.level_q / 100.0
-    out: list[Utterance] = []
-    for u in ds.utterances:
+    observed = ds.observed_class.copy()
+    for i, true_class in enumerate(ds.true_class.tolist()):
         if rng.random() < p:
             k = int(rng.integers(ds.class_count - 1))
-            if k >= u.true_class:
-                k += 1
-            out.append(replace(u, observed_class=k, is_noisy=True))
-        else:
-            out.append(u)
-    return Dataset(
-        utterances=out,
-        class_count=ds.class_count,
-        feature_dim=ds.feature_dim,
-        provenance=spec,
-        class_specs=ds.class_specs,
-    )
+            observed[i] = k + 1 if k >= true_class else k
+    return replace(ds, observed_class=observed, provenance=spec)
 
 
 def apply_openset_noise(ds: Dataset, aux: Dataset, spec: NoiseSpec) -> Dataset:
@@ -298,10 +291,8 @@ def apply_openset_noise(ds: Dataset, aux: Dataset, spec: NoiseSpec) -> Dataset:
         raise ConfigurationError(
             f"auxiliary feature_dim {aux.feature_dim} != dataset feature_dim {ds.feature_dim}"
         )
-    if ds.class_specs is not None and aux.class_specs is not None:
-        d_dirs = np.stack([s.latent_direction for s in ds.class_specs])
-        a_dirs = np.stack([s.latent_direction for s in aux.class_specs])
-        worst = float(np.max(np.abs(a_dirs @ d_dirs.T)))
+    if ds.directions is not None and aux.directions is not None:
+        worst = float(np.max(np.abs(aux.directions @ ds.directions.T)))
         if worst > MAX_OVERLAP_COS:
             raise ConfigurationError(
                 f"auxiliary classes overlap the dataset's (max |cos| = {worst:.4f})"
@@ -309,27 +300,13 @@ def apply_openset_noise(ds: Dataset, aux: Dataset, spec: NoiseSpec) -> Dataset:
 
     rng = named_rng(spec.seed, "open-set-noise")
     p = spec.level_q / 100.0
-    out: list[Utterance] = []
-    for u in ds.utterances:
+    features = ds.features.copy()
+    is_ood = ds.is_ood.copy()
+    for i in range(len(ds)):
         if rng.random() < p:
-            j = int(rng.integers(len(aux)))
-            out.append(
-                replace(
-                    u,
-                    features=aux.utterances[j].features,
-                    is_noisy=True,
-                    origin=Origin.OUT_OF_DISTRIBUTION,
-                )
-            )
-        else:
-            out.append(u)
-    return Dataset(
-        utterances=out,
-        class_count=ds.class_count,
-        feature_dim=ds.feature_dim,
-        provenance=spec,
-        class_specs=ds.class_specs,
-    )
+            features[i] = aux.features[int(rng.integers(len(aux)))]
+            is_ood[i] = True
+    return replace(ds, features=features, is_ood=is_ood, provenance=spec)
 
 
 def _fmt(x: float) -> str:
@@ -353,18 +330,19 @@ def save_dataset(ds: Dataset, path) -> None:
             '{"format_version": %d, "C": %d, "d": %d, "provenance": %s}\n'
             % (FORMAT_VERSION, ds.class_count, ds.feature_dim, _provenance_json(ds.provenance))
         )
-        for u in ds.utterances:
-            feats = ",".join(_fmt(v) for v in u.features)
+        for utt_id, true_class, observed, noisy, ood, row in zip(
+                ds.utt_id.tolist(), ds.true_class.tolist(), ds.observed_class.tolist(),
+                ds.is_noisy.tolist(), ds.is_ood.tolist(), ds.features):
             fh.write(
                 '{"utt_id": %d, "true_class": %d, "observed_class": %d, '
                 '"is_noisy": %s, "origin": "%s", "features": [%s]}\n'
                 % (
-                    u.utt_id,
-                    u.true_class,
-                    u.observed_class,
-                    "true" if u.is_noisy else "false",
-                    u.origin.value,
-                    feats,
+                    utt_id,
+                    true_class,
+                    observed,
+                    "true" if noisy else "false",
+                    ORIGIN_OUT if ood else ORIGIN_IN,
+                    ",".join(_fmt(v) for v in row.tolist()),
                 )
             )
 
@@ -379,48 +357,81 @@ def _parse_line(text: str, lineno: int) -> dict:
     return obj
 
 
+# JSON numbers; bool is a subclass of int, but ``type`` keeps it out
+_NUMBER_TYPES = frozenset((float, int))
+
+
+def _field(obj: dict, key: str, lineno: int):
+    try:
+        return obj[key]
+    except KeyError:
+        raise ParseError(f"line {lineno}: missing field {key!r}") from None
+
+
+def _int_field(obj: dict, key: str, lineno: int) -> int:
+    v = _field(obj, key, lineno)
+    if type(v) is not int or not -2**63 <= v < 2**63:
+        raise ValidationError(f"line {lineno}: {key} must be a 64-bit integer, got {v!r}")
+    return v
+
+
+def _provenance(prov, lineno: int) -> NoiseSpec | str:
+    if prov == "clean":
+        return "clean"
+    if (not isinstance(prov, dict) or set(prov) != {"kind", "level_q", "seed"}
+            or type(prov["level_q"]) not in _NUMBER_TYPES or type(prov["seed"]) is not int):
+        raise ValidationError(f"line {lineno}: unknown provenance {prov!r}")
+    try:
+        return NoiseSpec.from_dict(prov)
+    except (ConfigurationError, OverflowError) as exc:
+        raise ValidationError(f"line {lineno}: provenance: {exc}") from exc
+
+
 def load_dataset(path) -> Dataset:
-    """Read a dataset file, validating structure and invariants."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    """Read a dataset file, validating field types, structure and invariants."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {lineno}: non-ASCII byte") from None
     if not lines:
         raise ParseError("line 1: empty file, missing header")
 
     header = _parse_line(lines[0], 1)
     for key in ("format_version", "C", "d", "provenance"):
-        if key not in header:
-            raise ParseError(f"line 1: header missing field {key!r}")
-    if header["format_version"] != FORMAT_VERSION:
-        raise ValidationError(f"unsupported format_version {header['format_version']!r}")
-    class_count = int(header["C"])
-    feature_dim = int(header["d"])
-    prov = header["provenance"]
-    if isinstance(prov, dict):
-        provenance: NoiseSpec | str = NoiseSpec.from_dict(prov)
-    elif prov == "clean":
-        provenance = "clean"
-    else:
-        raise ValidationError(f"unknown provenance {prov!r}")
+        _field(header, key, 1)
+    if type(header["format_version"]) is not int or header["format_version"] != FORMAT_VERSION:
+        raise ValidationError(f"line 1: unsupported format_version {header['format_version']!r}")
+    class_count = _int_field(header, "C", 1)
+    feature_dim = _int_field(header, "d", 1)
+    if class_count < 1 or feature_dim < 1:
+        raise ValidationError(f"line 1: C and d must be positive, got {class_count}, {feature_dim}")
+    provenance = _provenance(header["provenance"], 1)
 
-    utterances: list[Utterance] = []
+    ids: list[int] = []
+    true_classes: list[int] = []
+    observed_classes: list[int] = []
+    ood: list[bool] = []
+    flat = array("d")  # features, row after row, as compact C doubles
     seen_ids: set[int] = set()
-    origins = {o.value: o for o in Origin}
     for i, text in enumerate(lines[1:], start=2):
         if not text.strip():
             continue
         obj = _parse_line(text, i)
-        try:
-            utt_id = int(obj["utt_id"])
-            true_class = int(obj["true_class"])
-            observed = int(obj["observed_class"])
-            is_noisy = bool(obj["is_noisy"])
-            origin_raw = obj["origin"]
-            feats = np.asarray(obj["features"], dtype=np.float64)
-        except KeyError as exc:
-            raise ParseError(f"line {i}: missing field {exc.args[0]!r}") from exc
-        if origin_raw not in origins:
-            raise ValidationError(f"line {i}: unknown origin {origin_raw!r}")
-        origin = origins[origin_raw]
+        utt_id = _int_field(obj, "utt_id", i)
+        true_class = _int_field(obj, "true_class", i)
+        observed = _int_field(obj, "observed_class", i)
+        is_noisy = _field(obj, "is_noisy", i)
+        origin = _field(obj, "origin", i)
+        feats = _field(obj, "features", i)
+        if not isinstance(is_noisy, bool):
+            raise ValidationError(f"line {i}: is_noisy must be true or false, got {is_noisy!r}")
+        if not isinstance(feats, list) or not _NUMBER_TYPES.issuperset(map(type, feats)):
+            raise ValidationError(f"line {i}: features must be a list of numbers")
+        if origin not in (ORIGIN_IN, ORIGIN_OUT):
+            raise ValidationError(f"line {i}: unknown origin {origin!r}")
         if utt_id in seen_ids:
             raise ValidationError(f"line {i}: duplicate utt_id {utt_id}")
         seen_ids.add(utt_id)
@@ -428,25 +439,27 @@ def load_dataset(path) -> Dataset:
             raise ValidationError(f"line {i}: observed_class {observed} out of [0, {class_count})")
         if not 0 <= true_class < class_count:
             raise ValidationError(f"line {i}: true_class {true_class} out of [0, {class_count})")
-        if feats.ndim != 1 or feats.shape[0] != feature_dim:
-            raise ValidationError(f"line {i}: expected {feature_dim} features, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
+        if len(feats) != feature_dim:
+            raise ValidationError(f"line {i}: expected {feature_dim} features, got {len(feats)}")
+        try:
+            finite = all(map(math.isfinite, feats))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ValidationError(f"line {i}: non-finite feature value")
-        expected_noisy = (observed != true_class) or (origin is Origin.OUT_OF_DISTRIBUTION)
-        if is_noisy != expected_noisy:
+        if is_noisy != (observed != true_class or origin == ORIGIN_OUT):
             raise ValidationError(f"line {i}: is_noisy flag inconsistent with labels/origin")
-        utterances.append(
-            Utterance(
-                utt_id=utt_id,
-                features=feats,
-                true_class=true_class,
-                observed_class=observed,
-                is_noisy=is_noisy,
-                origin=origin,
-            )
-        )
+        ids.append(utt_id)
+        true_classes.append(true_class)
+        observed_classes.append(observed)
+        ood.append(origin == ORIGIN_OUT)
+        flat.extend(feats)
     return Dataset(
-        utterances=utterances,
+        features=np.array(flat, dtype=np.float64).reshape(len(ids), feature_dim),
+        utt_id=ids,
+        true_class=true_classes,
+        observed_class=observed_classes,
+        is_ood=ood,
         class_count=class_count,
         feature_dim=feature_dim,
         provenance=provenance,

@@ -8,7 +8,7 @@ import numpy as np
 
 from labelnoise.embedder import MlpParams, TrainedModel
 from labelnoise.losses import CEConfig, ClassifierParams, LossConfig
-from labelnoise.synthdata import Dataset, Origin, Utterance
+from labelnoise.synthdata import Dataset
 
 
 def identity_model(dim: int, loss_cfg: LossConfig | None = None,
@@ -30,25 +30,17 @@ def make_dataset(features, observed, true_classes=None, class_count=None) -> Dat
     """Dataset from an (n, d) feature array and observed labels.
 
     ``true_classes`` defaults to the observed labels (clean). Utterances
-    whose observed and true class differ are flagged noisy.
+    whose observed and true class differ are noisy.
     """
     feats = np.asarray(features, dtype=np.float64)
     observed = list(observed)
     true_classes = observed if true_classes is None else list(true_classes)
     if class_count is None:
         class_count = max(max(observed), max(true_classes)) + 1
-    utts = [
-        Utterance(
-            utt_id=i,
-            features=feats[i].copy(),
-            true_class=true_classes[i],
-            observed_class=observed[i],
-            is_noisy=observed[i] != true_classes[i],
-            origin=Origin.IN_DISTRIBUTION,
-        )
-        for i in range(feats.shape[0])
-    ]
-    return Dataset(utterances=utts, class_count=class_count, feature_dim=feats.shape[1])
+    n = feats.shape[0]
+    return Dataset(features=feats.copy(), utt_id=np.arange(n), true_class=true_classes,
+                   observed_class=observed, is_ood=np.zeros(n, dtype=bool),
+                   class_count=class_count, feature_dim=feats.shape[1])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

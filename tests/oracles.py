@@ -1,13 +1,19 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Deliberately written with plain Python loops and naive formulas so they
-share no code path with the package implementations they check.
+share no code path with the package implementations they check. The
+per-pair ``cosine_similarity`` is the one-row-at-a-time form that the
+package's batched cosines must reproduce.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal
+
+import numpy as np
+
+from labelnoise.errors import DomainError
 
 
 def brute_centroids(embeddings, observed):
@@ -30,6 +36,39 @@ def _cos(a, b):
     na = math.sqrt(sum(float(x) ** 2 for x in a))
     nb = math.sqrt(sum(float(y) ** 2 for y in b))
     return dot / (na * nb)
+
+
+def as_vector(a, name: str = "input") -> np.ndarray:
+    """Coerce to a finite 1-D float64 array."""
+    v = np.asarray(a, dtype=np.float64)
+    if v.ndim != 1:
+        raise DomainError(f"{name} must be 1-D, got shape {v.shape}")
+    if v.size == 0:
+        raise DomainError(f"{name} must be non-empty")
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"{name} contains non-finite entries")
+    return v
+
+
+def cosine_similarity(a, b) -> float:
+    """Cosine of one vector pair by np.dot and 1-D norms, clamped to [-1, 1].
+
+    The per-pair reference for the batched cosines in detection and trial
+    scoring. Raises DomainError on dimension mismatch or a zero-norm
+    argument, naming which argument is degenerate.
+    """
+    va = as_vector(a, "a")
+    vb = as_vector(b, "b")
+    if va.shape != vb.shape:
+        raise DomainError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
+    na = np.linalg.norm(va)
+    nb = np.linalg.norm(vb)
+    if na == 0.0:
+        raise DomainError("argument 'a' has zero norm")
+    if nb == 0.0:
+        raise DomainError("argument 'b' has zero norm")
+    c = float(np.dot(va, vb) / (na * nb))
+    return min(1.0, max(-1.0, c))
 
 
 def brute_intra(embeddings, observed, centroids):

@@ -38,8 +38,6 @@ from labelnoise.losses import (
 )
 from labelnoise.nld import (
     DetectionResult,
-    InconsistencyScore,
-    METHOD_INTRA,
     ParametricClassifier,
     compute_centroids,
     detection_precision,
@@ -250,8 +248,7 @@ def test_criterion_2_scores_match_brute_force_oracles():
         intra = intra_inconsistency(model, ds, bank, embeddings=emb)
         ref_intra = brute_intra(feats.tolist(), observed,
                                 {c: v.tolist() for c, v in bank.centroids.items()})
-        worst_real = max(worst_real, float(np.max(np.abs(
-            np.asarray([s.score for s in intra]) - np.asarray(ref_intra)))))
+        worst_real = max(worst_real, float(np.max(np.abs(intra - np.asarray(ref_intra)))))
 
         inter = inter_inconsistency(model, ds, ParametricClassifier(model), embeddings=emb)
         probs = []
@@ -262,16 +259,12 @@ def test_criterion_2_scores_match_brute_force_oracles():
             exps = [math.exp(z - top) for z in logits]
             probs.append([v / sum(exps) for v in exps])
         ref_inter = brute_inter(probs, observed, list(range(class_count)))
-        worst_real = max(worst_real, float(np.max(np.abs(
-            np.asarray([s.score for s in inter]) - np.asarray(ref_inter)))))
+        worst_real = max(worst_real, float(np.max(np.abs(inter - np.asarray(ref_inter)))))
 
         # selection: continuous scores and heavily tied (rounded) scores
-        for values in ([s.score for s in inter],
-                       [round(s.score, 2) for s in inter]):
-            wrapped = [InconsistencyScore(utt_id=i, score=v, method=METHOD_INTRA)
-                       for i, v in enumerate(values)]
+        for values in (inter.tolist(), [round(v, 2) for v in inter.tolist()]):
             for q in (7.5, 20.0, 33.34, 50.0, 100.0):
-                got = rank_and_select(wrapped, q, n).predicted_noisy
+                got = rank_and_select(np.asarray(values), np.arange(n), q).predicted_noisy
                 sets_ok = sets_ok and got == brute_top_q_percent(range(n), values, q)
 
         predicted = set(rng.choice(n, size=max(2, n // 4), replace=False).tolist())
@@ -301,7 +294,7 @@ def _data_for(seed):
         clean = generate_dataset(50, 40, 8, 20, 0.2,
                                  seed=derive_seed(seed, "data-train"),
                                  mix_seed=derive_seed(seed, "data-mix"))
-        dirs = np.stack([c.latent_direction for c in clean.class_specs])
+        dirs = clean.directions
         aux = generate_dataset(50, 40, 8, 20, 0.2,
                                seed=derive_seed(seed, "data-aux"),
                                mix_seed=derive_seed(seed, "data-mix"),
@@ -356,7 +349,7 @@ def _detect(seed, loss, kind, q, method):
     else:
         clf = make_inter_classifier(model, ds, embeddings=emb)
         scores = inter_inconsistency(model, ds, clf, embeddings=emb)
-    result = detection_precision(rank_and_select(scores, q, len(ds)), ds)
+    result = detection_precision(rank_and_select(scores, ds.utt_id, q), ds)
     return result, scores
 
 
@@ -436,9 +429,7 @@ def test_criterion_7_noisy_scores_separate_from_clean():
     for seed in (0, 2):
         _, scores = _detect(seed, "aamsc", "permute", 20.0, "inter")
         ds = _noised(seed, "permute", 20.0)
-        flag = {u.utt_id: u.is_noisy for u in ds.utterances}
-        values = np.asarray([s.score for s in scores])
-        noisy = np.asarray([flag[s.utt_id] for s in scores], dtype=bool)
+        values, noisy = scores, ds.is_noisy
         med_noisy = float(np.median(values[noisy]))
         p90_clean = float(np.percentile(values[~noisy], 90))
         margins.append((seed, med_noisy, p90_clean))

@@ -3,11 +3,15 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import labelnoise
 from labelnoise.cli import (
     build_train_config,
     main,
@@ -285,6 +289,24 @@ def test_detect_rejects_out_of_range_q(pipeline, capsys):
     assert main(["detect", "--config", str(pipeline.cfg_path),
                  "--q", "150", "--quiet"]) == 1
     assert "q must be in (0, 100]" in capsys.readouterr().err
+
+
+def test_detect_with_malformed_dataset_exits_one_without_traceback(pipeline, tmp_path):
+    lines = (pipeline.sdir / "noisy.jsonl").read_text().splitlines()
+    row = json.loads(lines[2])
+    row["features"] = "abc"
+    lines[2] = json.dumps(row)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    src = Path(labelnoise.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "labelnoise.cli", "detect", "--config", str(pipeline.cfg_path),
+         "--dataset", str(bad), "--quiet"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: line 3: features")
+    assert "Traceback" not in proc.stderr
 
 
 def test_detect_without_any_q_source_exits_nonzero(pipeline, tmp_path, capsys):

@@ -11,8 +11,8 @@ from labelnoise.embedder import (
     MlpParams,
     TrainConfig,
     adam_step,
+    _sample_positions,
     easy_margin_boundary,
-    embed,
     embed_batch,
     init_mlp,
     load_model,
@@ -20,7 +20,6 @@ from labelnoise.embedder import (
     mlp_forward,
     model_from_dict,
     model_to_dict,
-    sample_batch,
     save_model,
     train,
     write_loss_curve,
@@ -62,26 +61,26 @@ def test_init_mlp_validation():
 def test_single_linear_identity_layer_passes_through():
     mlp = MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
     x = np.asarray([0.5, -1.2, 2.0])
-    assert np.array_equal(embed(mlp, x), x)
+    assert np.array_equal(embed_batch(mlp, x[None, :]), x[None, :])
 
 
 def test_zero_parameters_give_zero_embedding():
     mlp = MlpParams(weights=[np.zeros((4, 3)), np.zeros((2, 4))],
                     biases=[np.zeros(4), np.zeros(2)])
-    assert np.array_equal(embed(mlp, np.asarray([1.0, 2.0, 3.0])), np.zeros(2))
+    assert np.array_equal(embed_batch(mlp, np.asarray([[1.0, 2.0, 3.0]])), np.zeros((1, 2)))
 
 
 def test_hidden_layers_apply_tanh_final_linear():
     mlp = MlpParams(weights=[np.eye(2) * 3.0, np.eye(2)],
                     biases=[np.zeros(2), np.zeros(2)])
-    out = embed(mlp, np.asarray([1.0, -1.0]))
-    assert np.allclose(out, [math.tanh(3.0), math.tanh(-3.0)], atol=1e-15)
+    out = embed_batch(mlp, np.asarray([[1.0, -1.0]]))
+    assert np.allclose(out, [[math.tanh(3.0), math.tanh(-3.0)]], atol=1e-15)
 
 
 def test_forward_dim_mismatch():
     mlp = init_mlp((4, 3), named_rng(0, "init"))
     with pytest.raises(DomainError, match="dim-4"):
-        embed(mlp, np.ones(5))
+        embed_batch(mlp, np.ones((1, 5)))
     with pytest.raises(DomainError):
         mlp_forward(mlp, np.ones((2, 5)))
 
@@ -91,7 +90,7 @@ def test_embed_batch_matches_single():
     x = named_rng(2, "x").standard_normal((6, 5))
     batch = embed_batch(mlp, x)
     for i in range(6):
-        assert np.allclose(batch[i], embed(mlp, x[i]), atol=1e-15)
+        assert np.allclose(batch[i], embed_batch(mlp, x[i:i + 1])[0], atol=1e-15)
 
 
 def test_mlp_backward_matches_finite_difference_jacobian():
@@ -189,33 +188,35 @@ def small_ds(class_count=4, per_class=5, seed=0):
     return generate_dataset(class_count, per_class, 2, 6, 0.1, seed=seed)
 
 
+def sample(ds, n_speakers, m_utts, rng):
+    """The batch draw ``train`` makes: (N, M) positions and N labels."""
+    return _sample_positions(ds.ids_by_observed_class(), n_speakers, m_utts, rng)
+
+
 def test_sample_batch_exhaustive_when_n_equals_c():
     ds = small_ds(class_count=4)
-    batch = sample_batch(ds, 4, 1, named_rng(0, "batches"))
-    assert sorted(batch.labels.tolist()) == [0, 1, 2, 3]
-    assert batch.features.shape == (4, 1, 6)
-    assert batch.positions.shape == (4, 1)
-    for row in range(4):
-        pos = batch.positions[row, 0]
-        assert ds.utterances[pos].observed_class == batch.labels[row]
-        assert np.array_equal(batch.features[row, 0], ds.utterances[pos].features)
+    positions, labels = sample(ds, 4, 1, named_rng(0, "batches"))
+    assert sorted(labels.tolist()) == [0, 1, 2, 3]
+    assert positions.shape == (4, 1)
+    assert ds.observed_class[positions[:, 0]].tolist() == labels.tolist()
 
 
 def test_sample_batch_deterministic_given_rng():
     ds = small_ds()
-    a = sample_batch(ds, 3, 2, named_rng(1, "batches"))
-    b = sample_batch(ds, 3, 2, named_rng(1, "batches"))
-    assert np.array_equal(a.positions, b.positions)
-    assert np.array_equal(a.labels, b.labels)
+    a = sample(ds, 3, 2, named_rng(1, "batches"))
+    b = sample(ds, 3, 2, named_rng(1, "batches"))
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_sample_batch_no_repeat_within_group():
     ds = small_ds(per_class=3)
     rng = named_rng(2, "batches")
     for _ in range(50):
-        batch = sample_batch(ds, 2, 3, rng)
-        for row in batch.positions:
+        positions, labels = sample(ds, 2, 3, rng)
+        for row, label in zip(positions, labels):
             assert len(set(row.tolist())) == 3
+            assert np.all(ds.observed_class[row] == label)
 
 
 def test_sample_batch_class_frequency_binomial():
@@ -224,25 +225,18 @@ def test_sample_batch_class_frequency_binomial():
     rng = named_rng(3, "batches")
     counts = np.zeros(4, dtype=int)
     for _ in range(10000):
-        batch = sample_batch(ds, 2, 1, rng)
-        counts[batch.labels] += 1
+        _, labels = sample(ds, 2, 1, rng)
+        counts[labels] += 1
     assert np.all(counts >= 4850) and np.all(counts <= 5150)  # 3 sigma
-
-
-def test_sample_batch_flat_views():
-    ds = small_ds()
-    batch = sample_batch(ds, 3, 2, named_rng(4, "batches"))
-    assert batch.flat_features.shape == (6, 6)
-    assert batch.flat_labels.tolist() == np.repeat(batch.labels, 2).tolist()
 
 
 def test_sample_batch_insufficient_classes():
     ds = small_ds(class_count=3)
     with pytest.raises(ConfigurationError, match="eligible"):
-        sample_batch(ds, 4, 1, named_rng(0, "batches"))
+        sample(ds, 4, 1, named_rng(0, "batches"))
     # per_class=5 < M=6 makes every class ineligible
     with pytest.raises(ConfigurationError, match="eligible"):
-        sample_batch(ds, 1, 6, named_rng(0, "batches"))
+        sample(ds, 1, 6, named_rng(0, "batches"))
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from labelnoise.evaluation import (
 from labelnoise.jsonutil import dump_json17
 from labelnoise.losses import CEConfig
 from labelnoise.synthdata import generate_dataset
-from oracles import brute_eer_midpoint
+from oracles import brute_eer_midpoint, cosine_similarity
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_generate_trials_balanced_and_well_formed():
     nontargets = [t for t in trials if not t.is_target]
     assert len(targets) == len(nontargets) == 10
 
-    class_of = {u.utt_id: u.observed_class for u in ds.utterances}
+    class_of = dict(zip(ds.utt_id.tolist(), ds.observed_class.tolist()))
     for t in targets:
         assert class_of[t.enroll_utt_id] == class_of[t.test_utt_id]
         assert t.enroll_utt_id != t.test_utt_id
@@ -125,7 +125,7 @@ def test_generate_trials_deterministic_in_seed():
 
 def test_generate_trials_rejects_noisy_dataset():
     ds = small_clean()
-    ds.utterances[0].is_noisy = True
+    ds.is_ood[0] = True
     with pytest.raises(ConfigurationError, match="clean"):
         generate_trials(ds, 2, seed=0)
 
@@ -151,6 +151,20 @@ def test_score_trials_cosine_of_embeddings():
     scores, labels, dropped = score_trials(identity_model(2), trials, ds)
     np.testing.assert_allclose(scores, [0.0, 1.0 / math.sqrt(2.0)], rtol=0, atol=1e-15)
     assert labels.tolist() == [False, True]
+    assert dropped == 0
+
+
+def test_score_trials_matches_per_pair_cosine():
+    rng = np.random.default_rng(12)
+    feats = rng.standard_normal((30, 5))
+    ds = make_dataset(feats, [i % 3 for i in range(30)])
+    pairs = rng.choice(30, size=(40, 2))
+    trials = [Trial(int(a), int(b), is_target=bool(a % 3 == b % 3))
+              for a, b in pairs if a != b]
+    scores, labels, dropped = score_trials(identity_model(5), trials, ds)
+    ref = [cosine_similarity(feats[t.enroll_utt_id], feats[t.test_utt_id]) for t in trials]
+    np.testing.assert_allclose(scores, ref, rtol=0, atol=1e-15)
+    assert labels.tolist() == [t.is_target for t in trials]
     assert dropped == 0
 
 
@@ -188,7 +202,7 @@ def test_remove_predicted_filters_by_utt_id():
     ds = small_clean()
     kept = remove_predicted(ds, {0, 5})
     assert len(kept) == len(ds) - 2
-    assert {u.utt_id for u in kept.utterances} == set(range(len(ds))) - {0, 5}
+    assert set(kept.utt_id.tolist()) == set(range(len(ds))) - {0, 5}
     assert kept.class_count == ds.class_count
     assert kept.feature_dim == ds.feature_dim
     # unknown ids are a no-op
@@ -232,7 +246,7 @@ def test_retrain_reuses_supplied_before_model():
 
 def test_retrain_clamps_batch_when_removal_empties_a_class(caplog):
     ds, heldout, trials, cfg = retrain_fixture()
-    class_zero = {u.utt_id for u in ds.utterances if u.observed_class == 0}
+    class_zero = set(ds.utt_id[ds.observed_class == 0].tolist())
     with caplog.at_level("WARNING"):
         outcome = retrain_after_removal(ds, class_zero, cfg, heldout, trials)
     assert outcome.removed_count == len(class_zero)

@@ -15,7 +15,6 @@ from labelnoise.nld import (
     CentroidBank,
     CentroidClassifier,
     DetectionResult,
-    InconsistencyScore,
     ParametricClassifier,
     build_centroid_classifier,
     compute_centroids,
@@ -37,6 +36,7 @@ from oracles import (
     brute_intra,
     brute_precision_recall,
     brute_top_q_percent,
+    cosine_similarity,
 )
 
 
@@ -49,10 +49,6 @@ class StubClassifier:
 
     def confidences(self, x):
         return np.asarray(self._fn(x), dtype=np.float64)
-
-
-def scores_of(items):
-    return [s.score for s in items]
 
 
 # ----------------------------------------------------------------------
@@ -108,9 +104,8 @@ def test_intra_aligned_orthogonal_antipodal():
     bank = CentroidBank(centroids={0: np.array([1.0, 0.0])}, counts={0: 3},
                         embed_dim=2, skipped_classes=[])
     got = intra_inconsistency(identity_model(2), ds, bank)
-    assert scores_of(got) == [0.0, 1.0, 2.0]
-    assert all(s.method == METHOD_INTRA for s in got)
-    assert [s.utt_id for s in got] == [0, 1, 2]
+    assert got.dtype == np.float64
+    assert got.tolist() == [0.0, 1.0, 2.0]
 
 
 def test_intra_zero_norm_embedding_scores_maximal(caplog):
@@ -119,7 +114,7 @@ def test_intra_zero_norm_embedding_scores_maximal(caplog):
                         embed_dim=2, skipped_classes=[])
     with caplog.at_level("WARNING"):
         got = intra_inconsistency(identity_model(2), ds, bank)
-    assert scores_of(got) == [2.0, 0.0]
+    assert got.tolist() == [2.0, 0.0]
     assert "degenerate" in caplog.text
 
 
@@ -129,7 +124,7 @@ def test_intra_missing_class_and_zero_centroid_score_maximal(caplog):
                         embed_dim=2, skipped_classes=[0])
     with caplog.at_level("WARNING"):
         got = intra_inconsistency(identity_model(2), ds, bank)
-    assert scores_of(got) == [2.0, 2.0]
+    assert got.tolist() == [2.0, 2.0]
 
 
 def test_intra_matches_brute_force():
@@ -139,11 +134,24 @@ def test_intra_matches_brute_force():
     ds = make_dataset(feats, observed, class_count=4)
     model = identity_model(4)
     bank = compute_centroids(model, ds)
-    got = scores_of(intra_inconsistency(model, ds, bank))
+    got = intra_inconsistency(model, ds, bank)
     ref = brute_intra(feats.tolist(), observed,
                       {c: v.tolist() for c, v in bank.centroids.items()})
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
     assert all(0.0 <= s <= 2.0 for s in got)
+
+
+def test_intra_has_the_bits_of_per_row_cosine():
+    # the vectorized scores reproduce the one-row-at-a-time cosine exactly
+    rng = np.random.default_rng(11)
+    feats = rng.standard_normal((200, 32))
+    observed = rng.integers(0, 7, size=200).tolist()
+    ds = make_dataset(feats, observed, class_count=7)
+    model = identity_model(32)
+    bank = compute_centroids(model, ds)
+    got = intra_inconsistency(model, ds, bank)
+    ref = [1.0 - cosine_similarity(x, bank.centroids[c]) for x, c in zip(feats, observed)]
+    assert got.tolist() == ref
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +258,8 @@ def test_inter_one_minus_observed_confidence():
     )
     ds = make_dataset([np.log(p)], [0], class_count=3)
     got = inter_inconsistency(model, ds, ParametricClassifier(model))
-    assert len(got) == 1
-    assert got[0].method == METHOD_INTER
-    assert abs(got[0].score - 0.3) <= 1e-12
+    assert got.shape == (1,) and got.dtype == np.float64
+    assert abs(got[0] - 0.3) <= 1e-12
 
 
 def test_inter_uniform_confidence_scores_one_minus_reciprocal():
@@ -263,7 +270,7 @@ def test_inter_uniform_confidence_scores_one_minus_reciprocal():
         classifier=ClassifierParams(weight=np.zeros((5, 4)), bias=np.zeros(5)),
     )
     got = inter_inconsistency(model, ds, ParametricClassifier(model))
-    assert abs(got[0].score - (1.0 - 1.0 / 5.0)) <= 1e-12
+    assert abs(got[0] - (1.0 - 1.0 / 5.0)) <= 1e-12
 
 
 def test_inter_missing_class_scores_maximal(caplog):
@@ -271,7 +278,7 @@ def test_inter_missing_class_scores_maximal(caplog):
     clf = StubClassifier([0, 1], lambda x: [0.5, 0.5])
     with caplog.at_level("WARNING"):
         got = inter_inconsistency(identity_model(2), ds, clf)
-    assert got[0].score == 1.0
+    assert got.tolist() == [1.0]
     assert "maximal inter-class" in caplog.text
 
 
@@ -280,21 +287,21 @@ def test_inter_zero_norm_embedding_scores_maximal(caplog):
     clf = StubClassifier([0, 1], lambda x: [0.75, 0.25])
     with caplog.at_level("WARNING"):
         got = inter_inconsistency(identity_model(2), ds, clf)
-    assert scores_of(got) == [1.0, 0.25]
+    assert got.tolist() == [1.0, 0.25]
 
 
 def test_inter_rejects_confidences_not_summing_to_one():
     ds = make_dataset([[1.0, 0.0]], [0])
     clf = StubClassifier([0, 1], lambda x: [0.3, 0.3])
-    with pytest.raises(InternalError, match="sums to"):
+    with pytest.raises(InternalError, match="not a probability vector"):
         inter_inconsistency(identity_model(2), ds, clf)
 
 
 def test_inter_rejects_masked_min_disagreement():
-    # sums to 1 but has a negative entry, so the two forms diverge
+    # sums to 1 but has a negative entry: caught by the non-negativity check
     ds = make_dataset([[1.0, 0.0]], [0])
     clf = StubClassifier([0, 1], lambda x: [-0.5, 1.5])
-    with pytest.raises(InternalError, match="disagrees"):
+    with pytest.raises(InternalError, match=r"not a probability vector .*min -0\.5"):
         inter_inconsistency(identity_model(2), ds, clf)
 
 
@@ -311,7 +318,7 @@ def test_inter_matches_brute_force():
         classifier=ClassifierParams(weight=weight, bias=bias),
     )
     ds = make_dataset(feats, observed, class_count=class_count)
-    got = scores_of(inter_inconsistency(model, ds, ParametricClassifier(model)))
+    got = inter_inconsistency(model, ds, ParametricClassifier(model))
 
     probs = []
     for row in feats:
@@ -329,60 +336,58 @@ def test_inter_matches_brute_force():
 # ranking and selection
 
 
-def _scores(values):
-    return [InconsistencyScore(utt_id=i, score=v, method=METHOD_INTRA)
-            for i, v in enumerate(values)]
+def _rank(values, q):
+    """Rank scores given for utterances 0..n-1, in that order."""
+    return rank_and_select(np.asarray(values, dtype=np.float64), np.arange(len(values)), q)
 
 
 def test_rank_and_select_takes_ceil_of_fraction():
-    items = _scores([0.1, 0.9, 0.3, 0.8, 0.2, 0.7, 0.4])
-    got = rank_and_select(items, q=50.0, dataset_size=7)
+    got = _rank([0.1, 0.9, 0.3, 0.8, 0.2, 0.7, 0.4], q=50.0)
     assert got.predicted_noisy == {1, 3, 5, 6}  # ceil(3.5) = 4 largest
     assert got.q_used == 50.0
     assert got.selected_count == 4
 
 
 def test_rank_and_select_breaks_ties_toward_small_ids():
-    items = _scores([0.5, 0.5, 0.5, 0.5, 0.5])
-    got = rank_and_select(items, q=40.0, dataset_size=5)
+    got = _rank([0.5, 0.5, 0.5, 0.5, 0.5], q=40.0)
     assert got.predicted_noisy == {0, 1}
+    # the tie rule follows utt_id, not dataset position
+    reordered = rank_and_select(np.full(5, 0.5), np.array([9, 4, 7, 1, 3]), q=40.0)
+    assert reordered.predicted_noisy == {1, 3}
 
 
 def test_rank_and_select_q_zero_is_empty():
-    got = rank_and_select(_scores([0.1, 0.2]), q=0.0, dataset_size=2)
+    got = _rank([0.1, 0.2], q=0.0)
     assert got.predicted_noisy == set()
     assert got.precision is None and got.recall is None
 
 
 def test_rank_and_select_q_hundred_takes_everything():
-    got = rank_and_select(_scores([0.1, 0.2, 0.3]), q=100.0, dataset_size=3)
+    got = _rank([0.1, 0.2, 0.3], q=100.0)
     assert got.predicted_noisy == {0, 1, 2}
 
 
 def test_rank_and_select_no_float_round_up_on_exact_multiples():
     # 0.1 * 1000 / 100 evaluates to just above 1.0 in floats; the count
     # must still be the mathematical ceiling, 1.
-    items = _scores(list(np.linspace(0.0, 1.0, 1000)))
-    got = rank_and_select(items, q=0.1, dataset_size=1000)
+    got = _rank(np.linspace(0.0, 1.0, 1000), q=0.1)
     assert got.predicted_noisy == {999}
 
 
 def test_rank_and_select_validation():
-    items = _scores([0.1, 0.2])
     with pytest.raises(ConfigurationError, match="q must be"):
-        rank_and_select(items, q=-1.0, dataset_size=2)
+        _rank([0.1, 0.2], q=-1.0)
     with pytest.raises(ConfigurationError, match="q must be"):
-        rank_and_select(items, q=100.5, dataset_size=2)
+        _rank([0.1, 0.2], q=100.5)
     with pytest.raises(ConfigurationError, match="one score per utterance"):
-        rank_and_select(items, q=50.0, dataset_size=3)
+        rank_and_select(np.array([0.1, 0.2]), np.arange(3), q=50.0)
 
 
 def test_rank_and_select_invariant_under_monotone_rescaling():
     rng = np.random.default_rng(8)
     values = rng.permutation(np.linspace(0.0, 1.0, 60)).tolist()
-    base = rank_and_select(_scores(values), q=25.0, dataset_size=60)
-    warped = rank_and_select(_scores([2.0 * v + 1.0 for v in values]),
-                             q=25.0, dataset_size=60)
+    base = _rank(values, q=25.0)
+    warped = _rank([2.0 * v + 1.0 for v in values], q=25.0)
     assert base.predicted_noisy == warped.predicted_noisy
 
 
@@ -390,7 +395,7 @@ def test_rank_and_select_invariant_under_monotone_rescaling():
 def test_rank_and_select_matches_brute_force(q):
     rng = np.random.default_rng(int(q * 10))
     values = np.round(rng.random(37), 2).tolist()  # duplicates likely
-    got = rank_and_select(_scores(values), q=q, dataset_size=37)
+    got = _rank(values, q=q)
     assert got.predicted_noisy == brute_top_q_percent(range(37), values, q)
 
 
@@ -438,16 +443,14 @@ def test_detection_precision_matches_brute_force():
 
 def test_histogram_right_closed_bins():
     ds = make_dataset(np.eye(3), [0, 0, 0], true_classes=[0, 0, 1])
-    items = _scores([0.0, 1.0, 2.0])
-    rows = export_score_histogram(items, ds, bins=2)
+    rows = export_score_histogram(np.array([0.0, 1.0, 2.0]), ds, bins=2)
     assert rows == [(0.0, 0.5, 2, 0), (0.5, 1.0, 0, 1)]
 
 
 def test_histogram_degenerate_scores_single_bin(caplog):
     ds = make_dataset(np.eye(3), [0, 0, 0], true_classes=[0, 1, 1])
-    items = _scores([0.4, 0.4, 0.4])
     with caplog.at_level("WARNING"):
-        rows = export_score_histogram(items, ds, bins=4)
+        rows = export_score_histogram(np.full(3, 0.4), ds, bins=4)
     assert rows == [(0.0, 1.0, 1, 2)]
     assert "identical" in caplog.text
 
@@ -455,7 +458,7 @@ def test_histogram_degenerate_scores_single_bin(caplog):
 def test_histogram_needs_two_bins():
     ds = make_dataset(np.eye(2), [0, 0])
     with pytest.raises(ConfigurationError, match="bins"):
-        export_score_histogram(_scores([0.1, 0.2]), ds, bins=1)
+        export_score_histogram(np.array([0.1, 0.2]), ds, bins=1)
 
 
 def test_histogram_matches_brute_force():
@@ -466,8 +469,8 @@ def test_histogram_matches_brute_force():
     ds = make_dataset(rng.standard_normal((n, 2)), observed, true_classes=true,
                       class_count=2)
     values = rng.random(n).tolist()
-    rows = export_score_histogram(_scores(values), ds, bins=bins)
-    flags = [u.is_noisy for u in ds.utterances]
+    rows = export_score_histogram(np.asarray(values), ds, bins=bins)
+    flags = ds.is_noisy.tolist()
     ref = brute_histogram(values, flags, bins)
     assert len(rows) == bins
     for got_row, ref_row in zip(rows, ref):
@@ -482,11 +485,10 @@ def test_histogram_matches_brute_force():
 
 
 def test_write_scores_csv_sorted_and_exact(tmp_path):
-    ds = make_dataset(np.eye(2), [0, 0], true_classes=[0, 1])
-    items = [InconsistencyScore(utt_id=1, score=0.1, method=METHOD_INTER),
-             InconsistencyScore(utt_id=0, score=2.0 / 3.0, method=METHOD_INTER)]
+    # dataset order is utt_id 1 (noisy), then utt_id 0 (clean)
+    ds = make_dataset(np.eye(2), [0, 0], true_classes=[0, 1]).subset([1, 0])
     path = tmp_path / "scores.csv"
-    write_scores_csv(items, ds, path)
+    write_scores_csv(np.array([0.1, 2.0 / 3.0]), ds, METHOD_INTER, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "utt_id,method,score,is_noisy_truth"
     assert lines[1] == "0,inter,%s,false" % format(2.0 / 3.0, ".17g")

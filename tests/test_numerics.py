@@ -4,18 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labelnoise.errors import DomainError
-from labelnoise.numerics import (
-    as_vector,
-    cosine_similarity,
-    l2_normalize,
-    l2_normalize_rows,
-    log_sum_exp,
-    softmax,
-)
+from labelnoise.numerics import l2_normalize_rows, log_sum_exp, row_dot, softmax
+from oracles import as_vector, cosine_similarity
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0,
                           allow_nan=False, allow_infinity=False)
@@ -23,7 +17,7 @@ vectors = st.lists(finite_floats, min_size=1, max_size=12).map(np.asarray)
 
 
 # ----------------------------------------------------------------------
-# cosine_similarity
+# cosine_similarity (the per-pair reference in tests/oracles.py)
 
 
 def test_cosine_identical_vectors():
@@ -147,7 +141,11 @@ def test_lse_bounds(z):
 
 
 # ----------------------------------------------------------------------
-# l2_normalize
+# l2_normalize_rows
+
+
+def l2_normalize(v):
+    return l2_normalize_rows(np.asarray([v], dtype=np.float64))[0][0]
 
 
 def test_l2_normalize_345_triangle():
@@ -160,11 +158,12 @@ def test_l2_normalize_axis_aligned():
 
 
 def test_l2_normalize_zero_norm():
-    with pytest.raises(DomainError, match="zero-norm"):
+    with pytest.raises(DomainError, match="zero norm"):
         l2_normalize([0.0, 0.0, 0.0])
 
 
 @given(vectors)
+@example(np.asarray([1.83168672e-162]))  # its square underflows to a subnormal
 @settings(max_examples=50)
 def test_l2_normalize_idempotent(a):
     if np.linalg.norm(a) == 0:
@@ -188,7 +187,25 @@ def test_l2_normalize_rows_names_offender():
 
 
 # ----------------------------------------------------------------------
-# as_vector
+# row_dot
+
+
+@pytest.mark.parametrize("dim", [1, 3, 20, 32])
+def test_row_dot_has_the_bits_of_per_row_np_dot(dim):
+    rng = np.random.default_rng(dim)
+    a, b = rng.standard_normal((500, dim)), rng.standard_normal((500, dim))
+    got = row_dot(a, b)
+    assert got.shape == (500,)
+    assert got.tolist() == [float(np.dot(x, y)) for x, y in zip(a, b)]
+    assert np.sqrt(row_dot(a, a)).tolist() == [float(np.linalg.norm(x)) for x in a]
+
+
+def test_row_dot_empty():
+    assert row_dot(np.empty((0, 4)), np.empty((0, 4))).shape == (0,)
+
+
+# ----------------------------------------------------------------------
+# as_vector (the input check of the oracle's cosine_similarity)
 
 
 def test_as_vector_validates():

@@ -1,7 +1,6 @@
 """Synthetic data generation, label noising, and dataset serialization."""
 
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,8 +10,6 @@ from labelnoise.seeding import named_rng
 from labelnoise.synthdata import (
     Dataset,
     NoiseSpec,
-    Origin,
-    Utterance,
     apply_openset_noise,
     apply_permute_noise,
     generate_dataset,
@@ -33,11 +30,12 @@ def small_clean(seed=0, class_count=5, per_class=6, latent=3, feature=4, spread=
 def test_generate_counts_and_labels():
     ds = generate_dataset(2, 3, 2, 4, 0.1, seed=0)
     assert len(ds) == 6
-    assert [u.observed_class for u in ds.utterances] == [0, 0, 0, 1, 1, 1]
-    assert [u.true_class for u in ds.utterances] == [0, 0, 0, 1, 1, 1]
-    assert [u.utt_id for u in ds.utterances] == list(range(6))
-    assert all(not u.is_noisy for u in ds.utterances)
-    assert all(u.origin is Origin.IN_DISTRIBUTION for u in ds.utterances)
+    assert ds.observed_class.tolist() == [0, 0, 0, 1, 1, 1]
+    assert ds.true_class.tolist() == [0, 0, 0, 1, 1, 1]
+    assert ds.utt_id.tolist() == list(range(6))
+    assert not ds.is_noisy.any()
+    assert not ds.is_ood.any()
+    assert ds.features.shape == (6, 4) and ds.features.dtype == np.float64
     assert ds.feature_dim == 4 and ds.class_count == 2
     assert ds.is_clean
 
@@ -45,7 +43,7 @@ def test_generate_counts_and_labels():
 def test_generate_zero_spread_collapses_classes():
     ds = generate_dataset(3, 4, 2, 5, 0.0, seed=1)
     for c in range(3):
-        members = [u.features for u in ds.utterances if u.true_class == c]
+        members = ds.features[ds.true_class == c]
         for f in members[1:]:
             assert np.array_equal(f, members[0])
 
@@ -54,8 +52,7 @@ def test_generate_deterministic():
     a = generate_dataset(4, 3, 2, 6, 0.2, seed=7)
     b = generate_dataset(4, 3, 2, 6, 0.2, seed=7)
     assert a == b
-    for ua, ub in zip(a.utterances, b.utterances):
-        assert np.array_equal(ua.features, ub.features)
+    assert np.array_equal(a.features, b.features)
 
 
 def test_generate_seed_changes_data():
@@ -73,13 +70,14 @@ def test_generate_shared_mix_seed_shares_feature_space():
     c = generate_dataset(3, 3, 2, 5, 0.1, seed=4, mix_seed=100)
     assert a == b
     assert a != c
-    assert [u.observed_class for u in c.utterances] == [u.observed_class for u in a.utterances]
+    assert np.array_equal(c.observed_class, a.observed_class)
 
 
 def test_generate_unit_latent_directions():
     ds = small_clean()
-    for spec in ds.class_specs:
-        assert abs(np.linalg.norm(spec.latent_direction) - 1.0) <= 1e-9
+    assert ds.directions.shape == (ds.class_count, 3)
+    for direction in ds.directions:
+        assert abs(np.linalg.norm(direction) - 1.0) <= 1e-9
 
 
 def test_generate_validates_arguments():
@@ -120,27 +118,30 @@ def test_permute_q0_is_identity():
 def test_permute_q100_flags_everything():
     ds = small_clean()
     out = apply_permute_noise(ds, NoiseSpec(kind="permute", level_q=100.0, seed=3))
-    assert all(u.is_noisy for u in out.utterances)
-    assert all(u.observed_class != u.true_class for u in out.utterances)
-    assert all(0 <= u.observed_class < ds.class_count for u in out.utterances)
+    assert out.is_noisy.all()
+    assert np.all(out.observed_class != out.true_class)
+    assert np.all((0 <= out.observed_class) & (out.observed_class < ds.class_count))
 
 
 def test_permute_never_assigns_true_class():
     ds = small_clean(class_count=3, per_class=40)
     out = apply_permute_noise(ds, NoiseSpec(kind="permute", level_q=80.0, seed=11))
-    for u in out.utterances:
-        if u.is_noisy:
-            assert u.observed_class != u.true_class
+    # replay the flag draws: every flagged row, and only those, changed class
+    rng = named_rng(11, "permute-noise")
+    flagged = []
+    for _ in range(len(ds)):
+        flagged.append(bool(rng.random() < 0.8))
+        if flagged[-1]:
+            rng.integers(ds.class_count - 1)
+    assert (out.observed_class != out.true_class).tolist() == flagged
 
 
 def test_permute_leaves_features_and_true_labels():
     ds = small_clean()
     out = apply_permute_noise(ds, NoiseSpec(kind="permute", level_q=60.0, seed=5))
-    assert Counter(u.true_class for u in out.utterances) == Counter(
-        u.true_class for u in ds.utterances)
-    for before, after in zip(ds.utterances, out.utterances):
-        assert np.array_equal(before.features, after.features)
-        assert before.utt_id == after.utt_id
+    assert np.array_equal(out.true_class, ds.true_class)
+    assert np.array_equal(out.features, ds.features)
+    assert np.array_equal(out.utt_id, ds.utt_id)
     # input untouched
     assert ds.is_clean
 
@@ -170,12 +171,8 @@ def test_permute_rejects_noisy_input_and_wrong_kind():
 
 
 def test_permute_needs_two_classes():
-    one = Dataset(
-        utterances=[Utterance(utt_id=0, features=np.zeros(2), true_class=0,
-                              observed_class=0)],
-        class_count=1,
-        feature_dim=2,
-    )
+    one = Dataset(features=np.zeros((1, 2)), utt_id=[0], true_class=[0], observed_class=[0],
+                  is_ood=[False], class_count=1, feature_dim=2)
     with pytest.raises(ConfigurationError, match="2 classes"):
         apply_permute_noise(one, NoiseSpec(kind="permute", level_q=50.0, seed=0))
 
@@ -185,9 +182,8 @@ def test_permute_needs_two_classes():
 
 
 def aux_for(ds, seed=100):
-    dirs = np.stack([s.latent_direction for s in ds.class_specs])
-    return generate_dataset(ds.class_count, 6, dirs.shape[1], ds.feature_dim, 0.1,
-                            seed=seed, avoid_directions=dirs)
+    return generate_dataset(ds.class_count, 6, ds.directions.shape[1], ds.feature_dim, 0.1,
+                            seed=seed, avoid_directions=ds.directions)
 
 
 def test_openset_q0_is_identity():
@@ -201,29 +197,22 @@ def test_openset_keeps_labels_swaps_features():
     ds = small_clean()
     aux = aux_for(ds)
     out = apply_openset_noise(ds, aux, NoiseSpec(kind="open_set", level_q=100.0, seed=3))
-    aux_rows = {a.features.tobytes() for a in aux.utterances}
-    for before, after in zip(ds.utterances, out.utterances):
-        assert after.is_noisy
-        assert after.origin is Origin.OUT_OF_DISTRIBUTION
-        assert after.observed_class == before.observed_class
-        assert after.true_class == before.true_class
-        assert after.features.tobytes() in aux_rows
+    aux_rows = {row.tobytes() for row in aux.features}
+    assert out.is_noisy.all() and out.is_ood.all()
+    assert np.array_equal(out.observed_class, ds.observed_class)
+    assert np.array_equal(out.true_class, ds.true_class)
+    assert all(row.tobytes() in aux_rows for row in out.features)
 
 
 def test_openset_partial_mix():
     ds = small_clean(per_class=20)
     aux = aux_for(ds)
     out = apply_openset_noise(ds, aux, NoiseSpec(kind="open_set", level_q=50.0, seed=8))
-    noisy = [u for u in out.utterances if u.is_noisy]
-    clean = [u for u in out.utterances if not u.is_noisy]
-    assert noisy and clean
-    assert all(u.origin is Origin.OUT_OF_DISTRIBUTION for u in noisy)
-    assert all(u.origin is Origin.IN_DISTRIBUTION for u in clean)
-    original = {u.utt_id: u for u in ds.utterances}
-    for u in clean:
-        assert np.array_equal(u.features, original[u.utt_id].features)
-    assert Counter(u.true_class for u in out.utterances) == Counter(
-        u.true_class for u in ds.utterances)
+    noisy = out.is_noisy
+    assert noisy.any() and not noisy.all()
+    assert np.array_equal(out.is_ood, noisy)
+    assert np.array_equal(out.features[~noisy], ds.features[~noisy])
+    assert np.array_equal(out.true_class, ds.true_class)
 
 
 def test_openset_rejects_overlapping_aux():
@@ -234,7 +223,7 @@ def test_openset_rejects_overlapping_aux():
 
 def test_openset_rejects_empty_or_mismatched_aux():
     ds = small_clean()
-    empty = Dataset(utterances=[], class_count=2, feature_dim=ds.feature_dim)
+    empty = ds.subset(np.zeros(len(ds), dtype=bool))
     with pytest.raises(ConfigurationError, match="non-empty"):
         apply_openset_noise(ds, empty, NoiseSpec(kind="open_set", level_q=50.0, seed=0))
     skinny = generate_dataset(3, 3, 2, ds.feature_dim + 1, 0.1, seed=1)
@@ -363,6 +352,54 @@ def test_load_non_finite_feature(tmp_path):
         load_dataset(path)
 
 
+_GOOD_ROW = {"utt_id": 0, "true_class": 0, "observed_class": 0, "is_noisy": False,
+             "origin": "in_distribution", "features": [0.0, 1.0]}
+_GOOD_HEADER = {"format_version": 1, "C": 2, "d": 2, "provenance": "clean"}
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("row", "features", "abc"),
+    ("row", "features", [0.0, "1"]),
+    ("row", "features", [True, 1.0]),
+    ("row", "features", [0.0, 10 ** 400]),
+    ("row", "utt_id", "x"),
+    ("row", "utt_id", 1.7),
+    ("row", "utt_id", 2 ** 63),
+    ("row", "true_class", True),
+    ("row", "observed_class", None),
+    ("row", "is_noisy", "false"),
+    ("row", "is_noisy", 0),
+    ("header", "C", "abc"),
+    ("header", "C", 2.9),
+    ("header", "d", True),
+    ("header", "d", 0),
+    ("header", "provenance", {"kind": "permute"}),
+    ("header", "provenance", {"kind": "permute", "level_q": "20", "seed": 1}),
+])
+def test_load_rejects_mistyped_fields(tmp_path, where, key, value):
+    header, row = dict(_GOOD_HEADER), dict(_GOOD_ROW)
+    (header if where == "header" else row)[key] = value
+    path = tmp_path / "ds.jsonl"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n", encoding="ascii")
+    line = 1 if where == "header" else 2
+    with pytest.raises((ValidationError, ParseError), match=f"^line {line}: "):
+        load_dataset(path)
+
+
+def test_load_non_ascii_byte_reports_line(tmp_path):
+    path = tmp_path / "ds.jsonl"
+    row = json.dumps(_GOOD_ROW).replace("in_distribution", "in_distribution\u00e9")
+    path.write_bytes((json.dumps(_GOOD_HEADER) + "\n" + row + "\n").encode("utf-8"))
+    with pytest.raises(ParseError, match="^line 2: non-ASCII"):
+        load_dataset(path)
+
+
+def test_dataset_rejects_columns_of_different_lengths():
+    with pytest.raises(ConfigurationError, match="columns disagree"):
+        Dataset(features=np.zeros((2, 3)), utt_id=[0, 1], true_class=[0], observed_class=[0, 0],
+                is_ood=[False, False], class_count=1, feature_dim=3)
+
+
 def test_load_missing_utterance_field(tmp_path):
     row = {"utt_id": 0, "observed_class": 0, "is_noisy": False,
            "origin": "in_distribution", "features": [0.0, 1.0]}
@@ -392,10 +429,10 @@ def test_is_clean_and_noisy_ids():
     assert ds.is_clean and ds.noisy_ids() == set()
     noisy = apply_permute_noise(ds, NoiseSpec(kind="permute", level_q=100.0, seed=0))
     assert not noisy.is_clean
-    assert noisy.noisy_ids() == {u.utt_id for u in noisy.utterances}
+    assert noisy.noisy_ids() == set(range(len(noisy)))
 
 
 def test_ids_by_observed_class_positions():
     ds = generate_dataset(2, 3, 2, 4, 0.1, seed=0)
     groups = ds.ids_by_observed_class()
-    assert groups == {0: [0, 1, 2], 1: [3, 4, 5]}
+    assert {c: pos.tolist() for c, pos in groups.items()} == {0: [0, 1, 2], 1: [3, 4, 5]}
