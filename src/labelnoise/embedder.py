@@ -9,14 +9,15 @@ learning rate. Everything is deterministic given (dataset, config).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, DomainError
-from .jsonutil import digest_config, dump_json17
+from .jsonutil import digest_config, json_field, write_json17
 from .losses import (
     AAMConfig,
     AAMSCConfig,
@@ -106,10 +107,10 @@ def embed_batch(params: MlpParams, features: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators for a fixed list of parameter blocks."""
+    """First/second-moment accumulators for one flat parameter vector."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step_count: int
     learning_rate: float
     beta1: float = 0.9
@@ -117,11 +118,11 @@ class AdamState:
     epsilon: float = 1e-8
 
     @staticmethod
-    def fresh(params: list[np.ndarray], learning_rate: float, beta1: float = 0.9,
+    def fresh(params: np.ndarray, learning_rate: float, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
         return AdamState(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
+            m=np.zeros_like(params),
+            v=np.zeros_like(params),
             step_count=0,
             learning_rate=learning_rate,
             beta1=beta1,
@@ -130,31 +131,38 @@ class AdamState:
         )
 
 
+def _first_non_finite(vec: np.ndarray, blocks: list[tuple[str, slice]] | None) -> str:
+    """Name of the first block of ``vec`` holding a non-finite entry."""
+    return next(name for name, sl in blocks or [("parameter vector", slice(None))]
+                if not np.all(np.isfinite(vec[sl])))
+
+
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
-    names: list[str] | None = None,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update with bias correction; params are updated in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ConfigurationError("params/grads/state length mismatch")
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            label = names[i] if names else f"block {i}"
-            raise DivergenceError(f"non-finite gradient in parameter block {label!r}")
+    blocks: list[tuple[str, slice]] | None = None,
+) -> tuple[np.ndarray, AdamState]:
+    """One Adam update with bias correction on a flat vector, in place.
+
+    ``blocks`` lists the (name, slice) of each parameter block; it only
+    names the offending block when the gradient is not finite.
+    """
+    if params.shape != grads.shape or params.shape != state.m.shape:
+        raise ConfigurationError(f"shape mismatch: parameters {params.shape}, "
+                                 f"gradient {grads.shape}, Adam state {state.m.shape}")
+    if not np.all(np.isfinite(grads)):
+        label = _first_non_finite(grads, blocks)
+        raise DivergenceError(f"non-finite gradient in parameter block {label!r}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ConfigurationError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grads
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * grads * grads
+    params -= state.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.epsilon)
     return params, state
 
 
@@ -217,42 +225,8 @@ class TrainConfig:
         if self.embed_dim < 1:
             raise ConfigurationError(f"embed_dim must be >= 1, got {self.embed_dim}")
 
-    @property
-    def batch_size(self) -> int:
-        return self.batch_speakers * self.utts_per_speaker
-
     def to_dict(self) -> dict:
-        return {
-            "loss": self.loss.to_dict(),
-            "total_steps": self.total_steps,
-            "batch_speakers": self.batch_speakers,
-            "utts_per_speaker": self.utts_per_speaker,
-            "easy_margin_fraction": self.easy_margin_fraction,
-            "seed": self.seed,
-            "learning_rate": self.learning_rate,
-            "hidden_dims": list(self.hidden_dims),
-            "embed_dim": self.embed_dim,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        return TrainConfig(
-            loss=loss_config_from_dict(d["loss"]),
-            total_steps=int(d.get("total_steps", 5000)),
-            batch_speakers=int(d.get("batch_speakers", 64)),
-            utts_per_speaker=int(d.get("utts_per_speaker", 1)),
-            easy_margin_fraction=float(d.get("easy_margin_fraction", 0.125)),
-            seed=int(d.get("seed", 0)),
-            learning_rate=float(d.get("learning_rate", 1e-4)),
-            hidden_dims=tuple(int(h) for h in d.get("hidden_dims", (64, 64))),
-            embed_dim=int(d.get("embed_dim", 32)),
-            beta1=float(d.get("beta1", 0.9)),
-            beta2=float(d.get("beta2", 0.999)),
-            epsilon=float(d.get("epsilon", 1e-8)),
-        )
+        return {**asdict(self), "loss": self.loss.to_dict(), "hidden_dims": list(self.hidden_dims)}
 
 
 @dataclass
@@ -268,19 +242,34 @@ def easy_margin_boundary(cfg: TrainConfig) -> int:
     return math.ceil(cfg.easy_margin_fraction * cfg.total_steps)
 
 
-def _collect_params(mlp: MlpParams, clf: ClassifierParams) -> tuple[list[np.ndarray], list[str]]:
-    params: list[np.ndarray] = []
-    names: list[str] = []
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        params += [w, b]
-        names += [f"mlp.weight{i}", f"mlp.bias{i}"]
-    if clf.weight is not None:
-        params.append(clf.weight)
-        names.append("classifier.weight")
-    if clf.bias is not None:
-        params.append(clf.bias)
-        names.append("classifier.bias")
-    return params, names
+# Trainable classifier fields, in parameter-vector order, with their block names.
+_CLASSIFIER_BLOCKS = (("classifier.weight", "weight"), ("classifier.bias", "bias"),
+                      ("ge2e.w", "ge2e_w"), ("ge2e.b", "ge2e_b"))
+
+
+def _flatten(mlp: MlpParams, clf: ClassifierParams) -> tuple[np.ndarray, list[tuple[str, slice]]]:
+    """Copy every trainable block into one contiguous float64 vector.
+
+    The blocks go in the order mlp.weight{i}, mlp.bias{i} per layer, then
+    whichever classifier fields exist. The fields of ``mlp`` and ``clf``
+    are rebound as views of the vector (GE2E's scalars as 0-d views), so an
+    in-place update of the vector updates the model. Returns the vector
+    and the (name, slice) of every block.
+    """
+    n = len(mlp.weights)
+    fields = [(name, f) for name, f in _CLASSIFIER_BLOCKS if getattr(clf, f) is not None]
+    names = [f"mlp.{kind}{i}" for i in range(n) for kind in ("weight", "bias")]
+    names += [name for name, _ in fields]
+    arrays = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
+    arrays += [np.asarray(getattr(clf, f), dtype=np.float64) for _, f in fields]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    blocks = [(name, slice(end - a.size, end)) for name, a, end in zip(names, arrays, ends)]
+    views = [flat[sl].reshape(a.shape) for (_, sl), a in zip(blocks, arrays)]
+    mlp.weights, mlp.biases = views[0:2 * n:2], views[1:2 * n:2]
+    for (_, f), view in zip(fields, views[2 * n:]):
+        setattr(clf, f, view)
+    return flat, blocks
 
 
 def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, float]]]:
@@ -305,17 +294,9 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
     mlp = init_mlp(layer_dims, init_rng)
     clf = init_classifier(loss_cfg, cfg.embed_dim, init_rng)
 
-    is_ge2e = isinstance(loss_cfg, GE2EConfig)
-    if is_ge2e:
-        ge2e_scalars = [
-            np.asarray(float(clf.ge2e_w)),
-            np.asarray(float(clf.ge2e_b)),
-        ]
-    params, names = _collect_params(mlp, clf)
-    if is_ge2e:
-        params += ge2e_scalars
-        names += ["ge2e.w", "ge2e.b"]
+    params, blocks = _flatten(mlp, clf)
     state = AdamState.fresh(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
+    is_ge2e = isinstance(loss_cfg, GE2EConfig)
 
     groups = ds.ids_by_observed_class()
     boundary = easy_margin_boundary(cfg)
@@ -328,45 +309,35 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
 
         if isinstance(loss_cfg, CEConfig):
             out = ce_loss(emb, np.repeat(labels, m_utt), clf)
-            clf_grads = [out.grad_params.weight, out.grad_params.bias]
         elif isinstance(loss_cfg, AAMConfig):
             step_cfg = replace(loss_cfg, easy_margin=step < boundary)
             out = aam_loss(emb, np.repeat(labels, m_utt), clf, step_cfg)
-            clf_grads = [out.grad_params.weight]
         elif isinstance(loss_cfg, AAMSCConfig):
             step_cfg = replace(loss_cfg, easy_margin=step < boundary)
             out = aamsc_loss(emb, np.repeat(labels, m_utt), clf, step_cfg)
-            clf_grads = [out.grad_params.weight]
         else:
-            clf.ge2e_w = float(ge2e_scalars[0])
-            clf.ge2e_b = float(ge2e_scalars[1])
             out = ge2e_loss(emb.reshape(n_spk, m_utt, -1), clf, loss_cfg)
-            clf_grads = [np.asarray(out.grad_params.ge2e_w), np.asarray(out.grad_params.ge2e_b)]
 
         if not math.isfinite(out.value):
             raise DivergenceError(f"loss diverged at step {step} (config digest {digest})")
 
-        grad_emb = out.grad_embeddings.reshape(emb.shape)
-        gw, gb, _ = mlp_backward(mlp, cache, grad_emb)
-        grads: list[np.ndarray] = []
-        for w_g, b_g in zip(gw, gb):
-            grads += [w_g, b_g]
-        grads += clf_grads
-        adam_step(params, grads, state, names)
+        gw, gb, _ = mlp_backward(mlp, cache, out.grad_embeddings.reshape(emb.shape))
+        parts = [g.ravel() for pair in zip(gw, gb) for g in pair]
+        parts += [np.ravel(getattr(out.grad_params, f)) for _, f in _CLASSIFIER_BLOCKS
+                  if getattr(out.grad_params, f) is not None]
+        adam_step(params, np.concatenate(parts), state, blocks)
 
         if is_ge2e:
-            ge2e_scalars[0][...] = max(float(ge2e_scalars[0]), GE2E_W_FLOOR)
-            clf.ge2e_w = float(ge2e_scalars[0])
-            clf.ge2e_b = float(ge2e_scalars[1])
-
-        for p, name in zip(params, names):
-            if not np.all(np.isfinite(p)):
-                raise DivergenceError(
-                    f"non-finite parameter in block {name!r} after step {step} "
-                    f"(config digest {digest})"
-                )
+            clf.ge2e_w[...] = max(float(clf.ge2e_w), GE2E_W_FLOOR)
+        if not np.all(np.isfinite(params)):
+            raise DivergenceError(
+                f"non-finite parameter in block {_first_non_finite(params, blocks)!r} "
+                f"after step {step} (config digest {digest})"
+            )
         curve.append((step, out.value))
 
+    if is_ge2e:
+        clf.ge2e_w, clf.ge2e_b = float(clf.ge2e_w), float(clf.ge2e_b)
     manifest = {
         "seed": cfg.seed,
         "config_digest": digest,
@@ -402,42 +373,62 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(dump_json17(model_to_dict(model)))
-        fh.write("\n")
+    write_json17(model_to_dict(model), path)
+
+
+def _number_array(value, ndim: int, path: str) -> np.ndarray:
+    """A JSON list (ndim 1) or list of equal-length lists (ndim 2) of finite numbers."""
+    rows = [value] if ndim == 1 else value
+    if isinstance(value, list) and all(
+            isinstance(r, list) and set(map(type, r)) <= {int, float} for r in rows):
+        with contextlib.suppress(OverflowError, ValueError):  # beyond float64, ragged rows
+            arr = np.asarray(value, dtype=np.float64)
+            if arr.ndim == ndim and arr.size and np.all(np.isfinite(arr)):
+                return arr
+    shape = "list" if ndim == 1 else "list of equal-length lists"
+    raise ConfigurationError(f"{path} must be a non-empty {shape} of finite numbers")
 
 
 def model_from_dict(d: dict) -> TrainedModel:
-    if d.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ConfigurationError(f"unsupported model format_version {d.get('format_version')!r}")
+    """Rebuild a model from ``model_to_dict`` output, checking every field."""
+    version = d.get("format_version") if isinstance(d, dict) else None
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise ConfigurationError(f"unsupported model format_version {version!r}")
+    raw = json_field(d, "mlp", dict, "model")
+    weights, biases = (json_field(raw, key, list, "model.mlp") for key in ("weights", "biases"))
+    if not weights or len(weights) != len(biases):
+        raise ConfigurationError("model.mlp needs as many biases as weights, at least one")
     mlp = MlpParams(
-        weights=[np.asarray(w, dtype=np.float64) for w in d["mlp"]["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in d["mlp"]["biases"]],
+        weights=[_number_array(w, 2, f"model.mlp.weights[{i}]") for i, w in enumerate(weights)],
+        biases=[_number_array(b, 1, f"model.mlp.biases[{i}]") for i, b in enumerate(biases)],
     )
-    c = d["classifier"]
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        if b.shape != w.shape[:1] or (i > 0 and w.shape[1] != mlp.weights[i - 1].shape[0]):
+            raise ConfigurationError(f"model.mlp layer {i}: weight shape {w.shape} and bias "
+                                     f"shape {b.shape} do not chain onto the previous layer")
+    c = json_field(d, "classifier", dict, "model")
+    weight, bias = (json_field(c, key, list, "model.classifier", nullable=True)
+                    for key in ("weight", "bias"))
     clf = ClassifierParams(
-        weight=None if c["weight"] is None else np.asarray(c["weight"], dtype=np.float64),
-        bias=None if c["bias"] is None else np.asarray(c["bias"], dtype=np.float64),
-        ge2e_w=None if c["ge2e_w"] is None else float(c["ge2e_w"]),
-        ge2e_b=None if c["ge2e_b"] is None else float(c["ge2e_b"]),
+        weight=None if weight is None else _number_array(weight, 2, "model.classifier.weight"),
+        bias=None if bias is None else _number_array(bias, 1, "model.classifier.bias"),
+        ge2e_w=json_field(c, "ge2e_w", float, "model.classifier", nullable=True),
+        ge2e_b=json_field(c, "ge2e_b", float, "model.classifier", nullable=True),
     )
-    loss_cfg = loss_config_from_dict(d["loss_config"])
-    embed_dim = mlp.layer_dims[-1]
-    if isinstance(loss_cfg, (CEConfig, AAMConfig)):
-        expected_rows = loss_cfg.class_count
-    elif isinstance(loss_cfg, AAMSCConfig):
-        expected_rows = loss_cfg.class_count * loss_cfg.subcenters
-    else:
-        expected_rows = None
-    if expected_rows is not None:
-        if clf.weight is None or clf.weight.shape != (expected_rows, embed_dim):
+    loss_cfg = loss_config_from_dict(json_field(d, "loss_config", dict, "model"),
+                                     "model.loss_config")
+    if not isinstance(loss_cfg, GE2EConfig):
+        rows = loss_cfg.class_count * getattr(loss_cfg, "subcenters", 1)
+        expected = (rows, mlp.layer_dims[-1])
+        if clf.weight is None or clf.weight.shape != expected:
             got = None if clf.weight is None else clf.weight.shape
             raise ConfigurationError(
-                f"classifier weight shape {got} inconsistent with loss config "
-                f"(expected {(expected_rows, embed_dim)})"
+                f"classifier weight shape {got} inconsistent with loss config (expected {expected})"
             )
+        if isinstance(loss_cfg, CEConfig) and (clf.bias is None or clf.bias.shape != (rows,)):
+            raise ConfigurationError(f"model.classifier.bias must hold {rows} numbers")
     return TrainedModel(embedder=mlp, classifier=clf, loss_config=loss_cfg,
-                        train_manifest=dict(d.get("train_manifest", {})))
+                        train_manifest=json_field(d, "train_manifest", dict, "model"))
 
 
 def load_model(path) -> TrainedModel:

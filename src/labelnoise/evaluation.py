@@ -20,7 +20,7 @@ import numpy as np
 
 from .embedder import TrainConfig, TrainedModel, embed_batch, train
 from .errors import ConfigurationError, DomainError, ParseError
-from .jsonutil import dump_json17
+from .jsonutil import write_json17
 from .numerics import row_dot
 from .seeding import named_rng
 from .synthdata import Dataset
@@ -268,9 +268,7 @@ def write_eer_json(result: EERResult, model_digest: str, path) -> None:
         "trial_count": result.trial_count,
         "model_digest": model_digest,
     }
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(dump_json17(payload))
-        fh.write("\n")
+    write_json17(payload, path)
 
 
 def write_retrain_json(outcome: RetrainOutcome, method: str, seed: int,
@@ -288,6 +286,4 @@ def write_retrain_json(outcome: RetrainOutcome, method: str, seed: int,
                   "threshold": outcome.after.threshold_at_eer,
                   "trial_count": outcome.after.trial_count},
     }
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(dump_json17(payload))
-        fh.write("\n")
+    write_json17(payload, path)

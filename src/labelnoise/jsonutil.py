@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
+import sys
+
+from .errors import ConfigurationError
 
 
 def _encode(obj, item_sep=", ", kv_sep=": ") -> str:
@@ -47,6 +51,31 @@ def write_json17(obj, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(dump_json17(obj))
         fh.write("\n")
+
+
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
+               list: "a list", dict: "an object"}
+
+
+def json_field(section: dict, key: str, kind: type, path: str, nullable: bool = False):
+    """``section[key]`` if it is a JSON ``kind`` (or null when ``nullable``).
+
+    ``int`` excludes bools; ``float`` takes any finite number but a bool
+    and returns a float. Otherwise raises ConfigurationError naming
+    ``<path>.<key>``.
+    """
+    if key not in section:
+        raise ConfigurationError(f"{path}.{key} is missing")
+    v = section[key]
+    if v is None and nullable:
+        return None
+    if kind is float:  # ``type`` keeps bool, a subclass of int, out
+        ok = type(v) in (int, float) and abs(v) <= sys.float_info.max
+    else:
+        ok = isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
+    if not ok:
+        raise ConfigurationError(f"{path}.{key} must be {_KIND_NAMES[kind]}, got {reprlib.repr(v)}")
+    return float(v) if kind is float else v
 
 
 def canonical_json(obj) -> str:

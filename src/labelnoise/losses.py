@@ -25,11 +25,12 @@ differences in the test suite).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
+from .jsonutil import json_field
 from .numerics import l2_normalize_rows, log_sum_exp, softmax
 
 GE2E_INIT_W = 10.0
@@ -47,7 +48,7 @@ class CEConfig:
             raise ConfigurationError(f"class_count must be >= 2, got {self.class_count}")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "class_count": self.class_count}
+        return {"kind": self.kind, **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,7 @@ class AAMConfig:
             raise ConfigurationError(f"margin must be in [0, pi/2), got {self.margin}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "class_count": self.class_count,
-            "scale": self.scale,
-            "margin": self.margin,
-            "easy_margin": self.easy_margin,
-        }
+        return {"kind": self.kind, **asdict(self)}
 
 
 def nsl_config(class_count: int, scale: float) -> AAMConfig:
@@ -103,14 +98,7 @@ class AAMSCConfig:
             raise ConfigurationError(f"subcenters must be >= 1, got {self.subcenters}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "class_count": self.class_count,
-            "scale": self.scale,
-            "margin": self.margin,
-            "subcenters": self.subcenters,
-            "easy_margin": self.easy_margin,
-        }
+        return {"kind": self.kind, **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -123,34 +111,31 @@ class GE2EConfig:
     kind = "ge2e"
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "init_w": self.init_w, "init_b": self.init_b}
+        return {"kind": self.kind, **asdict(self)}
 
 
 LossConfig = CEConfig | AAMConfig | AAMSCConfig | GE2EConfig
 
 
-def loss_config_from_dict(d: dict) -> LossConfig:
+def loss_config_from_dict(d: dict, path: str = "loss_config") -> LossConfig:
+    """Parse ``LossConfig.to_dict`` output, checking every field's JSON type."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{path} must be an object, got {type(d).__name__}")
     kind = d.get("kind")
-    if kind == "ce":
-        return CEConfig(class_count=int(d["class_count"]))
-    if kind == "aam":
-        return AAMConfig(
-            class_count=int(d["class_count"]),
-            scale=float(d["scale"]),
-            margin=float(d["margin"]),
-            easy_margin=bool(d.get("easy_margin", False)),
-        )
-    if kind == "aamsc":
-        return AAMSCConfig(
-            class_count=int(d["class_count"]),
-            scale=float(d["scale"]),
-            margin=float(d["margin"]),
-            subcenters=int(d["subcenters"]),
-            easy_margin=bool(d.get("easy_margin", False)),
-        )
+    if kind not in ("ce", "aam", "aamsc", "ge2e"):
+        raise ConfigurationError(f"unknown loss kind {kind!r}")
     if kind == "ge2e":
-        return GE2EConfig(init_w=float(d["init_w"]), init_b=float(d["init_b"]))
-    raise ConfigurationError(f"unknown loss kind {kind!r}")
+        return GE2EConfig(init_w=json_field(d, "init_w", float, path),
+                          init_b=json_field(d, "init_b", float, path))
+    class_count = json_field(d, "class_count", int, path)
+    if kind == "ce":
+        return CEConfig(class_count=class_count)
+    common = {"class_count": class_count, "scale": json_field(d, "scale", float, path),
+              "margin": json_field(d, "margin", float, path),
+              "easy_margin": json_field(d, "easy_margin", bool, path)}
+    if kind == "aam":
+        return AAMConfig(**common)
+    return AAMSCConfig(subcenters=json_field(d, "subcenters", int, path), **common)
 
 
 @dataclass

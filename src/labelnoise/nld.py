@@ -22,7 +22,7 @@ import numpy as np
 
 from .embedder import TrainedModel, embed_batch
 from .errors import ConfigurationError, InternalError
-from .jsonutil import dump_json17
+from .jsonutil import write_json17
 from .losses import GE2EConfig, classify_confidence
 from .numerics import row_dot, softmax
 from .synthdata import Dataset
@@ -296,9 +296,7 @@ def write_detection_json(result: DetectionResult, method: str, seed: int,
         "config_digest": config_digest,
         "predicted_noisy": sorted(result.predicted_noisy),
     }
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(dump_json17(payload))
-        fh.write("\n")
+    write_json17(payload, path)
 
 
 def write_histogram_csv(rows: list[tuple[float, float, int, int]], path) -> None:

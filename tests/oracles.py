@@ -3,17 +3,20 @@
 Deliberately written with plain Python loops and naive formulas so they
 share no code path with the package implementations they check. The
 per-pair ``cosine_similarity`` is the one-row-at-a-time form that the
-package's batched cosines must reproduce.
+package's batched cosines must reproduce, and the per-block Adam loop is
+the one-block-at-a-time update that the flat-vector ``adam_step`` must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
 
-from labelnoise.errors import DomainError
+from labelnoise.errors import ConfigurationError, DivergenceError, DomainError
 
 
 def brute_centroids(embeddings, observed):
@@ -50,6 +53,16 @@ def as_vector(a, name: str = "input") -> np.ndarray:
     return v
 
 
+def _peak_scaled(v: np.ndarray) -> np.ndarray:
+    """``v`` divided by its peak when its norm is below 1e-150, else ``v``.
+
+    Below that norm the squared entries underflow and ``norm`` loses its
+    precision; the cosine does not depend on scale.
+    """
+    peak = np.max(np.abs(v))
+    return v / peak if peak > 0.0 and np.linalg.norm(v) < 1e-150 else v
+
+
 def cosine_similarity(a, b) -> float:
     """Cosine of one vector pair by np.dot and 1-D norms, clamped to [-1, 1].
 
@@ -57,8 +70,8 @@ def cosine_similarity(a, b) -> float:
     scoring. Raises DomainError on dimension mismatch or a zero-norm
     argument, naming which argument is degenerate.
     """
-    va = as_vector(a, "a")
-    vb = as_vector(b, "b")
+    va = _peak_scaled(as_vector(a, "a"))
+    vb = _peak_scaled(as_vector(b, "b"))
     if va.shape != vb.shape:
         raise DomainError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
     na = np.linalg.norm(va)
@@ -158,3 +171,57 @@ def brute_eer_midpoint(scores, is_target):
         if best is None or gap < best[0]:
             best = (gap, (far + frr) / 2.0)
     return best[1]
+
+
+@dataclass
+class BlockAdamState:
+    """First/second-moment accumulators for a fixed list of parameter blocks."""
+
+    m: list[np.ndarray]
+    v: list[np.ndarray]
+    step_count: int
+    learning_rate: float
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+
+    @staticmethod
+    def fresh(params: list[np.ndarray], learning_rate: float, beta1: float = 0.9,
+              beta2: float = 0.999, epsilon: float = 1e-8) -> "BlockAdamState":
+        return BlockAdamState(
+            m=[np.zeros_like(p) for p in params],
+            v=[np.zeros_like(p) for p in params],
+            step_count=0,
+            learning_rate=learning_rate,
+            beta1=beta1,
+            beta2=beta2,
+            epsilon=epsilon,
+        )
+
+
+def block_adam_step(
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
+    state: BlockAdamState,
+    names: list[str] | None = None,
+) -> tuple[list[np.ndarray], BlockAdamState]:
+    """One Adam update with bias correction; params are updated in place."""
+    if len(params) != len(grads) or len(params) != len(state.m):
+        raise ConfigurationError("params/grads/state length mismatch")
+    for i, g in enumerate(grads):
+        if not np.all(np.isfinite(g)):
+            label = names[i] if names else f"block {i}"
+            raise DivergenceError(f"non-finite gradient in parameter block {label!r}")
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        if p.shape != g.shape:
+            raise ConfigurationError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    return params, state

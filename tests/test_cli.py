@@ -309,6 +309,27 @@ def test_detect_with_malformed_dataset_exits_one_without_traceback(pipeline, tmp
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda m: {"format_version": 1}, "error: model.mlp is missing"),
+    (lambda m: {**m, "loss_config": {**m["loss_config"], "class_count": "5"}},
+     "error: model.loss_config.class_count must be an integer, got '5'"),
+])
+def test_detect_with_malformed_model_exits_one_without_traceback(pipeline, tmp_path,
+                                                                  edit, message):
+    model = json.loads((pipeline.sdir / "model.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(model)))
+    src = Path(labelnoise.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "labelnoise.cli", "detect", "--config", str(pipeline.cfg_path),
+         "--model", str(bad), "--quiet"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(message)
+    assert "Traceback" not in proc.stderr
+
+
 def test_detect_without_any_q_source_exits_nonzero(pipeline, tmp_path, capsys):
     raw = tiny_raw_config(str(tmp_path / "run"))
     raw["noise"] = None

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import labelnoise.embedder as embedder
 from labelnoise.embedder import (
     AdamState,
     MlpParams,
@@ -24,11 +25,17 @@ from labelnoise.embedder import (
     train,
     write_loss_curve,
 )
-from labelnoise.errors import ConfigurationError, DivergenceError, DomainError
+from labelnoise.errors import (
+    ConfigurationError,
+    DivergenceError,
+    DomainError,
+    LabelNoiseError,
+)
 from labelnoise.jsonutil import dump_json17
 from labelnoise.losses import AAMSCConfig, CEConfig, GE2EConfig
 from labelnoise.seeding import named_rng
 from labelnoise.synthdata import generate_dataset
+from oracles import BlockAdamState, block_adam_step
 
 
 # ----------------------------------------------------------------------
@@ -136,48 +143,70 @@ def test_mlp_backward_matches_finite_difference_jacobian():
 
 def test_adam_scalar_hand_oracle():
     # fresh state, g=1: m-hat = 1, v-hat = 1, step = lr / (1 + eps)
-    p = [np.asarray([0.0])]
+    p = np.asarray([0.0])
     state = AdamState.fresh(p, learning_rate=1e-4)
-    adam_step(p, [np.asarray([1.0])], state)
-    assert p[0][0] == pytest.approx(-1e-4 / (1.0 + 1e-8), rel=1e-12)
+    adam_step(p, np.asarray([1.0]), state)
+    assert p[0] == pytest.approx(-1e-4 / (1.0 + 1e-8), rel=1e-12)
     assert state.step_count == 1
 
 
 def test_adam_zero_gradient_leaves_parameters():
-    p = [np.asarray([1.5, -2.5])]
+    p = np.asarray([1.5, -2.5])
     state = AdamState.fresh(p, learning_rate=1e-4)
-    adam_step(p, [np.zeros(2)], state)
-    assert np.array_equal(p[0], [1.5, -2.5])
+    adam_step(p, np.zeros(2), state)
+    assert np.array_equal(p, [1.5, -2.5])
 
 
 def test_adam_two_runs_bit_identical():
     rng = named_rng(4, "adam")
-    grads = [rng.standard_normal((3, 2)) for _ in range(10)]
+    grads = [rng.standard_normal(6) for _ in range(10)]
 
     def run():
-        p = [np.zeros((3, 2))]
+        p = np.zeros(6)
         state = AdamState.fresh(p, learning_rate=1e-3)
         for g in grads:
-            adam_step(p, [g], state)
-        return p[0]
+            adam_step(p, g, state)
+        return p
 
     assert np.array_equal(run(), run())
 
 
 def test_adam_rejects_non_finite_gradient():
-    p = [np.zeros(2)]
+    p = np.zeros(3)
     state = AdamState.fresh(p, learning_rate=1e-4)
-    with pytest.raises(DivergenceError, match="classifier.weight"):
-        adam_step(p, [np.asarray([1.0, np.nan])], state, names=["classifier.weight"])
+    blocks = [("mlp.weight0", slice(0, 1)), ("classifier.weight", slice(1, 3))]
+    with pytest.raises(DivergenceError, match="'classifier.weight'"):
+        adam_step(p, np.asarray([1.0, 2.0, np.nan]), state, blocks)
+    assert state.step_count == 0 and np.array_equal(p, np.zeros(3))
 
 
 def test_adam_rejects_shape_mismatch():
-    p = [np.zeros(2)]
+    p = np.zeros(2)
     state = AdamState.fresh(p, learning_rate=1e-4)
     with pytest.raises(ConfigurationError):
-        adam_step(p, [np.zeros(3)], state)
-    with pytest.raises(ConfigurationError):
-        adam_step(p, [np.zeros(2), np.zeros(2)], state)
+        adam_step(p, np.zeros(3), state)
+    with pytest.raises(ConfigurationError):  # state built for another vector
+        adam_step(np.zeros(3), np.zeros(3), state)
+
+
+def test_flat_adam_matches_per_block_adam_bit_for_bit():
+    # the real 20-64-64-32 MLP plus an AAMSC classifier (C=50, K=3), with
+    # gradients spanning 1e-8 .. 1e2 in magnitude
+    shapes = [(64, 20), (64,), (64, 64), (64,), (32, 64), (32,), (150, 32)]
+    rng = named_rng(5, "adam-blocks")
+    blocks = [rng.uniform(-0.2, 0.2, size=s) for s in shapes]
+    flat = np.concatenate([b.ravel() for b in blocks])
+    slices = np.split(np.arange(flat.size), np.cumsum([b.size for b in blocks])[:-1])
+    ref_state = BlockAdamState.fresh(blocks, learning_rate=1e-3)
+    state = AdamState.fresh(flat, learning_rate=1e-3)
+    for _ in range(250):
+        grads = [rng.standard_normal(s) * 10.0 ** rng.uniform(-8.0, 2.0, size=s) for s in shapes]
+        block_adam_step(blocks, grads, ref_state)
+        adam_step(flat, np.concatenate([g.ravel() for g in grads]), state)
+    for b, idx in zip(blocks, slices):
+        assert np.array_equal(flat[idx], b.ravel())
+    assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref_state.m]))
+    assert np.array_equal(state.v, np.concatenate([v.ravel() for v in ref_state.v]))
 
 
 # ----------------------------------------------------------------------
@@ -254,16 +283,6 @@ def test_train_config_validation():
         TrainConfig(loss=CEConfig(class_count=4), total_steps=-1)
     with pytest.raises(ConfigurationError):
         TrainConfig(loss=CEConfig(class_count=4), learning_rate=0.0)
-    cfg = TrainConfig(loss=GE2EConfig(), batch_speakers=8, utts_per_speaker=2)
-    assert cfg.batch_size == 16
-
-
-def test_train_config_round_trip():
-    cfg = TrainConfig(loss=AAMSCConfig(class_count=5, scale=15.0, margin=0.2,
-                                       subcenters=3),
-                      total_steps=123, batch_speakers=5, seed=9,
-                      hidden_dims=(32, 16), embed_dim=8)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_easy_margin_boundary_ceil():
@@ -338,15 +357,19 @@ def test_train_class_count_mismatch():
 
 def test_train_ge2e_keeps_bias_and_floors_w():
     ds = small_ds(class_count=4, per_class=6)
-    cfg = TrainConfig(loss=GE2EConfig(), total_steps=40, batch_speakers=3,
-                      utts_per_speaker=2, seed=3, hidden_dims=(8,), embed_dim=6)
-    model, curve = train(ds, cfg)
+    model, curve = train(ds, tiny_ge2e_cfg())
     # b has an exactly-zero analytic gradient: only float-summation noise
     # can move it, never more than a hair from its -5 initialization
     assert abs(model.classifier.ge2e_b + 5.0) < 1e-6
     assert model.classifier.ge2e_w >= 1e-4
     assert model.classifier.ge2e_w != 10.0  # w does learn
+    assert type(model.classifier.ge2e_w) is float and type(model.classifier.ge2e_b) is float
     assert all(math.isfinite(v) for _, v in curve)
+    # a w that one step drives below the floor is clamped to it
+    cfg = TrainConfig(loss=GE2EConfig(init_w=-1.0), total_steps=1, batch_speakers=3,
+                      utts_per_speaker=2, seed=3, hidden_dims=(8,), embed_dim=6)
+    floored, _ = train(ds, cfg)
+    assert floored.classifier.ge2e_w == 1e-4
 
 
 def test_train_aamsc_runs_and_records_boundary():
@@ -356,6 +379,58 @@ def test_train_aamsc_runs_and_records_boundary():
     model, _ = train(ds, cfg)
     assert model.train_manifest["easy_margin_boundary"] == 2  # ceil(16/8)
     assert model.classifier.weight.shape == (12, 6)
+
+
+def tiny_ge2e_cfg(steps=40):
+    return TrainConfig(loss=GE2EConfig(), total_steps=steps, batch_speakers=3,
+                       utts_per_speaker=2, seed=3, hidden_dims=(8,), embed_dim=6)
+
+
+def _nan_in_gradient(real, field):
+    """``real`` loss whose returned gradient holds one NaN in ``field``."""
+    def loss(*args):
+        out = real(*args)
+        if field == "embeddings":
+            out.grad_embeddings[(0,) * out.grad_embeddings.ndim] = np.nan
+        elif field == "weight":
+            out.grad_params.weight[0, 0] = np.nan
+        else:
+            setattr(out.grad_params, field, math.nan)
+        return out
+    return loss
+
+
+@pytest.mark.parametrize("loss_name,field,block", [
+    ("ce_loss", "embeddings", "mlp.weight0"),  # backprop spreads the NaN to every layer
+    ("ce_loss", "weight", "classifier.weight"),
+    ("ge2e_loss", "ge2e_w", "ge2e.w"),
+])
+def test_train_names_block_with_non_finite_gradient(monkeypatch, loss_name, field, block):
+    ds = small_ds(class_count=4, per_class=6)
+    cfg = tiny_ge2e_cfg(steps=3) if loss_name == "ge2e_loss" else tiny_cfg(steps=3)
+    monkeypatch.setattr(embedder, loss_name, _nan_in_gradient(getattr(embedder, loss_name), field))
+    with pytest.raises(DivergenceError, match=f"non-finite gradient in parameter block '{block}'"):
+        train(ds, cfg)
+
+
+@pytest.mark.parametrize("loss,block", [
+    (CEConfig(class_count=4), "mlp.bias0"),
+    (CEConfig(class_count=4), "classifier.weight"),
+    (GE2EConfig(), "ge2e.w"),
+])
+def test_train_names_block_with_non_finite_parameter(monkeypatch, loss, block):
+    real_adam_step = embedder.adam_step
+
+    def adam_step_then_nan(params, grads, state, blocks=None):
+        real_adam_step(params, grads, state, blocks)
+        params[dict(blocks)[block].start] = np.nan
+
+    ds = small_ds(class_count=4, per_class=6)
+    cfg = tiny_ge2e_cfg(steps=3) if isinstance(loss, GE2EConfig) else tiny_cfg(loss, steps=3)
+    monkeypatch.setattr(embedder, "adam_step", adam_step_then_nan)
+    with pytest.raises(DivergenceError,
+                       match=f"non-finite parameter in block '{block}' after step 0"):
+        train(ds, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -398,6 +473,78 @@ def test_model_from_dict_rejects_unknown_version():
     d["format_version"] = 42
     with pytest.raises(ConfigurationError, match="format_version"):
         model_from_dict(d)
+
+
+@pytest.fixture(scope="module")
+def aamsc_model_dict():
+    """A trained AAMSC model as plain JSON values."""
+    cfg = tiny_cfg(loss=AAMSCConfig(class_count=4, scale=30.0, margin=0.1, subcenters=2),
+                   steps=3)
+    model, _ = train(small_ds(), cfg)
+    return json.loads(dump_json17(model_to_dict(model)))
+
+
+def _set(path, value):
+    """Mutator that sets ``d[path[0]][path[1]]...`` to ``value``."""
+    def mutate(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+    return mutate
+
+
+def _drop(*path):
+    def mutate(d):
+        for key in path[:-1]:
+            d = d[key]
+        del d[path[-1]]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,needle", [
+    (lambda d: [d.pop(k) for k in list(d) if k != "format_version"], "model.mlp is missing"),
+    (_set(["format_version"], True), "format_version"),
+    (_set(["format_version"], "1"), "format_version"),
+    (_drop("mlp", "biases"), "model.mlp.biases is missing"),
+    (_set(["mlp", "weights"], {}), "model.mlp.weights must be a list"),
+    (_set(["mlp", "weights", 0, 0, 0], "x"), r"model.mlp.weights\[0\] must be"),
+    (_set(["mlp", "weights", 0, 0, 0], True), r"model.mlp.weights\[0\] must be"),
+    (_set(["mlp", "weights", 0, 0, 0], 10 ** 400), r"model.mlp.weights\[0\] must be"),
+    (_set(["mlp", "weights", 0, 1], [0.5]), r"model.mlp.weights\[0\] must be"),
+    (_set(["mlp", "biases", 1, 0], math.nan), r"model.mlp.biases\[1\] must be"),
+    (_set(["mlp", "biases", 0], [0.0]), "layer 0: .* do not chain"),
+    (lambda d: [row.pop() for row in d["mlp"]["weights"][1]], "layer 1: .* do not chain"),
+    (_set(["mlp", "biases"], []), "as many biases as weights"),
+    (_drop("classifier", "bias"), "model.classifier.bias is missing"),
+    (_set(["classifier", "weight"], "x"), "model.classifier.weight must be a list"),
+    (_set(["classifier", "ge2e_w"], "x"), "model.classifier.ge2e_w must be a finite number"),
+    (_set(["loss_config"], []), "model.loss_config must be an object"),
+    (_set(["loss_config", "kind"], "bogus"), "unknown loss kind"),
+    (_set(["loss_config", "class_count"], "5"), "model.loss_config.class_count must be an integer"),
+    (_set(["loss_config", "class_count"], 4.0), "model.loss_config.class_count must be an integer"),
+    (_set(["loss_config", "class_count"], True), "model.loss_config.class_count must be an integer"),
+    (_set(["loss_config", "subcenters"], "x"), "model.loss_config.subcenters must be an integer"),
+    (_drop("loss_config", "subcenters"), "model.loss_config.subcenters is missing"),
+    (_set(["loss_config", "scale"], True), "model.loss_config.scale must be a finite number"),
+    (_set(["loss_config", "margin"], "0.1"), "model.loss_config.margin must be a finite number"),
+    (_set(["loss_config", "easy_margin"], "false"), "model.loss_config.easy_margin must be a bool"),
+    (_set(["loss_config"], {"kind": "ge2e", "init_w": "x", "init_b": -5.0}),
+     "model.loss_config.init_w must be a finite number"),
+    (_set(["loss_config"], {"kind": "ge2e", "init_w": 10.0, "init_b": math.inf}),
+     "model.loss_config.init_b must be a finite number"),
+    (_drop("train_manifest"), "model.train_manifest is missing"),
+])
+def test_model_from_dict_rejects_malformed_fields(aamsc_model_dict, mutate, needle):
+    d = json.loads(json.dumps(aamsc_model_dict))
+    model_from_dict(d)  # the unmodified copy loads
+    mutate(d)
+    with pytest.raises(LabelNoiseError, match=needle):
+        model_from_dict(d)
+
+
+def test_model_from_dict_rejects_non_object():
+    with pytest.raises(ConfigurationError, match="format_version"):
+        model_from_dict([1, 2])
 
 
 def test_load_model_malformed_file(tmp_path):
