@@ -11,8 +11,10 @@ reruns (manifest timings excepted).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -93,10 +95,14 @@ def _get_int(section: dict, key: str, default: int | None, path: str,
 
 
 def _get_float(section: dict, key: str, default: float, path: str) -> float:
+    """A finite number; ``json.load`` also parses NaN, Infinity and huge
+    integer literals, none of which any float field accepts."""
     v = section.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigurationError(f"config field {path}.{key} must be a number, got {v!r}")
-    return float(v)
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond float64
+            if math.isfinite(f := float(v)):
+                return f
+    raise ConfigurationError(f"config field {path}.{key} must be a finite number, got {v!r}")
 
 
 def _resolve_loss(raw: dict) -> dict:

@@ -13,6 +13,7 @@ import contextlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,27 +167,58 @@ def adam_step(
     return params, state
 
 
+class _ClassTable(NamedTuple):
+    """The classes a batch may draw from, built once per training run.
+
+    ``labels`` are the eligible observed classes in ascending order; the
+    members of ``labels[i]`` are ``flat[starts[i]:starts[i] + sizes[i]]``
+    (dataset positions, in dataset order).
+    """
+
+    labels: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    flat: np.ndarray
+
+
+def _class_table(observed_class: np.ndarray, m_utts: int) -> _ClassTable:
+    """Group dataset positions by observed class, keeping the classes
+    with at least ``m_utts`` members."""
+    flat = np.argsort(observed_class, kind="stable")
+    labels, starts, sizes = np.unique(observed_class[flat], return_index=True,
+                                      return_counts=True)
+    keep = sizes >= m_utts
+    return _ClassTable(labels[keep].astype(np.intp), sizes[keep], starts[keep], flat)
+
+
 def _sample_positions(
-    groups: dict[int, np.ndarray], n_speakers: int, m_utts: int, rng: np.random.Generator
+    table: _ClassTable, n_speakers: int, m_utts: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw N distinct observed classes (uniform, no replacement) and M
+    """Draw N distinct eligible classes (uniform, no replacement) and M
     positions from each (uniform, no replacement); returns the (N, M)
     dataset positions and the N class labels.
 
-    Classes with fewer than M utterances are excluded from the draw; if
-    fewer than N classes remain eligible the batch is infeasible.
+    If fewer than N classes are eligible the batch is infeasible. For
+    M=1, ``rng.integers(0, sizes)`` makes the same bounded draws, in the
+    same order, as one ``rng.choice(members, 1, replace=False)`` per
+    class, so both forms give the same batches and leave ``rng`` in the
+    same state.
     """
-    eligible = sorted(c for c, pos in groups.items() if len(pos) >= m_utts)
-    if len(eligible) < n_speakers:
+    if len(table.labels) < n_speakers:
         raise ConfigurationError(
-            f"need {n_speakers} classes with >= {m_utts} utterances, only {len(eligible)} eligible"
+            f"need {n_speakers} classes with >= {m_utts} utterances, "
+            f"only {len(table.labels)} eligible"
         )
-    chosen = rng.choice(len(eligible), size=n_speakers, replace=False)
-    labels = np.asarray([eligible[i] for i in chosen], dtype=np.intp)
-    positions = np.empty((n_speakers, m_utts), dtype=np.intp)
-    for row, c in enumerate(labels):
-        positions[row] = rng.choice(groups[c], size=m_utts, replace=False)
-    return positions, labels
+    chosen = rng.choice(len(table.labels), size=n_speakers, replace=False)
+    starts, sizes = table.starts[chosen], table.sizes[chosen]
+    if m_utts == 1:
+        positions = table.flat[starts + rng.integers(0, sizes)][:, None]
+    else:
+        positions = np.empty((n_speakers, m_utts), dtype=np.intp)
+        for row, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+            positions[row] = rng.choice(table.flat[start:start + size], size=m_utts,
+                                        replace=False)
+    return positions, table.labels[chosen]
 
 
 @dataclass(frozen=True)
@@ -298,23 +330,24 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
     state = AdamState.fresh(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
     is_ge2e = isinstance(loss_cfg, GE2EConfig)
 
-    groups = ds.ids_by_observed_class()
-    boundary = easy_margin_boundary(cfg)
     n_spk, m_utt = cfg.batch_speakers, cfg.utts_per_speaker
+    table = _class_table(ds.observed_class, m_utt)
+    boundary = easy_margin_boundary(cfg)
+    if isinstance(loss_cfg, (AAMConfig, AAMSCConfig)):
+        # indexed by ``step < boundary``
+        margin_cfgs = (replace(loss_cfg, easy_margin=False), replace(loss_cfg, easy_margin=True))
 
     curve: list[tuple[int, float]] = []
     for step in range(cfg.total_steps):
-        positions, labels = _sample_positions(groups, n_spk, m_utt, batch_rng)
+        positions, labels = _sample_positions(table, n_spk, m_utt, batch_rng)
         emb, cache = mlp_forward(mlp, ds.features[positions.reshape(-1)])
 
         if isinstance(loss_cfg, CEConfig):
             out = ce_loss(emb, np.repeat(labels, m_utt), clf)
         elif isinstance(loss_cfg, AAMConfig):
-            step_cfg = replace(loss_cfg, easy_margin=step < boundary)
-            out = aam_loss(emb, np.repeat(labels, m_utt), clf, step_cfg)
+            out = aam_loss(emb, np.repeat(labels, m_utt), clf, margin_cfgs[step < boundary])
         elif isinstance(loss_cfg, AAMSCConfig):
-            step_cfg = replace(loss_cfg, easy_margin=step < boundary)
-            out = aamsc_loss(emb, np.repeat(labels, m_utt), clf, step_cfg)
+            out = aamsc_loss(emb, np.repeat(labels, m_utt), clf, margin_cfgs[step < boundary])
         else:
             out = ge2e_loss(emb.reshape(n_spk, m_utt, -1), clf, loss_cfg)
 

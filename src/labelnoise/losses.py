@@ -404,13 +404,16 @@ def ge2e_loss(embeddings: np.ndarray, params: ClassifierParams,
                       grad_params=ClassifierParams(ge2e_w=grad_w, ge2e_b=grad_b))
 
 
-def classify_confidence(x: np.ndarray, params: ClassifierParams, cfg: LossConfig) -> np.ndarray:
+def classify_confidence(x: np.ndarray, params: ClassifierParams, cfg: LossConfig,
+                        unit_weight: np.ndarray | None = None) -> np.ndarray:
     """Probability over classes from the trained classifier, margin/scale off.
 
     CE keeps its full affine layer; AAM applies softmax to raw weight/
     embedding cosines; AAMSC reduces each class to its maximum sub-center
     cosine first. GE2E has no parametric classifier (a centroid classifier
-    is constructed in the detection module instead).
+    is constructed in the detection module instead). ``unit_weight`` is
+    ``params.weight`` with unit rows, for callers that score many
+    embeddings with one classifier; AAM/AAMSC compute it when it is omitted.
     """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
@@ -420,13 +423,13 @@ def classify_confidence(x: np.ndarray, params: ClassifierParams, cfg: LossConfig
         raise DomainError("embedding has zero norm")
     if isinstance(cfg, CEConfig):
         return softmax(params.weight @ v + params.bias)
-    if isinstance(cfg, AAMConfig):
-        what, _ = l2_normalize_rows(params.weight, "weight")
-        return softmax(np.clip(what @ (v / norm), -1.0, 1.0))
-    if isinstance(cfg, AAMSCConfig):
-        what, _ = l2_normalize_rows(params.weight, "weight")
-        cos = np.clip(what @ (v / norm), -1.0, 1.0)
-        return softmax(cos.reshape(cfg.class_count, cfg.subcenters).max(axis=1))
+    if isinstance(cfg, (AAMConfig, AAMSCConfig)):
+        if unit_weight is None:
+            unit_weight, _ = l2_normalize_rows(params.weight, "weight")
+        cos = np.clip(unit_weight @ (v / norm), -1.0, 1.0)
+        if isinstance(cfg, AAMSCConfig):
+            cos = cos.reshape(cfg.class_count, cfg.subcenters).max(axis=1)
+        return softmax(cos)
     if isinstance(cfg, GE2EConfig):
         raise ConfigurationError("GE2E has no parametric classifier; use the centroid classifier")
     raise ConfigurationError(f"unknown loss config {type(cfg).__name__}")

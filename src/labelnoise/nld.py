@@ -23,8 +23,8 @@ import numpy as np
 from .embedder import TrainedModel, embed_batch
 from .errors import ConfigurationError, InternalError
 from .jsonutil import write_json17
-from .losses import GE2EConfig, classify_confidence
-from .numerics import row_dot, softmax
+from .losses import CEConfig, GE2EConfig, classify_confidence
+from .numerics import l2_normalize_rows, row_dot, softmax
 from .synthdata import Dataset
 
 logger = logging.getLogger(__name__)
@@ -125,17 +125,24 @@ def intra_inconsistency(model: TrainedModel, ds: Dataset, bank: CentroidBank,
 
 
 class ParametricClassifier:
-    """Confidence from trained CE/AAM/AAMSC parameters, margin and scale off."""
+    """Confidence from trained CE/AAM/AAMSC parameters, margin and scale off.
+
+    The cosine classifiers' weight rows are normalized once, here, not
+    once per scored embedding.
+    """
 
     def __init__(self, model: TrainedModel):
-        if isinstance(model.loss_config, GE2EConfig):
+        cfg = model.loss_config
+        if isinstance(cfg, GE2EConfig):
             raise ConfigurationError("GE2E models need the centroid classifier")
         self._params = model.classifier
-        self._cfg = model.loss_config
-        self.class_ids = list(range(model.loss_config.class_count))
+        self._cfg = cfg
+        self._unit_weight = (None if isinstance(cfg, CEConfig)
+                             else l2_normalize_rows(model.classifier.weight, "weight")[0])
+        self.class_ids = list(range(cfg.class_count))
 
     def confidences(self, x: np.ndarray) -> np.ndarray:
-        return classify_confidence(x, self._params, self._cfg)
+        return classify_confidence(x, self._params, self._cfg, self._unit_weight)
 
 
 class CentroidClassifier:

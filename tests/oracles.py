@@ -3,9 +3,11 @@
 Deliberately written with plain Python loops and naive formulas so they
 share no code path with the package implementations they check. The
 per-pair ``cosine_similarity`` is the one-row-at-a-time form that the
-package's batched cosines must reproduce, and the per-block Adam loop is
+package's batched cosines must reproduce, the per-block Adam loop is
 the one-block-at-a-time update that the flat-vector ``adam_step`` must
-reproduce bit for bit.
+reproduce bit for bit, and the per-class batch sampler is the one-draw-
+per-class form whose batches and generator state the class-table sampler
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -225,3 +227,26 @@ def block_adam_step(
         v += (1.0 - state.beta2) * g * g
         p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
     return params, state
+
+
+def per_class_sample_positions(
+    groups: dict[int, np.ndarray], n_speakers: int, m_utts: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw N distinct observed classes (uniform, no replacement) and M
+    positions from each (uniform, no replacement); returns the (N, M)
+    dataset positions and the N class labels.
+
+    Classes with fewer than M utterances are excluded from the draw; if
+    fewer than N classes remain eligible the batch is infeasible.
+    """
+    eligible = sorted(c for c, pos in groups.items() if len(pos) >= m_utts)
+    if len(eligible) < n_speakers:
+        raise ConfigurationError(
+            f"need {n_speakers} classes with >= {m_utts} utterances, only {len(eligible)} eligible"
+        )
+    chosen = rng.choice(len(eligible), size=n_speakers, replace=False)
+    labels = np.asarray([eligible[i] for i in chosen], dtype=np.intp)
+    positions = np.empty((n_speakers, m_utts), dtype=np.intp)
+    for row, c in enumerate(labels):
+        positions[row] = rng.choice(groups[c], size=m_utts, replace=False)
+    return positions, labels

@@ -81,6 +81,27 @@ def test_resolve_config_field_errors(raw, needle):
         resolve_config(raw)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "learning_rate", math.nan),
+    ("train", "easy_margin_fraction", math.nan),
+    ("dataset", "within_class_spread", math.inf),
+    ("detect", "centroid_temperature", math.nan),
+    ("detect", "q", math.inf),
+    ("noise", "level_q", -math.inf),
+    ("train.loss", "scale", math.inf),
+    ("train.loss", "margin", 10 ** 400),
+])
+def test_resolve_config_rejects_non_finite_numbers(section, key, value):
+    raw = {"output_dir": "x", "noise": {"kind": "permute", "level_q": 10},
+           "train": {"loss": {"kind": "aam"}}}
+    target = raw
+    for part in section.split("."):
+        target = target.setdefault(part, {})
+    target[key] = value
+    with pytest.raises(ConfigurationError, match=rf"{section}\.{key} must be a finite number"):
+        resolve_config(raw)
+
+
 def test_resolve_config_rejects_inconsistent_loss_batching():
     raw = {"output_dir": "x", "train": {"loss": {"kind": "ge2e"}, "utts_per_speaker": 1}}
     with pytest.raises(ConfigurationError, match="GE2E"):
@@ -307,6 +328,21 @@ def test_detect_with_malformed_dataset_exits_one_without_traceback(pipeline, tmp
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: line 3: features")
     assert "Traceback" not in proc.stderr
+
+
+def test_config_with_nan_exits_one_without_traceback(tmp_path):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"output_dir": "%s", "train": {"learning_rate": NaN}}' % (tmp_path / "run"))
+    src = Path(labelnoise.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "labelnoise.cli", "simulate", "--config", str(cfg), "--quiet"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: config field train.learning_rate must be a finite "
+                                  "number, got nan")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -12,6 +12,7 @@ from labelnoise.embedder import (
     MlpParams,
     TrainConfig,
     adam_step,
+    _class_table,
     _sample_positions,
     easy_margin_boundary,
     embed_batch,
@@ -31,11 +32,12 @@ from labelnoise.errors import (
     DomainError,
     LabelNoiseError,
 )
+from labelnoise.evaluation import remove_predicted
 from labelnoise.jsonutil import dump_json17
 from labelnoise.losses import AAMSCConfig, CEConfig, GE2EConfig
 from labelnoise.seeding import named_rng
 from labelnoise.synthdata import generate_dataset
-from oracles import BlockAdamState, block_adam_step
+from oracles import BlockAdamState, block_adam_step, per_class_sample_positions
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +221,7 @@ def small_ds(class_count=4, per_class=5, seed=0):
 
 def sample(ds, n_speakers, m_utts, rng):
     """The batch draw ``train`` makes: (N, M) positions and N labels."""
-    return _sample_positions(ds.ids_by_observed_class(), n_speakers, m_utts, rng)
+    return _sample_positions(_class_table(ds.observed_class, m_utts), n_speakers, m_utts, rng)
 
 
 def test_sample_batch_exhaustive_when_n_equals_c():
@@ -266,6 +268,38 @@ def test_sample_batch_insufficient_classes():
     # per_class=5 < M=6 makes every class ineligible
     with pytest.raises(ConfigurationError, match="eligible"):
         sample(ds, 1, 6, named_rng(0, "batches"))
+
+
+def ragged_ds():
+    """Classes of 1 to 60 members in shuffled dataset order, with three
+    classes emptied by ``remove_predicted``."""
+    full = generate_dataset(60, 60, 2, 6, 0.1, seed=4)
+    keep = np.flatnonzero(full.utt_id % 60 < full.true_class + 1)
+    ds = full.subset(named_rng(4, "shuffle").permutation(keep))
+    emptied = np.isin(ds.observed_class, [5, 17, 42])
+    return remove_predicted(ds, set(ds.utt_id[emptied].tolist()))
+
+
+@pytest.mark.parametrize("m_utts", [1, 4])
+def test_class_table_sampler_matches_per_class_draws_bit_for_bit(m_utts):
+    ds = ragged_ds()
+    groups = ds.ids_by_observed_class()
+    assert sorted(len(g) for g in groups.values()) == sorted(
+        set(range(1, 61)) - {6, 18, 43})
+    table = _class_table(ds.observed_class, m_utts)
+    eligible = len(table.labels)
+    assert eligible == sum(len(g) >= m_utts for g in groups.values())
+    for n_speakers in (1, 7, eligible):
+        rng, ref = named_rng(n_speakers, "batches"), named_rng(n_speakers, "batches")
+        for _ in range(300):
+            positions, labels = _sample_positions(table, n_speakers, m_utts, rng)
+            ref_positions, ref_labels = per_class_sample_positions(groups, n_speakers, m_utts, ref)
+            assert positions.dtype == ref_positions.dtype and labels.dtype == ref_labels.dtype
+            assert np.array_equal(positions, ref_positions)
+            assert np.array_equal(labels, ref_labels)
+        assert rng.bit_generator.state == ref.bit_generator.state
+    with pytest.raises(ConfigurationError, match=f"only {eligible} eligible"):
+        _sample_positions(table, eligible + 1, m_utts, named_rng(0, "batches"))
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import identity_model, make_dataset
-from labelnoise.errors import ConfigurationError, InternalError
-from labelnoise.losses import CEConfig, ClassifierParams, GE2EConfig
+from labelnoise.errors import ConfigurationError, DomainError, InternalError
+from labelnoise.losses import (
+    AAMConfig,
+    AAMSCConfig,
+    CEConfig,
+    ClassifierParams,
+    GE2EConfig,
+    classify_confidence,
+)
 from labelnoise.nld import (
     METHOD_INTER,
     METHOD_INTRA,
@@ -168,6 +175,27 @@ def test_parametric_classifier_recovers_probabilities():
     clf = ParametricClassifier(model)
     assert clf.class_ids == [0, 1, 2]
     np.testing.assert_allclose(clf.confidences(np.log(p)), p, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("loss_cfg", [CEConfig(class_count=7), AAMConfig(7, 30.0, 0.1),
+                                      AAMSCConfig(7, 30.0, 0.1, subcenters=3)],
+                         ids=lambda cfg: cfg.kind)
+def test_parametric_classifier_has_the_bits_of_per_call_normalization(loss_cfg):
+    rng = np.random.default_rng(11)
+    rows = 7 * getattr(loss_cfg, "subcenters", 1)
+    params = ClassifierParams(weight=rng.normal(size=(rows, 5)) * rng.uniform(0.01, 30, (rows, 1)),
+                              bias=rng.normal(size=rows) if loss_cfg.kind == "ce" else None)
+    clf = ParametricClassifier(identity_model(5, loss_cfg=loss_cfg, classifier=params))
+    for x in rng.normal(size=(200, 5)) * rng.uniform(1e-3, 1e3, (200, 1)):
+        got = clf.confidences(x)
+        assert got.tobytes() == classify_confidence(x, params, loss_cfg).tobytes()
+
+
+def test_parametric_classifier_rejects_zero_weight_row_when_built():
+    params = ClassifierParams(weight=np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(DomainError, match="weight row 1"):
+        ParametricClassifier(identity_model(2, loss_cfg=AAMConfig(2, 30.0, 0.1),
+                                            classifier=params))
 
 
 def test_parametric_classifier_rejects_ge2e():
