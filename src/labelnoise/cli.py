@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import logging
 import math
 import sys
@@ -21,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .embedder import TrainConfig, load_model, save_model, train, write_loss_curve
-from .errors import ConfigurationError, LabelNoiseError, ParseError
+from .errors import ConfigurationError, LabelNoiseError
 from .evaluation import (
     compute_eer,
     generate_trials,
@@ -31,7 +30,7 @@ from .evaluation import (
     write_retrain_json,
     write_trials_csv,
 )
-from .jsonutil import digest_config, sha256_file, write_json17
+from .jsonutil import digest_config, read_json, sha256_file, write_json17
 from .losses import (
     AAMConfig,
     AAMSCConfig,
@@ -346,25 +345,14 @@ def _update_manifest(directory: Path, seed: int, digest: str, stage: str,
     }
     if path.exists():
         try:
-            with open(path, "r", encoding="ascii") as fh:
-                previous = json.load(fh)
+            previous = read_json(path, "manifest")
             manifest["stages"] = dict(previous.get("stages", {}))
-        except (json.JSONDecodeError, OSError):
+        except (LabelNoiseError, OSError):
             logger.warning("manifest %s unreadable, rebuilding it", path)
     manifest["stages"][stage] = dict(extras)
     manifest["stages"][stage]["artifacts"] = {p.name: sha256_file(p) for p in artifacts}
     manifest["stages"][stage]["wall_time_s"] = elapsed
     write_json17(manifest, path)
-
-
-def _load_json(path: Path, what: str) -> dict:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigurationError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed {what} file {path}: {exc.msg} (line {exc.lineno})") from exc
 
 
 def _require_file(path: Path, what: str) -> Path:
@@ -506,7 +494,7 @@ def cmd_detect(resolved: dict, seed: int, args) -> None:
         hist_path = out / f"histogram_{method}.csv"
         write_scores_csv(scores, ds, method, scores_path)
         write_detection_json(result, method, seed, digest, det_path)
-        _load_json(det_path, "detection")  # validate the artifact parses
+        read_json(det_path, "detection")  # validate the artifact parses
         write_histogram_csv(rows, hist_path)
         written += [scores_path, det_path, hist_path]
 
@@ -556,7 +544,7 @@ def cmd_retrain(resolved: dict, seed: int, args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     method = args.method or resolved["retrain"]["detection_method"]
     det_path = Path(args.detection) if args.detection else out / f"detection_{method}.json"
-    detection = _load_json(_require_file(det_path, "detection"), "detection")
+    detection = read_json(_require_file(det_path, "detection"), "detection")
     predicted_raw = detection.get("predicted_noisy")
     if not isinstance(predicted_raw, list) or any(
             not isinstance(i, int) or isinstance(i, bool) for i in predicted_raw):
@@ -608,7 +596,7 @@ def cmd_report(args) -> int:
         if not cfg_path.exists():
             logger.warning("skipping %s: no config.json", root)
             continue
-        resolved = _load_json(cfg_path, "run config")
+        resolved = read_json(cfg_path, "run config")
         noise = resolved.get("noise")
         noise_kind = "clean" if noise is None else noise["kind"]
         noise_q = 0.0 if noise is None else noise["level_q"]
@@ -619,7 +607,7 @@ def cmd_report(args) -> int:
                 sdir = root / f"seed_{seed}"
                 det_path = sdir / f"detection_{method}.json"
                 if det_path.exists():
-                    det = _load_json(det_path, "detection")
+                    det = read_json(det_path, "detection")
                     seen += 1
                     if det.get("precision") is not None:
                         precisions.append(float(det["precision"]))
@@ -629,7 +617,7 @@ def cmd_report(args) -> int:
                     logger.warning("missing artifact %s", det_path)
                 eer_path = sdir / "eer.json"
                 if eer_path.exists():
-                    eers.append(float(_load_json(eer_path, "EER report")["eer"]))
+                    eers.append(float(read_json(eer_path, "EER report")["eer"]))
                 else:
                     logger.warning("missing artifact %s", eer_path)
             lines.append(",".join([
@@ -722,7 +710,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args)
-        raw = _load_json(Path(args.config), "config")
+        raw = read_json(Path(args.config), "config")
         if args.out:
             raw = dict(raw)
             raw["output_dir"] = args.out

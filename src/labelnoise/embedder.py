@@ -10,7 +10,6 @@ learning rate. Everything is deterministic given (dataset, config).
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
@@ -18,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, DomainError
-from .jsonutil import digest_config, json_field, write_json17
+from .jsonutil import digest_config, json_field, read_json, write_json17
 from .losses import (
     AAMConfig,
     AAMSCConfig,
@@ -198,11 +197,11 @@ def _sample_positions(
     positions from each (uniform, no replacement); returns the (N, M)
     dataset positions and the N class labels.
 
-    If fewer than N classes are eligible the batch is infeasible. For
-    M=1, ``rng.integers(0, sizes)`` makes the same bounded draws, in the
-    same order, as one ``rng.choice(members, 1, replace=False)`` per
-    class, so both forms give the same batches and leave ``rng`` in the
-    same state.
+    If fewer than N classes are eligible the batch is infeasible. The
+    positions come from one ``rng.integers`` call that makes the same
+    bounded draws, in the same order, as one ``rng.choice(members, M,
+    replace=False)`` per class, so both forms give the same batches and
+    leave ``rng`` in the same state (see ``_choice_offsets``).
     """
     if len(table.labels) < n_speakers:
         raise ConfigurationError(
@@ -212,13 +211,41 @@ def _sample_positions(
     chosen = rng.choice(len(table.labels), size=n_speakers, replace=False)
     starts, sizes = table.starts[chosen], table.sizes[chosen]
     if m_utts == 1:
-        positions = table.flat[starts + rng.integers(0, sizes)][:, None]
+        offsets = rng.integers(0, sizes)[:, None]
     else:
-        positions = np.empty((n_speakers, m_utts), dtype=np.intp)
-        for row, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
-            positions[row] = rng.choice(table.flat[start:start + size], size=m_utts,
-                                        replace=False)
-    return positions, table.labels[chosen]
+        offsets = _choice_offsets(sizes, m_utts, rng)
+    return table.flat[starts[:, None] + offsets], table.labels[chosen]
+
+
+def _choice_offsets(sizes: np.ndarray, m_utts: int, rng: np.random.Generator) -> np.ndarray:
+    """M distinct offsets in ``[0, P)`` per class of P = ``sizes[row]``
+    members, in random order: the (N, M) result of one ``rng.choice(P, M,
+    replace=False)`` per row.
+
+    For these sizes numpy's ``choice`` runs Floyd's algorithm (Bentley &
+    Floyd, CACM 1987): for t = 0..M-1 it draws v in ``[0, P-M+t]`` and
+    keeps v, or P-M+t if v is already kept; then it shuffles the M picks,
+    swapping slot i with a draw in ``[0, i]`` for i = M-1..1. Each draw is
+    one bounded Lemire draw, as ``rng.integers`` makes, so one
+    ``rng.integers(0, highs)`` over the rows' highs ``P-M+1 .. P, M .. 2``
+    makes every draw of the per-row calls, in the same order; the picks
+    and swaps are then replayed on whole columns. numpy leaves Floyd for
+    a class of more than 10,000 members when M > P // 50; there the
+    replay no longer matches ``choice`` but is still a uniform ordered
+    draw without replacement.
+    """
+    n, m = len(sizes), m_utts
+    col = np.arange(2 * m - 1)
+    draws = rng.integers(0, np.where(col < m, sizes[:, None] + (1 - m + col), 2 * m - col))
+    picks = draws[:, :m].copy()
+    for t in range(1, m):
+        taken = (picks[:, :t] == picks[:, t:t + 1]).any(axis=1)
+        picks[taken, t] = sizes[taken] - (m - t)
+    flat, starts = picks.reshape(-1), np.arange(0, n * m, m)
+    for i in range(m - 1, 0, -1):
+        slot, other = starts + i, starts + draws[:, 2 * m - 1 - i]
+        flat[slot], flat[other] = flat[other], flat[slot]
+    return picks
 
 
 @dataclass(frozen=True)
@@ -465,12 +492,7 @@ def model_from_dict(d: dict) -> TrainedModel:
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"malformed model file {path}: {exc.msg}") from exc
-    return model_from_dict(payload)
+    return model_from_dict(read_json(path, "model"))
 
 
 def write_loss_curve(curve: list[tuple[int, float]], path) -> None:

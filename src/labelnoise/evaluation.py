@@ -30,11 +30,29 @@ logger = logging.getLogger(__name__)
 _TRIAL_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class Trial:
-    enroll_utt_id: int
-    test_utt_id: int
-    is_target: bool
+@dataclass(eq=False)
+class Trials:
+    """Enroll/test utterance pairs as columns: row ``i`` of each array is
+    trial ``i``. ``enroll_id`` and ``test_id`` are int64 utterance ids
+    and ``is_target`` is bool; ``len`` is the number of trials."""
+
+    enroll_id: np.ndarray
+    test_id: np.ndarray
+    is_target: np.ndarray
+
+    def __post_init__(self):
+        self.enroll_id = np.asarray(self.enroll_id, dtype=np.int64)
+        self.test_id = np.asarray(self.test_id, dtype=np.int64)
+        self.is_target = np.asarray(self.is_target, dtype=bool)
+
+    def __len__(self) -> int:
+        return len(self.enroll_id)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trials):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, k), getattr(other, k))
+                   for k in ("enroll_id", "test_id", "is_target"))
 
 
 @dataclass(frozen=True)
@@ -54,7 +72,7 @@ class RetrainOutcome:
     after_model: TrainedModel
 
 
-def generate_trials(ds: Dataset, pairs_per_kind: int, seed: int) -> list[Trial]:
+def generate_trials(ds: Dataset, pairs_per_kind: int, seed: int) -> Trials:
     """Sample balanced target/nontarget utterance pairs from a clean dataset.
 
     Targets are drawn without replacement from all same-class pairs;
@@ -69,22 +87,19 @@ def generate_trials(ds: Dataset, pairs_per_kind: int, seed: int) -> list[Trial]:
     rng = named_rng(seed, "trials")
 
     # same-class pairs (enroll < test), class by class in ascending order
-    enroll, test = [], []
+    enroll, test = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for pos in ds.ids_by_observed_class().values():
         members = np.sort(ds.utt_id[pos])
         i, j = np.triu_indices(len(members), 1)
         enroll.append(members[i])
         test.append(members[j])
-    target_enroll = np.concatenate(enroll).tolist() if enroll else []
-    target_test = np.concatenate(test).tolist() if test else []
+    target_enroll, target_test = np.concatenate(enroll), np.concatenate(test)
     pool_size = len(target_enroll)
     if pool_size < pairs_per_kind:
         raise ConfigurationError(
             f"dataset supplies only {pool_size} same-class pairs, need {pairs_per_kind}"
         )
-    ids = ds.utt_id.tolist()
-    observed = ds.observed_class.tolist()
-    n = len(ids)
+    n = len(ds)
     cross_total = n * (n - 1) // 2 - pool_size
     if cross_total < pairs_per_kind:
         raise ConfigurationError(
@@ -92,24 +107,47 @@ def generate_trials(ds: Dataset, pairs_per_kind: int, seed: int) -> list[Trial]:
             f"need {pairs_per_kind}"
         )
 
-    pick = rng.choice(pool_size, size=pairs_per_kind, replace=False)
-    trials = [Trial(target_enroll[i], target_test[i], is_target=True)
-              for i in np.sort(pick).tolist()]
-
-    seen: set[tuple[int, int]] = set()
-    while len(seen) < pairs_per_kind:
-        a, b = int(rng.integers(n)), int(rng.integers(n))
-        if a == b or observed[a] == observed[b]:
-            continue
-        pair = (ids[min(a, b)], ids[max(a, b)])
-        if pair in seen:
-            continue
-        seen.add(pair)
-    trials.extend(Trial(e, t, is_target=False) for e, t in sorted(seen))
-    return trials
+    pick = np.sort(rng.choice(pool_size, size=pairs_per_kind, replace=False))
+    lo, hi = _cross_class_pairs(ds.observed_class, pairs_per_kind, rng)
+    non_enroll, non_test = ds.utt_id[lo], ds.utt_id[hi]
+    order = np.lexsort((non_test, non_enroll))
+    return Trials(
+        enroll_id=np.concatenate([target_enroll[pick], non_enroll[order]]),
+        test_id=np.concatenate([target_test[pick], non_test[order]]),
+        is_target=np.arange(2 * pairs_per_kind) < pairs_per_kind,
+    )
 
 
-def score_trials(model: TrainedModel, trials: list[Trial], ds: Dataset
+def _cross_class_pairs(observed: np.ndarray, count: int, rng: np.random.Generator
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``count`` distinct cross-class position pairs ``(lo, hi)``,
+    ``lo < hi``, in the order ``rng`` draws them.
+
+    Candidates are drawn in blocks by ``rng.integers(n, size=(block, 2))``,
+    which makes the same bounded draws, in the same order, as a loop of
+    scalar ``rng.integers(n)`` calls, so the pairs kept are the ones that
+    loop keeps. Unlike the loop, a block draws past the last pair kept;
+    that is harmless only because the caller discards ``rng`` afterwards.
+    The block doubles until enough distinct pairs are found, so drawing
+    out every cross pair of a small dataset stays cheap.
+    """
+    n = len(observed)
+    keys = np.empty(0, dtype=np.int64)
+    block = 2 * count
+    while True:
+        a, b = rng.integers(n, size=(block, 2)).T
+        cross = observed[a] != observed[b]  # also rules out a == b
+        lo, hi = np.minimum(a, b)[cross], np.maximum(a, b)[cross]
+        keys = np.concatenate([keys, lo * n + hi])
+        _, first = np.unique(keys, return_index=True)
+        if len(first) >= count:
+            break
+        block *= 2
+    kept = keys[np.sort(first)[:count]]
+    return kept // n, kept % n
+
+
+def score_trials(model: TrainedModel, trials: Trials, ds: Dataset
                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """Cosine score per trial; returns (scores, is_target, dropped_count).
 
@@ -117,16 +155,19 @@ def score_trials(model: TrainedModel, trials: list[Trial], ds: Dataset
     a warning rather than given an arbitrary score.
     """
     emb = embed_batch(model.embedder, ds.features)
-    row_of = dict(zip(ds.utt_id.tolist(), range(len(ds))))
-    missing = [t for t in trials if t.enroll_utt_id not in row_of or t.test_utt_id not in row_of]
-    if missing:
+    ids = np.stack([trials.enroll_id, trials.test_id])
+    order = np.argsort(ds.utt_id)
+    at = np.searchsorted(ds.utt_id, ids, sorter=order)
+    found = at < len(ds)  # a search past the end, or onto another id, is a miss
+    found[found] = ds.utt_id[order[at[found]]] == ids[found]
+    missing = ~found.all(axis=0)
+    if missing.any():
+        first = int(np.argmax(missing))
         raise ConfigurationError(
-            f"{len(missing)} trial(s) reference utterances absent from the dataset, "
-            f"first: {missing[0]}"
+            f"{int(np.count_nonzero(missing))} trial(s) reference utterances absent from "
+            f"the dataset, first: enroll {ids[0, first]}, test {ids[1, first]}"
         )
-    i = np.asarray([row_of[t.enroll_utt_id] for t in trials], dtype=np.intp)
-    j = np.asarray([row_of[t.test_utt_id] for t in trials], dtype=np.intp)
-    labels = np.asarray([t.is_target for t in trials], dtype=bool)
+    i, j = order[at]
     norms = np.linalg.norm(emb, axis=1)
     keep = (norms[i] != 0.0) & (norms[j] != 0.0)
     dropped = int(np.count_nonzero(~keep))
@@ -138,7 +179,7 @@ def score_trials(model: TrainedModel, trials: list[Trial], ds: Dataset
     for k in range(0, len(i), _TRIAL_BLOCK):
         block = slice(k, k + _TRIAL_BLOCK)
         dots[block] = row_dot(emb[i[block]], emb[j[block]])
-    return np.clip(dots / (norms[i] * norms[j]), -1.0, 1.0), labels[keep], dropped
+    return np.clip(dots / (norms[i] * norms[j]), -1.0, 1.0), trials.is_target[keep], dropped
 
 
 def compute_eer(scores: np.ndarray, is_target: np.ndarray) -> EERResult:
@@ -180,7 +221,7 @@ def compute_eer(scores: np.ndarray, is_target: np.ndarray) -> EERResult:
     return EERResult(eer=eer, threshold_at_eer=thr, trial_count=int(scores.size))
 
 
-def evaluate_model(model: TrainedModel, heldout: Dataset, trials: list[Trial]) -> EERResult:
+def evaluate_model(model: TrainedModel, heldout: Dataset, trials: Trials) -> EERResult:
     scores, labels, _ = score_trials(model, trials, heldout)
     return compute_eer(scores, labels)
 
@@ -194,7 +235,7 @@ def remove_predicted(ds: Dataset, predicted: set[int]) -> Dataset:
 
 
 def retrain_after_removal(ds: Dataset, predicted: set[int], cfg: TrainConfig,
-                          heldout: Dataset, trials: list[Trial],
+                          heldout: Dataset, trials: Trials,
                           before_model: TrainedModel | None = None) -> RetrainOutcome:
     """Train (or reuse) a model on ``ds``, retrain on ``ds`` minus the
     predicted-noisy utterances with identical config and seed, and report
@@ -234,17 +275,19 @@ def retrain_after_removal(ds: Dataset, predicted: set[int], cfg: TrainConfig,
     )
 
 
-def write_trials_csv(trials: list[Trial], path) -> None:
+def write_trials_csv(trials: Trials, path) -> None:
     """CSV columns: enroll_id,test_id,is_target."""
+    labels = np.where(trials.is_target, "true", "false")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("enroll_id,test_id,is_target\n")
-        for t in trials:
-            fh.write("%d,%d,%s\n" % (t.enroll_utt_id, t.test_utt_id,
-                                     "true" if t.is_target else "false"))
+        fh.writelines("%d,%d,%s\n" % row for row in zip(
+            trials.enroll_id.tolist(), trials.test_id.tolist(), labels.tolist()))
 
 
-def read_trials_csv(path) -> list[Trial]:
-    trials: list[Trial] = []
+def read_trials_csv(path) -> Trials:
+    enrolls: list[int] = []
+    tests: list[int] = []
+    targets: list[bool] = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
         if header != "enroll_id,test_id,is_target":
@@ -257,8 +300,12 @@ def read_trials_csv(path) -> list[Trial]:
                 enroll, test = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-integer utterance id") from exc
-            trials.append(Trial(enroll, test, is_target=parts[2] == "true"))
-    return trials
+            if not (-2**63 <= enroll < 2**63 and -2**63 <= test < 2**63):
+                raise ParseError(f"{path}:{lineno}: utterance id outside the 64-bit range")
+            enrolls.append(enroll)
+            tests.append(test)
+            targets.append(parts[2] == "true")
+    return Trials(enrolls, tests, targets)
 
 
 def write_eer_json(result: EERResult, model_digest: str, path) -> None:

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import reprlib
 import sys
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ParseError
 
 
 def _encode(obj, item_sep=", ", kv_sep=": ") -> str:
@@ -51,6 +52,44 @@ def write_json17(obj, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(dump_json17(obj))
         fh.write("\n")
+
+
+def json_problem(exc: ValueError, text: str) -> tuple[str, int]:
+    """What a ``ValueError`` from ``json.loads(text)`` reports, and its line.
+
+    Besides ``JSONDecodeError`` the decoder raises a plain ``ValueError``
+    for an integer literal longer than ``sys.get_int_max_str_digits()``;
+    that error names no position, so its line is the first line holding
+    a run of more digits than the limit.
+    """
+    if isinstance(exc, json.JSONDecodeError):
+        return exc.msg, exc.lineno
+    limit = sys.get_int_max_str_digits()
+    run = re.search(r"\d{%d}" % (limit + 1), text)
+    lineno = text.count("\n", 0, run.start()) + 1 if run else 1
+    return f"integer literal over {limit} digits", lineno
+
+
+def read_json(path, what: str):
+    """Parse the ASCII JSON file at ``path``; ``what`` names it in errors.
+
+    A missing file raises ConfigurationError. A non-ASCII byte, malformed
+    JSON or an over-long integer literal raises ParseError naming the
+    file and the line.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise ConfigurationError(f"{what} file not found: {path}") from None
+    try:
+        text = data.decode("ascii")
+        return json.loads(text)
+    except UnicodeDecodeError as exc:
+        problem, lineno = "non-ASCII byte", data.count(b"\n", 0, exc.start) + 1
+    except ValueError as exc:
+        problem, lineno = json_problem(exc, text)
+    raise ParseError(f"malformed {what} file {path}: {problem} (line {lineno})")
 
 
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",

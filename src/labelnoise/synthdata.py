@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, ParseError, ValidationError
+from .jsonutil import json_problem
 from .seeding import named_rng
 
 FORMAT_VERSION = 1
@@ -350,8 +351,8 @@ def save_dataset(ds: Dataset, path) -> None:
 def _parse_line(text: str, lineno: int) -> dict:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {json_problem(exc, text)[0]}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"line {lineno}: expected a JSON object")
     return obj

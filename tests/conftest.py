@@ -1,14 +1,21 @@
-"""Shared builders: hand-wired models and small in-memory datasets."""
+"""Shared builders: hand-wired models, small in-memory datasets, and the
+Hypothesis profile CI runs with."""
 
 from __future__ import annotations
 
 import sys
 
 import numpy as np
+from hypothesis import settings
 
 from labelnoise.embedder import MlpParams, TrainedModel
 from labelnoise.losses import CEConfig, ClassifierParams, LossConfig
 from labelnoise.synthdata import Dataset
+
+# ``--hypothesis-profile=ci`` replays the same examples on every run, so a
+# CI failure points at a code change, never at a newly drawn example;
+# local runs keep the default profile and keep exploring.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def identity_model(dim: int, loss_cfg: LossConfig | None = None,

@@ -7,7 +7,9 @@ package's batched cosines must reproduce, the per-block Adam loop is
 the one-block-at-a-time update that the flat-vector ``adam_step`` must
 reproduce bit for bit, and the per-class batch sampler is the one-draw-
 per-class form whose batches and generator state the class-table sampler
-must reproduce bit for bit.
+must reproduce bit for bit. The scalar trial generator is the one-
+``Trial``-object-per-pair form whose trials the columnar, block-drawing
+``generate_trials`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from decimal import Decimal
 import numpy as np
 
 from labelnoise.errors import ConfigurationError, DivergenceError, DomainError
+from labelnoise.seeding import named_rng
+from labelnoise.synthdata import Dataset
 
 
 def brute_centroids(embeddings, observed):
@@ -250,3 +254,65 @@ def per_class_sample_positions(
     for row, c in enumerate(labels):
         positions[row] = rng.choice(groups[c], size=m_utts, replace=False)
     return positions, labels
+
+
+@dataclass(frozen=True)
+class Trial:
+    enroll_utt_id: int
+    test_utt_id: int
+    is_target: bool
+
+
+def scalar_generate_trials(ds: Dataset, pairs_per_kind: int, seed: int) -> list[Trial]:
+    """Sample balanced target/nontarget utterance pairs from a clean dataset.
+
+    Targets are drawn without replacement from all same-class pairs;
+    nontargets are rejection-sampled cross-class pairs, also distinct.
+    Raises ConfigurationError when the dataset cannot supply enough of
+    either kind.
+    """
+    if pairs_per_kind < 1:
+        raise ConfigurationError(f"pairs_per_kind must be >= 1, got {pairs_per_kind}")
+    if not ds.is_clean:
+        raise ConfigurationError("trials must come from a clean dataset")
+    rng = named_rng(seed, "trials")
+
+    # same-class pairs (enroll < test), class by class in ascending order
+    enroll, test = [], []
+    for pos in ds.ids_by_observed_class().values():
+        members = np.sort(ds.utt_id[pos])
+        i, j = np.triu_indices(len(members), 1)
+        enroll.append(members[i])
+        test.append(members[j])
+    target_enroll = np.concatenate(enroll).tolist() if enroll else []
+    target_test = np.concatenate(test).tolist() if test else []
+    pool_size = len(target_enroll)
+    if pool_size < pairs_per_kind:
+        raise ConfigurationError(
+            f"dataset supplies only {pool_size} same-class pairs, need {pairs_per_kind}"
+        )
+    ids = ds.utt_id.tolist()
+    observed = ds.observed_class.tolist()
+    n = len(ids)
+    cross_total = n * (n - 1) // 2 - pool_size
+    if cross_total < pairs_per_kind:
+        raise ConfigurationError(
+            f"dataset supplies only {cross_total} cross-class pairs, "
+            f"need {pairs_per_kind}"
+        )
+
+    pick = rng.choice(pool_size, size=pairs_per_kind, replace=False)
+    trials = [Trial(target_enroll[i], target_test[i], is_target=True)
+              for i in np.sort(pick).tolist()]
+
+    seen: set[tuple[int, int]] = set()
+    while len(seen) < pairs_per_kind:
+        a, b = int(rng.integers(n)), int(rng.integers(n))
+        if a == b or observed[a] == observed[b]:
+            continue
+        pair = (ids[min(a, b)], ids[max(a, b)])
+        if pair in seen:
+            continue
+        seen.add(pair)
+    trials.extend(Trial(e, t, is_target=False) for e, t in sorted(seen))
+    return trials

@@ -312,6 +312,15 @@ def test_detect_rejects_out_of_range_q(pipeline, capsys):
     assert "q must be in (0, 100]" in capsys.readouterr().err
 
 
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = Path(labelnoise.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "labelnoise.cli", *args],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+
+
 def test_detect_with_malformed_dataset_exits_one_without_traceback(pipeline, tmp_path):
     lines = (pipeline.sdir / "noisy.jsonl").read_text().splitlines()
     row = json.loads(lines[2])
@@ -319,12 +328,8 @@ def test_detect_with_malformed_dataset_exits_one_without_traceback(pipeline, tmp
     lines[2] = json.dumps(row)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
-    src = Path(labelnoise.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "labelnoise.cli", "detect", "--config", str(pipeline.cfg_path),
-         "--dataset", str(bad), "--quiet"],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(src)))
+    proc = run_cli("detect", "--config", str(pipeline.cfg_path), "--dataset", str(bad),
+                   "--quiet")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: line 3: features")
     assert "Traceback" not in proc.stderr
@@ -333,11 +338,7 @@ def test_detect_with_malformed_dataset_exits_one_without_traceback(pipeline, tmp
 def test_config_with_nan_exits_one_without_traceback(tmp_path):
     cfg = tmp_path / "nan.json"
     cfg.write_text('{"output_dir": "%s", "train": {"learning_rate": NaN}}' % (tmp_path / "run"))
-    src = Path(labelnoise.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "labelnoise.cli", "simulate", "--config", str(cfg), "--quiet"],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(src)))
+    proc = run_cli("simulate", "--config", str(cfg), "--quiet")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: config field train.learning_rate must be a finite "
                                   "number, got nan")
@@ -355,15 +356,62 @@ def test_detect_with_malformed_model_exits_one_without_traceback(pipeline, tmp_p
     model = json.loads((pipeline.sdir / "model.json").read_text())
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(edit(model)))
-    src = Path(labelnoise.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "labelnoise.cli", "detect", "--config", str(pipeline.cfg_path),
-         "--model", str(bad), "--quiet"],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(src)))
+    proc = run_cli("detect", "--config", str(pipeline.cfg_path), "--model", str(bad), "--quiet")
     assert proc.returncode == 1
     assert proc.stderr.startswith(message)
     assert "Traceback" not in proc.stderr
+
+
+# A non-ASCII byte and an integer literal past Python's int-conversion
+# limit, each on the second line of an otherwise valid JSON object.
+UNDECODABLE = [
+    (b'{"format_version": 1,\n "name": "caf\xe9"}', "non-ASCII byte (line 2)"),
+    (b'{"format_version": 1,\n "seeds": [' + b"7" * 5000 + b"]}",
+     "integer literal over 4300 digits (line 2)"),
+]
+
+
+@pytest.mark.parametrize("content,problem", UNDECODABLE, ids=["non-ascii", "long-int"])
+def test_undecodable_config_exits_one_without_traceback(tmp_path, content, problem):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(content)
+    proc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "run"), "--quiet")
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: malformed config file {cfg}: {problem}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("content,problem", UNDECODABLE, ids=["non-ascii", "long-int"])
+def test_detect_with_undecodable_model_exits_one_without_traceback(pipeline, tmp_path,
+                                                                    content, problem):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    proc = run_cli("detect", "--config", str(pipeline.cfg_path), "--model", str(bad), "--quiet")
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: malformed model file {bad}: {problem}\n"
+
+
+def test_detect_with_over_long_utt_id_exits_one_without_traceback(pipeline, tmp_path):
+    lines = (pipeline.sdir / "noisy.jsonl").read_text().splitlines()
+    row = json.loads(lines[2])
+    lines[2] = json.dumps({**row, "utt_id": 0}).replace('"utt_id": 0', '"utt_id": ' + "9" * 5000)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    proc = run_cli("detect", "--config", str(pipeline.cfg_path), "--dataset", str(bad), "--quiet")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: line 3: integer literal over 4300 digits\n"
+
+
+def test_undecodable_manifest_is_rebuilt_with_a_warning(tmp_path):
+    cfg_path = write_config(tmp_path / "tiny.json", tiny_raw_config(str(tmp_path / "run")))
+    assert main(["simulate", "--config", str(cfg_path), "--quiet"]) == 0
+    manifest = tmp_path / "run" / "seed_1" / "manifest.json"
+    with open(manifest, "ab") as fh:
+        fh.write(b"\xff")
+    proc = run_cli("train", "--config", str(cfg_path), "--quiet")
+    assert proc.returncode == 0
+    assert proc.stderr == f"WARNING manifest {manifest} unreadable, rebuilding it\n"
+    assert list(json.loads(manifest.read_text(encoding="ascii"))["stages"]) == ["train"]
 
 
 def test_detect_without_any_q_source_exits_nonzero(pipeline, tmp_path, capsys):

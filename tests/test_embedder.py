@@ -31,6 +31,7 @@ from labelnoise.errors import (
     DivergenceError,
     DomainError,
     LabelNoiseError,
+    ParseError,
 )
 from labelnoise.evaluation import remove_predicted
 from labelnoise.jsonutil import dump_json17
@@ -280,7 +281,7 @@ def ragged_ds():
     return remove_predicted(ds, set(ds.utt_id[emptied].tolist()))
 
 
-@pytest.mark.parametrize("m_utts", [1, 4])
+@pytest.mark.parametrize("m_utts", [1, 2, 3, 4, 8])
 def test_class_table_sampler_matches_per_class_draws_bit_for_bit(m_utts):
     ds = ragged_ds()
     groups = ds.ids_by_observed_class()
@@ -300,6 +301,22 @@ def test_class_table_sampler_matches_per_class_draws_bit_for_bit(m_utts):
         assert rng.bit_generator.state == ref.bit_generator.state
     with pytest.raises(ConfigurationError, match=f"only {eligible} eligible"):
         _sample_positions(table, eligible + 1, m_utts, named_rng(0, "batches"))
+
+
+def test_class_table_sampler_matches_per_class_draws_with_a_20000_member_class():
+    # 20,000 members at M=4 is still below numpy's switch away from Floyd
+    # (M > P // 50), so the one-call draw must match ``choice`` here too
+    observed = np.concatenate([np.zeros(20000, dtype=np.int64), np.repeat([1, 2, 3], 5)])
+    observed = observed[named_rng(5, "shuffle").permutation(len(observed))]
+    groups = {c: np.flatnonzero(observed == c) for c in range(4)}
+    table = _class_table(observed, 4)
+    rng, ref = named_rng(6, "batches"), named_rng(6, "batches")
+    for _ in range(200):
+        positions, labels = _sample_positions(table, 2, 4, rng)
+        ref_positions, ref_labels = per_class_sample_positions(groups, 2, 4, ref)
+        assert np.array_equal(positions, ref_positions)
+        assert np.array_equal(labels, ref_labels)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ----------------------------------------------------------------------
@@ -584,7 +601,7 @@ def test_model_from_dict_rejects_non_object():
 def test_load_model_malformed_file(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("{not json", encoding="ascii")
-    with pytest.raises(ConfigurationError, match="malformed"):
+    with pytest.raises(ParseError, match=r"malformed model file .*: Expecting .* \(line 1\)"):
         load_model(path)
 
 

@@ -11,7 +11,7 @@ from labelnoise.embedder import TrainConfig, model_to_dict, train
 from labelnoise.errors import ConfigurationError, DomainError, ParseError
 from labelnoise.evaluation import (
     EERResult,
-    Trial,
+    Trials,
     compute_eer,
     evaluate_model,
     generate_trials,
@@ -25,8 +25,8 @@ from labelnoise.evaluation import (
 )
 from labelnoise.jsonutil import dump_json17
 from labelnoise.losses import CEConfig
-from labelnoise.synthdata import generate_dataset
-from oracles import brute_eer_midpoint, cosine_similarity
+from labelnoise.synthdata import Dataset, generate_dataset
+from oracles import brute_eer_midpoint, cosine_similarity, scalar_generate_trials
 
 
 # ----------------------------------------------------------------------
@@ -102,19 +102,21 @@ def small_clean(class_count=3, per_class=4, seed=21):
 def test_generate_trials_balanced_and_well_formed():
     ds = small_clean()
     trials = generate_trials(ds, pairs_per_kind=10, seed=4)
-    assert len(trials) == 20
-    targets = [t for t in trials if t.is_target]
-    nontargets = [t for t in trials if not t.is_target]
+    assert len(trials) == 20  # the benchmark counts trials scored as len(trials)
+    rows = list(zip(trials.enroll_id.tolist(), trials.test_id.tolist(),
+                    trials.is_target.tolist()))
+    targets = [(e, t) for e, t, is_target in rows if is_target]
+    nontargets = [(e, t) for e, t, is_target in rows if not is_target]
     assert len(targets) == len(nontargets) == 10
 
     class_of = dict(zip(ds.utt_id.tolist(), ds.observed_class.tolist()))
-    for t in targets:
-        assert class_of[t.enroll_utt_id] == class_of[t.test_utt_id]
-        assert t.enroll_utt_id != t.test_utt_id
-    for t in nontargets:
-        assert class_of[t.enroll_utt_id] != class_of[t.test_utt_id]
-    assert len({(t.enroll_utt_id, t.test_utt_id) for t in targets}) == 10
-    assert len({(t.enroll_utt_id, t.test_utt_id) for t in nontargets}) == 10
+    for e, t in targets:
+        assert class_of[e] == class_of[t]
+        assert e != t
+    for e, t in nontargets:
+        assert class_of[e] != class_of[t]
+    assert len(set(targets)) == 10
+    assert len(set(nontargets)) == 10
 
 
 def test_generate_trials_deterministic_in_seed():
@@ -141,13 +143,72 @@ def test_generate_trials_pool_exhaustion():
         generate_trials(tiny, 0, seed=0)
 
 
+def shuffled_clean(sizes, seed):
+    """A clean dataset with classes of the given sizes, rows in shuffled
+    order and utterance ids neither contiguous nor sorted."""
+    rng = np.random.default_rng(seed)
+    observed = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    n = len(observed)
+    ids = rng.choice(10 * n + 1000, size=n, replace=False)
+    return Dataset(features=np.zeros((n, 1)), utt_id=ids, true_class=observed,
+                   observed_class=observed, is_ood=np.zeros(n, dtype=bool),
+                   class_count=len(sizes), feature_dim=1)
+
+
+def assert_matches_scalar_oracle(ds, pairs_per_kind, seed):
+    ref = scalar_generate_trials(ds, pairs_per_kind, seed)
+    got = generate_trials(ds, pairs_per_kind, seed)
+    assert got.enroll_id.dtype == got.test_id.dtype == np.int64
+    assert got.is_target.dtype == bool
+    assert got == Trials([t.enroll_utt_id for t in ref], [t.test_utt_id for t in ref],
+                         [t.is_target for t in ref])
+
+
+def assert_same_refusal(ds, pairs_per_kind, seed):
+    with pytest.raises(ConfigurationError) as ref:
+        scalar_generate_trials(ds, pairs_per_kind, seed)
+    with pytest.raises(ConfigurationError) as got:
+        generate_trials(ds, pairs_per_kind, seed)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_generate_trials_matches_scalar_oracle_bit_for_bit(case):
+    # 2 to 20 classes of 2 to 7 members; pairs_per_kind up to the
+    # same-class pool, which is the binding limit for these sizes
+    rng = np.random.default_rng(case)
+    sizes = rng.integers(2, 8, size=int(rng.integers(2, 21)))
+    ds = shuffled_clean(sizes, seed=100 + case)
+    pool = int(np.sum(sizes * (sizes - 1) // 2))
+    cross = len(ds) * (len(ds) - 1) // 2 - pool
+    limit = min(pool, cross)
+    for k in sorted({1, 2, limit // 3, limit // 2, limit - 1, limit} - {0}):
+        for seed in (0, case + 1):
+            assert_matches_scalar_oracle(ds, k, seed)
+    assert_same_refusal(ds, limit + 1, seed=0)
+
+
+@pytest.mark.parametrize("sizes", [(5, 2), (6, 2), (7, 2), (6, 3), (7, 3)])
+def test_generate_trials_matches_scalar_oracle_up_to_cross_pair_exhaustion(sizes):
+    # these classes supply fewer cross-class than same-class pairs, so
+    # pairs_per_kind can reach every cross pair the dataset has
+    ds = shuffled_clean(np.asarray(sizes), seed=sum(sizes))
+    pool = sum(p * (p - 1) // 2 for p in sizes)
+    cross = len(ds) * (len(ds) - 1) // 2 - pool
+    assert cross <= pool
+    for k in range(1, cross + 1):
+        for seed in (0, 1, 2):
+            assert_matches_scalar_oracle(ds, k, seed)
+    assert_same_refusal(ds, cross + 1, seed=0)
+
+
 # ----------------------------------------------------------------------
 # trial scoring
 
 
 def test_score_trials_cosine_of_embeddings():
     ds = make_dataset([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 1, 0])
-    trials = [Trial(0, 1, is_target=False), Trial(0, 2, is_target=True)]
+    trials = Trials([0, 0], [1, 2], [False, True])
     scores, labels, dropped = score_trials(identity_model(2), trials, ds)
     np.testing.assert_allclose(scores, [0.0, 1.0 / math.sqrt(2.0)], rtol=0, atol=1e-15)
     assert labels.tolist() == [False, True]
@@ -159,24 +220,24 @@ def test_score_trials_matches_per_pair_cosine():
     feats = rng.standard_normal((30, 5))
     ds = make_dataset(feats, [i % 3 for i in range(30)])
     pairs = rng.choice(30, size=(40, 2))
-    trials = [Trial(int(a), int(b), is_target=bool(a % 3 == b % 3))
-              for a, b in pairs if a != b]
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    trials = Trials(pairs[:, 0], pairs[:, 1], pairs[:, 0] % 3 == pairs[:, 1] % 3)
     scores, labels, dropped = score_trials(identity_model(5), trials, ds)
-    ref = [cosine_similarity(feats[t.enroll_utt_id], feats[t.test_utt_id]) for t in trials]
+    ref = [cosine_similarity(feats[a], feats[b]) for a, b in pairs]
     np.testing.assert_allclose(scores, ref, rtol=0, atol=1e-15)
-    assert labels.tolist() == [t.is_target for t in trials]
+    assert labels.tolist() == trials.is_target.tolist()
     assert dropped == 0
 
 
 def test_score_trials_missing_utterance_rejected():
     ds = make_dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1])
     with pytest.raises(ConfigurationError, match="absent"):
-        score_trials(identity_model(2), [Trial(0, 99, is_target=False)], ds)
+        score_trials(identity_model(2), Trials([0], [99], [False]), ds)
 
 
 def test_score_trials_drops_zero_norm_embeddings(caplog):
     ds = make_dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0, 0, 1])
-    trials = [Trial(0, 1, is_target=True), Trial(1, 2, is_target=False)]
+    trials = Trials([0, 1], [1, 2], [True, False])
     with caplog.at_level("WARNING"):
         scores, labels, dropped = score_trials(identity_model(2), trials, ds)
     assert dropped == 1
@@ -188,7 +249,7 @@ def test_score_trials_drops_zero_norm_embeddings(caplog):
 def test_evaluate_model_end_to_end_separable():
     # class 0 along +x, class 1 along +y: cosine separates targets cleanly
     ds = make_dataset([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]], [0, 0, 1, 1])
-    trials = [Trial(0, 1, True), Trial(2, 3, True), Trial(0, 2, False), Trial(1, 3, False)]
+    trials = Trials([0, 2, 0, 1], [1, 3, 2, 3], [True, True, False, False])
     got = evaluate_model(identity_model(2), ds, trials)
     assert got.eer == 0.0
     assert got.trial_count == 4
@@ -260,7 +321,7 @@ def test_retrain_clamps_batch_when_removal_empties_a_class(caplog):
 
 
 def test_trials_csv_round_trip(tmp_path):
-    trials = [Trial(0, 3, True), Trial(2, 5, False)]
+    trials = Trials([0, 2], [3, 5], [True, False])
     path = tmp_path / "trials.csv"
     write_trials_csv(trials, path)
     assert path.read_text().splitlines()[0] == "enroll_id,test_id,is_target"
@@ -280,6 +341,13 @@ def test_read_trials_csv_rejects_malformed_input(tmp_path):
         read_trials_csv(path)
     path.write_text("enroll_id,test_id,is_target\na,2,true\n")
     with pytest.raises(ParseError, match="non-integer"):
+        read_trials_csv(path)
+
+
+def test_read_trials_csv_rejects_ids_outside_64_bits(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("enroll_id,test_id,is_target\n1,2,true\n3,%d,false\n" % 2**63)
+    with pytest.raises(ParseError, match=":3: utterance id outside the 64-bit range"):
         read_trials_csv(path)
 
 
