@@ -11,9 +11,8 @@ reruns (manifest timings excepted).
 from __future__ import annotations
 
 import argparse
-import contextlib
+import dataclasses
 import logging
-import math
 import sys
 import time
 from pathlib import Path
@@ -30,16 +29,10 @@ from .evaluation import (
     write_retrain_json,
     write_trials_csv,
 )
-from .jsonutil import digest_config, read_json, sha256_file, write_json17
-from .losses import (
-    AAMConfig,
-    AAMSCConfig,
-    CEConfig,
-    GE2EConfig,
-    LossConfig,
-    nsl_config,
-)
+from .jsonutil import digest_config, json_field, read_json, sha256_file, write_json17
+from .losses import LOSS_KINDS, GE2EConfig
 from .nld import (
+    DEFAULT_CENTROID_TEMPERATURE,
     METHOD_INTER,
     METHOD_INTRA,
     compute_centroids,
@@ -77,229 +70,124 @@ METHODS = (METHOD_INTRA, METHOD_INTER)
 # config resolution
 
 
-def _check_keys(section: dict, allowed: tuple[str, ...], path: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
+_TRAIN = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+
+# Per section: key -> (JSON kind, default, minimum). A callable default is
+# computed from the fields read before it; a None default also admits null.
+# Checks that are not a one-field bound stay in resolve_config.
+SECTIONS = {
+    "dataset": {
+        "class_count": (int, 50, 2),
+        "per_class": (int, 40, 2),
+        "latent_dim": (int, 8, 1),
+        "feature_dim": (int, 20, 1),
+        "within_class_spread": (float, DEFAULT_WITHIN_CLASS_SPREAD, 0),
+        "aux_class_count": (int, lambda got: got["class_count"], 2),
+        "aux_per_class": (int, 40, 2),
+        "heldout_per_class": (int, 10, 2),
+    },
+    "noise": {"kind": (str, None, None), "level_q": (float, 0.0, None)},
+    "train": {
+        "loss": (dict, {}, None),
+        "total_steps": (int, _TRAIN["total_steps"], 0),
+        "batch_speakers": (int, _TRAIN["batch_speakers"], 1),
+        "utts_per_speaker": (int, _TRAIN["utts_per_speaker"], 1),
+        "easy_margin_fraction": (float, _TRAIN["easy_margin_fraction"], None),
+        "learning_rate": (float, _TRAIN["learning_rate"], None),
+        "hidden_dims": (list, _TRAIN["hidden_dims"], None),
+        "embed_dim": (int, _TRAIN["embed_dim"], 1),
+    },
+    "detect": {
+        "methods": (list, METHODS, None),
+        "q": (float, None, None),
+        "centroid_temperature": (float, DEFAULT_CENTROID_TEMPERATURE, None),
+        "histogram_bins": (int, 20, 2),
+    },
+    "eval": {"pairs_per_kind": (int, 2000, 1)},
+    "retrain": {"detection_method": (str, METHOD_INTER, None)},
+}
+TOP_LEVEL_KEYS = ("format_version", "name", "seeds", "output_dir", *SECTIONS)
+
+
+def _section(section, path: str, table: dict) -> dict:
+    """Read one config object through its field table: refuse unknown keys,
+    check each field's JSON kind and minimum, fill in the defaults."""
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"config field {path} must be an object")
+    unknown = sorted(set(section) - set(table))
     if unknown:
         raise ConfigurationError(f"unknown config field {path}.{unknown[0]}")
-
-
-def _get_int(section: dict, key: str, default: int | None, path: str,
-             minimum: int | None = None) -> int:
-    v = section.get(key, default)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigurationError(f"config field {path}.{key} must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigurationError(f"config field {path}.{key} must be >= {minimum}, got {v}")
-    return v
-
-
-def _get_float(section: dict, key: str, default: float, path: str) -> float:
-    """A finite number; ``json.load`` also parses NaN, Infinity and huge
-    integer literals, none of which any float field accepts."""
-    v = section.get(key, default)
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        with contextlib.suppress(OverflowError):  # an int beyond float64
-            if math.isfinite(f := float(v)):
-                return f
-    raise ConfigurationError(f"config field {path}.{key} must be a finite number, got {v!r}")
-
-
-def _resolve_loss(raw: dict) -> dict:
-    kind = raw.get("kind", "aam")
-    if kind == "ce":
-        _check_keys(raw, ("kind",), "train.loss")
-        return {"kind": "ce"}
-    if kind == "nsl":
-        _check_keys(raw, ("kind", "scale"), "train.loss")
-        return {"kind": "nsl", "scale": _get_float(raw, "scale", 30.0, "train.loss")}
-    if kind == "aam":
-        _check_keys(raw, ("kind", "scale", "margin"), "train.loss")
-        return {
-            "kind": "aam",
-            "scale": _get_float(raw, "scale", 30.0, "train.loss"),
-            "margin": _get_float(raw, "margin", 0.1, "train.loss"),
-        }
-    if kind == "aamsc":
-        _check_keys(raw, ("kind", "scale", "margin", "subcenters"), "train.loss")
-        return {
-            "kind": "aamsc",
-            "scale": _get_float(raw, "scale", 30.0, "train.loss"),
-            "margin": _get_float(raw, "margin", 0.1, "train.loss"),
-            "subcenters": _get_int(raw, "subcenters", 3, "train.loss", minimum=1),
-        }
-    if kind == "ge2e":
-        _check_keys(raw, ("kind", "init_w", "init_b"), "train.loss")
-        return {
-            "kind": "ge2e",
-            "init_w": _get_float(raw, "init_w", 10.0, "train.loss"),
-            "init_b": _get_float(raw, "init_b", -5.0, "train.loss"),
-        }
-    raise ConfigurationError(f"config field train.loss.kind: unknown loss {kind!r}")
-
-
-def loss_config_for(loss: dict, class_count: int) -> LossConfig:
-    """Instantiate the loss config named by a resolved config section."""
-    kind = loss["kind"]
-    if kind == "ce":
-        return CEConfig(class_count=class_count)
-    if kind == "nsl":
-        return nsl_config(class_count, loss["scale"])
-    if kind == "aam":
-        return AAMConfig(class_count=class_count, scale=loss["scale"], margin=loss["margin"])
-    if kind == "aamsc":
-        return AAMSCConfig(class_count=class_count, scale=loss["scale"],
-                           margin=loss["margin"], subcenters=loss["subcenters"])
-    return GE2EConfig(init_w=loss["init_w"], init_b=loss["init_b"])
+    got = {}
+    for key, (kind, default, minimum) in table.items():
+        if key not in section:
+            got[key] = default(got) if callable(default) else default
+            continue
+        v = got[key] = json_field(section, key, kind, f"config field {path}", default is None)
+        if minimum is not None and v < minimum:
+            raise ConfigurationError(f"config field {path}.{key} must be >= {minimum}, got {v}")
+    return got
 
 
 def resolve_config(raw: dict) -> dict:
     """Fill defaults and validate a run config, raising field-level errors."""
     if not isinstance(raw, dict):
         raise ConfigurationError("config root must be a JSON object")
-    _check_keys(raw, ("format_version", "name", "seeds", "output_dir", "dataset",
-                      "noise", "train", "detect", "eval", "retrain"), "config")
+    unknown = sorted(set(raw) - set(TOP_LEVEL_KEYS))
+    if unknown:
+        raise ConfigurationError(f"unknown config field config.{unknown[0]}")
     version = raw.get("format_version", CONFIG_FORMAT_VERSION)
     if version != CONFIG_FORMAT_VERSION:
-        raise ConfigurationError(
-            f"config field format_version: unsupported value {version!r}"
-        )
-
+        raise ConfigurationError(f"config field format_version: unsupported value {version!r}")
     output_dir = raw.get("output_dir")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigurationError("config field output_dir must be a non-empty string")
-
     seeds = raw.get("seeds", list(DEFAULT_SEEDS))
     if (not isinstance(seeds, list) or not seeds
             or any(not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in seeds)):
         raise ConfigurationError("config field seeds must be a non-empty list of ints >= 0")
     if len(set(seeds)) != len(seeds):
         raise ConfigurationError("config field seeds must not repeat")
-
     name = raw.get("name", Path(output_dir).name)
     if not isinstance(name, str) or not name:
         raise ConfigurationError("config field name must be a non-empty string")
+    resolved = {"format_version": CONFIG_FORMAT_VERSION, "name": name, "seeds": list(seeds),
+                "output_dir": output_dir}
+    for key, table in SECTIONS.items():
+        clean = key == "noise" and raw.get(key) is None
+        resolved[key] = None if clean else _section(raw.get(key, {}), key, table)
 
-    d = raw.get("dataset", {})
-    if not isinstance(d, dict):
-        raise ConfigurationError("config field dataset must be an object")
-    _check_keys(d, ("class_count", "per_class", "latent_dim", "feature_dim",
-                    "within_class_spread", "aux_class_count", "aux_per_class",
-                    "heldout_per_class"), "dataset")
-    class_count = _get_int(d, "class_count", 50, "dataset", minimum=2)
-    dataset = {
-        "class_count": class_count,
-        "per_class": _get_int(d, "per_class", 40, "dataset", minimum=2),
-        "latent_dim": _get_int(d, "latent_dim", 8, "dataset", minimum=1),
-        "feature_dim": _get_int(d, "feature_dim", 20, "dataset", minimum=1),
-        "within_class_spread": _get_float(d, "within_class_spread",
-                                          DEFAULT_WITHIN_CLASS_SPREAD, "dataset"),
-        "aux_class_count": _get_int(d, "aux_class_count", class_count, "dataset", minimum=2),
-        "aux_per_class": _get_int(d, "aux_per_class", 40, "dataset", minimum=2),
-        "heldout_per_class": _get_int(d, "heldout_per_class", 10, "dataset", minimum=2),
-    }
-    if dataset["within_class_spread"] < 0:
-        raise ConfigurationError("config field dataset.within_class_spread must be >= 0")
-    if dataset["feature_dim"] < dataset["latent_dim"]:
-        raise ConfigurationError(
-            "config field dataset.feature_dim must be >= dataset.latent_dim"
-        )
-
-    noise_raw = raw.get("noise")
-    if noise_raw is None:
-        noise = None
-    else:
-        if not isinstance(noise_raw, dict):
-            raise ConfigurationError("config field noise must be an object or null")
-        _check_keys(noise_raw, ("kind", "level_q"), "noise")
-        noise = {
-            "kind": noise_raw.get("kind"),
-            "level_q": _get_float(noise_raw, "level_q", 0.0, "noise"),
-        }
+    d, noise, t, de = (resolved[k] for k in ("dataset", "noise", "train", "detect"))
+    if d["feature_dim"] < d["latent_dim"]:
+        raise ConfigurationError("config field dataset.feature_dim must be >= dataset.latent_dim")
+    if noise is not None:
         try:
             NoiseSpec(kind=noise["kind"], level_q=noise["level_q"], seed=0)
         except LabelNoiseError as exc:
             raise ConfigurationError(f"config field noise: {exc}") from exc
-
-    t = raw.get("train", {})
-    if not isinstance(t, dict):
-        raise ConfigurationError("config field train must be an object")
-    _check_keys(t, ("loss", "total_steps", "batch_speakers", "utts_per_speaker",
-                    "easy_margin_fraction", "learning_rate", "hidden_dims",
-                    "embed_dim"), "train")
-    loss_raw = t.get("loss", {})
-    if not isinstance(loss_raw, dict):
-        raise ConfigurationError("config field train.loss must be an object")
-    hidden = t.get("hidden_dims", [64, 64])
-    if (not isinstance(hidden, list)
-            or any(not isinstance(h, int) or isinstance(h, bool) or h < 1 for h in hidden)):
+    kind = t["loss"].get("kind", "aam")
+    if not isinstance(kind, str) or kind not in LOSS_KINDS:
+        raise ConfigurationError(f"config field train.loss.kind: unknown loss {kind!r}")
+    t["loss"] = _section(t["loss"], "train.loss", {"kind": (str, kind, None),
+                                                   **LOSS_KINDS[kind][1]})
+    t["hidden_dims"] = list(t["hidden_dims"])
+    if any(not isinstance(h, int) or isinstance(h, bool) or h < 1 for h in t["hidden_dims"]):
         raise ConfigurationError("config field train.hidden_dims must be a list of ints >= 1")
-    train_sec = {
-        "loss": _resolve_loss(loss_raw),
-        "total_steps": _get_int(t, "total_steps", 5000, "train", minimum=0),
-        "batch_speakers": _get_int(t, "batch_speakers", 64, "train", minimum=1),
-        "utts_per_speaker": _get_int(t, "utts_per_speaker", 1, "train", minimum=1),
-        "easy_margin_fraction": _get_float(t, "easy_margin_fraction", 0.125, "train"),
-        "learning_rate": _get_float(t, "learning_rate", 1e-4, "train"),
-        "hidden_dims": list(hidden),
-        "embed_dim": _get_int(t, "embed_dim", 32, "train", minimum=1),
-    }
-
-    de = raw.get("detect", {})
-    if not isinstance(de, dict):
-        raise ConfigurationError("config field detect must be an object")
-    _check_keys(de, ("methods", "q", "centroid_temperature", "histogram_bins"), "detect")
-    methods = de.get("methods", list(METHODS))
-    if (not isinstance(methods, list) or not methods
-            or any(m not in METHODS for m in methods)
-            or len(set(methods)) != len(methods)):
+    de["methods"] = list(de["methods"])
+    if (not de["methods"] or any(m not in METHODS for m in de["methods"])
+            or len(set(de["methods"])) != len(de["methods"])):
         raise ConfigurationError(
             f"config field detect.methods must be a non-empty subset of {list(METHODS)}"
         )
-    q = de.get("q")
-    if q is not None:
-        q = _get_float(de, "q", 0.0, "detect")
-        if not 0.0 < q <= 100.0:
-            raise ConfigurationError(f"config field detect.q must be in (0, 100], got {q}")
-    detect_sec = {
-        "methods": list(methods),
-        "q": q,
-        "centroid_temperature": _get_float(de, "centroid_temperature", 0.1, "detect"),
-        "histogram_bins": _get_int(de, "histogram_bins", 20, "detect", minimum=2),
-    }
-    if detect_sec["centroid_temperature"] <= 0:
+    if de["q"] is not None and not 0.0 < de["q"] <= 100.0:
+        raise ConfigurationError(f"config field detect.q must be in (0, 100], got {de['q']}")
+    if de["centroid_temperature"] <= 0:
         raise ConfigurationError("config field detect.centroid_temperature must be positive")
-
-    ev = raw.get("eval", {})
-    if not isinstance(ev, dict):
-        raise ConfigurationError("config field eval must be an object")
-    _check_keys(ev, ("pairs_per_kind",), "eval")
-    eval_sec = {"pairs_per_kind": _get_int(ev, "pairs_per_kind", 2000, "eval", minimum=1)}
-
-    rt = raw.get("retrain", {})
-    if not isinstance(rt, dict):
-        raise ConfigurationError("config field retrain must be an object")
-    _check_keys(rt, ("detection_method",), "retrain")
-    det_method = rt.get("detection_method", METHOD_INTER)
-    if det_method not in METHODS:
+    if resolved["retrain"]["detection_method"] not in METHODS:
         raise ConfigurationError(
             f"config field retrain.detection_method must be one of {list(METHODS)}"
         )
-    retrain_sec = {"detection_method": det_method}
-
-    resolved = {
-        "format_version": CONFIG_FORMAT_VERSION,
-        "name": name,
-        "seeds": list(seeds),
-        "output_dir": output_dir,
-        "dataset": dataset,
-        "noise": noise,
-        "train": train_sec,
-        "detect": detect_sec,
-        "eval": eval_sec,
-        "retrain": retrain_sec,
-    }
     # validate the train section end to end by instantiating it
-    build_train_config(resolved, class_count, run_seed=0)
+    build_train_config(resolved, d["class_count"], run_seed=0)
     return resolved
 
 
@@ -311,17 +199,12 @@ def run_config_digest(resolved: dict) -> str:
 
 def build_train_config(resolved: dict, class_count: int, run_seed: int) -> TrainConfig:
     t = resolved["train"]
-    return TrainConfig(
-        loss=loss_config_for(t["loss"], class_count),
-        total_steps=t["total_steps"],
-        batch_speakers=t["batch_speakers"],
-        utts_per_speaker=t["utts_per_speaker"],
-        easy_margin_fraction=t["easy_margin_fraction"],
-        seed=derive_seed(run_seed, "train"),
-        learning_rate=t["learning_rate"],
-        hidden_dims=tuple(t["hidden_dims"]),
-        embed_dim=t["embed_dim"],
-    )
+    make = LOSS_KINDS[t["loss"]["kind"]][0]
+    params = {k: v for k, v in t["loss"].items() if k != "kind"}
+    if make is not GE2EConfig:
+        params["class_count"] = class_count
+    return TrainConfig(**{**t, "loss": make(**params), "hidden_dims": tuple(t["hidden_dims"])},
+                       seed=derive_seed(run_seed, "train"))
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +229,10 @@ def _update_manifest(directory: Path, seed: int, digest: str, stage: str,
     if path.exists():
         try:
             previous = read_json(path, "manifest")
-            manifest["stages"] = dict(previous.get("stages", {}))
+            stages = previous.get("stages") if isinstance(previous, dict) else None
+            if not isinstance(stages, dict):
+                raise ConfigurationError("manifest holds no stages object")
+            manifest["stages"] = dict(stages)
         except (LabelNoiseError, OSError):
             logger.warning("manifest %s unreadable, rebuilding it", path)
     manifest["stages"][stage] = dict(extras)
@@ -580,14 +466,30 @@ def cmd_retrain(resolved: dict, seed: int, args) -> None:
                      time.monotonic() - t0)
 
 
-def _mean_or_missing(values: list[float]) -> str:
+def _mean_or_missing(values: list[float | None]) -> str:
+    values = [v for v in values if v is not None]
     if not values:
         return "missing"
     return format(sum(values) / len(values), ".6g")
 
 
+def _read_run_file(path: Path, what: str, read):
+    """``read`` applied to the JSON object in ``path``; its faults name the file."""
+    obj = read_json(path, what)
+    try:
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"{what} must be a JSON object")
+        return read(obj)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
 def cmd_report(args) -> int:
-    """Aggregate detection precision and EER across runs into one CSV."""
+    """Aggregate detection precision and EER across runs into one CSV.
+
+    Each run's ``config.json`` is resolved like a run config, its
+    ``output_dir`` defaulting to the run directory.
+    """
     lines = ["run,noise_kind,noise_q,loss,method,precision,recall,eer,seeds"]
     any_rows = False
     for run_dir in args.run_dirs:
@@ -596,35 +498,34 @@ def cmd_report(args) -> int:
         if not cfg_path.exists():
             logger.warning("skipping %s: no config.json", root)
             continue
-        resolved = read_json(cfg_path, "run config")
-        noise = resolved.get("noise")
-        noise_kind = "clean" if noise is None else noise["kind"]
-        noise_q = 0.0 if noise is None else noise["level_q"]
-        loss_kind = resolved["train"]["loss"]["kind"]
+        resolved = _read_run_file(cfg_path, "run config",
+                                  lambda raw: resolve_config({"output_dir": str(root), **raw}))
+        noise = resolved["noise"] or {"kind": "clean", "level_q": 0.0}
         for method in resolved["detect"]["methods"]:
             precisions, recalls, eers, seen = [], [], [], 0
             for seed in resolved["seeds"]:
                 sdir = root / f"seed_{seed}"
                 det_path = sdir / f"detection_{method}.json"
                 if det_path.exists():
-                    det = read_json(det_path, "detection")
                     seen += 1
-                    if det.get("precision") is not None:
-                        precisions.append(float(det["precision"]))
-                    if det.get("recall") is not None:
-                        recalls.append(float(det["recall"]))
+                    precision, recall = _read_run_file(det_path, "detection", lambda d: [
+                        json_field(d, key, float, "detection", nullable=True)
+                        for key in ("precision", "recall")])
+                    precisions.append(precision)
+                    recalls.append(recall)
                 else:
                     logger.warning("missing artifact %s", det_path)
                 eer_path = sdir / "eer.json"
                 if eer_path.exists():
-                    eers.append(float(read_json(eer_path, "EER report")["eer"]))
+                    eers.append(_read_run_file(eer_path, "EER report",
+                                               lambda e: json_field(e, "eer", float, "EER report")))
                 else:
                     logger.warning("missing artifact %s", eer_path)
             lines.append(",".join([
-                resolved.get("name", root.name),
-                noise_kind,
-                format(noise_q, ".6g"),
-                loss_kind,
+                resolved["name"],
+                noise["kind"],
+                format(noise["level_q"], ".6g"),
+                resolved["train"]["loss"]["kind"],
                 method,
                 _mean_or_missing(precisions),
                 _mean_or_missing(recalls),

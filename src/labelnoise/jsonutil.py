@@ -23,8 +23,8 @@ def _encode(obj, item_sep=", ", kv_sep=": ") -> str:
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return format(obj, ".17g")
+    if isinstance(obj, float):  # "-0" would read back as the integer 0
+        return "-0.0" if (text := format(obj, ".17g")) == "-0" else text
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
@@ -54,16 +54,25 @@ def write_json17(obj, path) -> None:
         fh.write("\n")
 
 
-def json_problem(exc: ValueError, text: str) -> tuple[str, int]:
-    """What a ``ValueError`` from ``json.loads(text)`` reports, and its line.
+def json_problem(exc: ValueError | RecursionError, text: str) -> tuple[str, int]:
+    """What an error from ``json.loads(text)`` reports, and its line.
 
     Besides ``JSONDecodeError`` the decoder raises a plain ``ValueError``
-    for an integer literal longer than ``sys.get_int_max_str_digits()``;
-    that error names no position, so its line is the first line holding
-    a run of more digits than the limit.
+    for an integer literal longer than ``sys.get_int_max_str_digits()``
+    and a ``RecursionError`` for arrays or objects nested too deeply.
+    Neither names a position: the line is the first one holding a run of
+    more digits than the limit, or the first one reaching the deepest
+    nesting (brackets inside strings do not count).
     """
     if isinstance(exc, json.JSONDecodeError):
         return exc.msg, exc.lineno
+    if isinstance(exc, RecursionError):
+        depth = deepest = at = 0
+        for m in re.finditer(r'"(?:[^"\\]|\\.)*"|[\[{\]}]', text):
+            depth += {"[": 1, "{": 1, "]": -1, "}": -1}.get(m.group(), 0)
+            if depth > deepest:
+                deepest, at = depth, m.start()
+        return "nested too deeply", text.count("\n", 0, at) + 1
     limit = sys.get_int_max_str_digits()
     run = re.search(r"\d{%d}" % (limit + 1), text)
     lineno = text.count("\n", 0, run.start()) + 1 if run else 1
@@ -87,13 +96,13 @@ def read_json(path, what: str):
         return json.loads(text)
     except UnicodeDecodeError as exc:
         problem, lineno = "non-ASCII byte", data.count(b"\n", 0, exc.start) + 1
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         problem, lineno = json_problem(exc, text)
     raise ParseError(f"malformed {what} file {path}: {problem} (line {lineno})")
 
 
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
-               list: "a list", dict: "an object"}
+               str: "a string", list: "a list", dict: "an object"}
 
 
 def json_field(section: dict, key: str, kind: type, path: str, nullable: bool = False):

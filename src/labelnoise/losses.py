@@ -25,7 +25,7 @@ differences in the test suite).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -117,25 +117,31 @@ class GE2EConfig:
 LossConfig = CEConfig | AAMConfig | AAMSCConfig | GE2EConfig
 
 
+# Loss kind -> (constructor, run-config fields as key -> (JSON kind, default,
+# minimum)). "nsl" is the zero-margin "aam" and is stored as such.
+LOSS_KINDS = {
+    "ce": (CEConfig, {}),
+    "nsl": (nsl_config, {"scale": (float, 30.0, None)}),
+    "aam": (AAMConfig, {"scale": (float, 30.0, None), "margin": (float, 0.1, None)}),
+    "aamsc": (AAMSCConfig, {"scale": (float, 30.0, None), "margin": (float, 0.1, None),
+                            "subcenters": (int, 3, 1)}),
+    "ge2e": (GE2EConfig, {"init_w": (float, GE2E_INIT_W, None),
+                          "init_b": (float, GE2E_INIT_B, None)}),
+}
+
+
 def loss_config_from_dict(d: dict, path: str = "loss_config") -> LossConfig:
     """Parse ``LossConfig.to_dict`` output, checking every field's JSON type."""
     if not isinstance(d, dict):
         raise ConfigurationError(f"{path} must be an object, got {type(d).__name__}")
     kind = d.get("kind")
-    if kind not in ("ce", "aam", "aamsc", "ge2e"):
+    entry = LOSS_KINDS.get(kind) if isinstance(kind, str) else None
+    if entry is None or getattr(entry[0], "kind", None) != kind:  # "nsl" is stored as "aam"
         raise ConfigurationError(f"unknown loss kind {kind!r}")
-    if kind == "ge2e":
-        return GE2EConfig(init_w=json_field(d, "init_w", float, path),
-                          init_b=json_field(d, "init_b", float, path))
-    class_count = json_field(d, "class_count", int, path)
-    if kind == "ce":
-        return CEConfig(class_count=class_count)
-    common = {"class_count": class_count, "scale": json_field(d, "scale", float, path),
-              "margin": json_field(d, "margin", float, path),
-              "easy_margin": json_field(d, "easy_margin", bool, path)}
-    if kind == "aam":
-        return AAMConfig(**common)
-    return AAMSCConfig(subcenters=json_field(d, "subcenters", int, path), **common)
+    make, config_fields = entry
+    kinds = {"class_count": int, "easy_margin": bool,
+             **{key: spec[0] for key, spec in config_fields.items()}}
+    return make(**{f.name: json_field(d, f.name, kinds[f.name], path) for f in fields(make)})
 
 
 @dataclass

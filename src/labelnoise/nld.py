@@ -270,13 +270,9 @@ def export_score_histogram(scores: np.ndarray, ds: Dataset, bins: int
         return [(0.0, 1.0, int(np.sum(~flags)), int(np.sum(flags)))]
     norm = (values - lo) / (hi - lo)
     idx = np.clip(np.ceil(norm * bins).astype(int) - 1, 0, bins - 1)
-    rows = []
-    for b in range(bins):
-        in_bin = idx == b
-        rows.append(
-            (b / bins, (b + 1) / bins, int(np.sum(in_bin & ~flags)), int(np.sum(in_bin & flags)))
-        )
-    return rows
+    clean = np.bincount(idx[~flags], minlength=bins).tolist()
+    noisy = np.bincount(idx[flags], minlength=bins).tolist()
+    return [(b / bins, (b + 1) / bins, clean[b], noisy[b]) for b in range(bins)]
 
 
 def write_scores_csv(scores: np.ndarray, ds: Dataset, method: str, path) -> None:

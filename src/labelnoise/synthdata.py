@@ -351,7 +351,7 @@ def save_dataset(ds: Dataset, path) -> None:
 def _parse_line(text: str, lineno: int) -> dict:
     try:
         obj = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"line {lineno}: {json_problem(exc, text)[0]}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"line {lineno}: expected a JSON object")

@@ -9,20 +9,27 @@ reproduce bit for bit, and the per-class batch sampler is the one-draw-
 per-class form whose batches and generator state the class-table sampler
 must reproduce bit for bit. The scalar trial generator is the one-
 ``Trial``-object-per-pair form whose trials the columnar, block-drawing
-``generate_trials`` must reproduce bit for bit.
+``generate_trials`` must reproduce bit for bit. The hand-written config
+resolver is the field-by-field form whose resolved configs the
+table-driven ``resolve_config`` must reproduce.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 
-from labelnoise.errors import ConfigurationError, DivergenceError, DomainError
-from labelnoise.seeding import named_rng
-from labelnoise.synthdata import Dataset
+from labelnoise.embedder import TrainConfig
+from labelnoise.errors import ConfigurationError, DivergenceError, DomainError, LabelNoiseError
+from labelnoise.losses import AAMConfig, AAMSCConfig, CEConfig, GE2EConfig, LossConfig, nsl_config
+from labelnoise.nld import METHOD_INTER, METHOD_INTRA
+from labelnoise.seeding import derive_seed, named_rng
+from labelnoise.synthdata import DEFAULT_WITHIN_CLASS_SPREAD, Dataset, NoiseSpec
 
 
 def brute_centroids(embeddings, observed):
@@ -316,3 +323,254 @@ def scalar_generate_trials(ds: Dataset, pairs_per_kind: int, seed: int) -> list[
         seen.add(pair)
     trials.extend(Trial(e, t, is_target=False) for e, t in sorted(seen))
     return trials
+
+
+# The run-config resolver as hand-written field by field, one helper per
+# JSON kind and one branch per loss kind; the table-driven
+# ``cli.resolve_config`` must return the same dict, or refuse the same
+# configs with ConfigurationError.
+
+CONFIG_FORMAT_VERSION = 1
+DEFAULT_SEEDS = (0, 2)
+METHODS = (METHOD_INTRA, METHOD_INTER)
+
+
+def _check_keys(section: dict, allowed: tuple[str, ...], path: str) -> None:
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigurationError(f"unknown config field {path}.{unknown[0]}")
+
+
+def _get_int(section: dict, key: str, default: int | None, path: str,
+             minimum: int | None = None) -> int:
+    v = section.get(key, default)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ConfigurationError(f"config field {path}.{key} must be an integer, got {v!r}")
+    if minimum is not None and v < minimum:
+        raise ConfigurationError(f"config field {path}.{key} must be >= {minimum}, got {v}")
+    return v
+
+
+def _get_float(section: dict, key: str, default: float, path: str) -> float:
+    """A finite number; ``json.load`` also parses NaN, Infinity and huge
+    integer literals, none of which any float field accepts."""
+    v = section.get(key, default)
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond float64
+            if math.isfinite(f := float(v)):
+                return f
+    raise ConfigurationError(f"config field {path}.{key} must be a finite number, got {v!r}")
+
+
+def _resolve_loss(raw: dict) -> dict:
+    kind = raw.get("kind", "aam")
+    if kind == "ce":
+        _check_keys(raw, ("kind",), "train.loss")
+        return {"kind": "ce"}
+    if kind == "nsl":
+        _check_keys(raw, ("kind", "scale"), "train.loss")
+        return {"kind": "nsl", "scale": _get_float(raw, "scale", 30.0, "train.loss")}
+    if kind == "aam":
+        _check_keys(raw, ("kind", "scale", "margin"), "train.loss")
+        return {
+            "kind": "aam",
+            "scale": _get_float(raw, "scale", 30.0, "train.loss"),
+            "margin": _get_float(raw, "margin", 0.1, "train.loss"),
+        }
+    if kind == "aamsc":
+        _check_keys(raw, ("kind", "scale", "margin", "subcenters"), "train.loss")
+        return {
+            "kind": "aamsc",
+            "scale": _get_float(raw, "scale", 30.0, "train.loss"),
+            "margin": _get_float(raw, "margin", 0.1, "train.loss"),
+            "subcenters": _get_int(raw, "subcenters", 3, "train.loss", minimum=1),
+        }
+    if kind == "ge2e":
+        _check_keys(raw, ("kind", "init_w", "init_b"), "train.loss")
+        return {
+            "kind": "ge2e",
+            "init_w": _get_float(raw, "init_w", 10.0, "train.loss"),
+            "init_b": _get_float(raw, "init_b", -5.0, "train.loss"),
+        }
+    raise ConfigurationError(f"config field train.loss.kind: unknown loss {kind!r}")
+
+
+def _loss_config_for(loss: dict, class_count: int) -> LossConfig:
+    """Instantiate the loss config named by a resolved config section."""
+    kind = loss["kind"]
+    if kind == "ce":
+        return CEConfig(class_count=class_count)
+    if kind == "nsl":
+        return nsl_config(class_count, loss["scale"])
+    if kind == "aam":
+        return AAMConfig(class_count=class_count, scale=loss["scale"], margin=loss["margin"])
+    if kind == "aamsc":
+        return AAMSCConfig(class_count=class_count, scale=loss["scale"],
+                           margin=loss["margin"], subcenters=loss["subcenters"])
+    return GE2EConfig(init_w=loss["init_w"], init_b=loss["init_b"])
+
+
+def handwritten_resolve_config(raw: dict) -> dict:
+    """Fill defaults and validate a run config, raising field-level errors."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError("config root must be a JSON object")
+    _check_keys(raw, ("format_version", "name", "seeds", "output_dir", "dataset",
+                      "noise", "train", "detect", "eval", "retrain"), "config")
+    version = raw.get("format_version", CONFIG_FORMAT_VERSION)
+    if version != CONFIG_FORMAT_VERSION:
+        raise ConfigurationError(
+            f"config field format_version: unsupported value {version!r}"
+        )
+
+    output_dir = raw.get("output_dir")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigurationError("config field output_dir must be a non-empty string")
+
+    seeds = raw.get("seeds", list(DEFAULT_SEEDS))
+    if (not isinstance(seeds, list) or not seeds
+            or any(not isinstance(s, int) or isinstance(s, bool) or s < 0 for s in seeds)):
+        raise ConfigurationError("config field seeds must be a non-empty list of ints >= 0")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigurationError("config field seeds must not repeat")
+
+    name = raw.get("name", Path(output_dir).name)
+    if not isinstance(name, str) or not name:
+        raise ConfigurationError("config field name must be a non-empty string")
+
+    d = raw.get("dataset", {})
+    if not isinstance(d, dict):
+        raise ConfigurationError("config field dataset must be an object")
+    _check_keys(d, ("class_count", "per_class", "latent_dim", "feature_dim",
+                    "within_class_spread", "aux_class_count", "aux_per_class",
+                    "heldout_per_class"), "dataset")
+    class_count = _get_int(d, "class_count", 50, "dataset", minimum=2)
+    dataset = {
+        "class_count": class_count,
+        "per_class": _get_int(d, "per_class", 40, "dataset", minimum=2),
+        "latent_dim": _get_int(d, "latent_dim", 8, "dataset", minimum=1),
+        "feature_dim": _get_int(d, "feature_dim", 20, "dataset", minimum=1),
+        "within_class_spread": _get_float(d, "within_class_spread",
+                                          DEFAULT_WITHIN_CLASS_SPREAD, "dataset"),
+        "aux_class_count": _get_int(d, "aux_class_count", class_count, "dataset", minimum=2),
+        "aux_per_class": _get_int(d, "aux_per_class", 40, "dataset", minimum=2),
+        "heldout_per_class": _get_int(d, "heldout_per_class", 10, "dataset", minimum=2),
+    }
+    if dataset["within_class_spread"] < 0:
+        raise ConfigurationError("config field dataset.within_class_spread must be >= 0")
+    if dataset["feature_dim"] < dataset["latent_dim"]:
+        raise ConfigurationError(
+            "config field dataset.feature_dim must be >= dataset.latent_dim"
+        )
+
+    noise_raw = raw.get("noise")
+    if noise_raw is None:
+        noise = None
+    else:
+        if not isinstance(noise_raw, dict):
+            raise ConfigurationError("config field noise must be an object or null")
+        _check_keys(noise_raw, ("kind", "level_q"), "noise")
+        noise = {
+            "kind": noise_raw.get("kind"),
+            "level_q": _get_float(noise_raw, "level_q", 0.0, "noise"),
+        }
+        try:
+            NoiseSpec(kind=noise["kind"], level_q=noise["level_q"], seed=0)
+        except LabelNoiseError as exc:
+            raise ConfigurationError(f"config field noise: {exc}") from exc
+
+    t = raw.get("train", {})
+    if not isinstance(t, dict):
+        raise ConfigurationError("config field train must be an object")
+    _check_keys(t, ("loss", "total_steps", "batch_speakers", "utts_per_speaker",
+                    "easy_margin_fraction", "learning_rate", "hidden_dims",
+                    "embed_dim"), "train")
+    loss_raw = t.get("loss", {})
+    if not isinstance(loss_raw, dict):
+        raise ConfigurationError("config field train.loss must be an object")
+    hidden = t.get("hidden_dims", [64, 64])
+    if (not isinstance(hidden, list)
+            or any(not isinstance(h, int) or isinstance(h, bool) or h < 1 for h in hidden)):
+        raise ConfigurationError("config field train.hidden_dims must be a list of ints >= 1")
+    train_sec = {
+        "loss": _resolve_loss(loss_raw),
+        "total_steps": _get_int(t, "total_steps", 5000, "train", minimum=0),
+        "batch_speakers": _get_int(t, "batch_speakers", 64, "train", minimum=1),
+        "utts_per_speaker": _get_int(t, "utts_per_speaker", 1, "train", minimum=1),
+        "easy_margin_fraction": _get_float(t, "easy_margin_fraction", 0.125, "train"),
+        "learning_rate": _get_float(t, "learning_rate", 1e-4, "train"),
+        "hidden_dims": list(hidden),
+        "embed_dim": _get_int(t, "embed_dim", 32, "train", minimum=1),
+    }
+
+    de = raw.get("detect", {})
+    if not isinstance(de, dict):
+        raise ConfigurationError("config field detect must be an object")
+    _check_keys(de, ("methods", "q", "centroid_temperature", "histogram_bins"), "detect")
+    methods = de.get("methods", list(METHODS))
+    if (not isinstance(methods, list) or not methods
+            or any(m not in METHODS for m in methods)
+            or len(set(methods)) != len(methods)):
+        raise ConfigurationError(
+            f"config field detect.methods must be a non-empty subset of {list(METHODS)}"
+        )
+    q = de.get("q")
+    if q is not None:
+        q = _get_float(de, "q", 0.0, "detect")
+        if not 0.0 < q <= 100.0:
+            raise ConfigurationError(f"config field detect.q must be in (0, 100], got {q}")
+    detect_sec = {
+        "methods": list(methods),
+        "q": q,
+        "centroid_temperature": _get_float(de, "centroid_temperature", 0.1, "detect"),
+        "histogram_bins": _get_int(de, "histogram_bins", 20, "detect", minimum=2),
+    }
+    if detect_sec["centroid_temperature"] <= 0:
+        raise ConfigurationError("config field detect.centroid_temperature must be positive")
+
+    ev = raw.get("eval", {})
+    if not isinstance(ev, dict):
+        raise ConfigurationError("config field eval must be an object")
+    _check_keys(ev, ("pairs_per_kind",), "eval")
+    eval_sec = {"pairs_per_kind": _get_int(ev, "pairs_per_kind", 2000, "eval", minimum=1)}
+
+    rt = raw.get("retrain", {})
+    if not isinstance(rt, dict):
+        raise ConfigurationError("config field retrain must be an object")
+    _check_keys(rt, ("detection_method",), "retrain")
+    det_method = rt.get("detection_method", METHOD_INTER)
+    if det_method not in METHODS:
+        raise ConfigurationError(
+            f"config field retrain.detection_method must be one of {list(METHODS)}"
+        )
+    retrain_sec = {"detection_method": det_method}
+
+    resolved = {
+        "format_version": CONFIG_FORMAT_VERSION,
+        "name": name,
+        "seeds": list(seeds),
+        "output_dir": output_dir,
+        "dataset": dataset,
+        "noise": noise,
+        "train": train_sec,
+        "detect": detect_sec,
+        "eval": eval_sec,
+        "retrain": retrain_sec,
+    }
+    # validate the train section end to end by instantiating it
+    _build_train_config(resolved, class_count, run_seed=0)
+    return resolved
+
+
+def _build_train_config(resolved: dict, class_count: int, run_seed: int) -> TrainConfig:
+    t = resolved["train"]
+    return TrainConfig(
+        loss=_loss_config_for(t["loss"], class_count),
+        total_steps=t["total_steps"],
+        batch_speakers=t["batch_speakers"],
+        utts_per_speaker=t["utts_per_speaker"],
+        easy_margin_fraction=t["easy_margin_fraction"],
+        seed=derive_seed(run_seed, "train"),
+        learning_rate=t["learning_rate"],
+        hidden_dims=tuple(t["hidden_dims"]),
+        embed_dim=t["embed_dim"],
+    )

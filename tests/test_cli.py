@@ -4,24 +4,30 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import labelnoise
 from labelnoise.cli import (
+    SECTIONS,
+    TOP_LEVEL_KEYS,
     build_train_config,
     main,
     resolve_config,
     run_config_digest,
 )
 from labelnoise.errors import ConfigurationError
-from labelnoise.jsonutil import sha256_file
-from labelnoise.losses import AAMConfig, AAMSCConfig, CEConfig, GE2EConfig
+from labelnoise.jsonutil import dump_json17, sha256_file
+from labelnoise.losses import LOSS_KINDS, AAMConfig, AAMSCConfig, CEConfig, GE2EConfig
 from labelnoise.seeding import derive_seed
+from oracles import handwritten_resolve_config
 
 # keep main()'s logging.basicConfig from binding a handler to a
 # capsys-replaced stderr that outlives the test
@@ -138,6 +144,109 @@ def test_build_train_config_loss_kinds():
         resolve_config({"output_dir": "x", "train": {"loss": {"kind": "nsl"}}}),
         class_count=4, run_seed=0)
     assert nsl.loss.margin == 0.0
+
+
+# Any JSON value, the awkward ones included: NaN, the infinities, an
+# integer past float64, bools (which are ints in Python) and nesting.
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 60) | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, 0.5, 150.0, "", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["kind", "a"]),
+                                                                inner, max_size=2),
+    max_leaves=4)
+LOSS_TABLE = {key: spec for _, table in LOSS_KINDS.values() for key, spec in table.items()}
+METHOD_LISTS = st.lists(st.sampled_from(["intra", "inter"]), min_size=1, max_size=2, unique=True)
+
+
+def fitting(kind: type, minimum) -> st.SearchStrategy:
+    """Values of a field's JSON kind that its one-field bound admits (the
+    string fields and ``detect.methods`` get theirs from the caller)."""
+    if kind is int:
+        return st.integers(minimum, minimum + 40)
+    if kind is float:
+        return st.floats(0, 1)
+    return {list: st.lists(st.integers(1, 64), max_size=3)}[kind]
+
+
+def fitting_section(table: dict, **values) -> st.SearchStrategy:
+    """Objects holding the keys given ``values`` and any subset of the
+    table's other keys, each with a fitting value."""
+    return st.fixed_dictionaries(values, optional={
+        key: fitting(kind, minimum)
+        for key, (kind, _, minimum) in table.items() if key not in values})
+
+
+def fitting_train(kind: str) -> st.SearchStrategy:
+    """A train section for the loss ``kind``, with its batching."""
+    return fitting_section(
+        SECTIONS["train"],
+        loss=fitting_section({"kind": (str, None, None), **LOSS_KINDS[kind][1]},
+                             kind=st.just(kind)),
+        utts_per_speaker=st.integers(2, 4) if kind == "ge2e" else st.just(1))
+
+
+# Configs that mostly resolve; the ones that do not cross a many-field rule.
+FITTING_CONFIGS = st.fixed_dictionaries(
+    {"output_dir": st.just("runs/x")},
+    optional={
+        "name": st.just("r"),
+        "seeds": st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
+        "dataset": fitting_section(SECTIONS["dataset"]),
+        "noise": fitting_section(SECTIONS["noise"], kind=st.sampled_from(["permute", "open_set"])),
+        "train": st.sampled_from(list(LOSS_KINDS)).flatmap(fitting_train),
+        "detect": fitting_section(SECTIONS["detect"], methods=METHOD_LISTS,
+                                  q=st.none() | st.floats(1, 100)),
+        "eval": fitting_section(SECTIONS["eval"]),
+        "retrain": fitting_section(SECTIONS["retrain"],
+                                   detection_method=st.sampled_from(["intra", "inter"])),
+    })
+# Where an edit may put any JSON value: every key, every section, an unknown key.
+EDIT_PATHS = [(key,) for key in TOP_LEVEL_KEYS] + [
+    (section, key) for section, table in SECTIONS.items() for key in table] + [
+    ("train", "loss", key) for key in ["kind", *LOSS_TABLE]] + [("bogus",), ("detect", "bogus")]
+
+
+def edited(raw: dict, edits: list) -> dict:
+    for path, value in edits:
+        target = raw
+        for part in path[:-1]:
+            if not isinstance(target.get(part), dict):
+                target[part] = {}
+            target = target[part]
+        target[path[-1]] = value
+    return raw
+
+
+RAW_CONFIGS = FITTING_CONFIGS | st.builds(
+    edited, FITTING_CONFIGS,
+    st.lists(st.tuples(st.sampled_from(EDIT_PATHS), ANY_JSON), min_size=1, max_size=2))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(RAW_CONFIGS)
+def test_resolve_config_matches_the_handwritten_resolver(raw):
+    try:
+        expected = handwritten_resolve_config(raw)
+    except ConfigurationError:
+        with pytest.raises(ConfigurationError):
+            resolve_config(raw)
+        return
+    got = resolve_config(raw)
+    assert got == expected
+    assert dump_json17(got) == dump_json17(expected)
+    # the config.json a run writes resolves to the same config
+    assert dump_json17(resolve_config(json.loads(dump_json17(got)))) == dump_json17(got)
+
+
+def test_readme_config_table_names_every_accepted_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config reference", 1)[1].split("\n#", 1)[0]
+    documented = set(re.findall(r"^\| `([a-z_.]+)` \|", table, flags=re.M))
+    accepted = {key for key in TOP_LEVEL_KEYS if key not in SECTIONS}
+    accepted |= {f"{section}.{key}" for section, table in SECTIONS.items()
+                 for key, (kind, _, _) in table.items() if kind is not dict}
+    accepted |= {f"train.loss.{key}" for key in ["kind", *LOSS_TABLE]}
+    assert documented == accepted
 
 
 # ----------------------------------------------------------------------
@@ -362,16 +471,19 @@ def test_detect_with_malformed_model_exits_one_without_traceback(pipeline, tmp_p
     assert "Traceback" not in proc.stderr
 
 
-# A non-ASCII byte and an integer literal past Python's int-conversion
-# limit, each on the second line of an otherwise valid JSON object.
+# A non-ASCII byte, an integer literal past Python's int-conversion limit
+# and nesting past the decoder's recursion limit, each on the second line
+# of an otherwise valid JSON object.
 UNDECODABLE = [
     (b'{"format_version": 1,\n "name": "caf\xe9"}', "non-ASCII byte (line 2)"),
     (b'{"format_version": 1,\n "seeds": [' + b"7" * 5000 + b"]}",
      "integer literal over 4300 digits (line 2)"),
+    (b'{"name": "[[[",\n "seeds": ' + b"[" * 100_000, "nested too deeply (line 2)"),
 ]
+UNDECODABLE_IDS = ["non-ascii", "long-int", "deep"]
 
 
-@pytest.mark.parametrize("content,problem", UNDECODABLE, ids=["non-ascii", "long-int"])
+@pytest.mark.parametrize("content,problem", UNDECODABLE, ids=UNDECODABLE_IDS)
 def test_undecodable_config_exits_one_without_traceback(tmp_path, content, problem):
     cfg = tmp_path / "bad.json"
     cfg.write_bytes(content)
@@ -381,7 +493,7 @@ def test_undecodable_config_exits_one_without_traceback(tmp_path, content, probl
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("content,problem", UNDECODABLE, ids=["non-ascii", "long-int"])
+@pytest.mark.parametrize("content,problem", UNDECODABLE, ids=UNDECODABLE_IDS)
 def test_detect_with_undecodable_model_exits_one_without_traceback(pipeline, tmp_path,
                                                                     content, problem):
     bad = tmp_path / "bad.json"
@@ -412,6 +524,65 @@ def test_undecodable_manifest_is_rebuilt_with_a_warning(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == f"WARNING manifest {manifest} unreadable, rebuilding it\n"
     assert list(json.loads(manifest.read_text(encoding="ascii"))["stages"]) == ["train"]
+
+
+def test_detect_with_deeply_nested_dataset_line_exits_one_without_traceback(pipeline, tmp_path):
+    lines = (pipeline.sdir / "noisy.jsonl").read_text().splitlines()
+    lines[2] = "[" * 100_000
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    proc = run_cli("detect", "--config", str(pipeline.cfg_path), "--dataset", str(bad), "--quiet")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: line 3: nested too deeply\n"
+
+
+@pytest.mark.parametrize("content", ["[]", '{"stages": 5}'], ids=["list", "stages-int"])
+def test_manifest_of_the_wrong_shape_is_rebuilt_with_a_warning(tmp_path, content):
+    cfg_path = write_config(tmp_path / "tiny.json", tiny_raw_config(str(tmp_path / "run")))
+    assert main(["simulate", "--config", str(cfg_path), "--quiet"]) == 0
+    manifest = tmp_path / "run" / "seed_1" / "manifest.json"
+    manifest.write_text(content)
+    proc = run_cli("train", "--config", str(cfg_path), "--quiet")
+    assert proc.returncode == 0
+    assert proc.stderr == f"WARNING manifest {manifest} unreadable, rebuilding it\n"
+    assert list(json.loads(manifest.read_text(encoding="ascii"))["stages"]) == ["train"]
+
+
+def copy_run(pipeline, tmp_path) -> Path:
+    """A copy of the pipeline's config.json and artifacts, free to damage."""
+    run = tmp_path / "run"
+    (run / "seed_1").mkdir(parents=True)
+    (run / "config.json").write_bytes((pipeline.run / "config.json").read_bytes())
+    for src in pipeline.sdir.iterdir():
+        (run / "seed_1" / src.name).write_bytes(src.read_bytes())
+    return run
+
+
+@pytest.mark.parametrize("name,content,message", [
+    ("config.json", "[]", "run config must be a JSON object"),
+    ("seed_1/detection_intra.json", '{"precision": "x", "recall": null}',
+     "detection.precision must be a finite number, got 'x'"),
+    ("seed_1/eer.json", "{}", "EER report.eer is missing"),
+])
+def test_report_with_malformed_input_exits_one_naming_the_file(pipeline, tmp_path,
+                                                                name, content, message):
+    run = copy_run(pipeline, tmp_path)
+    (run / name).write_text(content)
+    proc = run_cli("report", str(run))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {run / name}: {message}\n"
+
+
+def test_report_resolves_a_partial_run_config_with_the_defaults(tmp_path):
+    run = tmp_path / "clean_run"
+    run.mkdir()
+    (run / "config.json").write_text('{"noise": null}')
+    proc = run_cli("report", str(run))
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[1:] == [
+        f"clean_run,clean,0,aam,{method},missing,missing,missing,0"
+        for method in ("intra", "inter")]
 
 
 def test_detect_without_any_q_source_exits_nonzero(pipeline, tmp_path, capsys):

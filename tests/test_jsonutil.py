@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from labelnoise.errors import ParseError
 from labelnoise.jsonutil import (
     canonical_json,
     digest_config,
     dump_json17,
+    read_json,
     sha256_file,
     sha256_text,
     write_json17,
@@ -95,3 +97,24 @@ def test_digest_config_stable_across_json_round_trip():
     assert reparsed["q"] == 25 and isinstance(reparsed["q"], int)
     assert digest_config(reparsed) == digest_config(cfg)
     assert canonical_json(25.0) == canonical_json(25) == "25"
+
+
+def test_negative_zero_keeps_its_sign_across_json_round_trip():
+    # "-0" would reload as the integer 0 and digest differently
+    cfg = {"level_q": -0.0, "scale": 0.0}
+    text = dump_json17(cfg)
+    assert text == '{"level_q": -0.0, "scale": 0}'
+    assert digest_config(json.loads(text)) == digest_config(cfg)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("[" * 100_000, 1),
+    ('{"a": "[[[[",\n "b":\n' + "[" * 100_000, 3),
+    ('{"a": 1,\n "b": ' + '[{"c": ' * 60_000, 2),
+], ids=["arrays", "after-a-string", "objects"])
+def test_read_json_locates_nesting_too_deep(tmp_path, text, line):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=rf"^malformed config file .*: nested too deeply "
+                                         rf"\(line {line}\)$"):
+        read_json(path, "config")
