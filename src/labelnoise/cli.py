@@ -11,7 +11,9 @@ reruns (manifest timings excepted).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import logging
 import sys
 import time
@@ -136,7 +138,7 @@ def resolve_config(raw: dict) -> dict:
     if unknown:
         raise ConfigurationError(f"unknown config field config.{unknown[0]}")
     version = raw.get("format_version", CONFIG_FORMAT_VERSION)
-    if version != CONFIG_FORMAT_VERSION:
+    if type(version) is not int or version != CONFIG_FORMAT_VERSION:  # not true, not 1.0
         raise ConfigurationError(f"config field format_version: unsupported value {version!r}")
     output_dir = raw.get("output_dir")
     if not isinstance(output_dir, str) or not output_dir:
@@ -490,7 +492,10 @@ def cmd_report(args) -> int:
     Each run's ``config.json`` is resolved like a run config, its
     ``output_dir`` defaulting to the run directory.
     """
-    lines = ["run,noise_kind,noise_q,loss,method,precision,recall,eer,seeds"]
+    text = io.StringIO()
+    rows = csv.writer(text, lineterminator="\n")
+    rows.writerow(["run", "noise_kind", "noise_q", "loss", "method", "precision", "recall",
+                   "eer", "seeds"])
     any_rows = False
     for run_dir in args.run_dirs:
         root = Path(run_dir)
@@ -521,7 +526,7 @@ def cmd_report(args) -> int:
                                                lambda e: json_field(e, "eer", float, "EER report")))
                 else:
                     logger.warning("missing artifact %s", eer_path)
-            lines.append(",".join([
+            rows.writerow([
                 resolved["name"],
                 noise["kind"],
                 format(noise["level_q"], ".6g"),
@@ -531,17 +536,16 @@ def cmd_report(args) -> int:
                 _mean_or_missing(recalls),
                 _mean_or_missing(eers),
                 str(seen),
-            ]))
+            ])
             any_rows = True
     if not any_rows:
         raise ConfigurationError("no usable run directories; nothing to report")
-    text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            fh.write(text.getvalue())
         logger.info("wrote %s", args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text.getvalue())
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -73,8 +73,10 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.n
     cache = [h]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T + b
-        h = z if i == last else np.tanh(z)
+        h = h @ w.T
+        h += b
+        if i != last:
+            np.tanh(h, out=h)
         cache.append(h)
     return h, cache
 
@@ -107,7 +109,8 @@ def embed_batch(params: MlpParams, features: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators for one flat parameter vector."""
+    """First/second-moment accumulators for one flat parameter vector,
+    and two scratch vectors of the same shape for the update."""
 
     m: np.ndarray
     v: np.ndarray
@@ -116,6 +119,10 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    _scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @staticmethod
     def fresh(params: np.ndarray, learning_rate: float, beta1: float = 0.9,
@@ -158,11 +165,26 @@ def adam_step(
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
+    # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+    # params -= lr * (m/bc1) / (sqrt(v/bc2) + eps), evaluated in this
+    # order into the two scratch vectors. Once bc1 rounds to 1.0 the
+    # division by it is exact and is left out.
+    a, b = state._scratch
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grads
+    state.m += np.multiply(1.0 - state.beta1, grads, out=a)
     state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grads * grads
-    params -= state.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.epsilon)
+    np.multiply(1.0 - state.beta2, grads, out=a)
+    state.v += np.multiply(a, grads, out=a)
+    if bc1 == 1.0:
+        np.multiply(state.m, state.learning_rate, out=a)
+    else:
+        np.divide(state.m, bc1, out=a)
+        a *= state.learning_rate
+    np.divide(state.v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += state.epsilon
+    a /= b
+    params -= a
     return params, state
 
 
@@ -354,6 +376,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
     clf = init_classifier(loss_cfg, cfg.embed_dim, init_rng)
 
     params, blocks = _flatten(mlp, clf)
+    grads = np.empty_like(params)
     state = AdamState.fresh(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
     is_ge2e = isinstance(loss_cfg, GE2EConfig)
 
@@ -385,7 +408,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
         parts = [g.ravel() for pair in zip(gw, gb) for g in pair]
         parts += [np.ravel(getattr(out.grad_params, f)) for _, f in _CLASSIFIER_BLOCKS
                   if getattr(out.grad_params, f) is not None]
-        adam_step(params, np.concatenate(parts), state, blocks)
+        adam_step(params, np.concatenate(parts, out=grads), state, blocks)
 
         if is_ge2e:
             clf.ge2e_w[...] = max(float(clf.ge2e_w), GE2E_W_FLOOR)

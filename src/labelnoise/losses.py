@@ -190,25 +190,25 @@ def init_classifier(cfg: LossConfig, embed_dim: int, rng: np.random.Generator) -
     raise ConfigurationError(f"unknown loss config {type(cfg).__name__}")
 
 
-def _check_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
+def _check_labels(labels, class_count: int, batch_size: int) -> np.ndarray:
     y = np.asarray(labels)
     if y.ndim != 1:
         raise DomainError(f"labels must be 1-D, got shape {y.shape}")
     if y.size == 0:
         raise DomainError("batch must be non-empty")
-    if np.any(y < 0) or np.any(y >= class_count):
+    if y.min() < 0 or y.max() >= class_count:
         raise DomainError(f"label out of range [0, {class_count})")
-    return y.astype(np.intp)
+    if y.shape[0] != batch_size:
+        raise DomainError(f"batch size mismatch: {batch_size} embeddings, {y.shape[0]} labels")
+    return y.astype(np.intp, copy=False)
 
 
 def ce_loss(embeddings: np.ndarray, labels, params: ClassifierParams) -> LossOutput:
     """Mean softmax cross-entropy of W x + bias against the labels."""
     x = np.asarray(embeddings, dtype=np.float64)
     w, b = params.weight, params.bias
-    y = _check_labels(labels, w.shape[0])
     n = x.shape[0]
-    if y.shape[0] != n:
-        raise DomainError(f"batch size mismatch: {n} embeddings, {y.shape[0]} labels")
+    y = _check_labels(labels, w.shape[0], n)
 
     logits = x @ w.T + b
     rows = np.arange(n)
@@ -233,11 +233,14 @@ def _margin_cross_entropy(cos: np.ndarray, y: np.ndarray, scale: float, margin: 
     cos <= cos(pi - m); easy mode: cos <= 0) the target falls back to the
     linearized cos - m*sin(m), or to the raw cosine respectively. Returns
     the mean loss and its gradient with respect to every cosine entry.
+    ``cos`` lies in [-1, 1]; every target entry is read and written
+    through one flat index.
     """
-    n = cos.shape[0]
-    rows = np.arange(n)
-    cos_y = cos[rows, y]
-    sin_y = np.sqrt(np.clip(1.0 - cos_y * cos_y, 0.0, 1.0))
+    n, c = cos.shape
+    flat = np.arange(0, n * c, c) + y
+    cos_y = cos.take(flat)
+    # 1 - cos_y**2 lies in [0, 1] for cos_y in [-1, 1], so it needs no clip
+    sin_y = np.sqrt(1.0 - cos_y * cos_y)
     cos_m, sin_m = math.cos(margin), math.sin(margin)
 
     phi = cos_y * cos_m - sin_y * sin_m
@@ -249,29 +252,35 @@ def _margin_cross_entropy(cos: np.ndarray, y: np.ndarray, scale: float, margin: 
     if easy_margin:
         active = cos_y > 0.0
         target = np.where(active, phi, cos_y)
-        dtarget = np.where(active, dphi, 1.0)
     else:
         active = cos_y > math.cos(math.pi - margin)
         target = np.where(active, phi, cos_y - margin * sin_m)
-        dtarget = np.where(active, dphi, 1.0)
+    dtarget = np.where(active, dphi, 1.0)
 
     logits = scale * cos
-    logits[rows, y] = scale * target
-    value = float(np.mean(log_sum_exp(logits, axis=1) - logits[rows, y]))
+    target_logit = scale * target
+    logits.reshape(-1)[flat] = target_logit
+    value = float((log_sum_exp(logits, axis=1) - target_logit).sum() / n)
 
-    dlogits = softmax(logits, axis=1)
-    dlogits[rows, y] -= 1.0
-    dlogits /= n
-    dcos = scale * dlogits
-    dcos[rows, y] *= dtarget
+    dcos = softmax(logits, axis=1)
+    dflat = dcos.reshape(-1)
+    d_target = (dflat[flat] - 1.0) / n
+    dcos /= n
+    dcos *= scale
+    dflat[flat] = scale * d_target * dtarget
     return value, dcos
 
 
 def _cosine_backward(dcos: np.ndarray, cos: np.ndarray, xhat: np.ndarray, xnorm: np.ndarray,
                      what: np.ndarray, wnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chain a gradient on the cosine matrix back to raw x rows and w rows."""
-    grad_x = (dcos @ what - np.sum(dcos * cos, axis=1, keepdims=True) * xhat) / xnorm[:, None]
-    grad_w = (dcos.T @ xhat - np.sum(dcos * cos, axis=0)[:, None] * what) / wnorm[:, None]
+    dc_cos = dcos * cos
+    grad_x = dcos @ what
+    grad_x -= dc_cos.sum(axis=1, keepdims=True) * xhat
+    grad_x /= xnorm[:, None]
+    grad_w = dcos.T @ xhat
+    grad_w -= dc_cos.sum(axis=0)[:, None] * what
+    grad_w /= wnorm[:, None]
     return grad_x, grad_w
 
 
@@ -279,7 +288,7 @@ def aam_loss(embeddings: np.ndarray, labels, params: ClassifierParams,
              cfg: AAMConfig) -> LossOutput:
     """Additive angular margin softmax over unit-normalized embeddings/weights."""
     x = np.asarray(embeddings, dtype=np.float64)
-    y = _check_labels(labels, cfg.class_count)
+    y = _check_labels(labels, cfg.class_count, x.shape[0])
     if params.weight.shape[0] != cfg.class_count:
         raise ConfigurationError(
             f"weight has {params.weight.shape[0]} rows, expected {cfg.class_count}"
@@ -298,25 +307,31 @@ def aamsc_loss(embeddings: np.ndarray, labels, params: ClassifierParams,
                cfg: AAMSCConfig) -> LossOutput:
     """Sub-center AAM: per class, the maximum sub-center cosine competes."""
     x = np.asarray(embeddings, dtype=np.float64)
-    y = _check_labels(labels, cfg.class_count)
+    n = x.shape[0]
+    y = _check_labels(labels, cfg.class_count, n)
     c, k = cfg.class_count, cfg.subcenters
     if params.weight.shape[0] != c * k:
         raise ConfigurationError(f"weight has {params.weight.shape[0]} rows, expected {c * k}")
     xhat, xnorm = l2_normalize_rows(x, "embedding")
     what, wnorm = l2_normalize_rows(params.weight, "weight")
-    n = x.shape[0]
 
-    cos_sub = np.clip(xhat @ what.T, -1.0, 1.0).reshape(n, c, k)
-    # argmax takes the first maximum, i.e. ties break to the lowest index
-    k_star = np.argmax(cos_sub, axis=2)
-    cos = np.take_along_axis(cos_sub, k_star[:, :, None], axis=2)[:, :, 0]
+    cos_flat = xhat @ what.T
+    np.clip(cos_flat, -1.0, 1.0, out=cos_flat)
+    cos_sub = cos_flat.reshape(n, c, k)
+    # Per class, the first maximum over its K sub-centers (argmax's tie
+    # break): a later sub-center replaces it only when strictly greater.
+    cos, pick = cos_sub[:, :, 0], 0
+    for j in range(1, k):
+        better = cos_sub[:, :, j] > cos
+        cos = np.where(better, cos_sub[:, :, j], cos)
+        pick = np.where(better, j, pick)
 
     value, dcos = _margin_cross_entropy(cos, y, cfg.scale, cfg.margin, cfg.easy_margin)
 
-    dcos_sub = np.zeros((n, c, k))
-    np.put_along_axis(dcos_sub, k_star[:, :, None], dcos[:, :, None], axis=2)
-    dcos_sub = dcos_sub.reshape(n, c * k)
-    cos_flat = cos_sub.reshape(n, c * k)
+    # the selected sub-center of row i, class j is flat entry (i*C + j)*K + pick
+    pick = np.arange(0, n * c * k, k).reshape(n, c) + pick
+    dcos_sub = np.zeros((n, c * k))
+    dcos_sub.reshape(-1)[pick] = dcos
     grad_x, grad_w = _cosine_backward(dcos_sub, cos_flat, xhat, xnorm, what, wnorm)
     return LossOutput(value=value, grad_embeddings=grad_x,
                       grad_params=ClassifierParams(weight=grad_w))

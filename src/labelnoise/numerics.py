@@ -20,11 +20,12 @@ def softmax(z, axis: int = -1) -> np.ndarray:
     x = np.asarray(z, dtype=np.float64)
     if x.size == 0:
         raise DomainError("softmax input must be non-empty")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError("softmax input contains non-finite entries")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def log_sum_exp(z, axis: int = -1):
@@ -32,10 +33,12 @@ def log_sum_exp(z, axis: int = -1):
     x = np.asarray(z, dtype=np.float64)
     if x.size == 0:
         raise DomainError("log_sum_exp input must be non-empty")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError("log_sum_exp input contains non-finite entries")
-    m = np.max(x, axis=axis, keepdims=True)
-    out = m.squeeze(axis) + np.log(np.sum(np.exp(x - m), axis=axis))
+    m = x.max(axis=axis, keepdims=True)
+    e = x - m
+    np.exp(e, out=e)
+    out = m.squeeze(axis) + np.log(e.sum(axis=axis))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -56,15 +59,18 @@ def l2_normalize_rows(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, 
     zero norm.
     """
     x = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
+    # the expression ``np.linalg.norm(x, axis=1)`` evaluates, without its wrapper
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))
     # Below this norm the squared entries underflow and the norm loses its
     # precision; such rows are measured again after scaling by their peak.
-    small = np.flatnonzero(norms < _UNDERFLOW_NORM)
-    if small.size:
+    # A zero row is one of them. ``fmin`` skips NaN norms, as the
+    # comparisons below do.
+    if np.fmin.reduce(norms, initial=np.inf) < _UNDERFLOW_NORM:
+        small = np.flatnonzero(norms < _UNDERFLOW_NORM)
         peak = np.max(np.abs(x[small]), axis=1)
         scaled = x[small] / np.where(peak > 0.0, peak, 1.0)[:, None]
-        norms[small] = peak * np.linalg.norm(scaled, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
-        raise DomainError(f"{what} row {int(bad[0])} has zero norm")
+        norms[small] = peak * np.sqrt(np.add.reduce(scaled * scaled, axis=1))
+        bad = np.flatnonzero(norms == 0.0)
+        if bad.size:
+            raise DomainError(f"{what} row {int(bad[0])} has zero norm")
     return x / norms[:, None], norms

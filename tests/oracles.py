@@ -11,7 +11,10 @@ must reproduce bit for bit. The scalar trial generator is the one-
 ``Trial``-object-per-pair form whose trials the columnar, block-drawing
 ``generate_trials`` must reproduce bit for bit. The hand-written config
 resolver is the field-by-field form whose resolved configs the
-table-driven ``resolve_config`` must reproduce.
+table-driven ``resolve_config`` must reproduce. The one-call-per-
+operation AAM/AAMSC step (losses, norms, MLP forward pass and Adam) is
+the form whose values, gradients and trained parameters the fused step
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -24,10 +27,20 @@ from pathlib import Path
 
 import numpy as np
 
-from labelnoise.embedder import TrainConfig
+from labelnoise.embedder import AdamState, MlpParams, TrainConfig, _first_non_finite
 from labelnoise.errors import ConfigurationError, DivergenceError, DomainError, LabelNoiseError
-from labelnoise.losses import AAMConfig, AAMSCConfig, CEConfig, GE2EConfig, LossConfig, nsl_config
+from labelnoise.losses import (
+    AAMConfig,
+    AAMSCConfig,
+    CEConfig,
+    ClassifierParams,
+    GE2EConfig,
+    LossConfig,
+    LossOutput,
+    nsl_config,
+)
 from labelnoise.nld import METHOD_INTER, METHOD_INTRA
+from labelnoise.numerics import log_sum_exp, softmax
 from labelnoise.seeding import derive_seed, named_rng
 from labelnoise.synthdata import DEFAULT_WITHIN_CLASS_SPREAD, Dataset, NoiseSpec
 
@@ -574,3 +587,190 @@ def _build_train_config(resolved: dict, class_count: int, run_seed: int) -> Trai
         hidden_dims=tuple(t["hidden_dims"]),
         embed_dim=t["embed_dim"],
     )
+
+
+# ----------------------------------------------------------------------
+# The AAM/AAMSC training step as one numpy call per operation: the
+# reference whose values and gradients the fused step in ``losses``,
+# ``numerics`` and ``embedder`` must reproduce bit for bit. Sub-centers
+# are picked with ``argmax`` and moved with the along-axis helpers, norms
+# come from ``np.linalg.norm``, the MLP allocates a new array per bias
+# add and ``tanh``, and Adam allocates its temporaries.
+
+_UNDERFLOW_NORM = 1e-150
+
+
+def plain_l2_normalize_rows(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Row-normalize a 2-D array; returns (normalized rows, original norms).
+
+    Raises DomainError naming ``what`` and the row index if any row has
+    zero norm.
+    """
+    x = np.asarray(m, dtype=np.float64)
+    norms = np.linalg.norm(x, axis=1)
+    # Below this norm the squared entries underflow and the norm loses its
+    # precision; such rows are measured again after scaling by their peak.
+    small = np.flatnonzero(norms < _UNDERFLOW_NORM)
+    if small.size:
+        peak = np.max(np.abs(x[small]), axis=1)
+        scaled = x[small] / np.where(peak > 0.0, peak, 1.0)[:, None]
+        norms[small] = peak * np.linalg.norm(scaled, axis=1)
+    bad = np.flatnonzero(norms == 0.0)
+    if bad.size:
+        raise DomainError(f"{what} row {int(bad[0])} has zero norm")
+    return x / norms[:, None], norms
+
+
+def _plain_check_labels(labels: np.ndarray, class_count: int) -> np.ndarray:
+    y = np.asarray(labels)
+    if y.ndim != 1:
+        raise DomainError(f"labels must be 1-D, got shape {y.shape}")
+    if y.size == 0:
+        raise DomainError("batch must be non-empty")
+    if np.any(y < 0) or np.any(y >= class_count):
+        raise DomainError(f"label out of range [0, {class_count})")
+    return y.astype(np.intp)
+
+
+def _plain_margin_cross_entropy(cos: np.ndarray, y: np.ndarray, scale: float, margin: float,
+                                easy_margin: bool) -> tuple[float, np.ndarray]:
+    """Cross-entropy over margin-adjusted scaled cosines.
+
+    The target-class cosine is replaced by cos(phi + m), computed as
+    cos*cos(m) - sin*sin(m). Outside the monotone range (standard mode:
+    cos <= cos(pi - m); easy mode: cos <= 0) the target falls back to the
+    linearized cos - m*sin(m), or to the raw cosine respectively. Returns
+    the mean loss and its gradient with respect to every cosine entry.
+    """
+    n = cos.shape[0]
+    rows = np.arange(n)
+    cos_y = cos[rows, y]
+    sin_y = np.sqrt(np.clip(1.0 - cos_y * cos_y, 0.0, 1.0))
+    cos_m, sin_m = math.cos(margin), math.sin(margin)
+
+    phi = cos_y * cos_m - sin_y * sin_m
+    # d phi / d cos_y, with the sin_y -> 0 singularity patched (the exact
+    # derivative is unbounded there; margin losses never operate at the
+    # poles, and with m = 0 the expression is exact everywhere).
+    safe_sin = np.where(sin_y < 1e-12, 1.0, sin_y)
+    dphi = cos_m + sin_m * cos_y / safe_sin
+    if easy_margin:
+        active = cos_y > 0.0
+        target = np.where(active, phi, cos_y)
+        dtarget = np.where(active, dphi, 1.0)
+    else:
+        active = cos_y > math.cos(math.pi - margin)
+        target = np.where(active, phi, cos_y - margin * sin_m)
+        dtarget = np.where(active, dphi, 1.0)
+
+    logits = scale * cos
+    logits[rows, y] = scale * target
+    value = float(np.mean(log_sum_exp(logits, axis=1) - logits[rows, y]))
+
+    dlogits = softmax(logits, axis=1)
+    dlogits[rows, y] -= 1.0
+    dlogits /= n
+    dcos = scale * dlogits
+    dcos[rows, y] *= dtarget
+    return value, dcos
+
+
+def _plain_cosine_backward(dcos: np.ndarray, cos: np.ndarray, xhat: np.ndarray,
+                           xnorm: np.ndarray, what: np.ndarray,
+                           wnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chain a gradient on the cosine matrix back to raw x rows and w rows."""
+    grad_x = (dcos @ what - np.sum(dcos * cos, axis=1, keepdims=True) * xhat) / xnorm[:, None]
+    grad_w = (dcos.T @ xhat - np.sum(dcos * cos, axis=0)[:, None] * what) / wnorm[:, None]
+    return grad_x, grad_w
+
+
+def plain_aam_loss(embeddings: np.ndarray, labels, params: ClassifierParams,
+                   cfg: AAMConfig) -> LossOutput:
+    """Additive angular margin softmax over unit-normalized embeddings/weights."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    y = _plain_check_labels(labels, cfg.class_count)
+    if params.weight.shape[0] != cfg.class_count:
+        raise ConfigurationError(
+            f"weight has {params.weight.shape[0]} rows, expected {cfg.class_count}"
+        )
+    xhat, xnorm = plain_l2_normalize_rows(x, "embedding")
+    what, wnorm = plain_l2_normalize_rows(params.weight, "weight")
+    cos = np.clip(xhat @ what.T, -1.0, 1.0)
+
+    value, dcos = _plain_margin_cross_entropy(cos, y, cfg.scale, cfg.margin, cfg.easy_margin)
+    grad_x, grad_w = _plain_cosine_backward(dcos, cos, xhat, xnorm, what, wnorm)
+    return LossOutput(value=value, grad_embeddings=grad_x,
+                      grad_params=ClassifierParams(weight=grad_w))
+
+
+def plain_aamsc_loss(embeddings: np.ndarray, labels, params: ClassifierParams,
+                     cfg: AAMSCConfig) -> LossOutput:
+    """Sub-center AAM: per class, the maximum sub-center cosine competes."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    y = _plain_check_labels(labels, cfg.class_count)
+    c, k = cfg.class_count, cfg.subcenters
+    if params.weight.shape[0] != c * k:
+        raise ConfigurationError(f"weight has {params.weight.shape[0]} rows, expected {c * k}")
+    xhat, xnorm = plain_l2_normalize_rows(x, "embedding")
+    what, wnorm = plain_l2_normalize_rows(params.weight, "weight")
+    n = x.shape[0]
+
+    cos_sub = np.clip(xhat @ what.T, -1.0, 1.0).reshape(n, c, k)
+    # argmax takes the first maximum, i.e. ties break to the lowest index
+    k_star = np.argmax(cos_sub, axis=2)
+    cos = np.take_along_axis(cos_sub, k_star[:, :, None], axis=2)[:, :, 0]
+
+    value, dcos = _plain_margin_cross_entropy(cos, y, cfg.scale, cfg.margin, cfg.easy_margin)
+
+    dcos_sub = np.zeros((n, c, k))
+    np.put_along_axis(dcos_sub, k_star[:, :, None], dcos[:, :, None], axis=2)
+    dcos_sub = dcos_sub.reshape(n, c * k)
+    cos_flat = cos_sub.reshape(n, c * k)
+    grad_x, grad_w = _plain_cosine_backward(dcos_sub, cos_flat, xhat, xnorm, what, wnorm)
+    return LossOutput(value=value, grad_embeddings=grad_x,
+                      grad_params=ClassifierParams(weight=grad_w))
+
+
+def plain_mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Forward pass on (n, d) features; returns (output, per-layer inputs for backward)."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != params.weights[0].shape[1]:
+        raise DomainError(
+            f"expected batch of dim-{params.weights[0].shape[1]} features, got shape {h.shape}"
+        )
+    cache = [h]
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w.T + b
+        h = z if i == last else np.tanh(z)
+        cache.append(h)
+    return h, cache
+
+
+def plain_adam_step(
+    params: np.ndarray,
+    grads: np.ndarray,
+    state: AdamState,
+    blocks: list[tuple[str, slice]] | None = None,
+) -> tuple[np.ndarray, AdamState]:
+    """One Adam update with bias correction on a flat vector, in place.
+
+    ``blocks`` lists the (name, slice) of each parameter block; it only
+    names the offending block when the gradient is not finite.
+    """
+    if params.shape != grads.shape or params.shape != state.m.shape:
+        raise ConfigurationError(f"shape mismatch: parameters {params.shape}, "
+                                 f"gradient {grads.shape}, Adam state {state.m.shape}")
+    if not np.all(np.isfinite(grads)):
+        label = _first_non_finite(grads, blocks)
+        raise DivergenceError(f"non-finite gradient in parameter block {label!r}")
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grads
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * grads * grads
+    params -= state.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.epsilon)
+    return params, state

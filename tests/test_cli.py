@@ -1,5 +1,7 @@
 """Config resolution and the end-to-end command-line pipeline."""
 
+import csv
+import io
 import json
 import logging
 import math
@@ -81,6 +83,8 @@ def test_resolve_config_fills_defaults():
     ({"output_dir": "x", "detect": {"centroid_temperature": 0}}, "centroid_temperature"),
     ({"output_dir": "x", "eval": {"pairs_per_kind": 0}}, "pairs_per_kind"),
     ({"output_dir": "x", "retrain": {"detection_method": "psychic"}}, "detection_method"),
+    ({"output_dir": "x", "format_version": True}, "format_version"),
+    ({"output_dir": "x", "format_version": 1.0}, "format_version"),
 ])
 def test_resolve_config_field_errors(raw, needle):
     with pytest.raises(ConfigurationError, match=needle):
@@ -225,6 +229,12 @@ RAW_CONFIGS = FITTING_CONFIGS | st.builds(
 @settings(max_examples=1000, deadline=None)
 @given(RAW_CONFIGS)
 def test_resolve_config_matches_the_handwritten_resolver(raw):
+    # the resolver takes only the JSON integer 1 as format_version; the
+    # hand-written one also took true and 1.0
+    if "format_version" in raw and type(raw["format_version"]) is not int:
+        with pytest.raises(ConfigurationError, match="format_version"):
+            resolve_config(raw)
+        return
     try:
         expected = handwritten_resolve_config(raw)
     except ConfigurationError:
@@ -583,6 +593,21 @@ def test_report_resolves_a_partial_run_config_with_the_defaults(tmp_path):
     assert proc.stdout.splitlines()[1:] == [
         f"clean_run,clean,0,aam,{method},missing,missing,missing,0"
         for method in ("intra", "inter")]
+
+
+def test_report_quotes_run_names_holding_commas_and_quotes(tmp_path, capsys):
+    names = ["a,b", 'say "hi"']
+    runs = []
+    for i, name in enumerate(names):
+        run = tmp_path / f"run{i}"
+        run.mkdir()
+        (run / "config.json").write_text(json.dumps({"name": name, "noise": None,
+                                                     "detect": {"methods": ["intra"]}}))
+        runs.append(str(run))
+    assert main(["report", *runs]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [len(row) for row in rows] == [9, 9, 9]
+    assert [row[0] for row in rows[1:]] == names
 
 
 def test_detect_without_any_q_source_exits_nonzero(pipeline, tmp_path, capsys):

@@ -35,10 +35,18 @@ from labelnoise.errors import (
 )
 from labelnoise.evaluation import remove_predicted
 from labelnoise.jsonutil import dump_json17
-from labelnoise.losses import AAMSCConfig, CEConfig, GE2EConfig
+from labelnoise.losses import AAMConfig, AAMSCConfig, CEConfig, GE2EConfig
 from labelnoise.seeding import named_rng
 from labelnoise.synthdata import generate_dataset
-from oracles import BlockAdamState, block_adam_step, per_class_sample_positions
+from oracles import (
+    BlockAdamState,
+    block_adam_step,
+    per_class_sample_positions,
+    plain_aam_loss,
+    plain_aamsc_loss,
+    plain_adam_step,
+    plain_mlp_forward,
+)
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +218,22 @@ def test_flat_adam_matches_per_block_adam_bit_for_bit():
         assert np.array_equal(flat[idx], b.ravel())
     assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref_state.m]))
     assert np.array_equal(state.v, np.concatenate([v.ravel() for v in ref_state.v]))
+
+
+def test_adam_matches_the_allocating_form_bit_for_bit_past_the_bias_correction():
+    # 400 steps: from step 356 on, 1 - beta1**t rounds to 1.0 and the
+    # division by it is left out
+    rng = named_rng(6, "adam-plain")
+    p, ref_p = (np.full(12384, 0.05) for _ in range(2))
+    state, ref_state = (AdamState.fresh(v, learning_rate=1e-3) for v in (p, ref_p))
+    for _ in range(400):
+        g = rng.standard_normal(p.size) * 10.0 ** rng.uniform(-8.0, 2.0, size=p.size)
+        adam_step(p, g, state)
+        plain_adam_step(ref_p, g, ref_state)
+    assert 1.0 - state.beta1 ** state.step_count == 1.0
+    assert p.tobytes() == ref_p.tobytes()
+    assert state.m.tobytes() == ref_state.m.tobytes()
+    assert state.v.tobytes() == ref_state.v.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -430,6 +454,45 @@ def test_train_aamsc_runs_and_records_boundary():
     model, _ = train(ds, cfg)
     assert model.train_manifest["easy_margin_boundary"] == 2  # ceil(16/8)
     assert model.classifier.weight.shape == (12, 6)
+
+
+def _train_recording_adam(ds, cfg, monkeypatch, adam):
+    """``train`` through ``adam``, returning the model, curve and final Adam state."""
+    states = []
+
+    def recording_adam(params, grads, state, blocks=None):
+        states.append(state)
+        return adam(params, grads, state, blocks)
+
+    monkeypatch.setattr(embedder, "adam_step", recording_adam)
+    model, curve = train(ds, cfg)
+    return model, curve, states[-1]
+
+
+@pytest.mark.parametrize("loss", [
+    AAMSCConfig(class_count=6, scale=30.0, margin=0.1, subcenters=3),
+    AAMConfig(class_count=6, scale=30.0, margin=0.2),
+])
+def test_train_matches_the_plain_step_bit_for_bit(monkeypatch, loss):
+    # 400 steps cross the easy-margin switch (step 50) and the step (356)
+    # after which Adam leaves out its division by 1 - beta1**t
+    ds = small_ds(class_count=6, per_class=6)
+    cfg = TrainConfig(loss=loss, total_steps=400, batch_speakers=6, seed=5,
+                      hidden_dims=(16, 16), embed_dim=8)
+    model, curve, state = _train_recording_adam(ds, cfg, monkeypatch, adam_step)
+    for name, plain in [("aamsc_loss", plain_aamsc_loss), ("aam_loss", plain_aam_loss),
+                        ("mlp_forward", plain_mlp_forward)]:
+        monkeypatch.setattr(embedder, name, plain)
+    ref_model, ref_curve, ref_state = _train_recording_adam(ds, cfg, monkeypatch,
+                                                            plain_adam_step)
+    assert curve == ref_curve
+    assert dump_json17(model_to_dict(model)) == dump_json17(model_to_dict(ref_model))
+    for got, ref in [*zip(model.embedder.weights, ref_model.embedder.weights),
+                     *zip(model.embedder.biases, ref_model.embedder.biases),
+                     (model.classifier.weight, ref_model.classifier.weight),
+                     (state.m, ref_state.m), (state.v, ref_state.v)]:
+        assert got.tobytes() == ref.tobytes()
+    assert state.step_count == ref_state.step_count == 400
 
 
 def tiny_ge2e_cfg(steps=40):

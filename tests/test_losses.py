@@ -12,6 +12,7 @@ from labelnoise.losses import (
     CEConfig,
     ClassifierParams,
     GE2EConfig,
+    _margin_cross_entropy,
     aam_loss,
     aamsc_loss,
     ce_loss,
@@ -23,6 +24,12 @@ from labelnoise.losses import (
 )
 from labelnoise.numerics import l2_normalize_rows, log_sum_exp, softmax
 from labelnoise.seeding import named_rng
+from oracles import (
+    _plain_margin_cross_entropy,
+    plain_aam_loss,
+    plain_aamsc_loss,
+    plain_l2_normalize_rows,
+)
 
 FD_EPS = 1e-6
 
@@ -408,6 +415,28 @@ def _random_outputs():
                     ClassifierParams(ge2e_w=10.0, ge2e_b=-5.0), GE2EConfig())
 
 
+@pytest.mark.parametrize("loss", ["ce", "aam", "aamsc"])
+def test_label_count_must_match_the_batch(loss):
+    # one label is not broadcast over five embeddings, and two labels end
+    # in the same located error, not an IndexError
+    x = named_rng(14, "label-count").standard_normal((5, 3))
+    if loss == "ce":
+        params = ClassifierParams(weight=np.ones((4, 3)), bias=np.zeros(4))
+        run = lambda y: ce_loss(x, y, params)
+    elif loss == "aam":
+        params = ClassifierParams(weight=np.eye(4, 3) + 0.5)
+        run = lambda y: aam_loss(x, y, params, AAMConfig(class_count=4, scale=30.0, margin=0.1))
+    else:
+        params = ClassifierParams(weight=np.eye(8, 3) + 0.5)
+        cfg = AAMSCConfig(class_count=4, scale=30.0, margin=0.1, subcenters=2)
+        run = lambda y: aamsc_loss(x, y, params, cfg)
+    assert math.isfinite(run([2] * 5).value)
+    for labels in ([2], [2, 1]):
+        with pytest.raises(DomainError,
+                           match=f"batch size mismatch: 5 embeddings, {len(labels)} labels"):
+            run(labels)
+
+
 def test_all_losses_nonnegative_and_finite():
     for out in _random_outputs():
         assert out.value >= -1e-12
@@ -485,3 +514,87 @@ def test_confidence_ge2e_and_degenerate_input():
     params = ClassifierParams(weight=np.eye(2), bias=np.zeros(2))
     with pytest.raises(DomainError, match="zero norm"):
         classify_confidence(np.zeros(2), params, CEConfig(class_count=2))
+
+
+# ----------------------------------------------------------------------
+# The fused AAM/AAMSC step against the plain one-call-per-operation form
+# in tests/oracles.py: every value and gradient keeps its bits.
+
+
+def _bits(out):
+    return (np.float64(out.value).tobytes(), out.grad_embeddings.tobytes(),
+            out.grad_params.weight.tobytes())
+
+
+def _margin_instances(k: int):
+    """(embeddings, labels, weight) with C = 4 classes of K sub-centers,
+    covering the edges of the fused step."""
+    rng = named_rng(15, f"fused-{k}")
+    c, d, n = 4, 5, 9
+    y = np.arange(n) % c
+    w = rng.standard_normal((c * k, d))
+    yield rng.standard_normal((n, d)), y, w
+    # exact ties between sub-centers: the lowest index must win
+    tied = w.copy()
+    if k > 1:  # the second and the last sub-center of each class equal the first
+        tied[1::k] = tied[k - 1::k] = tied[0::k]
+    yield rng.standard_normal((n, d)), y, tied
+    # embeddings parallel and antiparallel to weight rows: cosines of +-1,
+    # drawn until one rounds past +-1 and is clipped
+    scales = np.asarray([3.7, -0.3, 1e3, -1.0, 1.0, 0.7, -3e-2, 11.0, -5.0])[:, None]
+    while True:
+        clip_w = rng.standard_normal((c * k, d))
+        x = clip_w[np.arange(n) % len(clip_w)] * scales
+        if np.max(np.abs(l2_normalize_rows(x)[0] @ l2_normalize_rows(clip_w)[0].T)) > 1.0:
+            break
+    yield x, y, clip_w
+    # rows whose norm is below 1e-150 are re-measured after scaling
+    small_x, small_w = rng.standard_normal((n, d)), w.copy()
+    small_x[::2] *= 1e-160
+    small_w[::3] *= 1e-155
+    yield small_x, y, small_w
+
+
+@pytest.mark.parametrize("easy_margin", [False, True])
+@pytest.mark.parametrize("margin", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_aamsc_and_aam_match_the_plain_step_bit_for_bit(k, margin, easy_margin):
+    cfg = AAMSCConfig(class_count=4, scale=30.0, margin=margin, subcenters=k,
+                      easy_margin=easy_margin)
+    aam_cfg = AAMConfig(class_count=4, scale=30.0, margin=margin, easy_margin=easy_margin)
+    for x, y, w in _margin_instances(k):
+        params = ClassifierParams(weight=w)
+        assert _bits(aamsc_loss(x, y, params, cfg)) == _bits(plain_aamsc_loss(x, y, params, cfg))
+        if k == 1:
+            assert _bits(aam_loss(x, y, params, aam_cfg)) == _bits(
+                plain_aam_loss(x, y, params, aam_cfg))
+
+
+@pytest.mark.parametrize("easy_margin", [False, True])
+@pytest.mark.parametrize("margin", [0.0, 0.1, 0.5])
+def test_margin_cross_entropy_matches_the_plain_form_at_its_switches(margin, easy_margin):
+    # target cosines exactly at and one ulp around both fallback switches
+    # (cos(pi - m) and 0), at the poles, and at -0.0
+    switch = math.cos(math.pi - margin)
+    targets = [switch, np.nextafter(switch, 2.0), max(np.nextafter(switch, -2.0), -1.0),
+               0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.nextafter(1.0, 0.0), 0.3]
+    n, c = len(targets), 5
+    rng = named_rng(16, "switch")
+    cos = rng.uniform(-1.0, 1.0, size=(n, c))
+    y = np.arange(n) % c
+    cos[np.arange(n), y] = targets
+    value, dcos = _margin_cross_entropy(cos.copy(), y, 30.0, margin, easy_margin)
+    ref_value, ref_dcos = _plain_margin_cross_entropy(cos.copy(), y, 30.0, margin, easy_margin)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    assert dcos.tobytes() == ref_dcos.tobytes()
+
+
+def test_l2_normalize_rows_matches_the_linalg_norm_form_bit_for_bit():
+    rng = named_rng(17, "norms")
+    for shape in [(1, 1), (50, 32), (150, 32), (7, 3)]:
+        m = rng.standard_normal(shape) * 10.0 ** rng.uniform(-200.0, 150.0, size=(shape[0], 1))
+        if shape[0] > 1:
+            m[0] = 0.0
+            m[0, 0] = 5e-324  # a subnormal row, re-measured to a nonzero norm
+        got, ref = l2_normalize_rows(m), plain_l2_normalize_rows(m)
+        assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
