@@ -7,8 +7,10 @@ floats carry 17 significant digits (lossless for 64-bit values).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import re
 import reprlib
 import sys
@@ -48,8 +50,28 @@ def dump_json17(obj) -> str:
     return _encode(obj)
 
 
+@contextlib.contextmanager
+def _replacing_file(path):
+    """An ASCII text file that takes the place of ``path`` once written.
+
+    The text goes to a temporary sibling that is renamed over ``path``
+    when the block ends; an error removes it and leaves ``path`` as it
+    was, so a crash mid-write never leaves a truncated artifact.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_json17(obj, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    """Write ``dump_json17(obj)`` and a newline, replacing ``path`` atomically."""
+    with _replacing_file(path) as fh:
         fh.write(dump_json17(obj))
         fh.write("\n")
 

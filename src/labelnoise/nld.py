@@ -94,9 +94,16 @@ def compute_centroids(model: TrainedModel, ds: Dataset,
     )
 
 
+# utt_ids quoted in a degenerate-score warning; the count covers the rest
+_WARN_IDS = 5
+
+
 def _warn_degenerate(ds: Dataset, bad: np.ndarray, what: str, method: str) -> None:
-    for utt_id in ds.utt_id[bad].tolist():
-        logger.warning("utterance %d: %s, assigning maximal %s score", utt_id, what, method)
+    ids = ds.utt_id[bad]
+    if len(ids):
+        logger.warning("%d utterance(s): %s, assigning maximal %s score (utt_id %s%s)",
+                       len(ids), what, method, ", ".join(map(str, ids[:_WARN_IDS].tolist())),
+                       ", ..." if len(ids) > _WARN_IDS else "")
 
 
 def intra_inconsistency(model: TrainedModel, ds: Dataset, bank: CentroidBank,

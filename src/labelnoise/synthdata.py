@@ -12,20 +12,23 @@ models corrupt a clean dataset:
   classes do not overlap the main dataset's.
 
 Datasets serialize to JSON-Lines with a header line; feature values are
-written with 17 significant digits so the round trip is lossless.
+written with 17 significant digits and negative zero as ``-0.0``, so the
+round trip is lossless: every float64 reads back with the same bits.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from array import array
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ConfigurationError, ParseError, ValidationError
-from .jsonutil import json_problem
+from .jsonutil import _replacing_file, dump_json17, json_problem
 from .seeding import named_rng
 
 FORMAT_VERSION = 1
@@ -310,42 +313,49 @@ def apply_openset_noise(ds: Dataset, aux: Dataset, spec: NoiseSpec) -> Dataset:
     return replace(ds, features=features, is_ood=is_ood, provenance=spec)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# Rows formatted per write in save_dataset, and bytes (some 256 rows of
+# 20 features) parsed per block in load_dataset: the per-row Python
+# objects of one block stay small next to the dataset's arrays.
+_WRITE_ROWS = 256
+_READ_BYTES = 1 << 17
 
+# An utterance line up to its features: save_dataset fills in the fields,
+# and load_dataset's bulk pattern puts a group in each.
+_ROW_PREFIX = ('{"utt_id": %s, "true_class": %s, "observed_class": %s, '
+               '"is_noisy": %s, "origin": "%s", "features": [')
 
-def _provenance_json(p: NoiseSpec | str) -> str:
-    if isinstance(p, str):
-        return json.dumps(p)
-    return (
-        '{"kind": ' + json.dumps(p.kind)
-        + ', "level_q": ' + _fmt(p.level_q)
-        + ', "seed": ' + str(p.seed) + "}"
-    )
+# "%.17g" writes negative zero, and nothing else, as "-0", which JSON
+# reads back as the integer 0; the file says "-0.0" instead
+_NEGATIVE_ZERO = re.compile(r"(?<=[\[,])-0(?=[,\]])")
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write JSON-Lines: one header line, then one line per utterance."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    """Write JSON-Lines: one header line, then one line per utterance.
+
+    Features carry 17 significant digits and negative zero is written
+    ``-0.0``, so the round trip keeps every bit. The file is written
+    under a temporary name and renamed over ``path`` once complete, so
+    a failed write leaves any previous file intact.
+    """
+    row = _ROW_PREFIX + ",".join(["%.17g"] * ds.feature_dim) + "]}\n"
+    noisy = ds.is_noisy
+    with _replacing_file(path) as fh:
         fh.write(
             '{"format_version": %d, "C": %d, "d": %d, "provenance": %s}\n'
-            % (FORMAT_VERSION, ds.class_count, ds.feature_dim, _provenance_json(ds.provenance))
+            % (FORMAT_VERSION, ds.class_count, ds.feature_dim, dump_json17(
+                ds.provenance if isinstance(ds.provenance, str) else ds.provenance.to_dict()))
         )
-        for utt_id, true_class, observed, noisy, ood, row in zip(
-                ds.utt_id.tolist(), ds.true_class.tolist(), ds.observed_class.tolist(),
-                ds.is_noisy.tolist(), ds.is_ood.tolist(), ds.features):
-            fh.write(
-                '{"utt_id": %d, "true_class": %d, "observed_class": %d, '
-                '"is_noisy": %s, "origin": "%s", "features": [%s]}\n'
-                % (
-                    utt_id,
-                    true_class,
-                    observed,
-                    "true" if noisy else "false",
-                    ORIGIN_OUT if ood else ORIGIN_IN,
-                    ",".join(_fmt(v) for v in row.tolist()),
-                )
-            )
+        for start in range(0, len(ds), _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            block = ds.features[rows]
+            text = "".join(map(row.__mod__, zip(
+                ds.utt_id[rows].tolist(), ds.true_class[rows].tolist(),
+                ds.observed_class[rows].tolist(), np.where(noisy[rows], "true", "false").tolist(),
+                np.where(ds.is_ood[rows], ORIGIN_OUT, ORIGIN_IN).tolist(),
+                *block.T.tolist())))
+            if np.signbit(block[block == 0.0]).any():
+                text = _NEGATIVE_ZERO.sub("-0.0", text)
+            fh.write(text)
 
 
 def _parse_line(text: str, lineno: int) -> dict:
@@ -388,19 +398,9 @@ def _provenance(prov, lineno: int) -> NoiseSpec | str:
         raise ValidationError(f"line {lineno}: provenance: {exc}") from exc
 
 
-def load_dataset(path) -> Dataset:
-    """Read a dataset file, validating field types, structure and invariants."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        lines = data.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"line {lineno}: non-ASCII byte") from None
-    if not lines:
-        raise ParseError("line 1: empty file, missing header")
-
-    header = _parse_line(lines[0], 1)
+def _read_header(text: str) -> tuple[int, int, NoiseSpec | str]:
+    """Class count, feature dimension and provenance from line 1."""
+    header = _parse_line(text, 1)
     for key in ("format_version", "C", "d", "provenance"):
         _field(header, key, 1)
     if type(header["format_version"]) is not int or header["format_version"] != FORMAT_VERSION:
@@ -409,7 +409,100 @@ def load_dataset(path) -> Dataset:
     feature_dim = _int_field(header, "d", 1)
     if class_count < 1 or feature_dim < 1:
         raise ValidationError(f"line 1: C and d must be positive, got {class_count}, {feature_dim}")
-    provenance = _provenance(header["provenance"], 1)
+    return class_count, feature_dim, _provenance(header["provenance"], 1)
+
+
+def load_dataset(path) -> Dataset:
+    """Read a dataset file, validating field types, structure and invariants.
+
+    A file laid out as ``save_dataset`` writes it is parsed in bulk; any
+    other file, and any file failing a check, is read line by line, which
+    gives the same Dataset or raises the located error.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    ds = _load_bulk(data)
+    return _load_by_line(data) if ds is None else ds
+
+
+# One utterance line exactly as save_dataset writes it. Integers follow
+# JSON's grammar with at most 18 digits, so they fit in int64. The
+# features are a run of number characters and commas; the comma count
+# and the JSON parse of the block decide whether they are d numbers.
+_INT = "(-?(?:0|[1-9][0-9]{0,17}))"
+_ROW = re.compile((
+    "^" + re.escape(_ROW_PREFIX) % (_INT, _INT, _INT, "(true|false)",
+                                    f"({ORIGIN_IN}|{ORIGIN_OUT})")
+    + r"([-+.0-9eE,]*)\]\}$").encode("ascii"), re.MULTILINE)
+
+
+def _load_bulk(data: bytes) -> Dataset | None:
+    """The Dataset of a file in ``save_dataset``'s exact layout, else None.
+
+    Each block of lines goes through one regex ``findall``, which checks
+    the layout and captures the fields, and one ``json.loads`` of all its
+    numbers, which applies JSON's number grammar and int/float semantics
+    (``-0`` reads as +0.0). The remaining checks run on whole columns.
+    Anything the per-line reader might decide otherwise returns None.
+    Blocks are read in place, so the file's bytes are never copied whole.
+    """
+    if not data.isascii():
+        return None
+    start = data.find(b"\n") + 1 or len(data)
+    head = data[:start].decode("ascii").removesuffix("\n")
+    if head.splitlines() != [head]:  # empty, or ended by another line break
+        return None
+    class_count, feature_dim, provenance = _read_header(head)
+    ints, flags, features = [np.empty((3, 0), np.int64)], [np.empty((2, 0), bool)], [np.empty(0)]
+    while start < len(data):
+        end = data.find(b"\n", start + _READ_BYTES) + 1 or len(data)
+        fields = _ROW.findall(data, start, end)
+        if len(fields) != data.count(b"\n", start, end) + (not data.endswith(b"\n", start, end)):
+            return None
+        start = end
+        ids, true_class, observed, noisy, origin, feats = zip(*fields)
+        if set(map(bytes.count, feats, repeat(b","))) != {feature_dim - 1}:
+            return None
+        try:
+            numbers = json.loads(b"[" + b",".join(ids + true_class + observed + feats) + b"]")
+            features.append(np.array(numbers[3 * len(fields):], dtype=np.float64))
+        except (ValueError, OverflowError):  # not a JSON number, or beyond the float range
+            return None
+        ints.append(np.array(numbers[:3 * len(fields)], dtype=np.int64).reshape(3, -1))
+        flags.append(np.array([noisy, origin]) == [[b"true"], [ORIGIN_OUT.encode("ascii")]])
+
+    utt_id, true_class, observed = np.concatenate(ints, axis=1)
+    is_noisy, is_ood = np.concatenate(flags, axis=1)
+    features = np.concatenate(features).reshape(-1, feature_dim)
+    labels = np.concatenate((true_class, observed))
+    if not ((0 <= labels).all() and (labels < class_count).all()
+            and np.array_equal(is_noisy, (observed != true_class) | is_ood)
+            and np.isfinite(features).all()
+            and len(np.unique(utt_id)) == len(utt_id)):
+        return None
+    return Dataset(
+        features=features,
+        utt_id=utt_id,
+        true_class=true_class,
+        observed_class=observed,
+        is_ood=is_ood,
+        class_count=class_count,
+        feature_dim=feature_dim,
+        provenance=provenance,
+    )
+
+
+def _load_by_line(data: bytes) -> Dataset:
+    """The dataset file ``data``, parsed and checked one line at a time."""
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {lineno}: non-ASCII byte") from None
+    if not lines:
+        raise ParseError("line 1: empty file, missing header")
+
+    class_count, feature_dim, provenance = _read_header(lines[0])
 
     ids: list[int] = []
     true_classes: list[int] = []

@@ -125,6 +125,18 @@ def test_intra_zero_norm_embedding_scores_maximal(caplog):
     assert "degenerate" in caplog.text
 
 
+def test_degenerate_scores_log_one_warning_with_count_and_first_ids(caplog):
+    ds = make_dataset(np.zeros((8, 2)), [0] * 8)
+    bank = CentroidBank(centroids={0: np.array([1.0, 0.0])}, counts={0: 8},
+                        embed_dim=2, skipped_classes=[])
+    with caplog.at_level("WARNING"):
+        got = intra_inconsistency(identity_model(2), ds, bank)
+    assert got.tolist() == [2.0] * 8
+    assert [r.getMessage() for r in caplog.records] == [
+        "8 utterance(s): degenerate embedding/centroid, assigning maximal intra-class score "
+        "(utt_id 0, 1, 2, 3, 4, ...)"]
+
+
 def test_intra_missing_class_and_zero_centroid_score_maximal(caplog):
     ds = make_dataset([[1.0, 0.0], [1.0, 0.0]], [0, 1])
     bank = CentroidBank(centroids={1: np.zeros(2)}, counts={1: 1},

@@ -1,10 +1,17 @@
 """Synthetic data generation, label noising, and dataset serialization."""
 
+import hashlib
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_dataset
+from labelnoise import jsonutil, synthdata
 from labelnoise.errors import ConfigurationError, ParseError, ValidationError
 from labelnoise.seeding import named_rng
 from labelnoise.synthdata import (
@@ -15,6 +22,8 @@ from labelnoise.synthdata import (
     generate_dataset,
     load_dataset,
     sample_unit_directions,
+    _load_bulk,
+    _load_by_line,
     save_dataset,
 )
 
@@ -418,6 +427,188 @@ def test_load_duplicate_utt_id(tmp_path):
     )
     with pytest.raises(ValidationError, match="duplicate"):
         load_dataset(path)
+
+
+def test_negative_zero_feature_keeps_its_sign(tmp_path):
+    ds = make_dataset([[-0.0, 0.0], [1.5, -0.0]], [0, 1])
+    path = tmp_path / "ds.jsonl"
+    save_dataset(ds, path)
+    assert "[-0.0,0]" in path.read_text(encoding="ascii")
+    back = load_dataset(path)
+    assert np.array_equal(back.features.view(np.int64), ds.features.view(np.int64))
+
+
+def test_save_dataset_golden_bytes(tmp_path):
+    """The on-disk format of a fixed dataset, byte for byte."""
+    ds = Dataset(
+        features=[[0.1, -2.5, 1.0 / 3.0],
+                  [1e-300, 1e300, 5e-324],
+                  [3.0, -123456789.0, 2.0 ** 0.5],
+                  [0.0, 1.7976931348623157e308, -1e-5]],
+        utt_id=[0, 7, 3, 12], true_class=[0, 1, 1, 0], observed_class=[0, 0, 1, 0],
+        is_ood=[False, False, True, False], class_count=2, feature_dim=3,
+        provenance=NoiseSpec(kind="permute", level_q=12.5, seed=9),
+    )
+    path = tmp_path / "ds.jsonl"
+    save_dataset(ds, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "ac4738919607270b891b4250d27f8a4912b01cd15a5824568a52b91c7f40f7f6"
+    assert load_dataset(path) == ds
+
+
+class _FailingFile:
+    """A text file whose write number ``allowed + 1`` raises OSError."""
+
+    def __init__(self, fh, allowed):
+        self.fh, self.allowed = fh, allowed
+
+    def write(self, text):
+        if self.allowed == 0:
+            raise OSError("disk full")
+        self.allowed -= 1
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: save_dataset(small_clean(seed=1), path),
+    lambda path: jsonutil.write_json17({"a": [1.5, 2]}, path),
+], ids=["save_dataset", "write_json17"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "artifact"
+    save_dataset(small_clean(), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(jsonutil, "open", lambda *a, **k: _FailingFile(open(*a, **k), 1),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_bulk_reader_takes_the_files_save_dataset_writes(tmp_path):
+    ds = small_clean(class_count=40, per_class=20)
+    ds = apply_permute_noise(ds, NoiseSpec(kind="permute", level_q=30.0, seed=2))
+    path = tmp_path / "ds.jsonl"
+    save_dataset(ds, path)
+    data = path.read_bytes()
+    bulk = _load_bulk(data)
+    assert bulk is not None and bulk == ds == _load_by_line(data)
+    assert np.array_equal(bulk.features.view(np.int64), ds.features.view(np.int64))
+
+
+def _outcome(source, read):
+    try:
+        return read(source)
+    except Exception as exc:  # the readers must agree on the error too
+        return type(exc), str(exc)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, Dataset):
+        assert isinstance(got, Dataset) and got == want
+        assert got.provenance == want.provenance
+        assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
+    else:
+        assert got == want
+
+
+# Number spellings JSON refuses or reads differently from a float
+_TOKENS = ["-0", "1E5", "+1", ".5", "5.", "01", "1_0", "NaN", "Infinity", "9" * 400,
+           str(2 ** 63)]
+_NUMBER = re.compile(rb"-?[0-9][0-9.eE+-]*")
+
+
+@st.composite
+def _datasets(draw):
+    n, d, c = draw(st.integers(0, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def column(elements, **kw):
+        return draw(st.lists(elements, min_size=n, max_size=n, **kw))
+
+    return Dataset(
+        features=np.reshape(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                          min_size=n * d, max_size=n * d)), (n, d)),
+        utt_id=column(st.integers(-2 ** 63, 2 ** 63 - 1) | st.integers(-9, 9), unique=True),
+        true_class=column(st.integers(0, c - 1)),
+        observed_class=column(st.integers(0, c - 1)),
+        is_ood=column(st.booleans()),
+        class_count=c, feature_dim=d,
+        provenance=draw(st.sampled_from(["clean", NoiseSpec("permute", 12.5, 3)])),
+    )
+
+
+def _mutate(data: bytes, kind: str, i: int, j: int, token: str) -> bytes:
+    if kind == "token":
+        spans = [m.span() for m in _NUMBER.finditer(data)]
+        if not spans:
+            return data
+        a, b = spans[i % len(spans)]
+        return data[:a] + token.encode() + data[b:]
+    if kind in ("flip", "delete", "duplicate"):
+        if not data:
+            return data
+        k = i % len(data)
+        return data[:k] + {"flip": bytes([j % 256]), "delete": b"",
+                           "duplicate": data[k:k + 2]}[kind] + data[k + 1:]
+    lines = data.split(b"\n")
+    a, b = i % len(lines), j % len(lines)
+    if kind == "swap":
+        lines[a], lines[b] = lines[b], lines[a]
+    elif kind == "blank":
+        lines.insert(a, b" " * (j % 2))
+    else:  # "crlf"
+        lines[a] += b"\r"
+    return b"\n".join(lines)
+
+
+_MUTATIONS = st.lists(st.tuples(
+    st.sampled_from(["flip", "delete", "duplicate", "swap", "blank", "crlf", "token"]),
+    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.sampled_from(_TOKENS)), max_size=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_datasets(), _MUTATIONS, st.sampled_from([1, 100, synthdata._READ_BYTES]))
+def test_load_dataset_agrees_with_the_line_reader(tmp_path_factory, ds, mutations, read_bytes):
+    """On any mutation of a valid file, load_dataset returns the per-line
+    reader's Dataset, to the bit, or raises its error with its message,
+    whether the bulk reader takes the file in one block or many."""
+    path = tmp_path_factory.mktemp("mutated") / "ds.jsonl"
+    save_dataset(ds, path)
+    data = path.read_bytes()
+    for mutation in mutations:
+        data = _mutate(data, *mutation)
+    path.write_bytes(data)
+    with mock.patch.object(synthdata, "_READ_BYTES", read_bytes):
+        got = _outcome(path, load_dataset)
+    _same_outcome(got, ds if not mutations else _outcome(data, _load_by_line))
+
+
+@pytest.mark.parametrize("body", ["", json.dumps(_GOOD_ROW) + "\n"])
+def test_load_dataset_with_a_huge_feature_dim_agrees_with_the_line_reader(tmp_path, body):
+    path = tmp_path / "ds.jsonl"
+    data = ('{"format_version": 1, "C": 2, "d": %d, "provenance": "clean"}\n' % 2 ** 40
+            + body).encode("ascii")
+    path.write_bytes(data)
+    _same_outcome(_outcome(path, load_dataset), _outcome(data, _load_by_line))
+
+
+@pytest.mark.parametrize("token", _TOKENS)
+@pytest.mark.parametrize("field", ["features\": [", "utt_id\": ", "observed_class\": "])
+def test_load_dataset_agrees_with_the_line_reader_on_number_spellings(tmp_path, field, token):
+    path = tmp_path / "ds.jsonl"
+    save_dataset(small_clean(), path)
+    text = path.read_text(encoding="ascii")
+    at = text.index(field) + len(field)
+    end = re.compile(r"[,\]]").search(text, at).start()
+    data = (text[:at] + token + text[end:]).encode("ascii")
+    path.write_bytes(data)
+    _same_outcome(_outcome(path, load_dataset), _outcome(data, _load_by_line))
 
 
 # ----------------------------------------------------------------------
