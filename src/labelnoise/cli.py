@@ -19,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .embedder import TrainConfig, load_model, save_model, train, write_loss_curve
 from .errors import ConfigurationError, LabelNoiseError
@@ -293,7 +295,10 @@ def cmd_simulate(resolved: dict, seed: int, args) -> None:
                          (heldout, "heldout.jsonl"), (noisy, "noisy.jsonl")):
         path = out / filename
         save_dataset(ds, path)
-        if load_dataset(path) != ds:
+        loaded = load_dataset(path)
+        # ``==`` compares features by value, where -0.0 equals 0.0; their bits must match too
+        if loaded != ds or not np.array_equal(loaded.features.view(np.int64),
+                                              ds.features.view(np.int64)):
             raise ConfigurationError(f"round-trip validation failed for {path}")
         written.append(path)
 

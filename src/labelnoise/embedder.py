@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, DomainError
-from .jsonutil import digest_config, json_field, read_json, write_json17
+from .jsonutil import _replacing_file, digest_config, json_field, read_json, write_json17
 from .losses import (
     AAMConfig,
     AAMSCConfig,
@@ -83,11 +83,11 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.n
 
 def mlp_backward(
     params: MlpParams, cache: list[np.ndarray], grad_out: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of a scalar loss given d(loss)/d(output).
 
-    Returns (weight grads, bias grads, gradient with respect to the input
-    batch).
+    Returns (weight grads, bias grads). The gradient with respect to the
+    input batch is not formed: the features are not trained.
     """
     last = len(params.weights) - 1
     grad_w = [np.empty(0)] * len(params.weights)
@@ -95,11 +95,11 @@ def mlp_backward(
     d = np.asarray(grad_out, dtype=np.float64)
     for i in range(last, -1, -1):
         if i != last:
-            d = d * (1.0 - cache[i + 1] ** 2)  # tanh'
+            d = d @ params.weights[i + 1]
+            d *= 1.0 - cache[i + 1] ** 2  # tanh'
         grad_w[i] = d.T @ cache[i]
         grad_b[i] = d.sum(axis=0)
-        d = d @ params.weights[i]
-    return grad_w, grad_b, d
+    return grad_w, grad_b
 
 
 def embed_batch(params: MlpParams, features: np.ndarray) -> np.ndarray:
@@ -404,7 +404,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
         if not math.isfinite(out.value):
             raise DivergenceError(f"loss diverged at step {step} (config digest {digest})")
 
-        gw, gb, _ = mlp_backward(mlp, cache, out.grad_embeddings.reshape(emb.shape))
+        gw, gb = mlp_backward(mlp, cache, out.grad_embeddings.reshape(emb.shape))
         parts = [g.ravel() for pair in zip(gw, gb) for g in pair]
         parts += [np.ravel(getattr(out.grad_params, f)) for _, f in _CLASSIFIER_BLOCKS
                   if getattr(out.grad_params, f) is not None]
@@ -520,7 +520,7 @@ def load_model(path) -> TrainedModel:
 
 def write_loss_curve(curve: list[tuple[int, float]], path) -> None:
     """CSV columns: step,loss."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _replacing_file(path) as fh:
         fh.write("step,loss\n")
         for step, value in curve:
             fh.write("%d,%s\n" % (step, format(value, ".17g")))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .embedder import TrainConfig, TrainedModel, embed_batch, train
 from .errors import ConfigurationError, DomainError, ParseError
-from .jsonutil import write_json17
+from .jsonutil import _replacing_file, write_json17
 from .numerics import row_dot
 from .seeding import named_rng
 from .synthdata import Dataset
@@ -278,7 +278,7 @@ def retrain_after_removal(ds: Dataset, predicted: set[int], cfg: TrainConfig,
 def write_trials_csv(trials: Trials, path) -> None:
     """CSV columns: enroll_id,test_id,is_target."""
     labels = np.where(trials.is_target, "true", "false")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _replacing_file(path) as fh:
         fh.write("enroll_id,test_id,is_target\n")
         fh.writelines("%d,%d,%s\n" % row for row in zip(
             trials.enroll_id.tolist(), trials.test_id.tolist(), labels.tolist()))

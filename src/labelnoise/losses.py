@@ -435,11 +435,18 @@ def classify_confidence(x: np.ndarray, params: ClassifierParams, cfg: LossConfig
     is constructed in the detection module instead). ``unit_weight`` is
     ``params.weight`` with unit rows, for callers that score many
     embeddings with one classifier; AAM/AAMSC compute it when it is omitted.
+
+    Each step keeps the bits of its plain numpy form: ``np.linalg.norm``
+    of a 1-D vector is ``sqrt(v.dot(v))``; clipping to [-1, 1] is an
+    in-place ``minimum`` then ``maximum``; and the per-class maximum over
+    the K sub-center columns, taken one column at a time, is
+    ``reshape(C, K).max(axis=1)``, since the maximum of finite values
+    does not depend on the order it is taken in.
     """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise DomainError(f"expected a single embedding vector, got shape {v.shape}")
-    norm = np.linalg.norm(v)
+    norm = math.sqrt(v.dot(v))
     if norm == 0.0:
         raise DomainError("embedding has zero norm")
     if isinstance(cfg, CEConfig):
@@ -447,9 +454,14 @@ def classify_confidence(x: np.ndarray, params: ClassifierParams, cfg: LossConfig
     if isinstance(cfg, (AAMConfig, AAMSCConfig)):
         if unit_weight is None:
             unit_weight, _ = l2_normalize_rows(params.weight, "weight")
-        cos = np.clip(unit_weight @ (v / norm), -1.0, 1.0)
+        cos = unit_weight @ (v / norm)
+        np.minimum(cos, 1.0, out=cos)
+        np.maximum(cos, -1.0, out=cos)
         if isinstance(cfg, AAMSCConfig):
-            cos = cos.reshape(cfg.class_count, cfg.subcenters).max(axis=1)
+            sub = cos.reshape(cfg.class_count, cfg.subcenters)
+            cos = sub[:, 0].copy()
+            for j in range(1, cfg.subcenters):
+                np.maximum(cos, sub[:, j], out=cos)
         return softmax(cos)
     if isinstance(cfg, GE2EConfig):
         raise ConfigurationError("GE2E has no parametric classifier; use the centroid classifier")

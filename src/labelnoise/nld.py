@@ -22,7 +22,7 @@ import numpy as np
 
 from .embedder import TrainedModel, embed_batch
 from .errors import ConfigurationError, InternalError
-from .jsonutil import write_json17
+from .jsonutil import _replacing_file, write_json17
 from .losses import CEConfig, GE2EConfig, classify_confidence
 from .numerics import l2_normalize_rows, row_dot, softmax
 from .synthdata import Dataset
@@ -161,11 +161,15 @@ class CentroidClassifier:
         self._temperature = temperature
 
     def confidences(self, x: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(x)
+        # the bits of np.linalg.norm, np.clip and an out-of-place division
+        norm = math.sqrt(x.dot(x))
         if norm == 0.0:
             raise ConfigurationError("zero-norm embedding has no confidence")
-        cos = np.clip(self._directions @ (x / norm), -1.0, 1.0)
-        return softmax(cos / self._temperature)
+        cos = self._directions @ (x / norm)
+        np.minimum(cos, 1.0, out=cos)
+        np.maximum(cos, -1.0, out=cos)
+        cos /= self._temperature
+        return softmax(cos)
 
 
 def build_centroid_classifier(bank: CentroidBank,
@@ -214,10 +218,11 @@ def inter_inconsistency(model: TrainedModel, ds: Dataset, classifier,
     _warn_degenerate(ds, bad, "no usable confidence (degenerate embedding or missing class)",
                      "inter-class")
     observed = ds.observed_class.tolist()
+    confidences, add, minimum = classifier.confidences, np.add.reduce, np.minimum.reduce
     scores = np.full(len(ds), MAX_INTER_SCORE)
     for i in np.flatnonzero(~bad).tolist():
-        p = classifier.confidences(emb[i])
-        total, lowest = float(np.sum(p)), float(np.min(p))
+        p = confidences(emb[i])
+        total, lowest = float(add(p)), float(minimum(p))
         if abs(total - 1.0) > 1e-6 or lowest < 0.0:
             raise InternalError(
                 f"classifier output is not a probability vector (sum {total!r}, min {lowest!r})"
@@ -285,7 +290,7 @@ def export_score_histogram(scores: np.ndarray, ds: Dataset, bins: int
 def write_scores_csv(scores: np.ndarray, ds: Dataset, method: str, path) -> None:
     """CSV columns: utt_id,method,score,is_noisy_truth (sorted by utt_id)."""
     order = np.argsort(ds.utt_id, kind="stable")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _replacing_file(path) as fh:
         fh.write("utt_id,method,score,is_noisy_truth\n")
         for utt_id, score, noisy in zip(ds.utt_id[order].tolist(),
                                         np.asarray(scores)[order].tolist(),
@@ -311,7 +316,7 @@ def write_detection_json(result: DetectionResult, method: str, seed: int,
 
 def write_histogram_csv(rows: list[tuple[float, float, int, int]], path) -> None:
     """CSV columns: bin_lo,bin_hi,clean_count,noisy_count."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _replacing_file(path) as fh:
         fh.write("bin_lo,bin_hi,clean_count,noisy_count\n")
         for lo, hi, clean, noisy in rows:
             fh.write("%s,%s,%d,%d\n" % (format(lo, ".17g"), format(hi, ".17g"), clean, noisy))

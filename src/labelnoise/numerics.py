@@ -16,15 +16,20 @@ _UNDERFLOW_NORM = 1e-150
 
 
 def softmax(z, axis: int = -1) -> np.ndarray:
-    """Stable softmax along ``axis`` (max-shifted before exponentiation)."""
+    """Stable softmax along ``axis`` (max-shifted before exponentiation).
+
+    The max and the sum call ``np.maximum.reduce`` and ``np.add.reduce``
+    directly: ``x.max`` and ``e.sum`` are thin wrappers around exactly
+    these reductions, so the bits are theirs without the wrapper's cost.
+    """
     x = np.asarray(z, dtype=np.float64)
     if x.size == 0:
         raise DomainError("softmax input must be non-empty")
     if not np.isfinite(x).all():
         raise DomainError("softmax input contains non-finite entries")
-    e = x - x.max(axis=axis, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
     return e
 
 

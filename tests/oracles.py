@@ -14,7 +14,12 @@ resolver is the field-by-field form whose resolved configs the
 table-driven ``resolve_config`` must reproduce. The one-call-per-
 operation AAM/AAMSC step (losses, norms, MLP forward pass and Adam) is
 the form whose values, gradients and trained parameters the fused step
-must reproduce bit for bit.
+must reproduce bit for bit, and the full MLP backward pass, input
+gradient included, is the one whose weight and bias gradients
+``mlp_backward`` must reproduce. The one-call-per-operation confidences
+and inter-class loop are the forms whose bits ``classify_confidence``,
+``CentroidClassifier.confidences`` and ``inter_inconsistency`` must
+reproduce.
 """
 
 from __future__ import annotations
@@ -774,3 +779,83 @@ def plain_adam_step(
     state.v += (1.0 - state.beta2) * grads * grads
     params -= state.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.epsilon)
     return params, state
+
+
+def plain_mlp_backward(
+    params: MlpParams, cache: list[np.ndarray], grad_out: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Gradients of a scalar loss given d(loss)/d(output).
+
+    Returns (weight grads, bias grads, gradient with respect to the input
+    batch): the full backward pass, whose weight and bias gradients the
+    package's ``mlp_backward`` must reproduce bit for bit.
+    """
+    last = len(params.weights) - 1
+    grad_w = [np.empty(0)] * len(params.weights)
+    grad_b = [np.empty(0)] * len(params.biases)
+    d = np.asarray(grad_out, dtype=np.float64)
+    for i in range(last, -1, -1):
+        if i != last:
+            d = d * (1.0 - cache[i + 1] ** 2)  # tanh'
+        grad_w[i] = d.T @ cache[i]
+        grad_b[i] = d.sum(axis=0)
+        d = d @ params.weights[i]
+    return grad_w, grad_b, d
+
+
+# ----------------------------------------------------------------------
+# Inter-class confidences as one numpy call per operation: the reference
+# whose probabilities and scores the per-utterance path in ``losses`` and
+# ``nld`` must reproduce bit for bit. Norms come from ``np.linalg.norm``,
+# clipping from ``np.clip``, the sub-center maximum from
+# ``reshape(C, K).max(axis=1)``, the temperature division allocates, and
+# the probability check goes through ``np.sum`` and ``np.min``.
+
+
+def plain_classify_confidence(x: np.ndarray, params: ClassifierParams, cfg: LossConfig,
+                              unit_weight: np.ndarray | None = None) -> np.ndarray:
+    """Probability over classes from the trained classifier, margin/scale off."""
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim != 1:
+        raise DomainError(f"expected a single embedding vector, got shape {v.shape}")
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        raise DomainError("embedding has zero norm")
+    if isinstance(cfg, CEConfig):
+        return softmax(params.weight @ v + params.bias)
+    if isinstance(cfg, (AAMConfig, AAMSCConfig)):
+        if unit_weight is None:
+            unit_weight, _ = plain_l2_normalize_rows(params.weight, "weight")
+        cos = np.clip(unit_weight @ (v / norm), -1.0, 1.0)
+        if isinstance(cfg, AAMSCConfig):
+            cos = cos.reshape(cfg.class_count, cfg.subcenters).max(axis=1)
+        return softmax(cos)
+    if isinstance(cfg, GE2EConfig):
+        raise ConfigurationError("GE2E has no parametric classifier; use the centroid classifier")
+    raise ConfigurationError(f"unknown loss config {type(cfg).__name__}")
+
+
+def plain_centroid_confidences(directions: np.ndarray, temperature: float,
+                               x: np.ndarray) -> np.ndarray:
+    """Softmax over cosine(x, unit class direction) / temperature."""
+    norm = np.linalg.norm(x)
+    if norm == 0.0:
+        raise ConfigurationError("zero-norm embedding has no confidence")
+    cos = np.clip(directions @ (x / norm), -1.0, 1.0)
+    return softmax(cos / temperature)
+
+
+def plain_inter_inconsistency(embeddings: np.ndarray, observed: np.ndarray,
+                              class_ids: list[int], confidences) -> np.ndarray:
+    """1 - confidence(x)[observed class], in dataset order; the maximal
+    score 1.0 for a zero-norm embedding or a class the classifier lacks."""
+    index_of = {c: i for i, c in enumerate(class_ids)}
+    bad = (np.linalg.norm(embeddings, axis=1) == 0.0) | ~np.isin(observed, class_ids)
+    scores = np.full(len(observed), 1.0)
+    for i in np.flatnonzero(~bad).tolist():
+        p = confidences(embeddings[i])
+        total, lowest = float(np.sum(p)), float(np.min(p))
+        if abs(total - 1.0) > 1e-6 or lowest < 0.0:
+            raise AssertionError(f"not a probability vector (sum {total!r}, min {lowest!r})")
+        scores[i] = 1.0 - float(p[index_of[int(observed[i])]])
+    return scores

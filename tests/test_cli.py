@@ -1,6 +1,7 @@
 """Config resolution and the end-to-end command-line pipeline."""
 
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import labelnoise
+import labelnoise.cli as cli
 from labelnoise.cli import (
     SECTIONS,
     TOP_LEVEL_KEYS,
@@ -392,6 +394,24 @@ def test_simulate_without_noise_copies_clean(pipeline, tmp_path):
     assert main(["simulate", "--config", str(cfg_path), "--quiet"]) == 0
     sdir = tmp_path / "run" / "seed_1"
     assert sha256_file(sdir / "noisy.jsonl") == sha256_file(sdir / "clean.jsonl")
+
+
+def test_simulate_round_trip_check_sees_a_lost_negative_zero(pipeline, tmp_path, monkeypatch,
+                                                             capsys):
+    real_save = cli.save_dataset
+
+    def sign_dropping_save(ds, path):
+        ds.features[0, 0] = -0.0  # the dataset in memory holds a negative zero
+        unsigned = ds.features.copy()
+        unsigned[0, 0] = 0.0  # that the written file loses
+        real_save(dataclasses.replace(ds, features=unsigned), path)
+
+    monkeypatch.setattr(cli, "save_dataset", sign_dropping_save)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(pipeline.cfg_path), "--out", str(out),
+                 "--quiet"]) == 1
+    path = out / "seed_1" / "clean.jsonl"
+    assert f"round-trip validation failed for {path}" in capsys.readouterr().err
 
 
 def test_seed_flag_selects_a_single_seed(pipeline, tmp_path):

@@ -45,6 +45,7 @@ from oracles import (
     plain_aam_loss,
     plain_aamsc_loss,
     plain_adam_step,
+    plain_mlp_backward,
     plain_mlp_forward,
 )
 
@@ -118,7 +119,9 @@ def test_mlp_backward_matches_finite_difference_jacobian():
     v = rng.standard_normal((3, 4))  # random projection: scalar loss v . f(x)
 
     out, cache = mlp_forward(mlp, x)
-    grad_w, grad_b, grad_x = mlp_backward(mlp, cache, v)
+    grad_w, grad_b = mlp_backward(mlp, cache, v)
+    # the package leaves the input gradient out; the full pass forms it
+    grad_x = plain_mlp_backward(mlp, cache, v)[2]
 
     eps = 1e-6
 
@@ -146,6 +149,18 @@ def test_mlp_backward_matches_finite_difference_jacobian():
     for i in range(2):
         check(grad_w[i], fd(mlp.weights[i]))
         check(grad_b[i], fd(mlp.biases[i]))
+
+
+def test_mlp_backward_has_the_bits_of_the_full_backward_pass():
+    rng = named_rng(4, "backward")
+    mlp = init_mlp((20, 64, 64, 32), rng)
+    x = rng.standard_normal((50, 20))
+    _, cache = mlp_forward(mlp, x)
+    grad_out = rng.standard_normal((50, 32))
+    grad_w, grad_b = mlp_backward(mlp, cache, grad_out)
+    want_w, want_b, _ = plain_mlp_backward(mlp, cache, grad_out)
+    assert [g.tobytes() for g in grad_w] == [g.tobytes() for g in want_w]
+    assert [g.tobytes() for g in grad_b] == [g.tobytes() for g in want_b]
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +496,8 @@ def test_train_matches_the_plain_step_bit_for_bit(monkeypatch, loss):
                       hidden_dims=(16, 16), embed_dim=8)
     model, curve, state = _train_recording_adam(ds, cfg, monkeypatch, adam_step)
     for name, plain in [("aamsc_loss", plain_aamsc_loss), ("aam_loss", plain_aam_loss),
-                        ("mlp_forward", plain_mlp_forward)]:
+                        ("mlp_forward", plain_mlp_forward),
+                        ("mlp_backward", lambda *args: plain_mlp_backward(*args)[:2])]:
         monkeypatch.setattr(embedder, name, plain)
     ref_model, ref_curve, ref_state = _train_recording_adam(ds, cfg, monkeypatch,
                                                             plain_adam_step)

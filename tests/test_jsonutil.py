@@ -1,11 +1,16 @@
-"""Deterministic JSON serialization: lossless floats, stable digests."""
+"""Deterministic JSON serialization: lossless floats, stable digests,
+and artifact files that are replaced whole or not at all."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from conftest import make_dataset
+from labelnoise.embedder import write_loss_curve
 from labelnoise.errors import ParseError
+from labelnoise.evaluation import Trials, write_trials_csv
 from labelnoise.jsonutil import (
     canonical_json,
     digest_config,
@@ -15,6 +20,7 @@ from labelnoise.jsonutil import (
     sha256_text,
     write_json17,
 )
+from labelnoise.nld import write_histogram_csv, write_scores_csv
 
 
 def test_floats_round_trip_losslessly():
@@ -65,6 +71,35 @@ def test_write_json17_byte_identical_rerun(tmp_path):
     write_json17(payload, p1)
     write_json17(payload, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _trials_failing_on_row_2():
+    trials = Trials(enroll_id=[1, 2], test_id=[3, 4], is_target=[True, False])
+    trials.enroll_id = np.array([1, "x"], dtype=object)
+    return trials
+
+
+_DS = make_dataset([[1.0], [2.0]], [0, 1])
+
+# Each CSV writer, given rows whose second one cannot be formatted, so it
+# fails after the header and a first row are written.
+CSV_WRITERS = {
+    "scores": lambda path: write_scores_csv(np.array([0.5, "x"], dtype=object), _DS,
+                                            "intra", path),
+    "histogram": lambda path: write_histogram_csv([(0.0, 0.5, 1, 2), (0.5, 1.0, "x", 0)], path),
+    "trials": lambda path: write_trials_csv(_trials_failing_on_row_2(), path),
+    "loss_curve": lambda path: write_loss_curve([(0, 0.5), (1, "x")], path),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(CSV_WRITERS))
+def test_csv_writer_failing_mid_write_leaves_the_previous_file(tmp_path, writer):
+    path = tmp_path / "artifact.csv"
+    path.write_bytes(b"previous,contents\n")
+    with pytest.raises((TypeError, ValueError)):
+        CSV_WRITERS[writer](path)
+    assert path.read_bytes() == b"previous,contents\n"
+    assert os.listdir(tmp_path) == ["artifact.csv"]  # no *.tmp sibling
 
 
 def test_sha256_text_known_value():

@@ -17,6 +17,7 @@ from labelnoise.losses import (
     classify_confidence,
 )
 from labelnoise.nld import (
+    MAX_INTER_SCORE,
     METHOD_INTER,
     METHOD_INTRA,
     CentroidBank,
@@ -44,6 +45,9 @@ from oracles import (
     brute_precision_recall,
     brute_top_q_percent,
     cosine_similarity,
+    plain_centroid_confidences,
+    plain_classify_confidence,
+    plain_inter_inconsistency,
 )
 
 
@@ -283,6 +287,130 @@ def test_make_inter_classifier_picks_route_by_loss():
     # default temperature 0.1 sharpens the cosine gap [1, 0] to logits [10, 0]
     p = clf.confidences(np.array([1.0, 0.0]))
     np.testing.assert_allclose(p[0], 1.0 / (1.0 + math.exp(-10.0)), rtol=0, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# bit identity with the one-call-per-operation confidences in oracles.py
+
+_CLASSES, _DIM = 13, 6
+
+
+def _scoring_weight(rng, k: int) -> np.ndarray:
+    """Classifier rows over many scales; the first rows are the axes,
+    so axis-aligned embeddings meet cosines of exactly +-1 and 0, and
+    every third class repeats its first sub-center as its last (an exact
+    sub-center tie)."""
+    w = rng.standard_normal((_CLASSES * k, _DIM)) * rng.uniform(0.01, 30.0, (_CLASSES * k, 1))
+    w[:_DIM] = np.eye(_DIM) * 2.0
+    if k > 1:
+        for c in range(0, _CLASSES, 3):
+            w[c * k + k - 1] = w[c * k]
+    return w
+
+
+def _scoring_embeddings(rng, weight: np.ndarray) -> np.ndarray:
+    """Random embeddings over many scales, the scaled +-axes, -0.0
+    entries, and multiples of classifier rows (cosines that round past
+    +-1 before the clip)."""
+    eye = np.eye(_DIM)
+    return np.concatenate([
+        rng.standard_normal((80, _DIM)) * rng.uniform(1e-3, 1e3, (80, 1)),
+        eye * 3.0, -eye * 0.5, np.where(eye > 0.0, -1.0, -0.0),
+        *(s * weight[_DIM:] for s in (-7.0, 0.3, 3.0, 1e3)),
+    ])
+
+
+def _assert_cosines_cover_the_edges(unit_rows: np.ndarray, xs: np.ndarray) -> None:
+    raw = unit_rows @ (xs / np.linalg.norm(xs, axis=1)[:, None]).T
+    assert (np.abs(raw) > 1.0).any()  # the clip changes something
+    cos = np.clip(raw, -1.0, 1.0)
+    assert (cos == 1.0).any() and (cos == -1.0).any() and (cos == 0.0).any()
+
+
+@pytest.mark.parametrize("loss_cfg", [
+    CEConfig(_CLASSES), AAMConfig(_CLASSES, 30.0, 0.1),
+    *(AAMSCConfig(_CLASSES, 30.0, 0.1, subcenters=k) for k in (1, 2, 3, 4))],
+    ids=lambda cfg: cfg.kind + str(getattr(cfg, "subcenters", "")))
+def test_classify_confidence_has_the_bits_of_the_plain_form(loss_cfg):
+    rng = np.random.default_rng(77)
+    k = getattr(loss_cfg, "subcenters", 1)
+    weight = _scoring_weight(rng, k)
+    params = ClassifierParams(weight=weight,
+                              bias=rng.normal(size=_CLASSES) if loss_cfg.kind == "ce" else None)
+    xs = _scoring_embeddings(rng, weight)
+    if loss_cfg.kind != "ce":
+        _assert_cosines_cover_the_edges(weight / np.linalg.norm(weight, axis=1)[:, None], xs)
+    if k > 1:
+        sub = weight.reshape(_CLASSES, k, _DIM)
+        assert (sub[:, 0] == sub[:, -1]).all(axis=1).any()
+    clf = ParametricClassifier(identity_model(_DIM, loss_cfg=loss_cfg, classifier=params))
+    for x in xs:
+        want = plain_classify_confidence(x, params, loss_cfg).tobytes()
+        assert classify_confidence(x, params, loss_cfg).tobytes() == want
+        assert clf.confidences(x).tobytes() == want
+
+
+@pytest.mark.parametrize("temperature", [0.1, 1.0])
+def test_centroid_confidences_have_the_bits_of_the_plain_form(temperature):
+    rng = np.random.default_rng(78)
+    rows = _scoring_weight(rng, 1)
+    directions = rows / np.linalg.norm(rows, axis=1)[:, None]
+    xs = _scoring_embeddings(rng, rows)
+    _assert_cosines_cover_the_edges(directions, xs)
+    clf = CentroidClassifier(class_ids=list(range(_CLASSES)), directions=directions,
+                             temperature=temperature)
+    for x in xs:
+        assert clf.confidences(x).tobytes() == \
+            plain_centroid_confidences(directions, temperature, x).tobytes()
+
+
+def _dataset_with_degenerate_rows(rng) -> tuple[np.ndarray, list[int]]:
+    """Embeddings with zero-norm rows, and class 4 holding x and -x (a
+    zero-norm centroid); class _CLASSES is outside every parametric
+    classifier."""
+    feats = rng.standard_normal((130, _DIM)) * rng.uniform(1e-2, 1e2, (130, 1))
+    observed = list(range(_CLASSES)) * 10
+    feats[[5, 40, 77]] = 0.0
+    members = [i for i, c in enumerate(observed) if c == 4]
+    feats[members[1::2]] = -feats[members[0::2]]
+    observed[9] = observed[90] = _CLASSES
+    return feats, observed
+
+
+@pytest.mark.parametrize("loss_cfg", [AAMSCConfig(_CLASSES, 30.0, 0.1, subcenters=3),
+                                      CEConfig(_CLASSES)], ids=lambda cfg: cfg.kind)
+def test_inter_parametric_has_the_bits_of_the_plain_loop(loss_cfg):
+    rng = np.random.default_rng(79)
+    feats, observed = _dataset_with_degenerate_rows(rng)
+    ds = make_dataset(feats, observed, class_count=_CLASSES + 1)
+    weight = _scoring_weight(rng, getattr(loss_cfg, "subcenters", 1))
+    params = ClassifierParams(weight=weight,
+                              bias=rng.normal(size=_CLASSES) if loss_cfg.kind == "ce" else None)
+    model = identity_model(_DIM, loss_cfg=loss_cfg, classifier=params)
+    got = inter_inconsistency(model, ds, ParametricClassifier(model))
+    want = plain_inter_inconsistency(feats, ds.observed_class, list(range(_CLASSES)),
+                                     lambda x: plain_classify_confidence(x, params, loss_cfg))
+    assert got.tobytes() == want.tobytes()
+    assert (got[[5, 40, 77, 9, 90]] == MAX_INTER_SCORE).all()  # zero norm, missing class
+
+
+@pytest.mark.parametrize("temperature", [0.1, 1.0])
+def test_inter_centroid_has_the_bits_of_the_plain_loop(temperature):
+    rng = np.random.default_rng(80)
+    feats, observed = _dataset_with_degenerate_rows(rng)
+    ds = make_dataset(feats, observed, class_count=_CLASSES + 1)
+    model = identity_model(_DIM, loss_cfg=GE2EConfig())
+    clf = make_inter_classifier(model, ds, temperature=temperature)
+    got = inter_inconsistency(model, ds, clf)
+    assert 4 not in clf.class_ids  # its centroid has zero norm
+    bank = compute_centroids(model, ds)
+    directions = np.stack([bank.centroids[c] / np.linalg.norm(bank.centroids[c])
+                           for c in clf.class_ids])
+    want = plain_inter_inconsistency(
+        feats, ds.observed_class, clf.class_ids,
+        lambda x: plain_centroid_confidences(directions, temperature, x))
+    assert got.tobytes() == want.tobytes()
+    assert (got[[5, 40, 77, *np.flatnonzero(ds.observed_class == 4)]] == MAX_INTER_SCORE).all()
 
 
 # ----------------------------------------------------------------------

@@ -218,3 +218,84 @@ def test_as_vector_validates():
         as_vector([])
     with pytest.raises(DomainError, match="non-finite"):
         as_vector([1.0, np.inf])
+
+
+# ----------------------------------------------------------------------
+# numpy equalities that the per-utterance scoring path relies on to keep
+# its bits (``losses.classify_confidence``, ``nld.CentroidClassifier``,
+# ``softmax`` and the ``nld.inter_inconsistency`` loop). Each failure
+# names the assumption a numpy upgrade broke.
+
+
+def _special_vectors():
+    """Seeded vectors of many lengths, with exact ties, signed zeros,
+    exact +-1, subnormal and huge entries."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for size in (1, 2, 3, 4, 7, 32, 150, 600, 1001):
+        for scale in (1e-160, 1e-3, 1.0, 1e150):
+            v = rng.standard_normal(size) * scale
+            pick = rng.integers(0, size, size=(4, max(1, size // 4)))
+            v[pick[0]] = 0.0
+            v[pick[1]] = -0.0
+            v[pick[2]] = rng.choice([1.0, -1.0], size=pick.shape[1])
+            v[pick[3]] = v[0]  # exact ties
+            out.append(v)
+    return out
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def test_numpy_vector_norm_is_the_sqrt_of_the_self_dot():
+    for v in _special_vectors():
+        assert _bits(np.linalg.norm(v)) == _bits(math.sqrt(v.dot(v))), \
+            "np.linalg.norm(v) of a 1-D vector is no longer sqrt(v.dot(v))"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_numpy_columnwise_maximum_is_the_reshaped_row_max(k):
+    for v in _special_vectors():
+        m = np.clip(np.concatenate([v] * k)[:len(v) // k * k], -1.0, 1.0)
+        if m.size == 0:
+            continue
+        sub = m.reshape(-1, k)
+        got = sub[:, 0].copy()
+        for j in range(1, k):
+            np.maximum(got, sub[:, j], out=got)
+        assert _bits(got) == _bits(sub.max(axis=1)), \
+            "the K column-wise np.maximum calls no longer equal reshape(C, K).max(axis=1)"
+
+
+def test_numpy_in_place_minimum_then_maximum_is_clip():
+    for v in _special_vectors():
+        peak = np.abs(v).max()
+        for x in (v, v / (peak or 1.0) * (1.0 + 2.0 ** -52)):  # just past +-1 as well
+            got = x.copy()
+            np.minimum(got, 1.0, out=got)
+            np.maximum(got, -1.0, out=got)
+            assert _bits(got) == _bits(np.clip(x, -1.0, 1.0)), \
+                "in-place np.minimum/np.maximum no longer equal np.clip(x, -1, 1)"
+
+
+def test_numpy_reduce_calls_are_the_method_and_wrapper_reductions():
+    for v in _special_vectors():
+        for x in (v, v.reshape(1, -1), np.stack([v, v[::-1]])):
+            kw = {"axis": -1, "keepdims": True}
+            assert _bits(np.maximum.reduce(x, **kw)) == _bits(x.max(**kw)), \
+                "np.maximum.reduce no longer equals ndarray.max"
+            assert _bits(np.add.reduce(x, **kw)) == _bits(x.sum(**kw)), \
+                "np.add.reduce no longer equals ndarray.sum"
+        assert _bits(np.add.reduce(v)) == _bits(np.sum(v)), \
+            "np.add.reduce no longer equals np.sum"
+        assert _bits(np.minimum.reduce(v)) == _bits(np.min(v)), \
+            "np.minimum.reduce no longer equals np.min"
+
+
+def test_numpy_in_place_division_is_the_out_of_place_one():
+    for v in _special_vectors():
+        for t in (0.1, 1.0, 3.0):
+            got = v.copy()
+            got /= t
+            assert _bits(got) == _bits(v / t), "in-place division no longer equals v / t"
