@@ -24,7 +24,6 @@ from .losses import (
     AAMSCConfig,
     CEConfig,
     GE2EConfig,
-    aam_loss,
     aamsc_loss,
     ce_loss,
     ge2e_loss,
@@ -65,7 +64,6 @@ __all__ = [
     "TrainConfig",
     "TrainedModel",
     "ValidationError",
-    "aam_loss",
     "aamsc_loss",
     "apply_openset_noise",
     "apply_permute_noise",

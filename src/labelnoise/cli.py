@@ -33,7 +33,14 @@ from .evaluation import (
     write_retrain_json,
     write_trials_csv,
 )
-from .jsonutil import digest_config, json_field, read_json, sha256_file, write_json17
+from .jsonutil import (
+    _replacing_file,
+    digest_config,
+    json_field,
+    read_json,
+    sha256_file,
+    write_json17,
+)
 from .losses import LOSS_KINDS, GE2EConfig
 from .nld import (
     DEFAULT_CENTROID_TEMPERATURE,
@@ -255,11 +262,8 @@ def _require_file(path: Path, what: str) -> Path:
 # commands
 
 
-def cmd_simulate(resolved: dict, seed: int, args) -> None:
+def cmd_simulate(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:
     """Generate clean/auxiliary/held-out datasets and the noisy training set."""
-    t0 = time.monotonic()
-    out = seed_dir(resolved, seed)
-    out.mkdir(parents=True, exist_ok=True)
     d = resolved["dataset"]
 
     mix_seed = derive_seed(seed, "data-mix")
@@ -304,16 +308,11 @@ def cmd_simulate(resolved: dict, seed: int, args) -> None:
 
     noisy_count = len(noisy.noisy_ids())
     logger.info("seed %d: simulated %d utterances, %d noisy", seed, len(noisy), noisy_count)
-    _update_manifest(out, seed, run_config_digest(resolved), "simulate", written,
-                     {"utterance_count": len(noisy), "noisy_count": noisy_count},
-                     time.monotonic() - t0)
+    return written, {"utterance_count": len(noisy), "noisy_count": noisy_count}
 
 
-def cmd_train(resolved: dict, seed: int, args) -> None:
+def cmd_train(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:
     """Train the embedder on the (noisy) training set."""
-    t0 = time.monotonic()
-    out = seed_dir(resolved, seed)
-    out.mkdir(parents=True, exist_ok=True)
     ds_path = Path(args.dataset) if args.dataset else out / "noisy.jsonl"
     ds = load_dataset(_require_file(ds_path, "dataset"))
 
@@ -330,18 +329,12 @@ def cmd_train(resolved: dict, seed: int, args) -> None:
     logger.info("seed %d: trained %s for %d steps (final loss %s)",
                 seed, cfg.loss.kind, cfg.total_steps,
                 "n/a" if final_loss is None else format(final_loss, ".6g"))
-    _update_manifest(out, seed, run_config_digest(resolved), "train",
-                     [model_path, curve_path],
-                     {"loss_kind": cfg.loss.kind, "total_steps": cfg.total_steps,
-                      "final_loss": final_loss},
-                     time.monotonic() - t0)
+    return [model_path, curve_path], {"loss_kind": cfg.loss.kind,
+                                      "total_steps": cfg.total_steps, "final_loss": final_loss}
 
 
-def cmd_detect(resolved: dict, seed: int, args) -> None:
+def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:
     """Score inconsistency, rank, select top q%, and report precision."""
-    t0 = time.monotonic()
-    out = seed_dir(resolved, seed)
-    out.mkdir(parents=True, exist_ok=True)
     model_path = Path(args.model) if args.model else out / "model.json"
     ds_path = Path(args.dataset) if args.dataset else out / "noisy.jsonl"
     model = load_model(_require_file(model_path, "model"))
@@ -401,14 +394,11 @@ def cmd_detect(resolved: dict, seed: int, args) -> None:
             seed, method, result.selected_count, len(ds),
             "n/a" if result.precision is None else format(result.precision, ".4f"),
         )
-    _update_manifest(out, seed, digest, "detect", written, extras, time.monotonic() - t0)
+    return written, extras
 
 
-def cmd_eval(resolved: dict, seed: int, args) -> None:
+def cmd_eval(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:
     """Generate held-out trials and report the model's EER."""
-    t0 = time.monotonic()
-    out = seed_dir(resolved, seed)
-    out.mkdir(parents=True, exist_ok=True)
     model_path = _require_file(Path(args.model) if args.model else out / "model.json", "model")
     heldout = load_dataset(_require_file(out / "heldout.jsonl", "held-out dataset"))
     model = load_model(model_path)
@@ -423,18 +413,12 @@ def cmd_eval(resolved: dict, seed: int, args) -> None:
     write_eer_json(result, sha256_file(model_path), eer_path)
     logger.info("seed %d: EER %.4f over %d trials (%d dropped)",
                 seed, result.eer, result.trial_count, dropped)
-    _update_manifest(out, seed, run_config_digest(resolved), "eval",
-                     [trials_path, eer_path],
-                     {"eer": result.eer, "trial_count": result.trial_count,
-                      "dropped_trials": dropped},
-                     time.monotonic() - t0)
+    return [trials_path, eer_path], {"eer": result.eer, "trial_count": result.trial_count,
+                                     "dropped_trials": dropped}
 
 
-def cmd_retrain(resolved: dict, seed: int, args) -> None:
+def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:
     """Remove predicted-noisy utterances, retrain, and compare EER."""
-    t0 = time.monotonic()
-    out = seed_dir(resolved, seed)
-    out.mkdir(parents=True, exist_ok=True)
     method = args.method or resolved["retrain"]["detection_method"]
     det_path = Path(args.detection) if args.detection else out / f"detection_{method}.json"
     detection = read_json(_require_file(det_path, "detection"), "detection")
@@ -466,11 +450,9 @@ def cmd_retrain(resolved: dict, seed: int, args) -> None:
     write_retrain_json(outcome, method, seed, run_config_digest(resolved), report_path)
     logger.info("seed %d: removed %d utterances, EER %.4f -> %.4f",
                 seed, outcome.removed_count, outcome.before.eer, outcome.after.eer)
-    _update_manifest(out, seed, run_config_digest(resolved), "retrain",
-                     [retrained_path, report_path],
-                     {"method": method, "removed_count": outcome.removed_count,
-                      "eer_before": outcome.before.eer, "eer_after": outcome.after.eer},
-                     time.monotonic() - t0)
+    return [retrained_path, report_path], {
+        "method": method, "removed_count": outcome.removed_count,
+        "eer_before": outcome.before.eer, "eer_after": outcome.after.eer}
 
 
 def _mean_or_missing(values: list[float | None]) -> str:
@@ -495,7 +477,8 @@ def cmd_report(args) -> int:
     """Aggregate detection precision and EER across runs into one CSV.
 
     Each run's ``config.json`` is resolved like a run config, its
-    ``output_dir`` defaulting to the run directory.
+    ``output_dir`` defaulting to the run directory; its ``name`` must be
+    ASCII, as the report is. ``--out`` is replaced once the report is whole.
     """
     text = io.StringIO()
     rows = csv.writer(text, lineterminator="\n")
@@ -510,6 +493,9 @@ def cmd_report(args) -> int:
             continue
         resolved = _read_run_file(cfg_path, "run config",
                                   lambda raw: resolve_config({"output_dir": str(root), **raw}))
+        if not resolved["name"].isascii():  # the report is an ASCII file
+            raise ConfigurationError(
+                f"{cfg_path}: config field name must be ASCII, got {resolved['name']!a}")
         noise = resolved["noise"] or {"kind": "clean", "level_q": 0.0}
         for method in resolved["detect"]["methods"]:
             precisions, recalls, eers, seen = [], [], [], 0
@@ -546,7 +532,7 @@ def cmd_report(args) -> int:
     if not any_rows:
         raise ConfigurationError("no usable run directories; nothing to report")
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
+        with _replacing_file(args.out) as fh:
             fh.write(text.getvalue())
         logger.info("wrote %s", args.out)
     else:
@@ -557,6 +543,8 @@ def cmd_report(args) -> int:
 # ----------------------------------------------------------------------
 # entry point
 
+# Each command writes its artifacts into the seed directory ``out`` and
+# returns them, with the extras its stage records in the manifest.
 _PIPELINE = {
     "simulate": cmd_simulate,
     "train": cmd_train,
@@ -630,7 +618,12 @@ def main(argv=None) -> int:
         root.mkdir(parents=True, exist_ok=True)
         write_json17(resolved, root / "config.json")
         for seed in seeds:
-            _PIPELINE[args.command](resolved, seed, args)
+            t0 = time.monotonic()
+            out = seed_dir(resolved, seed)
+            out.mkdir(parents=True, exist_ok=True)
+            artifacts, extras = _PIPELINE[args.command](resolved, seed, out, args)
+            _update_manifest(out, seed, run_config_digest(resolved), args.command, artifacts,
+                             extras, time.monotonic() - t0)
         return 0
     except LabelNoiseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,12 +20,10 @@ from .errors import ConfigurationError, DivergenceError, DomainError
 from .jsonutil import _replacing_file, digest_config, json_field, read_json, write_json17
 from .losses import (
     AAMConfig,
-    AAMSCConfig,
     CEConfig,
     ClassifierParams,
     GE2EConfig,
     LossConfig,
-    aam_loss,
     aamsc_loss,
     ce_loss,
     ge2e_loss,
@@ -110,32 +108,29 @@ def embed_batch(params: MlpParams, features: np.ndarray) -> np.ndarray:
 @dataclass
 class AdamState:
     """First/second-moment accumulators for one flat parameter vector,
-    and two scratch vectors of the same shape for the update."""
+    and two scratch vectors of the same shape for the update. The decay
+    rates and epsilon are fixed."""
 
     m: np.ndarray
     v: np.ndarray
     step_count: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     _scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
 
     def __post_init__(self):
         self._scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @staticmethod
-    def fresh(params: np.ndarray, learning_rate: float, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return AdamState(
-            m=np.zeros_like(params),
-            v=np.zeros_like(params),
-            step_count=0,
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+    def fresh(params: np.ndarray, learning_rate: float) -> "AdamState":
+        return AdamState(m=np.zeros_like(params), v=np.zeros_like(params), step_count=0,
+                         learning_rate=learning_rate)
+
+    @classmethod
+    def hyperparameters(cls) -> dict:
+        """The fixed ``beta1``, ``beta2`` and ``epsilon``, by name."""
+        return {"beta1": cls.beta1, "beta2": cls.beta2, "epsilon": cls.epsilon}
 
 
 def _first_non_finite(vec: np.ndarray, blocks: list[tuple[str, slice]] | None) -> str:
@@ -281,9 +276,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     hidden_dims: tuple[int, ...] = (64, 64)
     embed_dim: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.total_steps < 0:
@@ -307,7 +299,8 @@ class TrainConfig:
             raise ConfigurationError(f"embed_dim must be >= 1, got {self.embed_dim}")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "loss": self.loss.to_dict(), "hidden_dims": list(self.hidden_dims)}
+        return {**asdict(self), **AdamState.hyperparameters(), "loss": self.loss.to_dict(),
+                "hidden_dims": list(self.hidden_dims)}
 
 
 @dataclass
@@ -377,13 +370,13 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
 
     params, blocks = _flatten(mlp, clf)
     grads = np.empty_like(params)
-    state = AdamState.fresh(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
+    state = AdamState.fresh(params, cfg.learning_rate)
     is_ge2e = isinstance(loss_cfg, GE2EConfig)
 
     n_spk, m_utt = cfg.batch_speakers, cfg.utts_per_speaker
     table = _class_table(ds.observed_class, m_utt)
     boundary = easy_margin_boundary(cfg)
-    if isinstance(loss_cfg, (AAMConfig, AAMSCConfig)):
+    if isinstance(loss_cfg, AAMConfig):
         # indexed by ``step < boundary``
         margin_cfgs = (replace(loss_cfg, easy_margin=False), replace(loss_cfg, easy_margin=True))
 
@@ -395,8 +388,6 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
         if isinstance(loss_cfg, CEConfig):
             out = ce_loss(emb, np.repeat(labels, m_utt), clf)
         elif isinstance(loss_cfg, AAMConfig):
-            out = aam_loss(emb, np.repeat(labels, m_utt), clf, margin_cfgs[step < boundary])
-        elif isinstance(loss_cfg, AAMSCConfig):
             out = aamsc_loss(emb, np.repeat(labels, m_utt), clf, margin_cfgs[step < boundary])
         else:
             out = ge2e_loss(emb.reshape(n_spk, m_utt, -1), clf, loss_cfg)
@@ -426,8 +417,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
         "config_digest": digest,
         "total_steps": cfg.total_steps,
         "easy_margin_boundary": boundary,
-        "adam": {"beta1": cfg.beta1, "beta2": cfg.beta2, "epsilon": cfg.epsilon,
-                 "learning_rate": cfg.learning_rate},
+        "adam": {**AdamState.hyperparameters(), "learning_rate": cfg.learning_rate},
         "loss_kind": loss_cfg.kind,
     }
     model = TrainedModel(embedder=mlp, classifier=clf, loss_config=loss_cfg,
@@ -501,7 +491,9 @@ def model_from_dict(d: dict) -> TrainedModel:
     loss_cfg = loss_config_from_dict(json_field(d, "loss_config", dict, "model"),
                                      "model.loss_config")
     if not isinstance(loss_cfg, GE2EConfig):
-        rows = loss_cfg.class_count * getattr(loss_cfg, "subcenters", 1)
+        rows = loss_cfg.class_count
+        if isinstance(loss_cfg, AAMConfig):
+            rows *= loss_cfg.subcenters
         expected = (rows, mlp.layer_dims[-1])
         if clf.weight is None or clf.weight.shape != expected:
             got = None if clf.weight is None else clf.weight.shape

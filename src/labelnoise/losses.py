@@ -1,16 +1,16 @@
 """Training losses with exact analytic gradients.
 
-Four loss families over a batch of embeddings:
+Three loss families over a batch of embeddings:
 
 * ``ce_loss`` — plain softmax cross-entropy through a fully-connected
   layer with bias.
-* ``aam_loss`` — additive angular margin softmax: embeddings and weight
-  rows are unit-normalized, the target class cosine is rotated by a
-  margin ``m`` and all cosines are scaled by ``s``. With ``m = 0`` this is
-  the normalized softmax loss (NSL).
-* ``aamsc_loss`` — the sub-center variant: each class owns ``K`` weight
-  rows and contributes the maximum sub-center cosine; gradients flow
-  through the selected sub-center only (ties take the lowest index).
+* ``aamsc_loss`` — sub-center additive angular margin softmax:
+  embeddings and weight rows are unit-normalized, each class owns ``K``
+  weight rows and contributes the maximum sub-center cosine (gradients
+  flow through the selected sub-center only; ties take the lowest
+  index), the target class cosine is rotated by a margin ``m`` and all
+  cosines are scaled by ``s``. ``AAMConfig`` is the ``K = 1`` case (AAM),
+  and NSL is AAM with ``m = 0``.
 * ``ge2e_loss`` — batch-contrastive loss on N speaker groups of M
   utterances, scoring each utterance against per-speaker centroids (the
   own-speaker centroid excludes the utterance itself) through a learned
@@ -25,7 +25,7 @@ differences in the test suite).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -37,8 +37,15 @@ GE2E_INIT_W = 10.0
 GE2E_INIT_B = -5.0
 
 
+class _TaggedConfig:
+    """A loss config whose ``to_dict`` is its fields under its ``kind``."""
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **asdict(self)}
+
+
 @dataclass(frozen=True)
-class CEConfig:
+class CEConfig(_TaggedConfig):
     class_count: int
 
     kind = "ce"
@@ -47,45 +54,18 @@ class CEConfig:
         if self.class_count < 2:
             raise ConfigurationError(f"class_count must be >= 2, got {self.class_count}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **asdict(self)}
-
 
 @dataclass(frozen=True)
-class AAMConfig:
+class AAMConfig(_TaggedConfig):
+    """Additive angular margin; ``AAMSCConfig`` gives each class ``subcenters`` rows."""
+
     class_count: int
     scale: float
     margin: float
     easy_margin: bool = False
 
     kind = "aam"
-
-    def __post_init__(self):
-        if self.class_count < 2:
-            raise ConfigurationError(f"class_count must be >= 2, got {self.class_count}")
-        if self.scale <= 0:
-            raise ConfigurationError(f"scale must be positive, got {self.scale}")
-        if not 0.0 <= self.margin < math.pi / 2:
-            raise ConfigurationError(f"margin must be in [0, pi/2), got {self.margin}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **asdict(self)}
-
-
-def nsl_config(class_count: int, scale: float) -> AAMConfig:
-    """Normalized softmax loss: the zero-margin case of AAM."""
-    return AAMConfig(class_count=class_count, scale=scale, margin=0.0)
-
-
-@dataclass(frozen=True)
-class AAMSCConfig:
-    class_count: int
-    scale: float
-    margin: float
-    subcenters: int
-    easy_margin: bool = False
-
-    kind = "aamsc"
+    subcenters = 1
 
     def __post_init__(self):
         if self.class_count < 2:
@@ -97,12 +77,22 @@ class AAMSCConfig:
         if self.subcenters < 1:
             raise ConfigurationError(f"subcenters must be >= 1, got {self.subcenters}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **asdict(self)}
+
+def nsl_config(class_count: int, scale: float) -> AAMConfig:
+    """Normalized softmax loss: the zero-margin case of AAM."""
+    return AAMConfig(class_count=class_count, scale=scale, margin=0.0)
 
 
 @dataclass(frozen=True)
-class GE2EConfig:
+class AAMSCConfig(AAMConfig):
+    # a field without a default of its own would take the base class's 1
+    subcenters: int = field(kw_only=True)
+
+    kind = "aamsc"
+
+
+@dataclass(frozen=True)
+class GE2EConfig(_TaggedConfig):
     """Initial values of the learned affine similarity terms."""
 
     init_w: float = GE2E_INIT_W
@@ -110,11 +100,8 @@ class GE2EConfig:
 
     kind = "ge2e"
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **asdict(self)}
 
-
-LossConfig = CEConfig | AAMConfig | AAMSCConfig | GE2EConfig
+LossConfig = CEConfig | AAMConfig | GE2EConfig  # AAMSCConfig is an AAMConfig
 
 
 # Loss kind -> (constructor, run-config fields as key -> (JSON kind, default,
@@ -141,7 +128,9 @@ def loss_config_from_dict(d: dict, path: str = "loss_config") -> LossConfig:
     make, config_fields = entry
     kinds = {"class_count": int, "easy_margin": bool,
              **{key: spec[0] for key, spec in config_fields.items()}}
-    return make(**{f.name: json_field(d, f.name, kinds[f.name], path) for f in fields(make)})
+    # easy_margin last: of several bad fields, the first in run-config order is named
+    order = sorted(fields(make), key=lambda f: f.name == "easy_margin")
+    return make(**{f.name: json_field(d, f.name, kinds[f.name], path) for f in order})
 
 
 @dataclass
@@ -180,9 +169,6 @@ def init_classifier(cfg: LossConfig, embed_dim: int, rng: np.random.Generator) -
         b = rng.uniform(-bound, bound, size=cfg.class_count)
         return ClassifierParams(weight=w, bias=b)
     if isinstance(cfg, AAMConfig):
-        w = rng.uniform(-bound, bound, size=(cfg.class_count, embed_dim))
-        return ClassifierParams(weight=w)
-    if isinstance(cfg, AAMSCConfig):
         w = rng.uniform(-bound, bound, size=(cfg.class_count * cfg.subcenters, embed_dim))
         return ClassifierParams(weight=w)
     if isinstance(cfg, GE2EConfig):
@@ -284,28 +270,10 @@ def _cosine_backward(dcos: np.ndarray, cos: np.ndarray, xhat: np.ndarray, xnorm:
     return grad_x, grad_w
 
 
-def aam_loss(embeddings: np.ndarray, labels, params: ClassifierParams,
-             cfg: AAMConfig) -> LossOutput:
-    """Additive angular margin softmax over unit-normalized embeddings/weights."""
-    x = np.asarray(embeddings, dtype=np.float64)
-    y = _check_labels(labels, cfg.class_count, x.shape[0])
-    if params.weight.shape[0] != cfg.class_count:
-        raise ConfigurationError(
-            f"weight has {params.weight.shape[0]} rows, expected {cfg.class_count}"
-        )
-    xhat, xnorm = l2_normalize_rows(x, "embedding")
-    what, wnorm = l2_normalize_rows(params.weight, "weight")
-    cos = np.clip(xhat @ what.T, -1.0, 1.0)
-
-    value, dcos = _margin_cross_entropy(cos, y, cfg.scale, cfg.margin, cfg.easy_margin)
-    grad_x, grad_w = _cosine_backward(dcos, cos, xhat, xnorm, what, wnorm)
-    return LossOutput(value=value, grad_embeddings=grad_x,
-                      grad_params=ClassifierParams(weight=grad_w))
-
-
 def aamsc_loss(embeddings: np.ndarray, labels, params: ClassifierParams,
-               cfg: AAMSCConfig) -> LossOutput:
-    """Sub-center AAM: per class, the maximum sub-center cosine competes."""
+               cfg: AAMConfig) -> LossOutput:
+    """Sub-center AAM: per class, the maximum sub-center cosine competes
+    (plain AAM for an ``AAMConfig``, whose classes have one sub-center)."""
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
     y = _check_labels(labels, cfg.class_count, n)
@@ -429,10 +397,10 @@ def classify_confidence(x: np.ndarray, params: ClassifierParams, cfg: LossConfig
                         unit_weight: np.ndarray | None = None) -> np.ndarray:
     """Probability over classes from the trained classifier, margin/scale off.
 
-    CE keeps its full affine layer; AAM applies softmax to raw weight/
-    embedding cosines; AAMSC reduces each class to its maximum sub-center
-    cosine first. GE2E has no parametric classifier (a centroid classifier
-    is constructed in the detection module instead). ``unit_weight`` is
+    CE keeps its full affine layer; AAM/AAMSC apply softmax to each
+    class's maximum sub-center cosine (the only one when K = 1). GE2E has
+    no parametric classifier (a centroid classifier is constructed in the
+    detection module instead). ``unit_weight`` is
     ``params.weight`` with unit rows, for callers that score many
     embeddings with one classifier; AAM/AAMSC compute it when it is omitted.
 
@@ -451,17 +419,16 @@ def classify_confidence(x: np.ndarray, params: ClassifierParams, cfg: LossConfig
         raise DomainError("embedding has zero norm")
     if isinstance(cfg, CEConfig):
         return softmax(params.weight @ v + params.bias)
-    if isinstance(cfg, (AAMConfig, AAMSCConfig)):
+    if isinstance(cfg, AAMConfig):
         if unit_weight is None:
             unit_weight, _ = l2_normalize_rows(params.weight, "weight")
         cos = unit_weight @ (v / norm)
         np.minimum(cos, 1.0, out=cos)
         np.maximum(cos, -1.0, out=cos)
-        if isinstance(cfg, AAMSCConfig):
-            sub = cos.reshape(cfg.class_count, cfg.subcenters)
-            cos = sub[:, 0].copy()
-            for j in range(1, cfg.subcenters):
-                np.maximum(cos, sub[:, j], out=cos)
+        sub = cos.reshape(cfg.class_count, cfg.subcenters)
+        cos = sub[:, 0].copy()
+        for j in range(1, cfg.subcenters):
+            np.maximum(cos, sub[:, j], out=cos)
         return softmax(cos)
     if isinstance(cfg, GE2EConfig):
         raise ConfigurationError("GE2E has no parametric classifier; use the centroid classifier")

@@ -31,7 +31,6 @@ from labelnoise.losses import (
     CEConfig,
     ClassifierParams,
     GE2EConfig,
-    aam_loss,
     aamsc_loss,
     ce_loss,
     ge2e_loss,
@@ -153,12 +152,12 @@ def test_criterion_1_gradients_match_finite_differences():
                 break
         cfg = AAMConfig(class_count=c, scale=scale, margin=margin)
         params = ClassifierParams(weight=w)
-        got = aam_loss(x, y, params, cfg)
+        got = aamsc_loss(x, y, params, cfg)
         worst = max(worst,
                     _rel(got.grad_embeddings,
-                         _fd(lambda: aam_loss(x, y, params, cfg).value, x)),
+                         _fd(lambda: aamsc_loss(x, y, params, cfg).value, x)),
                     _rel(got.grad_params.weight,
-                         _fd(lambda: aam_loss(x, y, params, cfg).value, params.weight)))
+                         _fd(lambda: aamsc_loss(x, y, params, cfg).value, params.weight)))
         counts["aam"] += 1
 
     for i in range(50):

@@ -632,6 +632,22 @@ def test_report_quotes_run_names_holding_commas_and_quotes(tmp_path, capsys):
     assert [row[0] for row in rows[1:]] == names
 
 
+def test_report_refuses_a_non_ascii_run_name_and_keeps_the_earlier_out_file(tmp_path):
+    # the report is ASCII: a run named "café" exits 1 naming its config, and
+    # the --out file from an earlier report keeps its bytes
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "config.json").write_text(json.dumps({"name": "café", "noise": None}))
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"run,noise_kind\nearlier,clean\n")
+    proc = run_cli("report", str(run), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: {run / 'config.json'}: config field name must be ASCII, "
+                           "got 'caf\\xe9'\n")
+    assert out.read_bytes() == b"run,noise_kind\nearlier,clean\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_detect_without_any_q_source_exits_nonzero(pipeline, tmp_path, capsys):
     raw = tiny_raw_config(str(tmp_path / "run"))
     raw["noise"] = None

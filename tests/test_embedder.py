@@ -35,7 +35,7 @@ from labelnoise.errors import (
 )
 from labelnoise.evaluation import remove_predicted
 from labelnoise.jsonutil import dump_json17
-from labelnoise.losses import AAMConfig, AAMSCConfig, CEConfig, GE2EConfig
+from labelnoise.losses import AAMConfig, AAMSCConfig, CEConfig, GE2EConfig, nsl_config
 from labelnoise.seeding import named_rng
 from labelnoise.synthdata import generate_dataset
 from oracles import (
@@ -487,6 +487,7 @@ def _train_recording_adam(ds, cfg, monkeypatch, adam):
 @pytest.mark.parametrize("loss", [
     AAMSCConfig(class_count=6, scale=30.0, margin=0.1, subcenters=3),
     AAMConfig(class_count=6, scale=30.0, margin=0.2),
+    nsl_config(class_count=6, scale=30.0),
 ])
 def test_train_matches_the_plain_step_bit_for_bit(monkeypatch, loss):
     # 400 steps cross the easy-margin switch (step 50) and the step (356)
@@ -495,7 +496,9 @@ def test_train_matches_the_plain_step_bit_for_bit(monkeypatch, loss):
     cfg = TrainConfig(loss=loss, total_steps=400, batch_speakers=6, seed=5,
                       hidden_dims=(16, 16), embed_dim=8)
     model, curve, state = _train_recording_adam(ds, cfg, monkeypatch, adam_step)
-    for name, plain in [("aamsc_loss", plain_aamsc_loss), ("aam_loss", plain_aam_loss),
+    # AAM and NSL train through aamsc_loss; their reference is the plain AAM step
+    plain_loss = plain_aamsc_loss if isinstance(loss, AAMSCConfig) else plain_aam_loss
+    for name, plain in [("aamsc_loss", plain_loss),
                         ("mlp_forward", plain_mlp_forward),
                         ("mlp_backward", lambda *args: plain_mlp_backward(*args)[:2])]:
         monkeypatch.setattr(embedder, name, plain)

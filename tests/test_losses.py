@@ -1,5 +1,6 @@
 """Loss values and analytic gradients: frozen scalars, reductions, FD checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from labelnoise.losses import (
     ClassifierParams,
     GE2EConfig,
     _margin_cross_entropy,
-    aam_loss,
     aamsc_loss,
     ce_loss,
     classify_confidence,
@@ -28,6 +28,7 @@ from oracles import (
     _plain_margin_cross_entropy,
     plain_aam_loss,
     plain_aamsc_loss,
+    plain_classify_confidence,
     plain_l2_normalize_rows,
 )
 
@@ -111,7 +112,7 @@ def test_aam_orthonormal_zero_margin_value():
     c = 3
     params = ClassifierParams(weight=np.eye(c))
     cfg = AAMConfig(class_count=c, scale=1.0, margin=0.0)
-    out = aam_loss(np.asarray([[1.0, 0.0, 0.0]]), [0], params, cfg)
+    out = aamsc_loss(np.asarray([[1.0, 0.0, 0.0]]), [0], params, cfg)
     expected = -math.log(math.e / (math.e + (c - 1)))
     assert out.value == pytest.approx(expected, abs=1e-12)
 
@@ -120,7 +121,7 @@ def test_aam_aligned_target_with_margin_tiny_loss():
     # cos(target) = 1, cos(other) = 0, s = 30, m = 0.2
     params = ClassifierParams(weight=np.asarray([[1.0, 0.0], [0.0, 1.0]]))
     cfg = AAMConfig(class_count=2, scale=30.0, margin=0.2)
-    out = aam_loss(np.asarray([[1.0, 0.0]]), [0], params, cfg)
+    out = aamsc_loss(np.asarray([[1.0, 0.0]]), [0], params, cfg)
     expected = math.log1p(math.exp(-30.0 * math.cos(0.2)))
     assert out.value == pytest.approx(expected, rel=1e-6)
     assert out.value < 1e-12
@@ -134,7 +135,7 @@ def test_aam_nsl_reduction_matches_plain_softmax_ce():
     params = ClassifierParams(weight=rng.standard_normal((c, d)))
     cfg = nsl_config(class_count=c, scale=s)
     assert cfg.margin == 0.0 and cfg.kind == "aam"
-    out = aam_loss(x, y, params, cfg)
+    out = aamsc_loss(x, y, params, cfg)
     xhat, _ = l2_normalize_rows(x)
     what, _ = l2_normalize_rows(params.weight)
     logits = s * np.clip(xhat @ what.T, -1.0, 1.0)
@@ -150,14 +151,14 @@ def test_aam_scale_invariance_of_inputs():
     y = rng.integers(c, size=n)
     w = rng.standard_normal((c, d))
     cfg = AAMConfig(class_count=c, scale=30.0, margin=0.1)
-    base = aam_loss(x, y, ClassifierParams(weight=w), cfg).value
+    base = aamsc_loss(x, y, ClassifierParams(weight=w), cfg).value
     x2 = x.copy()
     x2[1] *= 37.5
     w2 = w.copy()
     w2[2] *= 0.004
-    assert aam_loss(x2, y, ClassifierParams(weight=w), cfg).value == pytest.approx(
+    assert aamsc_loss(x2, y, ClassifierParams(weight=w), cfg).value == pytest.approx(
         base, abs=1e-10)
-    assert aam_loss(x, y, ClassifierParams(weight=w2), cfg).value == pytest.approx(
+    assert aamsc_loss(x, y, ClassifierParams(weight=w2), cfg).value == pytest.approx(
         base, abs=1e-10)
 
 
@@ -169,8 +170,8 @@ def test_aam_gradients_match_finite_differences(margin, scale):
     y = rng.integers(c, size=n)
     params = ClassifierParams(weight=rng.standard_normal((c, d)))
     cfg = AAMConfig(class_count=c, scale=scale, margin=margin)
-    out = aam_loss(x, y, params, cfg)
-    value_fn = lambda: aam_loss(x, y, params, cfg).value
+    out = aamsc_loss(x, y, params, cfg)
+    value_fn = lambda: aamsc_loss(x, y, params, cfg).value
     assert rel_err(out.grad_embeddings, fd_gradient(value_fn, x)) <= 1e-5
     assert rel_err(out.grad_params.weight, fd_gradient(value_fn, params.weight)) <= 1e-5
 
@@ -188,8 +189,8 @@ def test_aam_easy_margin_gradients_away_from_switch():
         target_cos = (xhat @ what.T)[np.arange(n), y]
         if np.min(np.abs(target_cos)) < 1e-3:  # easy-margin switch point
             continue
-        out = aam_loss(x, y, params, cfg)
-        value_fn = lambda: aam_loss(x, y, params, cfg).value
+        out = aamsc_loss(x, y, params, cfg)
+        value_fn = lambda: aamsc_loss(x, y, params, cfg).value
         assert rel_err(out.grad_embeddings, fd_gradient(value_fn, x)) <= 1e-5
         assert rel_err(out.grad_params.weight,
                        fd_gradient(value_fn, params.weight)) <= 1e-5
@@ -202,10 +203,10 @@ def test_aam_rejects_degenerate_inputs():
     cfg = AAMConfig(class_count=2, scale=30.0, margin=0.1)
     params = ClassifierParams(weight=np.asarray([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(DomainError, match="embedding"):
-        aam_loss(np.zeros((1, 2)), [0], params, cfg)
+        aamsc_loss(np.zeros((1, 2)), [0], params, cfg)
     bad = ClassifierParams(weight=np.asarray([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(DomainError, match="weight"):
-        aam_loss(np.ones((1, 2)), [0], bad, cfg)
+        aamsc_loss(np.ones((1, 2)), [0], bad, cfg)
 
 
 def test_aam_config_validation():
@@ -224,18 +225,20 @@ def test_aam_config_validation():
 
 
 def test_aamsc_k1_identical_to_aam():
+    # AAM and AAMSC with K = 1 both run through aamsc_loss; the plain AAM
+    # step in tests/oracles.py fixes every bit of the value and gradients
     rng = named_rng(6, "aamsc-k1")
     d, c, n = 5, 3, 4
     x = rng.standard_normal((n, d))
     y = rng.integers(c, size=n)
-    w = rng.standard_normal((c, d))
-    a = aam_loss(x, y, ClassifierParams(weight=w),
-                 AAMConfig(class_count=c, scale=30.0, margin=0.1))
-    s = aamsc_loss(x, y, ClassifierParams(weight=w),
-                   AAMSCConfig(class_count=c, scale=30.0, margin=0.1, subcenters=1))
-    assert s.value == pytest.approx(a.value, abs=1e-15)
-    assert np.allclose(s.grad_embeddings, a.grad_embeddings, atol=1e-15)
-    assert np.allclose(s.grad_params.weight, a.grad_params.weight, atol=1e-15)
+    params = ClassifierParams(weight=rng.standard_normal((c, d)))
+    for margin, easy_margin in itertools.product((0.0, 0.1), (False, True)):
+        aam = AAMConfig(class_count=c, scale=30.0, margin=margin, easy_margin=easy_margin)
+        k1 = AAMSCConfig(class_count=c, scale=30.0, margin=margin, subcenters=1,
+                         easy_margin=easy_margin)
+        ref = _bits(plain_aam_loss(x, y, params, aam))
+        assert _bits(aamsc_loss(x, y, params, aam)) == ref
+        assert _bits(aamsc_loss(x, y, params, k1)) == ref
 
 
 def test_aamsc_max_subcenter_selected():
@@ -253,8 +256,8 @@ def test_aamsc_max_subcenter_selected():
     cfg = AAMSCConfig(class_count=2, scale=30.0, margin=0.2, subcenters=3)
     out = aamsc_loss(x, [0], ClassifierParams(weight=w), cfg)
     best = np.asarray([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    ref = aam_loss(x, [0], ClassifierParams(weight=best),
-                   AAMConfig(class_count=2, scale=30.0, margin=0.2))
+    ref = plain_aam_loss(x, [0], ClassifierParams(weight=best),
+                         AAMConfig(class_count=2, scale=30.0, margin=0.2))
     assert out.value == pytest.approx(ref.value, abs=1e-12)
 
 
@@ -407,8 +410,8 @@ def _random_outputs():
     y = rng.integers(c, size=n)
     yield ce_loss(x, y, ClassifierParams(weight=rng.standard_normal((c, d)),
                                          bias=rng.standard_normal(c)))
-    yield aam_loss(x, y, ClassifierParams(weight=rng.standard_normal((c, d))),
-                   AAMConfig(class_count=c, scale=15.0, margin=0.2))
+    yield aamsc_loss(x, y, ClassifierParams(weight=rng.standard_normal((c, d))),
+                     AAMConfig(class_count=c, scale=15.0, margin=0.2))
     yield aamsc_loss(x, y, ClassifierParams(weight=rng.standard_normal((c * 3, d))),
                      AAMSCConfig(class_count=c, scale=15.0, margin=0.2, subcenters=3))
     yield ge2e_loss(rng.standard_normal((4, 2, d)),
@@ -425,7 +428,7 @@ def test_label_count_must_match_the_batch(loss):
         run = lambda y: ce_loss(x, y, params)
     elif loss == "aam":
         params = ClassifierParams(weight=np.eye(4, 3) + 0.5)
-        run = lambda y: aam_loss(x, y, params, AAMConfig(class_count=4, scale=30.0, margin=0.1))
+        run = lambda y: aamsc_loss(x, y, params, AAMConfig(class_count=4, scale=30.0, margin=0.1))
     else:
         params = ClassifierParams(weight=np.eye(8, 3) + 0.5)
         cfg = AAMSCConfig(class_count=4, scale=30.0, margin=0.1, subcenters=2)
@@ -455,6 +458,29 @@ def test_init_classifier_shapes():
     assert sc.weight.shape == (12, 8)
     ge = init_classifier(GE2EConfig(), 8, rng)
     assert ge.ge2e_w == 10.0 and ge.ge2e_b == -5.0 and ge.weight is None
+
+
+def test_aamsc_config_is_an_aam_config_with_required_subcenters():
+    # AAMSCConfig inherits AAMConfig's checks; its subcenters field does not
+    # default to the one sub-center of the base class
+    with pytest.raises(TypeError, match="subcenters"):
+        AAMSCConfig(class_count=4, scale=30.0, margin=0.1)
+    with pytest.raises(ConfigurationError, match="margin"):
+        AAMSCConfig(class_count=4, scale=30.0, margin=2.0, subcenters=2)
+    aam = AAMConfig(class_count=4, scale=30.0, margin=0.1)
+    sc = AAMSCConfig(class_count=4, scale=30.0, margin=0.1, subcenters=2, easy_margin=True)
+    assert aam.subcenters == 1 and sc.subcenters == 2
+    assert aam.to_dict() == {"kind": "aam", "class_count": 4, "scale": 30.0, "margin": 0.1,
+                             "easy_margin": False}
+    assert sc.to_dict() == {"kind": "aamsc", "class_count": 4, "scale": 30.0, "margin": 0.1,
+                            "subcenters": 2, "easy_margin": True}
+    # with several bad fields the first in class_count, scale, margin,
+    # subcenters, easy_margin order is named
+    bad = {**sc.to_dict(), "subcenters": "2", "easy_margin": 1}
+    with pytest.raises(ConfigurationError, match="loss_config.subcenters must be an integer"):
+        loss_config_from_dict(bad)
+    with pytest.raises(ConfigurationError, match="loss_config.easy_margin must be a boolean"):
+        loss_config_from_dict({**bad, "subcenters": 2})
 
 
 def test_loss_config_round_trip():
@@ -488,12 +514,13 @@ def test_confidence_aamsc_k1_matches_aam():
     rng = named_rng(14, "conf")
     w = rng.standard_normal((3, 4))
     x = rng.standard_normal(4)
-    aam = classify_confidence(x, ClassifierParams(weight=w),
-                              AAMConfig(class_count=3, scale=30.0, margin=0.1))
+    aam_cfg = AAMConfig(class_count=3, scale=30.0, margin=0.1)
+    aam = classify_confidence(x, ClassifierParams(weight=w), aam_cfg)
     sc = classify_confidence(x, ClassifierParams(weight=w),
                              AAMSCConfig(class_count=3, scale=30.0, margin=0.1,
                                          subcenters=1))
-    assert np.allclose(sc, aam, atol=1e-15)
+    ref = plain_classify_confidence(x, ClassifierParams(weight=w), aam_cfg)
+    assert sc.tobytes() == aam.tobytes() == ref.tobytes()
 
 
 def test_confidence_aamsc_reduces_by_max():
@@ -566,7 +593,7 @@ def test_aamsc_and_aam_match_the_plain_step_bit_for_bit(k, margin, easy_margin):
         params = ClassifierParams(weight=w)
         assert _bits(aamsc_loss(x, y, params, cfg)) == _bits(plain_aamsc_loss(x, y, params, cfg))
         if k == 1:
-            assert _bits(aam_loss(x, y, params, aam_cfg)) == _bits(
+            assert _bits(aamsc_loss(x, y, params, aam_cfg)) == _bits(
                 plain_aam_loss(x, y, params, aam_cfg))
 
 
