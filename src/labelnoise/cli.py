@@ -306,7 +306,7 @@ def cmd_simulate(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path]
             raise ConfigurationError(f"round-trip validation failed for {path}")
         written.append(path)
 
-    noisy_count = len(noisy.noisy_ids())
+    noisy_count = int(np.count_nonzero(noisy.is_noisy))
     logger.info("seed %d: simulated %d utterances, %d noisy", seed, len(noisy), noisy_count)
     return written, {"utterance_count": len(noisy), "noisy_count": noisy_count}
 
@@ -366,12 +366,11 @@ def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], 
     extras: dict = {"q": q}
     for method in methods:
         if method == METHOD_INTRA:
-            bank = compute_centroids(model, ds, embeddings=emb)
-            scores = intra_inconsistency(model, ds, bank, embeddings=emb)
+            scores = intra_inconsistency(emb, ds, compute_centroids(emb, ds))
         else:
             classifier = make_inter_classifier(
-                model, ds, resolved["detect"]["centroid_temperature"], embeddings=emb)
-            scores = inter_inconsistency(model, ds, classifier, embeddings=emb)
+                model, emb, ds, resolved["detect"]["centroid_temperature"])
+            scores = inter_inconsistency(emb, ds, classifier)
         result = detection_precision(rank_and_select(scores, ds.utt_id, q), ds)
         rows = export_score_histogram(scores, ds, resolved["detect"]["histogram_bins"])
 
@@ -422,13 +421,18 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
     method = args.method or resolved["retrain"]["detection_method"]
     det_path = Path(args.detection) if args.detection else out / f"detection_{method}.json"
     detection = read_json(_require_file(det_path, "detection"), "detection")
-    predicted_raw = detection.get("predicted_noisy")
-    if not isinstance(predicted_raw, list) or any(
-            not isinstance(i, int) or isinstance(i, bool) for i in predicted_raw):
+    predicted = detection.get("predicted_noisy")
+    if not isinstance(predicted, list) or any(
+            not isinstance(i, int) or isinstance(i, bool) for i in predicted):
         raise ConfigurationError(
             f"detection file {det_path} lacks a predicted_noisy id list"
         )
-    predicted = set(predicted_raw)
+    outside = [i for i in predicted if not -2**63 <= i < 2**63]
+    if outside:
+        raise ConfigurationError(
+            f"detection file {det_path}: predicted_noisy id {outside[0]} is outside "
+            f"the 64-bit range"
+        )
 
     ds_path = Path(args.dataset) if args.dataset else out / "noisy.jsonl"
     ds = load_dataset(_require_file(ds_path, "dataset"))
@@ -608,6 +612,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         raw = read_json(Path(args.config), "config")
         if args.out:
             raw = dict(raw)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .losses import (
     loss_config_from_dict,
 )
 from .seeding import named_rng
-from .synthdata import Dataset
+from .synthdata import ClassTable, Dataset
 
 MODEL_FORMAT_VERSION = 1
 GE2E_W_FLOOR = 1e-4
@@ -183,32 +182,8 @@ def adam_step(
     return params, state
 
 
-class _ClassTable(NamedTuple):
-    """The classes a batch may draw from, built once per training run.
-
-    ``labels`` are the eligible observed classes in ascending order; the
-    members of ``labels[i]`` are ``flat[starts[i]:starts[i] + sizes[i]]``
-    (dataset positions, in dataset order).
-    """
-
-    labels: np.ndarray
-    sizes: np.ndarray
-    starts: np.ndarray
-    flat: np.ndarray
-
-
-def _class_table(observed_class: np.ndarray, m_utts: int) -> _ClassTable:
-    """Group dataset positions by observed class, keeping the classes
-    with at least ``m_utts`` members."""
-    flat = np.argsort(observed_class, kind="stable")
-    labels, starts, sizes = np.unique(observed_class[flat], return_index=True,
-                                      return_counts=True)
-    keep = sizes >= m_utts
-    return _ClassTable(labels[keep].astype(np.intp), sizes[keep], starts[keep], flat)
-
-
 def _sample_positions(
-    table: _ClassTable, n_speakers: int, m_utts: int, rng: np.random.Generator
+    table: ClassTable, n_speakers: int, m_utts: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw N distinct eligible classes (uniform, no replacement) and M
     positions from each (uniform, no replacement); returns the (N, M)
@@ -374,7 +349,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
     is_ge2e = isinstance(loss_cfg, GE2EConfig)
 
     n_spk, m_utt = cfg.batch_speakers, cfg.utts_per_speaker
-    table = _class_table(ds.observed_class, m_utt)
+    table = ds.class_table(m_utt)
     boundary = easy_margin_boundary(cfg)
     if isinstance(loss_cfg, AAMConfig):
         # indexed by ``step < boundary``

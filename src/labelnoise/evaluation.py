@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .embedder import TrainConfig, TrainedModel, embed_batch, train
-from .errors import ConfigurationError, DomainError, ParseError
+from .errors import ConfigurationError, DomainError
 from .jsonutil import _replacing_file, write_json17
 from .numerics import row_dot
 from .seeding import named_rng
@@ -87,10 +87,11 @@ def generate_trials(ds: Dataset, pairs_per_kind: int, seed: int) -> Trials:
     rng = named_rng(seed, "trials")
 
     # same-class pairs (enroll < test), class by class in ascending order
+    table = ds.class_table()
     enroll, test = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for pos in ds.ids_by_observed_class().values():
-        members = np.sort(ds.utt_id[pos])
-        i, j = np.triu_indices(len(members), 1)
+    for start, size in zip(table.starts.tolist(), table.sizes.tolist()):
+        members = np.sort(ds.utt_id[table.flat[start:start + size]])
+        i, j = np.triu_indices(size, 1)
         enroll.append(members[i])
         test.append(members[j])
     target_enroll, target_test = np.concatenate(enroll), np.concatenate(test)
@@ -226,15 +227,16 @@ def evaluate_model(model: TrainedModel, heldout: Dataset, trials: Trials) -> EER
     return compute_eer(scores, labels)
 
 
-def remove_predicted(ds: Dataset, predicted: set[int]) -> Dataset:
-    """Dataset minus the predicted-noisy utterances (same metadata)."""
-    keep = ~np.isin(ds.utt_id, list(predicted))
+def remove_predicted(ds: Dataset, predicted: np.ndarray) -> Dataset:
+    """Dataset minus the utterances whose ids are in ``predicted`` (same
+    metadata). Ids absent from the dataset are ignored."""
+    keep = ~np.isin(ds.utt_id, np.asarray(predicted, dtype=np.int64))
     if not keep.any():
         raise ConfigurationError("removal would leave an empty dataset")
     return ds.subset(keep)
 
 
-def retrain_after_removal(ds: Dataset, predicted: set[int], cfg: TrainConfig,
+def retrain_after_removal(ds: Dataset, predicted: np.ndarray, cfg: TrainConfig,
                           heldout: Dataset, trials: Trials,
                           before_model: TrainedModel | None = None) -> RetrainOutcome:
     """Train (or reuse) a model on ``ds``, retrain on ``ds`` minus the
@@ -249,13 +251,12 @@ def retrain_after_removal(ds: Dataset, predicted: set[int], cfg: TrainConfig,
     removed = len(ds) - len(filtered)
 
     sizes = np.bincount(filtered.observed_class, minlength=ds.class_count)
-    observed = set(np.unique(ds.observed_class).tolist())
-    eligible_classes = set(np.flatnonzero(sizes >= cfg.utts_per_speaker).tolist())
-    dropped = sorted(observed - eligible_classes)
+    observed = np.bincount(ds.observed_class, minlength=ds.class_count) > 0
+    dropped = np.flatnonzero(observed & (sizes < cfg.utts_per_speaker)).tolist()
     if dropped:
         logger.warning("removal left %d class(es) below %d utterance(s): %s",
                        len(dropped), cfg.utts_per_speaker, dropped)
-    eligible = len(eligible_classes)
+    eligible = int(np.count_nonzero(sizes >= cfg.utts_per_speaker))
     cfg_after = cfg
     if eligible < cfg.batch_speakers:
         logger.warning("clamping batch classes from %d to %d eligible after removal",
@@ -282,30 +283,6 @@ def write_trials_csv(trials: Trials, path) -> None:
         fh.write("enroll_id,test_id,is_target\n")
         fh.writelines("%d,%d,%s\n" % row for row in zip(
             trials.enroll_id.tolist(), trials.test_id.tolist(), labels.tolist()))
-
-
-def read_trials_csv(path) -> Trials:
-    enrolls: list[int] = []
-    tests: list[int] = []
-    targets: list[bool] = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "enroll_id,test_id,is_target":
-            raise ParseError(f"{path}: unexpected trials header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 3 or parts[2] not in ("true", "false"):
-                raise ParseError(f"{path}:{lineno}: malformed trial row {line!r}")
-            try:
-                enroll, test = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer utterance id") from exc
-            if not (-2**63 <= enroll < 2**63 and -2**63 <= test < 2**63):
-                raise ParseError(f"{path}:{lineno}: utterance id outside the 64-bit range")
-            enrolls.append(enroll)
-            tests.append(test)
-            targets.append(parts[2] == "true")
-    return Trials(enrolls, tests, targets)
 
 
 def write_eer_json(result: EERResult, model_digest: str, path) -> None:

@@ -42,17 +42,19 @@ MAX_INTER_SCORE = 1.0
 
 @dataclass
 class CentroidBank:
-    """Mean embedding and member count per observed class."""
+    """Per observed class ``c``: ``centroids[c]`` is the mean embedding of
+    its members (a zero row for an empty class) and ``counts[c]`` their
+    number."""
 
-    centroids: dict[int, np.ndarray]
-    counts: dict[int, int]
-    embed_dim: int
-    skipped_classes: list[int]
+    centroids: np.ndarray
+    counts: np.ndarray
 
 
 @dataclass
 class DetectionResult:
-    predicted_noisy: set[int]
+    """``predicted_noisy`` holds the flagged utt_ids, sorted, as int64."""
+
+    predicted_noisy: np.ndarray
     q_used: float
     precision: float | None = None
     recall: float | None = None
@@ -67,31 +69,20 @@ def embed_dataset(model: TrainedModel, ds: Dataset) -> np.ndarray:
     return embed_batch(model.embedder, ds.features)
 
 
-def compute_centroids(model: TrainedModel, ds: Dataset,
-                      embeddings: np.ndarray | None = None) -> CentroidBank:
-    """Arithmetic mean of embeddings per observed class, noisy ones included.
+def compute_centroids(emb: np.ndarray, ds: Dataset) -> CentroidBank:
+    """Arithmetic mean of embeddings (``emb``, dataset order) per observed
+    class, noisy ones included.
 
-    Classes with no utterances are excluded and recorded in
-    ``skipped_classes``. ``embeddings`` may be passed to reuse a
-    previously computed embedding matrix (dataset order).
+    The sums start from +0.0 and add the rows in dataset order, which
+    gives each mean the bits of ``emb[members].mean(axis=0)``.
     """
-    emb = embed_dataset(model, ds) if embeddings is None else embeddings
-    groups = ds.ids_by_observed_class()
-    centroids: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for c in sorted(groups):
-        pos = groups[c]
-        centroids[c] = emb[pos].mean(axis=0)
-        counts[c] = len(pos)
-    skipped = [c for c in range(ds.class_count) if c not in groups]
-    if skipped:
-        logger.warning("centroid bank: %d empty class(es) excluded: %s", len(skipped), skipped)
-    return CentroidBank(
-        centroids=centroids,
-        counts=counts,
-        embed_dim=emb.shape[1],
-        skipped_classes=skipped,
-    )
+    counts = np.bincount(ds.observed_class, minlength=ds.class_count)
+    sums = np.zeros((ds.class_count, emb.shape[1]))
+    np.add.at(sums, ds.observed_class, emb)
+    empty = np.flatnonzero(counts == 0).tolist()
+    if empty:
+        logger.warning("centroid bank: %d empty class(es): %s", len(empty), empty)
+    return CentroidBank(centroids=sums / np.maximum(counts, 1)[:, None], counts=counts)
 
 
 # utt_ids quoted in a degenerate-score warning; the count covers the rest
@@ -106,21 +97,14 @@ def _warn_degenerate(ds: Dataset, bad: np.ndarray, what: str, method: str) -> No
                        ", ..." if len(ids) > _WARN_IDS else "")
 
 
-def intra_inconsistency(model: TrainedModel, ds: Dataset, bank: CentroidBank,
-                        embeddings: np.ndarray | None = None) -> np.ndarray:
+def intra_inconsistency(emb: np.ndarray, ds: Dataset, bank: CentroidBank) -> np.ndarray:
     """1 - cos(embedding, own observed-class centroid), in dataset order.
 
     A zero-norm embedding or centroid yields the maximal score 2.0 with a
     warning rather than failing the run: a degenerate embedding is itself
     maximally inconsistent evidence.
     """
-    emb = embed_dataset(model, ds) if embeddings is None else embeddings
-    if len(ds) == 0:
-        return np.empty(0)
-    # a class missing from the bank gets a zero centroid, hence the maximal score
-    classes, row_class = np.unique(ds.observed_class, return_inverse=True)
-    zero = np.zeros(emb.shape[1])
-    cent = np.stack([bank.centroids.get(c, zero) for c in classes.tolist()])[row_class]
+    cent = bank.centroids[ds.observed_class]
     # sqrt of the row self-dot has the bits of np.linalg.norm on each row
     xn = np.sqrt(row_dot(emb, emb))
     cn = np.sqrt(row_dot(cent, cent))
@@ -175,44 +159,42 @@ class CentroidClassifier:
 def build_centroid_classifier(bank: CentroidBank,
                               temperature: float = DEFAULT_CENTROID_TEMPERATURE
                               ) -> CentroidClassifier:
-    """Manually constructed classifier from class centroids (GE2E path)."""
+    """Manually constructed classifier from class centroids (GE2E path).
+
+    Empty classes are left out, and so, with a warning each, are classes
+    whose centroid has zero norm.
+    """
     if temperature <= 0:
         raise ConfigurationError(f"temperature must be positive, got {temperature}")
-    if not bank.centroids:
+    if not bank.counts.any():
         raise ConfigurationError("centroid bank is empty")
-    ids, rows = [], []
-    for c in sorted(bank.centroids):
-        v = bank.centroids[c]
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            logger.warning("centroid classifier: class %d has zero-norm centroid, excluded", c)
-            continue
-        ids.append(c)
-        rows.append(v / n)
-    if not ids:
+    cent = bank.centroids
+    # the bits of np.linalg.norm and of the division, row by row
+    norms = np.sqrt(row_dot(cent, cent))
+    for c in np.flatnonzero((norms == 0.0) & (bank.counts > 0)).tolist():
+        logger.warning("centroid classifier: class %d has zero-norm centroid, excluded", c)
+    ids = np.flatnonzero(norms != 0.0)
+    if not len(ids):
         raise ConfigurationError("all centroids have zero norm")
-    return CentroidClassifier(class_ids=ids, directions=np.stack(rows), temperature=temperature)
+    return CentroidClassifier(class_ids=ids.tolist(), directions=cent[ids] / norms[ids, None],
+                              temperature=temperature)
 
 
-def make_inter_classifier(model: TrainedModel, ds: Dataset,
-                          temperature: float = DEFAULT_CENTROID_TEMPERATURE,
-                          embeddings: np.ndarray | None = None):
+def make_inter_classifier(model: TrainedModel, emb: np.ndarray, ds: Dataset,
+                          temperature: float = DEFAULT_CENTROID_TEMPERATURE):
     """The inter-class confidence source for a model: parametric for
-    CE/AAM/AAMSC, centroid-built for GE2E."""
+    CE/AAM/AAMSC, built from the centroids of ``emb`` for GE2E."""
     if isinstance(model.loss_config, GE2EConfig):
-        bank = compute_centroids(model, ds, embeddings=embeddings)
-        return build_centroid_classifier(bank, temperature)
+        return build_centroid_classifier(compute_centroids(emb, ds), temperature)
     return ParametricClassifier(model)
 
 
-def inter_inconsistency(model: TrainedModel, ds: Dataset, classifier,
-                        embeddings: np.ndarray | None = None) -> np.ndarray:
+def inter_inconsistency(emb: np.ndarray, ds: Dataset, classifier) -> np.ndarray:
     """1 - confidence in the observed label, in dataset order.
 
     A classifier output that is not a probability vector (a negative
     entry, or a sum away from 1) is an internal error.
     """
-    emb = embed_dataset(model, ds) if embeddings is None else embeddings
     index_of = {c: i for i, c in enumerate(classifier.class_ids)}
     bad = (np.sqrt(row_dot(emb, emb)) == 0.0) | ~np.isin(ds.observed_class, classifier.class_ids)
     _warn_degenerate(ds, bad, "no usable confidence (degenerate embedding or missing class)",
@@ -241,25 +223,24 @@ def rank_and_select(scores: np.ndarray, utt_id: np.ndarray, q: float) -> Detecti
     if not 0.0 <= q <= 100.0:
         raise ConfigurationError(f"q must be in [0, 100], got {q}")
     scores = np.asarray(scores, dtype=np.float64)
-    utt_id = np.asarray(utt_id)
+    utt_id = np.asarray(utt_id, dtype=np.int64)
     if scores.shape != utt_id.shape:
         raise ConfigurationError(
             f"expected one score per utterance ({len(utt_id)}), got {len(scores)}"
         )
-    if q == 0.0:
-        return DetectionResult(predicted_noisy=set(), q_used=q)
     # tiny slack keeps ceil() immune to float round-up on exact multiples
     k = math.ceil(q * len(scores) / 100.0 - 1e-9)
     ranked = np.lexsort((utt_id, -scores))
-    return DetectionResult(predicted_noisy=set(utt_id[ranked[:k]].tolist()), q_used=q)
+    return DetectionResult(predicted_noisy=np.sort(utt_id[ranked[:k]]), q_used=q)
 
 
 def detection_precision(result: DetectionResult, ds: Dataset) -> DetectionResult:
     """Fill in precision (and recall) against the dataset's ground truth."""
-    noisy = ds.noisy_ids()
-    hit = len(result.predicted_noisy & noisy)
-    precision = hit / len(result.predicted_noisy) if result.predicted_noisy else None
-    recall = hit / len(noisy) if noisy else None
+    predicted = np.asarray(result.predicted_noisy, dtype=np.int64)
+    noisy = ds.is_noisy
+    hit = int(np.count_nonzero(noisy[np.isin(ds.utt_id, predicted)]))
+    precision = hit / len(predicted) if len(predicted) else None
+    recall = hit / int(np.count_nonzero(noisy)) if noisy.any() else None
     return replace(result, precision=precision, recall=recall)
 
 
@@ -309,7 +290,7 @@ def write_detection_json(result: DetectionResult, method: str, seed: int,
         "recall": result.recall,
         "seed": seed,
         "config_digest": config_digest,
-        "predicted_noisy": sorted(result.predicted_noisy),
+        "predicted_noisy": result.predicted_noisy.tolist(),
     }
     write_json17(payload, path)
 

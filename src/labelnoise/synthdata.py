@@ -24,6 +24,7 @@ import re
 from array import array
 from dataclasses import dataclass, replace
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +72,20 @@ class NoiseSpec:
     @staticmethod
     def from_dict(d: dict) -> "NoiseSpec":
         return NoiseSpec(kind=d["kind"], level_q=float(d["level_q"]), seed=int(d["seed"]))
+
+
+class ClassTable(NamedTuple):
+    """Observed classes and their members, from ``Dataset.class_table``.
+
+    ``labels`` are the kept classes in ascending order; the members of
+    ``labels[i]`` are ``flat[starts[i]:starts[i] + sizes[i]]`` (dataset
+    positions, in dataset order).
+    """
+
+    labels: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    flat: np.ndarray
 
 
 @dataclass(eq=False)
@@ -133,14 +148,14 @@ class Dataset:
     def is_clean(self) -> bool:
         return self.provenance == "clean" and not self.is_noisy.any()
 
-    def noisy_ids(self) -> set[int]:
-        return set(self.utt_id[self.is_noisy].tolist())
-
-    def ids_by_observed_class(self) -> dict[int, np.ndarray]:
-        """Observed class -> positions (not utt_ids) of its members, in order."""
-        order = np.argsort(self.observed_class, kind="stable")
-        classes, starts = np.unique(self.observed_class[order], return_index=True)
-        return dict(zip(classes.tolist(), np.split(order, starts[1:])))
+    def class_table(self, min_members: int = 1) -> "ClassTable":
+        """Dataset positions grouped by observed class, keeping the classes
+        with at least ``min_members`` members."""
+        flat = np.argsort(self.observed_class, kind="stable")
+        labels, starts, sizes = np.unique(self.observed_class[flat], return_index=True,
+                                          return_counts=True)
+        keep = sizes >= min_members
+        return ClassTable(labels[keep].astype(np.intp), sizes[keep], starts[keep], flat)
 
     def subset(self, rows) -> "Dataset":
         """The rows selected by a boolean mask or index array, same metadata."""

@@ -19,12 +19,16 @@ gradient included, is the one whose weight and bias gradients
 ``mlp_backward`` must reproduce. The one-call-per-operation confidences
 and inter-class loop are the forms whose bits ``classify_confidence``,
 ``CentroidClassifier.confidences`` and ``inter_inconsistency`` must
-reproduce.
+reproduce. The dict-keyed centroid bank, intra-class score and centroid
+classifier are the per-class forms whose bits the array bank must
+reproduce. ``read_trials_csv`` reads back what ``write_trials_csv``
+writes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import logging
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -33,7 +37,14 @@ from pathlib import Path
 import numpy as np
 
 from labelnoise.embedder import AdamState, MlpParams, TrainConfig, _first_non_finite
-from labelnoise.errors import ConfigurationError, DivergenceError, DomainError, LabelNoiseError
+from labelnoise.errors import (
+    ConfigurationError,
+    DivergenceError,
+    DomainError,
+    LabelNoiseError,
+    ParseError,
+)
+from labelnoise.evaluation import Trials
 from labelnoise.losses import (
     AAMConfig,
     AAMSCConfig,
@@ -44,10 +55,12 @@ from labelnoise.losses import (
     LossOutput,
     nsl_config,
 )
-from labelnoise.nld import METHOD_INTER, METHOD_INTRA
-from labelnoise.numerics import log_sum_exp, softmax
+from labelnoise.nld import METHOD_INTER, METHOD_INTRA, CentroidClassifier
+from labelnoise.numerics import log_sum_exp, row_dot, softmax
 from labelnoise.seeding import derive_seed, named_rng
 from labelnoise.synthdata import DEFAULT_WITHIN_CLASS_SPREAD, Dataset, NoiseSpec
+
+logger = logging.getLogger(__name__)
 
 
 def brute_centroids(embeddings, observed):
@@ -281,6 +294,13 @@ def per_class_sample_positions(
     return positions, labels
 
 
+def ids_by_observed_class(ds: Dataset) -> dict[int, np.ndarray]:
+    """Observed class -> positions (not utt_ids) of its members, in order."""
+    order = np.argsort(ds.observed_class, kind="stable")
+    classes, starts = np.unique(ds.observed_class[order], return_index=True)
+    return dict(zip(classes.tolist(), np.split(order, starts[1:])))
+
+
 @dataclass(frozen=True)
 class Trial:
     enroll_utt_id: int
@@ -304,7 +324,7 @@ def scalar_generate_trials(ds: Dataset, pairs_per_kind: int, seed: int) -> list[
 
     # same-class pairs (enroll < test), class by class in ascending order
     enroll, test = [], []
-    for pos in ds.ids_by_observed_class().values():
+    for pos in ids_by_observed_class(ds).values():
         members = np.sort(ds.utt_id[pos])
         i, j = np.triu_indices(len(members), 1)
         enroll.append(members[i])
@@ -859,3 +879,109 @@ def plain_inter_inconsistency(embeddings: np.ndarray, observed: np.ndarray,
             raise AssertionError(f"not a probability vector (sum {total!r}, min {lowest!r})")
         scores[i] = 1.0 - float(p[index_of[int(observed[i])]])
     return scores
+
+
+def read_trials_csv(path) -> Trials:
+    """The trials in a CSV written by ``evaluation.write_trials_csv``."""
+    enrolls: list[int] = []
+    tests: list[int] = []
+    targets: list[bool] = []
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().rstrip("\n")
+        if header != "enroll_id,test_id,is_target":
+            raise ParseError(f"{path}: unexpected trials header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != 3 or parts[2] not in ("true", "false"):
+                raise ParseError(f"{path}:{lineno}: malformed trial row {line!r}")
+            try:
+                enroll, test = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-integer utterance id") from exc
+            if not (-2**63 <= enroll < 2**63 and -2**63 <= test < 2**63):
+                raise ParseError(f"{path}:{lineno}: utterance id outside the 64-bit range")
+            enrolls.append(enroll)
+            tests.append(test)
+            targets.append(parts[2] == "true")
+    return Trials(enrolls, tests, targets)
+
+
+# ----------------------------------------------------------------------
+# The centroid bank as dicts keyed by class: ``compute_centroids``,
+# ``intra_inconsistency`` and ``build_centroid_classifier`` as they were
+# before the bank became a (class_count, d) array. The bodies are kept as
+# they were; the embeddings are a required argument, the grouping is
+# ``ids_by_observed_class`` above, and the degenerate-score warning is
+# left out.
+
+
+@dataclass
+class DictCentroidBank:
+    """Mean embedding and member count per observed class."""
+
+    centroids: dict[int, np.ndarray]
+    counts: dict[int, int]
+    embed_dim: int
+    skipped_classes: list[int]
+
+
+def dict_compute_centroids(emb: np.ndarray, ds: Dataset) -> DictCentroidBank:
+    """Arithmetic mean of embeddings per observed class, noisy ones included.
+
+    Classes with no utterances are excluded and recorded in
+    ``skipped_classes``.
+    """
+    groups = ids_by_observed_class(ds)
+    centroids: dict[int, np.ndarray] = {}
+    counts: dict[int, int] = {}
+    for c in sorted(groups):
+        pos = groups[c]
+        centroids[c] = emb[pos].mean(axis=0)
+        counts[c] = len(pos)
+    skipped = [c for c in range(ds.class_count) if c not in groups]
+    if skipped:
+        logger.warning("centroid bank: %d empty class(es) excluded: %s", len(skipped), skipped)
+    return DictCentroidBank(
+        centroids=centroids,
+        counts=counts,
+        embed_dim=emb.shape[1],
+        skipped_classes=skipped,
+    )
+
+
+def dict_intra_inconsistency(emb: np.ndarray, ds: Dataset, bank: DictCentroidBank) -> np.ndarray:
+    """1 - cos(embedding, own observed-class centroid), in dataset order."""
+    if len(ds) == 0:
+        return np.empty(0)
+    # a class missing from the bank gets a zero centroid, hence the maximal score
+    classes, row_class = np.unique(ds.observed_class, return_inverse=True)
+    zero = np.zeros(emb.shape[1])
+    cent = np.stack([bank.centroids.get(c, zero) for c in classes.tolist()])[row_class]
+    # sqrt of the row self-dot has the bits of np.linalg.norm on each row
+    xn = np.sqrt(row_dot(emb, emb))
+    cn = np.sqrt(row_dot(cent, cent))
+    bad = (xn == 0.0) | (cn == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = row_dot(emb, cent) / (xn * cn)
+    return np.where(bad, 2.0, 1.0 - np.clip(cos, -1.0, 1.0))
+
+
+def dict_build_centroid_classifier(bank: DictCentroidBank,
+                                   temperature: float) -> CentroidClassifier:
+    """Manually constructed classifier from class centroids (GE2E path)."""
+    if temperature <= 0:
+        raise ConfigurationError(f"temperature must be positive, got {temperature}")
+    if not bank.centroids:
+        raise ConfigurationError("centroid bank is empty")
+    ids, rows = [], []
+    for c in sorted(bank.centroids):
+        v = bank.centroids[c]
+        n = np.linalg.norm(v)
+        if n == 0.0:
+            logger.warning("centroid classifier: class %d has zero-norm centroid, excluded", c)
+            continue
+        ids.append(c)
+        rows.append(v / n)
+    if not ids:
+        raise ConfigurationError("all centroids have zero norm")
+    return CentroidClassifier(class_ids=ids, directions=np.stack(rows), temperature=temperature)

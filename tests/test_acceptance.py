@@ -237,19 +237,18 @@ def test_criterion_2_scores_match_brute_force_oracles():
                                classifier=ClassifierParams(weight=weight, bias=bias))
         emb = embed_dataset(model, ds)
 
-        bank = compute_centroids(model, ds, embeddings=emb)
+        bank = compute_centroids(emb, ds)
         ref_cent, ref_counts = brute_centroids(feats.tolist(), observed)
-        assert bank.counts == ref_counts
+        assert bank.counts.tolist() == [ref_counts.get(c, 0) for c in range(class_count)]
         for c_id, row in ref_cent.items():
             worst_real = max(worst_real,
                              float(np.max(np.abs(bank.centroids[c_id] - np.asarray(row)))))
 
-        intra = intra_inconsistency(model, ds, bank, embeddings=emb)
-        ref_intra = brute_intra(feats.tolist(), observed,
-                                {c: v.tolist() for c, v in bank.centroids.items()})
+        intra = intra_inconsistency(emb, ds, bank)
+        ref_intra = brute_intra(feats.tolist(), observed, dict(enumerate(bank.centroids.tolist())))
         worst_real = max(worst_real, float(np.max(np.abs(intra - np.asarray(ref_intra)))))
 
-        inter = inter_inconsistency(model, ds, ParametricClassifier(model), embeddings=emb)
+        inter = inter_inconsistency(emb, ds, ParametricClassifier(model))
         probs = []
         for row in feats:
             logits = [sum(weight[c][j] * row[j] for j in range(dim)) + bias[c]
@@ -264,12 +263,14 @@ def test_criterion_2_scores_match_brute_force_oracles():
         for values in (inter.tolist(), [round(v, 2) for v in inter.tolist()]):
             for q in (7.5, 20.0, 33.34, 50.0, 100.0):
                 got = rank_and_select(np.asarray(values), np.arange(n), q).predicted_noisy
-                sets_ok = sets_ok and got == brute_top_q_percent(range(n), values, q)
+                sets_ok = sets_ok and got.tolist() == sorted(brute_top_q_percent(range(n),
+                                                                                 values, q))
 
-        predicted = set(rng.choice(n, size=max(2, n // 4), replace=False).tolist())
+        predicted = np.sort(rng.choice(n, size=max(2, n // 4), replace=False))
         filled = detection_precision(
             DetectionResult(predicted_noisy=predicted, q_used=25.0), ds)
-        ref_p, ref_r = brute_precision_recall(predicted, ds.noisy_ids())
+        ref_p, ref_r = brute_precision_recall(predicted.tolist(),
+                                              ds.utt_id[ds.is_noisy].tolist())
         sets_ok = sets_ok and filled.precision == ref_p and filled.recall == ref_r
 
     ok = worst_real <= 1e-12 and sets_ok
@@ -343,11 +344,9 @@ def _detect(seed, loss, kind, q, method):
     ds = _noised(seed, kind, q)
     emb = embed_dataset(model, ds)
     if method == "intra":
-        bank = compute_centroids(model, ds, embeddings=emb)
-        scores = intra_inconsistency(model, ds, bank, embeddings=emb)
+        scores = intra_inconsistency(emb, ds, compute_centroids(emb, ds))
     else:
-        clf = make_inter_classifier(model, ds, embeddings=emb)
-        scores = inter_inconsistency(model, ds, clf, embeddings=emb)
+        scores = inter_inconsistency(emb, ds, make_inter_classifier(model, emb, ds))
     result = detection_precision(rank_and_select(scores, ds.utt_id, q), ds)
     return result, scores
 

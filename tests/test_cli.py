@@ -8,6 +8,7 @@ import logging
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -419,6 +420,35 @@ def test_seed_flag_selects_a_single_seed(pipeline, tmp_path):
                  "--out", str(tmp_path / "run"), "--seed", "7", "--quiet"]) == 0
     assert (tmp_path / "run" / "seed_7").is_dir()
     assert not (tmp_path / "run" / "seed_1").exists()
+
+
+def test_negative_seed_flag_exits_one_and_writes_nothing(pipeline, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(pipeline.cfg_path), "--out", str(out),
+                 "--seed", "-1", "--quiet"]) == 1
+    assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_retrain_refuses_predicted_ids_outside_int64(pipeline, tmp_path, capsys):
+    sdir = tmp_path / "run" / "seed_1"
+    sdir.mkdir(parents=True)
+    for name in ("noisy.jsonl", "heldout.jsonl", "model.json"):
+        shutil.copy(pipeline.sdir / name, sdir)
+    det = json.loads((pipeline.sdir / "detection_inter.json").read_text())
+    det_path = tmp_path / "detection.json"
+    argv = ["retrain", "--config", str(pipeline.cfg_path), "--out", str(tmp_path / "run"),
+            "--detection", str(det_path), "--quiet"]
+    for bad in (2**70, 2**63, -2**63 - 1):
+        det_path.write_text(json.dumps({**det, "predicted_noisy": [0, bad]}))
+        assert main(argv) == 1
+        assert (f"error: detection file {det_path}: predicted_noisy id {bad} is outside "
+                "the 64-bit range") in capsys.readouterr().err
+        assert not (sdir / "retrain.json").exists()
+    # a repeated id is removed once; an in-range id absent from the dataset is ignored
+    det_path.write_text(json.dumps({**det, "predicted_noisy": [0, 0, 2**63 - 1]}))
+    assert main(argv) == 0
+    assert json.loads((sdir / "retrain.json").read_text())["removed_count"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from labelnoise.embedder import (
     MlpParams,
     TrainConfig,
     adam_step,
-    _class_table,
     _sample_positions,
     easy_margin_boundary,
     embed_batch,
@@ -37,10 +36,11 @@ from labelnoise.evaluation import remove_predicted
 from labelnoise.jsonutil import dump_json17
 from labelnoise.losses import AAMConfig, AAMSCConfig, CEConfig, GE2EConfig, nsl_config
 from labelnoise.seeding import named_rng
-from labelnoise.synthdata import generate_dataset
+from labelnoise.synthdata import Dataset, generate_dataset
 from oracles import (
     BlockAdamState,
     block_adam_step,
+    ids_by_observed_class,
     per_class_sample_positions,
     plain_aam_loss,
     plain_aamsc_loss,
@@ -261,7 +261,7 @@ def small_ds(class_count=4, per_class=5, seed=0):
 
 def sample(ds, n_speakers, m_utts, rng):
     """The batch draw ``train`` makes: (N, M) positions and N labels."""
-    return _sample_positions(_class_table(ds.observed_class, m_utts), n_speakers, m_utts, rng)
+    return _sample_positions(ds.class_table(m_utts), n_speakers, m_utts, rng)
 
 
 def test_sample_batch_exhaustive_when_n_equals_c():
@@ -317,16 +317,16 @@ def ragged_ds():
     keep = np.flatnonzero(full.utt_id % 60 < full.true_class + 1)
     ds = full.subset(named_rng(4, "shuffle").permutation(keep))
     emptied = np.isin(ds.observed_class, [5, 17, 42])
-    return remove_predicted(ds, set(ds.utt_id[emptied].tolist()))
+    return remove_predicted(ds, ds.utt_id[emptied])
 
 
 @pytest.mark.parametrize("m_utts", [1, 2, 3, 4, 8])
 def test_class_table_sampler_matches_per_class_draws_bit_for_bit(m_utts):
     ds = ragged_ds()
-    groups = ds.ids_by_observed_class()
+    groups = ids_by_observed_class(ds)
     assert sorted(len(g) for g in groups.values()) == sorted(
         set(range(1, 61)) - {6, 18, 43})
-    table = _class_table(ds.observed_class, m_utts)
+    table = ds.class_table(m_utts)
     eligible = len(table.labels)
     assert eligible == sum(len(g) >= m_utts for g in groups.values())
     for n_speakers in (1, 7, eligible):
@@ -348,7 +348,10 @@ def test_class_table_sampler_matches_per_class_draws_with_a_20000_member_class()
     observed = np.concatenate([np.zeros(20000, dtype=np.int64), np.repeat([1, 2, 3], 5)])
     observed = observed[named_rng(5, "shuffle").permutation(len(observed))]
     groups = {c: np.flatnonzero(observed == c) for c in range(4)}
-    table = _class_table(observed, 4)
+    n = len(observed)
+    table = Dataset(features=np.zeros((n, 1)), utt_id=np.arange(n), true_class=observed,
+                    observed_class=observed, is_ood=np.zeros(n, dtype=bool), class_count=4,
+                    feature_dim=1).class_table(4)
     rng, ref = named_rng(6, "batches"), named_rng(6, "batches")
     for _ in range(200):
         positions, labels = _sample_positions(table, 2, 4, rng)

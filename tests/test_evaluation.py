@@ -15,7 +15,6 @@ from labelnoise.evaluation import (
     compute_eer,
     evaluate_model,
     generate_trials,
-    read_trials_csv,
     remove_predicted,
     retrain_after_removal,
     score_trials,
@@ -26,7 +25,12 @@ from labelnoise.evaluation import (
 from labelnoise.jsonutil import dump_json17
 from labelnoise.losses import CEConfig
 from labelnoise.synthdata import Dataset, generate_dataset
-from oracles import brute_eer_midpoint, cosine_similarity, scalar_generate_trials
+from oracles import (
+    brute_eer_midpoint,
+    cosine_similarity,
+    read_trials_csv,
+    scalar_generate_trials,
+)
 
 
 # ----------------------------------------------------------------------
@@ -261,19 +265,30 @@ def test_evaluate_model_end_to_end_separable():
 
 def test_remove_predicted_filters_by_utt_id():
     ds = small_clean()
-    kept = remove_predicted(ds, {0, 5})
+    kept = remove_predicted(ds, np.array([0, 5]))
     assert len(kept) == len(ds) - 2
     assert set(kept.utt_id.tolist()) == set(range(len(ds))) - {0, 5}
     assert kept.class_count == ds.class_count
     assert kept.feature_dim == ds.feature_dim
-    # unknown ids are a no-op
-    assert len(remove_predicted(ds, {999})) == len(ds)
+    # unknown ids are a no-op, and so is a repeated id's second copy
+    assert len(remove_predicted(ds, [999])) == len(ds)
+    assert len(remove_predicted(ds, [5, 5])) == len(ds) - 1
+
+
+def test_remove_predicted_refuses_a_set():
+    # np.isin treats a set as one object and would match nothing
+    ds = small_clean()
+    with pytest.raises(TypeError):
+        remove_predicted(ds, {0, 5})
+    ds, heldout, trials, cfg = retrain_fixture()
+    with pytest.raises(TypeError):
+        retrain_after_removal(ds, {0}, cfg, heldout, trials)
 
 
 def test_remove_predicted_refuses_empty_result():
     ds = make_dataset(np.eye(2), [0, 1])
     with pytest.raises(ConfigurationError, match="empty"):
-        remove_predicted(ds, {0, 1})
+        remove_predicted(ds, [0, 1])
 
 
 def retrain_fixture(seed=3):
@@ -288,7 +303,7 @@ def retrain_fixture(seed=3):
 
 def test_retrain_with_nothing_removed_reproduces_the_model():
     ds, heldout, trials, cfg = retrain_fixture()
-    outcome = retrain_after_removal(ds, set(), cfg, heldout, trials)
+    outcome = retrain_after_removal(ds, np.empty(0, dtype=np.int64), cfg, heldout, trials)
     assert outcome.removed_count == 0
     assert outcome.dropped_classes == []
     assert outcome.before.eer == outcome.after.eer
@@ -299,7 +314,7 @@ def test_retrain_with_nothing_removed_reproduces_the_model():
 def test_retrain_reuses_supplied_before_model():
     ds, heldout, trials, cfg = retrain_fixture()
     model, _ = train(ds, cfg)
-    outcome = retrain_after_removal(ds, {0}, cfg, heldout, trials, before_model=model)
+    outcome = retrain_after_removal(ds, [0], cfg, heldout, trials, before_model=model)
     assert outcome.before_model is model
     assert outcome.before == evaluate_model(model, heldout, trials)
     assert outcome.removed_count == 1
@@ -307,7 +322,7 @@ def test_retrain_reuses_supplied_before_model():
 
 def test_retrain_clamps_batch_when_removal_empties_a_class(caplog):
     ds, heldout, trials, cfg = retrain_fixture()
-    class_zero = set(ds.utt_id[ds.observed_class == 0].tolist())
+    class_zero = ds.utt_id[ds.observed_class == 0]
     with caplog.at_level("WARNING"):
         outcome = retrain_after_removal(ds, class_zero, cfg, heldout, trials)
     assert outcome.removed_count == len(class_zero)
@@ -362,7 +377,7 @@ def test_write_eer_json(tmp_path):
 
 def test_write_retrain_json(tmp_path):
     ds, heldout, trials, cfg = retrain_fixture()
-    outcome = retrain_after_removal(ds, {1, 2}, cfg, heldout, trials)
+    outcome = retrain_after_removal(ds, [1, 2], cfg, heldout, trials)
     path = tmp_path / "retrain.json"
     write_retrain_json(outcome, method="inter", seed=9, config_digest="c0ffee", path=path)
     payload = json.loads(path.read_text())

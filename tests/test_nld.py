@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from labelnoise.nld import (
     build_centroid_classifier,
     compute_centroids,
     detection_precision,
-    embed_dataset,
     export_score_histogram,
     inter_inconsistency,
     intra_inconsistency,
@@ -37,6 +37,7 @@ from labelnoise.nld import (
     write_histogram_csv,
     write_scores_csv,
 )
+from labelnoise.synthdata import Dataset
 from oracles import (
     brute_centroids,
     brute_histogram,
@@ -45,6 +46,9 @@ from oracles import (
     brute_precision_recall,
     brute_top_q_percent,
     cosine_similarity,
+    dict_build_centroid_classifier,
+    dict_compute_centroids,
+    dict_intra_inconsistency,
     plain_centroid_confidences,
     plain_classify_confidence,
     plain_inter_inconsistency,
@@ -68,30 +72,18 @@ class StubClassifier:
 
 def test_compute_centroids_mean_of_two():
     ds = make_dataset([[1.0, 0.0], [0.0, 1.0]], [0, 0])
-    bank = compute_centroids(identity_model(2), ds)
-    np.testing.assert_array_equal(bank.centroids[0], [0.5, 0.5])
-    assert bank.counts == {0: 2}
-    assert bank.embed_dim == 2
-    assert bank.skipped_classes == []
+    bank = compute_centroids(ds.features, ds)
+    assert bank.centroids.tolist() == [[0.5, 0.5]]
+    assert bank.counts.tolist() == [2]
 
 
-def test_compute_centroids_skips_empty_classes(caplog):
+def test_compute_centroids_gives_empty_classes_zero_rows(caplog):
     ds = make_dataset([[1.0, 0.0], [0.0, 1.0]], [0, 0], class_count=3)
     with caplog.at_level("WARNING"):
-        bank = compute_centroids(identity_model(2), ds)
-    assert bank.skipped_classes == [1, 2]
-    assert 1 not in bank.centroids
-    assert "empty class" in caplog.text
-
-
-def test_compute_centroids_accepts_precomputed_embeddings():
-    ds = make_dataset([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [0, 1, 0])
-    model = identity_model(2)
-    emb = embed_dataset(model, ds)
-    a = compute_centroids(model, ds)
-    b = compute_centroids(model, ds, embeddings=emb)
-    for c in a.centroids:
-        np.testing.assert_array_equal(a.centroids[c], b.centroids[c])
+        bank = compute_centroids(ds.features, ds)
+    assert bank.centroids.tolist() == [[0.5, 0.5], [0.0, 0.0], [0.0, 0.0]]
+    assert bank.counts.tolist() == [2, 0, 0]
+    assert "2 empty class(es): [1, 2]" in caplog.text
 
 
 def test_compute_centroids_matches_brute_force():
@@ -99,11 +91,66 @@ def test_compute_centroids_matches_brute_force():
     feats = rng.standard_normal((40, 5))
     observed = rng.integers(0, 6, size=40).tolist()
     ds = make_dataset(feats, observed, class_count=6)
-    bank = compute_centroids(identity_model(5), ds)
+    bank = compute_centroids(ds.features, ds)
     ref, ref_counts = brute_centroids(feats.tolist(), observed)
-    assert bank.counts == ref_counts
+    assert bank.counts.tolist() == [ref_counts.get(c, 0) for c in range(6)]
     for c, row in ref.items():
         np.testing.assert_allclose(bank.centroids[c], row, rtol=0, atol=1e-12)
+
+
+def _bank_cases():
+    """(embeddings, dataset) pairs the array bank must treat as the dict
+    bank does: random rows with empty classes, zero-norm rows and a class
+    of x and -x (a zero-norm centroid), classes of signed zeros, and an
+    empty dataset."""
+    rng = np.random.default_rng(13)
+    for n, d, classes in ((300, 16, 9), (2000, 32, 40), (7, 3, 12)):
+        emb = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, (n, 1))
+        observed = rng.integers(0, classes, size=n)
+        observed[np.isin(observed, [2, classes - 1])] = 0  # two empty classes
+        emb[rng.choice(n, size=min(n, 5), replace=False)] = 0.0
+        members = np.flatnonzero(observed == 1)
+        half = len(members) // 2
+        emb[members[half:2 * half]] = -emb[members[:half]]
+        emb[members[2 * half:]] = 0.0
+        yield emb, make_dataset(emb, observed.tolist(), class_count=classes)
+    # signed zeros: all -0.0, -0.0 next to +0.0, a lone -0.0 row, -0.0 in mixed rows
+    emb = np.array([[-0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0],
+                    [-0.0, 1.5], [-0.0, -2.0]])
+    yield emb, make_dataset(emb, [0, 0, 1, 1, 2, 3, 3], class_count=5)
+    yield np.empty((0, 3)), Dataset(features=np.empty((0, 3)), utt_id=[], true_class=[],
+                                    observed_class=[], is_ood=[], class_count=3,
+                                    feature_dim=3)
+
+
+def test_array_bank_has_the_bits_of_the_dict_bank():
+    for emb, ds in _bank_cases():
+        bank = compute_centroids(emb, ds)
+        ref = dict_compute_centroids(emb, ds)
+        assert bank.centroids.shape == (ds.class_count, emb.shape[1])
+        assert bank.counts.tolist() == [ref.counts.get(c, 0) for c in range(ds.class_count)]
+        for c in range(ds.class_count):
+            want = ref.centroids.get(c, np.zeros(emb.shape[1]))
+            assert bank.centroids[c].tobytes() == want.tobytes(), c
+        assert np.flatnonzero(bank.counts == 0).tolist() == ref.skipped_classes
+        got = intra_inconsistency(emb, ds, bank)
+        assert got.dtype == np.float64
+        assert got.tobytes() == dict_intra_inconsistency(emb, ds, ref).tobytes()
+
+
+@pytest.mark.parametrize("temperature", [0.1, 1.0])
+def test_array_centroid_classifier_has_the_bits_of_the_dict_one(temperature):
+    for emb, ds in _bank_cases():
+        bank, ref = compute_centroids(emb, ds), dict_compute_centroids(emb, ds)
+        try:
+            want = dict_build_centroid_classifier(ref, temperature)
+        except ConfigurationError as exc:
+            with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
+                build_centroid_classifier(bank, temperature)
+            continue
+        clf = build_centroid_classifier(bank, temperature)
+        assert clf.class_ids == want.class_ids
+        assert clf._directions.tobytes() == want._directions.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -112,29 +159,26 @@ def test_compute_centroids_matches_brute_force():
 
 def test_intra_aligned_orthogonal_antipodal():
     ds = make_dataset([[2.0, 0.0], [0.0, 3.0], [-1.0, 0.0]], [0, 0, 0])
-    bank = CentroidBank(centroids={0: np.array([1.0, 0.0])}, counts={0: 3},
-                        embed_dim=2, skipped_classes=[])
-    got = intra_inconsistency(identity_model(2), ds, bank)
+    bank = CentroidBank(centroids=np.array([[1.0, 0.0]]), counts=np.array([3]))
+    got = intra_inconsistency(ds.features, ds, bank)
     assert got.dtype == np.float64
     assert got.tolist() == [0.0, 1.0, 2.0]
 
 
 def test_intra_zero_norm_embedding_scores_maximal(caplog):
     ds = make_dataset([[0.0, 0.0], [1.0, 0.0]], [0, 0])
-    bank = CentroidBank(centroids={0: np.array([1.0, 0.0])}, counts={0: 2},
-                        embed_dim=2, skipped_classes=[])
+    bank = CentroidBank(centroids=np.array([[1.0, 0.0]]), counts=np.array([2]))
     with caplog.at_level("WARNING"):
-        got = intra_inconsistency(identity_model(2), ds, bank)
+        got = intra_inconsistency(ds.features, ds, bank)
     assert got.tolist() == [2.0, 0.0]
     assert "degenerate" in caplog.text
 
 
 def test_degenerate_scores_log_one_warning_with_count_and_first_ids(caplog):
     ds = make_dataset(np.zeros((8, 2)), [0] * 8)
-    bank = CentroidBank(centroids={0: np.array([1.0, 0.0])}, counts={0: 8},
-                        embed_dim=2, skipped_classes=[])
+    bank = CentroidBank(centroids=np.array([[1.0, 0.0]]), counts=np.array([8]))
     with caplog.at_level("WARNING"):
-        got = intra_inconsistency(identity_model(2), ds, bank)
+        got = intra_inconsistency(ds.features, ds, bank)
     assert got.tolist() == [2.0] * 8
     assert [r.getMessage() for r in caplog.records] == [
         "8 utterance(s): degenerate embedding/centroid, assigning maximal intra-class score "
@@ -142,11 +186,11 @@ def test_degenerate_scores_log_one_warning_with_count_and_first_ids(caplog):
 
 
 def test_intra_missing_class_and_zero_centroid_score_maximal(caplog):
+    # class 0 has no members in the bank: its row is zero
     ds = make_dataset([[1.0, 0.0], [1.0, 0.0]], [0, 1])
-    bank = CentroidBank(centroids={1: np.zeros(2)}, counts={1: 1},
-                        embed_dim=2, skipped_classes=[0])
+    bank = CentroidBank(centroids=np.zeros((2, 2)), counts=np.array([0, 1]))
     with caplog.at_level("WARNING"):
-        got = intra_inconsistency(identity_model(2), ds, bank)
+        got = intra_inconsistency(ds.features, ds, bank)
     assert got.tolist() == [2.0, 2.0]
 
 
@@ -155,11 +199,9 @@ def test_intra_matches_brute_force():
     feats = rng.standard_normal((30, 4))
     observed = rng.integers(0, 4, size=30).tolist()
     ds = make_dataset(feats, observed, class_count=4)
-    model = identity_model(4)
-    bank = compute_centroids(model, ds)
-    got = intra_inconsistency(model, ds, bank)
-    ref = brute_intra(feats.tolist(), observed,
-                      {c: v.tolist() for c, v in bank.centroids.items()})
+    bank = compute_centroids(ds.features, ds)
+    got = intra_inconsistency(ds.features, ds, bank)
+    ref = brute_intra(feats.tolist(), observed, dict(enumerate(bank.centroids.tolist())))
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
     assert all(0.0 <= s <= 2.0 for s in got)
 
@@ -170,9 +212,8 @@ def test_intra_has_the_bits_of_per_row_cosine():
     feats = rng.standard_normal((200, 32))
     observed = rng.integers(0, 7, size=200).tolist()
     ds = make_dataset(feats, observed, class_count=7)
-    model = identity_model(32)
-    bank = compute_centroids(model, ds)
-    got = intra_inconsistency(model, ds, bank)
+    bank = compute_centroids(ds.features, ds)
+    got = intra_inconsistency(ds.features, ds, bank)
     ref = [1.0 - cosine_similarity(x, bank.centroids[c]) for x, c in zip(feats, observed)]
     assert got.tolist() == ref
 
@@ -245,8 +286,7 @@ def test_centroid_classifier_zero_norm_input_rejected():
 
 
 def test_build_centroid_classifier_normalizes_directions():
-    bank = CentroidBank(centroids={0: np.array([2.0, 0.0]), 1: np.array([0.0, 5.0])},
-                        counts={0: 1, 1: 1}, embed_dim=2, skipped_classes=[])
+    bank = CentroidBank(centroids=np.array([[2.0, 0.0], [0.0, 5.0]]), counts=np.array([1, 1]))
     clf = build_centroid_classifier(bank, temperature=1.0)
     assert clf.class_ids == [0, 1]
     p = clf.confidences(np.array([1.0, 0.0]))
@@ -255,24 +295,25 @@ def test_build_centroid_classifier_normalizes_directions():
 
 
 def test_build_centroid_classifier_excludes_zero_norm_centroids(caplog):
-    bank = CentroidBank(centroids={0: np.zeros(2), 1: np.array([0.0, 1.0])},
-                        counts={0: 1, 1: 1}, embed_dim=2, skipped_classes=[])
+    bank = CentroidBank(centroids=np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+                        counts=np.array([1, 1, 0]))
     with caplog.at_level("WARNING"):
         clf = build_centroid_classifier(bank, temperature=1.0)
     assert clf.class_ids == [1]
-    assert "zero-norm centroid" in caplog.text
+    # an empty class is left out without a warning of its own
+    assert [r.getMessage() for r in caplog.records] == [
+        "centroid classifier: class 0 has zero-norm centroid, excluded"]
 
 
 def test_build_centroid_classifier_rejects_degenerate_banks():
-    empty = CentroidBank(centroids={}, counts={}, embed_dim=2, skipped_classes=[])
-    with pytest.raises(ConfigurationError, match="empty"):
-        build_centroid_classifier(empty)
-    all_zero = CentroidBank(centroids={0: np.zeros(2)}, counts={0: 1},
-                            embed_dim=2, skipped_classes=[])
+    for empty in (CentroidBank(centroids=np.zeros((0, 2)), counts=np.zeros(0, dtype=np.int64)),
+                  CentroidBank(centroids=np.zeros((2, 2)), counts=np.array([0, 0]))):
+        with pytest.raises(ConfigurationError, match="empty"):
+            build_centroid_classifier(empty)
+    all_zero = CentroidBank(centroids=np.zeros((1, 2)), counts=np.array([1]))
     with pytest.raises(ConfigurationError, match="zero norm"):
         build_centroid_classifier(all_zero)
-    ok = CentroidBank(centroids={0: np.array([1.0, 0.0])}, counts={0: 1},
-                      embed_dim=2, skipped_classes=[])
+    ok = CentroidBank(centroids=np.array([[1.0, 0.0]]), counts=np.array([1]))
     with pytest.raises(ConfigurationError, match="temperature"):
         build_centroid_classifier(ok, temperature=0.0)
 
@@ -280,9 +321,9 @@ def test_build_centroid_classifier_rejects_degenerate_banks():
 def test_make_inter_classifier_picks_route_by_loss():
     ds = make_dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1])
     ce_model = identity_model(2)
-    assert isinstance(make_inter_classifier(ce_model, ds), ParametricClassifier)
+    assert isinstance(make_inter_classifier(ce_model, ds.features, ds), ParametricClassifier)
     ge2e_model = identity_model(2, loss_cfg=GE2EConfig())
-    clf = make_inter_classifier(ge2e_model, ds)
+    clf = make_inter_classifier(ge2e_model, ds.features, ds)
     assert isinstance(clf, CentroidClassifier)
     # default temperature 0.1 sharpens the cosine gap [1, 0] to logits [10, 0]
     p = clf.confidences(np.array([1.0, 0.0]))
@@ -387,7 +428,7 @@ def test_inter_parametric_has_the_bits_of_the_plain_loop(loss_cfg):
     params = ClassifierParams(weight=weight,
                               bias=rng.normal(size=_CLASSES) if loss_cfg.kind == "ce" else None)
     model = identity_model(_DIM, loss_cfg=loss_cfg, classifier=params)
-    got = inter_inconsistency(model, ds, ParametricClassifier(model))
+    got = inter_inconsistency(ds.features, ds, ParametricClassifier(model))
     want = plain_inter_inconsistency(feats, ds.observed_class, list(range(_CLASSES)),
                                      lambda x: plain_classify_confidence(x, params, loss_cfg))
     assert got.tobytes() == want.tobytes()
@@ -400,10 +441,10 @@ def test_inter_centroid_has_the_bits_of_the_plain_loop(temperature):
     feats, observed = _dataset_with_degenerate_rows(rng)
     ds = make_dataset(feats, observed, class_count=_CLASSES + 1)
     model = identity_model(_DIM, loss_cfg=GE2EConfig())
-    clf = make_inter_classifier(model, ds, temperature=temperature)
-    got = inter_inconsistency(model, ds, clf)
+    clf = make_inter_classifier(model, ds.features, ds, temperature=temperature)
+    got = inter_inconsistency(ds.features, ds, clf)
     assert 4 not in clf.class_ids  # its centroid has zero norm
-    bank = compute_centroids(model, ds)
+    bank = compute_centroids(ds.features, ds)
     directions = np.stack([bank.centroids[c] / np.linalg.norm(bank.centroids[c])
                            for c in clf.class_ids])
     want = plain_inter_inconsistency(
@@ -425,7 +466,7 @@ def test_inter_one_minus_observed_confidence():
         classifier=ClassifierParams(weight=np.eye(3), bias=np.zeros(3)),
     )
     ds = make_dataset([np.log(p)], [0], class_count=3)
-    got = inter_inconsistency(model, ds, ParametricClassifier(model))
+    got = inter_inconsistency(ds.features, ds, ParametricClassifier(model))
     assert got.shape == (1,) and got.dtype == np.float64
     assert abs(got[0] - 0.3) <= 1e-12
 
@@ -437,7 +478,7 @@ def test_inter_uniform_confidence_scores_one_minus_reciprocal():
         loss_cfg=CEConfig(class_count=5),
         classifier=ClassifierParams(weight=np.zeros((5, 4)), bias=np.zeros(5)),
     )
-    got = inter_inconsistency(model, ds, ParametricClassifier(model))
+    got = inter_inconsistency(ds.features, ds, ParametricClassifier(model))
     assert abs(got[0] - (1.0 - 1.0 / 5.0)) <= 1e-12
 
 
@@ -445,7 +486,7 @@ def test_inter_missing_class_scores_maximal(caplog):
     ds = make_dataset([[1.0, 0.0]], [2], class_count=3)
     clf = StubClassifier([0, 1], lambda x: [0.5, 0.5])
     with caplog.at_level("WARNING"):
-        got = inter_inconsistency(identity_model(2), ds, clf)
+        got = inter_inconsistency(ds.features, ds, clf)
     assert got.tolist() == [1.0]
     assert "maximal inter-class" in caplog.text
 
@@ -454,7 +495,7 @@ def test_inter_zero_norm_embedding_scores_maximal(caplog):
     ds = make_dataset([[0.0, 0.0], [1.0, 0.0]], [0, 0])
     clf = StubClassifier([0, 1], lambda x: [0.75, 0.25])
     with caplog.at_level("WARNING"):
-        got = inter_inconsistency(identity_model(2), ds, clf)
+        got = inter_inconsistency(ds.features, ds, clf)
     assert got.tolist() == [1.0, 0.25]
 
 
@@ -462,7 +503,7 @@ def test_inter_rejects_confidences_not_summing_to_one():
     ds = make_dataset([[1.0, 0.0]], [0])
     clf = StubClassifier([0, 1], lambda x: [0.3, 0.3])
     with pytest.raises(InternalError, match="not a probability vector"):
-        inter_inconsistency(identity_model(2), ds, clf)
+        inter_inconsistency(ds.features, ds, clf)
 
 
 def test_inter_rejects_masked_min_disagreement():
@@ -470,7 +511,7 @@ def test_inter_rejects_masked_min_disagreement():
     ds = make_dataset([[1.0, 0.0]], [0])
     clf = StubClassifier([0, 1], lambda x: [-0.5, 1.5])
     with pytest.raises(InternalError, match=r"not a probability vector .*min -0\.5"):
-        inter_inconsistency(identity_model(2), ds, clf)
+        inter_inconsistency(ds.features, ds, clf)
 
 
 def test_inter_matches_brute_force():
@@ -486,7 +527,7 @@ def test_inter_matches_brute_force():
         classifier=ClassifierParams(weight=weight, bias=bias),
     )
     ds = make_dataset(feats, observed, class_count=class_count)
-    got = inter_inconsistency(model, ds, ParametricClassifier(model))
+    got = inter_inconsistency(ds.features, ds, ParametricClassifier(model))
 
     probs = []
     for row in feats:
@@ -511,35 +552,37 @@ def _rank(values, q):
 
 def test_rank_and_select_takes_ceil_of_fraction():
     got = _rank([0.1, 0.9, 0.3, 0.8, 0.2, 0.7, 0.4], q=50.0)
-    assert got.predicted_noisy == {1, 3, 5, 6}  # ceil(3.5) = 4 largest
+    assert got.predicted_noisy.dtype == np.int64
+    assert got.predicted_noisy.tolist() == [1, 3, 5, 6]  # ceil(3.5) = 4 largest, sorted
     assert got.q_used == 50.0
     assert got.selected_count == 4
 
 
 def test_rank_and_select_breaks_ties_toward_small_ids():
     got = _rank([0.5, 0.5, 0.5, 0.5, 0.5], q=40.0)
-    assert got.predicted_noisy == {0, 1}
+    assert got.predicted_noisy.tolist() == [0, 1]
     # the tie rule follows utt_id, not dataset position
     reordered = rank_and_select(np.full(5, 0.5), np.array([9, 4, 7, 1, 3]), q=40.0)
-    assert reordered.predicted_noisy == {1, 3}
+    assert reordered.predicted_noisy.tolist() == [1, 3]
 
 
 def test_rank_and_select_q_zero_is_empty():
     got = _rank([0.1, 0.2], q=0.0)
-    assert got.predicted_noisy == set()
+    assert got.predicted_noisy.dtype == np.int64 and got.predicted_noisy.tolist() == []
+    assert got.selected_count == 0
     assert got.precision is None and got.recall is None
 
 
 def test_rank_and_select_q_hundred_takes_everything():
     got = _rank([0.1, 0.2, 0.3], q=100.0)
-    assert got.predicted_noisy == {0, 1, 2}
+    assert got.predicted_noisy.tolist() == [0, 1, 2]
 
 
 def test_rank_and_select_no_float_round_up_on_exact_multiples():
     # 0.1 * 1000 / 100 evaluates to just above 1.0 in floats; the count
     # must still be the mathematical ceiling, 1.
     got = _rank(np.linspace(0.0, 1.0, 1000), q=0.1)
-    assert got.predicted_noisy == {999}
+    assert got.predicted_noisy.tolist() == [999]
 
 
 def test_rank_and_select_validation():
@@ -556,7 +599,7 @@ def test_rank_and_select_invariant_under_monotone_rescaling():
     values = rng.permutation(np.linspace(0.0, 1.0, 60)).tolist()
     base = _rank(values, q=25.0)
     warped = _rank([2.0 * v + 1.0 for v in values], q=25.0)
-    assert base.predicted_noisy == warped.predicted_noisy
+    assert np.array_equal(base.predicted_noisy, warped.predicted_noisy)
 
 
 @pytest.mark.parametrize("q", [5.0, 12.5, 33.0, 50.0, 99.0, 100.0])
@@ -564,7 +607,7 @@ def test_rank_and_select_matches_brute_force(q):
     rng = np.random.default_rng(int(q * 10))
     values = np.round(rng.random(37), 2).tolist()  # duplicates likely
     got = _rank(values, q=q)
-    assert got.predicted_noisy == brute_top_q_percent(range(37), values, q)
+    assert got.predicted_noisy.tolist() == sorted(brute_top_q_percent(range(37), values, q))
 
 
 # ----------------------------------------------------------------------
@@ -574,21 +617,30 @@ def test_rank_and_select_matches_brute_force(q):
 def test_detection_precision_counts_hits():
     ds = make_dataset(np.eye(6), [0, 1, 0, 1, 0, 1],
                       true_classes=[0, 0, 1, 1, 0, 0])  # noisy: 1, 2, 5
-    result = DetectionResult(predicted_noisy={0, 1, 2}, q_used=50.0)
+    result = DetectionResult(predicted_noisy=np.array([0, 1, 2]), q_used=50.0)
     got = detection_precision(result, ds)
     assert got.precision == pytest.approx(2 / 3)
     assert got.recall == pytest.approx(2 / 3)
-    assert got.predicted_noisy == {0, 1, 2}
+    assert got.predicted_noisy.tolist() == [0, 1, 2]
+
+
+def test_detection_precision_refuses_a_set():
+    # np.isin treats a set as one object and would count no hits
+    ds = make_dataset(np.eye(2), [0, 1], true_classes=[1, 1])
+    with pytest.raises(TypeError):
+        detection_precision(DetectionResult(predicted_noisy={0}, q_used=50.0), ds)
 
 
 def test_detection_precision_none_when_undefined():
     clean = make_dataset(np.eye(3), [0, 1, 0])
-    empty = detection_precision(DetectionResult(predicted_noisy=set(), q_used=0.0), clean)
+    empty = detection_precision(
+        DetectionResult(predicted_noisy=np.empty(0, dtype=np.int64), q_used=0.0), clean)
     assert empty.precision is None
     assert empty.recall is None  # no noisy utterances either
 
     noisy_ds = make_dataset(np.eye(3), [0, 1, 0], true_classes=[0, 0, 0])
-    got = detection_precision(DetectionResult(predicted_noisy={0}, q_used=33.0), noisy_ds)
+    got = detection_precision(DetectionResult(predicted_noisy=np.array([0]), q_used=33.0),
+                              noisy_ds)
     assert got.precision == 0.0
     assert got.recall == 0.0
 
@@ -598,9 +650,9 @@ def test_detection_precision_matches_brute_force():
     observed = rng.integers(0, 3, size=20).tolist()
     true = [(c + 1) % 3 if rng.random() < 0.4 else c for c in observed]
     ds = make_dataset(rng.standard_normal((20, 2)), observed, true_classes=true)
-    predicted = set(rng.choice(20, size=8, replace=False).tolist())
+    predicted = np.sort(rng.choice(20, size=8, replace=False))
     got = detection_precision(DetectionResult(predicted_noisy=predicted, q_used=40.0), ds)
-    ref_p, ref_r = brute_precision_recall(predicted, ds.noisy_ids())
+    ref_p, ref_r = brute_precision_recall(predicted.tolist(), ds.utt_id[ds.is_noisy].tolist())
     assert got.precision == pytest.approx(ref_p)
     assert got.recall == pytest.approx(ref_r)
 
@@ -664,7 +716,7 @@ def test_write_scores_csv_sorted_and_exact(tmp_path):
 
 
 def test_write_detection_json_fields(tmp_path):
-    result = DetectionResult(predicted_noisy={5, 1, 3}, q_used=30.0,
+    result = DetectionResult(predicted_noisy=np.array([1, 3, 5]), q_used=30.0,
                              precision=2 / 3, recall=0.5)
     path = tmp_path / "detection.json"
     write_detection_json(result, method=METHOD_INTRA, seed=4,

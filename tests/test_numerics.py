@@ -299,3 +299,47 @@ def test_numpy_in_place_division_is_the_out_of_place_one():
             got = v.copy()
             got /= t
             assert _bits(got) == _bits(v / t), "in-place division no longer equals v / t"
+
+
+# numpy equalities that the array centroid bank (``nld.compute_centroids``
+# and ``nld.build_centroid_classifier``) relies on to keep the bits of the
+# per-class means and norms
+
+
+def _special_rows():
+    """Seeded matrices whose rows mix scales, signed zeros, all -0.0 rows
+    and exact ties, with row counts from 1 to 8000."""
+    rng = np.random.default_rng(2025)
+    out = []
+    for n, d in ((1, 1), (2, 3), (7, 5), (300, 16), (8000, 32)):
+        m = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, (n, 1))
+        m[rng.integers(0, n, size=max(1, n // 5))] = -0.0
+        m[rng.integers(0, n, size=max(1, n // 5)), rng.integers(0, d)] = 0.0
+        m[rng.integers(0, n)] = m[0]
+        out.append(m)
+    out.append(np.full((3, 4), -0.0))
+    return out
+
+
+def test_numpy_zero_started_add_at_is_the_mean_over_axis_0():
+    for m in _special_rows():
+        rng = np.random.default_rng(len(m))
+        classes = rng.integers(0, 6, size=len(m))
+        counts = np.bincount(classes, minlength=6)
+        sums = np.zeros((6, m.shape[1]))
+        np.add.at(sums, classes, m)
+        means = sums / np.maximum(counts, 1)[:, None]
+        for c in np.flatnonzero(counts).tolist():
+            assert _bits(means[c]) == _bits(m[classes == c].mean(axis=0)), \
+                "np.add.at from +0.0, over the count, no longer equals mean(axis=0)"
+
+
+def test_numpy_vector_row_norm_is_the_per_row_norm():
+    for m in _special_rows():
+        norms = np.sqrt(row_dot(m, m))
+        assert _bits(norms) == _bits([np.linalg.norm(row) for row in m]), \
+            "sqrt(row_dot(m, m)) no longer equals np.linalg.norm of each row"
+        live = np.flatnonzero(norms != 0.0)
+        assert _bits(m[live] / norms[live, None]) == _bits(
+            [m[i] / np.linalg.norm(m[i]) for i in live.tolist()]), \
+            "dividing the rows by their norms at once no longer equals row by row"

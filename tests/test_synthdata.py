@@ -158,7 +158,7 @@ def test_permute_leaves_features_and_true_labels():
 def test_permute_binomial_bound_q50():
     ds = generate_dataset(100, 100, 2, 2, 0.05, seed=2)  # 10000 utterances
     out = apply_permute_noise(ds, NoiseSpec(kind="permute", level_q=50.0, seed=9))
-    noisy = len(out.noisy_ids())
+    noisy = int(np.count_nonzero(out.is_noisy))
     assert 4850 <= noisy <= 5150  # 3 sigma around 5000
 
 
@@ -268,7 +268,7 @@ def test_save_load_round_trip_noisy(tmp_path):
     back = load_dataset(path)
     assert back == noisy
     assert back.provenance == noisy.provenance
-    assert back.noisy_ids() == noisy.noisy_ids()
+    assert np.array_equal(back.is_noisy, noisy.is_noisy)
 
 
 def test_save_byte_identical_rerun(tmp_path):
@@ -615,15 +615,22 @@ def test_load_dataset_agrees_with_the_line_reader_on_number_spellings(tmp_path, 
 # Dataset helpers
 
 
-def test_is_clean_and_noisy_ids():
+def test_is_clean_and_is_noisy():
     ds = small_clean()
-    assert ds.is_clean and ds.noisy_ids() == set()
+    assert ds.is_clean and not ds.is_noisy.any()
     noisy = apply_permute_noise(ds, NoiseSpec(kind="permute", level_q=100.0, seed=0))
     assert not noisy.is_clean
-    assert noisy.noisy_ids() == set(range(len(noisy)))
+    assert noisy.is_noisy.all()
 
 
-def test_ids_by_observed_class_positions():
-    ds = generate_dataset(2, 3, 2, 4, 0.1, seed=0)
-    groups = ds.ids_by_observed_class()
-    assert {c: pos.tolist() for c, pos in groups.items()} == {0: [0, 1, 2], 1: [3, 4, 5]}
+def test_class_table_groups_positions_by_class():
+    ds = generate_dataset(3, 3, 2, 4, 0.1, seed=0).subset([4, 0, 8, 1, 5, 2, 7])
+    assert ds.observed_class.tolist() == [1, 0, 2, 0, 1, 0, 2]
+    table = ds.class_table()
+    assert table.labels.tolist() == [0, 1, 2]
+    assert table.sizes.tolist() == [3, 2, 2]
+    groups = [table.flat[a:a + n].tolist() for a, n in zip(table.starts, table.sizes)]
+    assert groups == [[1, 3, 5], [0, 4], [2, 6]]
+    kept = ds.class_table(min_members=3)
+    assert kept.labels.tolist() == [0] and kept.sizes.tolist() == [3]
+    assert kept.flat[kept.starts[0]:kept.starts[0] + 3].tolist() == [1, 3, 5]
