@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import logging
+import reprlib
 import sys
 import time
 from pathlib import Path
@@ -34,12 +35,12 @@ from .evaluation import (
     write_trials_csv,
 )
 from .jsonutil import (
-    _replacing_file,
     digest_config,
     json_field,
     read_json,
     sha256_file,
     write_json17,
+    write_text,
 )
 from .losses import LOSS_KINDS, GE2EConfig
 from .nld import (
@@ -355,21 +356,24 @@ def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], 
         q = noise["level_q"]
     if not 0.0 < q <= 100.0:
         raise ConfigurationError(f"q must be in (0, 100], got {q}")
-    if args.method is None or args.method == "both":
+    if args.method is None:
         methods = resolved["detect"]["methods"]
     else:
-        methods = [args.method]
+        methods = METHODS if args.method == "both" else [args.method]
 
     emb = embed_dataset(model, ds)
+    # intra scores need the centroid bank, and so does a GE2E model's inter classifier
+    needs_bank = METHOD_INTRA in methods or isinstance(model.loss_config, GE2EConfig)
+    bank = compute_centroids(emb, ds) if needs_bank else None
     digest = run_config_digest(resolved)
     written = []
     extras: dict = {"q": q}
     for method in methods:
         if method == METHOD_INTRA:
-            scores = intra_inconsistency(emb, ds, compute_centroids(emb, ds))
+            scores = intra_inconsistency(emb, ds, bank)
         else:
             classifier = make_inter_classifier(
-                model, emb, ds, resolved["detect"]["centroid_temperature"])
+                model, bank, resolved["detect"]["centroid_temperature"])
             scores = inter_inconsistency(emb, ds, classifier)
         result = detection_precision(rank_and_select(scores, ds.utt_id, q), ds)
         rows = export_score_histogram(scores, ds, resolved["detect"]["histogram_bins"])
@@ -417,10 +421,28 @@ def cmd_eval(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], di
 
 
 def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:
-    """Remove predicted-noisy utterances, retrain, and compare EER."""
-    method = args.method or resolved["retrain"]["detection_method"]
-    det_path = Path(args.detection) if args.detection else out / f"detection_{method}.json"
+    """Remove predicted-noisy utterances, retrain, and compare EER.
+
+    The method recorded is the one the detection file was made with; a
+    ``--method``, or a ``retrain.detection_method`` the config file sets,
+    that names another is refused.
+    """
+    # the resolved config cannot tell a set retrain.detection_method from the default
+    asked = args.method or read_json(Path(args.config), "config").get(
+        "retrain", {}).get("detection_method")
+    det_path = (Path(args.detection) if args.detection else
+                out / f"detection_{asked or resolved['retrain']['detection_method']}.json")
     detection = read_json(_require_file(det_path, "detection"), "detection")
+    if not isinstance(detection, dict):
+        raise ConfigurationError(f"detection file {det_path} must hold a JSON object")
+    method = detection.get("method")
+    if method not in METHODS:
+        raise ConfigurationError(f"detection file {det_path}: method must be one of "
+                                 f"{list(METHODS)}, got {reprlib.repr(method)}")
+    if asked not in (None, method):
+        source = "--method" if args.method else "config field retrain.detection_method"
+        raise ConfigurationError(f"detection file {det_path} was made by method {method!r}, "
+                                 f"but {source} asks for {asked!r}")
     predicted = detection.get("predicted_noisy")
     if not isinstance(predicted, list) or any(
             not isinstance(i, int) or isinstance(i, bool) for i in predicted):
@@ -536,8 +558,7 @@ def cmd_report(args) -> int:
     if not any_rows:
         raise ConfigurationError("no usable run directories; nothing to report")
     if args.out:
-        with _replacing_file(args.out) as fh:
-            fh.write(text.getvalue())
+        write_text(args.out, [text.getvalue()])
         logger.info("wrote %s", args.out)
     else:
         sys.stdout.write(text.getvalue())

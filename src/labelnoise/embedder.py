@@ -12,11 +12,12 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, DomainError
-from .jsonutil import _replacing_file, digest_config, json_field, read_json, write_json17
+from .jsonutil import digest_config, json_field, read_json, write_json17, write_text
 from .losses import (
     AAMConfig,
     CEConfig,
@@ -465,17 +466,22 @@ def model_from_dict(d: dict) -> TrainedModel:
     )
     loss_cfg = loss_config_from_dict(json_field(d, "loss_config", dict, "model"),
                                      "model.loss_config")
+    owned = (("ge2e_w", "ge2e_b") if isinstance(loss_cfg, GE2EConfig)
+             else ("weight", "bias") if isinstance(loss_cfg, CEConfig) else ("weight",))
+    for _, key in _CLASSIFIER_BLOCKS:  # the fields a loss kind owns are set, the others null
+        if (getattr(clf, key) is None) == (key in owned):
+            need = "must not be null" if key in owned else "must be null"
+            raise ConfigurationError(f"model.classifier.{key} {need} for loss kind "
+                                     f"{loss_cfg.kind!r}")
     if not isinstance(loss_cfg, GE2EConfig):
         rows = loss_cfg.class_count
         if isinstance(loss_cfg, AAMConfig):
             rows *= loss_cfg.subcenters
         expected = (rows, mlp.layer_dims[-1])
-        if clf.weight is None or clf.weight.shape != expected:
-            got = None if clf.weight is None else clf.weight.shape
-            raise ConfigurationError(
-                f"classifier weight shape {got} inconsistent with loss config (expected {expected})"
-            )
-        if isinstance(loss_cfg, CEConfig) and (clf.bias is None or clf.bias.shape != (rows,)):
+        if clf.weight.shape != expected:
+            raise ConfigurationError(f"classifier weight shape {clf.weight.shape} inconsistent "
+                                     f"with loss config (expected {expected})")
+        if isinstance(loss_cfg, CEConfig) and clf.bias.shape != (rows,):
             raise ConfigurationError(f"model.classifier.bias must hold {rows} numbers")
     return TrainedModel(embedder=mlp, classifier=clf, loss_config=loss_cfg,
                         train_manifest=json_field(d, "train_manifest", dict, "model"))
@@ -487,7 +493,4 @@ def load_model(path) -> TrainedModel:
 
 def write_loss_curve(curve: list[tuple[int, float]], path) -> None:
     """CSV columns: step,loss."""
-    with _replacing_file(path) as fh:
-        fh.write("step,loss\n")
-        for step, value in curve:
-            fh.write("%d,%s\n" % (step, format(value, ".17g")))
+    write_text(path, chain(["step,loss\n"], map("%d,%.17g\n".__mod__, curve)))

@@ -15,12 +15,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .embedder import TrainConfig, TrainedModel, embed_batch, train
 from .errors import ConfigurationError, DomainError
-from .jsonutil import _replacing_file, write_json17
+from .jsonutil import write_json17, write_text
 from .numerics import row_dot
 from .seeding import named_rng
 from .synthdata import Dataset
@@ -279,10 +280,8 @@ def retrain_after_removal(ds: Dataset, predicted: np.ndarray, cfg: TrainConfig,
 def write_trials_csv(trials: Trials, path) -> None:
     """CSV columns: enroll_id,test_id,is_target."""
     labels = np.where(trials.is_target, "true", "false")
-    with _replacing_file(path) as fh:
-        fh.write("enroll_id,test_id,is_target\n")
-        fh.writelines("%d,%d,%s\n" % row for row in zip(
-            trials.enroll_id.tolist(), trials.test_id.tolist(), labels.tolist()))
+    write_text(path, chain(["enroll_id,test_id,is_target\n"], map("%d,%d,%s\n".__mod__, zip(
+        trials.enroll_id.tolist(), trials.test_id.tolist(), labels.tolist()))))
 
 
 def write_eer_json(result: EERResult, model_digest: str, path) -> None:

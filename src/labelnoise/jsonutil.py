@@ -50,18 +50,18 @@ def dump_json17(obj) -> str:
     return _encode(obj)
 
 
-@contextlib.contextmanager
-def _replacing_file(path):
-    """An ASCII text file that takes the place of ``path`` once written.
+def write_text(path, chunks) -> None:
+    """Write the strings of ``chunks``, in order, as the ASCII file ``path``.
 
-    The text goes to a temporary sibling that is renamed over ``path``
-    when the block ends; an error removes it and leaves ``path`` as it
-    was, so a crash mid-write never leaves a truncated artifact.
+    Each chunk is one write to a temporary sibling, renamed over ``path``
+    after the last; an error from a write or from ``chunks`` removes it
+    and leaves ``path`` as it was: a crash never truncates an artifact.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-            yield fh
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -71,9 +71,7 @@ def _replacing_file(path):
 
 def write_json17(obj, path) -> None:
     """Write ``dump_json17(obj)`` and a newline, replacing ``path`` atomically."""
-    with _replacing_file(path) as fh:
-        fh.write(dump_json17(obj))
-        fh.write("\n")
+    write_text(path, (dump_json17(obj), "\n"))
 
 
 def json_problem(exc: ValueError | RecursionError, text: str) -> tuple[str, int]:

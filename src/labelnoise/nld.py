@@ -17,12 +17,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 
 import numpy as np
 
 from .embedder import TrainedModel, embed_batch
 from .errors import ConfigurationError, InternalError
-from .jsonutil import _replacing_file, write_json17
+from .jsonutil import write_json17, write_text
 from .losses import CEConfig, GE2EConfig, classify_confidence
 from .numerics import l2_normalize_rows, row_dot, softmax
 from .synthdata import Dataset
@@ -180,12 +181,12 @@ def build_centroid_classifier(bank: CentroidBank,
                               temperature=temperature)
 
 
-def make_inter_classifier(model: TrainedModel, emb: np.ndarray, ds: Dataset,
+def make_inter_classifier(model: TrainedModel, bank: CentroidBank | None,
                           temperature: float = DEFAULT_CENTROID_TEMPERATURE):
     """The inter-class confidence source for a model: parametric for
-    CE/AAM/AAMSC, built from the centroids of ``emb`` for GE2E."""
+    CE/AAM/AAMSC (``bank`` unused), built from ``bank`` for GE2E."""
     if isinstance(model.loss_config, GE2EConfig):
-        return build_centroid_classifier(compute_centroids(emb, ds), temperature)
+        return build_centroid_classifier(bank, temperature)
     return ParametricClassifier(model)
 
 
@@ -271,13 +272,10 @@ def export_score_histogram(scores: np.ndarray, ds: Dataset, bins: int
 def write_scores_csv(scores: np.ndarray, ds: Dataset, method: str, path) -> None:
     """CSV columns: utt_id,method,score,is_noisy_truth (sorted by utt_id)."""
     order = np.argsort(ds.utt_id, kind="stable")
-    with _replacing_file(path) as fh:
-        fh.write("utt_id,method,score,is_noisy_truth\n")
-        for utt_id, score, noisy in zip(ds.utt_id[order].tolist(),
-                                        np.asarray(scores)[order].tolist(),
-                                        ds.is_noisy[order].tolist()):
-            fh.write("%d,%s,%s,%s\n"
-                     % (utt_id, method, format(score, ".17g"), "true" if noisy else "false"))
+    flags = np.where(ds.is_noisy[order], "true", "false")
+    write_text(path, chain(["utt_id,method,score,is_noisy_truth\n"], map(
+        "%d,%s,%.17g,%s\n".__mod__, zip(ds.utt_id[order].tolist(), repeat(method),
+                                        np.asarray(scores)[order].tolist(), flags.tolist()))))
 
 
 def write_detection_json(result: DetectionResult, method: str, seed: int,
@@ -297,7 +295,5 @@ def write_detection_json(result: DetectionResult, method: str, seed: int,
 
 def write_histogram_csv(rows: list[tuple[float, float, int, int]], path) -> None:
     """CSV columns: bin_lo,bin_hi,clean_count,noisy_count."""
-    with _replacing_file(path) as fh:
-        fh.write("bin_lo,bin_hi,clean_count,noisy_count\n")
-        for lo, hi, clean, noisy in rows:
-            fh.write("%s,%s,%d,%d\n" % (format(lo, ".17g"), format(hi, ".17g"), clean, noisy))
+    write_text(path, chain(["bin_lo,bin_hi,clean_count,noisy_count\n"],
+                           map("%.17g,%.17g,%d,%d\n".__mod__, rows)))

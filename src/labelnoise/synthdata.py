@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, ParseError, ValidationError
-from .jsonutil import _replacing_file, dump_json17, json_problem
+from .jsonutil import dump_json17, json_problem, write_text
 from .seeding import named_rng
 
 FORMAT_VERSION = 1
@@ -348,18 +348,16 @@ def save_dataset(ds: Dataset, path) -> None:
     """Write JSON-Lines: one header line, then one line per utterance.
 
     Features carry 17 significant digits and negative zero is written
-    ``-0.0``, so the round trip keeps every bit. The file is written
-    under a temporary name and renamed over ``path`` once complete, so
-    a failed write leaves any previous file intact.
+    ``-0.0``, so the round trip keeps every bit. ``write_text`` replaces
+    ``path`` once the last block is written.
     """
     row = _ROW_PREFIX + ",".join(["%.17g"] * ds.feature_dim) + "]}\n"
     noisy = ds.is_noisy
-    with _replacing_file(path) as fh:
-        fh.write(
-            '{"format_version": %d, "C": %d, "d": %d, "provenance": %s}\n'
-            % (FORMAT_VERSION, ds.class_count, ds.feature_dim, dump_json17(
-                ds.provenance if isinstance(ds.provenance, str) else ds.provenance.to_dict()))
-        )
+
+    def blocks():
+        yield ('{"format_version": %d, "C": %d, "d": %d, "provenance": %s}\n'
+               % (FORMAT_VERSION, ds.class_count, ds.feature_dim, dump_json17(
+                   ds.provenance if isinstance(ds.provenance, str) else ds.provenance.to_dict())))
         for start in range(0, len(ds), _WRITE_ROWS):
             rows = slice(start, start + _WRITE_ROWS)
             block = ds.features[rows]
@@ -370,7 +368,9 @@ def save_dataset(ds: Dataset, path) -> None:
                 *block.T.tolist())))
             if np.signbit(block[block == 0.0]).any():
                 text = _NEGATIVE_ZERO.sub("-0.0", text)
-            fh.write(text)
+            yield text
+
+    write_text(path, blocks())
 
 
 def _parse_line(text: str, lineno: int) -> dict:

@@ -22,7 +22,8 @@ and inter-class loop are the forms whose bits ``classify_confidence``,
 reproduce. The dict-keyed centroid bank, intra-class score and centroid
 classifier are the per-class forms whose bits the array bank must
 reproduce. ``read_trials_csv`` reads back what ``write_trials_csv``
-writes.
+writes. The four per-row CSV writers are the forms whose bytes the
+one-``write_text``-call writers must reproduce.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
+import os
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -985,3 +987,66 @@ def dict_build_centroid_classifier(bank: DictCentroidBank,
     if not ids:
         raise ConfigurationError("all centroids have zero norm")
     return CentroidClassifier(class_ids=ids, directions=np.stack(rows), temperature=temperature)
+
+
+# ----------------------------------------------------------------------
+# The four CSV writers as they were before ``jsonutil.write_text``, with
+# the context manager they wrote through: one ``fh.write`` per row (a
+# ``writelines`` for trials) and ``format(v, ".17g")`` for floats. The
+# ``write_text`` writers must give the same bytes.
+
+
+@contextlib.contextmanager
+def _replacing_file(path):
+    """An ASCII text file that takes the place of ``path`` once written.
+
+    The text goes to a temporary sibling that is renamed over ``path``
+    when the block ends; an error removes it and leaves ``path`` as it
+    was, so a crash mid-write never leaves a truncated artifact.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_scores_csv(scores: np.ndarray, ds: Dataset, method: str, path) -> None:
+    """CSV columns: utt_id,method,score,is_noisy_truth (sorted by utt_id)."""
+    order = np.argsort(ds.utt_id, kind="stable")
+    with _replacing_file(path) as fh:
+        fh.write("utt_id,method,score,is_noisy_truth\n")
+        for utt_id, score, noisy in zip(ds.utt_id[order].tolist(),
+                                        np.asarray(scores)[order].tolist(),
+                                        ds.is_noisy[order].tolist()):
+            fh.write("%d,%s,%s,%s\n"
+                     % (utt_id, method, format(score, ".17g"), "true" if noisy else "false"))
+
+
+def write_histogram_csv(rows: list[tuple[float, float, int, int]], path) -> None:
+    """CSV columns: bin_lo,bin_hi,clean_count,noisy_count."""
+    with _replacing_file(path) as fh:
+        fh.write("bin_lo,bin_hi,clean_count,noisy_count\n")
+        for lo, hi, clean, noisy in rows:
+            fh.write("%s,%s,%d,%d\n" % (format(lo, ".17g"), format(hi, ".17g"), clean, noisy))
+
+
+def write_trials_csv(trials: Trials, path) -> None:
+    """CSV columns: enroll_id,test_id,is_target."""
+    labels = np.where(trials.is_target, "true", "false")
+    with _replacing_file(path) as fh:
+        fh.write("enroll_id,test_id,is_target\n")
+        fh.writelines("%d,%d,%s\n" % row for row in zip(
+            trials.enroll_id.tolist(), trials.test_id.tolist(), labels.tolist()))
+
+
+def write_loss_curve(curve: list[tuple[int, float]], path) -> None:
+    """CSV columns: step,loss."""
+    with _replacing_file(path) as fh:
+        fh.write("step,loss\n")
+        for step, value in curve:
+            fh.write("%d,%s\n" % (step, format(value, ".17g")))

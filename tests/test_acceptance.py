@@ -346,7 +346,8 @@ def _detect(seed, loss, kind, q, method):
     if method == "intra":
         scores = intra_inconsistency(emb, ds, compute_centroids(emb, ds))
     else:
-        scores = inter_inconsistency(emb, ds, make_inter_classifier(model, emb, ds))
+        classifier = make_inter_classifier(model, compute_centroids(emb, ds))
+        scores = inter_inconsistency(emb, ds, classifier)
     result = detection_precision(rank_and_select(scores, ds.utt_id, q), ds)
     return result, scores
 

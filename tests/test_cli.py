@@ -14,12 +14,14 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import labelnoise
 import labelnoise.cli as cli
+import labelnoise.nld as nld
 from labelnoise.cli import (
     SECTIONS,
     TOP_LEVEL_KEYS,
@@ -28,10 +30,19 @@ from labelnoise.cli import (
     resolve_config,
     run_config_digest,
 )
+from labelnoise.embedder import load_model
 from labelnoise.errors import ConfigurationError
 from labelnoise.jsonutil import dump_json17, sha256_file
 from labelnoise.losses import LOSS_KINDS, AAMConfig, AAMSCConfig, CEConfig, GE2EConfig
+from labelnoise.nld import (
+    build_centroid_classifier,
+    embed_dataset,
+    inter_inconsistency,
+    intra_inconsistency,
+    write_scores_csv,
+)
 from labelnoise.seeding import derive_seed
+from labelnoise.synthdata import load_dataset, save_dataset
 from oracles import handwritten_resolve_config
 
 # keep main()'s logging.basicConfig from binding a handler to a
@@ -451,6 +462,105 @@ def test_retrain_refuses_predicted_ids_outside_int64(pipeline, tmp_path, capsys)
     assert json.loads((sdir / "retrain.json").read_text())["removed_count"] == 1
 
 
+def test_detect_method_both_runs_both_methods_whatever_the_config_lists(pipeline, tmp_path):
+    run = copy_run(pipeline, tmp_path)
+    for path in (run / "seed_1").glob("*_in*"):  # the intra and inter artifacts
+        path.unlink()
+    raw = {**pipeline.raw, "output_dir": str(run),
+           "detect": {**pipeline.raw["detect"], "methods": ["inter"]}}
+    cfg_path = write_config(tmp_path / "inter_only.json", raw)
+    assert main(["detect", "--config", str(cfg_path), "--method", "both", "--quiet"]) == 0
+    manifest = json.loads((run / "seed_1" / "manifest.json").read_text())
+    assert sorted(manifest["stages"]["detect"]["artifacts"]) == [
+        f"{kind}_{method}.{ext}" for kind, ext in (("detection", "json"), ("histogram", "csv"),
+                                                   ("scores", "csv"))
+        for method in ("inter", "intra")]
+    for method in ("intra", "inter"):
+        for name in (f"scores_{method}.csv", f"histogram_{method}.csv"):
+            assert (run / "seed_1" / name).read_bytes() == (pipeline.sdir / name).read_bytes()
+
+
+def test_retrain_records_the_method_of_the_detection_file(pipeline, tmp_path):
+    run = copy_run(pipeline, tmp_path)
+    det_path = run / "seed_1" / "detection_intra.json"
+    assert main(["retrain", "--config", str(pipeline.cfg_path), "--out", str(run),
+                 "--detection", str(det_path), "--quiet"]) == 0
+    report = json.loads((run / "seed_1" / "retrain.json").read_text())
+    assert report["detection_method"] == "intra"
+    assert report["removed_count"] == json.loads(det_path.read_text())["selected_count"]
+    manifest = json.loads((run / "seed_1" / "manifest.json").read_text())
+    assert manifest["stages"]["retrain"]["method"] == "intra"
+
+
+def test_retrain_refuses_a_method_the_detection_file_was_not_made_with(pipeline, tmp_path,
+                                                                       capsys):
+    run = copy_run(pipeline, tmp_path)
+    det_path = run / "seed_1" / "detection_intra.json"
+    report = (run / "seed_1" / "retrain.json").read_bytes()
+    set_inter = write_config(tmp_path / "set_inter.json", {
+        **pipeline.raw, "output_dir": str(run), "retrain": {"detection_method": "inter"}})
+    det = json.loads(det_path.read_text())
+    odd_method, not_object = tmp_path / "odd_method.json", tmp_path / "not_object.json"
+    odd_method.write_text(json.dumps({**det, "method": "x"}))
+    not_object.write_text(json.dumps([det]))
+    cases = [
+        ([str(pipeline.cfg_path), "--method", "inter"], det_path,
+         f"error: detection file {det_path} was made by method 'intra', but --method asks for "
+         "'inter'"),
+        ([str(set_inter)], det_path,
+         f"error: detection file {det_path} was made by method 'intra', but config field "
+         "retrain.detection_method asks for 'inter'"),
+        ([str(pipeline.cfg_path)], odd_method,
+         f"error: detection file {odd_method}: method must be one of ['intra', 'inter'], "
+         "got 'x'"),
+        ([str(pipeline.cfg_path)], not_object,
+         f"error: detection file {not_object} must hold a JSON object"),
+    ]
+    for (config, *flags), path, message in cases:
+        assert main(["retrain", "--config", config, "--out", str(run), "--detection",
+                     str(path), *flags, "--quiet"]) == 1
+        assert message in capsys.readouterr().err
+        assert (run / "seed_1" / "retrain.json").read_bytes() == report
+
+
+def test_detect_builds_the_centroid_bank_only_when_needed_and_once(pipeline, tmp_path,
+                                                                   monkeypatch, caplog):
+    calls = []
+    real = nld.compute_centroids
+    for module in (cli, nld):  # wherever detect might look it up
+        monkeypatch.setattr(module, "compute_centroids",
+                            lambda emb, ds: calls.append(len(ds)) or real(emb, ds))
+    # an AAMSC model's inter scores need no bank
+    run = copy_run(pipeline, tmp_path / "aamsc")
+    assert main(["detect", "--config", str(pipeline.cfg_path), "--out", str(run),
+                 "--method", "inter", "--quiet"]) == 0
+    assert calls == []
+    # GE2E's inter classifier and the intra scores share one bank; observed
+    # class 0, relabelled as 1, leaves the bank an empty class to warn about
+    raw = tiny_raw_config(str(tmp_path / "ge2e"))
+    raw["train"] = {**raw["train"], "loss": {"kind": "ge2e"}, "utts_per_speaker": 3}
+    cfg_path = write_config(tmp_path / "ge2e.json", raw)
+    for command in ("simulate", "train"):
+        assert main([command, "--config", str(cfg_path), "--quiet"]) == 0
+    sdir = tmp_path / "ge2e" / "seed_1"
+    ds = load_dataset(sdir / "noisy.jsonl")
+    ds = dataclasses.replace(ds, observed_class=np.maximum(ds.observed_class, 1))
+    save_dataset(ds, tmp_path / "emptied.jsonl")
+    with caplog.at_level(logging.WARNING, logger="labelnoise.nld"):
+        assert main(["detect", "--config", str(cfg_path), "--dataset",
+                     str(tmp_path / "emptied.jsonl"), "--method", "both", "--quiet"]) == 0
+    assert calls == [30]
+    assert [r.getMessage() for r in caplog.records].count(
+        "centroid bank: 1 empty class(es): [0]") == 1
+    # the shared bank gives the scores a bank of their own gives
+    emb = embed_dataset(load_model(sdir / "model.json"), ds)
+    for method, scores in (
+            ("intra", intra_inconsistency(emb, ds, real(emb, ds))),
+            ("inter", inter_inconsistency(emb, ds, build_centroid_classifier(real(emb, ds))))):
+        write_scores_csv(scores, ds, method, tmp_path / "want.csv")
+        assert (sdir / f"scores_{method}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 # ----------------------------------------------------------------------
 # error paths
 
@@ -521,6 +631,10 @@ def test_config_with_nan_exits_one_without_traceback(tmp_path):
     (lambda m: {"format_version": 1}, "error: model.mlp is missing"),
     (lambda m: {**m, "loss_config": {**m["loss_config"], "class_count": "5"}},
      "error: model.loss_config.class_count must be an integer, got '5'"),
+    (lambda m: {**m, "classifier": {**m["classifier"], "bias": [0.5] * 10}},
+     "error: model.classifier.bias must be null for loss kind 'aamsc'"),
+    (lambda m: {**m, "classifier": {**m["classifier"], "ge2e_w": 3.0}},
+     "error: model.classifier.ge2e_w must be null for loss kind 'aamsc'"),
 ])
 def test_detect_with_malformed_model_exits_one_without_traceback(pipeline, tmp_path,
                                                                   edit, message):

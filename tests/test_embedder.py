@@ -678,6 +678,55 @@ def test_model_from_dict_rejects_malformed_fields(aamsc_model_dict, mutate, need
         model_from_dict(d)
 
 
+# Every loss kind ``train`` can write, with the classifier fields it owns.
+OWNED_FIELDS = {
+    "ce": (CEConfig(class_count=4), ("weight", "bias")),
+    "nsl": (nsl_config(class_count=4, scale=30.0), ("weight",)),
+    "aam": (AAMConfig(class_count=4, scale=30.0, margin=0.2), ("weight",)),
+    "aamsc-1": (AAMSCConfig(class_count=4, scale=30.0, margin=0.2, subcenters=1), ("weight",)),
+    "aamsc-3": (AAMSCConfig(class_count=4, scale=30.0, margin=0.2, subcenters=3), ("weight",)),
+    "ge2e": (GE2EConfig(), ("ge2e_w", "ge2e_b")),
+}
+# A value of the right JSON kind for each field (C=4, K=1, embed_dim 6).
+FIELD_VALUES = {"weight": [[0.5] * 6] * 4, "bias": [0.5] * 4, "ge2e_w": 3.0, "ge2e_b": 0.0}
+
+
+@pytest.fixture(scope="module")
+def trained_model_dicts():
+    """One trained model per loss kind, as plain JSON values."""
+    dicts = {}
+    for name, (loss, _) in OWNED_FIELDS.items():
+        cfg = tiny_ge2e_cfg(steps=3) if name == "ge2e" else tiny_cfg(loss=loss, steps=3)
+        model, _ = train(small_ds(per_class=6), cfg)
+        dicts[name] = json.loads(dump_json17(model_to_dict(model)))
+    return dicts
+
+
+@pytest.mark.parametrize("name", sorted(OWNED_FIELDS))
+def test_every_trained_model_loads_and_owns_only_its_classifier_fields(trained_model_dicts,
+                                                                       name):
+    d = trained_model_dicts[name]
+    model = model_from_dict(json.loads(json.dumps(d)))
+    owned = OWNED_FIELDS[name][1]
+    assert [k for k, v in d["classifier"].items() if v is not None] == sorted(owned)
+    assert dump_json17(model_to_dict(model)) == dump_json17(d)
+
+
+@pytest.mark.parametrize("name,key", [(name, key) for name, (_, owned) in OWNED_FIELDS.items()
+                                      for key in FIELD_VALUES])
+def test_model_from_dict_refuses_classifier_fields_of_another_loss_kind(trained_model_dicts,
+                                                                        name, key):
+    # an owned field set to null, or a field the kind does not own set to a value
+    d = json.loads(json.dumps(trained_model_dicts[name]))
+    owned = key in OWNED_FIELDS[name][1]
+    d["classifier"][key] = None if owned else FIELD_VALUES[key]
+    kind = d["loss_config"]["kind"]
+    need = "must not be null" if owned else "must be null"
+    with pytest.raises(ConfigurationError,
+                       match=rf"^model\.classifier\.{key} {need} for loss kind '{kind}'$"):
+        model_from_dict(d)
+
+
 def test_model_from_dict_rejects_non_object():
     with pytest.raises(ConfigurationError, match="format_version"):
         model_from_dict([1, 2])

@@ -2,12 +2,19 @@
 and artifact files that are replaced whole or not at all."""
 
 import json
+import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from conftest import make_dataset
+from labelnoise import jsonutil
 from labelnoise.embedder import write_loss_curve
 from labelnoise.errors import ParseError
 from labelnoise.evaluation import Trials, write_trials_csv
@@ -19,8 +26,10 @@ from labelnoise.jsonutil import (
     sha256_file,
     sha256_text,
     write_json17,
+    write_text,
 )
 from labelnoise.nld import write_histogram_csv, write_scores_csv
+from labelnoise.synthdata import Dataset
 
 
 def test_floats_round_trip_losslessly():
@@ -100,6 +109,91 @@ def test_csv_writer_failing_mid_write_leaves_the_previous_file(tmp_path, writer)
         CSV_WRITERS[writer](path)
     assert path.read_bytes() == b"previous,contents\n"
     assert os.listdir(tmp_path) == ["artifact.csv"]  # no *.tmp sibling
+
+
+# Floats whose 17-digit text is easy to get wrong: signed zeros, the
+# smallest subnormal and normal, the largest double, non-finite values.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1.0 / 3.0, math.nan, math.inf, -math.inf]
+FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats()
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+def test_percent_17g_is_format_17g_over_random_bit_patterns():
+    bits = np.random.default_rng(17).integers(0, 2**64, size=200_000, dtype=np.uint64)
+    values = bits.view(np.float64).tolist() + EDGE_FLOATS
+    assert [v for v in values if "%.17g" % v != format(v, ".17g")] == []
+
+
+def _written(writer, *args) -> bytes:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "artifact.csv"
+        writer(*args, path)
+        return path.read_bytes()
+
+
+@st.composite
+def score_tables(draw):
+    n = draw(st.integers(0, 30))
+    column = lambda elements: draw(st.lists(elements, min_size=n, max_size=n))
+    observed = column(st.integers(0, 2))
+    ds = Dataset(features=np.zeros((n, 1)), utt_id=column(INT64), true_class=column(
+        st.integers(0, 2)), observed_class=observed, is_ood=column(st.booleans()),
+        class_count=3, feature_dim=1)
+    return np.array(column(FLOATS), dtype=np.float64), ds
+
+
+@given(score_tables(), st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8))
+def test_scores_csv_has_the_bytes_of_the_per_row_writer(table, method):
+    scores, ds = table
+    assert (_written(write_scores_csv, scores, ds, method)
+            == _written(oracles.write_scores_csv, scores, ds, method))
+
+
+@given(st.lists(st.tuples(FLOATS, FLOATS, st.integers(0, 2**40), st.integers(0, 2**40)),
+                max_size=30))
+def test_histogram_csv_has_the_bytes_of_the_per_row_writer(rows):
+    assert _written(write_histogram_csv, rows) == _written(oracles.write_histogram_csv, rows)
+
+
+@given(st.lists(st.tuples(INT64, INT64, st.booleans()), max_size=30))
+def test_trials_csv_has_the_bytes_of_the_per_row_writer(rows):
+    trials = Trials(enroll_id=[r[0] for r in rows], test_id=[r[1] for r in rows],
+                    is_target=[r[2] for r in rows])
+    assert _written(write_trials_csv, trials) == _written(oracles.write_trials_csv, trials)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**40), FLOATS), max_size=30))
+def test_loss_curve_has_the_bytes_of_the_per_row_writer(curve):
+    assert _written(write_loss_curve, curve) == _written(oracles.write_loss_curve, curve)
+
+
+def test_write_text_writes_each_chunk_once_in_order(tmp_path, monkeypatch):
+    writes = []
+
+    class RecordingFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            writes.append(text)
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+    monkeypatch.setattr(jsonutil, "open", lambda *a, **k: RecordingFile(open(*a, **k)),
+                        raising=False)
+    path = tmp_path / "out.txt"
+    write_text(path, iter(["a,b\n", "", "1,2\n"]))
+    assert writes == ["a,b\n", "", "1,2\n"]
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    write_text(path, [])
+    assert path.read_bytes() == b""
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 
 def test_sha256_text_known_value():

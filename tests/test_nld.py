@@ -321,9 +321,9 @@ def test_build_centroid_classifier_rejects_degenerate_banks():
 def test_make_inter_classifier_picks_route_by_loss():
     ds = make_dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1])
     ce_model = identity_model(2)
-    assert isinstance(make_inter_classifier(ce_model, ds.features, ds), ParametricClassifier)
+    assert isinstance(make_inter_classifier(ce_model, None), ParametricClassifier)
     ge2e_model = identity_model(2, loss_cfg=GE2EConfig())
-    clf = make_inter_classifier(ge2e_model, ds.features, ds)
+    clf = make_inter_classifier(ge2e_model, compute_centroids(ds.features, ds))
     assert isinstance(clf, CentroidClassifier)
     # default temperature 0.1 sharpens the cosine gap [1, 0] to logits [10, 0]
     p = clf.confidences(np.array([1.0, 0.0]))
@@ -441,10 +441,10 @@ def test_inter_centroid_has_the_bits_of_the_plain_loop(temperature):
     feats, observed = _dataset_with_degenerate_rows(rng)
     ds = make_dataset(feats, observed, class_count=_CLASSES + 1)
     model = identity_model(_DIM, loss_cfg=GE2EConfig())
-    clf = make_inter_classifier(model, ds.features, ds, temperature=temperature)
+    bank = compute_centroids(ds.features, ds)
+    clf = make_inter_classifier(model, bank, temperature=temperature)
     got = inter_inconsistency(ds.features, ds, clf)
     assert 4 not in clf.class_ids  # its centroid has zero norm
-    bank = compute_centroids(ds.features, ds)
     directions = np.stack([bank.centroids[c] / np.linalg.norm(bank.centroids[c])
                            for c in clf.class_ids])
     want = plain_inter_inconsistency(

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from labelnoise import jsonutil, synthdata
+from labelnoise.embedder import write_loss_curve
 from labelnoise.errors import ConfigurationError, ParseError, ValidationError
+from labelnoise.evaluation import Trials, write_trials_csv
+from labelnoise.nld import write_histogram_csv, write_scores_csv
 from labelnoise.seeding import named_rng
 from labelnoise.synthdata import (
     Dataset,
@@ -475,10 +478,23 @@ class _FailingFile:
         return self.fh.__exit__(*exc)
 
 
+def _chunks_failing_after_one():
+    yield "written\n"
+    raise OSError("disk full")
+
+
 @pytest.mark.parametrize("write", [
     lambda path: save_dataset(small_clean(seed=1), path),
     lambda path: jsonutil.write_json17({"a": [1.5, 2]}, path),
-], ids=["save_dataset", "write_json17"])
+    lambda path: write_scores_csv(np.array([0.5, 0.25]), make_dataset([[1.0], [2.0]], [0, 1]),
+                                  "intra", path),
+    lambda path: write_histogram_csv([(0.0, 0.5, 1, 2), (0.5, 1.0, 3, 0)], path),
+    lambda path: write_trials_csv(Trials(enroll_id=[1, 2], test_id=[3, 4],
+                                         is_target=[True, False]), path),
+    lambda path: write_loss_curve([(0, 0.5), (1, 0.25)], path),
+    lambda path: jsonutil.write_text(path, _chunks_failing_after_one()),
+], ids=["save_dataset", "write_json17", "scores_csv", "histogram_csv", "trials_csv",
+        "loss_curve", "failing_chunks"])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, write):
     path = tmp_path / "artifact"
     save_dataset(small_clean(), path)
