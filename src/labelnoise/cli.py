@@ -227,26 +227,30 @@ def seed_dir(resolved: dict, seed: int) -> Path:
     return Path(resolved["output_dir"]) / f"seed_{seed}"
 
 
+def _recorded_stages(path: Path) -> dict | None:
+    """The ``stages`` object of the manifest at ``path``; None if it is unreadable."""
+    try:
+        previous = read_json(path, "manifest")
+    except (LabelNoiseError, OSError):
+        return None
+    stages = previous.get("stages") if isinstance(previous, dict) else None
+    return dict(stages) if isinstance(stages, dict) else None
+
+
 def _update_manifest(directory: Path, seed: int, digest: str, stage: str,
                      artifacts: list[Path], extras: dict, elapsed: float) -> None:
     path = directory / "manifest.json"
+    stages = _recorded_stages(path) if path.exists() else {}
+    if stages is None:
+        logger.warning("manifest %s unreadable, rebuilding it", path)
     manifest = {
         "format_version": MANIFEST_FORMAT_VERSION,
         "tool": "labelnoise",
         "tool_version": __version__,
         "seed": seed,
         "config_digest": digest,
-        "stages": {},
+        "stages": stages or {},
     }
-    if path.exists():
-        try:
-            previous = read_json(path, "manifest")
-            stages = previous.get("stages") if isinstance(previous, dict) else None
-            if not isinstance(stages, dict):
-                raise ConfigurationError("manifest holds no stages object")
-            manifest["stages"] = dict(stages)
-        except (LabelNoiseError, OSError):
-            logger.warning("manifest %s unreadable, rebuilding it", path)
     manifest["stages"][stage] = dict(extras)
     manifest["stages"][stage]["artifacts"] = {p.name: sha256_file(p) for p in artifacts}
     manifest["stages"][stage]["wall_time_s"] = elapsed
@@ -378,9 +382,7 @@ def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], 
         result = detection_precision(rank_and_select(scores, ds.utt_id, q), ds)
         rows = export_score_histogram(scores, ds, resolved["detect"]["histogram_bins"])
 
-        scores_path = out / f"scores_{method}.csv"
-        det_path = out / f"detection_{method}.json"
-        hist_path = out / f"histogram_{method}.csv"
+        scores_path, det_path, hist_path = _detect_paths(out, method)
         write_scores_csv(scores, ds, method, scores_path)
         write_detection_json(result, method, seed, digest, det_path)
         read_json(det_path, "detection")  # validate the artifact parses
@@ -397,7 +399,24 @@ def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], 
             seed, method, result.selected_count, len(ds),
             "n/a" if result.precision is None else format(result.precision, ".4f"),
         )
+    # a method not rerun keeps its entries while its files have their recorded
+    # hashes and the stage's q is unchanged, so that q holds for every method
+    skipped = [m for m in METHODS if m not in methods]
+    old = (_recorded_stages(out / "manifest.json") or {}).get("detect") if skipped else None
+    recorded = old.get("artifacts") if isinstance(old, dict) and old.get("q") == q else None
+    for method in skipped if isinstance(recorded, dict) else ():
+        paths = _detect_paths(out, method)
+        if method in old and all(p.exists() and recorded.get(p.name) == sha256_file(p)
+                                 for p in paths):
+            written += paths
+            extras[method] = old[method]
     return written, extras
+
+
+def _detect_paths(out: Path, method: str) -> list[Path]:
+    """The scores, detection and histogram files of one detection method."""
+    return [out / f"scores_{method}.csv", out / f"detection_{method}.json",
+            out / f"histogram_{method}.csv"]
 
 
 def cmd_eval(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:

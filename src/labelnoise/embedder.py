@@ -153,7 +153,7 @@ def adam_step(
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ConfigurationError(f"shape mismatch: parameters {params.shape}, "
                                  f"gradient {grads.shape}, Adam state {state.m.shape}")
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         label = _first_non_finite(grads, blocks)
         raise DivergenceError(f"non-finite gradient in parameter block {label!r}")
     state.step_count += 1
@@ -297,14 +297,14 @@ _CLASSIFIER_BLOCKS = (("classifier.weight", "weight"), ("classifier.bias", "bias
                       ("ge2e.w", "ge2e_w"), ("ge2e.b", "ge2e_b"))
 
 
-def _flatten(mlp: MlpParams, clf: ClassifierParams) -> tuple[np.ndarray, list[tuple[str, slice]]]:
+def _flatten(mlp: MlpParams, clf: ClassifierParams) -> tuple[np.ndarray, list, list]:
     """Copy every trainable block into one contiguous float64 vector.
 
     The blocks go in the order mlp.weight{i}, mlp.bias{i} per layer, then
     whichever classifier fields exist. The fields of ``mlp`` and ``clf``
     are rebound as views of the vector (GE2E's scalars as 0-d views), so an
-    in-place update of the vector updates the model. Returns the vector
-    and the (name, slice) of every block.
+    in-place update of the vector updates the model. Returns the vector,
+    the (name, slice) of every block and the views, in block order.
     """
     n = len(mlp.weights)
     fields = [(name, f) for name, f in _CLASSIFIER_BLOCKS if getattr(clf, f) is not None]
@@ -319,7 +319,7 @@ def _flatten(mlp: MlpParams, clf: ClassifierParams) -> tuple[np.ndarray, list[tu
     mlp.weights, mlp.biases = views[0:2 * n:2], views[1:2 * n:2]
     for (_, f), view in zip(fields, views[2 * n:]):
         setattr(clf, f, view)
-    return flat, blocks
+    return flat, blocks, views
 
 
 def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, float]]]:
@@ -344,8 +344,11 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
     mlp = init_mlp(layer_dims, init_rng)
     clf = init_classifier(loss_cfg, cfg.embed_dim, init_rng)
 
-    params, blocks = _flatten(mlp, clf)
+    params, blocks, views = _flatten(mlp, clf)
     grads = np.empty_like(params)
+    # views of ``grads`` shaped like the parameter blocks, in block order
+    grad_views = [grads[sl].reshape(v.shape) for (_, sl), v in zip(blocks, views)]
+    clf_fields = [f for _, f in _CLASSIFIER_BLOCKS if getattr(clf, f) is not None]
     state = AdamState.fresh(params, cfg.learning_rate)
     is_ge2e = isinstance(loss_cfg, GE2EConfig)
 
@@ -359,7 +362,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
     curve: list[tuple[int, float]] = []
     for step in range(cfg.total_steps):
         positions, labels = _sample_positions(table, n_spk, m_utt, batch_rng)
-        emb, cache = mlp_forward(mlp, ds.features[positions.reshape(-1)])
+        emb, cache = mlp_forward(mlp, ds.features.take(positions.reshape(-1), axis=0))
 
         if isinstance(loss_cfg, CEConfig):
             out = ce_loss(emb, np.repeat(labels, m_utt), clf)
@@ -372,14 +375,14 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
             raise DivergenceError(f"loss diverged at step {step} (config digest {digest})")
 
         gw, gb = mlp_backward(mlp, cache, out.grad_embeddings.reshape(emb.shape))
-        parts = [g.ravel() for pair in zip(gw, gb) for g in pair]
-        parts += [np.ravel(getattr(out.grad_params, f)) for _, f in _CLASSIFIER_BLOCKS
-                  if getattr(out.grad_params, f) is not None]
-        adam_step(params, np.concatenate(parts, out=grads), state, blocks)
+        clf_grads = (getattr(out.grad_params, f) for f in clf_fields)
+        for view, g in zip(grad_views, chain(*zip(gw, gb), clf_grads)):
+            view[...] = g
+        adam_step(params, grads, state, blocks)
 
         if is_ge2e:
             clf.ge2e_w[...] = max(float(clf.ge2e_w), GE2E_W_FLOOR)
-        if not np.all(np.isfinite(params)):
+        if not np.isfinite(params).all():
             raise DivergenceError(
                 f"non-finite parameter in block {_first_non_finite(params, blocks)!r} "
                 f"after step {step} (config digest {digest})"

@@ -24,6 +24,7 @@ differences in the test suite).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -305,6 +306,14 @@ def aamsc_loss(embeddings: np.ndarray, labels, params: ClassifierParams,
                       grad_params=ClassifierParams(weight=grad_w))
 
 
+@functools.lru_cache(maxsize=16)
+def _ge2e_diagonal(n: int, m: int) -> np.ndarray:
+    """Read-only flat index of each entry (j, i, j) of an N x M x N array."""
+    diag = np.arange(0, n * m * n, n).reshape(n, m) + np.arange(n)[:, None]
+    diag.flags.writeable = False
+    return diag
+
+
 def ge2e_loss(embeddings: np.ndarray, params: ClassifierParams,
               cfg: GE2EConfig) -> LossOutput:
     """Contrastive (GE2E) loss on N x M grouped embeddings.
@@ -313,9 +322,10 @@ def ge2e_loss(embeddings: np.ndarray, params: ClassifierParams,
     speaker's centroid excludes the utterance itself) via
     w * cos + b, followed by softmax cross-entropy against the own-speaker
     slot. Gradients cover the embeddings (including centroid paths) and
-    the scalars w, b.
+    the scalars w, b. Norms skip the ``np.linalg.norm`` wrapper and the
+    diagonal takes one flat index; the bits are the plain form's in C order.
     """
-    e = np.asarray(embeddings, dtype=np.float64)
+    e = np.ascontiguousarray(embeddings, dtype=np.float64)
     if e.ndim != 3:
         raise ConfigurationError(f"expected N x M x dim embeddings, got shape {e.shape}")
     n, m, dim = e.shape
@@ -323,63 +333,60 @@ def ge2e_loss(embeddings: np.ndarray, params: ClassifierParams,
         raise ConfigurationError(f"GE2E needs M >= 2 utterances per speaker, got {m}")
     w, b = float(params.ge2e_w), float(params.ge2e_b)
 
-    enorm = np.linalg.norm(e, axis=2)
-    if np.any(enorm == 0.0):
+    enorm = np.sqrt(np.add.reduce(e * e, axis=2))
+    csum = np.add.reduce(e, axis=1)
+    cent = csum / m
+    cnorm = np.sqrt(np.add.reduce(cent * cent, axis=1))
+    cex = (csum[:, None, :] - e) / (m - 1)
+    cexnorm = np.sqrt(np.add.reduce(cex * cex, axis=2))
+    # all three norms first, then the checks in their order; a NaN norm passes
+    if not enorm.all():
         j, i = np.argwhere(enorm == 0.0)[0]
         raise DomainError(f"embedding ({j}, {i}) has zero norm")
-    ehat = e / enorm[:, :, None]
-
-    csum = e.sum(axis=1)
-    cent = csum / m
-    cnorm = np.linalg.norm(cent, axis=1)
-    if np.any(cnorm == 0.0):
-        raise DomainError(f"speaker {int(np.argwhere(cnorm == 0.0)[0])} has a zero-norm centroid")
-    chat = cent / cnorm[:, None]
-
-    cex = (csum[:, None, :] - e) / (m - 1)
-    cexnorm = np.linalg.norm(cex, axis=2)
-    if np.any(cexnorm == 0.0):
+    if not cnorm.all():
+        raise DomainError(f"speaker {np.flatnonzero(cnorm == 0.0)[0]} has a zero-norm centroid")
+    if not cexnorm.all():
         j, i = np.argwhere(cexnorm == 0.0)[0]
         raise DomainError(f"self-excluded centroid ({j}, {i}) has zero norm")
-    cexhat = cex / cexnorm[:, :, None]
+    ehat = e / enorm[:, :, None]
+    chat = np.divide(cent, cnorm[:, None], out=cent)
+    cexhat = np.divide(cex, cexnorm[:, :, None], out=cex)
 
     # cosmat[j, i, k]: utterance (j, i) against speaker k's centroid,
-    # self-excluded on the diagonal k == j.
+    # self-excluded on the diagonal k == j, which is flat entry diag[j, i].
+    diag = _ge2e_diagonal(n, m)
     cosmat = np.einsum("jid,kd->jik", ehat, chat)
     diag_cos = np.einsum("jid,jid->ji", ehat, cexhat)
-    idx = np.arange(n)
-    cosmat[idx, :, idx] = diag_cos
-    cosmat = np.clip(cosmat, -1.0, 1.0)
+    cosmat.put(diag, diag_cos)
+    np.maximum(np.minimum(cosmat, 1.0, out=cosmat), -1.0, out=cosmat)
 
     scores = w * cosmat + b
     lse = log_sum_exp(scores, axis=2)
-    own = scores[idx, :, idx]
-    value = float(np.mean(lse - own))
+    lse -= scores.take(diag)
+    value = float(np.add.reduce(lse, axis=None) / (n * m))
 
     g = softmax(scores, axis=2)
-    g[idx, :, idx] -= 1.0
+    g.put(diag, g.take(diag) - 1.0)
     g /= n * m
 
-    grad_w = float(np.sum(g * cosmat))
-    grad_b = float(np.sum(g))
+    grad_w = float(np.add.reduce(g * cosmat, axis=None))
+    grad_b = float(np.add.reduce(g, axis=None))
 
-    dcos = g * w
-    dcos_diag = dcos[idx, :, idx]
-    dcos_off = dcos.copy()
-    dcos_off[idx, :, idx] = 0.0
+    dcos = np.multiply(g, w, out=g)
+    dcos_diag = dcos.take(diag)
 
-    # first-argument path of every cosine
-    sum_dc = np.sum(dcos * cosmat, axis=2)
-    grad_e = np.einsum("jik,kd->jid", dcos_off, chat)
+    # first-argument path of every cosine; then dcos and cosmat lose their diagonals
+    sum_dc = np.add.reduce(dcos * cosmat, axis=2)
+    dcos.put(diag, 0.0)
+    cosmat.put(diag, 0.0)
+    grad_e = np.einsum("jik,kd->jid", dcos, chat)
     grad_e += dcos_diag[:, :, None] * cexhat
     grad_e -= sum_dc[:, :, None] * ehat
     grad_e /= enorm[:, :, None]
 
     # full-centroid path, distributed evenly over the speaker's utterances
-    cos_off = cosmat.copy()
-    cos_off[idx, :, idx] = 0.0
-    dcent = np.einsum("jik,jid->kd", dcos_off, ehat)
-    dcent -= np.einsum("jik,jik->k", dcos_off, cos_off)[:, None] * chat
+    dcent = np.einsum("jik,jid->kd", dcos, ehat)
+    dcent -= np.einsum("jik,jik->k", dcos, cosmat)[:, None] * chat
     dcent /= cnorm[:, None]
     grad_e += dcent[:, None, :] / m
 
@@ -387,7 +394,7 @@ def ge2e_loss(embeddings: np.ndarray, params: ClassifierParams,
     # touches every e[j, m] except m == i
     dcex = dcos_diag[:, :, None] * (ehat - diag_cos[:, :, None] * cexhat)
     dcex /= cexnorm[:, :, None]
-    grad_e += (dcex.sum(axis=1, keepdims=True) - dcex) / (m - 1)
+    grad_e += (np.add.reduce(dcex, axis=1, keepdims=True) - dcex) / (m - 1)
 
     return LossOutput(value=value, grad_embeddings=grad_e,
                       grad_params=ClassifierParams(ge2e_w=grad_w, ge2e_b=grad_b))

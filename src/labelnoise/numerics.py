@@ -34,17 +34,17 @@ def softmax(z, axis: int = -1) -> np.ndarray:
 
 
 def log_sum_exp(z, axis: int = -1):
-    """max(z) + log(sum(exp(z - max(z)))) along ``axis``."""
+    """max(z) + log(sum(exp(z - max(z)))) along ``axis``, reduced as in ``softmax``."""
     x = np.asarray(z, dtype=np.float64)
     if x.size == 0:
         raise DomainError("log_sum_exp input must be non-empty")
     if not np.isfinite(x).all():
         raise DomainError("log_sum_exp input contains non-finite entries")
-    m = x.max(axis=axis, keepdims=True)
+    m = np.maximum.reduce(x, axis=axis, keepdims=True)
     e = x - m
     np.exp(e, out=e)
-    out = m.squeeze(axis) + np.log(e.sum(axis=axis))
-    return float(out) if np.ndim(out) == 0 else out
+    out = m.squeeze(axis) + np.log(np.add.reduce(e, axis=axis))
+    return float(out) if out.ndim == 0 else out
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

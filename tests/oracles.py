@@ -19,7 +19,11 @@ gradient included, is the one whose weight and bias gradients
 ``mlp_backward`` must reproduce. The one-call-per-operation confidences
 and inter-class loop are the forms whose bits ``classify_confidence``,
 ``CentroidClassifier.confidences`` and ``inter_inconsistency`` must
-reproduce. The dict-keyed centroid bank, intra-class score and centroid
+reproduce. The one-call-per-operation GE2E loss (``np.linalg.norm``,
+fancy-indexed diagonal, ``np.clip``, ``np.mean`` and ``.copy()``), with
+the method-form ``log_sum_exp`` that it and the AAM step call, is the
+form whose value and gradients ``ge2e_loss`` must reproduce bit for bit.
+The dict-keyed centroid bank, intra-class score and centroid
 classifier are the per-class forms whose bits the array bank must
 reproduce. ``read_trials_csv`` reads back what ``write_trials_csv``
 writes. The four per-row CSV writers are the forms whose bytes the
@@ -58,7 +62,7 @@ from labelnoise.losses import (
     nsl_config,
 )
 from labelnoise.nld import METHOD_INTER, METHOD_INTRA, CentroidClassifier
-from labelnoise.numerics import log_sum_exp, row_dot, softmax
+from labelnoise.numerics import row_dot, softmax
 from labelnoise.seeding import derive_seed, named_rng
 from labelnoise.synthdata import DEFAULT_WITHIN_CLASS_SPREAD, Dataset, NoiseSpec
 
@@ -692,7 +696,7 @@ def _plain_margin_cross_entropy(cos: np.ndarray, y: np.ndarray, scale: float, ma
 
     logits = scale * cos
     logits[rows, y] = scale * target
-    value = float(np.mean(log_sum_exp(logits, axis=1) - logits[rows, y]))
+    value = float(np.mean(plain_log_sum_exp(logits, axis=1) - logits[rows, y]))
 
     dlogits = softmax(logits, axis=1)
     dlogits[rows, y] -= 1.0
@@ -824,6 +828,115 @@ def plain_mlp_backward(
         d = d @ params.weights[i]
     return grad_w, grad_b, d
 
+
+
+# ----------------------------------------------------------------------
+# The GE2E loss as one numpy call per operation: the reference whose value
+# and gradients ``losses.ge2e_loss`` must reproduce bit for bit. Norms come
+# from ``np.linalg.norm`` and zero norms are found by ``np.any``, the
+# diagonal (j, i, j) is read and written by fancy indexing, the clip
+# allocates, the mean and sums go through ``np.mean`` and ``np.sum``, and
+# the off-diagonal copies are made with ``.copy()``; its ``log_sum_exp``
+# reduces through the ``max`` and ``sum`` methods. The zero-norm centroid
+# error takes its index from the first element of ``argwhere``'s row:
+# ``int`` of a 1-element 1-D array is a ``TypeError`` in numpy 2.4.
+
+
+def plain_log_sum_exp(z, axis: int = -1):
+    """max(z) + log(sum(exp(z - max(z)))) along ``axis``, through the
+    ``max`` and ``sum`` methods."""
+    x = np.asarray(z, dtype=np.float64)
+    if x.size == 0:
+        raise DomainError("log_sum_exp input must be non-empty")
+    if not np.isfinite(x).all():
+        raise DomainError("log_sum_exp input contains non-finite entries")
+    m = x.max(axis=axis, keepdims=True)
+    e = x - m
+    np.exp(e, out=e)
+    out = m.squeeze(axis) + np.log(e.sum(axis=axis))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def plain_ge2e_loss(embeddings: np.ndarray, params: ClassifierParams,
+                    cfg: GE2EConfig) -> LossOutput:
+    """Contrastive (GE2E) loss on N x M grouped embeddings."""
+    e = np.asarray(embeddings, dtype=np.float64)
+    if e.ndim != 3:
+        raise ConfigurationError(f"expected N x M x dim embeddings, got shape {e.shape}")
+    n, m, dim = e.shape
+    if m < 2:
+        raise ConfigurationError(f"GE2E needs M >= 2 utterances per speaker, got {m}")
+    w, b = float(params.ge2e_w), float(params.ge2e_b)
+
+    enorm = np.linalg.norm(e, axis=2)
+    if np.any(enorm == 0.0):
+        j, i = np.argwhere(enorm == 0.0)[0]
+        raise DomainError(f"embedding ({j}, {i}) has zero norm")
+    ehat = e / enorm[:, :, None]
+
+    csum = e.sum(axis=1)
+    cent = csum / m
+    cnorm = np.linalg.norm(cent, axis=1)
+    if np.any(cnorm == 0.0):
+        raise DomainError(f"speaker {int(np.argwhere(cnorm == 0.0)[0][0])} "
+                          "has a zero-norm centroid")
+    chat = cent / cnorm[:, None]
+
+    cex = (csum[:, None, :] - e) / (m - 1)
+    cexnorm = np.linalg.norm(cex, axis=2)
+    if np.any(cexnorm == 0.0):
+        j, i = np.argwhere(cexnorm == 0.0)[0]
+        raise DomainError(f"self-excluded centroid ({j}, {i}) has zero norm")
+    cexhat = cex / cexnorm[:, :, None]
+
+    # cosmat[j, i, k]: utterance (j, i) against speaker k's centroid,
+    # self-excluded on the diagonal k == j.
+    cosmat = np.einsum("jid,kd->jik", ehat, chat)
+    diag_cos = np.einsum("jid,jid->ji", ehat, cexhat)
+    idx = np.arange(n)
+    cosmat[idx, :, idx] = diag_cos
+    cosmat = np.clip(cosmat, -1.0, 1.0)
+
+    scores = w * cosmat + b
+    lse = plain_log_sum_exp(scores, axis=2)
+    own = scores[idx, :, idx]
+    value = float(np.mean(lse - own))
+
+    g = softmax(scores, axis=2)
+    g[idx, :, idx] -= 1.0
+    g /= n * m
+
+    grad_w = float(np.sum(g * cosmat))
+    grad_b = float(np.sum(g))
+
+    dcos = g * w
+    dcos_diag = dcos[idx, :, idx]
+    dcos_off = dcos.copy()
+    dcos_off[idx, :, idx] = 0.0
+
+    # first-argument path of every cosine
+    sum_dc = np.sum(dcos * cosmat, axis=2)
+    grad_e = np.einsum("jik,kd->jid", dcos_off, chat)
+    grad_e += dcos_diag[:, :, None] * cexhat
+    grad_e -= sum_dc[:, :, None] * ehat
+    grad_e /= enorm[:, :, None]
+
+    # full-centroid path, distributed evenly over the speaker's utterances
+    cos_off = cosmat.copy()
+    cos_off[idx, :, idx] = 0.0
+    dcent = np.einsum("jik,jid->kd", dcos_off, ehat)
+    dcent -= np.einsum("jik,jik->k", dcos_off, cos_off)[:, None] * chat
+    dcent /= cnorm[:, None]
+    grad_e += dcent[:, None, :] / m
+
+    # self-excluded centroid path: utterance (j, i)'s own-speaker score
+    # touches every e[j, m] except m == i
+    dcex = dcos_diag[:, :, None] * (ehat - diag_cos[:, :, None] * cexhat)
+    dcex /= cexnorm[:, :, None]
+    grad_e += (dcex.sum(axis=1, keepdims=True) - dcex) / (m - 1)
+
+    return LossOutput(value=value, grad_embeddings=grad_e,
+                      grad_params=ClassifierParams(ge2e_w=grad_w, ge2e_b=grad_b))
 
 # ----------------------------------------------------------------------
 # Inter-class confidences as one numpy call per operation: the reference

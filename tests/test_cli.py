@@ -480,6 +480,37 @@ def test_detect_method_both_runs_both_methods_whatever_the_config_lists(pipeline
             assert (run / "seed_1" / name).read_bytes() == (pipeline.sdir / name).read_bytes()
 
 
+@pytest.mark.parametrize("damage", [None, "edit", "delete", "other q"])
+def test_detect_with_fewer_methods_keeps_the_other_methods_unchanged_entries(pipeline, tmp_path,
+                                                                             damage):
+    run = copy_run(pipeline, tmp_path)
+    sdir = run / "seed_1"
+    before = json.loads((sdir / "manifest.json").read_text())["stages"]["detect"]
+    if damage == "edit":
+        with open(sdir / "histogram_inter.csv", "a") as fh:
+            fh.write("0,0,0,0\n")
+    elif damage == "delete":
+        (sdir / "scores_inter.csv").unlink()
+    q = ["--q", "40"] if damage == "other q" else []
+    assert main(["detect", "--config", str(pipeline.cfg_path), "--out", str(run),
+                 "--method", "intra", *q, "--quiet"]) == 0
+    after = json.loads((sdir / "manifest.json").read_text())["stages"]["detect"]
+    intra = {f"{kind}_intra.{ext}" for kind, ext in (("scores", "csv"), ("detection", "json"),
+                                                     ("histogram", "csv"))}
+    inter = {name.replace("intra", "inter") for name in intra}
+    for name, digest in after["artifacts"].items():
+        assert digest == sha256_file(sdir / name)
+    if damage is None:  # the inter entries stay, as recorded before
+        assert set(after["artifacts"]) == intra | inter
+        assert after["inter"] == before["inter"]
+        assert {n: after["artifacts"][n] for n in inter} == {
+            n: before["artifacts"][n] for n in inter}
+        assert after["intra"] == before["intra"]
+    else:  # a file lost its recorded hash, or q changed: the method's entries go
+        assert set(after["artifacts"]) == intra
+        assert "inter" not in after
+
+
 def test_retrain_records_the_method_of_the_detection_file(pipeline, tmp_path):
     run = copy_run(pipeline, tmp_path)
     det_path = run / "seed_1" / "detection_intra.json"

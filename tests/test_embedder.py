@@ -45,6 +45,7 @@ from oracles import (
     plain_aam_loss,
     plain_aamsc_loss,
     plain_adam_step,
+    plain_ge2e_loss,
     plain_mlp_backward,
     plain_mlp_forward,
 )
@@ -515,6 +516,66 @@ def test_train_matches_the_plain_step_bit_for_bit(monkeypatch, loss):
                      (state.m, ref_state.m), (state.v, ref_state.v)]:
         assert got.tobytes() == ref.tobytes()
     assert state.step_count == ref_state.step_count == 400
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_train_ge2e_matches_the_plain_step_bit_for_bit(monkeypatch, seed):
+    # 400 steps cross the step (356) after which Adam leaves out its
+    # division by 1 - beta1**t
+    ds = small_ds(class_count=6, per_class=6)
+    cfg = TrainConfig(loss=GE2EConfig(), total_steps=400, batch_speakers=4, utts_per_speaker=3,
+                      seed=seed, hidden_dims=(16, 16), embed_dim=8)
+    model, curve, state = _train_recording_adam(ds, cfg, monkeypatch, adam_step)
+    for name, plain in [("ge2e_loss", plain_ge2e_loss),
+                        ("mlp_forward", plain_mlp_forward),
+                        ("mlp_backward", lambda *args: plain_mlp_backward(*args)[:2])]:
+        monkeypatch.setattr(embedder, name, plain)
+    ref_model, ref_curve, ref_state = _train_recording_adam(ds, cfg, monkeypatch,
+                                                            plain_adam_step)
+    assert [np.float64(v).tobytes() for _, v in curve] == [
+        np.float64(v).tobytes() for _, v in ref_curve]
+    assert dump_json17(model_to_dict(model)) == dump_json17(model_to_dict(ref_model))
+    for got, ref in [*zip(model.embedder.weights, ref_model.embedder.weights),
+                     *zip(model.embedder.biases, ref_model.embedder.biases),
+                     (state.m, ref_state.m), (state.v, ref_state.v)]:
+        assert got.tobytes() == ref.tobytes()
+    assert (model.classifier.ge2e_w, model.classifier.ge2e_b) == (
+        ref_model.classifier.ge2e_w, ref_model.classifier.ge2e_b)
+    assert state.step_count == ref_state.step_count == 400
+
+
+@pytest.mark.parametrize("loss", [
+    CEConfig(class_count=4),
+    AAMConfig(class_count=4, scale=30.0, margin=0.1),
+    AAMSCConfig(class_count=4, scale=30.0, margin=0.1, subcenters=2),
+    GE2EConfig(),
+])
+def test_train_passes_adam_the_concatenated_gradient_blocks(monkeypatch, loss):
+    # every step's flat gradient is the MLP's blocks, layer by layer, then
+    # the classifier's fields, each raveled, as one concatenation
+    seen = {}
+    for name in ("ce_loss", "aamsc_loss", "ge2e_loss", "mlp_backward"):
+        def recording(*args, _real=getattr(embedder, name), _name=name):
+            seen[_name] = result = _real(*args)
+            return result
+        monkeypatch.setattr(embedder, name, recording)
+    steps = []
+
+    def checking_adam(params, grads, state, blocks=None):
+        gw, gb = seen.pop("mlp_backward")
+        (out,) = seen.values()
+        seen.clear()
+        fields = [getattr(out.grad_params, f) for f in ("weight", "bias", "ge2e_w", "ge2e_b")]
+        expected = np.concatenate([g.ravel() for pair in zip(gw, gb) for g in pair]
+                                  + [np.ravel(f) for f in fields if f is not None])
+        assert grads.tobytes() == expected.tobytes()
+        steps.append(len(blocks))
+        return adam_step(params, grads, state, blocks)
+
+    monkeypatch.setattr(embedder, "adam_step", checking_adam)
+    ds = small_ds(class_count=4, per_class=6)
+    train(ds, tiny_ge2e_cfg(steps=5) if isinstance(loss, GE2EConfig) else tiny_cfg(loss, steps=5))
+    assert steps == [4 + {CEConfig: 2, AAMConfig: 1, AAMSCConfig: 1, GE2EConfig: 2}[type(loss)]] * 5
 
 
 def tiny_ge2e_cfg(steps=40):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelnoise.errors import ConfigurationError, DomainError
 from labelnoise.losses import (
@@ -29,6 +31,7 @@ from oracles import (
     plain_aam_loss,
     plain_aamsc_loss,
     plain_classify_confidence,
+    plain_ge2e_loss,
     plain_l2_normalize_rows,
 )
 
@@ -397,6 +400,115 @@ def test_ge2e_shape_validation():
     bad[0, 1] = 0.0
     with pytest.raises(DomainError, match="zero norm"):
         ge2e_loss(bad, params, GE2EConfig())
+
+
+A, B = np.asarray([1.0, 2.0]), np.asarray([-3.0, 0.5])  # for the zero-norm cases
+
+
+@pytest.mark.parametrize("e,message", [
+    # speaker 0 is {a, -a}: its centroid is zero, its self-excluded ones are not
+    ([[A, -A], [B, 2 * B]], "speaker 0 has a zero-norm centroid"),
+    # speaker 0 is {a, b, -b}: utterance (0, 0)'s self-excluded centroid is zero
+    ([[A, B, -B], [B, A, A]], "self-excluded centroid (0, 0) has zero norm"),
+    # a zero embedding is named before an earlier speaker's zero centroid
+    ([[A, -A], [B, 0 * B]], "embedding (1, 1) has zero norm"),
+    # a zero centroid is named before an earlier zero self-excluded centroid
+    ([[A, B, -B], [A, -2 * A, A]], "speaker 1 has a zero-norm centroid"),
+])
+def test_ge2e_names_the_first_zero_norm(e, message):
+    params = ClassifierParams(ge2e_w=10.0, ge2e_b=-5.0)
+    for loss in (ge2e_loss, plain_ge2e_loss):
+        with pytest.raises(DomainError) as info:
+            loss(np.asarray(e), params, GE2EConfig())
+        assert str(info.value) == message
+
+
+def _ge2e_bits(loss, e, w, b):
+    """The bytes of value and gradients, or the type and message of the error."""
+    try:
+        out = loss(e, ClassifierParams(ge2e_w=w, ge2e_b=b), GE2EConfig())
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+    return tuple(np.float64(v).tobytes() for v in (out.value, out.grad_params.ge2e_w,
+                                                   out.grad_params.ge2e_b)) + (
+        out.grad_embeddings.tobytes(), out.grad_embeddings.shape)
+
+
+@st.composite
+def ge2e_batches(draw):
+    """N x M x d embeddings with row scales 1e-3 .. 1e3, some rows repeated,
+    coordinates set to 0.0 or -0.0, and near-antipodal rows that clip."""
+    n, m, d = draw(st.integers(2, 20)), draw(st.integers(2, 6)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = rng.standard_normal((n, m, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, m, 1))
+    if draw(st.booleans()):  # repeated vectors, within and across speakers
+        e[:, -1] = e[:, 0]
+        e[-1] = e[0]
+    for zero in (0.0, -0.0):
+        if draw(st.booleans()):
+            e[rng.random(e.shape) < 0.3] = zero
+    if draw(st.booleans()):  # each speaker's first utterance against the rest
+        e[:, 0] = -e[:, 1:].sum(axis=1) * (1.0 + 1e-9)
+    w = draw(st.floats(1e-4, 40.0))
+    b = draw(st.floats(-20.0, 5.0))
+    return e, w, b
+
+
+@given(ge2e_batches())
+@settings(max_examples=300, deadline=None)
+def test_ge2e_matches_the_plain_step_bit_for_bit(batch):
+    e, w, b = batch
+    assert _ge2e_bits(ge2e_loss, e, w, b) == _ge2e_bits(plain_ge2e_loss, e, w, b)
+
+
+def test_ge2e_bit_for_bit_draws_reach_the_clip():
+    # antipodal rows give diagonal cosines that round past -1 or +1
+    rng = np.random.default_rng(4)
+    clipped = 0
+    for _ in range(50):
+        e = rng.standard_normal((3, 2, 5)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 2, 1))
+        e[:, 0] = -e[:, 1] * (1.0 + 1e-9)
+        ehat = e / np.linalg.norm(e, axis=2)[:, :, None]
+        cex = e[:, ::-1]
+        cexhat = cex / np.linalg.norm(cex, axis=2)[:, :, None]
+        clipped += int(np.any(np.abs(np.einsum("jid,jid->ji", ehat, cexhat)) > 1.0))
+        assert _ge2e_bits(ge2e_loss, e, 3.0, -1.0) == _ge2e_bits(plain_ge2e_loss, e, 3.0, -1.0)
+    assert clipped > 0
+
+
+def test_ge2e_bits_do_not_depend_on_the_memory_layout():
+    rng = named_rng(18, "ge2e-layout")
+    for n, m, d in [(1, 2, 1), (4, 3, 5), (16, 4, 32)]:
+        e = rng.standard_normal((n, m, d))
+        want = _ge2e_bits(plain_ge2e_loss, e, 7.0, -3.0)
+        for view in (np.asfortranarray(e), e.transpose(1, 0, 2).copy().transpose(1, 0, 2),
+                     np.repeat(e, 2, axis=1)[:, ::2]):
+            assert _ge2e_bits(ge2e_loss, view, 7.0, -3.0) == want
+
+
+@pytest.mark.parametrize("where", [(0, 0, 0), (1, 1, 2), (2, 0, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("zero", [None, (0, 1), (2, 1)])
+def test_ge2e_errors_match_the_plain_step_for_non_finite_input(where, bad, zero):
+    # the error, not the numpy warnings on the way, is what must agree
+    e = named_rng(15, "ge2e-nonfinite").standard_normal((3, 2, 4))
+    e[where] = bad
+    if zero is not None:
+        e[zero] = 0.0
+    with np.errstate(all="ignore"):
+        got = _ge2e_bits(ge2e_loss, e, 10.0, -5.0)
+        assert got == _ge2e_bits(plain_ge2e_loss, e, 10.0, -5.0)
+    assert got[0] is DomainError
+
+
+@pytest.mark.parametrize("w,b", [(np.nan, -5.0), (np.inf, -5.0), (-np.inf, -5.0),
+                                 (10.0, np.nan), (10.0, np.inf)])
+def test_ge2e_errors_match_the_plain_step_for_non_finite_w_or_b(w, b):
+    e = named_rng(15, "ge2e-nonfinite").standard_normal((3, 2, 4))
+    with np.errstate(all="ignore"):
+        got = _ge2e_bits(ge2e_loss, e, w, b)
+        assert got == _ge2e_bits(plain_ge2e_loss, e, w, b)
+    assert got[0] is DomainError
 
 
 # ----------------------------------------------------------------------

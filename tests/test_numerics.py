@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from labelnoise.errors import DomainError
 from labelnoise.numerics import l2_normalize_rows, log_sum_exp, row_dot, softmax
-from oracles import as_vector, cosine_similarity
+from oracles import as_vector, cosine_similarity, plain_log_sum_exp
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0,
                           allow_nan=False, allow_infinity=False)
@@ -139,6 +139,17 @@ def test_lse_bounds(z):
     val = log_sum_exp(z)
     assert val >= float(np.max(z)) - 1e-12
     assert val <= float(np.max(z)) + math.log(z.size) + 1e-12
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(7,), (1,), (5, 9), (16, 4, 16), (3, 1, 2)]),
+       st.floats(1e-3, 1e3))
+@settings(max_examples=200)
+def test_log_sum_exp_matches_the_method_form_bit_for_bit(seed, shape, scale):
+    z = np.random.default_rng(seed).standard_normal(shape) * scale
+    for axis in range(-1, len(shape)):
+        got, ref = log_sum_exp(z, axis=axis), plain_log_sum_exp(z, axis=axis)
+        assert type(got) is type(ref)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 # ----------------------------------------------------------------------
