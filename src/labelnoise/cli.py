@@ -182,8 +182,8 @@ def resolve_config(raw: dict) -> dict:
     t["loss"] = _section(t["loss"], "train.loss", {"kind": (str, kind, None),
                                                    **LOSS_KINDS[kind][1]})
     t["hidden_dims"] = list(t["hidden_dims"])
-    if any(not isinstance(h, int) or isinstance(h, bool) or h < 1 for h in t["hidden_dims"]):
-        raise ConfigurationError("config field train.hidden_dims must be a list of ints >= 1")
+    if any(type(h) is not int or not 1 <= h < 2**63 for h in t["hidden_dims"]):  # no bools
+        raise ConfigurationError("config field train.hidden_dims must list ints in [1, 2**63)")
     de["methods"] = list(de["methods"])
     if (not de["methods"] or any(m not in METHODS for m in de["methods"])
             or len(set(de["methods"])) != len(de["methods"])):

@@ -365,9 +365,9 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
         emb, cache = mlp_forward(mlp, ds.features.take(positions.reshape(-1), axis=0))
 
         if isinstance(loss_cfg, CEConfig):
-            out = ce_loss(emb, np.repeat(labels, m_utt), clf)
+            out = ce_loss(emb, labels, clf)
         elif isinstance(loss_cfg, AAMConfig):
-            out = aamsc_loss(emb, np.repeat(labels, m_utt), clf, margin_cfgs[step < boundary])
+            out = aamsc_loss(emb, labels, clf, margin_cfgs[step < boundary])
         else:
             out = ge2e_loss(emb.reshape(n_spk, m_utt, -1), clf, loss_cfg)
 

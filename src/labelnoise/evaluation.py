@@ -13,7 +13,6 @@ and compare held-out EER before and after.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 from itertools import chain
 

@@ -128,9 +128,9 @@ _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
 def json_field(section: dict, key: str, kind: type, path: str, nullable: bool = False):
     """``section[key]`` if it is a JSON ``kind`` (or null when ``nullable``).
 
-    ``int`` excludes bools; ``float`` takes any finite number but a bool
-    and returns a float. Otherwise raises ConfigurationError naming
-    ``<path>.<key>``.
+    ``int`` excludes bools and integers outside the 64-bit range;
+    ``float`` takes any finite number but a bool and returns a float.
+    Otherwise raises ConfigurationError naming ``<path>.<key>``.
     """
     if key not in section:
         raise ConfigurationError(f"{path}.{key} is missing")
@@ -143,6 +143,8 @@ def json_field(section: dict, key: str, kind: type, path: str, nullable: bool = 
         ok = isinstance(v, kind) and (kind is bool or not isinstance(v, bool))
     if not ok:
         raise ConfigurationError(f"{path}.{key} must be {_KIND_NAMES[kind]}, got {reprlib.repr(v)}")
+    if kind is int and not -2**63 <= v < 2**63:
+        raise ConfigurationError(f"{path}.{key} must be a 64-bit integer, got {reprlib.repr(v)}")
     return float(v) if kind is float else v
 
 

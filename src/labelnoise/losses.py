@@ -16,10 +16,11 @@ Three loss families over a batch of embeddings:
   own-speaker centroid excludes the utterance itself) through a learned
   affine ``w * cos + b``.
 
-Every loss returns the scalar value together with gradients for the batch
-embeddings and for all classifier parameters; the gradients are exact
-derivatives of the returned value (verified against central finite
-differences in the test suite).
+All three end in one softmax cross-entropy, ``_softmax_cross_entropy``.
+Every loss returns the scalar value together with gradients for the
+batch embeddings and for all classifier parameters; the gradients are
+exact derivatives of the returned value (verified against central
+finite differences in the test suite).
 """
 
 from __future__ import annotations
@@ -190,20 +191,28 @@ def _check_labels(labels, class_count: int, batch_size: int) -> np.ndarray:
     return y.astype(np.intp, copy=False)
 
 
+def _softmax_cross_entropy(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean of ``log_sum_exp(row) - target logit`` over the rows of C-order
+    ``logits``, with each row's target at its flat index in ``target``, and
+    the gradient of that mean, ``(softmax - one-hot) / rows``."""
+    rows = logits.shape[0]
+    loss = log_sum_exp(logits, axis=1)
+    loss -= logits.take(target)
+    value = float(np.add.reduce(loss) / rows)
+    grad = softmax(logits, axis=1)
+    grad.put(target, grad.take(target) - 1.0)
+    grad /= rows
+    return value, grad
+
+
 def ce_loss(embeddings: np.ndarray, labels, params: ClassifierParams) -> LossOutput:
     """Mean softmax cross-entropy of W x + bias against the labels."""
-    x = np.asarray(embeddings, dtype=np.float64)
-    w, b = params.weight, params.bias
-    n = x.shape[0]
-    y = _check_labels(labels, w.shape[0], n)
+    x = np.ascontiguousarray(embeddings, dtype=np.float64)
+    w, b = np.ascontiguousarray(params.weight, dtype=np.float64), params.bias
+    n, c = x.shape[0], w.shape[0]
+    y = _check_labels(labels, c, n)
 
-    logits = x @ w.T + b
-    rows = np.arange(n)
-    value = float(np.mean(log_sum_exp(logits, axis=1) - logits[rows, y]))
-
-    dlogits = softmax(logits, axis=1)
-    dlogits[rows, y] -= 1.0
-    dlogits /= n
+    value, dlogits = _softmax_cross_entropy(x @ w.T + b, np.arange(0, n * c, c) + y)
     return LossOutput(
         value=value,
         grad_embeddings=dlogits @ w,
@@ -245,16 +254,10 @@ def _margin_cross_entropy(cos: np.ndarray, y: np.ndarray, scale: float, margin: 
     dtarget = np.where(active, dphi, 1.0)
 
     logits = scale * cos
-    target_logit = scale * target
-    logits.reshape(-1)[flat] = target_logit
-    value = float((log_sum_exp(logits, axis=1) - target_logit).sum() / n)
-
-    dcos = softmax(logits, axis=1)
-    dflat = dcos.reshape(-1)
-    d_target = (dflat[flat] - 1.0) / n
-    dcos /= n
+    logits.put(flat, scale * target)
+    value, dcos = _softmax_cross_entropy(logits, flat)
     dcos *= scale
-    dflat[flat] = scale * d_target * dtarget
+    dcos.put(flat, dcos.take(flat) * dtarget)
     return value, dcos
 
 
@@ -275,14 +278,14 @@ def aamsc_loss(embeddings: np.ndarray, labels, params: ClassifierParams,
                cfg: AAMConfig) -> LossOutput:
     """Sub-center AAM: per class, the maximum sub-center cosine competes
     (plain AAM for an ``AAMConfig``, whose classes have one sub-center)."""
-    x = np.asarray(embeddings, dtype=np.float64)
+    x = np.ascontiguousarray(embeddings, dtype=np.float64)
     n = x.shape[0]
     y = _check_labels(labels, cfg.class_count, n)
     c, k = cfg.class_count, cfg.subcenters
     if params.weight.shape[0] != c * k:
         raise ConfigurationError(f"weight has {params.weight.shape[0]} rows, expected {c * k}")
     xhat, xnorm = l2_normalize_rows(x, "embedding")
-    what, wnorm = l2_normalize_rows(params.weight, "weight")
+    what, wnorm = l2_normalize_rows(np.ascontiguousarray(params.weight, np.float64), "weight")
 
     cos_flat = xhat @ what.T
     np.clip(cos_flat, -1.0, 1.0, out=cos_flat)
@@ -361,13 +364,8 @@ def ge2e_loss(embeddings: np.ndarray, params: ClassifierParams,
     np.maximum(np.minimum(cosmat, 1.0, out=cosmat), -1.0, out=cosmat)
 
     scores = w * cosmat + b
-    lse = log_sum_exp(scores, axis=2)
-    lse -= scores.take(diag)
-    value = float(np.add.reduce(lse, axis=None) / (n * m))
-
-    g = softmax(scores, axis=2)
-    g.put(diag, g.take(diag) - 1.0)
-    g /= n * m
+    value, g = _softmax_cross_entropy(scores.reshape(n * m, n), diag.reshape(-1))
+    g = g.reshape(n, m, n)
 
     grad_w = float(np.add.reduce(g * cosmat, axis=None))
     grad_b = float(np.add.reduce(g, axis=None))

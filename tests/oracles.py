@@ -22,7 +22,9 @@ and inter-class loop are the forms whose bits ``classify_confidence``,
 reproduce. The one-call-per-operation GE2E loss (``np.linalg.norm``,
 fancy-indexed diagonal, ``np.clip``, ``np.mean`` and ``.copy()``), with
 the method-form ``log_sum_exp`` that it and the AAM step call, is the
-form whose value and gradients ``ge2e_loss`` must reproduce bit for bit.
+form whose value and gradients ``ge2e_loss`` must reproduce bit for bit,
+and the fancy-indexed CE loss (``np.mean`` over ``logits[rows, y]``)
+with the same ``log_sum_exp`` is the one ``ce_loss`` must reproduce.
 The dict-keyed centroid bank, intra-class score and centroid
 classifier are the per-class forms whose bits the array bank must
 reproduce. ``read_trials_csv`` reads back what ``write_trials_csv``
@@ -390,6 +392,8 @@ def _get_int(section: dict, key: str, default: int | None, path: str,
     v = section.get(key, default)
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigurationError(f"config field {path}.{key} must be an integer, got {v!r}")
+    if not -2**63 <= v < 2**63:
+        raise ConfigurationError(f"config field {path}.{key} must be a 64-bit integer, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigurationError(f"config field {path}.{key} must be >= {minimum}, got {v}")
     return v
@@ -533,8 +537,9 @@ def handwritten_resolve_config(raw: dict) -> dict:
         raise ConfigurationError("config field train.loss must be an object")
     hidden = t.get("hidden_dims", [64, 64])
     if (not isinstance(hidden, list)
-            or any(not isinstance(h, int) or isinstance(h, bool) or h < 1 for h in hidden)):
-        raise ConfigurationError("config field train.hidden_dims must be a list of ints >= 1")
+            or any(not isinstance(h, int) or isinstance(h, bool) or not 1 <= h < 2**63
+                   for h in hidden)):
+        raise ConfigurationError("config field train.hidden_dims must list ints in [1, 2**63)")
     train_sec = {
         "loss": _resolve_loss(loss_raw),
         "total_steps": _get_int(t, "total_steps", 5000, "train", minimum=0),
@@ -937,6 +942,34 @@ def plain_ge2e_loss(embeddings: np.ndarray, params: ClassifierParams,
 
     return LossOutput(value=value, grad_embeddings=grad_e,
                       grad_params=ClassifierParams(ge2e_w=grad_w, ge2e_b=grad_b))
+
+
+# ----------------------------------------------------------------------
+# The CE loss with fancy-indexed targets and ``np.mean``, through the
+# method-form ``log_sum_exp``: the reference whose value and gradients
+# ``losses.ce_loss`` must reproduce bit for bit.
+
+
+def plain_ce_loss(embeddings: np.ndarray, labels, params: ClassifierParams) -> LossOutput:
+    """Mean softmax cross-entropy of W x + bias against the labels."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    w, b = params.weight, params.bias
+    n = x.shape[0]
+    y = _plain_check_labels(labels, w.shape[0])
+
+    logits = x @ w.T + b
+    rows = np.arange(n)
+    value = float(np.mean(plain_log_sum_exp(logits, axis=1) - logits[rows, y]))
+
+    dlogits = softmax(logits, axis=1)
+    dlogits[rows, y] -= 1.0
+    dlogits /= n
+    return LossOutput(
+        value=value,
+        grad_embeddings=dlogits @ w,
+        grad_params=ClassifierParams(weight=dlogits.T @ x, bias=dlogits.sum(axis=0)),
+    )
+
 
 # ----------------------------------------------------------------------
 # Inter-class confidences as one numpy call per operation: the reference

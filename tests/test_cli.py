@@ -658,10 +658,32 @@ def test_config_with_nan_exits_one_without_traceback(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+# Integers outside the 64-bit range, which no numpy array dimension or
+# count can take, are refused with the config, before any stage runs.
+@pytest.mark.parametrize("section,value,field", [
+    ("dataset", {"class_count": 10**21}, "dataset.class_count must be a 64-bit integer"),
+    ("train", {"hidden_dims": [8, 10**20]}, "train.hidden_dims must list ints in [1, 2**63)"),
+    ("train", {"loss": {"kind": "aamsc", "subcenters": 10**20}},
+     "train.loss.subcenters must be a 64-bit integer"),
+    ("eval", {"pairs_per_kind": -2**63 - 1}, "eval.pairs_per_kind must be a 64-bit integer"),
+])
+def test_config_integer_beyond_64_bits_exits_one_without_traceback(tmp_path, section, value,
+                                                                   field):
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "run"), section: value}))
+    proc = run_cli("simulate", "--config", str(cfg), "--quiet")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: config field {field}")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda m: {"format_version": 1}, "error: model.mlp is missing"),
     (lambda m: {**m, "loss_config": {**m["loss_config"], "class_count": "5"}},
      "error: model.loss_config.class_count must be an integer, got '5'"),
+    (lambda m: {**m, "loss_config": {**m["loss_config"], "subcenters": 2**63}},
+     "error: model.loss_config.subcenters must be a 64-bit integer, got 9223372036854775808"),
     (lambda m: {**m, "classifier": {**m["classifier"], "bias": [0.5] * 10}},
      "error: model.classifier.bias must be null for loss kind 'aamsc'"),
     (lambda m: {**m, "classifier": {**m["classifier"], "ge2e_w": 3.0}},

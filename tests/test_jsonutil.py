@@ -16,12 +16,13 @@ import oracles
 from conftest import make_dataset
 from labelnoise import jsonutil
 from labelnoise.embedder import write_loss_curve
-from labelnoise.errors import ParseError
+from labelnoise.errors import ConfigurationError, ParseError
 from labelnoise.evaluation import Trials, write_trials_csv
 from labelnoise.jsonutil import (
     canonical_json,
     digest_config,
     dump_json17,
+    json_field,
     read_json,
     sha256_file,
     sha256_text,
@@ -194,6 +195,14 @@ def test_write_text_writes_each_chunk_once_in_order(tmp_path, monkeypatch):
     write_text(path, [])
     assert path.read_bytes() == b""
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("v", [-2**63 - 1, 2**63, 10**400], ids=["below", "above", "huge"])
+def test_json_field_refuses_integers_beyond_64_bits(v):
+    assert json_field({"k": 2**63 - 1}, "k", int, "p") == 2**63 - 1
+    assert json_field({"k": -2**63}, "k", int, "p") == -2**63
+    with pytest.raises(ConfigurationError, match=r"^p\.k must be a 64-bit integer, got "):
+        json_field({"k": v}, "k", int, "p")
 
 
 def test_sha256_text_known_value():

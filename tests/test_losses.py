@@ -30,6 +30,7 @@ from oracles import (
     _plain_margin_cross_entropy,
     plain_aam_loss,
     plain_aamsc_loss,
+    plain_ce_loss,
     plain_classify_confidence,
     plain_ge2e_loss,
     plain_l2_normalize_rows,
@@ -105,6 +106,78 @@ def test_ce_label_validation():
         ce_loss(np.ones((0, 2)), [], params)
     with pytest.raises(DomainError, match="mismatch"):
         ce_loss(np.ones((2, 2)), [0], params)
+
+
+def _ce_bits(loss, x, y, w, b):
+    """The bytes of value and gradients, or the type and message of the error."""
+    try:
+        out = loss(x, y, ClassifierParams(weight=w, bias=b))
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+    return (np.float64(out.value).tobytes(), out.grad_embeddings.tobytes(),
+            out.grad_params.weight.tobytes(), out.grad_params.bias.tobytes())
+
+
+@st.composite
+def ce_batches(draw):
+    """n x d embeddings and a C x d weight with bias, row scales 1e-3 .. 1e3,
+    and rows whose logits tie exactly or to within a few ulps."""
+    n, c, d = draw(st.integers(1, 60)), draw(st.integers(2, 60)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    w = rng.standard_normal((c, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(c, 1))
+    b = rng.standard_normal(c) * 10.0 ** rng.uniform(-3.0, 3.0)
+    tie = draw(st.sampled_from([None, 0.0, 1e-15]))
+    if tie is not None:  # every class scores the first one's logit, or nearly
+        w[1:] = w[0] * (1.0 + tie * rng.standard_normal((c - 1, 1)))
+        b[1:] = b[0]
+    return x, rng.integers(c, size=n), w, b
+
+
+@given(ce_batches())
+@settings(max_examples=300, deadline=None)
+def test_ce_matches_the_plain_step_bit_for_bit(batch):
+    assert _ce_bits(ce_loss, *batch) == _ce_bits(plain_ce_loss, *batch)
+
+
+@pytest.mark.parametrize("where", ["x", "w", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ce_errors_match_the_plain_step_for_non_finite_input(where, bad):
+    rng = named_rng(20, "ce-nonfinite")
+    arrays = {"x": rng.standard_normal((5, 3)), "w": rng.standard_normal((4, 3)),
+              "b": rng.standard_normal(4)}
+    arrays[where].reshape(-1)[1] = bad
+    x, w, b = arrays["x"], arrays["w"], arrays["b"]
+    y = np.arange(5) % 4
+    with np.errstate(all="ignore"):
+        got = _ce_bits(ce_loss, x, y, w, b)
+        assert got == _ce_bits(plain_ce_loss, x, y, w, b)
+    assert got[0] is DomainError
+
+
+def _layouts(a):
+    """``a`` as a Fortran-order array, a column-strided and a row-strided view."""
+    return np.asfortranarray(a), np.repeat(a, 2, axis=1)[:, ::2], np.repeat(a, 2, axis=0)[::2]
+
+
+@pytest.mark.parametrize("loss", ["ce", "aamsc"])
+def test_ce_and_aamsc_bits_do_not_depend_on_the_memory_layout(loss):
+    rng = named_rng(19, f"{loss}-layout")
+    for n, c, d in [(1, 2, 1), (7, 5, 3), (50, 50, 32)]:
+        x, y = rng.standard_normal((n, d)), rng.integers(c, size=n)
+        if loss == "ce":
+            b = rng.standard_normal(c)
+            bits = lambda f, x, w: _ce_bits(f, x, y, w, b)
+            new, plain, w = ce_loss, plain_ce_loss, rng.standard_normal((c, d))
+        else:
+            cfg = AAMSCConfig(class_count=c, scale=30.0, margin=0.2, subcenters=3)
+            bits = lambda f, x, w: _bits(f(x, y, ClassifierParams(weight=w), cfg))
+            new, plain, w = aamsc_loss, plain_aamsc_loss, rng.standard_normal((c * 3, d))
+        want = bits(plain, x, w)
+        for view in _layouts(x):
+            assert bits(new, view, w) == want
+        for view in _layouts(w):
+            assert bits(new, x, view) == want
 
 
 # ----------------------------------------------------------------------
