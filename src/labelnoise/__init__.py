@@ -30,7 +30,7 @@ from .losses import (
     nsl_config,
 )
 from .nld import (
-    build_centroid_classifier,
+    CentroidClassifier,
     compute_centroids,
     detection_precision,
     inter_inconsistency,
@@ -52,6 +52,7 @@ __all__ = [
     "AAMConfig",
     "AAMSCConfig",
     "CEConfig",
+    "CentroidClassifier",
     "ConfigurationError",
     "Dataset",
     "DivergenceError",
@@ -67,7 +68,6 @@ __all__ = [
     "aamsc_loss",
     "apply_openset_noise",
     "apply_permute_noise",
-    "build_centroid_classifier",
     "ce_loss",
     "compute_centroids",
     "compute_eer",

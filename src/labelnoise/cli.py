@@ -47,13 +47,14 @@ from .nld import (
     DEFAULT_CENTROID_TEMPERATURE,
     METHOD_INTER,
     METHOD_INTRA,
+    CentroidClassifier,
+    ParametricClassifier,
     compute_centroids,
     detection_precision,
     embed_dataset,
     export_score_histogram,
     inter_inconsistency,
     intra_inconsistency,
-    make_inter_classifier,
     rank_and_select,
     write_detection_json,
     write_histogram_csv,
@@ -367,8 +368,8 @@ def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], 
 
     emb = embed_dataset(model, ds)
     # intra scores need the centroid bank, and so does a GE2E model's inter classifier
-    needs_bank = METHOD_INTRA in methods or isinstance(model.loss_config, GE2EConfig)
-    bank = compute_centroids(emb, ds) if needs_bank else None
+    ge2e = isinstance(model.loss_config, GE2EConfig)
+    bank = compute_centroids(emb, ds) if METHOD_INTRA in methods or ge2e else None
     digest = run_config_digest(resolved)
     written = []
     extras: dict = {"q": q}
@@ -376,8 +377,8 @@ def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], 
         if method == METHOD_INTRA:
             scores = intra_inconsistency(emb, ds, bank)
         else:
-            classifier = make_inter_classifier(
-                model, bank, resolved["detect"]["centroid_temperature"])
+            classifier = (CentroidClassifier(bank, resolved["detect"]["centroid_temperature"])
+                          if ge2e else ParametricClassifier(model))
             scores = inter_inconsistency(emb, ds, classifier)
         result = detection_precision(rank_and_select(scores, ds.utt_id, q), ds)
         rows = export_score_histogram(scores, ds, resolved["detect"]["histogram_bins"])
@@ -481,7 +482,8 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
     trials = generate_trials(heldout, resolved["eval"]["pairs_per_kind"], seed)
 
     cfg = build_train_config(resolved, ds.class_count, seed)
-    model_path = Path(args.model) if args.model else out / "model.json"
+    # only the seed directory's own model may be missing: then the baseline is trained here
+    model_path = _require_file(Path(args.model), "model") if args.model else out / "model.json"
     before_model = load_model(model_path) if model_path.exists() else None
     if before_model is None:
         logger.info("seed %d: no trained model at %s, training the baseline now",
@@ -671,11 +673,9 @@ def main(argv=None) -> int:
             _update_manifest(out, seed, run_config_digest(resolved), args.command, artifacts,
                              extras, time.monotonic() - t0)
         return 0
-    except LabelNoiseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LabelNoiseError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the size it could not allocate; a bare one names nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

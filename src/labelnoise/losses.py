@@ -17,6 +17,9 @@ Three loss families over a batch of embeddings:
   affine ``w * cos + b``.
 
 All three end in one softmax cross-entropy, ``_softmax_cross_entropy``.
+At detection time ``classify_confidence`` gives the trained head's
+probabilities; its AAM/AAMSC logits come from ``_cosine_logits``, the
+cosine kernel that ``nld``'s centroid classifier shares.
 Every loss returns the scalar value together with gradients for the
 batch embeddings and for all classifier parameters; the gradients are
 exact derivatives of the returned value (verified against central
@@ -398,43 +401,55 @@ def ge2e_loss(embeddings: np.ndarray, params: ClassifierParams,
                       grad_params=ClassifierParams(ge2e_w=grad_w, ge2e_b=grad_b))
 
 
-def classify_confidence(x: np.ndarray, params: ClassifierParams, cfg: LossConfig,
-                        unit_weight: np.ndarray | None = None) -> np.ndarray:
-    """Probability over classes from the trained classifier, margin/scale off.
-
-    CE keeps its full affine layer; AAM/AAMSC apply softmax to each
-    class's maximum sub-center cosine (the only one when K = 1). GE2E has
-    no parametric classifier (a centroid classifier is constructed in the
-    detection module instead). ``unit_weight`` is
-    ``params.weight`` with unit rows, for callers that score many
-    embeddings with one classifier; AAM/AAMSC compute it when it is omitted.
+def _cosine_logits(v: np.ndarray, unit_rows: np.ndarray, subcenters: int,
+                   temperature: float) -> np.ndarray:
+    """The cosines of ``v`` with the unit rows, each class taking the
+    maximum over its ``subcenters`` consecutive rows, divided by
+    ``temperature``: the logits of the AAM/AAMSC head (temperature 1) and
+    of the GE2E centroid classifier (one row per class), which each caller
+    turns into probabilities with ``softmax``.
 
     Each step keeps the bits of its plain numpy form: ``np.linalg.norm``
     of a 1-D vector is ``sqrt(v.dot(v))``; clipping to [-1, 1] is an
     in-place ``minimum`` then ``maximum``; and the per-class maximum over
     the K sub-center columns, taken one column at a time, is
     ``reshape(C, K).max(axis=1)``, since the maximum of finite values
-    does not depend on the order it is taken in.
+    does not depend on the order it is taken in. Division by temperature 1
+    is exact.
+    """
+    norm = math.sqrt(v.dot(v))
+    if norm == 0.0:
+        raise DomainError("embedding has zero norm")
+    cos = unit_rows @ (v / norm)
+    np.minimum(cos, 1.0, out=cos)
+    np.maximum(cos, -1.0, out=cos)
+    # out of place: writing the maximum into a view of ``cos`` measured slower
+    best = cos[::subcenters]
+    for j in range(1, subcenters):
+        best = np.maximum(best, cos[j::subcenters])
+    return best / temperature
+
+
+def classify_confidence(x: np.ndarray, params: ClassifierParams, cfg: LossConfig,
+                        unit_weight: np.ndarray | None) -> np.ndarray:
+    """Probability over classes from the trained classifier, margin/scale off.
+
+    CE keeps its full affine layer; AAM/AAMSC apply softmax to each
+    class's maximum sub-center cosine (the only one when K = 1), with
+    ``unit_weight``, ``params.weight`` with unit rows, normalized once by
+    the caller that scores many embeddings (CE ignores it). GE2E has no
+    parametric classifier (a centroid classifier is constructed in the
+    detection module instead).
     """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise DomainError(f"expected a single embedding vector, got shape {v.shape}")
-    norm = math.sqrt(v.dot(v))
-    if norm == 0.0:
-        raise DomainError("embedding has zero norm")
-    if isinstance(cfg, CEConfig):
-        return softmax(params.weight @ v + params.bias)
     if isinstance(cfg, AAMConfig):
-        if unit_weight is None:
-            unit_weight, _ = l2_normalize_rows(params.weight, "weight")
-        cos = unit_weight @ (v / norm)
-        np.minimum(cos, 1.0, out=cos)
-        np.maximum(cos, -1.0, out=cos)
-        sub = cos.reshape(cfg.class_count, cfg.subcenters)
-        cos = sub[:, 0].copy()
-        for j in range(1, cfg.subcenters):
-            np.maximum(cos, sub[:, j], out=cos)
-        return softmax(cos)
+        return softmax(_cosine_logits(v, unit_weight, cfg.subcenters, 1.0))
+    if isinstance(cfg, CEConfig):
+        if v.dot(v) == 0.0:  # a zero norm, as in _cosine_logits
+            raise DomainError("embedding has zero norm")
+        return softmax(params.weight @ v + params.bias)
     if isinstance(cfg, GE2EConfig):
         raise ConfigurationError("GE2E has no parametric classifier; use the centroid classifier")
     raise ConfigurationError(f"unknown loss config {type(cfg).__name__}")

@@ -5,7 +5,10 @@ Two per-utterance inconsistency scores over a trained embedder:
 * intra-class: one minus the cosine between an utterance's embedding and
   the mean embedding (centroid) of its observed class;
 * inter-class: one minus the classifier's confidence in the observed
-  label (for GE2E, a classifier is built from the class centroids).
+  label: the trained head for CE/AAM/AAMSC (``ParametricClassifier``) or,
+  for GE2E, a softmax over centroid cosines (``CentroidClassifier``, built
+  from the same centroid bank as the intra-class score). The cosine
+  classifiers take their logits from one kernel, ``losses._cosine_logits``.
 
 Scores are ranked dataset-wide, the top q% largest are predicted noisy,
 and the prediction is compared against ground-truth flags to obtain
@@ -24,7 +27,7 @@ import numpy as np
 from .embedder import TrainedModel, embed_batch
 from .errors import ConfigurationError, InternalError
 from .jsonutil import write_json17, write_text
-from .losses import CEConfig, GE2EConfig, classify_confidence
+from .losses import CEConfig, GE2EConfig, _cosine_logits, classify_confidence
 from .numerics import l2_normalize_rows, row_dot, softmax
 from .synthdata import Dataset
 
@@ -138,56 +141,31 @@ class ParametricClassifier:
 
 
 class CentroidClassifier:
-    """Softmax over cosine(x, class centroid) / temperature."""
+    """Softmax over cosine(x, class centroid) / temperature (GE2E path).
 
-    def __init__(self, class_ids: list[int], directions: np.ndarray, temperature: float):
-        self.class_ids = class_ids
-        self._directions = directions  # unit rows
+    Built from a centroid bank. Empty classes are left out, and so, with a
+    warning each, are classes whose centroid has zero norm.
+    """
+
+    def __init__(self, bank: CentroidBank, temperature: float):
+        if temperature <= 0:
+            raise ConfigurationError(f"temperature must be positive, got {temperature}")
+        if not bank.counts.any():
+            raise ConfigurationError("centroid bank is empty")
+        cent = bank.centroids
+        # the bits of np.linalg.norm and of the division, row by row
+        norms = np.sqrt(row_dot(cent, cent))
+        for c in np.flatnonzero((norms == 0.0) & (bank.counts > 0)).tolist():
+            logger.warning("centroid classifier: class %d has zero-norm centroid, excluded", c)
+        ids = np.flatnonzero(norms != 0.0)
+        if not len(ids):
+            raise ConfigurationError("all centroids have zero norm")
+        self.class_ids = ids.tolist()
+        self._directions = cent[ids] / norms[ids, None]  # unit rows
         self._temperature = temperature
 
     def confidences(self, x: np.ndarray) -> np.ndarray:
-        # the bits of np.linalg.norm, np.clip and an out-of-place division
-        norm = math.sqrt(x.dot(x))
-        if norm == 0.0:
-            raise ConfigurationError("zero-norm embedding has no confidence")
-        cos = self._directions @ (x / norm)
-        np.minimum(cos, 1.0, out=cos)
-        np.maximum(cos, -1.0, out=cos)
-        cos /= self._temperature
-        return softmax(cos)
-
-
-def build_centroid_classifier(bank: CentroidBank,
-                              temperature: float = DEFAULT_CENTROID_TEMPERATURE
-                              ) -> CentroidClassifier:
-    """Manually constructed classifier from class centroids (GE2E path).
-
-    Empty classes are left out, and so, with a warning each, are classes
-    whose centroid has zero norm.
-    """
-    if temperature <= 0:
-        raise ConfigurationError(f"temperature must be positive, got {temperature}")
-    if not bank.counts.any():
-        raise ConfigurationError("centroid bank is empty")
-    cent = bank.centroids
-    # the bits of np.linalg.norm and of the division, row by row
-    norms = np.sqrt(row_dot(cent, cent))
-    for c in np.flatnonzero((norms == 0.0) & (bank.counts > 0)).tolist():
-        logger.warning("centroid classifier: class %d has zero-norm centroid, excluded", c)
-    ids = np.flatnonzero(norms != 0.0)
-    if not len(ids):
-        raise ConfigurationError("all centroids have zero norm")
-    return CentroidClassifier(class_ids=ids.tolist(), directions=cent[ids] / norms[ids, None],
-                              temperature=temperature)
-
-
-def make_inter_classifier(model: TrainedModel, bank: CentroidBank | None,
-                          temperature: float = DEFAULT_CENTROID_TEMPERATURE):
-    """The inter-class confidence source for a model: parametric for
-    CE/AAM/AAMSC (``bank`` unused), built from ``bank`` for GE2E."""
-    if isinstance(model.loss_config, GE2EConfig):
-        return build_centroid_classifier(bank, temperature)
-    return ParametricClassifier(model)
+        return softmax(_cosine_logits(x, self._directions, 1, self._temperature))
 
 
 def inter_inconsistency(emb: np.ndarray, ds: Dataset, classifier) -> np.ndarray:

@@ -63,7 +63,7 @@ from labelnoise.losses import (
     LossOutput,
     nsl_config,
 )
-from labelnoise.nld import METHOD_INTER, METHOD_INTRA, CentroidClassifier
+from labelnoise.nld import METHOD_INTER, METHOD_INTRA
 from labelnoise.numerics import row_dot, softmax
 from labelnoise.seeding import derive_seed, named_rng
 from labelnoise.synthdata import DEFAULT_WITHIN_CLASS_SPREAD, Dataset, NoiseSpec
@@ -1008,7 +1008,7 @@ def plain_centroid_confidences(directions: np.ndarray, temperature: float,
     """Softmax over cosine(x, unit class direction) / temperature."""
     norm = np.linalg.norm(x)
     if norm == 0.0:
-        raise ConfigurationError("zero-norm embedding has no confidence")
+        raise DomainError("embedding has zero norm")
     cos = np.clip(directions @ (x / norm), -1.0, 1.0)
     return softmax(cos / temperature)
 
@@ -1056,11 +1056,12 @@ def read_trials_csv(path) -> Trials:
 
 # ----------------------------------------------------------------------
 # The centroid bank as dicts keyed by class: ``compute_centroids``,
-# ``intra_inconsistency`` and ``build_centroid_classifier`` as they were
-# before the bank became a (class_count, d) array. The bodies are kept as
-# they were; the embeddings are a required argument, the grouping is
-# ``ids_by_observed_class`` above, and the degenerate-score warning is
-# left out.
+# ``intra_inconsistency`` and the centroid classifier's construction as
+# they were before the bank became a (class_count, d) array. The bodies
+# are kept as they were; the embeddings are a required argument, the
+# grouping is ``ids_by_observed_class`` above, the degenerate-score
+# warning is left out, and the classifier is its class ids and unit
+# directions.
 
 
 @dataclass
@@ -1115,8 +1116,10 @@ def dict_intra_inconsistency(emb: np.ndarray, ds: Dataset, bank: DictCentroidBan
 
 
 def dict_build_centroid_classifier(bank: DictCentroidBank,
-                                   temperature: float) -> CentroidClassifier:
-    """Manually constructed classifier from class centroids (GE2E path)."""
+                                   temperature: float) -> tuple[list[int], np.ndarray]:
+    """The class ids and unit directions of the classifier built from
+    class centroids (GE2E path); ``plain_centroid_confidences`` scores
+    with them."""
     if temperature <= 0:
         raise ConfigurationError(f"temperature must be positive, got {temperature}")
     if not bank.centroids:
@@ -1132,7 +1135,7 @@ def dict_build_centroid_classifier(bank: DictCentroidBank,
         rows.append(v / n)
     if not ids:
         raise ConfigurationError("all centroids have zero norm")
-    return CentroidClassifier(class_ids=ids, directions=np.stack(rows), temperature=temperature)
+    return ids, np.stack(rows)
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,8 @@ from labelnoise.losses import (
     ge2e_loss,
 )
 from labelnoise.nld import (
+    DEFAULT_CENTROID_TEMPERATURE,
+    CentroidClassifier,
     DetectionResult,
     ParametricClassifier,
     compute_centroids,
@@ -43,7 +45,6 @@ from labelnoise.nld import (
     embed_dataset,
     inter_inconsistency,
     intra_inconsistency,
-    make_inter_classifier,
     rank_and_select,
 )
 from labelnoise.seeding import derive_seed
@@ -346,7 +347,8 @@ def _detect(seed, loss, kind, q, method):
     if method == "intra":
         scores = intra_inconsistency(emb, ds, compute_centroids(emb, ds))
     else:
-        classifier = make_inter_classifier(model, compute_centroids(emb, ds))
+        classifier = (CentroidClassifier(compute_centroids(emb, ds), DEFAULT_CENTROID_TEMPERATURE)
+                      if isinstance(model.loss_config, GE2EConfig) else ParametricClassifier(model))
         scores = inter_inconsistency(emb, ds, classifier)
     result = detection_precision(rank_and_select(scores, ds.utt_id, q), ds)
     return result, scores

@@ -35,7 +35,8 @@ from labelnoise.errors import ConfigurationError
 from labelnoise.jsonutil import dump_json17, sha256_file
 from labelnoise.losses import LOSS_KINDS, AAMConfig, AAMSCConfig, CEConfig, GE2EConfig
 from labelnoise.nld import (
-    build_centroid_classifier,
+    CentroidClassifier,
+    compute_centroids,
     embed_dataset,
     inter_inconsistency,
     intra_inconsistency,
@@ -568,12 +569,7 @@ def test_detect_builds_the_centroid_bank_only_when_needed_and_once(pipeline, tmp
     assert calls == []
     # GE2E's inter classifier and the intra scores share one bank; observed
     # class 0, relabelled as 1, leaves the bank an empty class to warn about
-    raw = tiny_raw_config(str(tmp_path / "ge2e"))
-    raw["train"] = {**raw["train"], "loss": {"kind": "ge2e"}, "utts_per_speaker": 3}
-    cfg_path = write_config(tmp_path / "ge2e.json", raw)
-    for command in ("simulate", "train"):
-        assert main([command, "--config", str(cfg_path), "--quiet"]) == 0
-    sdir = tmp_path / "ge2e" / "seed_1"
+    _, cfg_path, sdir = trained_ge2e_run(tmp_path)
     ds = load_dataset(sdir / "noisy.jsonl")
     ds = dataclasses.replace(ds, observed_class=np.maximum(ds.observed_class, 1))
     save_dataset(ds, tmp_path / "emptied.jsonl")
@@ -587,9 +583,36 @@ def test_detect_builds_the_centroid_bank_only_when_needed_and_once(pipeline, tmp
     emb = embed_dataset(load_model(sdir / "model.json"), ds)
     for method, scores in (
             ("intra", intra_inconsistency(emb, ds, real(emb, ds))),
-            ("inter", inter_inconsistency(emb, ds, build_centroid_classifier(real(emb, ds))))):
+            ("inter", inter_inconsistency(emb, ds, CentroidClassifier(real(emb, ds), 0.1)))):
         write_scores_csv(scores, ds, method, tmp_path / "want.csv")
         assert (sdir / f"scores_{method}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_detect_scores_a_ge2e_model_at_the_configured_centroid_temperature(tmp_path):
+    raw, _, sdir = trained_ge2e_run(tmp_path)
+    ds = load_dataset(sdir / "noisy.jsonl")
+    emb = embed_dataset(load_model(sdir / "model.json"), ds)
+    written = []
+    for temperature in (0.1, 1.0):
+        cfg_path = write_config(tmp_path / f"t{temperature}.json", {
+            **raw, "detect": {**raw["detect"], "centroid_temperature": temperature}})
+        assert main(["detect", "--config", str(cfg_path), "--method", "inter", "--quiet"]) == 0
+        clf = CentroidClassifier(compute_centroids(emb, ds), temperature)
+        write_scores_csv(inter_inconsistency(emb, ds, clf), ds, "inter", tmp_path / "want.csv")
+        written.append((sdir / "scores_inter.csv").read_bytes())
+        assert written[-1] == (tmp_path / "want.csv").read_bytes()
+    assert written[0] != written[1]
+
+
+def trained_ge2e_run(tmp_path) -> tuple[dict, Path, Path]:
+    """The raw config, config path and seed directory of a tiny GE2E run
+    taken through simulate and train."""
+    raw = tiny_raw_config(str(tmp_path / "ge2e"))
+    raw["train"] = {**raw["train"], "loss": {"kind": "ge2e"}, "utts_per_speaker": 3}
+    cfg_path = write_config(tmp_path / "ge2e.json", raw)
+    for command in ("simulate", "train"):
+        assert main([command, "--config", str(cfg_path), "--quiet"]) == 0
+    return raw, cfg_path, tmp_path / "ge2e" / "seed_1"
 
 
 # ----------------------------------------------------------------------
@@ -616,6 +639,30 @@ def test_eval_without_model_exits_nonzero(pipeline, tmp_path, capsys):
                  "--out", str(out), "--quiet"]) == 1
     assert "model file not found" in capsys.readouterr().err
     assert not (out / "seed_1" / "eer.json").exists()
+
+
+def test_retrain_refuses_a_missing_model_path(pipeline, tmp_path, capsys):
+    run = copy_run(pipeline, tmp_path)
+    missing = tmp_path / "nope.json"
+    assert main(["retrain", "--config", str(pipeline.cfg_path), "--out", str(run),
+                 "--model", str(missing), "--quiet"]) == 1
+    assert f"error: model file not found: {missing}" in capsys.readouterr().err
+    assert (run / "seed_1" / "retrain.json").read_bytes() == \
+        (pipeline.sdir / "retrain.json").read_bytes()
+
+
+def test_retrain_without_the_seed_model_trains_the_baseline(pipeline, tmp_path, caplog):
+    run = copy_run(pipeline, tmp_path)
+    sdir = run / "seed_1"
+    for name in ("model.json", "model_retrained.json", "retrain.json"):
+        (sdir / name).unlink()
+    with caplog.at_level(logging.INFO, logger="labelnoise.cli"):
+        assert main(["retrain", "--config", str(pipeline.cfg_path), "--out", str(run)]) == 0
+    assert f"seed 1: no trained model at {sdir / 'model.json'}, training the baseline now" in \
+        [r.getMessage() for r in caplog.records]
+    # the baseline trained here is the model train wrote, so the report is the pipeline's
+    for name in ("model_retrained.json", "retrain.json"):
+        assert (sdir / name).read_bytes() == (pipeline.sdir / name).read_bytes(), name
 
 
 def test_detect_rejects_out_of_range_q(pipeline, capsys):
@@ -676,6 +723,29 @@ def test_config_integer_beyond_64_bits_exits_one_without_traceback(tmp_path, sec
     assert proc.stderr.startswith(f"error: config field {field}")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "run").exists()
+
+
+# Sizes inside the 64-bit range that no machine can allocate: each request
+# is far beyond a 47-bit address space, so it fails at once.
+def test_unallocatable_class_count_exits_one_without_traceback(tmp_path):
+    cfg = tmp_path / "huge.json"
+    raw = tiny_raw_config(str(tmp_path / "run"))
+    raw["dataset"] = {**raw["dataset"], "class_count": 10**15}
+    write_config(cfg, raw)
+    proc = run_cli("simulate", "--config", str(cfg), "--quiet")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_unallocatable_histogram_exits_one_without_traceback(pipeline, tmp_path):
+    run = copy_run(pipeline, tmp_path)
+    raw = {**pipeline.raw, "output_dir": str(run), "detect": {"histogram_bins": 10**15}}
+    cfg = write_config(tmp_path / "huge.json", raw)
+    proc = run_cli("detect", "--config", str(cfg), "--quiet")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -683,7 +683,7 @@ def test_loss_config_round_trip():
 def test_confidence_aam_aligned_row():
     w = np.asarray([[1.0, 0.0], [0.0, 1.0]])
     cfg = AAMConfig(class_count=2, scale=30.0, margin=0.2)
-    p = classify_confidence(np.asarray([2.0, 0.0]), ClassifierParams(weight=w), cfg)
+    p = classify_confidence(np.asarray([2.0, 0.0]), ClassifierParams(weight=w), cfg, w)
     assert np.allclose(p, [0.7311, 0.2689], atol=1e-4)  # softmax([1, 0])
     assert float(np.sum(p)) == pytest.approx(1.0, abs=1e-12)
 
@@ -691,7 +691,7 @@ def test_confidence_aam_aligned_row():
 def test_confidence_ce_zero_params_uniform():
     c = 4
     params = ClassifierParams(weight=np.zeros((c, 3)), bias=np.zeros(c))
-    p = classify_confidence(np.asarray([1.0, 2.0, 3.0]), params, CEConfig(class_count=c))
+    p = classify_confidence(np.asarray([1.0, 2.0, 3.0]), params, CEConfig(class_count=c), None)
     assert np.allclose(p, np.full(c, 0.25), atol=1e-15)
 
 
@@ -700,10 +700,11 @@ def test_confidence_aamsc_k1_matches_aam():
     w = rng.standard_normal((3, 4))
     x = rng.standard_normal(4)
     aam_cfg = AAMConfig(class_count=3, scale=30.0, margin=0.1)
-    aam = classify_confidence(x, ClassifierParams(weight=w), aam_cfg)
+    unit_w = l2_normalize_rows(w)[0]
+    aam = classify_confidence(x, ClassifierParams(weight=w), aam_cfg, unit_w)
     sc = classify_confidence(x, ClassifierParams(weight=w),
                              AAMSCConfig(class_count=3, scale=30.0, margin=0.1,
-                                         subcenters=1))
+                                         subcenters=1), unit_w)
     ref = plain_classify_confidence(x, ClassifierParams(weight=w), aam_cfg)
     assert sc.tobytes() == aam.tobytes() == ref.tobytes()
 
@@ -715,17 +716,19 @@ def test_confidence_aamsc_reduces_by_max():
         [0.0, 1.0], [0.0, -1.0],  # class 1
     ])
     cfg = AAMSCConfig(class_count=2, scale=30.0, margin=0.1, subcenters=2)
-    p = classify_confidence(np.asarray([1.0, 0.0]), ClassifierParams(weight=w), cfg)
+    p = classify_confidence(np.asarray([1.0, 0.0]), ClassifierParams(weight=w), cfg, w)
     assert np.allclose(p, softmax(np.asarray([1.0, 0.0])), atol=1e-12)
 
 
 def test_confidence_ge2e_and_degenerate_input():
     with pytest.raises(ConfigurationError, match="centroid"):
         classify_confidence(np.ones(3), ClassifierParams(ge2e_w=10.0, ge2e_b=-5.0),
-                            GE2EConfig())
+                            GE2EConfig(), None)
     params = ClassifierParams(weight=np.eye(2), bias=np.zeros(2))
     with pytest.raises(DomainError, match="zero norm"):
-        classify_confidence(np.zeros(2), params, CEConfig(class_count=2))
+        classify_confidence(np.zeros(2), params, CEConfig(class_count=2), None)
+    with pytest.raises(DomainError, match="zero norm"):
+        classify_confidence(np.zeros(2), params, AAMConfig(2, 30.0, 0.1), params.weight)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from labelnoise.losses import (
     classify_confidence,
 )
 from labelnoise.nld import (
+    DEFAULT_CENTROID_TEMPERATURE,
     MAX_INTER_SCORE,
     METHOD_INTER,
     METHOD_INTRA,
@@ -25,18 +26,17 @@ from labelnoise.nld import (
     CentroidClassifier,
     DetectionResult,
     ParametricClassifier,
-    build_centroid_classifier,
     compute_centroids,
     detection_precision,
     export_score_histogram,
     inter_inconsistency,
     intra_inconsistency,
-    make_inter_classifier,
     rank_and_select,
     write_detection_json,
     write_histogram_csv,
     write_scores_csv,
 )
+from labelnoise.numerics import l2_normalize_rows
 from labelnoise.synthdata import Dataset
 from oracles import (
     brute_centroids,
@@ -143,14 +143,17 @@ def test_array_centroid_classifier_has_the_bits_of_the_dict_one(temperature):
     for emb, ds in _bank_cases():
         bank, ref = compute_centroids(emb, ds), dict_compute_centroids(emb, ds)
         try:
-            want = dict_build_centroid_classifier(ref, temperature)
+            ids, directions = dict_build_centroid_classifier(ref, temperature)
         except ConfigurationError as exc:
             with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
-                build_centroid_classifier(bank, temperature)
+                CentroidClassifier(bank, temperature)
             continue
-        clf = build_centroid_classifier(bank, temperature)
-        assert clf.class_ids == want.class_ids
-        assert clf._directions.tobytes() == want._directions.tobytes()
+        clf = CentroidClassifier(bank, temperature)
+        assert clf.class_ids == ids
+        assert clf._directions.tobytes() == directions.tobytes()
+        for x in emb[np.linalg.norm(emb, axis=1) != 0.0]:
+            assert clf.confidences(x).tobytes() == \
+                plain_centroid_confidences(directions, temperature, x).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +248,7 @@ def test_parametric_classifier_has_the_bits_of_per_call_normalization(loss_cfg):
     clf = ParametricClassifier(identity_model(5, loss_cfg=loss_cfg, classifier=params))
     for x in rng.normal(size=(200, 5)) * rng.uniform(1e-3, 1e3, (200, 1)):
         got = clf.confidences(x)
-        assert got.tobytes() == classify_confidence(x, params, loss_cfg).tobytes()
+        assert got.tobytes() == plain_classify_confidence(x, params, loss_cfg).tobytes()
 
 
 def test_parametric_classifier_rejects_zero_weight_row_when_built():
@@ -261,73 +264,68 @@ def test_parametric_classifier_rejects_ge2e():
         ParametricClassifier(model)
 
 
+def _unit_bank(directions) -> CentroidBank:
+    directions = np.asarray(directions, dtype=np.float64)
+    return CentroidBank(centroids=directions, counts=np.ones(len(directions), dtype=np.int64))
+
+
 def test_centroid_classifier_softmax_of_cosines():
-    clf = CentroidClassifier(class_ids=[0, 1],
-                             directions=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                             temperature=1.0)
+    clf = CentroidClassifier(_unit_bank([[1.0, 0.0], [0.0, 1.0]]), temperature=1.0)
     p = clf.confidences(np.array([3.0, 0.0]))
     e = math.e
     np.testing.assert_allclose(p, [e / (e + 1.0), 1.0 / (e + 1.0)], rtol=0, atol=1e-12)
 
 
 def test_centroid_classifier_huge_temperature_is_uniform():
-    clf = CentroidClassifier(class_ids=[0, 1, 2],
-                             directions=np.eye(3),
-                             temperature=1e9)
+    clf = CentroidClassifier(_unit_bank(np.eye(3)), temperature=1e9)
     p = clf.confidences(np.array([1.0, 0.5, -0.5]))
     np.testing.assert_allclose(p, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-6)
 
 
+def test_centroid_classifier_sharpens_at_the_default_temperature():
+    clf = CentroidClassifier(_unit_bank(np.eye(2)), DEFAULT_CENTROID_TEMPERATURE)
+    # temperature 0.1 sharpens the cosine gap [1, 0] to logits [10, 0]
+    p = clf.confidences(np.array([1.0, 0.0]))
+    np.testing.assert_allclose(p[0], 1.0 / (1.0 + math.exp(-10.0)), rtol=0, atol=1e-12)
+
+
 def test_centroid_classifier_zero_norm_input_rejected():
-    clf = CentroidClassifier(class_ids=[0], directions=np.array([[1.0, 0.0]]),
-                             temperature=1.0)
-    with pytest.raises(ConfigurationError, match="zero-norm"):
+    clf = CentroidClassifier(_unit_bank([[1.0, 0.0]]), temperature=1.0)
+    with pytest.raises(DomainError, match="zero norm"):
         clf.confidences(np.zeros(2))
 
 
-def test_build_centroid_classifier_normalizes_directions():
+def test_centroid_classifier_normalizes_directions():
     bank = CentroidBank(centroids=np.array([[2.0, 0.0], [0.0, 5.0]]), counts=np.array([1, 1]))
-    clf = build_centroid_classifier(bank, temperature=1.0)
+    clf = CentroidClassifier(bank, temperature=1.0)
     assert clf.class_ids == [0, 1]
     p = clf.confidences(np.array([1.0, 0.0]))
     e = math.e
     np.testing.assert_allclose(p, [e / (e + 1.0), 1.0 / (e + 1.0)], rtol=0, atol=1e-12)
 
 
-def test_build_centroid_classifier_excludes_zero_norm_centroids(caplog):
+def test_centroid_classifier_excludes_zero_norm_centroids(caplog):
     bank = CentroidBank(centroids=np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
                         counts=np.array([1, 1, 0]))
     with caplog.at_level("WARNING"):
-        clf = build_centroid_classifier(bank, temperature=1.0)
+        clf = CentroidClassifier(bank, temperature=1.0)
     assert clf.class_ids == [1]
     # an empty class is left out without a warning of its own
     assert [r.getMessage() for r in caplog.records] == [
         "centroid classifier: class 0 has zero-norm centroid, excluded"]
 
 
-def test_build_centroid_classifier_rejects_degenerate_banks():
+def test_centroid_classifier_rejects_degenerate_banks():
     for empty in (CentroidBank(centroids=np.zeros((0, 2)), counts=np.zeros(0, dtype=np.int64)),
                   CentroidBank(centroids=np.zeros((2, 2)), counts=np.array([0, 0]))):
         with pytest.raises(ConfigurationError, match="empty"):
-            build_centroid_classifier(empty)
+            CentroidClassifier(empty, DEFAULT_CENTROID_TEMPERATURE)
     all_zero = CentroidBank(centroids=np.zeros((1, 2)), counts=np.array([1]))
     with pytest.raises(ConfigurationError, match="zero norm"):
-        build_centroid_classifier(all_zero)
+        CentroidClassifier(all_zero, DEFAULT_CENTROID_TEMPERATURE)
     ok = CentroidBank(centroids=np.array([[1.0, 0.0]]), counts=np.array([1]))
     with pytest.raises(ConfigurationError, match="temperature"):
-        build_centroid_classifier(ok, temperature=0.0)
-
-
-def test_make_inter_classifier_picks_route_by_loss():
-    ds = make_dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1])
-    ce_model = identity_model(2)
-    assert isinstance(make_inter_classifier(ce_model, None), ParametricClassifier)
-    ge2e_model = identity_model(2, loss_cfg=GE2EConfig())
-    clf = make_inter_classifier(ge2e_model, compute_centroids(ds.features, ds))
-    assert isinstance(clf, CentroidClassifier)
-    # default temperature 0.1 sharpens the cosine gap [1, 0] to logits [10, 0]
-    p = clf.confidences(np.array([1.0, 0.0]))
-    np.testing.assert_allclose(p[0], 1.0 / (1.0 + math.exp(-10.0)), rtol=0, atol=1e-12)
+        CentroidClassifier(ok, temperature=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -385,21 +383,23 @@ def test_classify_confidence_has_the_bits_of_the_plain_form(loss_cfg):
         sub = weight.reshape(_CLASSES, k, _DIM)
         assert (sub[:, 0] == sub[:, -1]).all(axis=1).any()
     clf = ParametricClassifier(identity_model(_DIM, loss_cfg=loss_cfg, classifier=params))
+    unit_weight = None if loss_cfg.kind == "ce" else l2_normalize_rows(weight)[0]
     for x in xs:
         want = plain_classify_confidence(x, params, loss_cfg).tobytes()
-        assert classify_confidence(x, params, loss_cfg).tobytes() == want
+        assert classify_confidence(x, params, loss_cfg, unit_weight).tobytes() == want
         assert clf.confidences(x).tobytes() == want
 
 
-@pytest.mark.parametrize("temperature", [0.1, 1.0])
+@pytest.mark.parametrize("temperature", [0.1, 1.0, 0.37])
 def test_centroid_confidences_have_the_bits_of_the_plain_form(temperature):
     rng = np.random.default_rng(78)
     rows = _scoring_weight(rng, 1)
-    directions = rows / np.linalg.norm(rows, axis=1)[:, None]
+    # the centroid rows normalized one at a time, as the dict-bank classifier does
+    directions = np.stack([r / np.linalg.norm(r) for r in rows])
     xs = _scoring_embeddings(rng, rows)
     _assert_cosines_cover_the_edges(directions, xs)
-    clf = CentroidClassifier(class_ids=list(range(_CLASSES)), directions=directions,
-                             temperature=temperature)
+    clf = CentroidClassifier(_unit_bank(rows), temperature)
+    assert clf.class_ids == list(range(_CLASSES))
     for x in xs:
         assert clf.confidences(x).tobytes() == \
             plain_centroid_confidences(directions, temperature, x).tobytes()
@@ -440,9 +440,8 @@ def test_inter_centroid_has_the_bits_of_the_plain_loop(temperature):
     rng = np.random.default_rng(80)
     feats, observed = _dataset_with_degenerate_rows(rng)
     ds = make_dataset(feats, observed, class_count=_CLASSES + 1)
-    model = identity_model(_DIM, loss_cfg=GE2EConfig())
     bank = compute_centroids(ds.features, ds)
-    clf = make_inter_classifier(model, bank, temperature=temperature)
+    clf = CentroidClassifier(bank, temperature)
     got = inter_inconsistency(ds.features, ds, clf)
     assert 4 not in clf.class_ids  # its centroid has zero norm
     directions = np.stack([bank.centroids[c] / np.linalg.norm(bank.centroids[c])

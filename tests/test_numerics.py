@@ -313,8 +313,8 @@ def test_numpy_in_place_division_is_the_out_of_place_one():
 
 
 # numpy equalities that the array centroid bank (``nld.compute_centroids``
-# and ``nld.build_centroid_classifier``) relies on to keep the bits of the
-# per-class means and norms
+# and the ``nld.CentroidClassifier`` constructor) relies on to keep the
+# bits of the per-class means and norms
 
 
 def _special_rows():
