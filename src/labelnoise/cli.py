@@ -1,9 +1,10 @@
 """Command-line pipeline: simulate -> train -> detect -> eval -> retrain -> report.
 
 Each run is driven by a JSON config file and a list of seeds. Artifacts
-land under ``<output_dir>/seed_<s>/``; a resolved copy of the config is
-written to ``<output_dir>/config.json`` and every command updates a
-per-seed ``manifest.json`` with artifact hashes and wall-clock timings.
+land under ``<output_dir>/seed_<s>/``; once a seed's stage succeeds, a
+resolved copy of the config is written to ``<output_dir>/config.json`` and
+the seed's ``manifest.json`` is updated with artifact hashes and
+wall-clock timings.
 Given the same config and seed, artifact files are byte-identical across
 reruns (manifest timings excepted).
 """
@@ -300,17 +301,14 @@ def cmd_simulate(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path]
         else:
             noisy = apply_openset_noise(clean, aux, spec)
 
-    written = []
-    for ds, filename in ((clean, "clean.jsonl"), (aux, "aux.jsonl"),
-                         (heldout, "heldout.jsonl"), (noisy, "noisy.jsonl")):
-        path = out / filename
+    written = [out / f"{name}.dataset" for name in ("clean", "aux", "heldout", "noisy")]
+    for ds, path in zip((clean, aux, heldout, noisy), written):
         save_dataset(ds, path)
         loaded = load_dataset(path)
         # ``==`` compares features by value, where -0.0 equals 0.0; their bits must match too
         if loaded != ds or not np.array_equal(loaded.features.view(np.int64),
                                               ds.features.view(np.int64)):
             raise ConfigurationError(f"round-trip validation failed for {path}")
-        written.append(path)
 
     noisy_count = int(np.count_nonzero(noisy.is_noisy))
     logger.info("seed %d: simulated %d utterances, %d noisy", seed, len(noisy), noisy_count)
@@ -319,7 +317,7 @@ def cmd_simulate(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path]
 
 def cmd_train(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:
     """Train the embedder on the (noisy) training set."""
-    ds_path = Path(args.dataset) if args.dataset else out / "noisy.jsonl"
+    ds_path = Path(args.dataset) if args.dataset else out / "noisy.dataset"
     ds = load_dataset(_require_file(ds_path, "dataset"))
 
     cfg = build_train_config(resolved, ds.class_count, seed)
@@ -342,7 +340,7 @@ def cmd_train(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], d
 def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:
     """Score inconsistency, rank, select top q%, and report precision."""
     model_path = Path(args.model) if args.model else out / "model.json"
-    ds_path = Path(args.dataset) if args.dataset else out / "noisy.jsonl"
+    ds_path = Path(args.dataset) if args.dataset else out / "noisy.dataset"
     model = load_model(_require_file(model_path, "model"))
     ds = load_dataset(_require_file(ds_path, "dataset"))
     if ds.feature_dim != model.embedder.layer_dims[0]:
@@ -423,7 +421,7 @@ def _detect_paths(out: Path, method: str) -> list[Path]:
 def cmd_eval(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:
     """Generate held-out trials and report the model's EER."""
     model_path = _require_file(Path(args.model) if args.model else out / "model.json", "model")
-    heldout = load_dataset(_require_file(out / "heldout.jsonl", "held-out dataset"))
+    heldout = load_dataset(_require_file(out / "heldout.dataset", "held-out dataset"))
     model = load_model(model_path)
 
     trials = generate_trials(heldout, resolved["eval"]["pairs_per_kind"], seed)
@@ -476,9 +474,9 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
             f"the 64-bit range"
         )
 
-    ds_path = Path(args.dataset) if args.dataset else out / "noisy.jsonl"
+    ds_path = Path(args.dataset) if args.dataset else out / "noisy.dataset"
     ds = load_dataset(_require_file(ds_path, "dataset"))
-    heldout = load_dataset(_require_file(out / "heldout.jsonl", "held-out dataset"))
+    heldout = load_dataset(_require_file(out / "heldout.dataset", "held-out dataset"))
     trials = generate_trials(heldout, resolved["eval"]["pairs_per_kind"], seed)
 
     cfg = build_train_config(resolved, ds.class_count, seed)
@@ -662,14 +660,13 @@ def main(argv=None) -> int:
             raw["output_dir"] = args.out
         resolved = resolve_config(raw)
         seeds = [args.seed] if args.seed is not None else resolved["seeds"]
-        root = Path(resolved["output_dir"])
-        root.mkdir(parents=True, exist_ok=True)
-        write_json17(resolved, root / "config.json")
         for seed in seeds:
             t0 = time.monotonic()
             out = seed_dir(resolved, seed)
             out.mkdir(parents=True, exist_ok=True)
             artifacts, extras = _PIPELINE[args.command](resolved, seed, out, args)
+            # only a stage that succeeded may say which config the run used
+            write_json17(resolved, out.parent / "config.json")
             _update_manifest(out, seed, run_config_digest(resolved), args.command, artifacts,
                              extras, time.monotonic() - t0)
         return 0

@@ -14,7 +14,7 @@ class ConfigurationError(LabelNoiseError, ValueError):
 
 
 class ParseError(LabelNoiseError, ValueError):
-    """A file could not be parsed; message carries the offending line number."""
+    """A file could not be parsed; the message locates the fault in it."""
 
 
 class ValidationError(LabelNoiseError, ValueError):

@@ -51,7 +51,8 @@ def dump_json17(obj) -> str:
 
 
 def write_text(path, chunks) -> None:
-    """Write the strings of ``chunks``, in order, as the ASCII file ``path``.
+    """Write ``chunks`` in order as the file ``path``: a string as ASCII,
+    ``bytes`` as they are.
 
     Each chunk is one write to a temporary sibling, renamed over ``path``
     after the last; an error from a write or from ``chunks`` removes it
@@ -59,9 +60,9 @@ def write_text(path, chunks) -> None:
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+        with open(tmp, "wb") as fh:
             for chunk in chunks:
-                fh.write(chunk)
+                fh.write(chunk.encode("ascii") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -11,28 +11,28 @@ models corrupt a clean dataset:
   replaced by those of an utterance from an auxiliary dataset whose
   classes do not overlap the main dataset's.
 
-Datasets serialize to JSON-Lines with a header line; feature values are
-written with 17 significant digits and negative zero as ``-0.0``, so the
-round trip is lossless: every float64 reads back with the same bits.
+A dataset file is one JSON header line (``C``, ``d``, ``format_version``,
+``provenance``), then the ``np.save`` bytes of one structured array with a
+row per utterance, so every value reads back with the same bits.
+``load_dataset`` takes exactly that layout and checks every column.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
-import re
-from array import array
-from dataclasses import dataclass, replace
-from itertools import repeat
+import reprlib
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, ValidationError
-from .jsonutil import dump_json17, json_problem, write_text
+from .errors import ConfigurationError, LabelNoiseError, ParseError, ValidationError
+from .jsonutil import dump_json17, json_field, json_problem, write_text
 from .seeding import named_rng
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Rejection threshold used to keep auxiliary class directions away from
 # in-distribution ones ("no class overlap").
@@ -45,11 +45,6 @@ DEFAULT_WITHIN_CLASS_SPREAD = 0.2
 
 PERMUTE = "permute"
 OPEN_SET = "open_set"
-
-# Values of the JSONL "origin" field; a row is out of distribution when
-# open-set noise replaced its features.
-ORIGIN_IN = "in_distribution"
-ORIGIN_OUT = "out_of_distribution"
 
 
 @dataclass(frozen=True)
@@ -65,13 +60,6 @@ class NoiseSpec:
             raise ConfigurationError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.level_q <= 100.0:
             raise ConfigurationError(f"noise level must be in [0, 100], got {self.level_q}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "level_q": self.level_q, "seed": self.seed}
-
-    @staticmethod
-    def from_dict(d: dict) -> "NoiseSpec":
-        return NoiseSpec(kind=d["kind"], level_q=float(d["level_q"]), seed=int(d["seed"]))
 
 
 class ClassTable(NamedTuple):
@@ -328,248 +316,111 @@ def apply_openset_noise(ds: Dataset, aux: Dataset, spec: NoiseSpec) -> Dataset:
     return replace(ds, features=features, is_ood=is_ood, provenance=spec)
 
 
-# Rows formatted per write in save_dataset, and bytes (some 256 rows of
-# 20 features) parsed per block in load_dataset: the per-row Python
-# objects of one block stay small next to the dataset's arrays.
-_WRITE_ROWS = 256
-_READ_BYTES = 1 << 17
+def _row_dtype(feature_dim: int) -> np.dtype:
+    """A stored dataset row; ``is_noisy`` is derived, not stored."""
+    return np.dtype([("utt_id", "<i8"), ("true_class", "<i8"), ("observed_class", "<i8"),
+                     ("is_ood", "?"), ("features", "<f8", (feature_dim,))])
 
-# An utterance line up to its features: save_dataset fills in the fields,
-# and load_dataset's bulk pattern puts a group in each.
-_ROW_PREFIX = ('{"utt_id": %s, "true_class": %s, "observed_class": %s, '
-               '"is_noisy": %s, "origin": "%s", "features": [')
 
-# "%.17g" writes negative zero, and nothing else, as "-0", which JSON
-# reads back as the integer 0; the file says "-0.0" instead
-_NEGATIVE_ZERO = re.compile(r"(?<=[\[,])-0(?=[,\]])")
+def _array_header(dtype: np.dtype, n: int) -> bytes:
+    """The bytes ``np.save`` writes ahead of a 1-D C-order array of ``n`` rows."""
+    fh = io.BytesIO()
+    np.lib.format.write_array_header_1_0(fh, {"descr": np.lib.format.dtype_to_descr(dtype),
+                                               "fortran_order": False, "shape": (n,)})
+    return fh.getvalue()
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write JSON-Lines: one header line, then one line per utterance.
+    """Write one JSON header line, then the ``np.save`` bytes of the rows.
 
-    Features carry 17 significant digits and negative zero is written
-    ``-0.0``, so the round trip keeps every bit. ``write_text`` replaces
-    ``path`` once the last block is written.
+    The rows are one 1-D structured array, so every value reads back with
+    the same bits, and a dataset always gives the same bytes.
+    ``write_text`` replaces ``path`` once the file is whole.
     """
-    row = _ROW_PREFIX + ",".join(["%.17g"] * ds.feature_dim) + "]}\n"
-    noisy = ds.is_noisy
-
-    def blocks():
-        yield ('{"format_version": %d, "C": %d, "d": %d, "provenance": %s}\n'
-               % (FORMAT_VERSION, ds.class_count, ds.feature_dim, dump_json17(
-                   ds.provenance if isinstance(ds.provenance, str) else ds.provenance.to_dict())))
-        for start in range(0, len(ds), _WRITE_ROWS):
-            rows = slice(start, start + _WRITE_ROWS)
-            block = ds.features[rows]
-            text = "".join(map(row.__mod__, zip(
-                ds.utt_id[rows].tolist(), ds.true_class[rows].tolist(),
-                ds.observed_class[rows].tolist(), np.where(noisy[rows], "true", "false").tolist(),
-                np.where(ds.is_ood[rows], ORIGIN_OUT, ORIGIN_IN).tolist(),
-                *block.T.tolist())))
-            if np.signbit(block[block == 0.0]).any():
-                text = _NEGATIVE_ZERO.sub("-0.0", text)
-            yield text
-
-    write_text(path, blocks())
-
-
-def _parse_line(text: str, lineno: int) -> dict:
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"line {lineno}: {json_problem(exc, text)[0]}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"line {lineno}: expected a JSON object")
-    return obj
-
-
-# JSON numbers; bool is a subclass of int, but ``type`` keeps it out
-_NUMBER_TYPES = frozenset((float, int))
-
-
-def _field(obj: dict, key: str, lineno: int):
-    try:
-        return obj[key]
-    except KeyError:
-        raise ParseError(f"line {lineno}: missing field {key!r}") from None
-
-
-def _int_field(obj: dict, key: str, lineno: int) -> int:
-    v = _field(obj, key, lineno)
-    if type(v) is not int or not -2**63 <= v < 2**63:
-        raise ValidationError(f"line {lineno}: {key} must be a 64-bit integer, got {v!r}")
-    return v
-
-
-def _provenance(prov, lineno: int) -> NoiseSpec | str:
-    if prov == "clean":
-        return "clean"
-    if (not isinstance(prov, dict) or set(prov) != {"kind", "level_q", "seed"}
-            or type(prov["level_q"]) not in _NUMBER_TYPES or type(prov["seed"]) is not int):
-        raise ValidationError(f"line {lineno}: unknown provenance {prov!r}")
-    try:
-        return NoiseSpec.from_dict(prov)
-    except (ConfigurationError, OverflowError) as exc:
-        raise ValidationError(f"line {lineno}: provenance: {exc}") from exc
-
-
-def _read_header(text: str) -> tuple[int, int, NoiseSpec | str]:
-    """Class count, feature dimension and provenance from line 1."""
-    header = _parse_line(text, 1)
-    for key in ("format_version", "C", "d", "provenance"):
-        _field(header, key, 1)
-    if type(header["format_version"]) is not int or header["format_version"] != FORMAT_VERSION:
-        raise ValidationError(f"line 1: unsupported format_version {header['format_version']!r}")
-    class_count = _int_field(header, "C", 1)
-    feature_dim = _int_field(header, "d", 1)
-    if class_count < 1 or feature_dim < 1:
-        raise ValidationError(f"line 1: C and d must be positive, got {class_count}, {feature_dim}")
-    return class_count, feature_dim, _provenance(header["provenance"], 1)
+    rows = np.zeros(len(ds), _row_dtype(ds.feature_dim))
+    for name in rows.dtype.names:
+        rows[name] = getattr(ds, name)
+    array = io.BytesIO()
+    np.save(array, rows, allow_pickle=False)
+    provenance = ds.provenance if isinstance(ds.provenance, str) else asdict(ds.provenance)
+    header = {"C": ds.class_count, "d": ds.feature_dim, "format_version": FORMAT_VERSION,
+              "provenance": provenance}
+    write_text(path, (dump_json17(header) + "\n", array.getvalue()))
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset file, validating field types, structure and invariants.
-
-    A file laid out as ``save_dataset`` writes it is parsed in bulk; any
-    other file, and any file failing a check, is read line by line, which
-    gives the same Dataset or raises the located error.
-    """
+    """Read a dataset file, checking its header, its array and every column;
+    any fault raises a LabelNoiseError reading ``dataset file PATH: <what>``."""
     with open(path, "rb") as fh:
         data = fh.read()
-    ds = _load_bulk(data)
-    return _load_by_line(data) if ds is None else ds
-
-
-# One utterance line exactly as save_dataset writes it. Integers follow
-# JSON's grammar with at most 18 digits, so they fit in int64. The
-# features are a run of number characters and commas; the comma count
-# and the JSON parse of the block decide whether they are d numbers.
-_INT = "(-?(?:0|[1-9][0-9]{0,17}))"
-_ROW = re.compile((
-    "^" + re.escape(_ROW_PREFIX) % (_INT, _INT, _INT, "(true|false)",
-                                    f"({ORIGIN_IN}|{ORIGIN_OUT})")
-    + r"([-+.0-9eE,]*)\]\}$").encode("ascii"), re.MULTILINE)
-
-
-def _load_bulk(data: bytes) -> Dataset | None:
-    """The Dataset of a file in ``save_dataset``'s exact layout, else None.
-
-    Each block of lines goes through one regex ``findall``, which checks
-    the layout and captures the fields, and one ``json.loads`` of all its
-    numbers, which applies JSON's number grammar and int/float semantics
-    (``-0`` reads as +0.0). The remaining checks run on whole columns.
-    Anything the per-line reader might decide otherwise returns None.
-    Blocks are read in place, so the file's bytes are never copied whole.
-    """
-    if not data.isascii():
-        return None
-    start = data.find(b"\n") + 1 or len(data)
-    head = data[:start].decode("ascii").removesuffix("\n")
-    if head.splitlines() != [head]:  # empty, or ended by another line break
-        return None
-    class_count, feature_dim, provenance = _read_header(head)
-    ints, flags, features = [np.empty((3, 0), np.int64)], [np.empty((2, 0), bool)], [np.empty(0)]
-    while start < len(data):
-        end = data.find(b"\n", start + _READ_BYTES) + 1 or len(data)
-        fields = _ROW.findall(data, start, end)
-        if len(fields) != data.count(b"\n", start, end) + (not data.endswith(b"\n", start, end)):
-            return None
-        start = end
-        ids, true_class, observed, noisy, origin, feats = zip(*fields)
-        if set(map(bytes.count, feats, repeat(b","))) != {feature_dim - 1}:
-            return None
-        try:
-            numbers = json.loads(b"[" + b",".join(ids + true_class + observed + feats) + b"]")
-            features.append(np.array(numbers[3 * len(fields):], dtype=np.float64))
-        except (ValueError, OverflowError):  # not a JSON number, or beyond the float range
-            return None
-        ints.append(np.array(numbers[:3 * len(fields)], dtype=np.int64).reshape(3, -1))
-        flags.append(np.array([noisy, origin]) == [[b"true"], [ORIGIN_OUT.encode("ascii")]])
-
-    utt_id, true_class, observed = np.concatenate(ints, axis=1)
-    is_noisy, is_ood = np.concatenate(flags, axis=1)
-    features = np.concatenate(features).reshape(-1, feature_dim)
-    labels = np.concatenate((true_class, observed))
-    if not ((0 <= labels).all() and (labels < class_count).all()
-            and np.array_equal(is_noisy, (observed != true_class) | is_ood)
-            and np.isfinite(features).all()
-            and len(np.unique(utt_id)) == len(utt_id)):
-        return None
-    return Dataset(
-        features=features,
-        utt_id=utt_id,
-        true_class=true_class,
-        observed_class=observed,
-        is_ood=is_ood,
-        class_count=class_count,
-        feature_dim=feature_dim,
-        provenance=provenance,
-    )
-
-
-def _load_by_line(data: bytes) -> Dataset:
-    """The dataset file ``data``, parsed and checked one line at a time."""
     try:
-        lines = data.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"line {lineno}: non-ASCII byte") from None
-    if not lines:
-        raise ParseError("line 1: empty file, missing header")
+        return _parse_dataset(data)
+    except LabelNoiseError as exc:
+        raise type(exc)(f"dataset file {path}: {exc}") from None
 
-    class_count, feature_dim, provenance = _read_header(lines[0])
 
-    ids: list[int] = []
-    true_classes: list[int] = []
-    observed_classes: list[int] = []
-    ood: list[bool] = []
-    flat = array("d")  # features, row after row, as compact C doubles
-    seen_ids: set[int] = set()
-    for i, text in enumerate(lines[1:], start=2):
-        if not text.strip():
-            continue
-        obj = _parse_line(text, i)
-        utt_id = _int_field(obj, "utt_id", i)
-        true_class = _int_field(obj, "true_class", i)
-        observed = _int_field(obj, "observed_class", i)
-        is_noisy = _field(obj, "is_noisy", i)
-        origin = _field(obj, "origin", i)
-        feats = _field(obj, "features", i)
-        if not isinstance(is_noisy, bool):
-            raise ValidationError(f"line {i}: is_noisy must be true or false, got {is_noisy!r}")
-        if not isinstance(feats, list) or not _NUMBER_TYPES.issuperset(map(type, feats)):
-            raise ValidationError(f"line {i}: features must be a list of numbers")
-        if origin not in (ORIGIN_IN, ORIGIN_OUT):
-            raise ValidationError(f"line {i}: unknown origin {origin!r}")
-        if utt_id in seen_ids:
-            raise ValidationError(f"line {i}: duplicate utt_id {utt_id}")
-        seen_ids.add(utt_id)
-        if not 0 <= observed < class_count:
-            raise ValidationError(f"line {i}: observed_class {observed} out of [0, {class_count})")
-        if not 0 <= true_class < class_count:
-            raise ValidationError(f"line {i}: true_class {true_class} out of [0, {class_count})")
-        if len(feats) != feature_dim:
-            raise ValidationError(f"line {i}: expected {feature_dim} features, got {len(feats)}")
-        try:
-            finite = all(map(math.isfinite, feats))
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise ValidationError(f"line {i}: non-finite feature value")
-        if is_noisy != (observed != true_class or origin == ORIGIN_OUT):
-            raise ValidationError(f"line {i}: is_noisy flag inconsistent with labels/origin")
-        ids.append(utt_id)
-        true_classes.append(true_class)
-        observed_classes.append(observed)
-        ood.append(origin == ORIGIN_OUT)
-        flat.extend(feats)
-    return Dataset(
-        features=np.array(flat, dtype=np.float64).reshape(len(ids), feature_dim),
-        utt_id=ids,
-        true_class=true_classes,
-        observed_class=observed_classes,
-        is_ood=ood,
-        class_count=class_count,
-        feature_dim=feature_dim,
-        provenance=provenance,
-    )
+def _provenance(prov) -> NoiseSpec | str:
+    if prov == "clean":
+        return "clean"
+    # derived seeds are unsigned 64-bit integers, so json_field cannot read the seed
+    if (not isinstance(prov, dict) or set(prov) != {"kind", "level_q", "seed"}
+            or type(prov["seed"]) is not int):
+        raise ValidationError(f"unknown provenance {reprlib.repr(prov)}")
+    return NoiseSpec(prov["kind"], json_field(prov, "level_q", float, "provenance"), prov["seed"])
+
+
+def _parse_dataset(data: bytes) -> Dataset:
+    """The Dataset in a file's bytes; raises LabelNoiseError for any fault."""
+    end = data.find(b"\n")
+    if end < 0:
+        raise ParseError("no header line")
+    try:
+        text = data[:end].decode("ascii")
+        header = json.loads(text)
+    except UnicodeDecodeError:
+        raise ParseError("header line: non-ASCII byte") from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"header line: {json_problem(exc, text)[0]}") from None
+    if not isinstance(header, dict):
+        raise ParseError("header line must be a JSON object")
+    version = header.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValidationError(f"unsupported format_version {reprlib.repr(version)}")
+    class_count, feature_dim = (json_field(header, key, int, "header") for key in ("C", "d"))
+    if class_count < 1 or feature_dim < 1:
+        raise ValidationError(f"C and d must be positive, got {class_count}, {feature_dim}")
+    provenance = _provenance(header.get("provenance"))
+    try:
+        dtype = _row_dtype(feature_dim)
+    except ValueError:  # numpy caps a row at 2**31 bytes
+        raise ValidationError(f"d = {feature_dim} is too large") from None
+
+    # The array header is exactly np.save's for its row count, which holds
+    # the dtype, one dimension and C order; the rows then end the file.
+    start = end + 1
+    digits = start + _array_header(dtype, 0).rindex(b"(0,)") + 1
+    count = data[digits:digits + 24].partition(b",)")[0]
+    head = _array_header(dtype, int(count)) if count.isdigit() else None
+    if head is None or not data.startswith(head, start):
+        raise ValidationError(f"rows are not a 1-D C-order np.save array of dtype {dtype.descr}")
+    n, offset = int(count), start + len(head)
+    if len(data) != offset + n * dtype.itemsize:
+        raise ValidationError(f"{n} rows need {offset + n * dtype.itemsize} bytes, "
+                              f"the file has {len(data)}")
+    rows = np.frombuffer(data, dtype, count=n, offset=offset)
+    # copies: C-contiguous and writeable, whatever the rows' strides
+    columns = {name: rows[name].copy() for name in dtype.names}
+
+    for name in ("true_class", "observed_class"):
+        outside = (columns[name] < 0) | (columns[name] >= class_count)
+        if outside.any():
+            raise ValidationError(f"{name} {columns[name][outside][0]} out of [0, {class_count})")
+    if len(np.unique(columns["utt_id"])) != n:
+        ids = np.sort(columns["utt_id"])
+        raise ValidationError(f"duplicate utt_id {ids[1:][ids[1:] == ids[:-1]][0]}")
+    if (columns["is_ood"].view(np.uint8) > 1).any():
+        raise ValidationError("is_ood must be a byte 0 or 1")
+    if not np.isfinite(columns["features"]).all():
+        raise ValidationError("non-finite feature value")
+    return Dataset(**columns, class_count=class_count, feature_dim=feature_dim,
+                   provenance=provenance)

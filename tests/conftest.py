@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from labelnoise.embedder import MlpParams, TrainedModel
 from labelnoise.losses import CEConfig, ClassifierParams, LossConfig
@@ -48,6 +49,26 @@ def make_dataset(features, observed, true_classes=None, class_count=None) -> Dat
     return Dataset(features=feats.copy(), utt_id=np.arange(n), true_class=true_classes,
                    observed_class=observed, is_ood=np.zeros(n, dtype=bool),
                    class_count=class_count, feature_dim=feats.shape[1])
+
+
+# Up to three edits of a file's bytes: (kind, position, byte value)
+BYTE_EDITS = st.lists(st.tuples(st.sampled_from(["flip", "set", "delete", "insert", "truncate"]),
+                                st.integers(0, 10 ** 6), st.integers(0, 255)), max_size=3)
+
+
+def edit_bytes(data: bytes, edits) -> bytes:
+    """``data`` after each ``BYTE_EDITS`` edit in turn; the position wraps
+    around the length, and an edit of the byte past the end is none."""
+    for kind, i, b in edits:
+        k = i % (len(data) + 1)
+        if kind == "truncate":
+            data = data[:k]
+        elif kind == "insert":
+            data = data[:k] + bytes([b]) + data[k:]
+        elif k < len(data):
+            new = {"flip": bytes([data[k] ^ (1 << b % 8)]), "set": bytes([b]), "delete": b""}[kind]
+            data = data[:k] + new + data[k + 1:]
+    return data
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

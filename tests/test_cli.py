@@ -315,7 +315,7 @@ def pipeline(tmp_path_factory):
 
 def test_pipeline_writes_all_artifacts(pipeline):
     expected = [
-        "clean.jsonl", "aux.jsonl", "heldout.jsonl", "noisy.jsonl",
+        "clean.dataset", "aux.dataset", "heldout.dataset", "noisy.dataset",
         "model.json", "loss_curve.csv",
         "scores_intra.csv", "detection_intra.json", "histogram_intra.csv",
         "scores_inter.csv", "detection_inter.json", "histogram_inter.csv",
@@ -332,7 +332,7 @@ def test_pipeline_manifest_tracks_every_stage(pipeline):
     assert set(manifest["stages"]) == {"simulate", "train", "detect", "eval", "retrain"}
     assert manifest["seed"] == 1
     sim = manifest["stages"]["simulate"]
-    assert sim["artifacts"]["clean.jsonl"] == sha256_file(pipeline.sdir / "clean.jsonl")
+    assert sim["artifacts"]["clean.dataset"] == sha256_file(pipeline.sdir / "clean.dataset")
     assert sim["utterance_count"] == 30
     resolved = json.loads((pipeline.run / "config.json").read_text())
     assert manifest["config_digest"] == run_config_digest(resolved)
@@ -392,12 +392,12 @@ def test_simulate_reruns_are_byte_identical(pipeline, tmp_path):
     for out in (tmp_path / "a", tmp_path / "b"):
         assert main(["simulate", "--config", str(pipeline.cfg_path),
                      "--out", str(out), "--quiet"]) == 0
-    for name in ("clean.jsonl", "aux.jsonl", "heldout.jsonl", "noisy.jsonl"):
+    for name in ("clean.dataset", "aux.dataset", "heldout.dataset", "noisy.dataset"):
         assert sha256_file(tmp_path / "a" / "seed_1" / name) == \
             sha256_file(tmp_path / "b" / "seed_1" / name), name
     # same derived data seeds as the original pipeline run, too
-    assert sha256_file(tmp_path / "a" / "seed_1" / "noisy.jsonl") == \
-        sha256_file(pipeline.sdir / "noisy.jsonl")
+    assert sha256_file(tmp_path / "a" / "seed_1" / "noisy.dataset") == \
+        sha256_file(pipeline.sdir / "noisy.dataset")
 
 
 def test_simulate_without_noise_copies_clean(pipeline, tmp_path):
@@ -406,7 +406,7 @@ def test_simulate_without_noise_copies_clean(pipeline, tmp_path):
     cfg_path = write_config(tmp_path / "clean.json", raw)
     assert main(["simulate", "--config", str(cfg_path), "--quiet"]) == 0
     sdir = tmp_path / "run" / "seed_1"
-    assert sha256_file(sdir / "noisy.jsonl") == sha256_file(sdir / "clean.jsonl")
+    assert sha256_file(sdir / "noisy.dataset") == sha256_file(sdir / "clean.dataset")
 
 
 def test_simulate_round_trip_check_sees_a_lost_negative_zero(pipeline, tmp_path, monkeypatch,
@@ -423,7 +423,7 @@ def test_simulate_round_trip_check_sees_a_lost_negative_zero(pipeline, tmp_path,
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(pipeline.cfg_path), "--out", str(out),
                  "--quiet"]) == 1
-    path = out / "seed_1" / "clean.jsonl"
+    path = out / "seed_1" / "clean.dataset"
     assert f"round-trip validation failed for {path}" in capsys.readouterr().err
 
 
@@ -445,7 +445,7 @@ def test_negative_seed_flag_exits_one_and_writes_nothing(pipeline, tmp_path, cap
 def test_retrain_refuses_predicted_ids_outside_int64(pipeline, tmp_path, capsys):
     sdir = tmp_path / "run" / "seed_1"
     sdir.mkdir(parents=True)
-    for name in ("noisy.jsonl", "heldout.jsonl", "model.json"):
+    for name in ("noisy.dataset", "heldout.dataset", "model.json"):
         shutil.copy(pipeline.sdir / name, sdir)
     det = json.loads((pipeline.sdir / "detection_inter.json").read_text())
     det_path = tmp_path / "detection.json"
@@ -570,12 +570,12 @@ def test_detect_builds_the_centroid_bank_only_when_needed_and_once(pipeline, tmp
     # GE2E's inter classifier and the intra scores share one bank; observed
     # class 0, relabelled as 1, leaves the bank an empty class to warn about
     _, cfg_path, sdir = trained_ge2e_run(tmp_path)
-    ds = load_dataset(sdir / "noisy.jsonl")
+    ds = load_dataset(sdir / "noisy.dataset")
     ds = dataclasses.replace(ds, observed_class=np.maximum(ds.observed_class, 1))
-    save_dataset(ds, tmp_path / "emptied.jsonl")
+    save_dataset(ds, tmp_path / "emptied.dataset")
     with caplog.at_level(logging.WARNING, logger="labelnoise.nld"):
         assert main(["detect", "--config", str(cfg_path), "--dataset",
-                     str(tmp_path / "emptied.jsonl"), "--method", "both", "--quiet"]) == 0
+                     str(tmp_path / "emptied.dataset"), "--method", "both", "--quiet"]) == 0
     assert calls == [30]
     assert [r.getMessage() for r in caplog.records].count(
         "centroid bank: 1 empty class(es): [0]") == 1
@@ -590,7 +590,7 @@ def test_detect_builds_the_centroid_bank_only_when_needed_and_once(pipeline, tmp
 
 def test_detect_scores_a_ge2e_model_at_the_configured_centroid_temperature(tmp_path):
     raw, _, sdir = trained_ge2e_run(tmp_path)
-    ds = load_dataset(sdir / "noisy.jsonl")
+    ds = load_dataset(sdir / "noisy.dataset")
     emb = embed_dataset(load_model(sdir / "model.json"), ds)
     written = []
     for temperature in (0.1, 1.0):
@@ -680,18 +680,43 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         env=dict(os.environ, PYTHONPATH=str(src)))
 
 
-def test_detect_with_malformed_dataset_exits_one_without_traceback(pipeline, tmp_path):
-    lines = (pipeline.sdir / "noisy.jsonl").read_text().splitlines()
-    row = json.loads(lines[2])
-    row["features"] = "abc"
-    lines[2] = json.dumps(row)
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines) + "\n")
+@pytest.mark.parametrize("edit,what", [
+    (lambda data: data[:200], "rows are not a 1-D C-order np.save array of dtype [('utt_id', "),
+    (lambda data: data[:-1], "30 rows need "),
+    (lambda data: b"\xff" + data, "header line: non-ASCII byte\n"),
+    (lambda data: b'{"format_version": 1}' + data[data.index(b"\n"):],
+     "unsupported format_version 1\n"),
+], ids=["truncated-header", "truncated-rows", "non-ascii", "jsonl-version"])
+def test_detect_with_malformed_dataset_exits_one_without_traceback(pipeline, tmp_path,
+                                                                     edit, what):
+    bad = tmp_path / "bad.dataset"
+    bad.write_bytes(edit((pipeline.sdir / "noisy.dataset").read_bytes()))
     proc = run_cli("detect", "--config", str(pipeline.cfg_path), "--dataset", str(bad),
                    "--quiet")
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: line 3: features")
+    assert proc.stderr.startswith(f"error: dataset file {bad}: {what}")
     assert "Traceback" not in proc.stderr
+
+
+def test_train_on_a_truncated_dataset_exits_one_naming_it(pipeline, tmp_path):
+    bad = tmp_path / "noisy.dataset"
+    bad.write_bytes((pipeline.sdir / "noisy.dataset").read_bytes()[:200])
+    proc = run_cli("train", "--config", str(pipeline.cfg_path), "--out", str(tmp_path / "run"),
+                   "--dataset", str(bad), "--quiet")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: dataset file {bad}: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "run" / "config.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "retrain"])
+def test_a_bad_held_out_dataset_is_named_in_the_error(pipeline, tmp_path, capsys, command):
+    run = copy_run(pipeline, tmp_path)
+    heldout = run / "seed_1" / "heldout.dataset"
+    heldout.write_bytes(heldout.read_bytes()[:-8])
+    assert main([command, "--config", str(pipeline.cfg_path), "--out", str(run),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: dataset file {heldout}: 20 rows need ")
 
 
 def test_config_with_nan_exits_one_without_traceback(tmp_path):
@@ -738,14 +763,22 @@ def test_unallocatable_class_count_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_unallocatable_histogram_exits_one_without_traceback(pipeline, tmp_path):
+def test_unallocatable_histogram_exits_one_and_leaves_config_json_as_it_was(pipeline,
+                                                                            tmp_path):
     run = copy_run(pipeline, tmp_path)
+    before = (run / "config.json").read_bytes()
     raw = {**pipeline.raw, "output_dir": str(run), "detect": {"histogram_bins": 10**15}}
     cfg = write_config(tmp_path / "huge.json", raw)
     proc = run_cli("detect", "--config", str(cfg), "--quiet")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+    assert (run / "config.json").read_bytes() == before
+    # the same stage with a config that works records that config
+    raw["detect"] = {"histogram_bins": 5}
+    assert main(["detect", "--config", str(write_config(tmp_path / "five.json", raw)),
+                 "--quiet"]) == 0
+    assert json.loads((run / "config.json").read_text())["detect"]["histogram_bins"] == 5
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -802,15 +835,18 @@ def test_detect_with_undecodable_model_exits_one_without_traceback(pipeline, tmp
     assert proc.stderr == f"error: malformed model file {bad}: {problem}\n"
 
 
-def test_detect_with_over_long_utt_id_exits_one_without_traceback(pipeline, tmp_path):
-    lines = (pipeline.sdir / "noisy.jsonl").read_text().splitlines()
-    row = json.loads(lines[2])
-    lines[2] = json.dumps({**row, "utt_id": 0}).replace('"utt_id": 0', '"utt_id": ' + "9" * 5000)
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines) + "\n")
+@pytest.mark.parametrize("line,problem", [
+    (b'{"C": ' + b"9" * 5000 + b"}", "integer literal over 4300 digits"),
+    (b"[" * 100_000, "nested too deeply"),
+], ids=["long-int", "deep"])
+def test_detect_with_undecodable_dataset_header_exits_one_without_traceback(pipeline, tmp_path,
+                                                                             line, problem):
+    data = (pipeline.sdir / "noisy.dataset").read_bytes()
+    bad = tmp_path / "bad.dataset"
+    bad.write_bytes(line + data[data.index(b"\n"):])
     proc = run_cli("detect", "--config", str(pipeline.cfg_path), "--dataset", str(bad), "--quiet")
     assert proc.returncode == 1
-    assert proc.stderr == "error: line 3: integer literal over 4300 digits\n"
+    assert proc.stderr == f"error: dataset file {bad}: header line: {problem}\n"
 
 
 def test_undecodable_manifest_is_rebuilt_with_a_warning(tmp_path):
@@ -823,16 +859,6 @@ def test_undecodable_manifest_is_rebuilt_with_a_warning(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == f"WARNING manifest {manifest} unreadable, rebuilding it\n"
     assert list(json.loads(manifest.read_text(encoding="ascii"))["stages"]) == ["train"]
-
-
-def test_detect_with_deeply_nested_dataset_line_exits_one_without_traceback(pipeline, tmp_path):
-    lines = (pipeline.sdir / "noisy.jsonl").read_text().splitlines()
-    lines[2] = "[" * 100_000
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines) + "\n")
-    proc = run_cli("detect", "--config", str(pipeline.cfg_path), "--dataset", str(bad), "--quiet")
-    assert proc.returncode == 1
-    assert proc.stderr == "error: line 3: nested too deeply\n"
 
 
 @pytest.mark.parametrize("content", ["[]", '{"stages": 5}'], ids=["list", "stages-int"])

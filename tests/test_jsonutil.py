@@ -176,9 +176,9 @@ def test_write_text_writes_each_chunk_once_in_order(tmp_path, monkeypatch):
         def __init__(self, fh):
             self.fh = fh
 
-        def write(self, text):
-            writes.append(text)
-            return self.fh.write(text)
+        def write(self, data):
+            writes.append(data)
+            return self.fh.write(data)
 
         def __enter__(self):
             return self
@@ -189,11 +189,21 @@ def test_write_text_writes_each_chunk_once_in_order(tmp_path, monkeypatch):
     monkeypatch.setattr(jsonutil, "open", lambda *a, **k: RecordingFile(open(*a, **k)),
                         raising=False)
     path = tmp_path / "out.txt"
-    write_text(path, iter(["a,b\n", "", "1,2\n"]))
-    assert writes == ["a,b\n", "", "1,2\n"]
-    assert path.read_bytes() == b"a,b\n1,2\n"
+    # a string is written as ASCII, bytes as they are
+    write_text(path, iter(["a,b\n", "", b"1,\x93\n"]))
+    assert writes == [b"a,b\n", b"", b"1,\x93\n"]
+    assert path.read_bytes() == b"a,b\n1,\x93\n"
     write_text(path, [])
     assert path.read_bytes() == b""
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_text_refuses_a_non_ascii_string_and_keeps_the_file(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text(path, ["earlier\n"])
+    with pytest.raises(UnicodeEncodeError):
+        write_text(path, ["run,", "caf\u00e9\n"])
+    assert path.read_bytes() == b"earlier\n"
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
