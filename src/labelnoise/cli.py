@@ -4,7 +4,7 @@ Each run is driven by a JSON config file and a list of seeds. Artifacts
 land under ``<output_dir>/seed_<s>/``; once a seed's stage succeeds, a
 resolved copy of the config is written to ``<output_dir>/config.json`` and
 the seed's ``manifest.json`` is updated with artifact hashes and
-wall-clock timings.
+wall-clock timings; a stage that fails removes the directories it created.
 Given the same config and seed, artifact files are byte-identical across
 reruns (manifest timings excepted).
 """
@@ -17,6 +17,7 @@ import dataclasses
 import io
 import logging
 import reprlib
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -259,12 +260,6 @@ def _update_manifest(directory: Path, seed: int, digest: str, stage: str,
     write_json17(manifest, path)
 
 
-def _require_file(path: Path, what: str) -> Path:
-    if not path.exists():
-        raise ConfigurationError(f"{what} file not found: {path}")
-    return path
-
-
 # ----------------------------------------------------------------------
 # commands
 
@@ -318,7 +313,7 @@ def cmd_simulate(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path]
 def cmd_train(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:
     """Train the embedder on the (noisy) training set."""
     ds_path = Path(args.dataset) if args.dataset else out / "noisy.dataset"
-    ds = load_dataset(_require_file(ds_path, "dataset"))
+    ds = load_dataset(ds_path)
 
     cfg = build_train_config(resolved, ds.class_count, seed)
     model, curve = train(ds, cfg)
@@ -341,8 +336,8 @@ def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], 
     """Score inconsistency, rank, select top q%, and report precision."""
     model_path = Path(args.model) if args.model else out / "model.json"
     ds_path = Path(args.dataset) if args.dataset else out / "noisy.dataset"
-    model = load_model(_require_file(model_path, "model"))
-    ds = load_dataset(_require_file(ds_path, "dataset"))
+    model = load_model(model_path)
+    ds = load_dataset(ds_path)
     if ds.feature_dim != model.embedder.layer_dims[0]:
         raise ConfigurationError(
             f"model expects dim-{model.embedder.layer_dims[0]} features, "
@@ -420,9 +415,9 @@ def _detect_paths(out: Path, method: str) -> list[Path]:
 
 def cmd_eval(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:
     """Generate held-out trials and report the model's EER."""
-    model_path = _require_file(Path(args.model) if args.model else out / "model.json", "model")
-    heldout = load_dataset(_require_file(out / "heldout.dataset", "held-out dataset"))
+    model_path = Path(args.model) if args.model else out / "model.json"
     model = load_model(model_path)
+    heldout = load_dataset(out / "heldout.dataset")
 
     trials = generate_trials(heldout, resolved["eval"]["pairs_per_kind"], seed)
     scores, labels, dropped = score_trials(model, trials, heldout)
@@ -450,7 +445,7 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
         "retrain", {}).get("detection_method")
     det_path = (Path(args.detection) if args.detection else
                 out / f"detection_{asked or resolved['retrain']['detection_method']}.json")
-    detection = read_json(_require_file(det_path, "detection"), "detection")
+    detection = read_json(det_path, "detection")
     if not isinstance(detection, dict):
         raise ConfigurationError(f"detection file {det_path} must hold a JSON object")
     method = detection.get("method")
@@ -475,14 +470,14 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
         )
 
     ds_path = Path(args.dataset) if args.dataset else out / "noisy.dataset"
-    ds = load_dataset(_require_file(ds_path, "dataset"))
-    heldout = load_dataset(_require_file(out / "heldout.dataset", "held-out dataset"))
+    ds = load_dataset(ds_path)
+    heldout = load_dataset(out / "heldout.dataset")
     trials = generate_trials(heldout, resolved["eval"]["pairs_per_kind"], seed)
 
     cfg = build_train_config(resolved, ds.class_count, seed)
     # only the seed directory's own model may be missing: then the baseline is trained here
-    model_path = _require_file(Path(args.model), "model") if args.model else out / "model.json"
-    before_model = load_model(model_path) if model_path.exists() else None
+    model_path = Path(args.model) if args.model else out / "model.json"
+    before_model = load_model(model_path) if args.model or model_path.exists() else None
     if before_model is None:
         logger.info("seed %d: no trained model at %s, training the baseline now",
                     seed, model_path)
@@ -663,8 +658,14 @@ def main(argv=None) -> int:
         for seed in seeds:
             t0 = time.monotonic()
             out = seed_dir(resolved, seed)
+            created = [p for p in (out, *out.parents) if not p.exists()]
             out.mkdir(parents=True, exist_ok=True)
-            artifacts, extras = _PIPELINE[args.command](resolved, seed, out, args)
+            try:
+                artifacts, extras = _PIPELINE[args.command](resolved, seed, out, args)
+            except BaseException:  # a failed stage leaves no directory it made
+                if created:
+                    shutil.rmtree(created[-1], ignore_errors=True)
+                raise
             # only a stage that succeeded may say which config the run used
             write_json17(resolved, out.parent / "config.json")
             _update_manifest(out, seed, run_config_digest(resolved), args.command, artifacts,

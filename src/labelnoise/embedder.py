@@ -5,6 +5,10 @@ final layer linear) mapping raw features to embeddings. Training draws
 speaker-balanced batches (N distinct observed classes, M utterances each),
 evaluates one of the metric-learning losses, and applies Adam with a fixed
 learning rate. Everything is deterministic given (dataset, config).
+
+Training updates one flat float64 vector laid out by ``parameter_layout``,
+and a model file stores that vector next to the layer dims and loss config
+that fix its layout, so the loader checks only its length and finiteness.
 """
 
 from __future__ import annotations
@@ -12,11 +16,11 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, DomainError
+from .errors import ConfigurationError, DivergenceError, DomainError, LabelNoiseError
 from .jsonutil import digest_config, json_field, read_json, write_json17, write_text
 from .losses import (
     AAMConfig,
@@ -33,7 +37,7 @@ from .losses import (
 from .seeding import named_rng
 from .synthdata import ClassTable, Dataset
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 GE2E_W_FLOOR = 1e-4
 
 
@@ -292,34 +296,57 @@ def easy_margin_boundary(cfg: TrainConfig) -> int:
     return math.ceil(cfg.easy_margin_fraction * cfg.total_steps)
 
 
-# Trainable classifier fields, in parameter-vector order, with their block names.
-_CLASSIFIER_BLOCKS = (("classifier.weight", "weight"), ("classifier.bias", "bias"),
-                      ("ge2e.w", "ge2e_w"), ("ge2e.b", "ge2e_b"))
+# The classifier blocks of the parameter vector, by the ClassifierParams field each fills.
+_CLASSIFIER_FIELDS = {"classifier.weight": "weight", "classifier.bias": "bias",
+                      "ge2e.w": "ge2e_w", "ge2e.b": "ge2e_b"}
 
 
-def _flatten(mlp: MlpParams, clf: ClassifierParams) -> tuple[np.ndarray, list, list]:
-    """Copy every trainable block into one contiguous float64 vector.
+def parameter_layout(layer_dims, loss_cfg: LossConfig) -> list[tuple[str, tuple, slice]]:
+    """Name, shape and slice of every block of a model's flat parameter vector.
 
-    The blocks go in the order mlp.weight{i}, mlp.bias{i} per layer, then
-    whichever classifier fields exist. The fields of ``mlp`` and ``clf``
-    are rebound as views of the vector (GE2E's scalars as 0-d views), so an
-    in-place update of the vector updates the model. Returns the vector,
-    the (name, slice) of every block and the views, in block order.
+    The blocks go mlp.weight{i} (out x in) and mlp.bias{i} per layer, then
+    the classifier's: classifier.weight (C * K rows, K = 1 but for AAMSC)
+    and, for CE only, classifier.bias; or GE2E's scalars ge2e.w and ge2e.b.
     """
-    n = len(mlp.weights)
-    fields = [(name, f) for name, f in _CLASSIFIER_BLOCKS if getattr(clf, f) is not None]
-    names = [f"mlp.{kind}{i}" for i in range(n) for kind in ("weight", "bias")]
-    names += [name for name, _ in fields]
-    arrays = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
-    arrays += [np.asarray(getattr(clf, f), dtype=np.float64) for _, f in fields]
-    flat = np.concatenate([a.ravel() for a in arrays])
-    ends = np.cumsum([a.size for a in arrays]).tolist()
-    blocks = [(name, slice(end - a.size, end)) for name, a, end in zip(names, arrays, ends)]
-    views = [flat[sl].reshape(a.shape) for (_, sl), a in zip(blocks, arrays)]
-    mlp.weights, mlp.biases = views[0:2 * n:2], views[1:2 * n:2]
-    for (_, f), view in zip(fields, views[2 * n:]):
-        setattr(clf, f, view)
-    return flat, blocks, views
+    shapes = [(f"mlp.{kind}{i}", shape)
+              for i, (fan_in, fan_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:]))
+              for kind, shape in (("weight", (fan_out, fan_in)), ("bias", (fan_out,)))]
+    if isinstance(loss_cfg, GE2EConfig):
+        shapes += [("ge2e.w", ()), ("ge2e.b", ())]
+    else:
+        rows = loss_cfg.class_count * getattr(loss_cfg, "subcenters", 1)
+        shapes.append(("classifier.weight", (rows, layer_dims[-1])))
+        if isinstance(loss_cfg, CEConfig):
+            shapes.append(("classifier.bias", (rows,)))
+    ends = accumulate(math.prod(shape) for _, shape in shapes)
+    return [(name, shape, slice(end - math.prod(shape), end))
+            for (name, shape), end in zip(shapes, ends)]
+
+
+def _flatten(mlp: MlpParams, clf: ClassifierParams, layout, out=None) -> np.ndarray:
+    """The model's blocks raveled in layout order into one float64 vector, ``out`` if given."""
+    n = 2 * len(mlp.weights)
+    arrays = chain(*zip(mlp.weights, mlp.biases),
+                   (getattr(clf, _CLASSIFIER_FIELDS[name]) for name, _, _ in layout[n:]))
+    return np.concatenate([np.ravel(a) for a in arrays], out=out)
+
+
+def _unflatten(flat: np.ndarray, layout) -> tuple[MlpParams, ClassifierParams]:
+    """The model's blocks as views of ``flat``, GE2E's scalars as 0-d views,
+    so an in-place update of ``flat`` updates the model."""
+    views = [flat[sl].reshape(shape) for _, shape, sl in layout]
+    n = sum(name.startswith("mlp.") for name, _, _ in layout)
+    clf = {_CLASSIFIER_FIELDS[name]: v for (name, _, _), v in zip(layout[n:], views[n:])}
+    return MlpParams(weights=views[0:n:2], biases=views[1:n:2]), ClassifierParams(**clf)
+
+
+def _trained_model(flat: np.ndarray, layout, loss_cfg: LossConfig, manifest: dict) -> TrainedModel:
+    """The model held in ``flat``; GE2E's scalars become Python floats."""
+    mlp, clf = _unflatten(flat, layout)
+    if isinstance(loss_cfg, GE2EConfig):
+        clf.ge2e_w, clf.ge2e_b = float(clf.ge2e_w), float(clf.ge2e_b)
+    return TrainedModel(embedder=mlp, classifier=clf, loss_config=loss_cfg,
+                        train_manifest=manifest)
 
 
 def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, float]]]:
@@ -341,14 +368,12 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
     init_rng = named_rng(cfg.seed, "init")
     batch_rng = named_rng(cfg.seed, "batches")
     layer_dims = (ds.feature_dim, *cfg.hidden_dims, cfg.embed_dim)
-    mlp = init_mlp(layer_dims, init_rng)
-    clf = init_classifier(loss_cfg, cfg.embed_dim, init_rng)
-
-    params, blocks, views = _flatten(mlp, clf)
+    layout = parameter_layout(layer_dims, loss_cfg)
+    params = _flatten(init_mlp(layer_dims, init_rng),
+                      init_classifier(loss_cfg, cfg.embed_dim, init_rng), layout)
+    mlp, clf = _unflatten(params, layout)
+    blocks = [(name, sl) for name, _, sl in layout]
     grads = np.empty_like(params)
-    # views of ``grads`` shaped like the parameter blocks, in block order
-    grad_views = [grads[sl].reshape(v.shape) for (_, sl), v in zip(blocks, views)]
-    clf_fields = [f for _, f in _CLASSIFIER_BLOCKS if getattr(clf, f) is not None]
     state = AdamState.fresh(params, cfg.learning_rate)
     is_ge2e = isinstance(loss_cfg, GE2EConfig)
 
@@ -375,9 +400,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
             raise DivergenceError(f"loss diverged at step {step} (config digest {digest})")
 
         gw, gb = mlp_backward(mlp, cache, out.grad_embeddings.reshape(emb.shape))
-        clf_grads = (getattr(out.grad_params, f) for f in clf_fields)
-        for view, g in zip(grad_views, chain(*zip(gw, gb), clf_grads)):
-            view[...] = g
+        _flatten(MlpParams(gw, gb), out.grad_params, layout, out=grads)
         adam_step(params, grads, state, blocks)
 
         if is_ge2e:
@@ -389,8 +412,6 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
             )
         curve.append((step, out.value))
 
-    if is_ge2e:
-        clf.ge2e_w, clf.ge2e_b = float(clf.ge2e_w), float(clf.ge2e_b)
     manifest = {
         "seed": cfg.seed,
         "config_digest": digest,
@@ -399,28 +420,20 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
         "adam": {**AdamState.hyperparameters(), "learning_rate": cfg.learning_rate},
         "loss_kind": loss_cfg.kind,
     }
-    model = TrainedModel(embedder=mlp, classifier=clf, loss_config=loss_cfg,
-                         train_manifest=manifest)
-    return model, curve
+    return _trained_model(params, layout, loss_cfg, manifest), curve
 
 
 def model_to_dict(model: TrainedModel) -> dict:
-    clf = model.classifier
+    """The model as JSON values: its layer dims and loss config, which fix
+    the ``parameter_layout``, and the flat parameter vector in that layout."""
+    dims = model.embedder.layer_dims
+    layout = parameter_layout(dims, model.loss_config)
     return {
         "format_version": MODEL_FORMAT_VERSION,
-        "layer_dims": list(model.embedder.layer_dims),
-        "mlp": {
-            "weights": [w.tolist() for w in model.embedder.weights],
-            "biases": [b.tolist() for b in model.embedder.biases],
-        },
-        "classifier": {
-            "weight": None if clf.weight is None else clf.weight.tolist(),
-            "bias": None if clf.bias is None else clf.bias.tolist(),
-            "ge2e_w": clf.ge2e_w,
-            "ge2e_b": clf.ge2e_b,
-        },
+        "layer_dims": list(dims),
         "loss_config": model.loss_config.to_dict(),
         "train_manifest": model.train_manifest,
+        "parameters": _flatten(model.embedder, model.classifier, layout),
     }
 
 
@@ -428,70 +441,40 @@ def save_model(model: TrainedModel, path) -> None:
     write_json17(model_to_dict(model), path)
 
 
-def _number_array(value, ndim: int, path: str) -> np.ndarray:
-    """A JSON list (ndim 1) or list of equal-length lists (ndim 2) of finite numbers."""
-    rows = [value] if ndim == 1 else value
-    if isinstance(value, list) and all(
-            isinstance(r, list) and set(map(type, r)) <= {int, float} for r in rows):
-        with contextlib.suppress(OverflowError, ValueError):  # beyond float64, ragged rows
-            arr = np.asarray(value, dtype=np.float64)
-            if arr.ndim == ndim and arr.size and np.all(np.isfinite(arr)):
-                return arr
-    shape = "list" if ndim == 1 else "list of equal-length lists"
-    raise ConfigurationError(f"{path} must be a non-empty {shape} of finite numbers")
-
-
 def model_from_dict(d: dict) -> TrainedModel:
-    """Rebuild a model from ``model_to_dict`` output, checking every field."""
+    """Rebuild a model from ``model_to_dict`` output.
+
+    The header fields are checked first; ``parameters`` must then be a
+    list of exactly as many finite numbers as their layout holds.
+    """
     version = d.get("format_version") if isinstance(d, dict) else None
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
-        raise ConfigurationError(f"unsupported model format_version {version!r}")
-    raw = json_field(d, "mlp", dict, "model")
-    weights, biases = (json_field(raw, key, list, "model.mlp") for key in ("weights", "biases"))
-    if not weights or len(weights) != len(biases):
-        raise ConfigurationError("model.mlp needs as many biases as weights, at least one")
-    mlp = MlpParams(
-        weights=[_number_array(w, 2, f"model.mlp.weights[{i}]") for i, w in enumerate(weights)],
-        biases=[_number_array(b, 1, f"model.mlp.biases[{i}]") for i, b in enumerate(biases)],
-    )
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        if b.shape != w.shape[:1] or (i > 0 and w.shape[1] != mlp.weights[i - 1].shape[0]):
-            raise ConfigurationError(f"model.mlp layer {i}: weight shape {w.shape} and bias "
-                                     f"shape {b.shape} do not chain onto the previous layer")
-    c = json_field(d, "classifier", dict, "model")
-    weight, bias = (json_field(c, key, list, "model.classifier", nullable=True)
-                    for key in ("weight", "bias"))
-    clf = ClassifierParams(
-        weight=None if weight is None else _number_array(weight, 2, "model.classifier.weight"),
-        bias=None if bias is None else _number_array(bias, 1, "model.classifier.bias"),
-        ge2e_w=json_field(c, "ge2e_w", float, "model.classifier", nullable=True),
-        ge2e_b=json_field(c, "ge2e_b", float, "model.classifier", nullable=True),
-    )
+        raise ConfigurationError(f"unsupported format_version {version!r}")
+    dims = json_field(d, "layer_dims", list, "model")
+    if len(dims) < 2 or any(type(n) is not int or n < 1 for n in dims):  # no bools
+        raise ConfigurationError("model.layer_dims must list two or more ints >= 1")
     loss_cfg = loss_config_from_dict(json_field(d, "loss_config", dict, "model"),
                                      "model.loss_config")
-    owned = (("ge2e_w", "ge2e_b") if isinstance(loss_cfg, GE2EConfig)
-             else ("weight", "bias") if isinstance(loss_cfg, CEConfig) else ("weight",))
-    for _, key in _CLASSIFIER_BLOCKS:  # the fields a loss kind owns are set, the others null
-        if (getattr(clf, key) is None) == (key in owned):
-            need = "must not be null" if key in owned else "must be null"
-            raise ConfigurationError(f"model.classifier.{key} {need} for loss kind "
-                                     f"{loss_cfg.kind!r}")
-    if not isinstance(loss_cfg, GE2EConfig):
-        rows = loss_cfg.class_count
-        if isinstance(loss_cfg, AAMConfig):
-            rows *= loss_cfg.subcenters
-        expected = (rows, mlp.layer_dims[-1])
-        if clf.weight.shape != expected:
-            raise ConfigurationError(f"classifier weight shape {clf.weight.shape} inconsistent "
-                                     f"with loss config (expected {expected})")
-        if isinstance(loss_cfg, CEConfig) and clf.bias.shape != (rows,):
-            raise ConfigurationError(f"model.classifier.bias must hold {rows} numbers")
-    return TrainedModel(embedder=mlp, classifier=clf, loss_config=loss_cfg,
-                        train_manifest=json_field(d, "train_manifest", dict, "model"))
+    manifest = json_field(d, "train_manifest", dict, "model")
+    layout = parameter_layout(dims, loss_cfg)
+    values = json_field(d, "parameters", list, "model")
+    size, flat = layout[-1][2].stop, None
+    if len(values) == size and set(map(type, values)) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an integer beyond float64
+            flat = np.array(values, dtype=np.float64)
+    if flat is None or not np.isfinite(flat).all():
+        raise ConfigurationError(f"model.parameters must be a list of {size} finite numbers")
+    return _trained_model(flat, layout, loss_cfg, manifest)
 
 
 def load_model(path) -> TrainedModel:
-    return model_from_dict(read_json(path, "model"))
+    """Read a model file; a fault in its content raises a LabelNoiseError
+    reading ``model file PATH: <what>``."""
+    d = read_json(path, "model")
+    try:
+        return model_from_dict(d)
+    except LabelNoiseError as exc:
+        raise type(exc)(f"model file {path}: {exc}") from None
 
 
 def write_loss_curve(curve: list[tuple[int, float]], path) -> None:

@@ -183,6 +183,13 @@ def score_trials(model: TrainedModel, trials: Trials, ds: Dataset
     return np.clip(dots / (norms[i] * norms[j]), -1.0, 1.0), trials.is_target[keep], dropped
 
 
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D NaN-free array, bit for bit (its sort picks which
+    zero stands for both), without its first-call import of ``numpy.ma``."""
+    s = np.sort(values)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
 def compute_eer(scores: np.ndarray, is_target: np.ndarray) -> EERResult:
     """Equal error rate by threshold sweep with linear interpolation.
 
@@ -200,7 +207,7 @@ def compute_eer(scores: np.ndarray, is_target: np.ndarray) -> EERResult:
     non = np.sort(scores[~is_target])
     if tar.size == 0 or non.size == 0:
         raise DomainError("EER needs at least one target and one nontarget trial")
-    thresholds = np.unique(scores)
+    thresholds = _distinct_sorted(scores)
     if thresholds.size < 2:
         raise DomainError("EER is undefined when every trial has the same score")
     thresholds = np.append(thresholds, thresholds[-1] + 1.0)

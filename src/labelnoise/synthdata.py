@@ -349,10 +349,13 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset file, checking its header, its array and every column;
-    any fault raises a LabelNoiseError reading ``dataset file PATH: <what>``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Read a dataset file, checking its header, its array and every column; any
+    fault raises a LabelNoiseError reading ``dataset file PATH: <what>``."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise ConfigurationError(f"dataset file not found: {path}") from None
     try:
         return _parse_dataset(data)
     except LabelNoiseError as exc:
@@ -415,9 +418,9 @@ def _parse_dataset(data: bytes) -> Dataset:
         outside = (columns[name] < 0) | (columns[name] >= class_count)
         if outside.any():
             raise ValidationError(f"{name} {columns[name][outside][0]} out of [0, {class_count})")
-    if len(np.unique(columns["utt_id"])) != n:
-        ids = np.sort(columns["utt_id"])
-        raise ValidationError(f"duplicate utt_id {ids[1:][ids[1:] == ids[:-1]][0]}")
+    ids = np.sort(columns["utt_id"])
+    if (repeated := ids[1:][ids[1:] == ids[:-1]]).size:
+        raise ValidationError(f"duplicate utt_id {repeated[0]}")
     if (columns["is_ood"].view(np.uint8) > 1).any():
         raise ValidationError("is_ood must be a byte 0 or 1")
     if not np.isfinite(columns["features"]).all():

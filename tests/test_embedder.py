@@ -2,6 +2,7 @@
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from labelnoise.embedder import (
     mlp_forward,
     model_from_dict,
     model_to_dict,
+    parameter_layout,
     save_model,
     train,
     write_loss_curve,
@@ -36,7 +38,7 @@ from labelnoise.errors import (
     ParseError,
 )
 from labelnoise.evaluation import remove_predicted
-from labelnoise.jsonutil import dump_json17
+from labelnoise.jsonutil import dump_json17, write_json17
 from labelnoise.losses import AAMConfig, AAMSCConfig, CEConfig, GE2EConfig, nsl_config
 from labelnoise.seeding import named_rng
 from labelnoise.synthdata import Dataset, generate_dataset
@@ -657,12 +659,35 @@ def test_model_save_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_model_from_dict_validates_classifier_shape():
+def test_model_file_holds_the_header_fields_and_one_flat_parameter_vector(tmp_path):
     ds = small_ds()
     model, _ = train(ds, tiny_cfg())
-    d = model_to_dict(model)
-    d["classifier"]["weight"] = [[0.0] * 6] * 3  # wrong row count for C=4
-    with pytest.raises(ConfigurationError, match="classifier weight shape"):
+    save_model(model, tmp_path / "model.json")
+    d = json.loads((tmp_path / "model.json").read_text(encoding="ascii"))
+    assert sorted(d) == ["format_version", "layer_dims", "loss_config", "parameters",
+                         "train_manifest"]
+    assert d["format_version"] == 2 and d["layer_dims"] == [6, 8, 6]
+    # mlp.weight0, mlp.bias0, mlp.weight1, mlp.bias1, classifier.weight, classifier.bias
+    layout = parameter_layout((6, 8, 6), CEConfig(class_count=4))
+    assert [(name, shape, sl.start, sl.stop) for name, shape, sl in layout] == [
+        ("mlp.weight0", (8, 6), 0, 48), ("mlp.bias0", (8,), 48, 56),
+        ("mlp.weight1", (6, 8), 56, 104), ("mlp.bias1", (6,), 104, 110),
+        ("classifier.weight", (4, 6), 110, 134), ("classifier.bias", (4,), 134, 138)]
+    arrays = [*chain(*zip(model.embedder.weights, model.embedder.biases)),
+              model.classifier.weight, model.classifier.bias]
+    assert np.array(d["parameters"]).tobytes() == np.concatenate(
+        [a.ravel() for a in arrays]).tobytes()
+
+
+def test_model_from_dict_validates_classifier_shape():
+    # the classifier's shape follows from the loss config (C = 4 rows of 6):
+    # a vector holding one row fewer has the wrong length
+    ds = small_ds()
+    model, _ = train(ds, tiny_cfg())
+    d = json.loads(dump_json17(model_to_dict(model)))
+    rows = dict((name, sl) for name, _, sl in parameter_layout((6, 8, 6), model.loss_config))
+    del d["parameters"][rows["classifier.weight"].stop - 6:rows["classifier.weight"].stop]
+    with pytest.raises(ConfigurationError, match="^model.parameters must be a list of 138 "):
         model_from_dict(d)
 
 
@@ -673,6 +698,21 @@ def test_model_from_dict_rejects_unknown_version():
     d["format_version"] = 42
     with pytest.raises(ConfigurationError, match="format_version"):
         model_from_dict(d)
+
+
+def test_load_model_refuses_the_per_layer_format_naming_the_file(tmp_path):
+    # format_version 1 stored per-layer nested lists and four nullable classifier fields
+    model, _ = train(small_ds(), tiny_cfg())
+    clf = model.classifier
+    old = {"format_version": 1, "layer_dims": list(model.embedder.layer_dims),
+           "mlp": {"weights": model.embedder.weights, "biases": model.embedder.biases},
+           "classifier": {"weight": clf.weight, "bias": clf.bias, "ge2e_w": None, "ge2e_b": None},
+           "loss_config": model.loss_config.to_dict(), "train_manifest": model.train_manifest}
+    path = tmp_path / "model.json"
+    write_json17(old, path)
+    with pytest.raises(ConfigurationError) as info:
+        load_model(path)
+    assert str(info.value) == f"model file {path}: unsupported format_version 1"
 
 
 @pytest.fixture(scope="module")
@@ -701,23 +741,33 @@ def _drop(*path):
     return mutate
 
 
+# the AAMSC model above holds 6*8 + 8 + 8*6 + 6 + (4*2)*6 = 158 parameters
+PARAMETERS = "model.parameters must be a list of 158 finite numbers"
+
+
 @pytest.mark.parametrize("mutate,needle", [
-    (lambda d: [d.pop(k) for k in list(d) if k != "format_version"], "model.mlp is missing"),
+    (lambda d: [d.pop(k) for k in list(d) if k != "format_version"],
+     "model.layer_dims is missing"),
     (_set(["format_version"], True), "format_version"),
     (_set(["format_version"], "1"), "format_version"),
-    (_drop("mlp", "biases"), "model.mlp.biases is missing"),
-    (_set(["mlp", "weights"], {}), "model.mlp.weights must be a list"),
-    (_set(["mlp", "weights", 0, 0, 0], "x"), r"model.mlp.weights\[0\] must be"),
-    (_set(["mlp", "weights", 0, 0, 0], True), r"model.mlp.weights\[0\] must be"),
-    (_set(["mlp", "weights", 0, 0, 0], 10 ** 400), r"model.mlp.weights\[0\] must be"),
-    (_set(["mlp", "weights", 0, 1], [0.5]), r"model.mlp.weights\[0\] must be"),
-    (_set(["mlp", "biases", 1, 0], math.nan), r"model.mlp.biases\[1\] must be"),
-    (_set(["mlp", "biases", 0], [0.0]), "layer 0: .* do not chain"),
-    (lambda d: [row.pop() for row in d["mlp"]["weights"][1]], "layer 1: .* do not chain"),
-    (_set(["mlp", "biases"], []), "as many biases as weights"),
-    (_drop("classifier", "bias"), "model.classifier.bias is missing"),
-    (_set(["classifier", "weight"], "x"), "model.classifier.weight must be a list"),
-    (_set(["classifier", "ge2e_w"], "x"), "model.classifier.ge2e_w must be a finite number"),
+    (_set(["layer_dims"], "x"), "model.layer_dims must be a list"),
+    (_set(["layer_dims"], [6]), "model.layer_dims must list two or more ints >= 1"),
+    (_set(["layer_dims", 1], 0), "model.layer_dims must list two or more ints >= 1"),
+    (_set(["layer_dims", 1], True), "model.layer_dims must list two or more ints >= 1"),
+    (_set(["layer_dims", 1], 8.0), "model.layer_dims must list two or more ints >= 1"),
+    (_set(["layer_dims", 1], 9), "model.parameters must be a list of 171 finite numbers"),
+    (_set(["layer_dims"], [6, 8, 8, 6]), "model.parameters must be a list of 230 "),
+    (_drop("parameters"), "model.parameters is missing"),
+    (_set(["parameters"], {}), "model.parameters must be a list"),
+    (_set(["parameters", 0], "x"), PARAMETERS),
+    (_set(["parameters", 0], True), PARAMETERS),
+    (_set(["parameters", 0], None), PARAMETERS),
+    (_set(["parameters", 0], 10 ** 400), PARAMETERS),
+    (_set(["parameters", 0], [0.5]), PARAMETERS),
+    (_set(["parameters", 57], math.nan), PARAMETERS),
+    (_set(["parameters", 157], -math.inf), PARAMETERS),
+    (lambda d: d["parameters"].pop(), PARAMETERS),
+    (lambda d: d["parameters"].append(0.5), PARAMETERS),
     (_set(["loss_config"], []), "model.loss_config must be an object"),
     (_set(["loss_config", "kind"], "bogus"), "unknown loss kind"),
     (_set(["loss_config", "class_count"], "5"), "model.loss_config.class_count must be an integer"),
@@ -725,6 +775,7 @@ def _drop(*path):
     (_set(["loss_config", "class_count"], True), "model.loss_config.class_count must be an integer"),
     (_set(["loss_config", "subcenters"], "x"), "model.loss_config.subcenters must be an integer"),
     (_drop("loss_config", "subcenters"), "model.loss_config.subcenters is missing"),
+    (_set(["loss_config", "subcenters"], 3), "model.parameters must be a list of 182 "),
     (_set(["loss_config", "scale"], True), "model.loss_config.scale must be a finite number"),
     (_set(["loss_config", "margin"], "0.1"), "model.loss_config.margin must be a finite number"),
     (_set(["loss_config", "easy_margin"], "false"), "model.loss_config.easy_margin must be a bool"),
@@ -732,6 +783,8 @@ def _drop(*path):
      "model.loss_config.init_w must be a finite number"),
     (_set(["loss_config"], {"kind": "ge2e", "init_w": 10.0, "init_b": math.inf}),
      "model.loss_config.init_b must be a finite number"),
+    (_set(["loss_config"], {"kind": "ge2e", "init_w": 10.0, "init_b": -5.0}),
+     "model.parameters must be a list of 112 "),
     (_drop("train_manifest"), "model.train_manifest is missing"),
 ])
 def test_model_from_dict_rejects_malformed_fields(aamsc_model_dict, mutate, needle):
@@ -751,43 +804,71 @@ OWNED_FIELDS = {
     "aamsc-3": (AAMSCConfig(class_count=4, scale=30.0, margin=0.2, subcenters=3), ("weight",)),
     "ge2e": (GE2EConfig(), ("ge2e_w", "ge2e_b")),
 }
-# A value of the right JSON kind for each field (C=4, K=1, embed_dim 6).
+# A value of the right shape for each field (C=4, K=1, embed_dim 6), and its block's name.
 FIELD_VALUES = {"weight": [[0.5] * 6] * 4, "bias": [0.5] * 4, "ge2e_w": 3.0, "ge2e_b": 0.0}
+FIELD_BLOCKS = {"weight": "classifier.weight", "bias": "classifier.bias",
+                "ge2e_w": "ge2e.w", "ge2e_b": "ge2e.b"}
 
 
 @pytest.fixture(scope="module")
-def trained_model_dicts():
-    """One trained model per loss kind, as plain JSON values."""
-    dicts = {}
+def trained_models():
+    """One model trained for 3 steps per loss kind."""
+    models = {}
     for name, (loss, _) in OWNED_FIELDS.items():
         cfg = tiny_ge2e_cfg(steps=3) if name == "ge2e" else tiny_cfg(loss=loss, steps=3)
-        model, _ = train(small_ds(per_class=6), cfg)
-        dicts[name] = json.loads(dump_json17(model_to_dict(model)))
-    return dicts
+        models[name] = train(small_ds(per_class=6), cfg)[0]
+    return models
+
+
+@pytest.fixture(scope="module")
+def trained_model_dicts(trained_models):
+    """``trained_models`` as plain JSON values."""
+    return {name: json.loads(dump_json17(model_to_dict(model)))
+            for name, model in trained_models.items()}
+
+
+def _model_bits(model):
+    """Type, shape and bytes of each of the model's arrays and classifier
+    fields, None for an unset field."""
+    clf = model.classifier
+    fields = [getattr(clf, f) for f in FIELD_VALUES]
+    return [None if a is None else (type(a), np.shape(a), np.asarray(a).tobytes())
+            for a in [*model.embedder.weights, *model.embedder.biases, *fields]]
 
 
 @pytest.mark.parametrize("name", sorted(OWNED_FIELDS))
-def test_every_trained_model_loads_and_owns_only_its_classifier_fields(trained_model_dicts,
+def test_every_trained_model_loads_and_owns_only_its_classifier_fields(tmp_path, trained_models,
                                                                        name):
-    d = trained_model_dicts[name]
-    model = model_from_dict(json.loads(json.dumps(d)))
-    owned = OWNED_FIELDS[name][1]
-    assert [k for k, v in d["classifier"].items() if v is not None] == sorted(owned)
-    assert dump_json17(model_to_dict(model)) == dump_json17(d)
+    # saved and loaded, the model has the bits it was trained to, GE2E's
+    # scalars as Python floats, and it writes out as the same bytes
+    model = trained_models[name]
+    save_model(model, tmp_path / "model.json")
+    back = load_model(tmp_path / "model.json")
+    assert _model_bits(back) == _model_bits(model)
+    assert [f for f in FIELD_VALUES if getattr(back.classifier, f) is not None] == list(
+        OWNED_FIELDS[name][1])
+    assert (back.loss_config, back.train_manifest) == (model.loss_config, model.train_manifest)
+    save_model(back, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
 
 
 @pytest.mark.parametrize("name,key", [(name, key) for name, (_, owned) in OWNED_FIELDS.items()
                                       for key in FIELD_VALUES])
-def test_model_from_dict_refuses_classifier_fields_of_another_loss_kind(trained_model_dicts,
+def test_model_from_dict_refuses_classifier_fields_of_another_loss_kind(trained_models,
+                                                                        trained_model_dicts,
                                                                         name, key):
-    # an owned field set to null, or a field the kind does not own set to a value
+    # a vector lacking a block the kind owns, or holding one more that it
+    # does not own, does not have the length of the kind's layout
     d = json.loads(json.dumps(trained_model_dicts[name]))
-    owned = key in OWNED_FIELDS[name][1]
-    d["classifier"][key] = None if owned else FIELD_VALUES[key]
-    kind = d["loss_config"]["kind"]
-    need = "must not be null" if owned else "must be null"
+    model = trained_models[name]
+    size = len(d["parameters"])
+    if key in OWNED_FIELDS[name][1]:
+        layout = parameter_layout(model.embedder.layer_dims, model.loss_config)
+        del d["parameters"][dict((n, sl) for n, _, sl in layout)[FIELD_BLOCKS[key]]]
+    else:
+        d["parameters"] += np.ravel(FIELD_VALUES[key]).tolist()
     with pytest.raises(ConfigurationError,
-                       match=rf"^model\.classifier\.{key} {need} for loss kind '{kind}'$"):
+                       match=rf"^model\.parameters must be a list of {size} finite numbers$"):
         model_from_dict(d)
 
 

@@ -2,9 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import labelnoise
 
 from conftest import identity_model, make_dataset
 from labelnoise.embedder import TrainConfig, model_to_dict, train
@@ -12,6 +20,7 @@ from labelnoise.errors import ConfigurationError, DomainError, ParseError
 from labelnoise.evaluation import (
     EERResult,
     Trials,
+    _distinct_sorted,
     compute_eer,
     evaluate_model,
     generate_trials,
@@ -24,7 +33,7 @@ from labelnoise.evaluation import (
 )
 from labelnoise.jsonutil import dump_json17
 from labelnoise.losses import CEConfig
-from labelnoise.synthdata import Dataset, generate_dataset
+from labelnoise.synthdata import Dataset, generate_dataset, save_dataset
 from oracles import (
     brute_eer_midpoint,
     cosine_similarity,
@@ -35,6 +44,37 @@ from oracles import (
 
 # ----------------------------------------------------------------------
 # compute_eer
+
+
+# Repeated values, both zeros among them, in arrays long enough that
+# numpy's sort no longer keeps equal values in their input order.
+EER_SCORES = st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.0]) | st.floats(allow_nan=False),
+                      min_size=1, max_size=200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EER_SCORES)
+@example([0.0] * 8 + [-0.0] * 8)
+@example([-0.0] * 8 + [0.0] * 8)
+def test_eer_thresholds_are_the_np_unique_thresholds_bit_for_bit(values):
+    scores = np.array(values)
+    assert _distinct_sorted(scores).tobytes() == np.unique(scores).tobytes()
+
+
+def test_loading_a_dataset_and_computing_an_eer_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call, 12-17 ms per process
+    path = tmp_path / "heldout.dataset"
+    save_dataset(generate_dataset(3, 4, 2, 3, 0.5, seed=1), path)
+    code = ("import sys; import numpy as np\n"
+            "from labelnoise.evaluation import compute_eer\n"
+            "from labelnoise.synthdata import load_dataset\n"
+            "load_dataset(sys.argv[1])\n"
+            "compute_eer(np.array([0.1, 0.4, 0.4, 0.8]), np.array([False, True, False, True]))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = Path(labelnoise.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_eer_perfect_separation_is_exactly_zero():
