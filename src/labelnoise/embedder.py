@@ -9,6 +9,7 @@ learning rate. Everything is deterministic given (dataset, config).
 Training updates one flat float64 vector laid out by ``parameter_layout``,
 and a model file stores that vector next to the layer dims and loss config
 that fix its layout, so the loader checks only its length and finiteness.
+The loss curve is written through ``jsonutil.write_rows``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, DomainError, LabelNoiseError
-from .jsonutil import digest_config, json_field, read_json, write_json17, write_text
+from .jsonutil import digest_config, json_field, read_json, write_json17, write_rows
 from .losses import (
     AAMConfig,
     CEConfig,
@@ -479,4 +480,4 @@ def load_model(path) -> TrainedModel:
 
 def write_loss_curve(curve: list[tuple[int, float]], path) -> None:
     """CSV columns: step,loss."""
-    write_text(path, chain(["step,loss\n"], map("%d,%.17g\n".__mod__, curve)))
+    write_rows(path, "step,loss\n", "%d,%.17g\n", list(zip(*curve)))

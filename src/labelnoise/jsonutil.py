@@ -1,8 +1,11 @@
-"""Deterministic JSON serialization and content digests.
+"""Deterministic JSON serialization, CSV rows and content digests.
 
 All persisted artifacts are written through these helpers so that reruns
 with identical inputs produce byte-identical files: keys are sorted and
-floats carry 17 significant digits (lossless for 64-bit values).
+floats carry 17 significant digits (lossless for 64-bit values); NaN and
+the infinities are written as ``NaN``, ``Infinity`` and ``-Infinity``,
+the literals ``json.loads`` reads back. CSV artifacts go through
+``write_rows``, which formats a block of rows with one ``%`` operation.
 """
 
 from __future__ import annotations
@@ -17,6 +20,13 @@ import sys
 
 from .errors import ConfigurationError, ParseError
 
+# ``format(v, ".17g")`` texts that ``json.loads`` would not read back as v
+# ("-0" reads back as the integer 0)
+_FLOAT_LITERALS = {"-0": "-0.0", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# rows per ``write_text`` chunk in ``write_rows``: 256 to 16,384 format
+# 40,000 trial rows equally fast, in half the time of one chunk per row
+_ROW_BLOCK = 1024
+
 
 def _encode(obj, item_sep=", ", kv_sep=": ") -> str:
     if obj is None:
@@ -25,8 +35,9 @@ def _encode(obj, item_sep=", ", kv_sep=": ") -> str:
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):  # "-0" would read back as the integer 0
-        return "-0.0" if (text := format(obj, ".17g")) == "-0" else text
+    if isinstance(obj, float):
+        text = format(obj, ".17g")
+        return _FLOAT_LITERALS.get(text, text)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
@@ -68,6 +79,29 @@ def write_text(path, chunks) -> None:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_rows(path, header: str, row_format: str, columns) -> None:
+    """Write ``header``, then ``row_format % row`` for each row of
+    ``columns`` (equal-length sequences, one per field of the format).
+
+    Each block of ``_ROW_BLOCK`` rows is formatted by one ``%`` on the
+    format repeated, from a slice of every column, and handed to
+    ``write_text`` as one chunk.
+    """
+    fields, rows = len(columns), len(columns[0]) if columns else 0
+
+    def blocks():
+        yield header
+        for k in range(0, rows, _ROW_BLOCK):
+            block = [column[k:k + _ROW_BLOCK] for column in columns]
+            size = len(block[0])
+            values = [None] * (size * fields)
+            for i, column in enumerate(block):
+                values[i::fields] = column
+            yield row_format * size % tuple(values)
+
+    write_text(path, blocks())
 
 
 def write_json17(obj, path) -> None:

@@ -8,9 +8,10 @@ Three loss families over a batch of embeddings:
   embeddings and weight rows are unit-normalized, each class owns ``K``
   weight rows and contributes the maximum sub-center cosine (gradients
   flow through the selected sub-center only; ties take the lowest
-  index), the target class cosine is rotated by a margin ``m`` and all
-  cosines are scaled by ``s``. ``AAMConfig`` is the ``K = 1`` case (AAM),
-  and NSL is AAM with ``m = 0``.
+  index; a NaN cosine in any sub-center is refused), the target class
+  cosine is rotated by a margin ``m`` and all cosines are scaled by
+  ``s``. ``AAMConfig`` is the ``K = 1`` case (AAM), and NSL is AAM with
+  ``m = 0``.
 * ``ge2e_loss`` — batch-contrastive loss on N speaker groups of M
   utterances, scoring each utterance against per-speaker centroids (the
   own-speaker centroid excludes the utterance itself) through a learned
@@ -291,20 +292,25 @@ def aamsc_loss(embeddings: np.ndarray, labels, params: ClassifierParams,
     what, wnorm = l2_normalize_rows(np.ascontiguousarray(params.weight, np.float64), "weight")
 
     cos_flat = xhat @ what.T
-    np.clip(cos_flat, -1.0, 1.0, out=cos_flat)
+    np.minimum(cos_flat, 1.0, out=cos_flat)
+    np.maximum(cos_flat, -1.0, out=cos_flat)
     cos_sub = cos_flat.reshape(n, c, k)
-    # Per class, the first maximum over its K sub-centers (argmax's tie
-    # break): a later sub-center replaces it only when strictly greater.
-    cos, pick = cos_sub[:, :, 0], 0
+    # Per class, the maximum over its K sub-centers; a NaN in any of them
+    # makes it NaN, which the cross-entropy refuses, as argmax picks it.
+    cos = cos_sub[:, :, 0]
     for j in range(1, k):
-        better = cos_sub[:, :, j] > cos
-        cos = np.where(better, cos_sub[:, :, j], cos)
-        pick = np.where(better, j, pick)
+        cos = np.maximum(cos, cos_sub[:, :, j])
 
     value, dcos = _margin_cross_entropy(cos, y, cfg.scale, cfg.margin, cfg.easy_margin)
 
-    # the selected sub-center of row i, class j is flat entry (i*C + j)*K + pick
-    pick = np.arange(0, n * c * k, k).reshape(n, c) + pick
+    # The selected sub-center of row i, class j is flat entry (i*C + j)*K
+    # plus the first column equal to the maximum (argmax's tie break): one
+    # for every leading column that differs from it.
+    pick = np.arange(0, n * c * k, k).reshape(n, c)
+    differs = np.ones((n, c), dtype=bool)
+    for j in range(k - 1):
+        differs &= cos_sub[:, :, j] != cos
+        pick += differs
     dcos_sub = np.zeros((n, c * k))
     dcos_sub.reshape(-1)[pick] = dcos
     grad_x, grad_w = _cosine_backward(dcos_sub, cos_flat, xhat, xnorm, what, wnorm)

@@ -12,7 +12,8 @@ Two per-utterance inconsistency scores over a trained embedder:
 
 Scores are ranked dataset-wide, the top q% largest are predicted noisy,
 and the prediction is compared against ground-truth flags to obtain
-precision (and recall as an added diagnostic).
+precision (and recall as an added diagnostic). The score and histogram
+CSVs are written through ``jsonutil.write_rows``.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
 
 import numpy as np
 
 from .embedder import TrainedModel, embed_batch
 from .errors import ConfigurationError, InternalError
-from .jsonutil import write_json17, write_text
+from .jsonutil import write_json17, write_rows
 from .losses import CEConfig, GE2EConfig, _cosine_logits, classify_confidence
 from .numerics import l2_normalize_rows, row_dot, softmax
 from .synthdata import Dataset
@@ -251,9 +251,9 @@ def write_scores_csv(scores: np.ndarray, ds: Dataset, method: str, path) -> None
     """CSV columns: utt_id,method,score,is_noisy_truth (sorted by utt_id)."""
     order = np.argsort(ds.utt_id, kind="stable")
     flags = np.where(ds.is_noisy[order], "true", "false")
-    write_text(path, chain(["utt_id,method,score,is_noisy_truth\n"], map(
-        "%d,%s,%.17g,%s\n".__mod__, zip(ds.utt_id[order].tolist(), repeat(method),
-                                        np.asarray(scores)[order].tolist(), flags.tolist()))))
+    write_rows(path, "utt_id,method,score,is_noisy_truth\n",
+               "%d," + method.replace("%", "%%") + ",%.17g,%s\n",
+               [ds.utt_id[order].tolist(), np.asarray(scores)[order].tolist(), flags.tolist()])
 
 
 def write_detection_json(result: DetectionResult, method: str, seed: int,
@@ -273,5 +273,5 @@ def write_detection_json(result: DetectionResult, method: str, seed: int,
 
 def write_histogram_csv(rows: list[tuple[float, float, int, int]], path) -> None:
     """CSV columns: bin_lo,bin_hi,clean_count,noisy_count."""
-    write_text(path, chain(["bin_lo,bin_hi,clean_count,noisy_count\n"],
-                           map("%.17g,%.17g,%d,%d\n".__mod__, rows)))
+    write_rows(path, "bin_lo,bin_hi,clean_count,noisy_count\n", "%.17g,%.17g,%d,%d\n",
+               list(zip(*rows)))

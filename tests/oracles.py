@@ -9,7 +9,9 @@ reproduce bit for bit, and the per-class batch sampler is the one-draw-
 per-class form whose batches and generator state the class-table sampler
 must reproduce bit for bit. The scalar trial generator is the one-
 ``Trial``-object-per-pair form whose trials the columnar, block-drawing
-``generate_trials`` must reproduce bit for bit. The hand-written config
+``generate_trials`` must reproduce bit for bit, and the per-class pair
+loop is the one whose same-class pool it must build, one class size at
+a time, array for array. The hand-written config
 resolver is the field-by-field form whose resolved configs the
 table-driven ``resolve_config`` must reproduce. The one-call-per-
 operation AAM/AAMSC step (losses, norms, MLP forward pass and Adam) is
@@ -29,7 +31,7 @@ The dict-keyed centroid bank, intra-class score and centroid
 classifier are the per-class forms whose bits the array bank must
 reproduce. ``read_trials_csv`` reads back what ``write_trials_csv``
 writes. The four per-row CSV writers are the forms whose bytes the
-one-``write_text``-call writers must reproduce.
+block-formatting ``write_rows`` writers must reproduce.
 """
 
 from __future__ import annotations
@@ -369,6 +371,20 @@ def scalar_generate_trials(ds: Dataset, pairs_per_kind: int, seed: int) -> list[
         seen.add(pair)
     trials.extend(Trial(e, t, is_target=False) for e, t in sorted(seen))
     return trials
+
+
+def per_class_target_pairs(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Every same-class pair of utterance ids ``(enroll, test)``, one
+    ``np.triu_indices`` per class over its sorted ids, class by class in
+    ascending order."""
+    table = ds.class_table()
+    enroll, test = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for start, size in zip(table.starts.tolist(), table.sizes.tolist()):
+        members = np.sort(ds.utt_id[table.flat[start:start + size]])
+        i, j = np.triu_indices(size, 1)
+        enroll.append(members[i])
+        test.append(members[j])
+    return np.concatenate(enroll), np.concatenate(test)
 
 
 # The run-config resolver as hand-written field by field, one helper per

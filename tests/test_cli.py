@@ -32,7 +32,7 @@ from labelnoise.cli import (
 )
 from labelnoise.embedder import load_model
 from labelnoise.errors import ConfigurationError
-from labelnoise.jsonutil import dump_json17, sha256_file
+from labelnoise.jsonutil import canonical_json, digest_config, dump_json17, sha256_file
 from labelnoise.losses import LOSS_KINDS, AAMConfig, AAMSCConfig, CEConfig, GE2EConfig
 from labelnoise.nld import (
     CentroidClassifier,
@@ -134,6 +134,17 @@ def test_resolve_config_rejects_inconsistent_loss_batching():
     raw = {"output_dir": "x", "train": {"loss": {"kind": "ce"}, "utts_per_speaker": 2}}
     with pytest.raises(ConfigurationError, match="utts_per_speaker"):
         resolve_config(raw)
+
+
+def test_default_config_digest_is_unchanged():
+    # the text every config digest is taken over; a valid config holds
+    # only finite floats, so the NaN and Infinity literals never reach it
+    assert digest_config(resolve_config({"output_dir": "runs/x"})) == (
+        "e24f1a2e7c617151cf82e7b05ab54c0d754c95dfc5d12f2d5d0ae7eb8b4ae543")
+
+
+def _refuse(literal):
+    raise AssertionError(f"{literal} in a resolved config")
 
 
 def test_run_config_digest_ignores_location_and_label():
@@ -261,6 +272,7 @@ def test_resolve_config_matches_the_handwritten_resolver(raw):
     got = resolve_config(raw)
     assert got == expected
     assert dump_json17(got) == dump_json17(expected)
+    json.loads(canonical_json(got), parse_constant=_refuse)
     # the config.json a run writes resolves to the same config
     assert dump_json17(resolve_config(json.loads(dump_json17(got)))) == dump_json17(got)
 

@@ -659,6 +659,16 @@ def test_model_save_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_model_with_non_finite_manifest_values_saves_loads_and_saves_the_same_bytes(tmp_path):
+    model, _ = train(small_ds(), tiny_cfg(steps=0))
+    model.train_manifest.update(final_loss=math.nan, bounds=[math.inf, -math.inf])
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(model, first)
+    save_model(load_model(first), second)
+    assert b"[Infinity, -Infinity]" in first.read_bytes()
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_model_file_holds_the_header_fields_and_one_flat_parameter_vector(tmp_path):
     ds = small_ds()
     model, _ = train(ds, tiny_cfg())

@@ -21,6 +21,7 @@ from labelnoise.evaluation import (
     EERResult,
     Trials,
     _distinct_sorted,
+    _same_class_pairs,
     compute_eer,
     evaluate_model,
     generate_trials,
@@ -37,6 +38,7 @@ from labelnoise.synthdata import Dataset, generate_dataset, save_dataset
 from oracles import (
     brute_eer_midpoint,
     cosine_similarity,
+    per_class_target_pairs,
     read_trials_csv,
     scalar_generate_trials,
 )
@@ -62,18 +64,21 @@ def test_eer_thresholds_are_the_np_unique_thresholds_bit_for_bit(values):
 
 
 def test_loading_a_dataset_and_computing_an_eer_leave_numpy_ma_unimported(tmp_path):
-    # np.unique imports numpy.ma on its first call, 12-17 ms per process
+    # np.unique imports numpy.ma on its first call, 12-17 ms per process;
+    # the eval stage loads a dataset, draws and writes trials and takes an EER
     path = tmp_path / "heldout.dataset"
     save_dataset(generate_dataset(3, 4, 2, 3, 0.5, seed=1), path)
     code = ("import sys; import numpy as np\n"
-            "from labelnoise.evaluation import compute_eer\n"
+            "from labelnoise.evaluation import compute_eer, generate_trials, write_trials_csv\n"
             "from labelnoise.synthdata import load_dataset\n"
-            "load_dataset(sys.argv[1])\n"
+            "ds = load_dataset(sys.argv[1])\n"
+            "write_trials_csv(generate_trials(ds, 3, seed=0), sys.argv[2])\n"
             "compute_eer(np.array([0.1, 0.4, 0.4, 0.8]), np.array([False, True, False, True]))\n"
             "print('numpy.ma' in sys.modules)\n")
     src = Path(labelnoise.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
-                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    proc = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "trials.csv")],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
@@ -244,6 +249,38 @@ def test_generate_trials_matches_scalar_oracle_up_to_cross_pair_exhaustion(sizes
         for seed in (0, 1, 2):
             assert_matches_scalar_oracle(ds, k, seed)
     assert_same_refusal(ds, cross + 1, seed=0)
+
+
+@st.composite
+def ragged_clean_datasets(draw):
+    """Clean datasets of classes of 1 to 9 members, many of 1 or 2, under
+    ascending labels with gaps; rows shuffled, ids unsorted, some negative."""
+    sizes = draw(st.lists(st.integers(1, 9) | st.sampled_from([1, 2]), min_size=1,
+                          max_size=12))
+    gaps = draw(st.lists(st.integers(1, 4), min_size=len(sizes), max_size=len(sizes)))
+    labels = np.cumsum(gaps) - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    observed = rng.permutation(np.repeat(labels, sizes))
+    n = len(observed)
+    ids = rng.choice(10 * n + 1000, size=n, replace=False) - 500
+    return Dataset(features=np.zeros((n, 1)), utt_id=ids, true_class=observed,
+                   observed_class=observed, is_ood=np.zeros(n, dtype=bool),
+                   class_count=int(labels[-1]) + 1, feature_dim=1)
+
+
+@given(ragged_clean_datasets(), st.integers(1, 60), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_same_class_pool_and_trials_match_the_per_class_loops(ds, pairs_per_kind, seed):
+    got, want = _same_class_pairs(ds.utt_id, ds.observed_class), per_class_target_pairs(ds)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        assert np.array_equal(g, w)
+    pool = len(want[0])
+    limit = min(pool, len(ds) * (len(ds) - 1) // 2 - pool)
+    if pairs_per_kind <= limit:
+        assert_matches_scalar_oracle(ds, pairs_per_kind, seed)
+    else:
+        assert_same_refusal(ds, pairs_per_kind, seed)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -133,6 +134,16 @@ def _written(writer, *args) -> bytes:
         return path.read_bytes()
 
 
+# ``write_rows`` formats this many rows per chunk while a test runs, so
+# that 30 rows cross several block boundaries
+BLOCKS = st.integers(1, 8)
+
+
+def _same_bytes(block, writer, oracle, *args) -> bool:
+    with mock.patch.object(jsonutil, "_ROW_BLOCK", block):
+        return _written(writer, *args) == _written(oracle, *args)
+
+
 @st.composite
 def score_tables(draw):
     n = draw(st.integers(0, 30))
@@ -144,29 +155,56 @@ def score_tables(draw):
     return np.array(column(FLOATS), dtype=np.float64), ds
 
 
-@given(score_tables(), st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8))
-def test_scores_csv_has_the_bytes_of_the_per_row_writer(table, method):
+# the method is printable ASCII, "%" included, which the row format escapes
+@given(BLOCKS, score_tables(),
+       st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8))
+def test_scores_csv_has_the_bytes_of_the_per_row_writer(block, table, method):
     scores, ds = table
-    assert (_written(write_scores_csv, scores, ds, method)
-            == _written(oracles.write_scores_csv, scores, ds, method))
+    assert _same_bytes(block, write_scores_csv, oracles.write_scores_csv, scores, ds, method)
 
 
-@given(st.lists(st.tuples(FLOATS, FLOATS, st.integers(0, 2**40), st.integers(0, 2**40)),
-                max_size=30))
-def test_histogram_csv_has_the_bytes_of_the_per_row_writer(rows):
-    assert _written(write_histogram_csv, rows) == _written(oracles.write_histogram_csv, rows)
+@given(BLOCKS, st.lists(st.tuples(FLOATS, FLOATS, st.integers(0, 2**40),
+                                  st.integers(0, 2**40)), max_size=30))
+def test_histogram_csv_has_the_bytes_of_the_per_row_writer(block, rows):
+    assert _same_bytes(block, write_histogram_csv, oracles.write_histogram_csv, rows)
 
 
-@given(st.lists(st.tuples(INT64, INT64, st.booleans()), max_size=30))
-def test_trials_csv_has_the_bytes_of_the_per_row_writer(rows):
+@given(BLOCKS, st.lists(st.tuples(INT64, INT64, st.booleans()), max_size=30))
+def test_trials_csv_has_the_bytes_of_the_per_row_writer(block, rows):
     trials = Trials(enroll_id=[r[0] for r in rows], test_id=[r[1] for r in rows],
                     is_target=[r[2] for r in rows])
-    assert _written(write_trials_csv, trials) == _written(oracles.write_trials_csv, trials)
+    assert _same_bytes(block, write_trials_csv, oracles.write_trials_csv, trials)
 
 
-@given(st.lists(st.tuples(st.integers(0, 2**40), FLOATS), max_size=30))
-def test_loss_curve_has_the_bytes_of_the_per_row_writer(curve):
-    assert _written(write_loss_curve, curve) == _written(oracles.write_loss_curve, curve)
+@given(BLOCKS, st.lists(st.tuples(st.integers(0, 2**40), FLOATS), max_size=30))
+def test_loss_curve_has_the_bytes_of_the_per_row_writer(block, curve):
+    assert _same_bytes(block, write_loss_curve, oracles.write_loss_curve, curve)
+
+
+@pytest.mark.parametrize("count", ["0", "1", "B-1", "B", "B+1", "2B+1"])
+def test_csv_writers_at_the_row_block_boundaries(count):
+    # the real block size B, at the row counts around its multiples
+    b = jsonutil._ROW_BLOCK
+    n = {"0": 0, "1": 1, "B-1": b - 1, "B": b, "B+1": b + 1, "2B+1": 2 * b + 1}[count]
+    rng = np.random.default_rng(n)
+    floats = lambda: np.where(rng.random(n) < 0.2, rng.choice(EDGE_FLOATS, n),
+                              rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n))
+    ints = lambda: rng.integers(-2**63, 2**63 - 1, n, endpoint=True)
+    counts = lambda: rng.integers(0, 2**40, n).tolist()
+    flags = lambda: rng.random(n) < 0.5
+    classes = rng.integers(0, 3, n)
+    ds = Dataset(features=np.zeros((n, 1)), utt_id=ints(), true_class=classes,
+                 observed_class=np.where(flags(), classes, (classes + 1) % 3),
+                 is_ood=flags(), class_count=3, feature_dim=1)
+    cases = [
+        (write_scores_csv, oracles.write_scores_csv, floats(), ds, "inter"),
+        (write_histogram_csv, oracles.write_histogram_csv,
+         list(zip(floats().tolist(), floats().tolist(), counts(), counts()))),
+        (write_trials_csv, oracles.write_trials_csv, Trials(ints(), ints(), flags())),
+        (write_loss_curve, oracles.write_loss_curve, list(zip(counts(), floats().tolist()))),
+    ]
+    for writer, oracle, *args in cases:
+        assert _written(writer, *args) == _written(oracle, *args)
 
 
 def test_write_text_writes_each_chunk_once_in_order(tmp_path, monkeypatch):
@@ -245,6 +283,18 @@ def test_digest_config_stable_across_json_round_trip():
     assert reparsed["q"] == 25 and isinstance(reparsed["q"], int)
     assert digest_config(reparsed) == digest_config(cfg)
     assert canonical_json(25.0) == canonical_json(25) == "25"
+
+
+def test_non_finite_floats_are_written_as_the_literals_read_json_reads(tmp_path):
+    path = tmp_path / "out.json"
+    values = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "np": np.float64("nan")}
+    write_json17(values, path)
+    text = path.read_text()
+    assert text == '{"-inf": -Infinity, "inf": Infinity, "nan": NaN, "np": NaN}\n'
+    back = read_json(path, "test")
+    assert back["inf"] == math.inf and back["-inf"] == -math.inf
+    assert math.isnan(back["nan"]) and math.isnan(back["np"])
+    assert canonical_json([math.nan, -math.inf]) == "[NaN,-Infinity]"
 
 
 def test_negative_zero_keeps_its_sign_across_json_round_trip():

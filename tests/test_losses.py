@@ -155,6 +155,31 @@ def test_ce_errors_match_the_plain_step_for_non_finite_input(where, bad):
     assert got[0] is DomainError
 
 
+@pytest.mark.parametrize("where", ["x", "w0", "w1", "w2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_aamsc_errors_match_the_plain_step_for_non_finite_input(where, bad):
+    # a non-finite weight in any sub-center, not only the first, is refused
+    rng = named_rng(20, "aamsc-nonfinite")
+    cfg = AAMSCConfig(class_count=4, scale=30.0, margin=0.2, subcenters=3)
+    x, w = rng.standard_normal((5, 3)), rng.standard_normal((12, 3))
+    if where == "x":
+        x[1, 2] = bad
+    else:  # class 1's sub-center k is weight row 1*K + k
+        w[3 + int(where[1]), 1] = bad
+    y = np.arange(5) % 4
+
+    def bits(loss):
+        try:
+            return _bits(loss(x, y, ClassifierParams(weight=w), cfg))
+        except Exception as exc:  # the error itself is compared
+            return type(exc), str(exc)
+
+    with np.errstate(all="ignore"):
+        got = bits(aamsc_loss)
+        assert got == bits(plain_aamsc_loss)
+    assert got[0] is DomainError
+
+
 def _layouts(a):
     """``a`` as a Fortran-order array, a column-strided and a row-strided view."""
     return np.asfortranarray(a), np.repeat(a, 2, axis=1)[:, ::2], np.repeat(a, 2, axis=0)[::2]
