@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .embedder import TrainConfig, load_model, save_model, train, write_loss_curve
+from .embedder import TrainConfig, TrainedModel, load_model, save_model, train, write_loss_curve
 from .errors import ConfigurationError, LabelNoiseError
 from .evaluation import (
     compute_eer,
@@ -65,6 +65,7 @@ from .nld import (
 from .seeding import derive_seed
 from .synthdata import (
     DEFAULT_WITHIN_CLASS_SPREAD,
+    Dataset,
     NoiseSpec,
     apply_openset_noise,
     apply_permute_noise,
@@ -332,17 +333,21 @@ def cmd_train(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], d
                                       "total_steps": cfg.total_steps, "final_loss": final_loss}
 
 
+def _dataset_for(model: TrainedModel | None, path: Path) -> Dataset:
+    """The dataset at ``path``, refused if its width is not ``model``'s input width."""
+    ds = load_dataset(path)
+    if model is not None and ds.feature_dim != (width := model.embedder.layer_dims[0]):
+        raise ConfigurationError(f"model file {model.source}: expects dim-{width} features, "
+                                 f"dataset {path} has dim {ds.feature_dim}")
+    return ds
+
+
 def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:
     """Score inconsistency, rank, select top q%, and report precision."""
     model_path = Path(args.model) if args.model else out / "model.json"
     ds_path = Path(args.dataset) if args.dataset else out / "noisy.dataset"
     model = load_model(model_path)
-    ds = load_dataset(ds_path)
-    if ds.feature_dim != model.embedder.layer_dims[0]:
-        raise ConfigurationError(
-            f"model expects dim-{model.embedder.layer_dims[0]} features, "
-            f"dataset has dim {ds.feature_dim}"
-        )
+    ds = _dataset_for(model, ds_path)
 
     q = args.q if args.q is not None else resolved["detect"]["q"]
     if q is None:
@@ -417,7 +422,7 @@ def cmd_eval(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], di
     """Generate held-out trials and report the model's EER."""
     model_path = Path(args.model) if args.model else out / "model.json"
     model = load_model(model_path)
-    heldout = load_dataset(out / "heldout.dataset")
+    heldout = _dataset_for(model, out / "heldout.dataset")
 
     trials = generate_trials(heldout, resolved["eval"]["pairs_per_kind"], seed)
     scores, labels, dropped = score_trials(model, trials, heldout)
@@ -469,15 +474,14 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
             f"the 64-bit range"
         )
 
-    ds_path = Path(args.dataset) if args.dataset else out / "noisy.dataset"
-    ds = load_dataset(ds_path)
-    heldout = load_dataset(out / "heldout.dataset")
-    trials = generate_trials(heldout, resolved["eval"]["pairs_per_kind"], seed)
-
-    cfg = build_train_config(resolved, ds.class_count, seed)
     # only the seed directory's own model may be missing: then the baseline is trained here
     model_path = Path(args.model) if args.model else out / "model.json"
     before_model = load_model(model_path) if args.model or model_path.exists() else None
+    ds = _dataset_for(before_model, Path(args.dataset) if args.dataset else out / "noisy.dataset")
+    heldout = _dataset_for(before_model, out / "heldout.dataset")
+    trials = generate_trials(heldout, resolved["eval"]["pairs_per_kind"], seed)
+
+    cfg = build_train_config(resolved, ds.class_count, seed)
     if before_model is None:
         logger.info("seed %d: no trained model at %s, training the baseline now",
                     seed, model_path)

@@ -6,9 +6,10 @@ speaker-balanced batches (N distinct observed classes, M utterances each),
 evaluates one of the metric-learning losses, and applies Adam with a fixed
 learning rate. Everything is deterministic given (dataset, config).
 
-Training updates one flat float64 vector laid out by ``parameter_layout``,
-and a model file stores that vector next to the layer dims and loss config
-that fix its layout, so the loader checks only its length and finiteness.
+Training updates one flat float64 vector laid out by ``parameter_layout``
+and drawn block by block by ``init_parameters``, and a model file stores
+that vector next to the layer dims and loss config that fix its layout,
+so the loader checks only its length and finiteness.
 The loss curve is written through ``jsonutil.write_rows``.
 """
 
@@ -32,9 +33,9 @@ from .losses import (
     aamsc_loss,
     ce_loss,
     ge2e_loss,
-    init_classifier,
     loss_config_from_dict,
 )
+from .numerics import row_dot
 from .seeding import named_rng
 from .synthdata import ClassTable, Dataset
 
@@ -52,18 +53,6 @@ class MlpParams:
     @property
     def layer_dims(self) -> tuple[int, ...]:
         return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
-
-
-def init_mlp(layer_dims: tuple[int, ...], rng: np.random.Generator) -> MlpParams:
-    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] for weights and biases."""
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise ConfigurationError(f"invalid layer dims {layer_dims}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        bound = 1.0 / math.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return MlpParams(weights=weights, biases=biases)
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -105,8 +94,17 @@ def mlp_backward(
     return grad_w, grad_b
 
 
-def embed_batch(params: MlpParams, features: np.ndarray) -> np.ndarray:
-    out, _ = mlp_forward(params, features)
+def embed_batch(params: MlpParams, features: np.ndarray, utt_id=None, source=None) -> np.ndarray:
+    """Embeddings of the rows of ``features``; one whose norm is not finite, which no
+    score can use, is refused, named by its ``utt_id`` entry (else its row) and ``source``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, _ = mlp_forward(params, features)
+        finite = np.isfinite(row_dot(out, out))
+    if not finite.all():
+        row = int(np.argmin(finite))
+        where = "" if source is None else f"model file {source}: "
+        raise DomainError(f"{where}utterance {row if utt_id is None else utt_id[row]} "
+                          "has a non-finite embedding norm")
     return out
 
 
@@ -276,8 +274,9 @@ class TrainConfig:
             )
         if self.learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.embed_dim < 1:
-            raise ConfigurationError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.embed_dim < 1 or any(d < 1 for d in self.hidden_dims):
+            raise ConfigurationError(f"layer dims must be >= 1, got hidden_dims "
+                                     f"{self.hidden_dims}, embed_dim {self.embed_dim}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), **AdamState.hyperparameters(), "loss": self.loss.to_dict(),
@@ -290,6 +289,8 @@ class TrainedModel:
     classifier: ClassifierParams
     loss_config: LossConfig
     train_manifest: dict
+    # the model file it was read from; None for a model trained in this process
+    source: str | None = field(default=None, compare=False)
 
 
 def easy_margin_boundary(cfg: TrainConfig) -> int:
@@ -322,6 +323,21 @@ def parameter_layout(layer_dims, loss_cfg: LossConfig) -> list[tuple[str, tuple,
     ends = accumulate(math.prod(shape) for _, shape in shapes)
     return [(name, shape, slice(end - math.prod(shape), end))
             for (name, shape), end in zip(shapes, ends)]
+
+
+def init_parameters(layout, loss_cfg: LossConfig, rng: np.random.Generator) -> np.ndarray:
+    """A fresh flat parameter vector, drawn block by block in layout order: a
+    2-D block uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], a 1-D block (the
+    bias after its weight) with that weight's bound, GE2E's ``init_w``, ``init_b``."""
+    flat = np.empty(layout[-1][2].stop)
+    for name, shape, sl in layout:
+        if len(shape) == 2:
+            bound = 1.0 / math.sqrt(shape[1])
+        if shape:
+            flat[sl] = rng.uniform(-bound, bound, size=sl.stop - sl.start)
+        else:
+            flat[sl] = loss_cfg.init_w if name == "ge2e.w" else loss_cfg.init_b
+    return flat
 
 
 def _flatten(mlp: MlpParams, clf: ClassifierParams, layout, out=None) -> np.ndarray:
@@ -366,12 +382,10 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
         )
     digest = digest_config(cfg.to_dict())
 
-    init_rng = named_rng(cfg.seed, "init")
     batch_rng = named_rng(cfg.seed, "batches")
     layer_dims = (ds.feature_dim, *cfg.hidden_dims, cfg.embed_dim)
     layout = parameter_layout(layer_dims, loss_cfg)
-    params = _flatten(init_mlp(layer_dims, init_rng),
-                      init_classifier(loss_cfg, cfg.embed_dim, init_rng), layout)
+    params = init_parameters(layout, loss_cfg, named_rng(cfg.seed, "init"))
     mlp, clf = _unflatten(params, layout)
     blocks = [(name, sl) for name, _, sl in layout]
     grads = np.empty_like(params)
@@ -469,11 +483,11 @@ def model_from_dict(d: dict) -> TrainedModel:
 
 
 def load_model(path) -> TrainedModel:
-    """Read a model file; a fault in its content raises a LabelNoiseError
-    reading ``model file PATH: <what>``."""
+    """Read a model file, kept as the model's ``source``; a fault in its
+    content raises a LabelNoiseError reading ``model file PATH: <what>``."""
     d = read_json(path, "model")
     try:
-        return model_from_dict(d)
+        return replace(model_from_dict(d), source=str(path))
     except LabelNoiseError as exc:
         raise type(exc)(f"model file {path}: {exc}") from None
 

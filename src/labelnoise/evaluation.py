@@ -176,9 +176,10 @@ def score_trials(model: TrainedModel, trials: Trials, ds: Dataset
     """Cosine score per trial; returns (scores, is_target, dropped_count).
 
     Trials whose enroll or test embedding has zero norm are dropped with
-    a warning rather than given an arbitrary score.
+    a warning rather than given an arbitrary score; one whose norm is
+    not finite is refused.
     """
-    emb = embed_batch(model.embedder, ds.features)
+    emb = embed_batch(model.embedder, ds.features, ds.utt_id, model.source)
     ids = np.stack([trials.enroll_id, trials.test_id])
     order = np.argsort(ds.utt_id)
     at = np.searchsorted(ds.utt_id, ids, sorter=order)
@@ -295,9 +296,11 @@ def retrain_after_removal(ds: Dataset, predicted: np.ndarray, cfg: TrainConfig,
 
     if before_model is None:
         before_model, _ = train(ds, cfg)
+    # the baseline is scored first, so a baseline that cannot be scored costs no training
+    before = evaluate_model(before_model, heldout, trials)
     after_model, _ = train(filtered, cfg_after)
     return RetrainOutcome(
-        before=evaluate_model(before_model, heldout, trials),
+        before=before,
         after=evaluate_model(after_model, heldout, trials),
         removed_count=removed,
         dropped_classes=dropped,
@@ -313,14 +316,13 @@ def write_trials_csv(trials: Trials, path) -> None:
                [trials.enroll_id.tolist(), trials.test_id.tolist(), labels.tolist()])
 
 
+def _eer_fields(result: EERResult) -> dict:
+    return {"eer": result.eer, "threshold": result.threshold_at_eer,
+            "trial_count": result.trial_count}
+
+
 def write_eer_json(result: EERResult, model_digest: str, path) -> None:
-    payload = {
-        "eer": result.eer,
-        "threshold": result.threshold_at_eer,
-        "trial_count": result.trial_count,
-        "model_digest": model_digest,
-    }
-    write_json17(payload, path)
+    write_json17({**_eer_fields(result), "model_digest": model_digest}, path)
 
 
 def write_retrain_json(outcome: RetrainOutcome, method: str, seed: int,
@@ -331,11 +333,7 @@ def write_retrain_json(outcome: RetrainOutcome, method: str, seed: int,
         "config_digest": config_digest,
         "removed_count": outcome.removed_count,
         "dropped_classes": outcome.dropped_classes,
-        "before": {"eer": outcome.before.eer,
-                   "threshold": outcome.before.threshold_at_eer,
-                   "trial_count": outcome.before.trial_count},
-        "after": {"eer": outcome.after.eer,
-                  "threshold": outcome.after.threshold_at_eer,
-                  "trial_count": outcome.after.trial_count},
+        "before": _eer_fields(outcome.before),
+        "after": _eer_fields(outcome.after),
     }
     write_json17(payload, path)

@@ -162,26 +162,6 @@ class LossOutput:
     grad_params: ClassifierParams
 
 
-def init_classifier(cfg: LossConfig, embed_dim: int, rng: np.random.Generator) -> ClassifierParams:
-    """Fresh classifier parameters for a loss config.
-
-    FC-style weights (and the CE bias) are uniform in
-    [-1/sqrt(embed_dim), 1/sqrt(embed_dim)]; GE2E starts from its
-    configured affine scalars.
-    """
-    bound = 1.0 / math.sqrt(embed_dim)
-    if isinstance(cfg, CEConfig):
-        w = rng.uniform(-bound, bound, size=(cfg.class_count, embed_dim))
-        b = rng.uniform(-bound, bound, size=cfg.class_count)
-        return ClassifierParams(weight=w, bias=b)
-    if isinstance(cfg, AAMConfig):
-        w = rng.uniform(-bound, bound, size=(cfg.class_count * cfg.subcenters, embed_dim))
-        return ClassifierParams(weight=w)
-    if isinstance(cfg, GE2EConfig):
-        return ClassifierParams(ge2e_w=cfg.init_w, ge2e_b=cfg.init_b)
-    raise ConfigurationError(f"unknown loss config {type(cfg).__name__}")
-
-
 def _check_labels(labels, class_count: int, batch_size: int) -> np.ndarray:
     y = np.asarray(labels)
     if y.ndim != 1:

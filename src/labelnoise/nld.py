@@ -69,8 +69,8 @@ class DetectionResult:
 
 
 def embed_dataset(model: TrainedModel, ds: Dataset) -> np.ndarray:
-    """Embeddings for every utterance, in dataset order."""
-    return embed_batch(model.embedder, ds.features)
+    """Every utterance's embedding, in dataset order; a non-finite norm is refused."""
+    return embed_batch(model.embedder, ds.features, ds.utt_id, model.source)
 
 
 def compute_centroids(emb: np.ndarray, ds: Dataset) -> CentroidBank:

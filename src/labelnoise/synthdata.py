@@ -98,6 +98,8 @@ class Dataset:
     directions: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.feature_dim < 1:  # no embedder takes zero features
+            raise ConfigurationError(f"feature_dim must be >= 1, got {self.feature_dim}")
         self.utt_id = np.asarray(self.utt_id, dtype=np.int64)
         self.true_class = np.asarray(self.true_class, dtype=np.int64)
         self.observed_class = np.asarray(self.observed_class, dtype=np.int64)

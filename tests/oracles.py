@@ -31,7 +31,10 @@ The dict-keyed centroid bank, intra-class score and centroid
 classifier are the per-class forms whose bits the array bank must
 reproduce. ``read_trials_csv`` reads back what ``write_trials_csv``
 writes. The four per-row CSV writers are the forms whose bytes the
-block-formatting ``write_rows`` writers must reproduce.
+block-formatting ``write_rows`` writers must reproduce. The per-layer
+``init_mlp`` followed by the per-loss-kind ``init_classifier`` is the
+form whose draws, in order, and generator state the layout-driven
+``init_parameters`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -781,6 +784,49 @@ def plain_aamsc_loss(embeddings: np.ndarray, labels, params: ClassifierParams,
     grad_x, grad_w = _plain_cosine_backward(dcos_sub, cos_flat, xhat, xnorm, what, wnorm)
     return LossOutput(value=value, grad_embeddings=grad_x,
                       grad_params=ClassifierParams(weight=grad_w))
+
+
+def init_mlp(layer_dims: tuple[int, ...], rng: np.random.Generator) -> MlpParams:
+    """Uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)] for weights and biases."""
+    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
+        raise ConfigurationError(f"invalid layer dims {layer_dims}")
+    weights, biases = [], []
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        bound = 1.0 / math.sqrt(fan_in)
+        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+        biases.append(rng.uniform(-bound, bound, size=fan_out))
+    return MlpParams(weights=weights, biases=biases)
+
+
+def init_classifier(cfg: LossConfig, embed_dim: int, rng: np.random.Generator) -> ClassifierParams:
+    """Fresh classifier parameters for a loss config.
+
+    FC-style weights (and the CE bias) are uniform in
+    [-1/sqrt(embed_dim), 1/sqrt(embed_dim)]; GE2E starts from its
+    configured affine scalars.
+    """
+    bound = 1.0 / math.sqrt(embed_dim)
+    if isinstance(cfg, CEConfig):
+        w = rng.uniform(-bound, bound, size=(cfg.class_count, embed_dim))
+        b = rng.uniform(-bound, bound, size=cfg.class_count)
+        return ClassifierParams(weight=w, bias=b)
+    if isinstance(cfg, AAMConfig):
+        w = rng.uniform(-bound, bound, size=(cfg.class_count * cfg.subcenters, embed_dim))
+        return ClassifierParams(weight=w)
+    if isinstance(cfg, GE2EConfig):
+        return ClassifierParams(ge2e_w=cfg.init_w, ge2e_b=cfg.init_b)
+    raise ConfigurationError(f"unknown loss config {type(cfg).__name__}")
+
+
+def plain_initial_vector(layer_dims: tuple[int, ...], cfg: LossConfig,
+                         rng: np.random.Generator) -> np.ndarray:
+    """``init_mlp`` then ``init_classifier``, their blocks raveled one after
+    another in draw order: mlp weight and bias per layer, then the classifier's."""
+    mlp = init_mlp(layer_dims, rng)
+    clf = init_classifier(cfg, layer_dims[-1], rng)
+    blocks = [b for pair in zip(mlp.weights, mlp.biases) for b in pair]
+    blocks += [b for b in (clf.weight, clf.bias, clf.ge2e_w, clf.ge2e_b) if b is not None]
+    return np.concatenate([np.ravel(np.asarray(b, dtype=np.float64)) for b in blocks])
 
 
 def plain_mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

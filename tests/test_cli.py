@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,10 +31,17 @@ from labelnoise.cli import (
     resolve_config,
     run_config_digest,
 )
-from labelnoise.embedder import load_model
+from labelnoise.embedder import load_model, mlp_forward, parameter_layout
 from labelnoise.errors import ConfigurationError
 from labelnoise.jsonutil import canonical_json, digest_config, dump_json17, sha256_file
-from labelnoise.losses import LOSS_KINDS, AAMConfig, AAMSCConfig, CEConfig, GE2EConfig
+from labelnoise.losses import (
+    LOSS_KINDS,
+    AAMConfig,
+    AAMSCConfig,
+    CEConfig,
+    GE2EConfig,
+    loss_config_from_dict,
+)
 from labelnoise.nld import (
     CentroidClassifier,
     compute_centroids,
@@ -846,6 +854,89 @@ def test_detect_with_malformed_model_exits_one_without_traceback(pipeline, tmp_p
     proc = run_cli("detect", "--config", str(pipeline.cfg_path), "--model", str(bad), "--quiet")
     assert proc.returncode == 1
     assert proc.stderr == f"error: model file {bad}: {message}"
+
+
+def _seed_dir_bytes(sdir: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sdir.iterdir() if p.name != "manifest.json"}
+
+
+def _edited_model(pipeline, path: Path, edit) -> Path:
+    """The pipeline's model.json with ``edit`` applied to its JSON object, at ``path``."""
+    model = json.loads((pipeline.sdir / "model.json").read_text())
+    path.write_text(json.dumps(edit(model)))
+    return path
+
+
+def _widened(model: dict) -> dict:
+    # one more input feature: mlp.weight0 gains a column, 8 entries in all
+    return {**model, "layer_dims": [9, *model["layer_dims"][1:]],
+            "parameters": [0.25] * 8 + model["parameters"]}
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("train was called")
+
+
+@pytest.mark.parametrize("command,dataset", [("detect", "noisy.dataset"),
+                                             ("eval", "heldout.dataset"),
+                                             ("retrain", "noisy.dataset")])
+def test_a_model_of_another_width_is_refused_before_any_work(pipeline, tmp_path, capsys,
+                                                             monkeypatch, command, dataset):
+    run = copy_run(pipeline, tmp_path)
+    wide = _edited_model(pipeline, tmp_path / "wide.json", _widened)
+    before = _seed_dir_bytes(run / "seed_1")
+    monkeypatch.setattr(cli, "train", _no_training)
+    monkeypatch.setattr("labelnoise.evaluation.train", _no_training)
+    assert main([command, "--config", str(pipeline.cfg_path), "--out", str(run),
+                 "--model", str(wide), "--quiet"]) == 1
+    assert capsys.readouterr().err == (f"error: model file {wide}: expects dim-9 features, "
+                                       f"dataset {run / 'seed_1' / dataset} has dim 8\n")
+    assert _seed_dir_bytes(run / "seed_1") == before
+
+
+def _overflowing(model: dict) -> dict:
+    # finite parameters whose embeddings' norms overflow: the last layer times 1e308
+    layout = dict((name, sl) for name, _, sl in parameter_layout(
+        model["layer_dims"], loss_config_from_dict(model["loss_config"])))
+    params = np.array(model["parameters"])
+    params[layout["mlp.weight1"]] *= 1e308
+    assert np.isfinite(params).all()
+    return {**model, "parameters": params.tolist()}
+
+
+@pytest.mark.parametrize("command,dataset", [("detect", "noisy.dataset"),
+                                             ("eval", "heldout.dataset"),
+                                             ("retrain", "heldout.dataset")])
+def test_a_model_with_non_finite_embeddings_is_refused(pipeline, tmp_path, capsys, monkeypatch,
+                                                       command, dataset):
+    run = copy_run(pipeline, tmp_path)
+    bad = _edited_model(pipeline, tmp_path / "overflow.json", _overflowing)
+    ds = load_dataset(run / "seed_1" / dataset)
+    with np.errstate(all="ignore"):
+        emb = mlp_forward(load_model(bad).embedder, ds.features)[0]
+        first = ds.utt_id[np.argmin(np.isfinite((emb * emb).sum(axis=1)))]
+    before = _seed_dir_bytes(run / "seed_1")
+    monkeypatch.setattr(cli, "train", _no_training)
+    monkeypatch.setattr("labelnoise.evaluation.train", _no_training)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning reaches the user either
+        assert main([command, "--config", str(pipeline.cfg_path), "--out", str(run),
+                     "--model", str(bad), "--quiet"]) == 1
+    assert capsys.readouterr().err == (f"error: model file {bad}: utterance {first} "
+                                       f"has a non-finite embedding norm\n")
+    assert _seed_dir_bytes(run / "seed_1") == before
+
+
+def test_width_and_overflow_refusals_exit_one_without_traceback(pipeline, tmp_path):
+    run = copy_run(pipeline, tmp_path)
+    wide = _edited_model(pipeline, tmp_path / "wide.json", _widened)
+    bad = _edited_model(pipeline, tmp_path / "overflow.json", _overflowing)
+    for command, model in (("eval", wide), ("detect", bad)):
+        proc = run_cli(command, "--config", str(pipeline.cfg_path), "--out", str(run),
+                       "--model", str(model), "--quiet")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: model file {model}: ")
+        assert "Traceback" not in proc.stderr
 
 
 # A non-ASCII byte, an integer literal past Python's int-conversion limit

@@ -19,7 +19,7 @@ from labelnoise.embedder import (
     _sample_positions,
     easy_margin_boundary,
     embed_batch,
-    init_mlp,
+    init_parameters,
     load_model,
     mlp_backward,
     mlp_forward,
@@ -46,11 +46,13 @@ from oracles import (
     BlockAdamState,
     block_adam_step,
     ids_by_observed_class,
+    init_mlp,
     per_class_sample_positions,
     plain_aam_loss,
     plain_aamsc_loss,
     plain_adam_step,
     plain_ge2e_loss,
+    plain_initial_vector,
     plain_mlp_backward,
     plain_mlp_forward,
 )
@@ -60,27 +62,54 @@ from oracles import (
 # MLP forward/backward
 
 
-def test_init_mlp_shapes_and_bounds():
-    mlp = init_mlp((6, 5, 3), named_rng(0, "init"))
-    assert [w.shape for w in mlp.weights] == [(5, 6), (3, 5)]
-    assert [b.shape for b in mlp.biases] == [(5,), (3,)]
-    assert mlp.layer_dims == (6, 5, 3)
-    assert np.max(np.abs(mlp.weights[0])) <= 1.0 / math.sqrt(6)
-    assert np.max(np.abs(mlp.weights[1])) <= 1.0 / math.sqrt(5)
+def test_init_parameters_shapes_and_bounds():
+    layout = parameter_layout((6, 5, 3), CEConfig(class_count=4))
+    flat = init_parameters(layout, CEConfig(class_count=4), named_rng(0, "init"))
+    blocks = {name: flat[sl].reshape(shape) for name, shape, sl in layout}
+    assert {name: b.shape for name, b in blocks.items()} == {
+        "mlp.weight0": (5, 6), "mlp.bias0": (5,), "mlp.weight1": (3, 5), "mlp.bias1": (3,),
+        "classifier.weight": (4, 3), "classifier.bias": (4,)}
+    # each bias takes the bound of the weight block before it
+    for names, fan_in in ((("mlp.weight0", "mlp.bias0"), 6), (("mlp.weight1", "mlp.bias1"), 5),
+                          (("classifier.weight", "classifier.bias"), 3)):
+        for name in names:
+            assert 0 < np.max(np.abs(blocks[name])) <= 1.0 / math.sqrt(fan_in)
 
 
-def test_init_mlp_deterministic():
-    a = init_mlp((4, 3), named_rng(5, "init"))
-    b = init_mlp((4, 3), named_rng(5, "init"))
-    for wa, wb in zip(a.weights, b.weights):
-        assert np.array_equal(wa, wb)
+def test_init_parameters_deterministic():
+    layout = parameter_layout((4, 3), GE2EConfig())
+    a = init_parameters(layout, GE2EConfig(), named_rng(5, "init"))
+    b = init_parameters(layout, GE2EConfig(), named_rng(5, "init"))
+    assert a.tobytes() == b.tobytes()
+    assert a.tobytes() != init_parameters(layout, GE2EConfig(), named_rng(6, "init")).tobytes()
 
 
-def test_init_mlp_validation():
-    with pytest.raises(ConfigurationError):
-        init_mlp((4,), named_rng(0, "init"))
-    with pytest.raises(ConfigurationError):
-        init_mlp((4, 0), named_rng(0, "init"))
+@pytest.mark.parametrize("loss_cfg", [
+    CEConfig(class_count=5),
+    nsl_config(5, 30.0),
+    AAMConfig(class_count=5, scale=30.0, margin=0.2),
+    AAMSCConfig(class_count=5, scale=30.0, margin=0.2, subcenters=1),
+    AAMSCConfig(class_count=5, scale=30.0, margin=0.2, subcenters=2),
+    AAMSCConfig(class_count=5, scale=30.0, margin=0.2, subcenters=3),
+    GE2EConfig(init_w=3.5, init_b=-0.25),
+], ids=["ce", "nsl", "aam", "aamsc1", "aamsc2", "aamsc3", "ge2e"])
+@pytest.mark.parametrize("layer_dims", [(7, 4), (7, 6, 4), (7, 9, 6, 4)])
+@pytest.mark.parametrize("seed", range(3))
+def test_init_parameters_matches_per_layer_and_classifier_init(loss_cfg, layer_dims, seed):
+    # the same draws, in the same order, as init_mlp then init_classifier,
+    # and the generator left in the same state
+    got_rng, want_rng = named_rng(seed, "init"), named_rng(seed, "init")
+    got = init_parameters(parameter_layout(layer_dims, loss_cfg), loss_cfg, got_rng)
+    want = plain_initial_vector(layer_dims, loss_cfg, want_rng)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dims", [{"hidden_dims": (0,)}, {"hidden_dims": (8, -1)},
+                                  {"embed_dim": 0}])
+def test_train_config_refuses_layer_dims_below_one(dims):
+    with pytest.raises(ConfigurationError, match="layer dims must be >= 1"):
+        TrainConfig(loss=CEConfig(class_count=3), **dims)
 
 
 def test_single_linear_identity_layer_passes_through():
@@ -108,6 +137,18 @@ def test_forward_dim_mismatch():
         embed_batch(mlp, np.ones((1, 5)))
     with pytest.raises(DomainError):
         mlp_forward(mlp, np.ones((2, 5)))
+
+
+def test_embed_batch_refuses_an_embedding_whose_norm_is_not_finite():
+    mlp = MlpParams(weights=[np.eye(2)], biases=[np.zeros(2)])
+    x = np.asarray([[1.0, 2.0], [1e200, 0.0], [np.inf, 0.0]])  # row 1 overflows when squared
+    with pytest.raises(DomainError, match=r"^utterance 1 has a non-finite embedding norm$"):
+        embed_batch(mlp, x)
+    with pytest.raises(DomainError, match=r"^model file m\.json: utterance 71 has a non-"):
+        embed_batch(mlp, x, np.array([70, 71, 72]), "m.json")
+    with pytest.raises(DomainError, match="utterance 72 "):
+        embed_batch(mlp, x[[0, 2]], np.array([70, 72]))
+    assert np.array_equal(embed_batch(mlp, x[:1], np.array([70]), "m.json"), x[:1])
 
 
 def test_embed_batch_matches_single():

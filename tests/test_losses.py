@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labelnoise.embedder import init_parameters, parameter_layout
 from labelnoise.errors import ConfigurationError, DomainError
 from labelnoise.losses import (
     AAMConfig,
@@ -20,7 +21,6 @@ from labelnoise.losses import (
     ce_loss,
     classify_confidence,
     ge2e_loss,
-    init_classifier,
     loss_config_from_dict,
     nsl_config,
 )
@@ -657,17 +657,23 @@ def test_all_losses_nonnegative_and_finite():
         assert np.all(np.isfinite(out.grad_embeddings))
 
 
-def test_init_classifier_shapes():
-    rng = named_rng(13, "init")
-    ce = init_classifier(CEConfig(class_count=4), 8, rng)
-    assert ce.weight.shape == (4, 8) and ce.bias.shape == (4,)
-    aam = init_classifier(AAMConfig(class_count=4, scale=30.0, margin=0.1), 8, rng)
-    assert aam.weight.shape == (4, 8) and aam.bias is None
-    sc = init_classifier(AAMSCConfig(class_count=4, scale=30.0, margin=0.1,
-                                     subcenters=3), 8, rng)
-    assert sc.weight.shape == (12, 8)
-    ge = init_classifier(GE2EConfig(), 8, rng)
-    assert ge.ge2e_w == 10.0 and ge.ge2e_b == -5.0 and ge.weight is None
+def test_init_parameters_classifier_blocks():
+    # the classifier blocks of a fresh vector, each loss kind after a 3 -> 8 layer
+    def classifier(cfg):
+        layout = parameter_layout((3, 8), cfg)
+        flat = init_parameters(layout, cfg, named_rng(13, "init"))
+        return {name: flat[sl].reshape(shape) for name, shape, sl in layout[2:]}
+
+    ce = classifier(CEConfig(class_count=4))
+    assert {k: v.shape for k, v in ce.items()} == {"classifier.weight": (4, 8),
+                                                  "classifier.bias": (4,)}
+    aam = classifier(AAMConfig(class_count=4, scale=30.0, margin=0.1))
+    assert {k: v.shape for k, v in aam.items()} == {"classifier.weight": (4, 8)}
+    sc = classifier(AAMSCConfig(class_count=4, scale=30.0, margin=0.1, subcenters=3))
+    assert {k: v.shape for k, v in sc.items()} == {"classifier.weight": (12, 8)}
+    for blocks in (ce, aam, sc):
+        assert all(0 < np.max(np.abs(v)) <= 1.0 / math.sqrt(8) for v in blocks.values())
+    assert classifier(GE2EConfig()) == {"ge2e.w": 10.0, "ge2e.b": -5.0}
 
 
 def test_aamsc_config_is_an_aam_config_with_required_subcenters():

@@ -479,6 +479,14 @@ def test_dataset_rejects_columns_of_different_lengths():
                 is_ood=[False, False], class_count=1, feature_dim=3)
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_dataset_rejects_zero_features(n):
+    # no embedder takes zero features; train relies on it
+    with pytest.raises(ConfigurationError, match="feature_dim must be >= 1, got 0"):
+        Dataset(features=np.zeros((n, 0)), utt_id=range(n), true_class=[0] * n,
+                observed_class=[0] * n, is_ood=[False] * n, class_count=1, feature_dim=0)
+
+
 def test_negative_zero_feature_keeps_its_sign(tmp_path):
     ds = make_dataset([[-0.0, 0.0], [1.5, -0.0]], [0, 1])
     path = tmp_path / "ds.dataset"
