@@ -25,7 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .embedder import TrainConfig, TrainedModel, load_model, save_model, train, write_loss_curve
+from .embedder import (
+    TrainConfig,
+    TrainedModel,
+    load_model,
+    parameter_vector,
+    save_model,
+    train,
+    write_loss_curve,
+)
 from .errors import ConfigurationError, LabelNoiseError
 from .evaluation import (
     compute_eer,
@@ -321,8 +329,7 @@ def cmd_train(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], d
 
     model_path = out / "model.json"
     curve_path = out / "loss_curve.csv"
-    save_model(model, model_path)
-    load_model(model_path)  # validate the artifact round-trips
+    _save_checked(model, model_path)
     write_loss_curve(curve, curve_path)
 
     final_loss = curve[-1][1] if curve else None
@@ -331,6 +338,14 @@ def cmd_train(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], d
                 "n/a" if final_loss is None else format(final_loss, ".6g"))
     return [model_path, curve_path], {"loss_kind": cfg.loss.kind,
                                       "total_steps": cfg.total_steps, "final_loss": final_loss}
+
+
+def _save_checked(model: TrainedModel, path: Path) -> None:
+    """Save ``model`` at ``path`` and check that it reads back with every parameter's bits."""
+    save_model(model, path)
+    if not np.array_equal(parameter_vector(load_model(path)).view(np.int64),
+                          parameter_vector(model).view(np.int64)):
+        raise ConfigurationError(f"round-trip validation failed for {path}")
 
 
 def _dataset_for(model: TrainedModel | None, path: Path) -> Dataset:
@@ -477,8 +492,15 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
     # only the seed directory's own model may be missing: then the baseline is trained here
     model_path = Path(args.model) if args.model else out / "model.json"
     before_model = load_model(model_path) if args.model or model_path.exists() else None
-    ds = _dataset_for(before_model, Path(args.dataset) if args.dataset else out / "noisy.dataset")
-    heldout = _dataset_for(before_model, out / "heldout.dataset")
+    ds_path = Path(args.dataset) if args.dataset else out / "noisy.dataset"
+    heldout_path = out / "heldout.dataset"
+    ds = _dataset_for(before_model, ds_path)
+    heldout = _dataset_for(before_model, heldout_path)
+    # with a baseline model both widths were checked against it; without
+    # one the baseline is trained on ``ds`` and then embeds ``heldout``
+    if heldout.feature_dim != ds.feature_dim:
+        raise ConfigurationError(f"held-out dataset {heldout_path} has dim {heldout.feature_dim}, "
+                                 f"training dataset {ds_path} has dim {ds.feature_dim}")
     trials = generate_trials(heldout, resolved["eval"]["pairs_per_kind"], seed)
 
     cfg = build_train_config(resolved, ds.class_count, seed)
@@ -490,7 +512,7 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
 
     retrained_path = out / "model_retrained.json"
     report_path = out / "retrain.json"
-    save_model(outcome.after_model, retrained_path)
+    _save_checked(outcome.after_model, retrained_path)
     write_retrain_json(outcome, method, seed, run_config_digest(resolved), report_path)
     logger.info("seed %d: removed %d utterances, EER %.4f -> %.4f",
                 seed, outcome.removed_count, outcome.before.eer, outcome.after.eer)

@@ -8,14 +8,15 @@ learning rate. Everything is deterministic given (dataset, config).
 
 Training updates one flat float64 vector laid out by ``parameter_layout``
 and drawn block by block by ``init_parameters``, and a model file stores
-that vector next to the layer dims and loss config that fix its layout,
-so the loader checks only its length and finiteness.
+that vector, as the base64 text of its little-endian float64 bytes, next
+to the layer dims and loss config that fix its layout, so the loader
+checks only that text, its length and its finiteness.
 The loss curve is written through ``jsonutil.write_rows``.
 """
 
 from __future__ import annotations
 
-import contextlib
+import base64
 import math
 from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate, chain
@@ -39,7 +40,7 @@ from .numerics import row_dot
 from .seeding import named_rng
 from .synthdata import ClassTable, Dataset
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 GE2E_W_FLOOR = 1e-4
 
 
@@ -438,17 +439,23 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
     return _trained_model(params, layout, loss_cfg, manifest), curve
 
 
+def parameter_vector(model: TrainedModel) -> np.ndarray:
+    """The model's blocks as one new float64 vector in its ``parameter_layout``."""
+    layout = parameter_layout(model.embedder.layer_dims, model.loss_config)
+    return _flatten(model.embedder, model.classifier, layout)
+
+
 def model_to_dict(model: TrainedModel) -> dict:
     """The model as JSON values: its layer dims and loss config, which fix
-    the ``parameter_layout``, and the flat parameter vector in that layout."""
-    dims = model.embedder.layer_dims
-    layout = parameter_layout(dims, model.loss_config)
+    the ``parameter_layout``, and the flat parameter vector in that layout
+    as the base64 text of its little-endian float64 bytes."""
+    vec = parameter_vector(model)
     return {
         "format_version": MODEL_FORMAT_VERSION,
-        "layer_dims": list(dims),
+        "layer_dims": list(model.embedder.layer_dims),
         "loss_config": model.loss_config.to_dict(),
         "train_manifest": model.train_manifest,
-        "parameters": _flatten(model.embedder, model.classifier, layout),
+        "parameters": base64.b64encode(vec.astype("<f8").tobytes()).decode("ascii"),
     }
 
 
@@ -459,8 +466,9 @@ def save_model(model: TrainedModel, path) -> None:
 def model_from_dict(d: dict) -> TrainedModel:
     """Rebuild a model from ``model_to_dict`` output.
 
-    The header fields are checked first; ``parameters`` must then be a
-    list of exactly as many finite numbers as their layout holds.
+    The header fields are checked first; ``parameters`` must then be the
+    canonical base64 text (the one ``b64encode`` writes) of exactly as
+    many finite little-endian float64 values as their layout holds.
     """
     version = d.get("format_version") if isinstance(d, dict) else None
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
@@ -472,13 +480,19 @@ def model_from_dict(d: dict) -> TrainedModel:
                                      "model.loss_config")
     manifest = json_field(d, "train_manifest", dict, "model")
     layout = parameter_layout(dims, loss_cfg)
-    values = json_field(d, "parameters", list, "model")
+    text = json_field(d, "parameters", str, "model")
     size, flat = layout[-1][2].stop, None
-    if len(values) == size and set(map(type, values)) <= {int, float}:
-        with contextlib.suppress(OverflowError):  # an integer beyond float64
-            flat = np.array(values, dtype=np.float64)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raw = None
+    # b64decode takes unused low bits in the last character (``AB==`` reads
+    # as ``AA==``); only the text b64encode writes for the bytes is taken
+    if raw is not None and len(raw) == 8 * size and base64.b64encode(raw).decode() == text:
+        flat = np.frombuffer(raw, "<f8").astype(np.float64)
     if flat is None or not np.isfinite(flat).all():
-        raise ConfigurationError(f"model.parameters must be a list of {size} finite numbers")
+        raise ConfigurationError(f"model.parameters must be the base64 of {size} finite "
+                                 "little-endian float64 values")
     return _trained_model(flat, layout, loss_cfg, manifest)
 
 

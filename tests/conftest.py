@@ -3,6 +3,7 @@ Hypothesis profile CI runs with."""
 
 from __future__ import annotations
 
+import base64
 import sys
 
 import numpy as np
@@ -49,6 +50,14 @@ def make_dataset(features, observed, true_classes=None, class_count=None) -> Dat
     return Dataset(features=feats.copy(), utt_id=np.arange(n), true_class=true_classes,
                    observed_class=observed, is_ood=np.zeros(n, dtype=bool),
                    class_count=class_count, feature_dim=feats.shape[1])
+
+
+def edit_parameters(model: dict, edit) -> dict:
+    """A copy of ``model``, a model file's JSON object, whose parameter vector
+    is ``edit(v)`` for ``v`` a writable copy of its own."""
+    vec = np.frombuffer(base64.b64decode(model["parameters"], validate=True), "<f8").copy()
+    raw = np.asarray(edit(vec), dtype="<f8").tobytes()
+    return {**model, "parameters": base64.b64encode(raw).decode("ascii")}
 
 
 # Up to three edits of a file's bytes: (kind, position, byte value)

@@ -1,5 +1,6 @@
 """Config resolution and the end-to-end command-line pipeline."""
 
+import base64
 import csv
 import dataclasses
 import io
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import labelnoise
 import labelnoise.cli as cli
+import labelnoise.embedder as embedder
 import labelnoise.nld as nld
 from labelnoise.cli import (
     SECTIONS,
@@ -31,6 +33,7 @@ from labelnoise.cli import (
     resolve_config,
     run_config_digest,
 )
+from conftest import edit_parameters
 from labelnoise.embedder import load_model, mlp_forward, parameter_layout
 from labelnoise.errors import ConfigurationError
 from labelnoise.jsonutil import canonical_json, digest_config, dump_json17, sha256_file
@@ -685,6 +688,48 @@ def test_retrain_without_the_seed_model_trains_the_baseline(pipeline, tmp_path, 
         assert (sdir / name).read_bytes() == (pipeline.sdir / name).read_bytes(), name
 
 
+def test_retrain_without_a_model_refuses_a_held_out_set_of_another_width(pipeline, tmp_path,
+                                                                        capsys, monkeypatch):
+    run = copy_run(pipeline, tmp_path)
+    sdir = run / "seed_1"
+    for name in ("model.json", "model_retrained.json", "retrain.json"):
+        (sdir / name).unlink()
+    heldout = load_dataset(sdir / "heldout.dataset")
+    wide = np.hstack([heldout.features, np.zeros((len(heldout), 1))])
+    save_dataset(dataclasses.replace(heldout, features=wide, feature_dim=9),
+                 sdir / "heldout.dataset")
+    monkeypatch.setattr(cli, "train", _no_training)
+    monkeypatch.setattr("labelnoise.evaluation.train", _no_training)
+    assert main(["retrain", "--config", str(pipeline.cfg_path), "--out", str(run),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: held-out dataset {sdir / 'heldout.dataset'} has dim 9, "
+        f"training dataset {sdir / 'noisy.dataset'} has dim 8\n")
+    assert not (sdir / "model_retrained.json").exists()
+    assert not (sdir / "retrain.json").exists()
+
+
+@pytest.mark.parametrize("command,written", [("train", "model.json"),
+                                             ("retrain", "model_retrained.json")])
+def test_a_model_file_that_reads_back_with_other_bits_fails_the_stage(pipeline, tmp_path,
+                                                                      capsys, monkeypatch,
+                                                                      command, written):
+    run = copy_run(pipeline, tmp_path)
+    model_to_dict = embedder.model_to_dict
+
+    def one_ulp_off(model):
+        def bump(v):
+            v[0] = np.nextafter(v[0], np.inf)
+            return v
+        return edit_parameters(model_to_dict(model), bump)
+
+    monkeypatch.setattr(embedder, "model_to_dict", one_ulp_off)
+    assert main([command, "--config", str(pipeline.cfg_path), "--out", str(run),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: round-trip validation failed for {run / 'seed_1' / written}\n"
+
+
 def test_detect_rejects_out_of_range_q(pipeline, capsys):
     assert main(["detect", "--config", str(pipeline.cfg_path),
                  "--q", "150", "--quiet"]) == 1
@@ -837,14 +882,20 @@ def test_unallocatable_histogram_exits_one_and_leaves_config_json_as_it_was(pipe
 
 @pytest.mark.parametrize("edit,message", [
     (lambda m: {**m, "format_version": 1}, "unsupported format_version 1\n"),
-    (lambda m: {"format_version": 2}, "model.layer_dims is missing\n"),
+    # format 2 held the vector as a JSON list of numbers
+    (lambda m: {**m, "format_version": 2,
+                "parameters": np.frombuffer(base64.b64decode(m["parameters"]), "<f8").tolist()},
+     "unsupported format_version 2\n"),
+    (lambda m: {"format_version": 3}, "model.layer_dims is missing\n"),
     (lambda m: {**m, "loss_config": {**m["loss_config"], "class_count": "5"}},
      "model.loss_config.class_count must be an integer, got '5'\n"),
     (lambda m: {**m, "loss_config": {**m["loss_config"], "subcenters": 2**63}},
      "model.loss_config.subcenters must be a 64-bit integer, got 9223372036854775808\n"),
     # a bias, which an AAMSC classifier does not have, makes the vector too long
-    (lambda m: {**m, "parameters": m["parameters"] + [0.5] * 5},
-     "model.parameters must be a list of 186 finite numbers\n"),
+    (lambda m: edit_parameters(m, lambda v: np.append(v, [0.5] * 5)),
+     "model.parameters must be the base64 of 186 finite little-endian float64 values\n"),
+    (lambda m: {**m, "parameters": m["parameters"][:-4]},
+     "model.parameters must be the base64 of 186 finite little-endian float64 values\n"),
 ])
 def test_detect_with_malformed_model_exits_one_without_traceback(pipeline, tmp_path,
                                                                   edit, message):
@@ -869,8 +920,8 @@ def _edited_model(pipeline, path: Path, edit) -> Path:
 
 def _widened(model: dict) -> dict:
     # one more input feature: mlp.weight0 gains a column, 8 entries in all
-    return {**model, "layer_dims": [9, *model["layer_dims"][1:]],
-            "parameters": [0.25] * 8 + model["parameters"]}
+    return {**edit_parameters(model, lambda v: np.append([0.25] * 8, v)),
+            "layer_dims": [9, *model["layer_dims"][1:]]}
 
 
 def _no_training(*args, **kwargs):
@@ -898,10 +949,12 @@ def _overflowing(model: dict) -> dict:
     # finite parameters whose embeddings' norms overflow: the last layer times 1e308
     layout = dict((name, sl) for name, _, sl in parameter_layout(
         model["layer_dims"], loss_config_from_dict(model["loss_config"])))
-    params = np.array(model["parameters"])
-    params[layout["mlp.weight1"]] *= 1e308
-    assert np.isfinite(params).all()
-    return {**model, "parameters": params.tolist()}
+
+    def scale(params):
+        params[layout["mlp.weight1"]] *= 1e308
+        assert np.isfinite(params).all()
+        return params
+    return edit_parameters(model, scale)
 
 
 @pytest.mark.parametrize("command,dataset", [("detect", "noisy.dataset"),

@@ -1,15 +1,18 @@
 """MLP embedder, Adam updates, balanced batching, and the training loop."""
 
+import base64
 import json
 import math
+import sys
 from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import BYTE_EDITS, edit_bytes
+from conftest import BYTE_EDITS, edit_bytes, edit_parameters
 import labelnoise.embedder as embedder
 from labelnoise.embedder import (
     AdamState,
@@ -26,6 +29,7 @@ from labelnoise.embedder import (
     model_from_dict,
     model_to_dict,
     parameter_layout,
+    parameter_vector,
     save_model,
     train,
     write_loss_curve,
@@ -717,7 +721,7 @@ def test_model_file_holds_the_header_fields_and_one_flat_parameter_vector(tmp_pa
     d = json.loads((tmp_path / "model.json").read_text(encoding="ascii"))
     assert sorted(d) == ["format_version", "layer_dims", "loss_config", "parameters",
                          "train_manifest"]
-    assert d["format_version"] == 2 and d["layer_dims"] == [6, 8, 6]
+    assert d["format_version"] == 3 and d["layer_dims"] == [6, 8, 6]
     # mlp.weight0, mlp.bias0, mlp.weight1, mlp.bias1, classifier.weight, classifier.bias
     layout = parameter_layout((6, 8, 6), CEConfig(class_count=4))
     assert [(name, shape, sl.start, sl.stop) for name, shape, sl in layout] == [
@@ -726,8 +730,9 @@ def test_model_file_holds_the_header_fields_and_one_flat_parameter_vector(tmp_pa
         ("classifier.weight", (4, 6), 110, 134), ("classifier.bias", (4,), 134, 138)]
     arrays = [*chain(*zip(model.embedder.weights, model.embedder.biases)),
               model.classifier.weight, model.classifier.bias]
-    assert np.array(d["parameters"]).tobytes() == np.concatenate(
-        [a.ravel() for a in arrays]).tobytes()
+    # the base64 of the vector's little-endian float64 bytes, whatever the host's byte order
+    raw = np.concatenate([a.ravel() for a in arrays]).astype("<f8").tobytes()
+    assert d["parameters"] == base64.b64encode(raw).decode("ascii")
 
 
 def test_model_from_dict_validates_classifier_shape():
@@ -737,8 +742,9 @@ def test_model_from_dict_validates_classifier_shape():
     model, _ = train(ds, tiny_cfg())
     d = json.loads(dump_json17(model_to_dict(model)))
     rows = dict((name, sl) for name, _, sl in parameter_layout((6, 8, 6), model.loss_config))
-    del d["parameters"][rows["classifier.weight"].stop - 6:rows["classifier.weight"].stop]
-    with pytest.raises(ConfigurationError, match="^model.parameters must be a list of 138 "):
+    end = rows["classifier.weight"].stop
+    d = edit_parameters(d, lambda v: np.delete(v, np.s_[end - 6:end]))
+    with pytest.raises(ConfigurationError, match="^model.parameters must be the base64 of 138 "):
         model_from_dict(d)
 
 
@@ -764,6 +770,17 @@ def test_load_model_refuses_the_per_layer_format_naming_the_file(tmp_path):
     with pytest.raises(ConfigurationError) as info:
         load_model(path)
     assert str(info.value) == f"model file {path}: unsupported format_version 1"
+
+
+def test_load_model_refuses_the_json_list_format_naming_the_file(tmp_path):
+    # format_version 2 stored the same flat vector as a JSON list of numbers
+    model, _ = train(small_ds(), tiny_cfg())
+    old = {**model_to_dict(model), "format_version": 2, "parameters": parameter_vector(model)}
+    path = tmp_path / "model.json"
+    write_json17(old, path)
+    with pytest.raises(ConfigurationError) as info:
+        load_model(path)
+    assert str(info.value) == f"model file {path}: unsupported format_version 2"
 
 
 @pytest.fixture(scope="module")
@@ -792,8 +809,48 @@ def _drop(*path):
     return mutate
 
 
+def _vector(edit):
+    """Mutator that applies ``edit`` to the parameter vector (see ``edit_parameters``)."""
+    return lambda d: d.update(edit_parameters(d, edit))
+
+
+def _entry(i, value):
+    """Vector edit that sets entry ``i`` to ``value``."""
+    def edit(v):
+        v[i] = value
+        return v
+    return edit
+
+
+def _text(edit):
+    """Mutator that replaces the ``parameters`` text by ``edit(text)``."""
+    def mutate(d):
+        d["parameters"] = edit(d["parameters"])
+    return mutate
+
+
+def _bytes(edit):
+    """Mutator that re-encodes ``edit`` applied to the decoded parameter bytes."""
+    return _text(lambda t: base64.b64encode(edit(base64.b64decode(t))).decode("ascii"))
+
+
+BASE64_DIGITS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _odd_last_digit(text):
+    """``text``, ending in one byte's two digits and "==", with a low bit set in
+    the second digit, which ``b64decode`` ignores: the same bytes, non-canonical."""
+    assert text.endswith("==")
+    return text[:-3] + BASE64_DIGITS[BASE64_DIGITS.index(text[-3]) | 1] + "=="
+
+
+def _nan_bits(v):
+    v.view(np.int64)[3] = 0x7FF0000000000001
+    return v
+
+
 # the AAMSC model above holds 6*8 + 8 + 8*6 + 6 + (4*2)*6 = 158 parameters
-PARAMETERS = "model.parameters must be a list of 158 finite numbers"
+PARAMETERS = "model.parameters must be the base64 of 158 finite little-endian float64 values"
 
 
 @pytest.mark.parametrize("mutate,needle", [
@@ -806,19 +863,34 @@ PARAMETERS = "model.parameters must be a list of 158 finite numbers"
     (_set(["layer_dims", 1], 0), "model.layer_dims must list two or more ints >= 1"),
     (_set(["layer_dims", 1], True), "model.layer_dims must list two or more ints >= 1"),
     (_set(["layer_dims", 1], 8.0), "model.layer_dims must list two or more ints >= 1"),
-    (_set(["layer_dims", 1], 9), "model.parameters must be a list of 171 finite numbers"),
-    (_set(["layer_dims"], [6, 8, 8, 6]), "model.parameters must be a list of 230 "),
+    (_set(["layer_dims", 1], 9),
+     "model.parameters must be the base64 of 171 finite little-endian float64 values"),
+    (_set(["layer_dims"], [6, 8, 8, 6]), "model.parameters must be the base64 of 230 "),
     (_drop("parameters"), "model.parameters is missing"),
-    (_set(["parameters"], {}), "model.parameters must be a list"),
-    (_set(["parameters", 0], "x"), PARAMETERS),
-    (_set(["parameters", 0], True), PARAMETERS),
-    (_set(["parameters", 0], None), PARAMETERS),
-    (_set(["parameters", 0], 10 ** 400), PARAMETERS),
-    (_set(["parameters", 0], [0.5]), PARAMETERS),
-    (_set(["parameters", 57], math.nan), PARAMETERS),
-    (_set(["parameters", 157], -math.inf), PARAMETERS),
-    (lambda d: d["parameters"].pop(), PARAMETERS),
-    (lambda d: d["parameters"].append(0.5), PARAMETERS),
+    (_set(["parameters"], {}), "model.parameters must be a string"),
+    (_set(["parameters"], [0.5] * 158), "model.parameters must be a string"),
+    (_set(["parameters"], None), "model.parameters must be a string"),
+    (_text(lambda t: "!" + t[1:]), PARAMETERS),
+    (_text(lambda t: t[:40] + "-" + t[41:]), PARAMETERS),
+    (_text(lambda t: t[:40] + "\u00e9" + t[41:]), PARAMETERS),
+    (_text(lambda t: t[:40] + " " + t[40:]), PARAMETERS),
+    (_text(lambda t: t + "\n"), PARAMETERS),
+    (_text(lambda t: t[:-1]), PARAMETERS),
+    (_text(lambda t: t + "="), PARAMETERS),
+    (_text(lambda t: t[:-2]), PARAMETERS),
+    (_text(lambda t: t[:40] + "=" + t[41:]), PARAMETERS),
+    (_text(_odd_last_digit), PARAMETERS),
+    (_text(lambda t: ""), PARAMETERS),
+    (_bytes(lambda b: b[:-1]), PARAMETERS),
+    (_bytes(lambda b: b + b"\0"), PARAMETERS),
+    (_bytes(lambda b: b[:-8]), PARAMETERS),
+    (_bytes(lambda b: b + bytes(8)), PARAMETERS),
+    (_vector(_entry(57, math.nan)), PARAMETERS),
+    (_vector(_entry(157, -math.inf)), PARAMETERS),
+    (_vector(_entry(0, math.inf)), PARAMETERS),
+    (_vector(_nan_bits), PARAMETERS),
+    (_vector(lambda v: v[:-1]), PARAMETERS),
+    (_vector(lambda v: np.append(v, 0.5)), PARAMETERS),
     (_set(["loss_config"], []), "model.loss_config must be an object"),
     (_set(["loss_config", "kind"], "bogus"), "unknown loss kind"),
     (_set(["loss_config", "class_count"], "5"), "model.loss_config.class_count must be an integer"),
@@ -826,7 +898,7 @@ PARAMETERS = "model.parameters must be a list of 158 finite numbers"
     (_set(["loss_config", "class_count"], True), "model.loss_config.class_count must be an integer"),
     (_set(["loss_config", "subcenters"], "x"), "model.loss_config.subcenters must be an integer"),
     (_drop("loss_config", "subcenters"), "model.loss_config.subcenters is missing"),
-    (_set(["loss_config", "subcenters"], 3), "model.parameters must be a list of 182 "),
+    (_set(["loss_config", "subcenters"], 3), "model.parameters must be the base64 of 182 "),
     (_set(["loss_config", "scale"], True), "model.loss_config.scale must be a finite number"),
     (_set(["loss_config", "margin"], "0.1"), "model.loss_config.margin must be a finite number"),
     (_set(["loss_config", "easy_margin"], "false"), "model.loss_config.easy_margin must be a bool"),
@@ -835,7 +907,7 @@ PARAMETERS = "model.parameters must be a list of 158 finite numbers"
     (_set(["loss_config"], {"kind": "ge2e", "init_w": 10.0, "init_b": math.inf}),
      "model.loss_config.init_b must be a finite number"),
     (_set(["loss_config"], {"kind": "ge2e", "init_w": 10.0, "init_b": -5.0}),
-     "model.parameters must be a list of 112 "),
+     "model.parameters must be the base64 of 112 "),
     (_drop("train_manifest"), "model.train_manifest is missing"),
 ])
 def test_model_from_dict_rejects_malformed_fields(aamsc_model_dict, mutate, needle):
@@ -910,16 +982,17 @@ def test_model_from_dict_refuses_classifier_fields_of_another_loss_kind(trained_
                                                                         name, key):
     # a vector lacking a block the kind owns, or holding one more that it
     # does not own, does not have the length of the kind's layout
-    d = json.loads(json.dumps(trained_model_dicts[name]))
     model = trained_models[name]
-    size = len(d["parameters"])
+    layout = parameter_layout(model.embedder.layer_dims, model.loss_config)
+    size = layout[-1][2].stop
     if key in OWNED_FIELDS[name][1]:
-        layout = parameter_layout(model.embedder.layer_dims, model.loss_config)
-        del d["parameters"][dict((n, sl) for n, _, sl in layout)[FIELD_BLOCKS[key]]]
+        block = dict((n, sl) for n, _, sl in layout)[FIELD_BLOCKS[key]]
+        d = edit_parameters(trained_model_dicts[name], lambda v: np.delete(v, block))
     else:
-        d["parameters"] += np.ravel(FIELD_VALUES[key]).tolist()
-    with pytest.raises(ConfigurationError,
-                       match=rf"^model\.parameters must be a list of {size} finite numbers$"):
+        d = edit_parameters(trained_model_dicts[name],
+                            lambda v: np.append(v, np.ravel(FIELD_VALUES[key])))
+    with pytest.raises(ConfigurationError, match=rf"^model\.parameters must be the base64 of "
+                                                 rf"{size} finite little-endian float64 values$"):
         model_from_dict(d)
 
 
@@ -997,6 +1070,40 @@ def test_load_model_takes_any_value_in_any_place(tmp_path_factory, trained_model
     path = tmp_path_factory.mktemp("model") / "model.json"
     path.write_text(json.dumps(d), encoding="ascii")
     _load_or_refuse(path)
+
+
+EXTREMES = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     sys.float_info.max, -sys.float_info.max, 1.0, -1.0, math.pi])
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, 158, elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.resize(EXTREMES, 158))
+def test_any_finite_vector_saves_and_loads_with_its_bits(tmp_path_factory, aamsc_model_dict,
+                                                         vec):
+    model = model_from_dict(edit_parameters(aamsc_model_dict, lambda v: vec))
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    assert parameter_vector(load_model(path)).view(np.int64).tolist() == \
+        vec.view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["replace", "insert", "delete"]),
+       st.integers(0, 10 ** 6) | st.integers(-4, -1),  # half of them in the last four
+       st.sampled_from(BASE64_DIGITS + "=") | st.characters())
+def test_every_one_character_edit_of_the_parameters_is_refused_or_changes_the_vector(
+        aamsc_model_dict, kind, i, char):
+    text = aamsc_model_dict["parameters"]
+    k = i % (len(text) + (kind == "insert"))
+    edited = text[:k] + {"replace": char, "insert": char + text[k:k + 1], "delete": ""}[kind] \
+        + text[k + 1:]
+    assume(edited != text)
+    try:
+        model = model_from_dict({**aamsc_model_dict, "parameters": edited})
+    except LabelNoiseError:
+        return
+    assert parameter_vector(model).tobytes() != base64.b64decode(text)
 
 
 def test_write_loss_curve_format(tmp_path):
