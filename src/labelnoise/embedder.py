@@ -7,7 +7,8 @@ evaluates one of the metric-learning losses, and applies Adam with a fixed
 learning rate. Everything is deterministic given (dataset, config).
 
 Training updates one flat float64 vector laid out by ``parameter_layout``
-and drawn block by block by ``init_parameters``, and a model file stores
+and drawn block by block by ``init_parameters``; the backward pass writes
+into views of a gradient vector of the same layout. A model file stores
 that vector, as the base64 text of its little-endian float64 bytes, next
 to the layer dims and loss config that fix its layout, so the loader
 checks only that text, its length and its finiteness.
@@ -74,25 +75,19 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.n
     return h, cache
 
 
-def mlp_backward(
-    params: MlpParams, cache: list[np.ndarray], grad_out: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of a scalar loss given d(loss)/d(output).
-
-    Returns (weight grads, bias grads). The gradient with respect to the
-    input batch is not formed: the features are not trained.
-    """
+def mlp_backward(params: MlpParams, cache: list[np.ndarray], grad_out: np.ndarray,
+                 out: MlpParams) -> None:
+    """Gradients of a scalar loss given d(loss)/d(output), written into the
+    weights and biases of ``out``. The gradient with respect to the input
+    batch is not formed: the features are not trained."""
     last = len(params.weights) - 1
-    grad_w = [np.empty(0)] * len(params.weights)
-    grad_b = [np.empty(0)] * len(params.biases)
     d = np.asarray(grad_out, dtype=np.float64)
     for i in range(last, -1, -1):
         if i != last:
             d = d @ params.weights[i + 1]
             d *= 1.0 - cache[i + 1] ** 2  # tanh'
-        grad_w[i] = d.T @ cache[i]
-        grad_b[i] = d.sum(axis=0)
-    return grad_w, grad_b
+        np.matmul(d.T, cache[i], out=out.weights[i])
+        np.add.reduce(d, axis=0, out=out.biases[i])
 
 
 def embed_batch(params: MlpParams, features: np.ndarray, utt_id=None, source=None) -> np.ndarray:
@@ -341,14 +336,6 @@ def init_parameters(layout, loss_cfg: LossConfig, rng: np.random.Generator) -> n
     return flat
 
 
-def _flatten(mlp: MlpParams, clf: ClassifierParams, layout, out=None) -> np.ndarray:
-    """The model's blocks raveled in layout order into one float64 vector, ``out`` if given."""
-    n = 2 * len(mlp.weights)
-    arrays = chain(*zip(mlp.weights, mlp.biases),
-                   (getattr(clf, _CLASSIFIER_FIELDS[name]) for name, _, _ in layout[n:]))
-    return np.concatenate([np.ravel(a) for a in arrays], out=out)
-
-
 def _unflatten(flat: np.ndarray, layout) -> tuple[MlpParams, ClassifierParams]:
     """The model's blocks as views of ``flat``, GE2E's scalars as 0-d views,
     so an in-place update of ``flat`` updates the model."""
@@ -389,7 +376,10 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
     params = init_parameters(layout, loss_cfg, named_rng(cfg.seed, "init"))
     mlp, clf = _unflatten(params, layout)
     blocks = [(name, sl) for name, _, sl in layout]
+    # each step writes every block: the MLP's in mlp_backward, the classifier's below
     grads = np.empty_like(params)
+    grad_mlp, grad_clf = _unflatten(grads, layout)
+    grad_clf_blocks = {name: v for name, v in vars(grad_clf).items() if v is not None}
     state = AdamState.fresh(params, cfg.learning_rate)
     is_ge2e = isinstance(loss_cfg, GE2EConfig)
 
@@ -415,8 +405,9 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
         if not math.isfinite(out.value):
             raise DivergenceError(f"loss diverged at step {step} (config digest {digest})")
 
-        gw, gb = mlp_backward(mlp, cache, out.grad_embeddings.reshape(emb.shape))
-        _flatten(MlpParams(gw, gb), out.grad_params, layout, out=grads)
+        mlp_backward(mlp, cache, out.grad_embeddings.reshape(emb.shape), grad_mlp)
+        for name, view in grad_clf_blocks.items():
+            view[...] = getattr(out.grad_params, name)
         adam_step(params, grads, state, blocks)
 
         if is_ge2e:
@@ -440,9 +431,12 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
 
 
 def parameter_vector(model: TrainedModel) -> np.ndarray:
-    """The model's blocks as one new float64 vector in its ``parameter_layout``."""
-    layout = parameter_layout(model.embedder.layer_dims, model.loss_config)
-    return _flatten(model.embedder, model.classifier, layout)
+    """The model's blocks raveled into one new float64 vector in its ``parameter_layout``."""
+    mlp, clf = model.embedder, model.classifier
+    clf_layout = parameter_layout(mlp.layer_dims, model.loss_config)[2 * len(mlp.weights):]
+    arrays = chain(*zip(mlp.weights, mlp.biases),
+                   (getattr(clf, _CLASSIFIER_FIELDS[name]) for name, _, _ in clf_layout))
+    return np.concatenate([np.ravel(a) for a in arrays])
 
 
 def model_to_dict(model: TrainedModel) -> dict:

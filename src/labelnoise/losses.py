@@ -17,7 +17,8 @@ Three loss families over a batch of embeddings:
   own-speaker centroid excludes the utterance itself) through a learned
   affine ``w * cos + b``.
 
-All three end in one softmax cross-entropy, ``_softmax_cross_entropy``.
+All three end in one softmax cross-entropy, ``_softmax_cross_entropy``,
+which takes each row's log-sum-exp and softmax from one ``log_sum_exp`` call.
 At detection time ``classify_confidence`` gives the trained head's
 probabilities; its AAM/AAMSC logits come from ``_cosine_logits``, the
 cosine kernel that ``nld``'s centroid classifier shares.
@@ -178,12 +179,12 @@ def _check_labels(labels, class_count: int, batch_size: int) -> np.ndarray:
 def _softmax_cross_entropy(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean of ``log_sum_exp(row) - target logit`` over the rows of C-order
     ``logits``, with each row's target at its flat index in ``target``, and
-    the gradient of that mean, ``(softmax - one-hot) / rows``."""
+    the gradient of that mean, ``(softmax - one-hot) / rows``, both from one
+    ``log_sum_exp`` call."""
     rows = logits.shape[0]
-    loss = log_sum_exp(logits, axis=1)
+    loss, grad = log_sum_exp(logits, axis=1)
     loss -= logits.take(target)
     value = float(np.add.reduce(loss) / rows)
-    grad = softmax(logits, axis=1)
     grad.put(target, grad.take(target) - 1.0)
     grad /= rows
     return value, grad
@@ -200,7 +201,7 @@ def ce_loss(embeddings: np.ndarray, labels, params: ClassifierParams) -> LossOut
     return LossOutput(
         value=value,
         grad_embeddings=dlogits @ w,
-        grad_params=ClassifierParams(weight=dlogits.T @ x, bias=dlogits.sum(axis=0)),
+        grad_params=ClassifierParams(weight=dlogits.T @ x, bias=np.add.reduce(dlogits, axis=0)),
     )
 
 
@@ -250,10 +251,10 @@ def _cosine_backward(dcos: np.ndarray, cos: np.ndarray, xhat: np.ndarray, xnorm:
     """Chain a gradient on the cosine matrix back to raw x rows and w rows."""
     dc_cos = dcos * cos
     grad_x = dcos @ what
-    grad_x -= dc_cos.sum(axis=1, keepdims=True) * xhat
+    grad_x -= np.add.reduce(dc_cos, axis=1, keepdims=True) * xhat
     grad_x /= xnorm[:, None]
     grad_w = dcos.T @ xhat
-    grad_w -= dc_cos.sum(axis=0)[:, None] * what
+    grad_w -= np.add.reduce(dc_cos, axis=0)[:, None] * what
     grad_w /= wnorm[:, None]
     return grad_x, grad_w
 

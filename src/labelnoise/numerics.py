@@ -34,7 +34,8 @@ def softmax(z, axis: int = -1) -> np.ndarray:
 
 
 def log_sum_exp(z, axis: int = -1):
-    """max(z) + log(sum(exp(z - max(z)))) along ``axis``, reduced as in ``softmax``."""
+    """max(z) + log(sum(exp(z - max(z)))) along ``axis`` (a float for 1-D input)
+    and ``softmax(z, axis)``, with its bits, from one check, max and exp."""
     x = np.asarray(z, dtype=np.float64)
     if x.size == 0:
         raise DomainError("log_sum_exp input must be non-empty")
@@ -43,8 +44,10 @@ def log_sum_exp(z, axis: int = -1):
     m = np.maximum.reduce(x, axis=axis, keepdims=True)
     e = x - m
     np.exp(e, out=e)
-    out = m.squeeze(axis) + np.log(np.add.reduce(e, axis=axis))
-    return float(out) if out.ndim == 0 else out
+    s = np.add.reduce(e, axis=axis, keepdims=True)
+    lse = m.squeeze(axis) + np.log(s.squeeze(axis))
+    e /= s
+    return (float(lse) if lse.ndim == 0 else lse), e
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -170,7 +170,9 @@ def test_mlp_backward_matches_finite_difference_jacobian():
     v = rng.standard_normal((3, 4))  # random projection: scalar loss v . f(x)
 
     out, cache = mlp_forward(mlp, x)
-    grad_w, grad_b = mlp_backward(mlp, cache, v)
+    _, grads = _nan_gradient_views(mlp)
+    mlp_backward(mlp, cache, v, grads)
+    grad_w, grad_b = grads.weights, grads.biases
     # the package leaves the input gradient out; the full pass forms it
     grad_x = plain_mlp_backward(mlp, cache, v)[2]
 
@@ -202,16 +204,37 @@ def test_mlp_backward_matches_finite_difference_jacobian():
         check(grad_b[i], fd(mlp.biases[i]))
 
 
+def _nan_gradient_views(mlp):
+    """A NaN-filled flat vector, and as views of it, in layout order, one
+    array shaped like each of ``mlp``'s weights and biases."""
+    blocks = [a for pair in zip(mlp.weights, mlp.biases) for a in pair]
+    flat = np.full(sum(a.size for a in blocks), np.nan)
+    views = [v.reshape(a.shape)
+             for v, a in zip(np.split(flat, np.cumsum([a.size for a in blocks])[:-1]), blocks)]
+    return flat, MlpParams(weights=views[0::2], biases=views[1::2])
+
+
+def _plain_mlp_backward_into(params, cache, grad_out, out):
+    """``plain_mlp_backward``'s weight and bias gradients, copied into
+    ``out`` as ``mlp_backward`` writes its own."""
+    grad_w, grad_b, _ = plain_mlp_backward(params, cache, grad_out)
+    for dst, src in zip(out.weights + out.biases, grad_w + grad_b):
+        dst[...] = src
+
+
 def test_mlp_backward_has_the_bits_of_the_full_backward_pass():
+    # the train shapes: a 20 -> 64 -> 64 -> 32 embedder on 50-row batches
     rng = named_rng(4, "backward")
     mlp = init_mlp((20, 64, 64, 32), rng)
     x = rng.standard_normal((50, 20))
     _, cache = mlp_forward(mlp, x)
     grad_out = rng.standard_normal((50, 32))
-    grad_w, grad_b = mlp_backward(mlp, cache, grad_out)
+    flat, grads = _nan_gradient_views(mlp)
+    mlp_backward(mlp, cache, grad_out, grads)
+    assert not np.isnan(flat).any()  # every entry was written
     want_w, want_b, _ = plain_mlp_backward(mlp, cache, grad_out)
-    assert [g.tobytes() for g in grad_w] == [g.tobytes() for g in want_w]
-    assert [g.tobytes() for g in grad_b] == [g.tobytes() for g in want_b]
+    assert [g.tobytes() for g in grads.weights] == [g.tobytes() for g in want_w]
+    assert [g.tobytes() for g in grads.biases] == [g.tobytes() for g in want_b]
 
 
 # ----------------------------------------------------------------------
@@ -554,7 +577,7 @@ def test_train_matches_the_plain_step_bit_for_bit(monkeypatch, loss):
     plain_loss = plain_aamsc_loss if isinstance(loss, AAMSCConfig) else plain_aam_loss
     for name, plain in [("aamsc_loss", plain_loss),
                         ("mlp_forward", plain_mlp_forward),
-                        ("mlp_backward", lambda *args: plain_mlp_backward(*args)[:2])]:
+                        ("mlp_backward", _plain_mlp_backward_into)]:
         monkeypatch.setattr(embedder, name, plain)
     ref_model, ref_curve, ref_state = _train_recording_adam(ds, cfg, monkeypatch,
                                                             plain_adam_step)
@@ -578,7 +601,7 @@ def test_train_ge2e_matches_the_plain_step_bit_for_bit(monkeypatch, seed):
     model, curve, state = _train_recording_adam(ds, cfg, monkeypatch, adam_step)
     for name, plain in [("ge2e_loss", plain_ge2e_loss),
                         ("mlp_forward", plain_mlp_forward),
-                        ("mlp_backward", lambda *args: plain_mlp_backward(*args)[:2])]:
+                        ("mlp_backward", _plain_mlp_backward_into)]:
         monkeypatch.setattr(embedder, name, plain)
     ref_model, ref_curve, ref_state = _train_recording_adam(ds, cfg, monkeypatch,
                                                             plain_adam_step)
@@ -604,11 +627,17 @@ def test_train_passes_adam_the_concatenated_gradient_blocks(monkeypatch, loss):
     # every step's flat gradient is the MLP's blocks, layer by layer, then
     # the classifier's fields, each raveled, as one concatenation
     seen = {}
-    for name in ("ce_loss", "aamsc_loss", "ge2e_loss", "mlp_backward"):
+    for name in ("ce_loss", "aamsc_loss", "ge2e_loss"):
         def recording(*args, _real=getattr(embedder, name), _name=name):
             seen[_name] = result = _real(*args)
             return result
         monkeypatch.setattr(embedder, name, recording)
+
+    def recording_backward(params, cache, grad_out, out):
+        mlp_backward(params, cache, grad_out, out)
+        seen["mlp_backward"] = [w.copy() for w in out.weights], [b.copy() for b in out.biases]
+
+    monkeypatch.setattr(embedder, "mlp_backward", recording_backward)
     steps = []
 
     def checking_adam(params, grads, state, blocks=None):

@@ -17,6 +17,7 @@ from labelnoise.losses import (
     ClassifierParams,
     GE2EConfig,
     _margin_cross_entropy,
+    _softmax_cross_entropy,
     aamsc_loss,
     ce_loss,
     classify_confidence,
@@ -155,6 +156,15 @@ def test_ce_errors_match_the_plain_step_for_non_finite_input(where, bad):
     assert got[0] is DomainError
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_softmax_cross_entropy_refuses_a_non_finite_logit(bad):
+    # the one check of the fused log-sum-exp and softmax, with its message
+    logits = np.zeros((3, 4))
+    logits[1, 2] = bad
+    with pytest.raises(DomainError, match="^log_sum_exp input contains non-finite entries$"):
+        _softmax_cross_entropy(logits, np.arange(0, 12, 4))
+
+
 @pytest.mark.parametrize("where", ["x", "w0", "w1", "w2"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_aamsc_errors_match_the_plain_step_for_non_finite_input(where, bad):
@@ -241,7 +251,7 @@ def test_aam_nsl_reduction_matches_plain_softmax_ce():
     what, _ = l2_normalize_rows(params.weight)
     logits = s * np.clip(xhat @ what.T, -1.0, 1.0)
     rows = np.arange(n)
-    manual = float(np.mean(log_sum_exp(logits, axis=1) - logits[rows, y]))
+    manual = float(np.mean(log_sum_exp(logits, axis=1)[0] - logits[rows, y]))
     assert out.value == pytest.approx(manual, abs=1e-12)
 
 

@@ -117,26 +117,26 @@ def test_softmax_shift_invariant(z, c):
 
 
 def test_lse_single_element():
-    assert log_sum_exp([0.0]) == 0.0
+    assert log_sum_exp([0.0])[0] == 0.0
 
 
 def test_lse_large_pair():
-    assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000.6931471805599, abs=1e-10)
+    assert log_sum_exp([1000.0, 1000.0])[0] == pytest.approx(1000.6931471805599, abs=1e-10)
 
 
 def test_lse_four_zeros():
-    assert log_sum_exp([0.0, 0.0, 0.0, 0.0]) == pytest.approx(math.log(4.0), abs=1e-12)
+    assert log_sum_exp([0.0, 0.0, 0.0, 0.0])[0] == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_lse_rowwise_axis():
     z = np.asarray([[0.0, 0.0], [1000.0, 1000.0]])
-    out = log_sum_exp(z, axis=1)
+    out, _ = log_sum_exp(z, axis=1)
     assert np.allclose(out, [math.log(2.0), 1000.0 + math.log(2.0)], atol=1e-10)
 
 
 @given(vectors)
 def test_lse_bounds(z):
-    val = log_sum_exp(z)
+    val, _ = log_sum_exp(z)
     assert val >= float(np.max(z)) - 1e-12
     assert val <= float(np.max(z)) + math.log(z.size) + 1e-12
 
@@ -145,11 +145,24 @@ def test_lse_bounds(z):
        st.floats(1e-3, 1e3))
 @settings(max_examples=200)
 def test_log_sum_exp_matches_the_method_form_bit_for_bit(seed, shape, scale):
+    # the log-sum-exp has the method form's bits, and the softmax it returns
+    # with it has the bits of ``softmax`` on the same input
     z = np.random.default_rng(seed).standard_normal(shape) * scale
     for axis in range(-1, len(shape)):
-        got, ref = log_sum_exp(z, axis=axis), plain_log_sum_exp(z, axis=axis)
+        (got, p), ref = log_sum_exp(z, axis=axis), plain_log_sum_exp(z, axis=axis)
         assert type(got) is type(ref)
         assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        assert p.tobytes() == softmax(z, axis=axis).tobytes()
+
+
+@pytest.mark.parametrize("z,message", [
+    ([], "log_sum_exp input must be non-empty"),
+    ([0.0, np.nan], "log_sum_exp input contains non-finite entries"),
+    ([[0.0, 1.0], [np.inf, 0.0]], "log_sum_exp input contains non-finite entries"),
+])
+def test_log_sum_exp_refuses_empty_and_non_finite_input(z, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        log_sum_exp(z)
 
 
 # ----------------------------------------------------------------------
