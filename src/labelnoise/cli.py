@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import io
 import logging
-import reprlib
 import shutil
 import sys
 import time
@@ -38,6 +37,7 @@ from .errors import ConfigurationError, LabelNoiseError
 from .evaluation import (
     compute_eer,
     generate_trials,
+    load_eer,
     retrain_after_removal,
     score_trials,
     write_eer_json,
@@ -48,6 +48,7 @@ from .jsonutil import (
     digest_config,
     json_field,
     read_json,
+    read_json_object,
     sha256_file,
     write_json17,
     write_text,
@@ -65,6 +66,7 @@ from .nld import (
     export_score_histogram,
     inter_inconsistency,
     intra_inconsistency,
+    load_detection,
     rank_and_select,
     write_detection_json,
     write_histogram_csv,
@@ -242,11 +244,10 @@ def seed_dir(resolved: dict, seed: int) -> Path:
 def _recorded_stages(path: Path) -> dict | None:
     """The ``stages`` object of the manifest at ``path``; None if it is unreadable."""
     try:
-        previous = read_json(path, "manifest")
+        return dict(read_json_object(path, "manifest",
+                                     lambda m: json_field(m, "stages", dict, "manifest")))
     except (LabelNoiseError, OSError):
         return None
-    stages = previous.get("stages") if isinstance(previous, dict) else None
-    return dict(stages) if isinstance(stages, dict) else None
 
 
 def _update_manifest(directory: Path, seed: int, digest: str, stage: str,
@@ -263,9 +264,8 @@ def _update_manifest(directory: Path, seed: int, digest: str, stage: str,
         "config_digest": digest,
         "stages": stages or {},
     }
-    manifest["stages"][stage] = dict(extras)
-    manifest["stages"][stage]["artifacts"] = {p.name: sha256_file(p) for p in artifacts}
-    manifest["stages"][stage]["wall_time_s"] = elapsed
+    manifest["stages"][stage] = {**extras, "wall_time_s": elapsed,
+                                 "artifacts": {p.name: sha256_file(p) for p in artifacts}}
     write_json17(manifest, path)
 
 
@@ -368,9 +368,8 @@ def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], 
     if q is None:
         noise = resolved["noise"]
         if noise is None or noise["level_q"] == 0.0:
-            raise ConfigurationError(
-                "detect.q is not set and the config has no noise level to fall back on"
-            )
+            raise ConfigurationError("detect.q is not set and the config has no noise level "
+                                     "to fall back on")
         q = noise["level_q"]
     if not 0.0 < q <= 100.0:
         raise ConfigurationError(f"q must be in (0, 100], got {q}")
@@ -399,20 +398,15 @@ def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], 
         scores_path, det_path, hist_path = _detect_paths(out, method)
         write_scores_csv(scores, ds, method, scores_path)
         write_detection_json(result, method, seed, digest, det_path)
-        read_json(det_path, "detection")  # validate the artifact parses
+        load_detection(det_path)  # the file must read back
         write_histogram_csv(rows, hist_path)
         written += [scores_path, det_path, hist_path]
 
-        extras[method] = {
-            "selected_count": result.selected_count,
-            "precision": result.precision,
-            "recall": result.recall,
-        }
-        logger.info(
-            "seed %d: %s detection selected %d of %d (precision %s)",
-            seed, method, result.selected_count, len(ds),
-            "n/a" if result.precision is None else format(result.precision, ".4f"),
-        )
+        extras[method] = {"selected_count": result.selected_count, "precision": result.precision,
+                          "recall": result.recall}
+        logger.info("seed %d: %s detection selected %d of %d (precision %s)", seed, method,
+                    result.selected_count, len(ds),
+                    "n/a" if result.precision is None else format(result.precision, ".4f"))
     # a method not rerun keeps its entries while its files have their recorded
     # hashes and the stage's q is unchanged, so that q holds for every method
     skipped = [m for m in METHODS if m not in methods]
@@ -465,29 +459,17 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
         "retrain", {}).get("detection_method")
     det_path = (Path(args.detection) if args.detection else
                 out / f"detection_{asked or resolved['retrain']['detection_method']}.json")
-    detection = read_json(det_path, "detection")
-    if not isinstance(detection, dict):
-        raise ConfigurationError(f"detection file {det_path} must hold a JSON object")
-    method = detection.get("method")
-    if method not in METHODS:
-        raise ConfigurationError(f"detection file {det_path}: method must be one of "
-                                 f"{list(METHODS)}, got {reprlib.repr(method)}")
+    method, detection, recorded = load_detection(det_path)
     if asked not in (None, method):
         source = "--method" if args.method else "config field retrain.detection_method"
         raise ConfigurationError(f"detection file {det_path} was made by method {method!r}, "
                                  f"but {source} asks for {asked!r}")
-    predicted = detection.get("predicted_noisy")
-    if not isinstance(predicted, list) or any(
-            not isinstance(i, int) or isinstance(i, bool) for i in predicted):
-        raise ConfigurationError(
-            f"detection file {det_path} lacks a predicted_noisy id list"
-        )
-    outside = [i for i in predicted if not -2**63 <= i < 2**63]
-    if outside:
-        raise ConfigurationError(
-            f"detection file {det_path}: predicted_noisy id {outside[0]} is outside "
-            f"the 64-bit range"
-        )
+    digest = run_config_digest(resolved)
+    if recorded != digest:  # only a file named on the command line may be stale
+        stale = f"detection file {det_path} has config digest {recorded}, the config has {digest}"
+        if not args.detection:
+            raise ConfigurationError(stale)
+        logger.warning("%s; applying it as --detection asks", stale)
 
     # only the seed directory's own model may be missing: then the baseline is trained here
     model_path = Path(args.model) if args.model else out / "model.json"
@@ -505,15 +487,15 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
 
     cfg = build_train_config(resolved, ds.class_count, seed)
     if before_model is None:
-        logger.info("seed %d: no trained model at %s, training the baseline now",
-                    seed, model_path)
+        logger.info("seed %d: no trained model at %s, training the baseline now", seed, model_path)
 
-    outcome = retrain_after_removal(ds, predicted, cfg, heldout, trials, before_model)
+    outcome = retrain_after_removal(ds, detection.predicted_noisy, cfg, heldout, trials,
+                                    before_model)
 
     retrained_path = out / "model_retrained.json"
     report_path = out / "retrain.json"
     _save_checked(outcome.after_model, retrained_path)
-    write_retrain_json(outcome, method, seed, run_config_digest(resolved), report_path)
+    write_retrain_json(outcome, method, seed, digest, report_path)
     logger.info("seed %d: removed %d utterances, EER %.4f -> %.4f",
                 seed, outcome.removed_count, outcome.before.eer, outcome.after.eer)
     return [retrained_path, report_path], {
@@ -521,22 +503,18 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
         "eer_before": outcome.before.eer, "eer_after": outcome.after.eer}
 
 
-def _mean_or_missing(values: list[float | None]) -> str:
-    values = [v for v in values if v is not None]
-    if not values:
-        return "missing"
-    return format(sum(values) / len(values), ".6g")
+def _if_present(path: Path, read):
+    """``read(path)``, or None with a warning when there is no file ``path``."""
+    if path.exists():
+        return read(path)
+    logger.warning("missing artifact %s", path)
+    return None
 
 
-def _read_run_file(path: Path, what: str, read):
-    """``read`` applied to the JSON object in ``path``; its faults name the file."""
-    obj = read_json(path, what)
-    try:
-        if not isinstance(obj, dict):
-            raise ConfigurationError(f"{what} must be a JSON object")
-        return read(obj)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+def _mean_or_missing(results: list, field: str) -> str:
+    """The mean ``field`` of the results (None for a missing one) that hold a value."""
+    values = [v for r in results if r is not None and (v := getattr(r, field)) is not None]
+    return format(sum(values) / len(values), ".6g") if values else "missing"
 
 
 def cmd_report(args) -> int:
@@ -557,43 +535,23 @@ def cmd_report(args) -> int:
         if not cfg_path.exists():
             logger.warning("skipping %s: no config.json", root)
             continue
-        resolved = _read_run_file(cfg_path, "run config",
-                                  lambda raw: resolve_config({"output_dir": str(root), **raw}))
+        resolved = read_json_object(cfg_path, "run config",
+                                    lambda raw: resolve_config({"output_dir": str(root), **raw}))
         if not resolved["name"].isascii():  # the report is an ASCII file
             raise ConfigurationError(
                 f"{cfg_path}: config field name must be ASCII, got {resolved['name']!a}")
         noise = resolved["noise"] or {"kind": "clean", "level_q": 0.0}
         for method in resolved["detect"]["methods"]:
-            precisions, recalls, eers, seen = [], [], [], 0
-            for seed in resolved["seeds"]:
-                sdir = root / f"seed_{seed}"
-                det_path = sdir / f"detection_{method}.json"
-                if det_path.exists():
-                    seen += 1
-                    precision, recall = _read_run_file(det_path, "detection", lambda d: [
-                        json_field(d, key, float, "detection", nullable=True)
-                        for key in ("precision", "recall")])
-                    precisions.append(precision)
-                    recalls.append(recall)
-                else:
-                    logger.warning("missing artifact %s", det_path)
-                eer_path = sdir / "eer.json"
-                if eer_path.exists():
-                    eers.append(_read_run_file(eer_path, "EER report",
-                                               lambda e: json_field(e, "eer", float, "EER report")))
-                else:
-                    logger.warning("missing artifact %s", eer_path)
-            rows.writerow([
-                resolved["name"],
-                noise["kind"],
-                format(noise["level_q"], ".6g"),
-                resolved["train"]["loss"]["kind"],
-                method,
-                _mean_or_missing(precisions),
-                _mean_or_missing(recalls),
-                _mean_or_missing(eers),
-                str(seen),
-            ])
+            detections, eers = [], []
+            for sdir in (root / f"seed_{seed}" for seed in resolved["seeds"]):
+                detections.append(_if_present(sdir / f"detection_{method}.json",
+                                              lambda path: load_detection(path)[1]))
+                eers.append(_if_present(sdir / "eer.json", load_eer))
+            rows.writerow([resolved["name"], noise["kind"], format(noise["level_q"], ".6g"),
+                           resolved["train"]["loss"]["kind"], method,
+                           *(_mean_or_missing(detections, k) for k in ("precision", "recall")),
+                           _mean_or_missing(eers, "eer"),
+                           str(sum(d is not None for d in detections))])
             any_rows = True
     if not any_rows:
         raise ConfigurationError("no usable run directories; nothing to report")
@@ -676,9 +634,8 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         raw = read_json(Path(args.config), "config")
-        if args.out:
-            raw = dict(raw)
-            raw["output_dir"] = args.out
+        if args.out and isinstance(raw, dict):  # a non-object is refused as it is
+            raw = {**raw, "output_dir": args.out}
         resolved = resolve_config(raw)
         seeds = [args.seed] if args.seed is not None else resolved["seeds"]
         for seed in seeds:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .embedder import TrainConfig, TrainedModel, embed_batch, train
 from .errors import ConfigurationError, DomainError
-from .jsonutil import write_json17, write_rows
+from .jsonutil import json_field, read_json_object, write_json17, write_rows
 from .numerics import row_dot
 from .seeding import named_rng
 from .synthdata import Dataset
@@ -323,6 +323,20 @@ def _eer_fields(result: EERResult) -> dict:
 
 def write_eer_json(result: EERResult, model_digest: str, path) -> None:
     write_json17({**_eer_fields(result), "model_digest": model_digest}, path)
+
+
+def load_eer(path) -> EERResult:
+    """A ``write_eer_json`` file's result, its ``model_digest`` checked to be a
+    string; a fault raises a LabelNoiseError reading ``PATH: EER report...``."""
+    return read_json_object(path, "EER report", _eer_from_dict)
+
+
+def _eer_from_dict(d: dict) -> EERResult:
+    result = EERResult(json_field(d, "eer", float, "EER report", bounds=(0, 1)),
+                       json_field(d, "threshold", float, "EER report"),
+                       json_field(d, "trial_count", int, "EER report"))
+    json_field(d, "model_digest", str, "EER report")
+    return result
 
 
 def write_retrain_json(outcome: RetrainOutcome, method: str, seed: int,

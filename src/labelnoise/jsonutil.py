@@ -18,7 +18,7 @@ import re
 import reprlib
 import sys
 
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, LabelNoiseError, ParseError
 
 # ``format(v, ".17g")`` texts that ``json.loads`` would not read back as v
 # ("-0" reads back as the integer 0)
@@ -156,12 +156,27 @@ def read_json(path, what: str):
     raise ParseError(f"malformed {what} file {path}: {problem} (line {lineno})")
 
 
+def read_json_object(path, what: str, read):
+    """``read`` applied to the JSON object in the file ``path``, the one reader
+    of a JSON-object artifact; a non-object, or a LabelNoiseError from
+    ``read``, raises ``PATH: <message>`` (the error's type kept)."""
+    obj = read_json(path, what)
+    try:
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"{what} must be a JSON object")
+        return read(obj)
+    except LabelNoiseError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number",
                str: "a string", list: "a list", dict: "an object"}
 
 
-def json_field(section: dict, key: str, kind: type, path: str, nullable: bool = False):
-    """``section[key]`` if it is a JSON ``kind`` (or null when ``nullable``).
+def json_field(section: dict, key: str, kind: type, path: str, nullable: bool = False,
+               bounds: tuple | None = None):
+    """``section[key]`` if it is a JSON ``kind`` (or null when ``nullable``),
+    within the closed interval ``bounds`` if given.
 
     ``int`` excludes bools and integers outside the 64-bit range;
     ``float`` takes any finite number but a bool and returns a float.
@@ -180,6 +195,9 @@ def json_field(section: dict, key: str, kind: type, path: str, nullable: bool = 
         raise ConfigurationError(f"{path}.{key} must be {_KIND_NAMES[kind]}, got {reprlib.repr(v)}")
     if kind is int and not -2**63 <= v < 2**63:
         raise ConfigurationError(f"{path}.{key} must be a 64-bit integer, got {reprlib.repr(v)}")
+    if bounds and not bounds[0] <= v <= bounds[1]:
+        raise ConfigurationError(f"{path}.{key} must be in [{bounds[0]}, {bounds[1]}], "
+                                 f"got {reprlib.repr(v)}")
     return float(v) if kind is float else v
 
 

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import logging
 import math
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .embedder import TrainedModel, embed_batch
 from .errors import ConfigurationError, InternalError
-from .jsonutil import write_json17, write_rows
+from .jsonutil import json_field, read_json_object, write_json17, write_rows
 from .losses import CEConfig, GE2EConfig, _cosine_logits, classify_confidence
 from .numerics import l2_normalize_rows, row_dot, softmax
 from .synthdata import Dataset
@@ -258,17 +259,33 @@ def write_scores_csv(scores: np.ndarray, ds: Dataset, method: str, path) -> None
 
 def write_detection_json(result: DetectionResult, method: str, seed: int,
                          config_digest: str, path) -> None:
-    payload = {
-        "method": method,
-        "q": result.q_used,
-        "selected_count": result.selected_count,
-        "precision": result.precision,
-        "recall": result.recall,
-        "seed": seed,
-        "config_digest": config_digest,
-        "predicted_noisy": result.predicted_noisy.tolist(),
-    }
-    write_json17(payload, path)
+    write_json17({"method": method, "q": result.q_used, "selected_count": result.selected_count,
+                  "precision": result.precision, "recall": result.recall, "seed": seed,
+                  "config_digest": config_digest,
+                  "predicted_noisy": result.predicted_noisy.tolist()}, path)
+
+
+def load_detection(path) -> tuple[str, DetectionResult, str]:
+    """A ``write_detection_json`` file's method, result and config digest;
+    the ids are taken as written, a repeat or an id of no utterance included.
+    A fault raises a LabelNoiseError reading ``PATH: detection...``."""
+    return read_json_object(path, "detection", _detection_from_dict)
+
+
+def _detection_from_dict(d: dict) -> tuple[str, DetectionResult, str]:
+    precision, recall = (json_field(d, k, float, "detection", nullable=True, bounds=(0, 1))
+                         for k in ("precision", "recall"))
+    method = json_field(d, "method", str, "detection")
+    if method not in (METHOD_INTRA, METHOD_INTER):
+        raise ConfigurationError("detection.method must be one of "
+                                 f"{[METHOD_INTRA, METHOD_INTER]}, got {reprlib.repr(method)}")
+    ids = json_field(d, "predicted_noisy", list, "detection")
+    if bad := [i for i in ids if type(i) is not int or not -2**63 <= i < 2**63]:  # no bools
+        raise ConfigurationError("detection.predicted_noisy must list 64-bit integers, "
+                                 f"got {reprlib.repr(bad[0])}")
+    q = json_field(d, "q", float, "detection", bounds=(0, 100))
+    return (method, DetectionResult(np.array(ids, dtype=np.int64), q, precision, recall),
+            json_field(d, "config_digest", str, "detection"))
 
 
 def write_histogram_csv(rows: list[tuple[float, float, int, int]], path) -> None:

@@ -4,6 +4,7 @@ Hypothesis profile CI runs with."""
 from __future__ import annotations
 
 import base64
+import json
 import sys
 
 import numpy as np
@@ -78,6 +79,41 @@ def edit_bytes(data: bytes, edits) -> bytes:
             new = {"flip": bytes([data[k] ^ (1 << b % 8)]), "set": bytes([b]), "delete": b""}[kind]
             data = data[:k] + new + data[k + 1:]
     return data
+
+
+# Any JSON value: scalars (floats NaN and infinite included) nested in lists and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def _json_paths(node, path=()):
+    """The key path of ``node`` and of every value nested in it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _json_paths(child, (*path, key))
+
+
+def replace_values(obj, edits):
+    """A copy of the JSON value ``obj`` after each edit ``(i, value)`` in turn:
+    ``value`` replaces the value at the ``i``-th key path (wrapping around),
+    the root's included."""
+    d = json.loads(json.dumps(obj))
+    for i, value in edits:
+        paths = list(_json_paths(d))
+        *parents, key = paths[i % len(paths)] or (None,)
+        if key is None:
+            d = value
+            continue
+        node = d
+        for k in parents:
+            node = node[k]
+        node[key] = value
+    return d
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -477,8 +477,8 @@ def test_retrain_refuses_predicted_ids_outside_int64(pipeline, tmp_path, capsys)
     for bad in (2**70, 2**63, -2**63 - 1):
         det_path.write_text(json.dumps({**det, "predicted_noisy": [0, bad]}))
         assert main(argv) == 1
-        assert (f"error: detection file {det_path}: predicted_noisy id {bad} is outside "
-                "the 64-bit range") in capsys.readouterr().err
+        assert (f"error: {det_path}: detection.predicted_noisy must list 64-bit integers, "
+                f"got {bad}") in capsys.readouterr().err
         assert not (sdir / "retrain.json").exists()
     # a repeated id is removed once; an in-range id absent from the dataset is ignored
     det_path.write_text(json.dumps({**det, "predicted_noisy": [0, 0, 2**63 - 1]}))
@@ -566,16 +566,84 @@ def test_retrain_refuses_a_method_the_detection_file_was_not_made_with(pipeline,
          f"error: detection file {det_path} was made by method 'intra', but config field "
          "retrain.detection_method asks for 'inter'"),
         ([str(pipeline.cfg_path)], odd_method,
-         f"error: detection file {odd_method}: method must be one of ['intra', 'inter'], "
-         "got 'x'"),
-        ([str(pipeline.cfg_path)], not_object,
-         f"error: detection file {not_object} must hold a JSON object"),
+         f"error: {odd_method}: detection.method must be one of ['intra', 'inter'], got 'x'"),
+        ([str(pipeline.cfg_path)], not_object, f"error: {not_object}: detection must be a JSON "
+                                               "object"),
     ]
     for (config, *flags), path, message in cases:
         assert main(["retrain", "--config", config, "--out", str(run), "--detection",
                      str(path), *flags, "--quiet"]) == 1
         assert message in capsys.readouterr().err
         assert (run / "seed_1" / "retrain.json").read_bytes() == report
+
+
+def test_retrain_refuses_a_stale_detection_file_and_warns_on_a_named_one(pipeline, tmp_path,
+                                                                        capsys, caplog):
+    run = copy_run(pipeline, tmp_path)
+    sdir = run / "seed_1"
+    report = (sdir / "retrain.json").read_bytes()
+    raw = {**pipeline.raw, "output_dir": str(run),
+           "detect": {**pipeline.raw["detect"], "histogram_bins": 7}}
+    cfg_path = write_config(tmp_path / "other_bins.json", raw)
+    det_path = sdir / "detection_inter.json"
+    recorded = json.loads(det_path.read_text())["config_digest"]
+    digest = run_config_digest(resolve_config(raw))
+    assert recorded != digest
+    stale = f"detection file {det_path} has config digest {recorded}, the config has {digest}"
+    assert main(["retrain", "--config", str(cfg_path), "--quiet"]) == 1
+    assert f"error: {stale}\n" in capsys.readouterr().err
+    assert (sdir / "retrain.json").read_bytes() == report
+    # named on the command line, the same file is applied, with a warning
+    with caplog.at_level(logging.WARNING, logger="labelnoise.cli"):
+        assert main(["retrain", "--config", str(cfg_path), "--detection", str(det_path),
+                     "--quiet"]) == 0
+    assert [r.getMessage() for r in caplog.records if r.name == "labelnoise.cli"] == [
+        f"{stale}; applying it as --detection asks"]
+    assert json.loads((sdir / "retrain.json").read_text())["config_digest"] == digest
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: {**d, "predicted_noisy": [0, 1.5]},
+     "detection.predicted_noisy must list 64-bit integers, got 1.5"),
+    (lambda d: {k: v for k, v in d.items() if k != "config_digest"},
+     "detection.config_digest is missing"),
+    (lambda d: {**d, "q": 101}, "detection.q must be in [0, 100], got 101"),
+    (lambda d: {**d, "recall": -0.5}, "detection.recall must be in [0, 1], got -0.5"),
+], ids=["float-id", "no-digest", "q-over-100", "negative-recall"])
+def test_retrain_and_report_refuse_the_same_detection_files(pipeline, tmp_path, capsys,
+                                                            edit, message):
+    run = copy_run(pipeline, tmp_path)
+    det_path = run / "seed_1" / "detection_inter.json"
+    det_path.write_text(json.dumps(edit(json.loads(det_path.read_text()))))
+    report = (run / "seed_1" / "retrain.json").read_bytes()
+    for argv in (["retrain", "--config", str(pipeline.cfg_path), "--out", str(run), "--quiet"],
+                 ["report", str(run), "--quiet"]):
+        assert main(argv) == 1
+        assert f"error: {det_path}: {message}\n" in capsys.readouterr().err
+    assert (run / "seed_1" / "retrain.json").read_bytes() == report
+
+
+def test_detect_fails_when_a_detection_file_does_not_read_back(pipeline, tmp_path, capsys,
+                                                               monkeypatch):
+    run = copy_run(pipeline, tmp_path)
+    real = cli.write_detection_json
+    monkeypatch.setattr(cli, "write_detection_json", lambda result, method, *rest:
+                        real(result, "other", *rest))
+    assert main(["detect", "--config", str(pipeline.cfg_path), "--out", str(run),
+                 "--method", "intra", "--quiet"]) == 1
+    det_path = run / "seed_1" / "detection_intra.json"
+    assert (f"error: {det_path}: detection.method must be one of ['intra', 'inter'], "
+            "got 'other'\n") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["[]", '[["seeds", [1]]]'])
+def test_a_config_that_is_not_an_object_is_refused_with_out_too(tmp_path, capsys, content):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text(content)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    assert "error: config root must be a JSON object\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detect_builds_the_centroid_bank_only_when_needed_and_once(pipeline, tmp_path,
@@ -1077,6 +1145,11 @@ def copy_run(pipeline, tmp_path) -> Path:
     ("seed_1/detection_intra.json", '{"precision": "x", "recall": null}',
      "detection.precision must be a finite number, got 'x'"),
     ("seed_1/eer.json", "{}", "EER report.eer is missing"),
+    ("seed_1/detection_intra.json", '{"precision": 0.5, "recall": null}',
+     "detection.method is missing"),
+    ("seed_1/eer.json", '{"eer": 1.5}', "EER report.eer must be in [0, 1], got 1.5"),
+    ("seed_1/eer.json", '{"eer": 0.5, "threshold": 0.1, "trial_count": 40}',
+     "EER report.model_digest is missing"),
 ])
 def test_report_with_malformed_input_exits_one_naming_the_file(pipeline, tmp_path,
                                                                 name, content, message):

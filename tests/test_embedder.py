@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import BYTE_EDITS, edit_bytes, edit_parameters
+from conftest import BYTE_EDITS, JSON_VALUES, edit_bytes, edit_parameters, replace_values
 import labelnoise.embedder as embedder
 from labelnoise.embedder import (
     AdamState,
@@ -1062,22 +1062,6 @@ def test_load_model_takes_any_byte_edit_of_a_good_file(tmp_path_factory, trained
         assert dump_json17(model_to_dict(got)) == dump_json17(trained_model_dicts[name])
 
 
-def _json_paths(node, path=()):
-    """The key path of ``node`` and of every value nested in it."""
-    yield path
-    if isinstance(node, (dict, list)):
-        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
-            yield from _json_paths(child, (*path, key))
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
-    | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(OWNED_FIELDS)),
        st.lists(st.tuples(st.integers(0, 10 ** 6), JSON_VALUES), min_size=1, max_size=3))
@@ -1085,19 +1069,8 @@ def test_load_model_takes_any_value_in_any_place(tmp_path_factory, trained_model
                                                 name, edits):
     """Each edit replaces one value of the model's JSON, the root included;
     NaN and the infinities are written as JSON's decoder reads them."""
-    d = json.loads(json.dumps(trained_model_dicts[name]))
-    for i, value in edits:
-        paths = list(_json_paths(d))
-        *parents, key = paths[i % len(paths)] or (None,)
-        if key is None:
-            d = value
-            continue
-        node = d
-        for k in parents:
-            node = node[k]
-        node[key] = value
     path = tmp_path_factory.mktemp("model") / "model.json"
-    path.write_text(json.dumps(d), encoding="ascii")
+    path.write_text(json.dumps(replace_values(trained_model_dicts[name], edits)), encoding="ascii")
     _load_or_refuse(path)
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +15,16 @@ from hypothesis import strategies as st
 
 import labelnoise
 
-from conftest import identity_model, make_dataset
+from conftest import (
+    BYTE_EDITS,
+    JSON_VALUES,
+    edit_bytes,
+    identity_model,
+    make_dataset,
+    replace_values,
+)
 from labelnoise.embedder import TrainConfig, model_to_dict, train
-from labelnoise.errors import ConfigurationError, DomainError, ParseError
+from labelnoise.errors import ConfigurationError, DomainError, LabelNoiseError, ParseError
 from labelnoise.evaluation import (
     EERResult,
     Trials,
@@ -25,6 +33,7 @@ from labelnoise.evaluation import (
     compute_eer,
     evaluate_model,
     generate_trials,
+    load_eer,
     remove_predicted,
     retrain_after_removal,
     score_trials,
@@ -450,6 +459,72 @@ def test_write_eer_json(tmp_path):
     payload = json.loads(path.read_text())
     assert payload == {"eer": 0.125, "threshold": 0.5, "trial_count": 40,
                        "model_digest": "deadbeef"}
+
+
+def _write_eer(path, result=EERResult(eer=0.125, threshold_at_eer=0.5, trial_count=40)):
+    write_eer_json(result, model_digest="deadbeef", path=path)
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0, 1), st.floats(allow_nan=False, allow_infinity=False),
+       st.integers(0, 2**63 - 1))
+@example(0.0, -0.0, 0)
+@example(1.0, 1.7976931348623157e308, 2**63 - 1)
+def test_load_eer_reads_back_what_write_eer_json_wrote(tmp_path_factory, eer, threshold,
+                                                       trial_count):
+    result = EERResult(eer=eer, threshold_at_eer=threshold, trial_count=trial_count)
+    assert load_eer(_write_eer(tmp_path_factory.mktemp("eer") / "eer.json", result)) == result
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: [d], "EER report must be a JSON object"),
+    (lambda d: {**d, "eer": "x"}, "EER report.eer must be a finite number, got 'x'"),
+    (lambda d: {**d, "eer": 1.5}, "EER report.eer must be in [0, 1], got 1.5"),
+    (lambda d: {**d, "threshold": float("inf")},
+     "EER report.threshold must be a finite number, got inf"),
+    (lambda d: {**d, "trial_count": 40.0}, "EER report.trial_count must be an integer, got 40.0"),
+    (lambda d: {k: v for k, v in d.items() if k != "model_digest"},
+     "EER report.model_digest is missing"),
+])
+def test_load_eer_refuses_a_malformed_file_naming_it(tmp_path, edit, message):
+    path = _write_eer(tmp_path / "eer.json")
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(LabelNoiseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_eer(path)
+
+
+def _load_eer_or_refuse(path):
+    """load_eer's result, or None when it refuses the file with a
+    LabelNoiseError naming it; any other exception fails the test. A
+    result that loads writes out and reads back as itself."""
+    try:
+        result = load_eer(path)
+    except LabelNoiseError as exc:
+        assert str(path) in str(exc)
+        return None
+    assert load_eer(_write_eer(path.with_name("again.json"), result)) == result
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(BYTE_EDITS)
+def test_load_eer_takes_any_byte_edit_of_a_good_file(tmp_path_factory, edits):
+    path = _write_eer(tmp_path_factory.mktemp("eer") / "eer.json")
+    path.write_bytes(edit_bytes(path.read_bytes(), edits))
+    got = _load_eer_or_refuse(path)
+    if not edits:
+        assert got == EERResult(eer=0.125, threshold_at_eer=0.5, trial_count=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), JSON_VALUES), min_size=1, max_size=3))
+def test_load_eer_takes_any_value_in_any_place(tmp_path_factory, edits):
+    """Each edit replaces one value of the file's JSON, the root included."""
+    path = _write_eer(tmp_path_factory.mktemp("eer") / "eer.json")
+    path.write_text(json.dumps(replace_values(json.loads(path.read_text()), edits)),
+                    encoding="ascii")
+    _load_eer_or_refuse(path)
 
 
 def test_write_retrain_json(tmp_path):

@@ -4,6 +4,7 @@ and artifact files that are replaced whole or not at all."""
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -17,7 +18,7 @@ import oracles
 from conftest import make_dataset
 from labelnoise import jsonutil
 from labelnoise.embedder import write_loss_curve
-from labelnoise.errors import ConfigurationError, ParseError
+from labelnoise.errors import ConfigurationError, ParseError, ValidationError
 from labelnoise.evaluation import Trials, write_trials_csv
 from labelnoise.jsonutil import (
     canonical_json,
@@ -25,6 +26,7 @@ from labelnoise.jsonutil import (
     dump_json17,
     json_field,
     read_json,
+    read_json_object,
     sha256_file,
     sha256_text,
     write_json17,
@@ -251,6 +253,36 @@ def test_json_field_refuses_integers_beyond_64_bits(v):
     assert json_field({"k": -2**63}, "k", int, "p") == -2**63
     with pytest.raises(ConfigurationError, match=r"^p\.k must be a 64-bit integer, got "):
         json_field({"k": v}, "k", int, "p")
+
+
+def test_json_field_bounds_are_closed_and_skip_null():
+    for v in (0, 0.5, 1):
+        assert json_field({"k": v}, "k", float, "p", bounds=(0, 1)) == v
+    assert json_field({"k": None}, "k", float, "p", nullable=True, bounds=(0, 1)) is None
+    for v in (-0.5, 1.5, 10**400):
+        with pytest.raises(ConfigurationError, match=r"^p\.k must be "):
+            json_field({"k": v}, "k", float, "p", bounds=(0, 1))
+    with pytest.raises(ConfigurationError, match=r"^p\.k must be in \[0, 100\], got 101$"):
+        json_field({"k": 101}, "k", int, "p", bounds=(0, 100))
+
+
+def test_read_json_object_names_the_file_in_every_fault(tmp_path):
+    path = tmp_path / "thing.json"
+    path.write_text("[1]")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: thing must be a "
+                                                 "JSON object$"):
+        read_json_object(path, "thing", dict)
+
+    def refuse(obj):
+        raise ValidationError(f"thing.k is {obj['k']}")
+
+    path.write_text('{"k": 3}')
+    assert read_json_object(path, "thing", lambda obj: obj["k"] + 1) == 4
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: thing.k is 3$"):
+        read_json_object(path, "thing", refuse)
+    path.write_text("{")
+    with pytest.raises(ParseError, match=f"^malformed thing file {re.escape(str(path))}: "):
+        read_json_object(path, "thing", dict)
 
 
 def test_sha256_text_known_value():

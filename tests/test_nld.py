@@ -6,9 +6,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import identity_model, make_dataset
-from labelnoise.errors import ConfigurationError, DomainError, InternalError
+from conftest import (
+    BYTE_EDITS,
+    JSON_VALUES,
+    edit_bytes,
+    identity_model,
+    make_dataset,
+    replace_values,
+)
+from labelnoise.errors import ConfigurationError, DomainError, InternalError, LabelNoiseError
 from labelnoise.losses import (
     AAMConfig,
     AAMSCConfig,
@@ -31,6 +40,7 @@ from labelnoise.nld import (
     export_score_histogram,
     inter_inconsistency,
     intra_inconsistency,
+    load_detection,
     rank_and_select,
     write_detection_json,
     write_histogram_csv,
@@ -728,6 +738,116 @@ def test_write_detection_json_fields(tmp_path):
     assert payload["precision"] == pytest.approx(2 / 3)
     assert payload["seed"] == 4
     assert payload["config_digest"] == "abc123"
+
+
+def _write_detection(path, ids=(1, 3, 5), q=30.0, precision=2 / 3, recall=0.5,
+                     method=METHOD_INTRA, digest="abc123"):
+    result = DetectionResult(np.array(ids, dtype=np.int64), q, precision, recall)
+    write_detection_json(result, method=method, seed=4, config_digest=digest, path=path)
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=5), st.floats(0, 100),
+       st.none() | st.floats(0, 1), st.none() | st.floats(0, 1),
+       st.sampled_from([METHOD_INTRA, METHOD_INTER]), st.text(max_size=8))
+@example([], 0.0, None, None, METHOD_INTER, "")
+@example([-2**63, 2**63 - 1], 100.0, 0.0, 1.0, METHOD_INTRA, "abc123")
+def test_load_detection_reads_back_what_write_detection_json_wrote(tmp_path_factory, ids, q,
+                                                                   precision, recall, method,
+                                                                   digest):
+    path = _write_detection(tmp_path_factory.mktemp("det") / "detection.json", sorted(ids), q,
+                            precision, recall, method, digest)
+    got_method, got, got_digest = load_detection(path)
+    assert (got_method, got_digest) == (method, digest)
+    assert got.predicted_noisy.dtype == np.int64
+    assert got.predicted_noisy.tolist() == sorted(ids)
+    assert (got.q_used, got.precision, got.recall) == (q, precision, recall)
+
+
+def test_load_detection_takes_repeated_ids_and_ids_of_no_utterance(tmp_path):
+    # the ids are applied by ``remove_predicted``, which removes a repeat
+    # once and ignores an id the dataset does not hold
+    path = _write_detection(tmp_path / "detection.json", ids=[7, 7, 2**63 - 1, -2**63])
+    assert load_detection(path)[1].predicted_noisy.tolist() == [7, 7, 2**63 - 1, -2**63]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: [d], "detection must be a JSON object"),
+    (lambda d: {**d, "method": "x"},
+     "detection.method must be one of ['intra', 'inter'], got 'x'"),
+    (lambda d: {**d, "method": None}, "detection.method must be a string, got None"),
+    (lambda d: {k: v for k, v in d.items() if k != "predicted_noisy"},
+     "detection.predicted_noisy is missing"),
+    (lambda d: {**d, "predicted_noisy": "1,3"},
+     "detection.predicted_noisy must be a list, got '1,3'"),
+    (lambda d: {**d, "predicted_noisy": [1, 3.0]},
+     "detection.predicted_noisy must list 64-bit integers, got 3.0"),
+    (lambda d: {**d, "predicted_noisy": [True]},
+     "detection.predicted_noisy must list 64-bit integers, got True"),
+    (lambda d: {**d, "predicted_noisy": [2**63]},
+     f"detection.predicted_noisy must list 64-bit integers, got {2**63}"),
+    (lambda d: {**d, "predicted_noisy": [-2**63 - 1]},
+     f"detection.predicted_noisy must list 64-bit integers, got {-2**63 - 1}"),
+    (lambda d: {**d, "precision": 1.5}, "detection.precision must be in [0, 1], got 1.5"),
+    (lambda d: {**d, "recall": float("nan")}, "detection.recall must be a finite number, got nan"),
+    (lambda d: {**d, "q": None}, "detection.q must be a finite number, got None"),
+    (lambda d: {**d, "q": -1}, "detection.q must be in [0, 100], got -1"),
+    (lambda d: {**d, "config_digest": 5}, "detection.config_digest must be a string, got 5"),
+])
+def test_load_detection_refuses_a_malformed_file_naming_it(tmp_path, edit, message):
+    path = _write_detection(tmp_path / "detection.json")
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(LabelNoiseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_detection(path)
+
+
+def test_load_detection_names_a_missing_or_undecodable_file(tmp_path):
+    path = tmp_path / "detection.json"
+    where = re.escape(str(path))
+    with pytest.raises(ConfigurationError, match=f"^detection file not found: {where}$"):
+        load_detection(path)
+    path.write_bytes(b'{"method": "\xff"}')
+    with pytest.raises(LabelNoiseError, match=f"^malformed detection file {where}: "):
+        load_detection(path)
+
+
+def _load_detection_or_refuse(path):
+    """load_detection's triple, or None when it refuses the file with a
+    LabelNoiseError naming it; any other exception fails the test. A
+    detection that loads writes out and reads back as itself."""
+    try:
+        method, result, digest = load_detection(path)
+    except LabelNoiseError as exc:
+        assert str(path) in str(exc)
+        return None
+    again = path.with_name("again.json")
+    write_detection_json(result, method, 0, digest, again)
+    method2, result2, digest2 = load_detection(again)
+    assert (method2, digest2, result2.q_used, result2.precision, result2.recall) == (
+        method, digest, result.q_used, result.precision, result.recall)
+    assert result2.predicted_noisy.tolist() == result.predicted_noisy.tolist()
+    return method, result, digest
+
+
+@settings(max_examples=300, deadline=None)
+@given(BYTE_EDITS)
+def test_load_detection_takes_any_byte_edit_of_a_good_file(tmp_path_factory, edits):
+    path = _write_detection(tmp_path_factory.mktemp("det") / "detection.json")
+    path.write_bytes(edit_bytes(path.read_bytes(), edits))
+    got = _load_detection_or_refuse(path)
+    if not edits:
+        assert got[0] == METHOD_INTRA and got[1].predicted_noisy.tolist() == [1, 3, 5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), JSON_VALUES), min_size=1, max_size=3))
+def test_load_detection_takes_any_value_in_any_place(tmp_path_factory, edits):
+    """Each edit replaces one value of the file's JSON, the root included."""
+    path = _write_detection(tmp_path_factory.mktemp("det") / "detection.json")
+    path.write_text(json.dumps(replace_values(json.loads(path.read_text()), edits)),
+                    encoding="ascii")
+    _load_detection_or_refuse(path)
 
 
 def test_write_histogram_csv_format(tmp_path):
