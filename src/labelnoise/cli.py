@@ -87,7 +87,7 @@ from .synthdata import (
 logger = logging.getLogger(__name__)
 
 CONFIG_FORMAT_VERSION = 1
-MANIFEST_FORMAT_VERSION = 1
+MANIFEST_FORMAT_VERSION = 2
 DEFAULT_SEEDS = (0, 2)
 METHODS = (METHOD_INTRA, METHOD_INTER)
 
@@ -223,6 +223,12 @@ def run_config_digest(resolved: dict) -> str:
     return digest_config(body)
 
 
+def detection_config_digest(resolved: dict) -> str:
+    """Digest of the config sections a detection file depends on: an edit to
+    ``eval`` or ``retrain`` leaves a detection file valid."""
+    return digest_config({k: resolved[k] for k in ("dataset", "noise", "train", "detect")})
+
+
 def build_train_config(resolved: dict, class_count: int, run_seed: int) -> TrainConfig:
     t = resolved["train"]
     make = LOSS_KINDS[t["loss"]["kind"]][0]
@@ -242,10 +248,15 @@ def seed_dir(resolved: dict, seed: int) -> Path:
 
 
 def _recorded_stages(path: Path) -> dict | None:
-    """The ``stages`` object of the manifest at ``path``; None if it is unreadable."""
+    """The ``stages`` object of the manifest at ``path``; None if it is
+    unreadable or of another format version (version 1 recorded one digest
+    for the whole manifest, not one per stage)."""
+    def stages(m: dict) -> dict:
+        json_field(m, "format_version", int, "manifest",
+                   bounds=(MANIFEST_FORMAT_VERSION, MANIFEST_FORMAT_VERSION))
+        return json_field(m, "stages", dict, "manifest")
     try:
-        return dict(read_json_object(path, "manifest",
-                                     lambda m: json_field(m, "stages", dict, "manifest")))
+        return dict(read_json_object(path, "manifest", stages))
     except (LabelNoiseError, OSError):
         return None
 
@@ -261,10 +272,9 @@ def _update_manifest(directory: Path, seed: int, digest: str, stage: str,
         "tool": "labelnoise",
         "tool_version": __version__,
         "seed": seed,
-        "config_digest": digest,
         "stages": stages or {},
     }
-    manifest["stages"][stage] = {**extras, "wall_time_s": elapsed,
+    manifest["stages"][stage] = {**extras, "config_digest": digest, "wall_time_s": elapsed,
                                  "artifacts": {p.name: sha256_file(p) for p in artifacts}}
     write_json17(manifest, path)
 
@@ -382,7 +392,7 @@ def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], 
     # intra scores need the centroid bank, and so does a GE2E model's inter classifier
     ge2e = isinstance(model.loss_config, GE2EConfig)
     bank = compute_centroids(emb, ds) if METHOD_INTRA in methods or ge2e else None
-    digest = run_config_digest(resolved)
+    digest = detection_config_digest(resolved)
     written = []
     extras: dict = {"q": q}
     for method in methods:
@@ -408,14 +418,15 @@ def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], 
                     result.selected_count, len(ds),
                     "n/a" if result.precision is None else format(result.precision, ".4f"))
     # a method not rerun keeps its entries while its files have their recorded
-    # hashes and the stage's q is unchanged, so that q holds for every method
+    # hashes, the stage's q is unchanged and its detection file was made under
+    # this config's detection digest, so that q and digest hold for every method
     skipped = [m for m in METHODS if m not in methods]
     old = (_recorded_stages(out / "manifest.json") or {}).get("detect") if skipped else None
     recorded = old.get("artifacts") if isinstance(old, dict) and old.get("q") == q else None
     for method in skipped if isinstance(recorded, dict) else ():
         paths = _detect_paths(out, method)
         if method in old and all(p.exists() and recorded.get(p.name) == sha256_file(p)
-                                 for p in paths):
+                                 for p in paths) and load_detection(paths[1])[2] == digest:
             written += paths
             extras[method] = old[method]
     return written, extras
@@ -464,7 +475,7 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
         source = "--method" if args.method else "config field retrain.detection_method"
         raise ConfigurationError(f"detection file {det_path} was made by method {method!r}, "
                                  f"but {source} asks for {asked!r}")
-    digest = run_config_digest(resolved)
+    digest = detection_config_digest(resolved)
     if recorded != digest:  # only a file named on the command line may be stale
         stale = f"detection file {det_path} has config digest {recorded}, the config has {digest}"
         if not args.detection:
@@ -495,7 +506,7 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
     retrained_path = out / "model_retrained.json"
     report_path = out / "retrain.json"
     _save_checked(outcome.after_model, retrained_path)
-    write_retrain_json(outcome, method, seed, digest, report_path)
+    write_retrain_json(outcome, method, seed, run_config_digest(resolved), report_path)
     logger.info("seed %d: removed %d utterances, EER %.4f -> %.4f",
                 seed, outcome.removed_count, outcome.before.eer, outcome.after.eer)
     return [retrained_path, report_path], {

@@ -90,17 +90,18 @@ def mlp_backward(params: MlpParams, cache: list[np.ndarray], grad_out: np.ndarra
         np.add.reduce(d, axis=0, out=out.biases[i])
 
 
-def embed_batch(params: MlpParams, features: np.ndarray, utt_id=None, source=None) -> np.ndarray:
+def embed_batch(params: MlpParams, features: np.ndarray, utt_id: np.ndarray,
+                source: str | None) -> np.ndarray:
     """Embeddings of the rows of ``features``; one whose norm is not finite, which no
-    score can use, is refused, named by its ``utt_id`` entry (else its row) and ``source``."""
+    score can use, is refused, named by its ``utt_id`` entry and the model file
+    ``source`` (None for a model trained in this process)."""
     with np.errstate(over="ignore", invalid="ignore"):
         out, _ = mlp_forward(params, features)
         finite = np.isfinite(row_dot(out, out))
     if not finite.all():
         row = int(np.argmin(finite))
         where = "" if source is None else f"model file {source}: "
-        raise DomainError(f"{where}utterance {row if utt_id is None else utt_id[row]} "
-                          "has a non-finite embedding norm")
+        raise DomainError(f"{where}utterance {utt_id[row]} has a non-finite embedding norm")
     return out
 
 
@@ -132,18 +133,13 @@ class AdamState:
         return {"beta1": cls.beta1, "beta2": cls.beta2, "epsilon": cls.epsilon}
 
 
-def _first_non_finite(vec: np.ndarray, blocks: list[tuple[str, slice]] | None) -> str:
+def _first_non_finite(vec: np.ndarray, blocks: list[tuple[str, slice]]) -> str:
     """Name of the first block of ``vec`` holding a non-finite entry."""
-    return next(name for name, sl in blocks or [("parameter vector", slice(None))]
-                if not np.all(np.isfinite(vec[sl])))
+    return next(name for name, sl in blocks if not np.all(np.isfinite(vec[sl])))
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    blocks: list[tuple[str, slice]] | None = None,
-) -> tuple[np.ndarray, AdamState]:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
+              blocks: list[tuple[str, slice]]) -> None:
     """One Adam update with bias correction on a flat vector, in place.
 
     ``blocks`` lists the (name, slice) of each parameter block; it only
@@ -179,7 +175,6 @@ def adam_step(
     b += state.epsilon
     a /= b
     params -= a
-    return params, state
 
 
 def _sample_positions(
@@ -400,7 +395,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
         elif isinstance(loss_cfg, AAMConfig):
             out = aamsc_loss(emb, labels, clf, margin_cfgs[step < boundary])
         else:
-            out = ge2e_loss(emb.reshape(n_spk, m_utt, -1), clf, loss_cfg)
+            out = ge2e_loss(emb.reshape(n_spk, m_utt, -1), clf)
 
         if not math.isfinite(out.value):
             raise DivergenceError(f"loss diverged at step {step} (config digest {digest})")

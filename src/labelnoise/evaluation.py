@@ -52,12 +52,6 @@ class Trials:
     def __len__(self) -> int:
         return len(self.enroll_id)
 
-    def __eq__(self, other):
-        if not isinstance(other, Trials):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, k), getattr(other, k))
-                   for k in ("enroll_id", "test_id", "is_target"))
-
 
 @dataclass(frozen=True)
 class EERResult:

@@ -49,10 +49,6 @@ def _encode(obj, item_sep=", ", kv_sep=": ") -> str:
                 raise TypeError(f"JSON object keys must be strings, got {type(key).__name__}")
             items.append(json.dumps(key) + kv_sep + _encode(obj[key], item_sep, kv_sep))
         return "{" + item_sep.join(items) + "}"
-    if hasattr(obj, "item") and not hasattr(obj, "__len__"):  # numpy scalar
-        return _encode(obj.item(), item_sep, kv_sep)
-    if hasattr(obj, "tolist"):  # numpy array
-        return _encode(obj.tolist(), item_sep, kv_sep)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

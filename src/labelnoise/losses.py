@@ -182,7 +182,7 @@ def _softmax_cross_entropy(logits: np.ndarray, target: np.ndarray) -> tuple[floa
     the gradient of that mean, ``(softmax - one-hot) / rows``, both from one
     ``log_sum_exp`` call."""
     rows = logits.shape[0]
-    loss, grad = log_sum_exp(logits, axis=1)
+    loss, grad = log_sum_exp(logits)
     loss -= logits.take(target)
     value = float(np.add.reduce(loss) / rows)
     grad.put(target, grad.take(target) - 1.0)
@@ -307,8 +307,7 @@ def _ge2e_diagonal(n: int, m: int) -> np.ndarray:
     return diag
 
 
-def ge2e_loss(embeddings: np.ndarray, params: ClassifierParams,
-              cfg: GE2EConfig) -> LossOutput:
+def ge2e_loss(embeddings: np.ndarray, params: ClassifierParams) -> LossOutput:
     """Contrastive (GE2E) loss on N x M grouped embeddings.
 
     Each utterance scores against every speaker's batch centroid (its own
@@ -417,7 +416,7 @@ def _cosine_logits(v: np.ndarray, unit_rows: np.ndarray, subcenters: int,
     return best / temperature
 
 
-def classify_confidence(x: np.ndarray, params: ClassifierParams, cfg: LossConfig,
+def classify_confidence(x: np.ndarray, params: ClassifierParams, cfg: CEConfig | AAMConfig,
                         unit_weight: np.ndarray | None) -> np.ndarray:
     """Probability over classes from the trained classifier, margin/scale off.
 
@@ -425,18 +424,14 @@ def classify_confidence(x: np.ndarray, params: ClassifierParams, cfg: LossConfig
     class's maximum sub-center cosine (the only one when K = 1), with
     ``unit_weight``, ``params.weight`` with unit rows, normalized once by
     the caller that scores many embeddings (CE ignores it). GE2E has no
-    parametric classifier (a centroid classifier is constructed in the
-    detection module instead).
+    parametric classifier: ``nld.ParametricClassifier`` refuses a GE2E
+    model, whose detection uses the centroid classifier instead.
     """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise DomainError(f"expected a single embedding vector, got shape {v.shape}")
     if isinstance(cfg, AAMConfig):
         return softmax(_cosine_logits(v, unit_weight, cfg.subcenters, 1.0))
-    if isinstance(cfg, CEConfig):
-        if v.dot(v) == 0.0:  # a zero norm, as in _cosine_logits
-            raise DomainError("embedding has zero norm")
-        return softmax(params.weight @ v + params.bias)
-    if isinstance(cfg, GE2EConfig):
-        raise ConfigurationError("GE2E has no parametric classifier; use the centroid classifier")
-    raise ConfigurationError(f"unknown loss config {type(cfg).__name__}")
+    if v.dot(v) == 0.0:  # a zero norm, as in _cosine_logits
+        raise DomainError("embedding has zero norm")
+    return softmax(params.weight @ v + params.bias)

@@ -2,8 +2,8 @@
 
 Vectors are 1-D float64 numpy arrays throughout the package; matrices are
 2-D row-major float64 arrays. All functions here are pure and operate in
-64-bit arithmetic. ``softmax`` and ``log_sum_exp`` additionally accept 2-D
-input with an ``axis`` argument since the losses evaluate them row-wise.
+64-bit arithmetic. ``softmax`` and ``log_sum_exp`` work along the last
+axis, so the losses evaluate a 2-D array of logits row by row.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from .errors import DomainError
 _UNDERFLOW_NORM = 1e-150
 
 
-def softmax(z, axis: int = -1) -> np.ndarray:
-    """Stable softmax along ``axis`` (max-shifted before exponentiation).
+def softmax(z) -> np.ndarray:
+    """Stable softmax along the last axis (max-shifted before exponentiation).
 
     The max and the sum call ``np.maximum.reduce`` and ``np.add.reduce``
     directly: ``x.max`` and ``e.sum`` are thin wrappers around exactly
@@ -27,27 +27,27 @@ def softmax(z, axis: int = -1) -> np.ndarray:
         raise DomainError("softmax input must be non-empty")
     if not np.isfinite(x).all():
         raise DomainError("softmax input contains non-finite entries")
-    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
-def log_sum_exp(z, axis: int = -1):
-    """max(z) + log(sum(exp(z - max(z)))) along ``axis`` (a float for 1-D input)
-    and ``softmax(z, axis)``, with its bits, from one check, max and exp."""
+def log_sum_exp(z):
+    """max(z) + log(sum(exp(z - max(z)))) along the last axis and ``softmax(z)``,
+    with its bits, from one check, max and exp."""
     x = np.asarray(z, dtype=np.float64)
     if x.size == 0:
         raise DomainError("log_sum_exp input must be non-empty")
     if not np.isfinite(x).all():
         raise DomainError("log_sum_exp input contains non-finite entries")
-    m = np.maximum.reduce(x, axis=axis, keepdims=True)
+    m = np.maximum.reduce(x, axis=-1, keepdims=True)
     e = x - m
     np.exp(e, out=e)
-    s = np.add.reduce(e, axis=axis, keepdims=True)
-    lse = m.squeeze(axis) + np.log(s.squeeze(axis))
+    s = np.add.reduce(e, axis=-1, keepdims=True)
+    lse = m.squeeze(-1) + np.log(s.squeeze(-1))
     e /= s
-    return (float(lse) if lse.ndim == 0 else lse), e
+    return lse, e
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -60,7 +60,7 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def l2_normalize_rows(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+def l2_normalize_rows(m: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalize a 2-D array; returns (normalized rows, original norms).
 
     Raises DomainError naming ``what`` and the row index if any row has

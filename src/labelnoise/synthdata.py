@@ -35,8 +35,9 @@ from .seeding import named_rng
 FORMAT_VERSION = 2
 
 # Rejection threshold used to keep auxiliary class directions away from
-# in-distribution ones ("no class overlap").
+# in-distribution ones ("no class overlap"), and the draws allowed per direction.
 MAX_OVERLAP_COS = 0.95
+MAX_DIRECTION_TRIES = 10000
 
 # Default within-class jitter scale: small enough that classes are
 # learnable at desk scale, large enough that clean utterances are not
@@ -138,7 +139,7 @@ class Dataset:
     def is_clean(self) -> bool:
         return self.provenance == "clean" and not self.is_noisy.any()
 
-    def class_table(self, min_members: int = 1) -> "ClassTable":
+    def class_table(self, min_members: int) -> "ClassTable":
         """Dataset positions grouped by observed class, keeping the classes
         with at least ``min_members`` members."""
         flat = np.argsort(self.observed_class, kind="stable")
@@ -164,30 +165,29 @@ def sample_unit_directions(
     dim: int,
     rng: np.random.Generator,
     avoid: np.ndarray | None = None,
-    max_abs_cos: float = MAX_OVERLAP_COS,
-    max_tries: int = 10000,
 ) -> np.ndarray:
     """Draw ``count`` unit vectors uniformly on the sphere.
 
     When ``avoid`` (rows of unit vectors) is given, candidates with
-    |cosine| above ``max_abs_cos`` to any avoided direction are redrawn.
+    |cosine| above ``MAX_OVERLAP_COS`` to any avoided direction are
+    redrawn, up to ``MAX_DIRECTION_TRIES`` draws per direction.
     """
     out = np.empty((count, dim), dtype=np.float64)
     for i in range(count):
-        for _ in range(max_tries):
+        for _ in range(MAX_DIRECTION_TRIES):
             v = rng.standard_normal(dim)
             n = np.linalg.norm(v)
             if n < 1e-12:
                 continue
             v /= n
-            if avoid is not None and avoid.size and np.max(np.abs(avoid @ v)) > max_abs_cos:
+            if avoid is not None and avoid.size and np.max(np.abs(avoid @ v)) > MAX_OVERLAP_COS:
                 continue
             out[i] = v
             break
         else:
             raise ConfigurationError(
                 f"could not place class direction {i} away from {len(avoid)} "
-                f"existing directions after {max_tries} tries"
+                f"existing directions after {MAX_DIRECTION_TRIES} tries"
             )
     return out
 
@@ -200,7 +200,7 @@ def generate_dataset(
     within_class_spread: float,
     seed: int,
     *,
-    mix_seed: int | None = None,
+    mix_seed: int,
     avoid_directions: np.ndarray | None = None,
 ) -> Dataset:
     """Generate a clean dataset of ``class_count * per_class`` utterances.
@@ -210,7 +210,7 @@ def generate_dataset(
     deviation ``within_class_spread`` and one fixed random mixing matrix.
     ``mix_seed`` pins the mixing matrix independently of ``seed`` so that
     related datasets (auxiliary, held-out) can share the same feature
-    space; by default it is derived from ``seed``. ``avoid_directions``
+    space. ``avoid_directions``
     makes the direction sampler reject candidates that nearly coincide
     with the given unit rows.
     """
@@ -228,7 +228,7 @@ def generate_dataset(
         raise ConfigurationError(f"within_class_spread must be >= 0, got {within_class_spread}")
 
     rng_dirs = named_rng(seed, "class-directions")
-    rng_mix = named_rng(seed if mix_seed is None else mix_seed, "mixing-matrix")
+    rng_mix = named_rng(mix_seed, "mixing-matrix")
     rng_feat = named_rng(seed, "feature-jitter")
 
     directions = sample_unit_directions(class_count, latent_dim, rng_dirs, avoid=avoid_directions)

@@ -30,8 +30,9 @@ with the same ``log_sum_exp`` is the one ``ce_loss`` must reproduce.
 The dict-keyed centroid bank, intra-class score and centroid
 classifier are the per-class forms whose bits the array bank must
 reproduce. ``read_trials_csv`` reads back what ``write_trials_csv``
-writes. The four per-row CSV writers are the forms whose bytes the
-block-formatting ``write_rows`` writers must reproduce. The per-layer
+writes, and ``same_trials`` compares two trial lists. The four per-row
+CSV writers are the forms whose bytes the block-formatting
+``write_rows`` writers must reproduce. The per-layer
 ``init_mlp`` followed by the per-loss-kind ``init_classifier`` is the
 form whose draws, in order, and generator state the layout-driven
 ``init_parameters`` must reproduce bit for bit.
@@ -380,7 +381,7 @@ def per_class_target_pairs(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Every same-class pair of utterance ids ``(enroll, test)``, one
     ``np.triu_indices`` per class over its sorted ids, class by class in
     ascending order."""
-    table = ds.class_table()
+    table = ds.class_table(1)
     enroll, test = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for start, size in zip(table.starts.tolist(), table.sizes.tolist()):
         members = np.sort(ds.utt_id[table.flat[start:start + size]])
@@ -655,7 +656,7 @@ def _build_train_config(resolved: dict, class_count: int, run_seed: int) -> Trai
 _UNDERFLOW_NORM = 1e-150
 
 
-def plain_l2_normalize_rows(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+def plain_l2_normalize_rows(m: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalize a 2-D array; returns (normalized rows, original norms).
 
     Raises DomainError naming ``what`` and the row index if any row has
@@ -720,9 +721,9 @@ def _plain_margin_cross_entropy(cos: np.ndarray, y: np.ndarray, scale: float, ma
 
     logits = scale * cos
     logits[rows, y] = scale * target
-    value = float(np.mean(plain_log_sum_exp(logits, axis=1) - logits[rows, y]))
+    value = float(np.mean(plain_log_sum_exp(logits) - logits[rows, y]))
 
-    dlogits = softmax(logits, axis=1)
+    dlogits = softmax(logits)
     dlogits[rows, y] -= 1.0
     dlogits /= n
     dcos = scale * dlogits
@@ -845,12 +846,8 @@ def plain_mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, lis
     return h, cache
 
 
-def plain_adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    blocks: list[tuple[str, slice]] | None = None,
-) -> tuple[np.ndarray, AdamState]:
+def plain_adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
+                    blocks: list[tuple[str, slice]]) -> None:
     """One Adam update with bias correction on a flat vector, in place.
 
     ``blocks`` lists the (name, slice) of each parameter block; it only
@@ -871,7 +868,6 @@ def plain_adam_step(
     state.v *= state.beta2
     state.v += (1.0 - state.beta2) * grads * grads
     params -= state.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.epsilon)
-    return params, state
 
 
 def plain_mlp_backward(
@@ -909,23 +905,21 @@ def plain_mlp_backward(
 # ``int`` of a 1-element 1-D array is a ``TypeError`` in numpy 2.4.
 
 
-def plain_log_sum_exp(z, axis: int = -1):
-    """max(z) + log(sum(exp(z - max(z)))) along ``axis``, through the
+def plain_log_sum_exp(z):
+    """max(z) + log(sum(exp(z - max(z)))) along the last axis, through the
     ``max`` and ``sum`` methods."""
     x = np.asarray(z, dtype=np.float64)
     if x.size == 0:
         raise DomainError("log_sum_exp input must be non-empty")
     if not np.isfinite(x).all():
         raise DomainError("log_sum_exp input contains non-finite entries")
-    m = x.max(axis=axis, keepdims=True)
+    m = x.max(axis=-1, keepdims=True)
     e = x - m
     np.exp(e, out=e)
-    out = m.squeeze(axis) + np.log(e.sum(axis=axis))
-    return float(out) if np.ndim(out) == 0 else out
+    return m.squeeze(-1) + np.log(e.sum(axis=-1))
 
 
-def plain_ge2e_loss(embeddings: np.ndarray, params: ClassifierParams,
-                    cfg: GE2EConfig) -> LossOutput:
+def plain_ge2e_loss(embeddings: np.ndarray, params: ClassifierParams) -> LossOutput:
     """Contrastive (GE2E) loss on N x M grouped embeddings."""
     e = np.asarray(embeddings, dtype=np.float64)
     if e.ndim != 3:
@@ -965,11 +959,11 @@ def plain_ge2e_loss(embeddings: np.ndarray, params: ClassifierParams,
     cosmat = np.clip(cosmat, -1.0, 1.0)
 
     scores = w * cosmat + b
-    lse = plain_log_sum_exp(scores, axis=2)
+    lse = plain_log_sum_exp(scores)
     own = scores[idx, :, idx]
     value = float(np.mean(lse - own))
 
-    g = softmax(scores, axis=2)
+    g = softmax(scores)
     g[idx, :, idx] -= 1.0
     g /= n * m
 
@@ -1021,9 +1015,9 @@ def plain_ce_loss(embeddings: np.ndarray, labels, params: ClassifierParams) -> L
 
     logits = x @ w.T + b
     rows = np.arange(n)
-    value = float(np.mean(plain_log_sum_exp(logits, axis=1) - logits[rows, y]))
+    value = float(np.mean(plain_log_sum_exp(logits) - logits[rows, y]))
 
-    dlogits = softmax(logits, axis=1)
+    dlogits = softmax(logits)
     dlogits[rows, y] -= 1.0
     dlogits /= n
     return LossOutput(
@@ -1089,6 +1083,12 @@ def plain_inter_inconsistency(embeddings: np.ndarray, observed: np.ndarray,
             raise AssertionError(f"not a probability vector (sum {total!r}, min {lowest!r})")
         scores[i] = 1.0 - float(p[index_of[int(observed[i])]])
     return scores
+
+
+def same_trials(a: Trials, b: Trials) -> bool:
+    """Whether two trial lists hold the same pairs and labels, in the same order."""
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("enroll_id", "test_id", "is_target"))
 
 
 def read_trials_csv(path) -> Trials:

@@ -184,7 +184,6 @@ def test_criterion_1_gradients_match_finite_differences():
                          _fd(lambda: aamsc_loss(x, y, params, cfg).value, params.weight)))
         counts["aamsc"] += 1
 
-    cfg_ge2e = GE2EConfig()
     for _ in range(50):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(2, 5))
@@ -193,19 +192,19 @@ def test_criterion_1_gradients_match_finite_differences():
         wv = float(rng.uniform(0.5, 12.0))
         bv = float(rng.uniform(-6.0, 0.0))
         params = ClassifierParams(ge2e_w=wv, ge2e_b=bv)
-        got = ge2e_loss(e, params, cfg_ge2e)
+        got = ge2e_loss(e, params)
         worst = max(worst,
                     _rel(got.grad_embeddings,
-                         _fd(lambda: ge2e_loss(e, params, cfg_ge2e).value, e)))
-        fd_w = (ge2e_loss(e, ClassifierParams(ge2e_w=wv + FD_EPS, ge2e_b=bv), cfg_ge2e).value
-                - ge2e_loss(e, ClassifierParams(ge2e_w=wv - FD_EPS, ge2e_b=bv), cfg_ge2e).value
+                         _fd(lambda: ge2e_loss(e, params).value, e)))
+        fd_w = (ge2e_loss(e, ClassifierParams(ge2e_w=wv + FD_EPS, ge2e_b=bv)).value
+                - ge2e_loss(e, ClassifierParams(ge2e_w=wv - FD_EPS, ge2e_b=bv)).value
                 ) / (2.0 * FD_EPS)
         worst = max(worst, abs(got.grad_params.ge2e_w - fd_w)
                     / max(abs(got.grad_params.ge2e_w), abs(fd_w), 1e-8))
         # the bias gradient is analytically zero (softmax shift invariance):
         # compare absolutely, a relative check on ~0 would only measure noise
-        fd_b = (ge2e_loss(e, ClassifierParams(ge2e_w=wv, ge2e_b=bv + FD_EPS), cfg_ge2e).value
-                - ge2e_loss(e, ClassifierParams(ge2e_w=wv, ge2e_b=bv - FD_EPS), cfg_ge2e).value
+        fd_b = (ge2e_loss(e, ClassifierParams(ge2e_w=wv, ge2e_b=bv + FD_EPS)).value
+                - ge2e_loss(e, ClassifierParams(ge2e_w=wv, ge2e_b=bv - FD_EPS)).value
                 ) / (2.0 * FD_EPS)
         assert abs(got.grad_params.ge2e_b) <= 1e-12
         assert abs(fd_b) <= 1e-6

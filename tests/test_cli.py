@@ -29,6 +29,7 @@ from labelnoise.cli import (
     SECTIONS,
     TOP_LEVEL_KEYS,
     build_train_config,
+    detection_config_digest,
     main,
     resolve_config,
     run_config_digest,
@@ -358,7 +359,9 @@ def test_pipeline_manifest_tracks_every_stage(pipeline):
     assert sim["artifacts"]["clean.dataset"] == sha256_file(pipeline.sdir / "clean.dataset")
     assert sim["utterance_count"] == 30
     resolved = json.loads((pipeline.run / "config.json").read_text())
-    assert manifest["config_digest"] == run_config_digest(resolved)
+    assert "config_digest" not in manifest and manifest["format_version"] == 2
+    for stage in manifest["stages"].values():
+        assert stage["config_digest"] == run_config_digest(resolved)
 
 
 def test_pipeline_detect_falls_back_to_noise_level(pipeline):
@@ -504,19 +507,23 @@ def test_detect_method_both_runs_both_methods_whatever_the_config_lists(pipeline
             assert (run / "seed_1" / name).read_bytes() == (pipeline.sdir / name).read_bytes()
 
 
-@pytest.mark.parametrize("damage", [None, "edit", "delete", "other q"])
+@pytest.mark.parametrize("damage", [None, "edit", "delete", "other q", "other detect section"])
 def test_detect_with_fewer_methods_keeps_the_other_methods_unchanged_entries(pipeline, tmp_path,
                                                                              damage):
     run = copy_run(pipeline, tmp_path)
     sdir = run / "seed_1"
     before = json.loads((sdir / "manifest.json").read_text())["stages"]["detect"]
+    cfg_path = pipeline.cfg_path
     if damage == "edit":
         with open(sdir / "histogram_inter.csv", "a") as fh:
             fh.write("0,0,0,0\n")
     elif damage == "delete":
         (sdir / "scores_inter.csv").unlink()
+    elif damage == "other detect section":  # the inter files predate this section
+        cfg_path = write_config(tmp_path / "bins.json", {
+            **pipeline.raw, "detect": {**pipeline.raw["detect"], "histogram_bins": 7}})
     q = ["--q", "40"] if damage == "other q" else []
-    assert main(["detect", "--config", str(pipeline.cfg_path), "--out", str(run),
+    assert main(["detect", "--config", str(cfg_path), "--out", str(run),
                  "--method", "intra", *q, "--quiet"]) == 0
     after = json.loads((sdir / "manifest.json").read_text())["stages"]["detect"]
     intra = {f"{kind}_intra.{ext}" for kind, ext in (("scores", "csv"), ("detection", "json"),
@@ -530,7 +537,8 @@ def test_detect_with_fewer_methods_keeps_the_other_methods_unchanged_entries(pip
         assert {n: after["artifacts"][n] for n in inter} == {
             n: before["artifacts"][n] for n in inter}
         assert after["intra"] == before["intra"]
-    else:  # a file lost its recorded hash, or q changed: the method's entries go
+    else:  # a file lost its recorded hash, or q or the detect section changed:
+        # the method's entries go
         assert set(after["artifacts"]) == intra
         assert "inter" not in after
 
@@ -587,7 +595,7 @@ def test_retrain_refuses_a_stale_detection_file_and_warns_on_a_named_one(pipelin
     cfg_path = write_config(tmp_path / "other_bins.json", raw)
     det_path = sdir / "detection_inter.json"
     recorded = json.loads(det_path.read_text())["config_digest"]
-    digest = run_config_digest(resolve_config(raw))
+    digest = detection_config_digest(resolve_config(raw))
     assert recorded != digest
     stale = f"detection file {det_path} has config digest {recorded}, the config has {digest}"
     assert main(["retrain", "--config", str(cfg_path), "--quiet"]) == 1
@@ -599,7 +607,34 @@ def test_retrain_refuses_a_stale_detection_file_and_warns_on_a_named_one(pipelin
                      "--quiet"]) == 0
     assert [r.getMessage() for r in caplog.records if r.name == "labelnoise.cli"] == [
         f"{stale}; applying it as --detection asks"]
-    assert json.loads((sdir / "retrain.json").read_text())["config_digest"] == digest
+    assert json.loads((sdir / "retrain.json").read_text())["config_digest"] == run_config_digest(
+        resolve_config(raw))
+
+
+@pytest.mark.parametrize("edit", [{"eval": {"pairs_per_kind": 24}},
+                                  {"retrain": {"detection_method": "intra"}}],
+                         ids=["eval", "retrain"])
+def test_retrain_applies_the_seed_directory_file_after_an_edit_detection_does_not_read(
+        pipeline, tmp_path, edit):
+    run = copy_run(pipeline, tmp_path)
+    sdir = run / "seed_1"
+    manifest = json.loads((sdir / "manifest.json").read_text())
+    raw = {**pipeline.raw, "output_dir": str(run), **edit}
+    resolved = resolve_config(raw)
+    assert run_config_digest(resolved) != run_config_digest(resolve_config(pipeline.raw))
+    assert main(["retrain", "--config", str(write_config(tmp_path / "edited.json", raw)),
+                 "--quiet"]) == 0
+    method = resolved["retrain"]["detection_method"]
+    recorded = json.loads((sdir / f"detection_{method}.json").read_text())["config_digest"]
+    assert recorded == detection_config_digest(resolved)
+    report = json.loads((sdir / "retrain.json").read_text())
+    assert report["detection_method"] == method
+    assert report["config_digest"] == run_config_digest(resolved)
+    # the retrain stage records the digest it ran under; the stages before it keep theirs
+    stages = json.loads((sdir / "manifest.json").read_text())["stages"]
+    assert stages["retrain"]["config_digest"] == run_config_digest(resolved)
+    for stage in ("simulate", "train", "detect", "eval"):
+        assert stages[stage] == manifest["stages"][stage]
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -1118,7 +1153,9 @@ def test_undecodable_manifest_is_rebuilt_with_a_warning(tmp_path):
     assert list(json.loads(manifest.read_text(encoding="ascii"))["stages"]) == ["train"]
 
 
-@pytest.mark.parametrize("content", ["[]", '{"stages": 5}'], ids=["list", "stages-int"])
+@pytest.mark.parametrize("content", ["[]", '{"format_version": 2, "stages": 5}',
+                                     '{"format_version": 1, "stages": {}}'],
+                         ids=["list", "stages-int", "version-1"])
 def test_manifest_of_the_wrong_shape_is_rebuilt_with_a_warning(tmp_path, content):
     cfg_path = write_config(tmp_path / "tiny.json", tiny_raw_config(str(tmp_path / "run")))
     assert main(["simulate", "--config", str(cfg_path), "--quiet"]) == 0

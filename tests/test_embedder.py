@@ -119,26 +119,27 @@ def test_train_config_refuses_layer_dims_below_one(dims):
 def test_single_linear_identity_layer_passes_through():
     mlp = MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
     x = np.asarray([0.5, -1.2, 2.0])
-    assert np.array_equal(embed_batch(mlp, x[None, :]), x[None, :])
+    assert np.array_equal(embed_batch(mlp, x[None, :], np.arange(1), None), x[None, :])
 
 
 def test_zero_parameters_give_zero_embedding():
     mlp = MlpParams(weights=[np.zeros((4, 3)), np.zeros((2, 4))],
                     biases=[np.zeros(4), np.zeros(2)])
-    assert np.array_equal(embed_batch(mlp, np.asarray([[1.0, 2.0, 3.0]])), np.zeros((1, 2)))
+    out = embed_batch(mlp, np.asarray([[1.0, 2.0, 3.0]]), np.arange(1), None)
+    assert np.array_equal(out, np.zeros((1, 2)))
 
 
 def test_hidden_layers_apply_tanh_final_linear():
     mlp = MlpParams(weights=[np.eye(2) * 3.0, np.eye(2)],
                     biases=[np.zeros(2), np.zeros(2)])
-    out = embed_batch(mlp, np.asarray([[1.0, -1.0]]))
+    out = embed_batch(mlp, np.asarray([[1.0, -1.0]]), np.arange(1), None)
     assert np.allclose(out, [[math.tanh(3.0), math.tanh(-3.0)]], atol=1e-15)
 
 
 def test_forward_dim_mismatch():
     mlp = init_mlp((4, 3), named_rng(0, "init"))
     with pytest.raises(DomainError, match="dim-4"):
-        embed_batch(mlp, np.ones((1, 5)))
+        embed_batch(mlp, np.ones((1, 5)), np.arange(1), None)
     with pytest.raises(DomainError):
         mlp_forward(mlp, np.ones((2, 5)))
 
@@ -147,20 +148,21 @@ def test_embed_batch_refuses_an_embedding_whose_norm_is_not_finite():
     mlp = MlpParams(weights=[np.eye(2)], biases=[np.zeros(2)])
     x = np.asarray([[1.0, 2.0], [1e200, 0.0], [np.inf, 0.0]])  # row 1 overflows when squared
     with pytest.raises(DomainError, match=r"^utterance 1 has a non-finite embedding norm$"):
-        embed_batch(mlp, x)
+        embed_batch(mlp, x, np.arange(3), None)
     with pytest.raises(DomainError, match=r"^model file m\.json: utterance 71 has a non-"):
         embed_batch(mlp, x, np.array([70, 71, 72]), "m.json")
     with pytest.raises(DomainError, match="utterance 72 "):
-        embed_batch(mlp, x[[0, 2]], np.array([70, 72]))
+        embed_batch(mlp, x[[0, 2]], np.array([70, 72]), None)
     assert np.array_equal(embed_batch(mlp, x[:1], np.array([70]), "m.json"), x[:1])
 
 
 def test_embed_batch_matches_single():
     mlp = init_mlp((5, 4, 3), named_rng(1, "init"))
     x = named_rng(2, "x").standard_normal((6, 5))
-    batch = embed_batch(mlp, x)
+    batch = embed_batch(mlp, x, np.arange(6), None)
     for i in range(6):
-        assert np.allclose(batch[i], embed_batch(mlp, x[i:i + 1])[0], atol=1e-15)
+        assert np.allclose(batch[i], embed_batch(mlp, x[i:i + 1], np.arange(1), None)[0],
+                           atol=1e-15)
 
 
 def test_mlp_backward_matches_finite_difference_jacobian():
@@ -240,12 +242,15 @@ def test_mlp_backward_has_the_bits_of_the_full_backward_pass():
 # ----------------------------------------------------------------------
 # Adam
 
+# the one block of a vector that is not a model's parameters
+WHOLE = [("parameter vector", slice(None))]
+
 
 def test_adam_scalar_hand_oracle():
     # fresh state, g=1: m-hat = 1, v-hat = 1, step = lr / (1 + eps)
     p = np.asarray([0.0])
     state = AdamState.fresh(p, learning_rate=1e-4)
-    adam_step(p, np.asarray([1.0]), state)
+    adam_step(p, np.asarray([1.0]), state, WHOLE)
     assert p[0] == pytest.approx(-1e-4 / (1.0 + 1e-8), rel=1e-12)
     assert state.step_count == 1
 
@@ -253,7 +258,7 @@ def test_adam_scalar_hand_oracle():
 def test_adam_zero_gradient_leaves_parameters():
     p = np.asarray([1.5, -2.5])
     state = AdamState.fresh(p, learning_rate=1e-4)
-    adam_step(p, np.zeros(2), state)
+    adam_step(p, np.zeros(2), state, WHOLE)
     assert np.array_equal(p, [1.5, -2.5])
 
 
@@ -265,7 +270,7 @@ def test_adam_two_runs_bit_identical():
         p = np.zeros(6)
         state = AdamState.fresh(p, learning_rate=1e-3)
         for g in grads:
-            adam_step(p, g, state)
+            adam_step(p, g, state, WHOLE)
         return p
 
     assert np.array_equal(run(), run())
@@ -284,9 +289,9 @@ def test_adam_rejects_shape_mismatch():
     p = np.zeros(2)
     state = AdamState.fresh(p, learning_rate=1e-4)
     with pytest.raises(ConfigurationError):
-        adam_step(p, np.zeros(3), state)
+        adam_step(p, np.zeros(3), state, WHOLE)
     with pytest.raises(ConfigurationError):  # state built for another vector
-        adam_step(np.zeros(3), np.zeros(3), state)
+        adam_step(np.zeros(3), np.zeros(3), state, WHOLE)
 
 
 def test_flat_adam_matches_per_block_adam_bit_for_bit():
@@ -302,7 +307,7 @@ def test_flat_adam_matches_per_block_adam_bit_for_bit():
     for _ in range(250):
         grads = [rng.standard_normal(s) * 10.0 ** rng.uniform(-8.0, 2.0, size=s) for s in shapes]
         block_adam_step(blocks, grads, ref_state)
-        adam_step(flat, np.concatenate([g.ravel() for g in grads]), state)
+        adam_step(flat, np.concatenate([g.ravel() for g in grads]), state, WHOLE)
     for b, idx in zip(blocks, slices):
         assert np.array_equal(flat[idx], b.ravel())
     assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref_state.m]))
@@ -317,8 +322,8 @@ def test_adam_matches_the_allocating_form_bit_for_bit_past_the_bias_correction()
     state, ref_state = (AdamState.fresh(v, learning_rate=1e-3) for v in (p, ref_p))
     for _ in range(400):
         g = rng.standard_normal(p.size) * 10.0 ** rng.uniform(-8.0, 2.0, size=p.size)
-        adam_step(p, g, state)
-        plain_adam_step(ref_p, g, ref_state)
+        adam_step(p, g, state, WHOLE)
+        plain_adam_step(ref_p, g, ref_state, WHOLE)
     assert 1.0 - state.beta1 ** state.step_count == 1.0
     assert p.tobytes() == ref_p.tobytes()
     assert state.m.tobytes() == ref_state.m.tobytes()
@@ -330,7 +335,7 @@ def test_adam_matches_the_allocating_form_bit_for_bit_past_the_bias_correction()
 
 
 def small_ds(class_count=4, per_class=5, seed=0):
-    return generate_dataset(class_count, per_class, 2, 6, 0.1, seed=seed)
+    return generate_dataset(class_count, per_class, 2, 6, 0.1, seed=seed, mix_seed=seed)
 
 
 def sample(ds, n_speakers, m_utts, rng):
@@ -387,7 +392,7 @@ def test_sample_batch_insufficient_classes():
 def ragged_ds():
     """Classes of 1 to 60 members in shuffled dataset order, with three
     classes emptied by ``remove_predicted``."""
-    full = generate_dataset(60, 60, 2, 6, 0.1, seed=4)
+    full = generate_dataset(60, 60, 2, 6, 0.1, seed=4, mix_seed=4)
     keep = np.flatnonzero(full.utt_id % 60 < full.true_class + 1)
     ds = full.subset(named_rng(4, "shuffle").permutation(keep))
     emptied = np.isin(ds.observed_class, [5, 17, 42])
@@ -508,7 +513,7 @@ def test_train_loss_curve_steps_and_finiteness():
 
 def test_train_ce_smoke_separable_data():
     # zero spread makes classes perfectly separable: CE should fit them
-    ds = generate_dataset(4, 8, 4, 8, 0.0, seed=123)
+    ds = generate_dataset(4, 8, 4, 8, 0.0, seed=123, mix_seed=123)
     cfg = TrainConfig(loss=CEConfig(class_count=4), total_steps=2000,
                       batch_speakers=4, utts_per_speaker=1, seed=7)
     model, curve = train(ds, cfg)
@@ -552,9 +557,9 @@ def _train_recording_adam(ds, cfg, monkeypatch, adam):
     """``train`` through ``adam``, returning the model, curve and final Adam state."""
     states = []
 
-    def recording_adam(params, grads, state, blocks=None):
+    def recording_adam(params, grads, state, blocks):
         states.append(state)
-        return adam(params, grads, state, blocks)
+        adam(params, grads, state, blocks)
 
     monkeypatch.setattr(embedder, "adam_step", recording_adam)
     model, curve = train(ds, cfg)
@@ -640,7 +645,7 @@ def test_train_passes_adam_the_concatenated_gradient_blocks(monkeypatch, loss):
     monkeypatch.setattr(embedder, "mlp_backward", recording_backward)
     steps = []
 
-    def checking_adam(params, grads, state, blocks=None):
+    def checking_adam(params, grads, state, blocks):
         gw, gb = seen.pop("mlp_backward")
         (out,) = seen.values()
         seen.clear()
@@ -649,7 +654,7 @@ def test_train_passes_adam_the_concatenated_gradient_blocks(monkeypatch, loss):
                                   + [np.ravel(f) for f in fields if f is not None])
         assert grads.tobytes() == expected.tobytes()
         steps.append(len(blocks))
-        return adam_step(params, grads, state, blocks)
+        adam_step(params, grads, state, blocks)
 
     monkeypatch.setattr(embedder, "adam_step", checking_adam)
     ds = small_ds(class_count=4, per_class=6)
@@ -697,7 +702,7 @@ def test_train_names_block_with_non_finite_gradient(monkeypatch, loss_name, fiel
 def test_train_names_block_with_non_finite_parameter(monkeypatch, loss, block):
     real_adam_step = embedder.adam_step
 
-    def adam_step_then_nan(params, grads, state, blocks=None):
+    def adam_step_then_nan(params, grads, state, blocks):
         real_adam_step(params, grads, state, blocks)
         params[dict(blocks)[block].start] = np.nan
 
@@ -791,8 +796,10 @@ def test_load_model_refuses_the_per_layer_format_naming_the_file(tmp_path):
     model, _ = train(small_ds(), tiny_cfg())
     clf = model.classifier
     old = {"format_version": 1, "layer_dims": list(model.embedder.layer_dims),
-           "mlp": {"weights": model.embedder.weights, "biases": model.embedder.biases},
-           "classifier": {"weight": clf.weight, "bias": clf.bias, "ge2e_w": None, "ge2e_b": None},
+           "mlp": {"weights": [w.tolist() for w in model.embedder.weights],
+                   "biases": [b.tolist() for b in model.embedder.biases]},
+           "classifier": {"weight": clf.weight.tolist(), "bias": clf.bias.tolist(),
+                          "ge2e_w": None, "ge2e_b": None},
            "loss_config": model.loss_config.to_dict(), "train_manifest": model.train_manifest}
     path = tmp_path / "model.json"
     write_json17(old, path)
@@ -804,7 +811,8 @@ def test_load_model_refuses_the_per_layer_format_naming_the_file(tmp_path):
 def test_load_model_refuses_the_json_list_format_naming_the_file(tmp_path):
     # format_version 2 stored the same flat vector as a JSON list of numbers
     model, _ = train(small_ds(), tiny_cfg())
-    old = {**model_to_dict(model), "format_version": 2, "parameters": parameter_vector(model)}
+    old = {**model_to_dict(model), "format_version": 2,
+           "parameters": parameter_vector(model).tolist()}
     path = tmp_path / "model.json"
     write_json17(old, path)
     with pytest.raises(ConfigurationError) as info:

@@ -48,10 +48,11 @@ def test_keys_sorted_and_scalars_encoded():
     assert text == '{"a": null, "b": 1, "c": true, "d": "x"}'
 
 
-def test_numpy_values_supported():
-    obj = {"arr": np.asarray([0.5, 0.25]), "scalar": np.float64(0.1), "n": np.int64(3)}
-    parsed = json.loads(dump_json17(obj))
-    assert parsed == {"arr": [0.5, 0.25], "scalar": 0.1, "n": 3}
+@pytest.mark.parametrize("value,name", [(np.asarray([0.5]), "ndarray"), (np.int64(3), "int64")])
+def test_numpy_values_refused(value, name):
+    # artifacts hold Python values: ``tolist()`` and ``int()`` convert before writing
+    with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+        dump_json17({"x": value})
 
 
 def test_nested_structures():

@@ -247,11 +247,11 @@ def test_aam_nsl_reduction_matches_plain_softmax_ce():
     cfg = nsl_config(class_count=c, scale=s)
     assert cfg.margin == 0.0 and cfg.kind == "aam"
     out = aamsc_loss(x, y, params, cfg)
-    xhat, _ = l2_normalize_rows(x)
-    what, _ = l2_normalize_rows(params.weight)
+    xhat, _ = l2_normalize_rows(x, "embedding")
+    what, _ = l2_normalize_rows(params.weight, "weight")
     logits = s * np.clip(xhat @ what.T, -1.0, 1.0)
     rows = np.arange(n)
-    manual = float(np.mean(log_sum_exp(logits, axis=1)[0] - logits[rows, y]))
+    manual = float(np.mean(log_sum_exp(logits)[0] - logits[rows, y]))
     assert out.value == pytest.approx(manual, abs=1e-12)
 
 
@@ -295,8 +295,8 @@ def test_aam_easy_margin_gradients_away_from_switch():
         x = rng.standard_normal((n, d))
         y = rng.integers(c, size=n)
         params = ClassifierParams(weight=rng.standard_normal((c, d)))
-        xhat, _ = l2_normalize_rows(x)
-        what, _ = l2_normalize_rows(params.weight)
+        xhat, _ = l2_normalize_rows(x, "embedding")
+        what, _ = l2_normalize_rows(params.weight, "weight")
         target_cos = (xhat @ what.T)[np.arange(n), y]
         if np.min(np.abs(target_cos)) < 1e-3:  # easy-margin switch point
             continue
@@ -397,8 +397,8 @@ def test_aamsc_gradients_match_finite_differences(subcenters):
         x = rng.standard_normal((n, d))
         y = rng.integers(c, size=n)
         params = ClassifierParams(weight=rng.standard_normal((c * subcenters, d)))
-        xhat, _ = l2_normalize_rows(x)
-        what, _ = l2_normalize_rows(params.weight)
+        xhat, _ = l2_normalize_rows(x, "embedding")
+        what, _ = l2_normalize_rows(params.weight, "weight")
         cos_sub = (xhat @ what.T).reshape(n, c, subcenters)
         top2 = np.sort(cos_sub, axis=2)[:, :, -2:]
         if float(np.min(top2[:, :, 1] - top2[:, :, 0])) < 1e-4:  # argmax tie
@@ -442,7 +442,7 @@ def test_ge2e_orthogonal_speakers_frozen_value():
         [[0.0, 1.0], [0.0, 1.0]],
     ])
     params = ClassifierParams(ge2e_w=1.0, ge2e_b=0.0)
-    out = ge2e_loss(e, params, GE2EConfig())
+    out = ge2e_loss(e, params)
     expected = -1.0 + math.log(math.e + 1.0)  # 0.3132616875182229
     assert out.value == pytest.approx(expected, abs=1e-12)
 
@@ -451,7 +451,7 @@ def test_ge2e_identical_embeddings_value_ln_n():
     n, m = 3, 2
     v = np.asarray([1.0, 1.0]) / math.sqrt(2.0)
     e = np.tile(v, (n, m, 1))
-    out = ge2e_loss(e, ClassifierParams(ge2e_w=10.0, ge2e_b=-5.0), GE2EConfig())
+    out = ge2e_loss(e, ClassifierParams(ge2e_w=10.0, ge2e_b=-5.0))
     assert out.value == pytest.approx(math.log(n), abs=1e-12)
 
 
@@ -459,9 +459,9 @@ def test_ge2e_speaker_permutation_invariance():
     rng = named_rng(9, "ge2e-perm")
     e = rng.standard_normal((3, 4, 5))
     params = ClassifierParams(ge2e_w=7.0, ge2e_b=-2.0)
-    out = ge2e_loss(e, params, GE2EConfig())
+    out = ge2e_loss(e, params)
     perm = [2, 0, 1]
-    out_p = ge2e_loss(e[perm], params, GE2EConfig())
+    out_p = ge2e_loss(e[perm], params)
     assert out_p.value == pytest.approx(out.value, abs=1e-12)
     assert np.allclose(out_p.grad_embeddings, out.grad_embeddings[perm], atol=1e-12)
 
@@ -470,16 +470,14 @@ def test_ge2e_gradients_match_finite_differences():
     rng = named_rng(10, "ge2e-fd")
     e = rng.standard_normal((3, 4, 6))
     w0, b0 = 8.0, -4.0
-    out = ge2e_loss(e, ClassifierParams(ge2e_w=w0, ge2e_b=b0), GE2EConfig())
+    out = ge2e_loss(e, ClassifierParams(ge2e_w=w0, ge2e_b=b0))
 
-    value_fn = lambda: ge2e_loss(e, ClassifierParams(ge2e_w=w0, ge2e_b=b0),
-                                 GE2EConfig()).value
+    value_fn = lambda: ge2e_loss(e, ClassifierParams(ge2e_w=w0, ge2e_b=b0)).value
     assert rel_err(out.grad_embeddings, fd_gradient(value_fn, e)) <= 1e-5
 
     eps = FD_EPS
-    fd_w = (ge2e_loss(e, ClassifierParams(ge2e_w=w0 + eps, ge2e_b=b0), GE2EConfig()).value
-            - ge2e_loss(e, ClassifierParams(ge2e_w=w0 - eps, ge2e_b=b0),
-                        GE2EConfig()).value) / (2 * eps)
+    fd_w = (ge2e_loss(e, ClassifierParams(ge2e_w=w0 + eps, ge2e_b=b0)).value
+            - ge2e_loss(e, ClassifierParams(ge2e_w=w0 - eps, ge2e_b=b0)).value) / (2 * eps)
     assert abs(out.grad_params.ge2e_w - fd_w) / max(abs(fd_w), 1e-8) <= 1e-5
 
 
@@ -489,25 +487,24 @@ def test_ge2e_bias_gradient_is_analytically_zero():
     rng = named_rng(11, "ge2e-b")
     e = rng.standard_normal((3, 3, 5))
     w0, b0 = 9.0, -5.0
-    out = ge2e_loss(e, ClassifierParams(ge2e_w=w0, ge2e_b=b0), GE2EConfig())
+    out = ge2e_loss(e, ClassifierParams(ge2e_w=w0, ge2e_b=b0))
     assert abs(out.grad_params.ge2e_b) <= 1e-12
     eps = FD_EPS
-    fd_b = (ge2e_loss(e, ClassifierParams(ge2e_w=w0, ge2e_b=b0 + eps), GE2EConfig()).value
-            - ge2e_loss(e, ClassifierParams(ge2e_w=w0, ge2e_b=b0 - eps),
-                        GE2EConfig()).value) / (2 * eps)
+    fd_b = (ge2e_loss(e, ClassifierParams(ge2e_w=w0, ge2e_b=b0 + eps)).value
+            - ge2e_loss(e, ClassifierParams(ge2e_w=w0, ge2e_b=b0 - eps)).value) / (2 * eps)
     assert abs(fd_b) <= 1e-6
 
 
 def test_ge2e_shape_validation():
     params = ClassifierParams(ge2e_w=10.0, ge2e_b=-5.0)
     with pytest.raises(ConfigurationError, match="N x M"):
-        ge2e_loss(np.ones((4, 3)), params, GE2EConfig())
+        ge2e_loss(np.ones((4, 3)), params)
     with pytest.raises(ConfigurationError, match="M >= 2"):
-        ge2e_loss(np.ones((4, 1, 3)), params, GE2EConfig())
+        ge2e_loss(np.ones((4, 1, 3)), params)
     bad = np.ones((2, 2, 3))
     bad[0, 1] = 0.0
     with pytest.raises(DomainError, match="zero norm"):
-        ge2e_loss(bad, params, GE2EConfig())
+        ge2e_loss(bad, params)
 
 
 A, B = np.asarray([1.0, 2.0]), np.asarray([-3.0, 0.5])  # for the zero-norm cases
@@ -527,14 +524,14 @@ def test_ge2e_names_the_first_zero_norm(e, message):
     params = ClassifierParams(ge2e_w=10.0, ge2e_b=-5.0)
     for loss in (ge2e_loss, plain_ge2e_loss):
         with pytest.raises(DomainError) as info:
-            loss(np.asarray(e), params, GE2EConfig())
+            loss(np.asarray(e), params)
         assert str(info.value) == message
 
 
 def _ge2e_bits(loss, e, w, b):
     """The bytes of value and gradients, or the type and message of the error."""
     try:
-        out = loss(e, ClassifierParams(ge2e_w=w, ge2e_b=b), GE2EConfig())
+        out = loss(e, ClassifierParams(ge2e_w=w, ge2e_b=b))
     except Exception as exc:  # the error itself is compared
         return type(exc), str(exc)
     return tuple(np.float64(v).tobytes() for v in (out.value, out.grad_params.ge2e_w,
@@ -635,7 +632,7 @@ def _random_outputs():
     yield aamsc_loss(x, y, ClassifierParams(weight=rng.standard_normal((c * 3, d))),
                      AAMSCConfig(class_count=c, scale=15.0, margin=0.2, subcenters=3))
     yield ge2e_loss(rng.standard_normal((4, 2, d)),
-                    ClassifierParams(ge2e_w=10.0, ge2e_b=-5.0), GE2EConfig())
+                    ClassifierParams(ge2e_w=10.0, ge2e_b=-5.0))
 
 
 @pytest.mark.parametrize("loss", ["ce", "aam", "aamsc"])
@@ -741,7 +738,7 @@ def test_confidence_aamsc_k1_matches_aam():
     w = rng.standard_normal((3, 4))
     x = rng.standard_normal(4)
     aam_cfg = AAMConfig(class_count=3, scale=30.0, margin=0.1)
-    unit_w = l2_normalize_rows(w)[0]
+    unit_w = l2_normalize_rows(w, "weight")[0]
     aam = classify_confidence(x, ClassifierParams(weight=w), aam_cfg, unit_w)
     sc = classify_confidence(x, ClassifierParams(weight=w),
                              AAMSCConfig(class_count=3, scale=30.0, margin=0.1,
@@ -761,10 +758,7 @@ def test_confidence_aamsc_reduces_by_max():
     assert np.allclose(p, softmax(np.asarray([1.0, 0.0])), atol=1e-12)
 
 
-def test_confidence_ge2e_and_degenerate_input():
-    with pytest.raises(ConfigurationError, match="centroid"):
-        classify_confidence(np.ones(3), ClassifierParams(ge2e_w=10.0, ge2e_b=-5.0),
-                            GE2EConfig(), None)
+def test_confidence_degenerate_input():
     params = ClassifierParams(weight=np.eye(2), bias=np.zeros(2))
     with pytest.raises(DomainError, match="zero norm"):
         classify_confidence(np.zeros(2), params, CEConfig(class_count=2), None)
@@ -801,7 +795,8 @@ def _margin_instances(k: int):
     while True:
         clip_w = rng.standard_normal((c * k, d))
         x = clip_w[np.arange(n) % len(clip_w)] * scales
-        if np.max(np.abs(l2_normalize_rows(x)[0] @ l2_normalize_rows(clip_w)[0].T)) > 1.0:
+        xhat, what = l2_normalize_rows(x, "embedding")[0], l2_normalize_rows(clip_w, "weight")[0]
+        if np.max(np.abs(xhat @ what.T)) > 1.0:
             break
     yield x, y, clip_w
     # rows whose norm is below 1e-150 are re-measured after scaling
@@ -852,5 +847,5 @@ def test_l2_normalize_rows_matches_the_linalg_norm_form_bit_for_bit():
         if shape[0] > 1:
             m[0] = 0.0
             m[0, 0] = 5e-324  # a subnormal row, re-measured to a nonzero norm
-        got, ref = l2_normalize_rows(m), plain_l2_normalize_rows(m)
+        got, ref = l2_normalize_rows(m, "matrix"), plain_l2_normalize_rows(m, "matrix")
         assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()

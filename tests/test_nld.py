@@ -393,7 +393,7 @@ def test_classify_confidence_has_the_bits_of_the_plain_form(loss_cfg):
         sub = weight.reshape(_CLASSES, k, _DIM)
         assert (sub[:, 0] == sub[:, -1]).all(axis=1).any()
     clf = ParametricClassifier(identity_model(_DIM, loss_cfg=loss_cfg, classifier=params))
-    unit_weight = None if loss_cfg.kind == "ce" else l2_normalize_rows(weight)[0]
+    unit_weight = None if loss_cfg.kind == "ce" else l2_normalize_rows(weight, "weight")[0]
     for x in xs:
         want = plain_classify_confidence(x, params, loss_cfg).tobytes()
         assert classify_confidence(x, params, loss_cfg, unit_weight).tobytes() == want

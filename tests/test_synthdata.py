@@ -19,6 +19,8 @@ from labelnoise.evaluation import Trials, write_trials_csv
 from labelnoise.nld import write_histogram_csv, write_scores_csv
 from labelnoise.seeding import named_rng
 from labelnoise.synthdata import (
+    MAX_DIRECTION_TRIES,
+    MAX_OVERLAP_COS,
     Dataset,
     NoiseSpec,
     apply_openset_noise,
@@ -31,7 +33,8 @@ from labelnoise.synthdata import (
 
 
 def small_clean(seed=0, class_count=5, per_class=6, latent=3, feature=4, spread=0.1):
-    return generate_dataset(class_count, per_class, latent, feature, spread, seed=seed)
+    return generate_dataset(class_count, per_class, latent, feature, spread, seed=seed,
+                            mix_seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -39,7 +42,7 @@ def small_clean(seed=0, class_count=5, per_class=6, latent=3, feature=4, spread=
 
 
 def test_generate_counts_and_labels():
-    ds = generate_dataset(2, 3, 2, 4, 0.1, seed=0)
+    ds = generate_dataset(2, 3, 2, 4, 0.1, seed=0, mix_seed=0)
     assert len(ds) == 6
     assert ds.observed_class.tolist() == [0, 0, 0, 1, 1, 1]
     assert ds.true_class.tolist() == [0, 0, 0, 1, 1, 1]
@@ -52,7 +55,7 @@ def test_generate_counts_and_labels():
 
 
 def test_generate_zero_spread_collapses_classes():
-    ds = generate_dataset(3, 4, 2, 5, 0.0, seed=1)
+    ds = generate_dataset(3, 4, 2, 5, 0.0, seed=1, mix_seed=1)
     for c in range(3):
         members = ds.features[ds.true_class == c]
         for f in members[1:]:
@@ -60,15 +63,15 @@ def test_generate_zero_spread_collapses_classes():
 
 
 def test_generate_deterministic():
-    a = generate_dataset(4, 3, 2, 6, 0.2, seed=7)
-    b = generate_dataset(4, 3, 2, 6, 0.2, seed=7)
+    a = generate_dataset(4, 3, 2, 6, 0.2, seed=7, mix_seed=7)
+    b = generate_dataset(4, 3, 2, 6, 0.2, seed=7, mix_seed=7)
     assert a == b
     assert np.array_equal(a.features, b.features)
 
 
 def test_generate_seed_changes_data():
-    a = generate_dataset(4, 3, 2, 6, 0.2, seed=7)
-    b = generate_dataset(4, 3, 2, 6, 0.2, seed=8)
+    a = generate_dataset(4, 3, 2, 6, 0.2, seed=7, mix_seed=7)
+    b = generate_dataset(4, 3, 2, 6, 0.2, seed=8, mix_seed=8)
     assert a != b
 
 
@@ -93,27 +96,32 @@ def test_generate_unit_latent_directions():
 
 def test_generate_validates_arguments():
     with pytest.raises(ConfigurationError):
-        generate_dataset(1, 3, 2, 4, 0.1, seed=0)
+        generate_dataset(1, 3, 2, 4, 0.1, seed=0, mix_seed=0)
     with pytest.raises(ConfigurationError):
-        generate_dataset(3, 1, 2, 4, 0.1, seed=0)
+        generate_dataset(3, 1, 2, 4, 0.1, seed=0, mix_seed=0)
     with pytest.raises(ConfigurationError):
-        generate_dataset(3, 3, 4, 2, 0.1, seed=0)  # feature_dim < latent_dim
+        generate_dataset(3, 3, 4, 2, 0.1, seed=0, mix_seed=0)  # feature_dim < latent_dim
     with pytest.raises(ConfigurationError):
-        generate_dataset(3, 3, 2, 4, -0.5, seed=0)
+        generate_dataset(3, 3, 2, 4, -0.5, seed=0, mix_seed=0)
 
 
 def test_sample_unit_directions_respects_avoid():
-    rng = named_rng(0, "test")
-    avoid = np.asarray([[1.0, 0.0, 0.0]])
-    dirs = sample_unit_directions(20, 3, rng, avoid=avoid, max_abs_cos=0.6)
-    assert np.all(np.abs(dirs @ avoid.T) <= 0.6)
+    avoid = np.asarray([[1.0, 0.0]])
+    # the same draws without ``avoid`` come closer to it than the threshold
+    free = sample_unit_directions(200, 2, named_rng(0, "test"))
+    assert np.max(np.abs(free @ avoid.T)) > MAX_OVERLAP_COS
+    dirs = sample_unit_directions(200, 2, named_rng(0, "test"), avoid=avoid)
+    assert np.all(np.abs(dirs @ avoid.T) <= MAX_OVERLAP_COS)
 
 
 def test_sample_unit_directions_impossible_avoid():
     rng = named_rng(0, "test")
-    avoid = np.asarray([[1.0, 0.0], [0.0, 1.0]])  # covers the plane at 0.5
-    with pytest.raises(ConfigurationError, match="could not place"):
-        sample_unit_directions(1, 2, rng, avoid=avoid, max_abs_cos=0.5, max_tries=50)
+    # every 30 degrees: each covers 18 degrees either side at |cos| > 0.95
+    angles = np.radians(np.arange(0, 180, 30))
+    avoid = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    with pytest.raises(ConfigurationError, match=f"^could not place class direction 0 away "
+                       f"from 6 existing directions after {MAX_DIRECTION_TRIES} tries$"):
+        sample_unit_directions(1, 2, rng, avoid=avoid)
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +166,7 @@ def test_permute_leaves_features_and_true_labels():
 
 
 def test_permute_binomial_bound_q50():
-    ds = generate_dataset(100, 100, 2, 2, 0.05, seed=2)  # 10000 utterances
+    ds = generate_dataset(100, 100, 2, 2, 0.05, seed=2, mix_seed=2)  # 10000 utterances
     out = apply_permute_noise(ds, NoiseSpec(kind="permute", level_q=50.0, seed=9))
     noisy = int(np.count_nonzero(out.is_noisy))
     assert 4850 <= noisy <= 5150  # 3 sigma around 5000
@@ -194,7 +202,7 @@ def test_permute_needs_two_classes():
 
 def aux_for(ds, seed=100):
     return generate_dataset(ds.class_count, 6, ds.directions.shape[1], ds.feature_dim, 0.1,
-                            seed=seed, avoid_directions=ds.directions)
+                            seed=seed, mix_seed=seed, avoid_directions=ds.directions)
 
 
 def test_openset_q0_is_identity():
@@ -237,7 +245,7 @@ def test_openset_rejects_empty_or_mismatched_aux():
     empty = ds.subset(np.zeros(len(ds), dtype=bool))
     with pytest.raises(ConfigurationError, match="non-empty"):
         apply_openset_noise(ds, empty, NoiseSpec(kind="open_set", level_q=50.0, seed=0))
-    skinny = generate_dataset(3, 3, 2, ds.feature_dim + 1, 0.1, seed=1)
+    skinny = generate_dataset(3, 3, 2, ds.feature_dim + 1, 0.1, seed=1, mix_seed=1)
     with pytest.raises(ConfigurationError, match="feature_dim"):
         apply_openset_noise(ds, skinny, NoiseSpec(kind="open_set", level_q=50.0, seed=0))
 
@@ -667,9 +675,9 @@ def test_is_clean_and_is_noisy():
 
 
 def test_class_table_groups_positions_by_class():
-    ds = generate_dataset(3, 3, 2, 4, 0.1, seed=0).subset([4, 0, 8, 1, 5, 2, 7])
+    ds = generate_dataset(3, 3, 2, 4, 0.1, seed=0, mix_seed=0).subset([4, 0, 8, 1, 5, 2, 7])
     assert ds.observed_class.tolist() == [1, 0, 2, 0, 1, 0, 2]
-    table = ds.class_table()
+    table = ds.class_table(1)
     assert table.labels.tolist() == [0, 1, 2]
     assert table.sizes.tolist() == [3, 2, 2]
     groups = [table.flat[a:a + n].tolist() for a, n in zip(table.starts, table.sizes)]
