@@ -3,8 +3,10 @@
 The embedder is a small MLP (affine layers with tanh on the hidden ones,
 final layer linear) mapping raw features to embeddings. Training draws
 speaker-balanced batches (N distinct observed classes, M utterances each),
-evaluates one of the metric-learning losses, and applies Adam with a fixed
-learning rate. Everything is deterministic given (dataset, config).
+a chunk of steps at a time with the same ``choice``/``integers`` calls in
+the same order as one draw per step, evaluates one of the metric-learning
+losses, and applies Adam with a fixed learning rate. Everything is
+deterministic given (dataset, config).
 
 Training updates one flat float64 vector laid out by ``parameter_layout``
 and drawn block by block by ``init_parameters``; the backward pass writes
@@ -43,6 +45,7 @@ from .synthdata import ClassTable, Dataset
 
 MODEL_FORMAT_VERSION = 3
 GE2E_W_FLOOR = 1e-4
+CHUNK = 128  # steps whose batches are drawn at once; bounds the memory they take
 
 
 @dataclass
@@ -177,62 +180,55 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     params -= a
 
 
-def _sample_positions(
-    table: ClassTable, n_speakers: int, m_utts: int, rng: np.random.Generator
+def _sample_chunk(
+    table: ClassTable, n_speakers: int, m_utts: int, steps: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw N distinct eligible classes (uniform, no replacement) and M
-    positions from each (uniform, no replacement); returns the (N, M)
-    dataset positions and the N class labels.
+    """Draw ``steps`` consecutive batches, each of N distinct eligible
+    classes (uniform, no replacement) and M positions from each (uniform,
+    no replacement); returns the (steps, N, M) dataset positions and the
+    (steps, N) class labels.
 
-    If fewer than N classes are eligible the batch is infeasible. The
-    positions come from one ``rng.integers`` call that makes the same
-    bounded draws, in the same order, as one ``rng.choice(members, M,
-    replace=False)`` per class, so both forms give the same batches and
-    leave ``rng`` in the same state (see ``_choice_offsets``).
-    """
-    if len(table.labels) < n_speakers:
-        raise ConfigurationError(
-            f"need {n_speakers} classes with >= {m_utts} utterances, "
-            f"only {len(table.labels)} eligible"
-        )
-    chosen = rng.choice(len(table.labels), size=n_speakers, replace=False)
-    starts, sizes = table.starts[chosen], table.sizes[chosen]
-    if m_utts == 1:
-        offsets = rng.integers(0, sizes)[:, None]
-    else:
-        offsets = _choice_offsets(sizes, m_utts, rng)
-    return table.flat[starts[:, None] + offsets], table.labels[chosen]
-
-
-def _choice_offsets(sizes: np.ndarray, m_utts: int, rng: np.random.Generator) -> np.ndarray:
-    """M distinct offsets in ``[0, P)`` per class of P = ``sizes[row]``
-    members, in random order: the (N, M) result of one ``rng.choice(P, M,
-    replace=False)`` per row.
+    If fewer than N classes are eligible the batch is infeasible. Step by
+    step, one ``rng.choice`` call draws the classes and one
+    ``rng.integers`` call makes the same bounded draws, in the same order,
+    as one ``rng.choice(members, M, replace=False)`` per class. So the
+    batches, and the state ``rng`` is left in, are those of drawing one
+    step at a time, or one class at a time.
 
     For these sizes numpy's ``choice`` runs Floyd's algorithm (Bentley &
     Floyd, CACM 1987): for t = 0..M-1 it draws v in ``[0, P-M+t]`` and
     keeps v, or P-M+t if v is already kept; then it shuffles the M picks,
     swapping slot i with a draw in ``[0, i]`` for i = M-1..1. Each draw is
     one bounded Lemire draw, as ``rng.integers`` makes, so one
-    ``rng.integers(0, highs)`` over the rows' highs ``P-M+1 .. P, M .. 2``
-    makes every draw of the per-row calls, in the same order; the picks
-    and swaps are then replayed on whole columns. numpy leaves Floyd for
-    a class of more than 10,000 members when M > P // 50; there the
-    replay no longer matches ``choice`` but is still a uniform ordered
-    draw without replacement.
+    ``rng.integers(0, highs)`` over the chosen classes' highs
+    ``P-M+1 .. P, M .. 2`` (tabulated once per class) makes every draw of
+    the per-class calls. The picks and swaps are then replayed on whole
+    columns of all the steps' rows at once. numpy leaves Floyd for a class
+    of more than 10,000 members when M > P // 50; there the replay no
+    longer matches ``choice`` but is still a uniform ordered draw without
+    replacement.
     """
-    n, m = len(sizes), m_utts
+    n_classes, n, m = len(table.labels), n_speakers, m_utts
+    if n_classes < n:
+        raise ConfigurationError(
+            f"need {n} classes with >= {m} utterances, only {n_classes} eligible")
     col = np.arange(2 * m - 1)
-    draws = rng.integers(0, np.where(col < m, sizes[:, None] + (1 - m + col), 2 * m - col))
-    picks = draws[:, :m].copy()
+    highs = np.where(col < m, table.sizes[:, None] + (1 - m + col), 2 * m - col)
+    chosen, draws = [], []
+    for _ in range(steps):
+        chosen.append(rng.choice(n_classes, size=n, replace=False))
+        draws.append(rng.integers(0, highs[chosen[-1]]))
+    chosen, draws = np.array(chosen), np.concatenate(draws)
+    sizes, picks = table.sizes[chosen].reshape(-1), draws[:, :m].copy()
     for t in range(1, m):
         taken = (picks[:, :t] == picks[:, t:t + 1]).any(axis=1)
         picks[taken, t] = sizes[taken] - (m - t)
-    flat, starts = picks.reshape(-1), np.arange(0, n * m, m)
+    flat, starts = picks.reshape(-1), np.arange(0, steps * n * m, m)
     for i in range(m - 1, 0, -1):
         slot, other = starts + i, starts + draws[:, 2 * m - 1 - i]
         flat[slot], flat[other] = flat[other], flat[slot]
-    return picks
+    picks += table.starts[chosen].reshape(-1, 1)
+    return table.flat[picks].reshape(steps, n, m), table.labels[chosen]
 
 
 @dataclass(frozen=True)
@@ -253,8 +249,10 @@ class TrainConfig:
         if self.batch_speakers < 1 or self.utts_per_speaker < 1:
             raise ConfigurationError("batch_speakers and utts_per_speaker must be >= 1")
         if isinstance(self.loss, GE2EConfig):
-            if self.utts_per_speaker < 2:
-                raise ConfigurationError("GE2E needs utts_per_speaker >= 2")
+            if self.batch_speakers < 2 or self.utts_per_speaker < 2:
+                raise ConfigurationError(
+                    f"GE2E needs batch_speakers >= 2 and utts_per_speaker >= 2, got "
+                    f"{self.batch_speakers} and {self.utts_per_speaker}")
         elif self.utts_per_speaker != 1:
             raise ConfigurationError(
                 f"{self.loss.kind} uses utts_per_speaker = 1, got {self.utts_per_speaker}"
@@ -352,9 +350,11 @@ def _trained_model(flat: np.ndarray, layout, loss_cfg: LossConfig, manifest: dic
 def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, float]]]:
     """Run the full training loop; returns the model and the loss curve.
 
-    Each step samples a balanced batch, runs the embedder forward, the
+    Each step takes a balanced batch, runs the embedder forward, the
     configured loss forward/backward, backpropagates into the MLP, and
-    applies one Adam update. For AAM/AAMSC the easy margin is enabled for
+    applies one Adam update. The batches are drawn ``CHUNK`` steps at a
+    time (``_sample_chunk``), with the same generator calls in the same
+    order as one draw per step. For AAM/AAMSC the easy margin is enabled for
     the first ceil(easy_margin_fraction * total_steps) steps. Parameters
     are checked finite after every step.
     """
@@ -387,13 +387,16 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
 
     curve: list[tuple[int, float]] = []
     for step in range(cfg.total_steps):
-        positions, labels = _sample_positions(table, n_spk, m_utt, batch_rng)
-        emb, cache = mlp_forward(mlp, ds.features.take(positions.reshape(-1), axis=0))
+        k = step % CHUNK
+        if k == 0:
+            positions, labels = _sample_chunk(table, n_spk, m_utt,
+                                              min(CHUNK, cfg.total_steps - step), batch_rng)
+        emb, cache = mlp_forward(mlp, ds.features.take(positions[k].reshape(-1), axis=0))
 
         if isinstance(loss_cfg, CEConfig):
-            out = ce_loss(emb, labels, clf)
+            out = ce_loss(emb, labels[k], clf)
         elif isinstance(loss_cfg, AAMConfig):
-            out = aamsc_loss(emb, labels, clf, margin_cfgs[step < boundary])
+            out = aamsc_loss(emb, labels[k], clf, margin_cfgs[step < boundary])
         else:
             out = ge2e_loss(emb.reshape(n_spk, m_utt, -1), clf)
 

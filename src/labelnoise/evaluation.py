@@ -270,7 +270,8 @@ def retrain_after_removal(ds: Dataset, predicted: np.ndarray, cfg: TrainConfig,
 
     Classes left with fewer than ``utts_per_speaker`` utterances are
     dropped from sampling; if fewer than ``batch_speakers`` classes stay
-    eligible, the retrain batch width is clamped down with a warning.
+    eligible, the retrain batch width is clamped down with a warning, and
+    refused when fewer classes stay than the loss needs (two for GE2E).
     """
     filtered = remove_predicted(ds, predicted)
     removed = len(ds) - len(filtered)
@@ -284,9 +285,13 @@ def retrain_after_removal(ds: Dataset, predicted: np.ndarray, cfg: TrainConfig,
     eligible = int(np.count_nonzero(sizes >= cfg.utts_per_speaker))
     cfg_after = cfg
     if eligible < cfg.batch_speakers:
+        try:
+            cfg_after = replace(cfg, batch_speakers=eligible)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"removal left {eligible} class(es) with >= "
+                                     f"{cfg.utts_per_speaker} utterance(s): {exc}") from None
         logger.warning("clamping batch classes from %d to %d eligible after removal",
                        cfg.batch_speakers, eligible)
-        cfg_after = replace(cfg, batch_speakers=eligible)
 
     if before_model is None:
         before_model, _ = train(ds, cfg)

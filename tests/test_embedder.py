@@ -15,11 +15,12 @@ from hypothesis.extra.numpy import arrays
 from conftest import BYTE_EDITS, JSON_VALUES, edit_bytes, edit_parameters, replace_values
 import labelnoise.embedder as embedder
 from labelnoise.embedder import (
+    CHUNK,
     AdamState,
     MlpParams,
     TrainConfig,
     adam_step,
-    _sample_positions,
+    _sample_chunk,
     easy_margin_boundary,
     embed_batch,
     init_parameters,
@@ -339,8 +340,9 @@ def small_ds(class_count=4, per_class=5, seed=0):
 
 
 def sample(ds, n_speakers, m_utts, rng):
-    """The batch draw ``train`` makes: (N, M) positions and N labels."""
-    return _sample_positions(ds.class_table(m_utts), n_speakers, m_utts, rng)
+    """One batch as ``train`` draws it: (N, M) positions and N labels."""
+    positions, labels = _sample_chunk(ds.class_table(m_utts), n_speakers, m_utts, 1, rng)
+    return positions[0], labels[0]
 
 
 def test_sample_batch_exhaustive_when_n_equals_c():
@@ -410,15 +412,16 @@ def test_class_table_sampler_matches_per_class_draws_bit_for_bit(m_utts):
     assert eligible == sum(len(g) >= m_utts for g in groups.values())
     for n_speakers in (1, 7, eligible):
         rng, ref = named_rng(n_speakers, "batches"), named_rng(n_speakers, "batches")
-        for _ in range(300):
-            positions, labels = _sample_positions(table, n_speakers, m_utts, rng)
+        positions, labels = _sample_chunk(table, n_speakers, m_utts, 300, rng)
+        assert positions.shape == (300, n_speakers, m_utts) and labels.shape == (300, n_speakers)
+        for step in range(300):
             ref_positions, ref_labels = per_class_sample_positions(groups, n_speakers, m_utts, ref)
             assert positions.dtype == ref_positions.dtype and labels.dtype == ref_labels.dtype
-            assert np.array_equal(positions, ref_positions)
-            assert np.array_equal(labels, ref_labels)
+            assert np.array_equal(positions[step], ref_positions)
+            assert np.array_equal(labels[step], ref_labels)
         assert rng.bit_generator.state == ref.bit_generator.state
     with pytest.raises(ConfigurationError, match=f"only {eligible} eligible"):
-        _sample_positions(table, eligible + 1, m_utts, named_rng(0, "batches"))
+        _sample_chunk(table, eligible + 1, m_utts, 1, named_rng(0, "batches"))
 
 
 def test_class_table_sampler_matches_per_class_draws_with_a_20000_member_class():
@@ -432,11 +435,13 @@ def test_class_table_sampler_matches_per_class_draws_with_a_20000_member_class()
                     observed_class=observed, is_ood=np.zeros(n, dtype=bool), class_count=4,
                     feature_dim=1).class_table(4)
     rng, ref = named_rng(6, "batches"), named_rng(6, "batches")
-    for _ in range(200):
-        positions, labels = _sample_positions(table, 2, 4, rng)
+    positions, labels = _sample_chunk(table, 2, 4, 200, rng)
+    assert positions.shape == (200, 2, 4) and labels.shape == (200, 2)
+    for step in range(200):
         ref_positions, ref_labels = per_class_sample_positions(groups, 2, 4, ref)
-        assert np.array_equal(positions, ref_positions)
-        assert np.array_equal(labels, ref_labels)
+        assert positions.dtype == ref_positions.dtype and labels.dtype == ref_labels.dtype
+        assert np.array_equal(positions[step], ref_positions)
+        assert np.array_equal(labels[step], ref_labels)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -447,6 +452,10 @@ def test_class_table_sampler_matches_per_class_draws_with_a_20000_member_class()
 def test_train_config_validation():
     with pytest.raises(ConfigurationError, match="GE2E"):
         TrainConfig(loss=GE2EConfig(), utts_per_speaker=1)
+    # GE2E contrasts each utterance with the other speakers' centroids: with
+    # one speaker its loss and every gradient are 0 and training moves nothing
+    with pytest.raises(ConfigurationError, match="GE2E needs batch_speakers >= 2"):
+        TrainConfig(loss=GE2EConfig(), batch_speakers=1, utts_per_speaker=3)
     with pytest.raises(ConfigurationError, match="utts_per_speaker"):
         TrainConfig(loss=CEConfig(class_count=4), utts_per_speaker=2)
     with pytest.raises(ConfigurationError):
@@ -480,12 +489,38 @@ def tiny_cfg(loss=None, steps=30, seed=11):
 
 
 def test_train_zero_steps_returns_initialized_model():
-    ds = small_ds()
-    model, curve = train(ds, tiny_cfg(steps=0))
+    # no step draws no batch, so three eligible classes for a batch of four is no error
+    ds = small_ds(class_count=3)
+    model, curve = train(ds, tiny_cfg(loss=CEConfig(class_count=3), steps=0))
     assert curve == []
     assert model.embedder.layer_dims == (6, 8, 6)
     assert model.train_manifest["total_steps"] == 0
     assert np.all(np.isfinite(model.classifier.weight))
+
+
+@pytest.mark.parametrize("loss, m_utts", [
+    (AAMSCConfig(class_count=60, scale=30.0, margin=0.1, subcenters=2), 1),
+    (GE2EConfig(), 3),
+], ids=["aamsc", "ge2e"])
+def test_train_consumes_the_per_step_batches_across_chunks(monkeypatch, loss, m_utts):
+    # training draws CHUNK steps' batches at a time; the features of every
+    # step must be those of one per-class draw per step, in step order
+    ds = ragged_ds()
+    cfg = TrainConfig(loss=loss, total_steps=2 * CHUNK + 3, batch_speakers=7,
+                      utts_per_speaker=m_utts, seed=8, hidden_dims=(8,), embed_dim=6)
+    batches = []
+
+    def recording_forward(params, x):
+        batches.append(x.copy())
+        return mlp_forward(params, x)
+
+    monkeypatch.setattr(embedder, "mlp_forward", recording_forward)
+    train(ds, cfg)
+    groups, ref = ids_by_observed_class(ds), named_rng(cfg.seed, "batches")
+    assert len(batches) == cfg.total_steps
+    for batch in batches:
+        positions, _ = per_class_sample_positions(groups, 7, m_utts, ref)
+        assert np.array_equal(batch, ds.features[positions.reshape(-1)])
 
 
 def test_train_same_seed_identical_serialization():

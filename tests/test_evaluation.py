@@ -42,7 +42,7 @@ from labelnoise.evaluation import (
     write_trials_csv,
 )
 from labelnoise.jsonutil import dump_json17
-from labelnoise.losses import CEConfig
+from labelnoise.losses import CEConfig, GE2EConfig
 from labelnoise.synthdata import Dataset, generate_dataset, save_dataset
 from oracles import (
     brute_eer_midpoint,
@@ -416,6 +416,20 @@ def test_retrain_clamps_batch_when_removal_empties_a_class(caplog):
     assert outcome.dropped_classes == [0]
     assert "clamping batch classes from 4 to 3" in caplog.text
     assert math.isfinite(outcome.after.eer)
+
+
+@pytest.mark.parametrize("eligible", [1, 0])
+def test_retrain_refuses_a_removal_that_leaves_ge2e_too_few_classes(eligible):
+    # GE2E needs two classes of utts_per_speaker utterances; clamping its
+    # batch to one class would train nothing and report the initialization
+    ds, heldout, trials, _ = retrain_fixture()
+    cfg = TrainConfig(loss=GE2EConfig(), total_steps=20, batch_speakers=4, utts_per_speaker=3,
+                      seed=9, hidden_dims=(8,), embed_dim=4)
+    # the classes from ``eligible`` on keep two utterances, below utts_per_speaker
+    predicted = np.concatenate([ds.utt_id[ds.observed_class == c][2:]
+                                for c in range(eligible, ds.class_count)])
+    with pytest.raises(ConfigurationError, match=f"removal left {eligible} class"):
+        retrain_after_removal(ds, predicted, cfg, heldout, trials)
 
 
 # ----------------------------------------------------------------------
