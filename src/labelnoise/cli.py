@@ -124,13 +124,12 @@ SECTIONS = {
         "embed_dim": (int, _TRAIN["embed_dim"], 1),
     },
     "detect": {
-        "methods": (list, METHODS, None),
         "q": (float, None, None),
         "centroid_temperature": (float, DEFAULT_CENTROID_TEMPERATURE, None),
         "histogram_bins": (int, 20, 2),
     },
     "eval": {"pairs_per_kind": (int, 2000, 1)},
-    "retrain": {"detection_method": (str, METHOD_INTER, None)},
+    "retrain": {"detection_method": (str, None, None)},
 }
 TOP_LEVEL_KEYS = ("format_version", "name", "seeds", "output_dir", *SECTIONS)
 
@@ -198,19 +197,13 @@ def resolve_config(raw: dict) -> dict:
     t["hidden_dims"] = list(t["hidden_dims"])
     if any(type(h) is not int or not 1 <= h < 2**63 for h in t["hidden_dims"]):  # no bools
         raise ConfigurationError("config field train.hidden_dims must list ints in [1, 2**63)")
-    de["methods"] = list(de["methods"])
-    if (not de["methods"] or any(m not in METHODS for m in de["methods"])
-            or len(set(de["methods"])) != len(de["methods"])):
-        raise ConfigurationError(
-            f"config field detect.methods must be a non-empty subset of {list(METHODS)}"
-        )
     if de["q"] is not None and not 0.0 < de["q"] <= 100.0:
         raise ConfigurationError(f"config field detect.q must be in (0, 100], got {de['q']}")
     if de["centroid_temperature"] <= 0:
         raise ConfigurationError("config field detect.centroid_temperature must be positive")
-    if resolved["retrain"]["detection_method"] not in METHODS:
+    if resolved["retrain"]["detection_method"] not in (None, *METHODS):
         raise ConfigurationError(
-            f"config field retrain.detection_method must be one of {list(METHODS)}"
+            f"config field retrain.detection_method must be null or one of {list(METHODS)}"
         )
     # validate the train section end to end by instantiating it
     build_train_config(resolved, d["class_count"], run_seed=0)
@@ -368,44 +361,43 @@ def _dataset_for(model: TrainedModel | None, path: Path) -> Dataset:
 
 
 def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:
-    """Score inconsistency, rank, select top q%, and report precision."""
+    """Score intra- and inter-class inconsistency, rank, select the top q% of
+    each, and report precision."""
     model_path = Path(args.model) if args.model else out / "model.json"
     ds_path = Path(args.dataset) if args.dataset else out / "noisy.dataset"
     model = load_model(model_path)
     ds = _dataset_for(model, ds_path)
+    if not len(ds):
+        raise ConfigurationError(f"dataset file {ds_path}: no utterances to score")
 
-    q = args.q if args.q is not None else resolved["detect"]["q"]
+    q = resolved["detect"]["q"]
     if q is None:
         noise = resolved["noise"]
         if noise is None or noise["level_q"] == 0.0:
             raise ConfigurationError("detect.q is not set and the config has no noise level "
                                      "to fall back on")
         q = noise["level_q"]
-    if not 0.0 < q <= 100.0:
-        raise ConfigurationError(f"q must be in (0, 100], got {q}")
-    if args.method is None:
-        methods = resolved["detect"]["methods"]
-    else:
-        methods = METHODS if args.method == "both" else [args.method]
 
     emb = embed_dataset(model, ds)
-    # intra scores need the centroid bank, and so does a GE2E model's inter classifier
-    ge2e = isinstance(model.loss_config, GE2EConfig)
-    bank = compute_centroids(emb, ds) if METHOD_INTRA in methods or ge2e else None
+    # the intra scores and a GE2E model's inter classifier share one centroid bank
+    bank = compute_centroids(emb, ds)
     digest = detection_config_digest(resolved)
     written = []
     extras: dict = {"q": q}
-    for method in methods:
+    for method in METHODS:
         if method == METHOD_INTRA:
             scores = intra_inconsistency(emb, ds, bank)
         else:
             classifier = (CentroidClassifier(bank, resolved["detect"]["centroid_temperature"])
-                          if ge2e else ParametricClassifier(model))
+                          if isinstance(model.loss_config, GE2EConfig)
+                          else ParametricClassifier(model))
             scores = inter_inconsistency(emb, ds, classifier)
         result = detection_precision(rank_and_select(scores, ds.utt_id, q), ds)
         rows = export_score_histogram(scores, ds, resolved["detect"]["histogram_bins"])
 
-        scores_path, det_path, hist_path = _detect_paths(out, method)
+        scores_path, det_path, hist_path = (out / f"scores_{method}.csv",
+                                            out / f"detection_{method}.json",
+                                            out / f"histogram_{method}.csv")
         write_scores_csv(scores, ds, method, scores_path)
         write_detection_json(result, method, seed, digest, det_path)
         load_detection(det_path)  # the file must read back
@@ -417,25 +409,7 @@ def cmd_detect(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], 
         logger.info("seed %d: %s detection selected %d of %d (precision %s)", seed, method,
                     result.selected_count, len(ds),
                     "n/a" if result.precision is None else format(result.precision, ".4f"))
-    # a method not rerun keeps its entries while its files have their recorded
-    # hashes, the stage's q is unchanged and its detection file was made under
-    # this config's detection digest, so that q and digest hold for every method
-    skipped = [m for m in METHODS if m not in methods]
-    old = (_recorded_stages(out / "manifest.json") or {}).get("detect") if skipped else None
-    recorded = old.get("artifacts") if isinstance(old, dict) and old.get("q") == q else None
-    for method in skipped if isinstance(recorded, dict) else ():
-        paths = _detect_paths(out, method)
-        if method in old and all(p.exists() and recorded.get(p.name) == sha256_file(p)
-                                 for p in paths) and load_detection(paths[1])[2] == digest:
-            written += paths
-            extras[method] = old[method]
     return written, extras
-
-
-def _detect_paths(out: Path, method: str) -> list[Path]:
-    """The scores, detection and histogram files of one detection method."""
-    return [out / f"scores_{method}.csv", out / f"detection_{method}.json",
-            out / f"histogram_{method}.csv"]
 
 
 def cmd_eval(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], dict]:
@@ -462,19 +436,16 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
     """Remove predicted-noisy utterances, retrain, and compare EER.
 
     The method recorded is the one the detection file was made with; a
-    ``--method``, or a ``retrain.detection_method`` the config file sets,
-    that names another is refused.
+    ``retrain.detection_method`` that names another is refused. Left null,
+    it reads the seed directory's inter detection file.
     """
-    # the resolved config cannot tell a set retrain.detection_method from the default
-    asked = args.method or read_json(Path(args.config), "config").get(
-        "retrain", {}).get("detection_method")
+    asked = resolved["retrain"]["detection_method"]
     det_path = (Path(args.detection) if args.detection else
-                out / f"detection_{asked or resolved['retrain']['detection_method']}.json")
+                out / f"detection_{asked or METHOD_INTER}.json")
     method, detection, recorded = load_detection(det_path)
     if asked not in (None, method):
-        source = "--method" if args.method else "config field retrain.detection_method"
         raise ConfigurationError(f"detection file {det_path} was made by method {method!r}, "
-                                 f"but {source} asks for {asked!r}")
+                                 f"but config field retrain.detection_method asks for {asked!r}")
     digest = detection_config_digest(resolved)
     if recorded != digest:  # only a file named on the command line may be stale
         stale = f"detection file {det_path} has config digest {recorded}, the config has {digest}"
@@ -552,17 +523,15 @@ def cmd_report(args) -> int:
             raise ConfigurationError(
                 f"{cfg_path}: config field name must be ASCII, got {resolved['name']!a}")
         noise = resolved["noise"] or {"kind": "clean", "level_q": 0.0}
-        for method in resolved["detect"]["methods"]:
-            detections, eers = [], []
-            for sdir in (root / f"seed_{seed}" for seed in resolved["seeds"]):
-                detections.append(_if_present(sdir / f"detection_{method}.json",
-                                              lambda path: load_detection(path)[1]))
-                eers.append(_if_present(sdir / "eer.json", load_eer))
+        sdirs = [root / f"seed_{seed}" for seed in resolved["seeds"]]
+        eer = _mean_or_missing([_if_present(sdir / "eer.json", load_eer) for sdir in sdirs], "eer")
+        for method in METHODS:
+            detections = [_if_present(sdir / f"detection_{method}.json",
+                                      lambda path: load_detection(path)[1]) for sdir in sdirs]
             rows.writerow([resolved["name"], noise["kind"], format(noise["level_q"], ".6g"),
                            resolved["train"]["loss"]["kind"], method,
                            *(_mean_or_missing(detections, k) for k in ("precision", "recall")),
-                           _mean_or_missing(eers, "eer"),
-                           str(sum(d is not None for d in detections))])
+                           eer, str(sum(d is not None for d in detections))])
             any_rows = True
     if not any_rows:
         raise ConfigurationError("no usable run directories; nothing to report")
@@ -612,9 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rank inconsistency scores and flag the top q%%")
     p.add_argument("--model", default=None, help="trained model path")
     p.add_argument("--dataset", default=None, help="dataset to score")
-    p.add_argument("--method", choices=["intra", "inter", "both"], default=None,
-                   help="scoring method (default: config detect.methods)")
-    p.add_argument("--q", type=float, default=None, help="fraction to flag, in (0, 100]")
     p = sub.add_parser("eval", parents=[common], help="held-out EER of a trained model")
     p.add_argument("--model", default=None, help="trained model path")
     p = sub.add_parser("retrain", parents=[common],
@@ -622,8 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="baseline model path")
     p.add_argument("--dataset", default=None, help="training dataset path")
     p.add_argument("--detection", default=None, help="detection report to apply")
-    p.add_argument("--method", choices=["intra", "inter"], default=None,
-                   help="which detection report to apply (default: config)")
 
     p = sub.add_parser("report", help="aggregate runs into a CSV summary")
     p.add_argument("run_dirs", nargs="+", help="run output directories")

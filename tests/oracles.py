@@ -574,21 +574,13 @@ def handwritten_resolve_config(raw: dict) -> dict:
     de = raw.get("detect", {})
     if not isinstance(de, dict):
         raise ConfigurationError("config field detect must be an object")
-    _check_keys(de, ("methods", "q", "centroid_temperature", "histogram_bins"), "detect")
-    methods = de.get("methods", list(METHODS))
-    if (not isinstance(methods, list) or not methods
-            or any(m not in METHODS for m in methods)
-            or len(set(methods)) != len(methods)):
-        raise ConfigurationError(
-            f"config field detect.methods must be a non-empty subset of {list(METHODS)}"
-        )
+    _check_keys(de, ("q", "centroid_temperature", "histogram_bins"), "detect")
     q = de.get("q")
     if q is not None:
         q = _get_float(de, "q", 0.0, "detect")
         if not 0.0 < q <= 100.0:
             raise ConfigurationError(f"config field detect.q must be in (0, 100], got {q}")
     detect_sec = {
-        "methods": list(methods),
         "q": q,
         "centroid_temperature": _get_float(de, "centroid_temperature", 0.1, "detect"),
         "histogram_bins": _get_int(de, "histogram_bins", 20, "detect", minimum=2),
@@ -606,10 +598,11 @@ def handwritten_resolve_config(raw: dict) -> dict:
     if not isinstance(rt, dict):
         raise ConfigurationError("config field retrain must be an object")
     _check_keys(rt, ("detection_method",), "retrain")
-    det_method = rt.get("detection_method", METHOD_INTER)
-    if det_method not in METHODS:
+    # null, the default, applies the inter detection file or the one named
+    det_method = rt.get("detection_method")
+    if det_method is not None and det_method not in METHODS:
         raise ConfigurationError(
-            f"config field retrain.detection_method must be one of {list(METHODS)}"
+            f"config field retrain.detection_method must be null or one of {list(METHODS)}"
         )
     retrain_sec = {"detection_method": det_method}
 

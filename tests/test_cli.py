@@ -76,10 +76,9 @@ def test_resolve_config_fills_defaults():
     assert got["dataset"]["aux_class_count"] == 50  # mirrors class_count
     assert got["train"]["loss"] == {"kind": "aam", "scale": 30.0, "margin": 0.1}
     assert got["train"]["total_steps"] == 5000
-    assert got["detect"]["methods"] == ["intra", "inter"]
-    assert got["detect"]["q"] is None
+    assert got["detect"] == {"q": None, "centroid_temperature": 0.1, "histogram_bins": 20}
     assert got["eval"]["pairs_per_kind"] == 2000
-    assert got["retrain"]["detection_method"] == "inter"
+    assert got["retrain"]["detection_method"] is None
 
 
 @pytest.mark.parametrize("raw,needle", [
@@ -105,8 +104,10 @@ def test_resolve_config_fills_defaults():
     ({"output_dir": "x", "train": {"total_steps": -1}}, "total_steps"),
     ({"output_dir": "x", "detect": {"q": 150}}, "detect.q"),
     ({"output_dir": "x", "detect": {"q": 0}}, "detect.q"),
-    ({"output_dir": "x", "detect": {"methods": ["intra", "intra"]}}, "methods"),
-    ({"output_dir": "x", "detect": {"methods": ["bogus"]}}, "methods"),
+    # detect always scores both methods; a config of older runs that lists them is refused
+    ({"output_dir": "x", "detect": {"methods": ["intra", "inter"]}},
+     "unknown config field detect.methods"),
+    ({"output_dir": "x", "detect": {"methods": ["inter"]}}, "unknown config field detect.methods"),
     ({"output_dir": "x", "detect": {"centroid_temperature": 0}}, "centroid_temperature"),
     ({"output_dir": "x", "eval": {"pairs_per_kind": 0}}, "pairs_per_kind"),
     ({"output_dir": "x", "retrain": {"detection_method": "psychic"}}, "detection_method"),
@@ -152,7 +153,7 @@ def test_default_config_digest_is_unchanged():
     # the text every config digest is taken over; a valid config holds
     # only finite floats, so the NaN and Infinity literals never reach it
     assert digest_config(resolve_config({"output_dir": "runs/x"})) == (
-        "e24f1a2e7c617151cf82e7b05ab54c0d754c95dfc5d12f2d5d0ae7eb8b4ae543")
+        "db709eabc166a7a0387e6bec4d31adaced670bf33735bcb7ad84d676b6cebd18")
 
 
 def _refuse(literal):
@@ -197,12 +198,11 @@ ANY_JSON = st.recursive(
                                                                 inner, max_size=2),
     max_leaves=4)
 LOSS_TABLE = {key: spec for _, table in LOSS_KINDS.values() for key, spec in table.items()}
-METHOD_LISTS = st.lists(st.sampled_from(["intra", "inter"]), min_size=1, max_size=2, unique=True)
 
 
 def fitting(kind: type, minimum) -> st.SearchStrategy:
     """Values of a field's JSON kind that its one-field bound admits (the
-    string fields and ``detect.methods`` get theirs from the caller)."""
+    string fields get theirs from the caller)."""
     if kind is int:
         return st.integers(minimum, minimum + 40)
     if kind is float:
@@ -236,11 +236,10 @@ FITTING_CONFIGS = st.fixed_dictionaries(
         "dataset": fitting_section(SECTIONS["dataset"]),
         "noise": fitting_section(SECTIONS["noise"], kind=st.sampled_from(["permute", "open_set"])),
         "train": st.sampled_from(list(LOSS_KINDS)).flatmap(fitting_train),
-        "detect": fitting_section(SECTIONS["detect"], methods=METHOD_LISTS,
-                                  q=st.none() | st.floats(1, 100)),
+        "detect": fitting_section(SECTIONS["detect"], q=st.none() | st.floats(1, 100)),
         "eval": fitting_section(SECTIONS["eval"]),
         "retrain": fitting_section(SECTIONS["retrain"],
-                                   detection_method=st.sampled_from(["intra", "inter"])),
+                                   detection_method=st.sampled_from([None, "intra", "inter"])),
     })
 # Where an edit may put any JSON value: every key, every section, an unknown key.
 EDIT_PATHS = [(key,) for key in TOP_LEVEL_KEYS] + [
@@ -405,13 +404,13 @@ def test_pipeline_report_to_file_and_missing_cells(pipeline, tmp_path):
     bare.mkdir()
     (bare / "config.json").write_text(json.dumps({
         "name": "empty", "seeds": [0], "noise": None,
-        "train": {"loss": {"kind": "ce"}}, "detect": {"methods": ["intra"]},
+        "train": {"loss": {"kind": "ce"}},
     }))
     out = tmp_path / "report.csv"
     assert main(["report", str(pipeline.run), str(bare), "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert len(lines) == 4
-    assert lines[3] == "empty,clean,0,ce,intra,missing,missing,missing,0"
+    assert lines[3:] == [f"empty,clean,0,ce,{method},missing,missing,missing,0"
+                         for method in ("intra", "inter")]
 
 
 def test_simulate_reruns_are_byte_identical(pipeline, tmp_path):
@@ -489,58 +488,57 @@ def test_retrain_refuses_predicted_ids_outside_int64(pipeline, tmp_path, capsys)
     assert json.loads((sdir / "retrain.json").read_text())["removed_count"] == 1
 
 
-def test_detect_method_both_runs_both_methods_whatever_the_config_lists(pipeline, tmp_path):
-    run = copy_run(pipeline, tmp_path)
-    for path in (run / "seed_1").glob("*_in*"):  # the intra and inter artifacts
-        path.unlink()
-    raw = {**pipeline.raw, "output_dir": str(run),
-           "detect": {**pipeline.raw["detect"], "methods": ["inter"]}}
-    cfg_path = write_config(tmp_path / "inter_only.json", raw)
-    assert main(["detect", "--config", str(cfg_path), "--method", "both", "--quiet"]) == 0
-    manifest = json.loads((run / "seed_1" / "manifest.json").read_text())
-    assert sorted(manifest["stages"]["detect"]["artifacts"]) == [
-        f"{kind}_{method}.{ext}" for kind, ext in (("detection", "json"), ("histogram", "csv"),
-                                                   ("scores", "csv"))
-        for method in ("inter", "intra")]
-    for method in ("intra", "inter"):
-        for name in (f"scores_{method}.csv", f"histogram_{method}.csv"):
-            assert (run / "seed_1" / name).read_bytes() == (pipeline.sdir / name).read_bytes()
-
-
 @pytest.mark.parametrize("damage", [None, "edit", "delete", "other q", "other detect section"])
-def test_detect_with_fewer_methods_keeps_the_other_methods_unchanged_entries(pipeline, tmp_path,
+def test_detect_rewrites_both_methods_files_and_entries_whatever_came_before(pipeline, tmp_path,
                                                                              damage):
+    # detect scores both methods, so no file or entry of an earlier detect
+    # outlives it: a damaged file is made again and a changed section recorded
     run = copy_run(pipeline, tmp_path)
     sdir = run / "seed_1"
-    before = json.loads((sdir / "manifest.json").read_text())["stages"]["detect"]
-    cfg_path = pipeline.cfg_path
+    detect = dict(pipeline.raw["detect"])
     if damage == "edit":
         with open(sdir / "histogram_inter.csv", "a") as fh:
             fh.write("0,0,0,0\n")
     elif damage == "delete":
         (sdir / "scores_inter.csv").unlink()
-    elif damage == "other detect section":  # the inter files predate this section
-        cfg_path = write_config(tmp_path / "bins.json", {
-            **pipeline.raw, "detect": {**pipeline.raw["detect"], "histogram_bins": 7}})
-    q = ["--q", "40"] if damage == "other q" else []
-    assert main(["detect", "--config", str(cfg_path), "--out", str(run),
-                 "--method", "intra", *q, "--quiet"]) == 0
-    after = json.loads((sdir / "manifest.json").read_text())["stages"]["detect"]
-    intra = {f"{kind}_intra.{ext}" for kind, ext in (("scores", "csv"), ("detection", "json"),
-                                                     ("histogram", "csv"))}
-    inter = {name.replace("intra", "inter") for name in intra}
-    for name, digest in after["artifacts"].items():
-        assert digest == sha256_file(sdir / name)
-    if damage is None:  # the inter entries stay, as recorded before
-        assert set(after["artifacts"]) == intra | inter
-        assert after["inter"] == before["inter"]
-        assert {n: after["artifacts"][n] for n in inter} == {
-            n: before["artifacts"][n] for n in inter}
-        assert after["intra"] == before["intra"]
-    else:  # a file lost its recorded hash, or q or the detect section changed:
-        # the method's entries go
-        assert set(after["artifacts"]) == intra
-        assert "inter" not in after
+    elif damage == "other q":
+        detect["q"] = 40
+    elif damage == "other detect section":
+        detect["histogram_bins"] = 7
+    raw = {**pipeline.raw, "output_dir": str(run), "detect": detect}
+    resolved = resolve_config(raw)
+    assert main(["detect", "--config", str(write_config(tmp_path / "c.json", raw)),
+                 "--quiet"]) == 0
+    entry = json.loads((sdir / "manifest.json").read_text())["stages"]["detect"]
+    names = [f"{kind}_{method}.{ext}" for kind, ext in (("scores", "csv"), ("detection", "json"),
+                                                        ("histogram", "csv"))
+             for method in ("intra", "inter")]
+    assert entry["artifacts"] == {name: sha256_file(sdir / name) for name in names}
+    assert entry["config_digest"] == run_config_digest(resolved)
+    assert entry["q"] == (40.0 if damage == "other q" else 25.0)
+    for method in ("intra", "inter"):
+        det = json.loads((sdir / f"detection_{method}.json").read_text())
+        assert (det["q"], det["config_digest"]) == (entry["q"], detection_config_digest(resolved))
+        assert entry[method] == {k: det[k] for k in ("selected_count", "precision", "recall")}
+        bins = len((sdir / f"histogram_{method}.csv").read_text().splitlines()) - 1
+        assert bins == (7 if damage == "other detect section" else 4)
+    if damage in (None, "edit", "delete"):  # the same config makes the same bytes
+        for name in names:
+            assert (sdir / name).read_bytes() == (pipeline.sdir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv,left_over", [
+    (["detect", "--method", "intra"], "--method intra"),
+    (["detect", "--q", "40"], "40"),  # argparse reads --q as an abbreviated --quiet
+    (["retrain", "--method", "inter"], "--method inter"),
+])
+def test_the_removed_method_and_q_flags_are_refused(pipeline, argv, left_over, capsys):
+    # the config alone chooses q and the retrain method, so an old flag is
+    # refused by argparse rather than ignored
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", str(pipeline.cfg_path), *argv[1:], "--quiet"])
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {left_over}\n" in capsys.readouterr().err
 
 
 def test_retrain_records_the_method_of_the_detection_file(pipeline, tmp_path):
@@ -555,6 +553,16 @@ def test_retrain_records_the_method_of_the_detection_file(pipeline, tmp_path):
     assert manifest["stages"]["retrain"]["method"] == "intra"
 
 
+def test_the_config_json_a_run_writes_replays_its_retrain(pipeline, tmp_path):
+    # the resolved file leaves retrain.detection_method null, as the run's
+    # config did, so it too applies a detection file of either method
+    run = copy_run(pipeline, tmp_path)
+    assert main(["retrain", "--config", str(run / "config.json"), "--out", str(run),
+                 "--detection", str(run / "seed_1" / "detection_intra.json"), "--quiet"]) == 0
+    assert json.loads((run / "seed_1" / "retrain.json").read_text())["detection_method"] == "intra"
+    assert json.loads((run / "config.json").read_text())["retrain"]["detection_method"] is None
+
+
 def test_retrain_refuses_a_method_the_detection_file_was_not_made_with(pipeline, tmp_path,
                                                                        capsys):
     run = copy_run(pipeline, tmp_path)
@@ -567,20 +575,17 @@ def test_retrain_refuses_a_method_the_detection_file_was_not_made_with(pipeline,
     odd_method.write_text(json.dumps({**det, "method": "x"}))
     not_object.write_text(json.dumps([det]))
     cases = [
-        ([str(pipeline.cfg_path), "--method", "inter"], det_path,
-         f"error: detection file {det_path} was made by method 'intra', but --method asks for "
-         "'inter'"),
-        ([str(set_inter)], det_path,
+        (str(set_inter), det_path,
          f"error: detection file {det_path} was made by method 'intra', but config field "
          "retrain.detection_method asks for 'inter'"),
-        ([str(pipeline.cfg_path)], odd_method,
+        (str(pipeline.cfg_path), odd_method,
          f"error: {odd_method}: detection.method must be one of ['intra', 'inter'], got 'x'"),
-        ([str(pipeline.cfg_path)], not_object, f"error: {not_object}: detection must be a JSON "
+        (str(pipeline.cfg_path), not_object, f"error: {not_object}: detection must be a JSON "
                                                "object"),
     ]
-    for (config, *flags), path, message in cases:
+    for config, path, message in cases:
         assert main(["retrain", "--config", config, "--out", str(run), "--detection",
-                     str(path), *flags, "--quiet"]) == 1
+                     str(path), "--quiet"]) == 1
         assert message in capsys.readouterr().err
         assert (run / "seed_1" / "retrain.json").read_bytes() == report
 
@@ -624,7 +629,7 @@ def test_retrain_applies_the_seed_directory_file_after_an_edit_detection_does_no
     assert run_config_digest(resolved) != run_config_digest(resolve_config(pipeline.raw))
     assert main(["retrain", "--config", str(write_config(tmp_path / "edited.json", raw)),
                  "--quiet"]) == 0
-    method = resolved["retrain"]["detection_method"]
+    method = resolved["retrain"]["detection_method"] or "inter"
     recorded = json.loads((sdir / f"detection_{method}.json").read_text())["config_digest"]
     assert recorded == detection_config_digest(resolved)
     report = json.loads((sdir / "retrain.json").read_text())
@@ -665,7 +670,7 @@ def test_detect_fails_when_a_detection_file_does_not_read_back(pipeline, tmp_pat
     monkeypatch.setattr(cli, "write_detection_json", lambda result, method, *rest:
                         real(result, "other", *rest))
     assert main(["detect", "--config", str(pipeline.cfg_path), "--out", str(run),
-                 "--method", "intra", "--quiet"]) == 1
+                 "--quiet"]) == 1
     det_path = run / "seed_1" / "detection_intra.json"
     assert (f"error: {det_path}: detection.method must be one of ['intra', 'inter'], "
             "got 'other'\n") in capsys.readouterr().err
@@ -681,18 +686,12 @@ def test_a_config_that_is_not_an_object_is_refused_with_out_too(tmp_path, capsys
     assert not out.exists()
 
 
-def test_detect_builds_the_centroid_bank_only_when_needed_and_once(pipeline, tmp_path,
-                                                                   monkeypatch, caplog):
+def test_detect_builds_the_centroid_bank_once(tmp_path, monkeypatch, caplog):
     calls = []
     real = nld.compute_centroids
     for module in (cli, nld):  # wherever detect might look it up
         monkeypatch.setattr(module, "compute_centroids",
                             lambda emb, ds: calls.append(len(ds)) or real(emb, ds))
-    # an AAMSC model's inter scores need no bank
-    run = copy_run(pipeline, tmp_path / "aamsc")
-    assert main(["detect", "--config", str(pipeline.cfg_path), "--out", str(run),
-                 "--method", "inter", "--quiet"]) == 0
-    assert calls == []
     # GE2E's inter classifier and the intra scores share one bank; observed
     # class 0, relabelled as 1, leaves the bank an empty class to warn about
     _, cfg_path, sdir = trained_ge2e_run(tmp_path)
@@ -701,7 +700,7 @@ def test_detect_builds_the_centroid_bank_only_when_needed_and_once(pipeline, tmp
     save_dataset(ds, tmp_path / "emptied.dataset")
     with caplog.at_level(logging.WARNING, logger="labelnoise.nld"):
         assert main(["detect", "--config", str(cfg_path), "--dataset",
-                     str(tmp_path / "emptied.dataset"), "--method", "both", "--quiet"]) == 0
+                     str(tmp_path / "emptied.dataset"), "--quiet"]) == 0
     assert calls == [30]
     assert [r.getMessage() for r in caplog.records].count(
         "centroid bank: 1 empty class(es): [0]") == 1
@@ -722,7 +721,7 @@ def test_detect_scores_a_ge2e_model_at_the_configured_centroid_temperature(tmp_p
     for temperature in (0.1, 1.0):
         cfg_path = write_config(tmp_path / f"t{temperature}.json", {
             **raw, "detect": {**raw["detect"], "centroid_temperature": temperature}})
-        assert main(["detect", "--config", str(cfg_path), "--method", "inter", "--quiet"]) == 0
+        assert main(["detect", "--config", str(cfg_path), "--quiet"]) == 0
         clf = CentroidClassifier(compute_centroids(emb, ds), temperature)
         write_scores_csv(inter_inconsistency(emb, ds, clf), ds, "inter", tmp_path / "want.csv")
         written.append((sdir / "scores_inter.csv").read_bytes())
@@ -833,10 +832,28 @@ def test_a_model_file_that_reads_back_with_other_bits_fails_the_stage(pipeline, 
         f"error: round-trip validation failed for {run / 'seed_1' / written}\n"
 
 
-def test_detect_rejects_out_of_range_q(pipeline, capsys):
-    assert main(["detect", "--config", str(pipeline.cfg_path),
-                 "--q", "150", "--quiet"]) == 1
-    assert "q must be in (0, 100]" in capsys.readouterr().err
+def test_detect_rejects_out_of_range_q(pipeline, tmp_path, capsys):
+    run = copy_run(pipeline, tmp_path)
+    before = _seed_dir_bytes(run / "seed_1")
+    cfg_path = write_config(tmp_path / "q150.json", {
+        **pipeline.raw, "output_dir": str(run), "detect": {**pipeline.raw["detect"], "q": 150}})
+    assert main(["detect", "--config", str(cfg_path), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: config field detect.q must be in (0, 100], got 150.0\n"
+    assert _seed_dir_bytes(run / "seed_1") == before
+
+
+def test_detect_refuses_a_dataset_with_no_rows(pipeline, tmp_path, capsys):
+    run = copy_run(pipeline, tmp_path)
+    before = _seed_dir_bytes(run / "seed_1")
+    ds = load_dataset(pipeline.sdir / "noisy.dataset")
+    empty = tmp_path / "empty.dataset"
+    save_dataset(dataclasses.replace(ds, **{name: getattr(ds, name)[:0] for name in (
+        "features", "utt_id", "true_class", "observed_class", "is_ood")}), empty)
+    assert len(load_dataset(empty)) == 0
+    assert main(["detect", "--config", str(pipeline.cfg_path), "--out", str(run),
+                 "--dataset", str(empty), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: dataset file {empty}: no utterances to score\n"
+    assert _seed_dir_bytes(run / "seed_1") == before
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -1197,6 +1214,19 @@ def test_report_with_malformed_input_exits_one_naming_the_file(pipeline, tmp_pat
     assert proc.stderr == f"error: {run / name}: {message}\n"
 
 
+def test_report_warns_once_about_a_missing_eer_file(pipeline, tmp_path, caplog, capsys):
+    run = copy_run(pipeline, tmp_path)
+    (run / "seed_1" / "eer.json").unlink()
+    with caplog.at_level(logging.WARNING, logger="labelnoise.cli"):
+        assert main(["report", str(run), "--quiet"]) == 0
+    assert [r.getMessage() for r in caplog.records if r.name == "labelnoise.cli"] == [
+        f"missing artifact {run / 'seed_1' / 'eer.json'}"]
+    # each method's row lacks the EER, not the detection
+    assert [row[5:] for row in csv.reader(io.StringIO(capsys.readouterr().out))][1:] == [
+        [format(json.loads((run / "seed_1" / f"detection_{method}.json").read_text())[k], ".6g")
+         for k in ("precision", "recall")] + ["missing", "1"] for method in ("intra", "inter")]
+
+
 def test_report_resolves_a_partial_run_config_with_the_defaults(tmp_path):
     run = tmp_path / "clean_run"
     run.mkdir()
@@ -1215,13 +1245,12 @@ def test_report_quotes_run_names_holding_commas_and_quotes(tmp_path, capsys):
     for i, name in enumerate(names):
         run = tmp_path / f"run{i}"
         run.mkdir()
-        (run / "config.json").write_text(json.dumps({"name": name, "noise": None,
-                                                     "detect": {"methods": ["intra"]}}))
+        (run / "config.json").write_text(json.dumps({"name": name, "noise": None}))
         runs.append(str(run))
     assert main(["report", *runs]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert [len(row) for row in rows] == [9, 9, 9]
-    assert [row[0] for row in rows[1:]] == names
+    assert [len(row) for row in rows] == [9] * 5
+    assert [row[0] for row in rows[1:]] == [name for name in names for _ in range(2)]
 
 
 def test_report_refuses_a_non_ascii_run_name_and_keeps_the_earlier_out_file(tmp_path):
