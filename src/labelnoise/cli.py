@@ -205,8 +205,10 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigurationError(
             f"config field retrain.detection_method must be null or one of {list(METHODS)}"
         )
-    # validate the train section end to end by instantiating it
-    build_train_config(resolved, d["class_count"], run_seed=0)
+    try:  # validate the train section end to end by instantiating it
+        build_train_config(resolved, d["class_count"], run_seed=0)
+    except LabelNoiseError as exc:
+        raise ConfigurationError(f"config field train: {exc}") from exc
     return resolved
 
 
@@ -558,38 +560,40 @@ _PIPELINE = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a flag is spelled in full, so --q is not read as --quiet
     parser = argparse.ArgumentParser(
-        prog="labelnoise",
+        prog="labelnoise", allow_abbrev=False,
         description="Label-noise simulation, embedder training, noisy-label "
                     "detection, and verification-style evaluation.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--config", required=True, help="run config JSON file")
     common.add_argument("--out", default=None, help="override the config's output_dir")
     common.add_argument("--seed", type=int, default=None,
                         help="run a single seed instead of the config's list")
     common.add_argument("--quiet", action="store_true", help="only warnings and errors")
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[common], allow_abbrev=False,
                        help="generate clean/auxiliary/held-out/noisy datasets")
-    p = sub.add_parser("train", parents=[common], help="train the embedder")
+    p = sub.add_parser("train", parents=[common], allow_abbrev=False, help="train the embedder")
     p.add_argument("--dataset", default=None, help="training dataset path")
-    p = sub.add_parser("detect", parents=[common],
+    p = sub.add_parser("detect", parents=[common], allow_abbrev=False,
                        help="rank inconsistency scores and flag the top q%%")
     p.add_argument("--model", default=None, help="trained model path")
     p.add_argument("--dataset", default=None, help="dataset to score")
-    p = sub.add_parser("eval", parents=[common], help="held-out EER of a trained model")
+    p = sub.add_parser("eval", parents=[common], allow_abbrev=False,
+                       help="held-out EER of a trained model")
     p.add_argument("--model", default=None, help="trained model path")
-    p = sub.add_parser("retrain", parents=[common],
+    p = sub.add_parser("retrain", parents=[common], allow_abbrev=False,
                        help="drop predicted-noisy utterances and retrain")
     p.add_argument("--model", default=None, help="baseline model path")
     p.add_argument("--dataset", default=None, help="training dataset path")
     p.add_argument("--detection", default=None, help="detection report to apply")
 
-    p = sub.add_parser("report", help="aggregate runs into a CSV summary")
+    p = sub.add_parser("report", allow_abbrev=False, help="aggregate runs into a CSV summary")
     p.add_argument("run_dirs", nargs="+", help="run output directories")
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     p.add_argument("--quiet", action="store_true", help="only warnings and errors")

@@ -359,10 +359,6 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[TrainedModel, list[tuple[int, 
     are checked finite after every step.
     """
     loss_cfg = cfg.loss
-    if not isinstance(loss_cfg, GE2EConfig) and loss_cfg.class_count != ds.class_count:
-        raise ConfigurationError(
-            f"loss class_count {loss_cfg.class_count} != dataset class_count {ds.class_count}"
-        )
     digest = digest_config(cfg.to_dict())
 
     batch_rng = named_rng(cfg.seed, "batches")

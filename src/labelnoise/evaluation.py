@@ -78,8 +78,6 @@ def generate_trials(ds: Dataset, pairs_per_kind: int, seed: int) -> Trials:
     Raises ConfigurationError when the dataset cannot supply enough of
     either kind.
     """
-    if pairs_per_kind < 1:
-        raise ConfigurationError(f"pairs_per_kind must be >= 1, got {pairs_per_kind}")
     if not ds.is_clean:
         raise ConfigurationError("trials must come from a clean dataset")
     rng = named_rng(seed, "trials")

@@ -28,7 +28,7 @@ import numpy as np
 from .embedder import TrainedModel, embed_batch
 from .errors import ConfigurationError, InternalError
 from .jsonutil import json_field, read_json_object, write_json17, write_rows
-from .losses import CEConfig, GE2EConfig, _cosine_logits, classify_confidence
+from .losses import CEConfig, _cosine_logits, classify_confidence
 from .numerics import l2_normalize_rows, row_dot, softmax
 from .synthdata import Dataset
 
@@ -128,11 +128,8 @@ class ParametricClassifier:
     """
 
     def __init__(self, model: TrainedModel):
-        cfg = model.loss_config
-        if isinstance(cfg, GE2EConfig):
-            raise ConfigurationError("GE2E models need the centroid classifier")
         self._params = model.classifier
-        self._cfg = cfg
+        self._cfg = cfg = model.loss_config
         self._unit_weight = (None if isinstance(cfg, CEConfig)
                              else l2_normalize_rows(model.classifier.weight, "weight")[0])
         self.class_ids = list(range(cfg.class_count))
@@ -149,10 +146,6 @@ class CentroidClassifier:
     """
 
     def __init__(self, bank: CentroidBank, temperature: float):
-        if temperature <= 0:
-            raise ConfigurationError(f"temperature must be positive, got {temperature}")
-        if not bank.counts.any():
-            raise ConfigurationError("centroid bank is empty")
         cent = bank.centroids
         # the bits of np.linalg.norm and of the division, row by row
         norms = np.sqrt(row_dot(cent, cent))
@@ -196,18 +189,10 @@ def inter_inconsistency(emb: np.ndarray, ds: Dataset, classifier) -> np.ndarray:
 def rank_and_select(scores: np.ndarray, utt_id: np.ndarray, q: float) -> DetectionResult:
     """Predict the ceil(q/100 * n) utterances with the largest scores.
 
-    ``scores`` and ``utt_id`` are parallel arrays. Boundary ties break
-    toward ascending utt_id. ``q = 0`` produces an empty (valid)
-    prediction.
+    ``scores`` (float64) and ``utt_id`` (int64) are parallel arrays.
+    Boundary ties break toward ascending utt_id. ``q = 0`` produces an
+    empty (valid) prediction.
     """
-    if not 0.0 <= q <= 100.0:
-        raise ConfigurationError(f"q must be in [0, 100], got {q}")
-    scores = np.asarray(scores, dtype=np.float64)
-    utt_id = np.asarray(utt_id, dtype=np.int64)
-    if scores.shape != utt_id.shape:
-        raise ConfigurationError(
-            f"expected one score per utterance ({len(utt_id)}), got {len(scores)}"
-        )
     # tiny slack keeps ceil() immune to float round-up on exact multiples
     k = math.ceil(q * len(scores) / 100.0 - 1e-9)
     ranked = np.lexsort((utt_id, -scores))
@@ -233,8 +218,6 @@ def export_score_histogram(scores: np.ndarray, ds: Dataset, bins: int
     Identical scores degenerate to a single all-containing bin, with a
     warning.
     """
-    if bins < 2:
-        raise ConfigurationError(f"need at least 2 bins, got {bins}")
     values = np.asarray(scores, dtype=np.float64)
     flags = ds.is_noisy
     lo, hi = float(values.min()), float(values.max())

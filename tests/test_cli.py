@@ -109,6 +109,22 @@ def test_resolve_config_fills_defaults():
      "unknown config field detect.methods"),
     ({"output_dir": "x", "detect": {"methods": ["inter"]}}, "unknown config field detect.methods"),
     ({"output_dir": "x", "detect": {"centroid_temperature": 0}}, "centroid_temperature"),
+    ({"output_dir": "x", "detect": {"histogram_bins": 1}}, "detect.histogram_bins must be >= 2"),
+    ({"output_dir": "x", "dataset": {"aux_per_class": 1}}, "dataset.aux_per_class must be >= 2"),
+    ({"output_dir": "x", "dataset": {"per_class": 1}}, "dataset.per_class must be >= 2"),
+    ({"output_dir": "x", "dataset": {"latent_dim": 0}}, "dataset.latent_dim must be >= 1"),
+    # the train section is checked by building it; its refusals name the section
+    ({"output_dir": "x", "train": {"learning_rate": 0}},
+     "^config field train: learning_rate must be positive, got 0.0$"),
+    ({"output_dir": "x", "train": {"easy_margin_fraction": 1.5}},
+     "^config field train: easy_margin_fraction must be in"),
+    ({"output_dir": "x", "train": {"loss": {"kind": "aam", "scale": 0}}},
+     "^config field train: scale must be positive"),
+    ({"output_dir": "x", "train": {"loss": {"kind": "aamsc", "margin": 2.0}}},
+     "^config field train: margin must be in"),
+    ({"output_dir": "x", "train": {"loss": {"kind": "ge2e"}, "batch_speakers": 1,
+                                   "utts_per_speaker": 2}},
+     "^config field train: GE2E needs batch_speakers >= 2"),
     ({"output_dir": "x", "eval": {"pairs_per_kind": 0}}, "pairs_per_kind"),
     ({"output_dir": "x", "retrain": {"detection_method": "psychic"}}, "detection_method"),
     ({"output_dir": "x", "format_version": True}, "format_version"),
@@ -529,7 +545,8 @@ def test_detect_rewrites_both_methods_files_and_entries_whatever_came_before(pip
 
 @pytest.mark.parametrize("argv,left_over", [
     (["detect", "--method", "intra"], "--method intra"),
-    (["detect", "--q", "40"], "40"),  # argparse reads --q as an abbreviated --quiet
+    (["detect", "--q", "40"], "--q 40"),  # not an abbreviated --quiet
+    (["detect", "--mod", "model.json"], "--mod model.json"),  # not an abbreviated --model
     (["retrain", "--method", "inter"], "--method inter"),
 ])
 def test_the_removed_method_and_q_flags_are_refused(pipeline, argv, left_over, capsys):

@@ -555,13 +555,6 @@ def test_train_ce_smoke_separable_data():
     assert curve[-1][1] < 0.1
 
 
-def test_train_class_count_mismatch():
-    ds = small_ds(class_count=4)
-    cfg = tiny_cfg(loss=CEConfig(class_count=5))
-    with pytest.raises(ConfigurationError, match="class_count"):
-        train(ds, cfg)
-
-
 def test_train_ge2e_keeps_bias_and_floors_w():
     ds = small_ds(class_count=4, per_class=6)
     model, curve = train(ds, tiny_ge2e_cfg())

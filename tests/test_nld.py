@@ -23,7 +23,6 @@ from labelnoise.losses import (
     AAMSCConfig,
     CEConfig,
     ClassifierParams,
-    GE2EConfig,
     classify_confidence,
 )
 from labelnoise.nld import (
@@ -151,6 +150,8 @@ def test_array_bank_has_the_bits_of_the_dict_bank():
 @pytest.mark.parametrize("temperature", [0.1, 1.0])
 def test_array_centroid_classifier_has_the_bits_of_the_dict_one(temperature):
     for emb, ds in _bank_cases():
+        if not len(ds):  # detect refuses a dataset with no rows before it builds a bank
+            continue
         bank, ref = compute_centroids(emb, ds), dict_compute_centroids(emb, ds)
         try:
             ids, directions = dict_build_centroid_classifier(ref, temperature)
@@ -268,12 +269,6 @@ def test_parametric_classifier_rejects_zero_weight_row_when_built():
                                             classifier=params))
 
 
-def test_parametric_classifier_rejects_ge2e():
-    model = identity_model(2, loss_cfg=GE2EConfig(), classifier=None)
-    with pytest.raises(ConfigurationError, match="centroid classifier"):
-        ParametricClassifier(model)
-
-
 def _unit_bank(directions) -> CentroidBank:
     directions = np.asarray(directions, dtype=np.float64)
     return CentroidBank(centroids=directions, counts=np.ones(len(directions), dtype=np.int64))
@@ -326,16 +321,10 @@ def test_centroid_classifier_excludes_zero_norm_centroids(caplog):
 
 
 def test_centroid_classifier_rejects_degenerate_banks():
-    for empty in (CentroidBank(centroids=np.zeros((0, 2)), counts=np.zeros(0, dtype=np.int64)),
-                  CentroidBank(centroids=np.zeros((2, 2)), counts=np.array([0, 0]))):
-        with pytest.raises(ConfigurationError, match="empty"):
-            CentroidClassifier(empty, DEFAULT_CENTROID_TEMPERATURE)
+    # a model whose embeddings average to zero in every class reaches this
     all_zero = CentroidBank(centroids=np.zeros((1, 2)), counts=np.array([1]))
     with pytest.raises(ConfigurationError, match="zero norm"):
         CentroidClassifier(all_zero, DEFAULT_CENTROID_TEMPERATURE)
-    ok = CentroidBank(centroids=np.array([[1.0, 0.0]]), counts=np.array([1]))
-    with pytest.raises(ConfigurationError, match="temperature"):
-        CentroidClassifier(ok, temperature=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -594,15 +583,6 @@ def test_rank_and_select_no_float_round_up_on_exact_multiples():
     assert got.predicted_noisy.tolist() == [999]
 
 
-def test_rank_and_select_validation():
-    with pytest.raises(ConfigurationError, match="q must be"):
-        _rank([0.1, 0.2], q=-1.0)
-    with pytest.raises(ConfigurationError, match="q must be"):
-        _rank([0.1, 0.2], q=100.5)
-    with pytest.raises(ConfigurationError, match="one score per utterance"):
-        rank_and_select(np.array([0.1, 0.2]), np.arange(3), q=50.0)
-
-
 def test_rank_and_select_invariant_under_monotone_rescaling():
     rng = np.random.default_rng(8)
     values = rng.permutation(np.linspace(0.0, 1.0, 60)).tolist()
@@ -682,12 +662,6 @@ def test_histogram_degenerate_scores_single_bin(caplog):
         rows = export_score_histogram(np.full(3, 0.4), ds, bins=4)
     assert rows == [(0.0, 1.0, 1, 2)]
     assert "identical" in caplog.text
-
-
-def test_histogram_needs_two_bins():
-    ds = make_dataset(np.eye(2), [0, 0])
-    with pytest.raises(ConfigurationError, match="bins"):
-        export_score_histogram(np.array([0.1, 0.2]), ds, bins=1)
 
 
 def test_histogram_matches_brute_force():
