@@ -315,7 +315,10 @@ def ge2e_loss(embeddings: np.ndarray, params: ClassifierParams) -> LossOutput:
     w * cos + b, followed by softmax cross-entropy against the own-speaker
     slot. Gradients cover the embeddings (including centroid paths) and
     the scalars w, b. Norms skip the ``np.linalg.norm`` wrapper and the
-    diagonal takes one flat index; the bits are the plain form's in C order.
+    diagonal takes one flat index. The contractions are 2-D BLAS products
+    on (N*M, ...) views: cosines ``ehat @ chat.T`` and gradients
+    ``dcos @ chat`` (embeddings) and ``dcos.T @ ehat`` (centroids); the
+    bits do not depend on the memory layout of ``embeddings``.
     """
     e = np.ascontiguousarray(embeddings, dtype=np.float64)
     if e.ndim != 3:
@@ -347,7 +350,7 @@ def ge2e_loss(embeddings: np.ndarray, params: ClassifierParams) -> LossOutput:
     # cosmat[j, i, k]: utterance (j, i) against speaker k's centroid,
     # self-excluded on the diagonal k == j, which is flat entry diag[j, i].
     diag = _ge2e_diagonal(n, m)
-    cosmat = np.einsum("jid,kd->jik", ehat, chat)
+    cosmat = (ehat.reshape(n * m, dim) @ chat.T).reshape(n, m, n)
     diag_cos = np.einsum("jid,jid->ji", ehat, cexhat)
     cosmat.put(diag, diag_cos)
     np.maximum(np.minimum(cosmat, 1.0, out=cosmat), -1.0, out=cosmat)
@@ -366,13 +369,13 @@ def ge2e_loss(embeddings: np.ndarray, params: ClassifierParams) -> LossOutput:
     sum_dc = np.add.reduce(dcos * cosmat, axis=2)
     dcos.put(diag, 0.0)
     cosmat.put(diag, 0.0)
-    grad_e = np.einsum("jik,kd->jid", dcos, chat)
+    grad_e = (dcos.reshape(n * m, n) @ chat).reshape(n, m, dim)
     grad_e += dcos_diag[:, :, None] * cexhat
     grad_e -= sum_dc[:, :, None] * ehat
     grad_e /= enorm[:, :, None]
 
     # full-centroid path, distributed evenly over the speaker's utterances
-    dcent = np.einsum("jik,jid->kd", dcos, ehat)
+    dcent = dcos.reshape(n * m, n).T @ ehat.reshape(n * m, dim)
     dcent -= np.einsum("jik,jik->k", dcos, cosmat)[:, None] * chat
     dcent /= cnorm[:, None]
     grad_e += dcent[:, None, :] / m

@@ -24,9 +24,12 @@ and inter-class loop are the forms whose bits ``classify_confidence``,
 reproduce. The one-call-per-operation GE2E loss (``np.linalg.norm``,
 fancy-indexed diagonal, ``np.clip``, ``np.mean`` and ``.copy()``), with
 the method-form ``log_sum_exp`` that it and the AAM step call, is the
-form whose value and gradients ``ge2e_loss`` must reproduce bit for bit,
-and the fancy-indexed CE loss (``np.mean`` over ``logits[rows, y]``)
-with the same ``log_sum_exp`` is the one ``ce_loss`` must reproduce.
+form whose value and gradients ``ge2e_loss`` must reproduce bit for bit;
+its three contractions are 2-D matrix products, and the same loss with
+them as ``np.einsum`` calls is the form ``ge2e_loss`` must match to
+rounding. The fancy-indexed CE loss (``np.mean`` over
+``logits[rows, y]``) with the same ``log_sum_exp`` is the one
+``ce_loss`` must reproduce.
 The dict-keyed centroid bank, intra-class score and centroid
 classifier are the per-class forms whose bits the array bank must
 reproduce. ``read_trials_csv`` reads back what ``write_trials_csv``
@@ -913,7 +916,18 @@ def plain_log_sum_exp(z):
 
 
 def plain_ge2e_loss(embeddings: np.ndarray, params: ClassifierParams) -> LossOutput:
-    """Contrastive (GE2E) loss on N x M grouped embeddings."""
+    """Contrastive (GE2E) loss on N x M grouped embeddings, its three
+    contractions as 2-D matrix products on (N*M, ...) views."""
+    return _reference_ge2e_loss(embeddings, params, einsum=False)
+
+
+def einsum_ge2e_loss(embeddings: np.ndarray, params: ClassifierParams) -> LossOutput:
+    """The same loss with its three contractions as ``np.einsum`` calls."""
+    return _reference_ge2e_loss(embeddings, params, einsum=True)
+
+
+def _reference_ge2e_loss(embeddings: np.ndarray, params: ClassifierParams,
+                         einsum: bool) -> LossOutput:
     e = np.asarray(embeddings, dtype=np.float64)
     if e.ndim != 3:
         raise ConfigurationError(f"expected N x M x dim embeddings, got shape {e.shape}")
@@ -945,7 +959,10 @@ def plain_ge2e_loss(embeddings: np.ndarray, params: ClassifierParams) -> LossOut
 
     # cosmat[j, i, k]: utterance (j, i) against speaker k's centroid,
     # self-excluded on the diagonal k == j.
-    cosmat = np.einsum("jid,kd->jik", ehat, chat)
+    if einsum:
+        cosmat = np.einsum("jid,kd->jik", ehat, chat)
+    else:
+        cosmat = (ehat.reshape(n * m, dim) @ chat.T).reshape(n, m, n)
     diag_cos = np.einsum("jid,jid->ji", ehat, cexhat)
     idx = np.arange(n)
     cosmat[idx, :, idx] = diag_cos
@@ -970,7 +987,10 @@ def plain_ge2e_loss(embeddings: np.ndarray, params: ClassifierParams) -> LossOut
 
     # first-argument path of every cosine
     sum_dc = np.sum(dcos * cosmat, axis=2)
-    grad_e = np.einsum("jik,kd->jid", dcos_off, chat)
+    if einsum:
+        grad_e = np.einsum("jik,kd->jid", dcos_off, chat)
+    else:
+        grad_e = (dcos_off.reshape(n * m, n) @ chat).reshape(n, m, dim)
     grad_e += dcos_diag[:, :, None] * cexhat
     grad_e -= sum_dc[:, :, None] * ehat
     grad_e /= enorm[:, :, None]
@@ -978,7 +998,10 @@ def plain_ge2e_loss(embeddings: np.ndarray, params: ClassifierParams) -> LossOut
     # full-centroid path, distributed evenly over the speaker's utterances
     cos_off = cosmat.copy()
     cos_off[idx, :, idx] = 0.0
-    dcent = np.einsum("jik,jid->kd", dcos_off, ehat)
+    if einsum:
+        dcent = np.einsum("jik,jid->kd", dcos_off, ehat)
+    else:
+        dcent = dcos_off.reshape(n * m, n).T @ ehat.reshape(n * m, dim)
     dcent -= np.einsum("jik,jik->k", dcos_off, cos_off)[:, None] * chat
     dcent /= cnorm[:, None]
     grad_e += dcent[:, None, :] / m

@@ -11,7 +11,6 @@ import json
 import math
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 

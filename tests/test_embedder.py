@@ -3,8 +3,11 @@
 import base64
 import json
 import math
+import os
+import subprocess
 import sys
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,6 +651,41 @@ def test_train_ge2e_matches_the_plain_step_bit_for_bit(monkeypatch, seed):
     assert (model.classifier.ge2e_w, model.classifier.ge2e_b) == (
         ref_model.classifier.ge2e_w, ref_model.classifier.ge2e_b)
     assert state.step_count == ref_state.step_count == 400
+
+
+# Shapes whose products OpenBLAS splits over threads (M*N*K above 262144):
+# the 256-row GE2E batch through a 20 -> 64 layer and its (256 x 32) @ (32 x 64)
+# cosines, and the 50-row AAMSC batch against 200 x 3 sub-centers.
+THREADED_TRAIN = {
+    "ge2e": ("generate_dataset(64, 5, 8, 20, 0.3, seed=0, mix_seed=0)",
+             "TrainConfig(loss=GE2EConfig(), total_steps=300, batch_speakers=64, "
+             "utts_per_speaker=4, hidden_dims=(64,), embed_dim=32)"),
+    "aamsc": ("generate_dataset(200, 3, 8, 20, 0.3, seed=0, mix_seed=0)",
+              "TrainConfig(loss=AAMSCConfig(class_count=200, scale=30.0, margin=0.2, "
+              "subcenters=3), total_steps=300, batch_speakers=50, hidden_dims=(64,), "
+              "embed_dim=32)"),
+}
+
+
+@pytest.mark.parametrize("loss", sorted(THREADED_TRAIN))
+def test_trained_bits_do_not_depend_on_the_blas_thread_count(loss):
+    dataset, cfg = THREADED_TRAIN[loss]
+    code = ("import hashlib\n"
+            "from labelnoise.embedder import TrainConfig, parameter_vector, train\n"
+            "from labelnoise.losses import AAMSCConfig, GE2EConfig\n"
+            "from labelnoise.synthdata import generate_dataset\n"
+            f"model, _ = train({dataset}, {cfg})\n"
+            "print(hashlib.sha256(parameter_vector(model).tobytes()).hexdigest())\n")
+    src = str(Path(embedder.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=300, env=dict(os.environ, PYTHONPATH=src,
+                                                    OPENBLAS_NUM_THREADS=threads,
+                                                    OMP_NUM_THREADS=threads))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("loss", [

@@ -1,5 +1,5 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every parameter of a package function is read in its body."""
+"""Source hygiene: every name a package or test module imports is used in
+it, and every parameter of a package function is read in its body."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ from labelnoise.cli import _PIPELINE
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "labelnoise"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module):
@@ -26,7 +27,8 @@ def test_the_package_has_modules():
     assert len(MODULES) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -29,6 +29,7 @@ from labelnoise.numerics import l2_normalize_rows, log_sum_exp, softmax
 from labelnoise.seeding import named_rng
 from oracles import (
     _plain_margin_cross_entropy,
+    einsum_ge2e_loss,
     plain_aam_loss,
     plain_aamsc_loss,
     plain_ce_loss,
@@ -564,6 +565,34 @@ def ge2e_batches(draw):
 def test_ge2e_matches_the_plain_step_bit_for_bit(batch):
     e, w, b = batch
     assert _ge2e_bits(ge2e_loss, e, w, b) == _ge2e_bits(plain_ge2e_loss, e, w, b)
+
+
+@given(ge2e_batches())
+@settings(max_examples=300, deadline=None)
+def test_ge2e_matches_the_einsum_step_to_rounding(batch):
+    # the BLAS products round differently from np.einsum, so each output is
+    # compared at its own scale: the value at ln N (its value when all
+    # cosines are equal), grad_w and grad_b as they are (both at most 2)
+    e, w, b = batch
+    try:
+        want = einsum_ge2e_loss(e, ClassifierParams(ge2e_w=w, ge2e_b=b))
+    except DomainError as exc:  # zero-norm draws: the same refusal
+        assert _ge2e_bits(ge2e_loss, e, w, b) == (DomainError, str(exc))
+        return
+    got = ge2e_loss(e, ClassifierParams(ge2e_w=w, ge2e_b=b))
+    n, m, _ = e.shape
+    assert abs(got.value - want.value) / math.log(n) <= 1e-12
+    assert abs(got.grad_params.ge2e_w - want.grad_params.ge2e_w) <= 1e-12
+    assert abs(got.grad_params.ge2e_b - want.grad_params.ge2e_b) <= 1e-12
+    # a speaker's gradient rows are w over its embedding, centroid and
+    # self-excluded centroid norms; the smallest of these sets their scale
+    csum = e.sum(axis=1)
+    cex = (csum[:, None] - e) / (m - 1)
+    smallest = np.minimum.reduce([np.linalg.norm(e, axis=2).min(axis=1),
+                                  np.linalg.norm(csum / m, axis=1),
+                                  np.linalg.norm(cex, axis=2).min(axis=1)])
+    err = np.abs(got.grad_embeddings - want.grad_embeddings) * (smallest / w)[:, None, None]
+    assert err.max() <= 1e-12
 
 
 def test_ge2e_bit_for_bit_draws_reach_the_clip():
