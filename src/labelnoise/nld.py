@@ -162,27 +162,43 @@ class CentroidClassifier:
         return softmax(_cosine_logits(x, self._directions, 1, self._temperature))
 
 
+# probability rows checked and scored at once: (256, C) float64, 400 KB at C = 200
+_SCORE_BLOCK = 256
+
+
 def inter_inconsistency(emb: np.ndarray, ds: Dataset, classifier) -> np.ndarray:
     """1 - confidence in the observed label, in dataset order.
 
-    A classifier output that is not a probability vector (a negative
-    entry, or a sum away from 1) is an internal error.
+    The classifier is called once per scorable utterance. Its outputs are
+    gathered into a block of rows; the probability check and the pick of
+    the observed class's column then run over the whole block. A classifier
+    output of the wrong length, or one that is not a probability vector (a
+    negative entry, or a sum away from 1), is an internal error.
     """
-    index_of = {c: i for i, c in enumerate(classifier.class_ids)}
-    bad = (np.sqrt(row_dot(emb, emb)) == 0.0) | ~np.isin(ds.observed_class, classifier.class_ids)
+    ids = np.asarray(classifier.class_ids, dtype=np.int64)
+    bad = (np.sqrt(row_dot(emb, emb)) == 0.0) | ~np.isin(ds.observed_class, ids)
     _warn_degenerate(ds, bad, "no usable confidence (degenerate embedding or missing class)",
                      "inter-class")
-    observed = ds.observed_class.tolist()
-    confidences, add, minimum = classifier.confidences, np.add.reduce, np.minimum.reduce
+    column_of = np.zeros(ids.max(initial=-1) + 1, dtype=np.intp)
+    column_of[ids] = np.arange(len(ids))  # ids in the classifier's order, sorted or not
+    rows = np.flatnonzero(~bad)
+    width, confidences = len(ids), classifier.confidences
+    probs = np.empty((min(_SCORE_BLOCK, len(rows)), width))
     scores = np.full(len(ds), MAX_INTER_SCORE)
-    for i in np.flatnonzero(~bad).tolist():
-        p = confidences(emb[i])
-        total, lowest = float(add(p)), float(minimum(p))
-        if abs(total - 1.0) > 1e-6 or lowest < 0.0:
-            raise InternalError(
-                f"classifier output is not a probability vector (sum {total!r}, min {lowest!r})"
-            )
-        scores[i] = 1.0 - float(p[index_of[observed[i]]])
+    for start in range(0, len(rows), _SCORE_BLOCK):
+        block = rows[start:start + _SCORE_BLOCK]
+        p = probs[:len(block)]
+        for r, i in enumerate(block.tolist()):
+            p_row = confidences(emb[i])
+            if len(p_row) != width:
+                raise InternalError(f"classifier output has {len(p_row)} entries, "
+                                    f"expected {width} (one per class id)")
+            p[r] = p_row
+        total, lowest = np.add.reduce(p, axis=1), np.minimum.reduce(p, axis=1)
+        if (off := np.flatnonzero((np.abs(total - 1.0) > 1e-6) | (lowest < 0.0))).size:
+            raise InternalError("classifier output is not a probability vector "
+                                f"(sum {float(total[off[0]])!r}, min {float(lowest[off[0]])!r})")
+        scores[block] = 1.0 - p[np.arange(len(block)), column_of[ds.observed_class[block]]]
     return scores
 
 

@@ -27,6 +27,7 @@ from labelnoise.losses import (
 )
 from labelnoise.nld import (
     DEFAULT_CENTROID_TEMPERATURE,
+    _SCORE_BLOCK,
     MAX_INTER_SCORE,
     METHOD_INTER,
     METHOD_INTRA,
@@ -404,52 +405,85 @@ def test_centroid_confidences_have_the_bits_of_the_plain_form(temperature):
             plain_centroid_confidences(directions, temperature, x).tobytes()
 
 
-def _dataset_with_degenerate_rows(rng) -> tuple[np.ndarray, list[int]]:
-    """Embeddings with zero-norm rows, and class 4 holding x and -x (a
-    zero-norm centroid); class _CLASSES is outside every parametric
-    classifier."""
-    feats = rng.standard_normal((130, _DIM)) * rng.uniform(1e-2, 1e2, (130, 1))
-    observed = list(range(_CLASSES)) * 10
-    feats[[5, 40, 77]] = 0.0
+def _dataset_with_degenerate_rows(rng, n: int) -> tuple[np.ndarray, list[int]]:
+    """Embeddings with a zero-norm row every 37 rows, and class 4 holding
+    x and -x (a zero-norm centroid); every 41st row is in class _CLASSES,
+    which is outside every parametric classifier. Both kinds recur often
+    enough to sit on both sides of every block boundary of inter scoring."""
+    feats = rng.standard_normal((n, _DIM)) * rng.uniform(1e-2, 1e2, (n, 1))
+    observed = [i % _CLASSES for i in range(n)]
+    observed[9::41] = [_CLASSES] * len(observed[9::41])
+    feats[5::37] = 0.0
     members = [i for i, c in enumerate(observed) if c == 4]
-    feats[members[1::2]] = -feats[members[0::2]]
-    observed[9] = observed[90] = _CLASSES
+    pairs = len(members) // 2
+    feats[members[1::2]] = -feats[members[0::2]][:pairs]
+    feats[members[2 * pairs:]] = 0.0  # the odd one out, if any
     return feats, observed
+
+
+# a dataset of fewer rows than one block, and one of 2 blocks + 3 rows
+_SIZES = (130, 2 * _SCORE_BLOCK + 3)
+
+
+def _assert_degenerate_rows_score_maximal(got, feats, ds, class_ids):
+    scorable = feats.any(axis=1) & np.isin(ds.observed_class, class_ids)
+    assert (got[~scorable] == MAX_INTER_SCORE).all()
+    assert (ds.observed_class == _CLASSES).any() and not feats[5].any()
+    if len(ds) > _SCORE_BLOCK:  # zero-norm and missing-class rows on both sides of a boundary
+        boundary = np.flatnonzero(scorable)[_SCORE_BLOCK]
+        for side in (~scorable[boundary - 37:boundary], ~scorable[boundary:boundary + 41]):
+            assert side.any()
 
 
 @pytest.mark.parametrize("loss_cfg", [AAMSCConfig(_CLASSES, 30.0, 0.1, subcenters=3),
                                       CEConfig(_CLASSES)], ids=lambda cfg: cfg.kind)
 def test_inter_parametric_has_the_bits_of_the_plain_loop(loss_cfg):
     rng = np.random.default_rng(79)
-    feats, observed = _dataset_with_degenerate_rows(rng)
-    ds = make_dataset(feats, observed, class_count=_CLASSES + 1)
-    weight = _scoring_weight(rng, getattr(loss_cfg, "subcenters", 1))
-    params = ClassifierParams(weight=weight,
-                              bias=rng.normal(size=_CLASSES) if loss_cfg.kind == "ce" else None)
-    model = identity_model(_DIM, loss_cfg=loss_cfg, classifier=params)
-    got = inter_inconsistency(ds.features, ds, ParametricClassifier(model))
-    want = plain_inter_inconsistency(feats, ds.observed_class, list(range(_CLASSES)),
-                                     lambda x: plain_classify_confidence(x, params, loss_cfg))
-    assert got.tobytes() == want.tobytes()
-    assert (got[[5, 40, 77, 9, 90]] == MAX_INTER_SCORE).all()  # zero norm, missing class
+    for n in _SIZES:
+        feats, observed = _dataset_with_degenerate_rows(rng, n)
+        ds = make_dataset(feats, observed, class_count=_CLASSES + 1)
+        weight = _scoring_weight(rng, getattr(loss_cfg, "subcenters", 1))
+        params = ClassifierParams(weight=weight, bias=rng.normal(size=_CLASSES)
+                                  if loss_cfg.kind == "ce" else None)
+        model = identity_model(_DIM, loss_cfg=loss_cfg, classifier=params)
+        got = inter_inconsistency(ds.features, ds, ParametricClassifier(model))
+        want = plain_inter_inconsistency(feats, ds.observed_class, list(range(_CLASSES)),
+                                         lambda x: plain_classify_confidence(x, params, loss_cfg))
+        assert got.tobytes() == want.tobytes()
+        _assert_degenerate_rows_score_maximal(got, feats, ds, list(range(_CLASSES)))
 
 
 @pytest.mark.parametrize("temperature", [0.1, 1.0])
 def test_inter_centroid_has_the_bits_of_the_plain_loop(temperature):
     rng = np.random.default_rng(80)
-    feats, observed = _dataset_with_degenerate_rows(rng)
+    for n in _SIZES:
+        feats, observed = _dataset_with_degenerate_rows(rng, n)
+        ds = make_dataset(feats, observed, class_count=_CLASSES + 1)
+        bank = compute_centroids(ds.features, ds)
+        clf = CentroidClassifier(bank, temperature)
+        got = inter_inconsistency(ds.features, ds, clf)
+        assert 4 not in clf.class_ids  # its centroid has zero norm
+        directions = np.stack([bank.centroids[c] / np.linalg.norm(bank.centroids[c])
+                               for c in clf.class_ids])
+        want = plain_inter_inconsistency(
+            feats, ds.observed_class, clf.class_ids,
+            lambda x: plain_centroid_confidences(directions, temperature, x))
+        assert got.tobytes() == want.tobytes()
+        _assert_degenerate_rows_score_maximal(got, feats, ds, clf.class_ids)
+
+
+def test_inter_calls_the_classifier_once_per_scorable_utterance_in_order():
+    # the benchmark's traced smoke test pins nld.confidences.calls at one
+    # per utterance; this holds the same count in the tier-1 suite
+    feats, observed = _dataset_with_degenerate_rows(np.random.default_rng(81), _SIZES[1])
     ds = make_dataset(feats, observed, class_count=_CLASSES + 1)
-    bank = compute_centroids(ds.features, ds)
-    clf = CentroidClassifier(bank, temperature)
-    got = inter_inconsistency(ds.features, ds, clf)
-    assert 4 not in clf.class_ids  # its centroid has zero norm
-    directions = np.stack([bank.centroids[c] / np.linalg.norm(bank.centroids[c])
-                           for c in clf.class_ids])
-    want = plain_inter_inconsistency(
-        feats, ds.observed_class, clf.class_ids,
-        lambda x: plain_centroid_confidences(directions, temperature, x))
-    assert got.tobytes() == want.tobytes()
-    assert (got[[5, 40, 77, *np.flatnonzero(ds.observed_class == 4)]] == MAX_INTER_SCORE).all()
+    calls = []
+    clf = StubClassifier(list(range(_CLASSES)),
+                         lambda x: calls.append(x.copy()) or np.full(_CLASSES, 1.0 / _CLASSES))
+    inter_inconsistency(ds.features, ds, clf)
+    scorable = feats.any(axis=1) & (ds.observed_class != _CLASSES)
+    assert len(calls) == np.count_nonzero(scorable) > _SCORE_BLOCK
+    assert np.stack(calls).tobytes() == feats[scorable].tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -510,6 +544,33 @@ def test_inter_rejects_masked_min_disagreement():
     clf = StubClassifier([0, 1], lambda x: [-0.5, 1.5])
     with pytest.raises(InternalError, match=r"not a probability vector .*min -0\.5"):
         inter_inconsistency(ds.features, ds, clf)
+
+
+def test_inter_names_the_first_non_probability_row_of_a_later_block():
+    n = _SIZES[1]
+    ds = make_dataset(np.column_stack([np.arange(n), np.ones(n)]), [0] * n)
+    outputs = {_SCORE_BLOCK + 7: [0.25, 0.5], _SCORE_BLOCK + 9: [-0.5, 1.5]}
+    clf = StubClassifier([0, 1], lambda x: outputs.get(int(x[0]), [0.5, 0.5]))
+    with pytest.raises(InternalError, match=re.escape(
+            "not a probability vector (sum 0.75, min 0.25)")):
+        inter_inconsistency(ds.features, ds, clf)
+
+
+@pytest.mark.parametrize("output", [[1.0], [0.2, 0.3, 0.5]])
+def test_inter_rejects_an_output_of_the_wrong_length(output):
+    ds = make_dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+    clf = StubClassifier([0, 1], lambda x: output)
+    with pytest.raises(InternalError, match=f"output has {len(output)} entries, expected 2"):
+        inter_inconsistency(ds.features, ds, clf)
+
+
+def test_inter_reads_the_column_of_each_class_id_in_the_classifier_order():
+    ds = make_dataset([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]], [0, 1, 2, 2],
+                      class_count=3)
+    clf = StubClassifier([2, 0, 1], lambda x: [0.5, 0.25, 0.25] if x[0] == 1.0 else
+                         [0.125, 0.375, 0.5])
+    got = inter_inconsistency(ds.features, ds, clf)
+    assert got.tolist() == [0.75, 0.5, 0.5, 0.875]
 
 
 def test_inter_matches_brute_force():

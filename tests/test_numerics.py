@@ -316,6 +316,17 @@ def test_numpy_reduce_calls_are_the_method_and_wrapper_reductions():
             "np.minimum.reduce no longer equals np.min"
 
 
+def test_numpy_rowwise_reductions_are_the_per_row_ones():
+    vectors = _special_vectors()
+    for size in sorted({len(v) for v in vectors}):
+        rows = np.stack([v for v in vectors if len(v) == size])
+        for r, v in enumerate(rows):
+            assert _bits(np.add.reduce(rows, axis=1)[r]) == _bits(np.add.reduce(v)), \
+                "np.add.reduce along the rows of a block no longer equals it on one row"
+            assert _bits(np.minimum.reduce(rows, axis=1)[r]) == _bits(np.minimum.reduce(v)), \
+                "np.minimum.reduce along the rows of a block no longer equals it on one row"
+
+
 def test_numpy_in_place_division_is_the_out_of_place_one():
     for v in _special_vectors():
         for t in (0.1, 1.0, 3.0):
