@@ -59,7 +59,7 @@ def dump_json17(obj) -> str:
 
 def write_text(path, chunks) -> None:
     """Write ``chunks`` in order as the file ``path``: a string as ASCII,
-    ``bytes`` as they are.
+    any bytes-like object (``bytes``, a C-contiguous array) as its bytes.
 
     Each chunk is one write to a temporary sibling, renamed over ``path``
     after the last; an error from a write or from ``chunks`` removes it

@@ -173,7 +173,7 @@ def inter_inconsistency(emb: np.ndarray, ds: Dataset, classifier) -> np.ndarray:
     gathered into a block of rows; the probability check and the pick of
     the observed class's column then run over the whole block. A classifier
     output of the wrong length, or one that is not a probability vector (a
-    negative entry, or a sum away from 1), is an internal error.
+    negative or NaN entry, or a sum away from 1), is an internal error.
     """
     ids = np.asarray(classifier.class_ids, dtype=np.int64)
     bad = (np.sqrt(row_dot(emb, emb)) == 0.0) | ~np.isin(ds.observed_class, ids)
@@ -195,7 +195,8 @@ def inter_inconsistency(emb: np.ndarray, ds: Dataset, classifier) -> np.ndarray:
                                     f"expected {width} (one per class id)")
             p[r] = p_row
         total, lowest = np.add.reduce(p, axis=1), np.minimum.reduce(p, axis=1)
-        if (off := np.flatnonzero((np.abs(total - 1.0) > 1e-6) | (lowest < 0.0))).size:
+        # negated tests, so that a NaN sum or minimum fails them too
+        if (off := np.flatnonzero(~(np.abs(total - 1.0) <= 1e-6) | ~(lowest >= 0.0))).size:
             raise InternalError("classifier output is not a probability vector "
                                 f"(sum {float(total[off[0]])!r}, min {float(lowest[off[0]])!r})")
         scores[block] = 1.0 - p[np.arange(len(block)), column_of[ds.observed_class[block]]]

@@ -11,6 +11,13 @@ models corrupt a clean dataset:
   replaced by those of an utterance from an auxiliary dataset whose
   classes do not overlap the main dataset's.
 
+Each path draws a block at a time, yet consumes its named stream as the
+one-draw-at-a-time loops in ``tests/oracles.py`` do. The noise replay
+mirrors numpy's PCG64: ``next_double`` (``(w >> 11) * 2**-53``), the
+buffered ``next_uint32`` (a word's low half, then its high half at the next
+call), Lemire's bound (``(h * bound) >> 32``, redrawn while the low 32 bits
+are below ``(2**32 - bound) % bound``) and no draw at bound 1.
+
 A dataset file is one JSON header line (``C``, ``d``, ``format_version``,
 ``provenance``), then the ``np.save`` bytes of one structured array with a
 row per utterance, so every value reads back with the same bits.
@@ -28,8 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, LabelNoiseError, ParseError, ValidationError
+from .errors import ConfigurationError, InternalError, LabelNoiseError, ParseError, ValidationError
 from .jsonutil import dump_json17, json_field, json_problem, write_text
+from .numerics import row_dot
 from .seeding import named_rng
 
 FORMAT_VERSION = 2
@@ -43,6 +51,18 @@ MAX_DIRECTION_TRIES = 10000
 # learnable at desk scale, large enough that clean utterances are not
 # trivially separable from label noise.
 DEFAULT_WITHIN_CLASS_SPREAD = 0.2
+
+# Rows per block of the temporaries: candidate directions, jitter rows, raw
+# generator words and copied feature rows.
+_DIRECTION_BLOCK, _JITTER_ROWS, _RAW_BLOCK, _COPY_ROWS = 64, 1024, 2048, 512
+
+# The noise replay's state before a raw word: a double next with no half
+# buffered (0), with an accepted (1) or a rejected (2) half buffered, or an
+# integer's word next (3). ``_NEXT_STATE[4 * flag + 2 * low_ok + high_ok, state]``
+# is the state after the word.
+_DOUBLE, _INTEGER = 0, 3
+_NEXT_STATE = np.array([[0, 1, 2, 3], [0, 1, 2, 0], [0, 1, 2, 2], [0, 1, 2, 1],
+                        [3, 0, 3, 3], [3, 0, 3, 0], [3, 0, 3, 2], [3, 0, 3, 1]], dtype=np.intp)
 
 PERMUTE = "permute"
 OPEN_SET = "open_set"
@@ -169,24 +189,34 @@ def sample_unit_directions(
     When ``avoid`` (rows of unit vectors) is given, candidates with
     |cosine| above ``MAX_OVERLAP_COS`` to any avoided direction are
     redrawn, up to ``MAX_DIRECTION_TRIES`` draws per direction.
+
+    Candidates are drawn ``_DIRECTION_BLOCK`` at a time and taken in draw
+    order; ``row_dot`` and the stacked product round as ``np.linalg.norm``
+    and ``avoid @ v`` do. The last block may draw past the last candidate
+    needed, harmless only because every caller discards ``rng``.
     """
     out = np.empty((count, dim), dtype=np.float64)
-    for i in range(count):
-        for _ in range(MAX_DIRECTION_TRIES):
-            v = rng.standard_normal(dim)
-            n = np.linalg.norm(v)
-            if n < 1e-12:
-                continue
-            v /= n
-            if avoid is not None and avoid.size and np.max(np.abs(avoid @ v)) > MAX_OVERLAP_COS:
-                continue
-            out[i] = v
-            break
-        else:
+    filled, tries = 0, 0  # tries: the failed draws so far for direction ``filled``
+    while filled < count:
+        v = rng.standard_normal((_DIRECTION_BLOCK, dim))
+        norms = np.sqrt(row_dot(v, v))
+        good = norms >= 1e-12
+        v /= np.where(good, norms, 1.0)[:, None]
+        if avoid is not None and avoid.size:
+            cos = np.matmul(avoid[None], v[:, :, None])[:, :, 0]  # ``avoid @ v`` per candidate
+            good &= ~(np.abs(cos) > MAX_OVERLAP_COS).any(axis=1)
+        taken = np.flatnonzero(good)[:count - filled]
+        spent = np.diff(taken, prepend=-1 - tries)  # the draws each accepted direction took
+        tries = _DIRECTION_BLOCK - 1 - taken[-1] if taken.size else tries + _DIRECTION_BLOCK
+        late = np.flatnonzero(spent > MAX_DIRECTION_TRIES)
+        if late.size or (filled + len(taken) < count and tries >= MAX_DIRECTION_TRIES):
+            i = filled + (late[0] if late.size else len(taken))
             raise ConfigurationError(
                 f"could not place class direction {i} away from {len(avoid)} "
                 f"existing directions after {MAX_DIRECTION_TRIES} tries"
             )
+        out[filled:filled + len(taken)] = v[taken]
+        filled += len(taken)
     return out
 
 
@@ -210,7 +240,8 @@ def generate_dataset(
     related datasets (auxiliary, held-out) can share the same feature
     space. ``avoid_directions``
     makes the direction sampler reject candidates that nearly coincide
-    with the given unit rows.
+    with the given unit rows. The jitter of up to ``_JITTER_ROWS`` rows is
+    one draw and one stacked product, with the per-class calls' bits.
     """
     rng_dirs = named_rng(seed, "class-directions")
     rng_mix = named_rng(mix_seed, "mixing-matrix")
@@ -221,9 +252,14 @@ def generate_dataset(
 
     n = class_count * per_class
     features = np.empty((n, feature_dim), dtype=np.float64)
-    for c in range(class_count):
-        eps = rng_feat.standard_normal((per_class, latent_dim)) * within_class_spread
-        features[c * per_class:(c + 1) * per_class] = (directions[c] + eps) @ mix.T
+    block = max(1, _JITTER_ROWS // max(1, per_class))  # classes per jitter draw
+    for c in range(0, class_count, block):
+        eps = rng_feat.standard_normal((min(block, class_count - c), per_class, latent_dim))
+        eps *= within_class_spread
+        eps += directions[c:c + len(eps), None]
+        # one BLAS product per class, as a 2-D ``@`` per class would make
+        np.matmul(eps, mix.T, out=features[c * per_class:(c + len(eps)) * per_class]
+                  .reshape(eps.shape[:2] + (feature_dim,)))
     labels = np.repeat(np.arange(class_count, dtype=np.int64), per_class)
     return Dataset(
         features=features,
@@ -237,23 +273,65 @@ def generate_dataset(
     )
 
 
+def _replay_flag_draws(rng: np.random.Generator, n: int, p: float, bound: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The flagged ``i`` (intp) and their ``k`` (int64) of ``for i in range(n):
+    if rng.random() < p: k = rng.integers(bound)``, from raw PCG64 words.
+
+    Whether a word is read as a double or as an integer's halves depends on
+    every word before it, so each block of ``_RAW_BLOCK`` words composes its
+    ``_NEXT_STATE`` maps by a prefix scan; the accepted halves are the ``k``. The last block may
+    read past the loop, harmless only because every caller discards ``rng``.
+    Another bit generator, a half already buffered or a bound outside
+    ``[1, 2**32)`` is a stream this does not model: an internal error.
+    """
+    bitgen = rng.bit_generator
+    if (not isinstance(bitgen, np.random.PCG64) or not 1 <= bound < 2 ** 32
+            or bitgen.state["has_uint32"]):
+        raise InternalError(f"no replay of bounded draws from {type(bitgen).__name__} "
+                            f"at bound {bound}")
+    threshold, low = (2 ** 32 - bound) % bound, np.uint64(2 ** 32 - 1)
+    base = np.arange(0, 4 * _RAW_BLOCK, 4)[:, None]
+    state, done = _DOUBLE, 0
+    flags, halves = [], []
+    while True:
+        w = bitgen.random_raw(_RAW_BLOCK)
+        flagged = (w >> np.uint64(11)) * 2.0 ** -53 < p
+        m = np.stack([w & low, w >> np.uint64(32)], axis=1) * np.uint64(bound)
+        ok = (m & low) >= threshold
+        # after[j, s]: the state after word j from state s before the block
+        after = _NEXT_STATE[4 * (flagged & (bound > 1)) + 2 * ok[:, 0] + ok[:, 1]]
+        for step in 2 ** np.arange(_RAW_BLOCK.bit_length() - 1):  # a doubling prefix scan
+            after[step:] = after.ravel()[base[step:] + after[:-step]]
+        double = np.concatenate(([state], after[:-1, state])) != _INTEGER
+        utterance = done + np.cumsum(double) - 1
+        end = np.searchsorted(utterance, n)  # the first double past the loop
+        double, integer = double[:end], ~double[:end]
+        flags.append(utterance[:end][double & flagged[:end]])
+        halves.append(m[:end][integer][ok[:end][integer]] >> np.uint64(32))
+        if end < _RAW_BLOCK:
+            break
+        state, done = after[-1, state], int(utterance[-1]) + 1
+    flags = np.concatenate(flags)
+    k = np.concatenate(halves)[:len(flags)] if bound > 1 else np.zeros(len(flags), np.uint64)
+    return flags, k.astype(np.int64)
+
+
 def apply_permute_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
     """Flag each utterance with probability q/100 and permute its label.
 
     Flagged utterances get an observed class drawn uniformly from the
     other ``C - 1`` classes; features are untouched. ``q = 0`` returns the
-    input unchanged.
+    input unchanged. The draws replay one ``random()`` per utterance and
+    one ``integers(C - 1)`` per flag.
     """
     if spec.level_q == 0.0:
         return ds
 
     rng = named_rng(spec.seed, "permute-noise")
-    p = spec.level_q / 100.0
+    flags, k = _replay_flag_draws(rng, len(ds), spec.level_q / 100.0, ds.class_count - 1)
     observed = ds.observed_class.copy()
-    for i, true_class in enumerate(ds.true_class.tolist()):
-        if rng.random() < p:
-            k = int(rng.integers(ds.class_count - 1))
-            observed[i] = k + 1 if k >= true_class else k
+    observed[flags] = k + (k >= ds.true_class[flags])
     return replace(ds, observed_class=observed, provenance=spec)
 
 
@@ -262,19 +340,20 @@ def apply_openset_noise(ds: Dataset, aux: Dataset, spec: NoiseSpec) -> Dataset:
 
     Flagged utterances keep their observed label but take the features of
     a uniformly drawn auxiliary utterance; they are marked out of
-    distribution. ``q = 0`` returns the input unchanged.
+    distribution. ``q = 0`` returns the input unchanged. The draws replay
+    one ``random()`` per utterance and one ``integers(len(aux))`` per flag.
     """
     if spec.level_q == 0.0:
         return ds
 
     rng = named_rng(spec.seed, "open-set-noise")
-    p = spec.level_q / 100.0
+    flags, source = _replay_flag_draws(rng, len(ds), spec.level_q / 100.0, len(aux))
     features = ds.features.copy()
+    for start in range(0, len(flags), _COPY_ROWS):
+        block = slice(start, start + _COPY_ROWS)
+        features[flags[block]] = aux.features[source[block]]
     is_ood = ds.is_ood.copy()
-    for i in range(len(ds)):
-        if rng.random() < p:
-            features[i] = aux.features[int(rng.integers(len(aux)))]
-            is_ood[i] = True
+    is_ood[flags] = True
     return replace(ds, features=features, is_ood=is_ood, provenance=spec)
 
 
@@ -302,12 +381,10 @@ def save_dataset(ds: Dataset, path) -> None:
     rows = np.zeros(len(ds), _row_dtype(ds.feature_dim))
     for name in rows.dtype.names:
         rows[name] = getattr(ds, name)
-    array = io.BytesIO()
-    np.save(array, rows, allow_pickle=False)
     provenance = ds.provenance if isinstance(ds.provenance, str) else asdict(ds.provenance)
     header = {"C": ds.class_count, "d": ds.feature_dim, "format_version": FORMAT_VERSION,
               "provenance": provenance}
-    write_text(path, (dump_json17(header) + "\n", array.getvalue()))
+    write_text(path, (dump_json17(header) + "\n", _array_header(rows.dtype, len(rows)), rows))
 
 
 def load_dataset(path) -> Dataset:

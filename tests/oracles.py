@@ -38,16 +38,22 @@ CSV writers are the forms whose bytes the block-formatting
 ``write_rows`` writers must reproduce. The per-layer
 ``init_mlp`` followed by the per-loss-kind ``init_classifier`` is the
 form whose draws, in order, and generator state the layout-driven
-``init_parameters`` must reproduce bit for bit.
+``init_parameters`` must reproduce bit for bit. The one-candidate-at-a-
+time direction sampler, the one-class-at-a-time feature mix, the one-
+``random()``-per-utterance noise loops and the ``np.save``-through-
+``BytesIO`` dataset writer are the forms whose bits the block-drawing
+simulate paths must reproduce; ``scalar_flag_draws`` is the loop whose
+draws ``synthdata._replay_flag_draws`` replays from raw words.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -62,6 +68,7 @@ from labelnoise.errors import (
     ParseError,
 )
 from labelnoise.evaluation import Trials
+from labelnoise.jsonutil import dump_json17
 from labelnoise.losses import (
     AAMConfig,
     AAMSCConfig,
@@ -75,7 +82,15 @@ from labelnoise.losses import (
 from labelnoise.nld import METHOD_INTER, METHOD_INTRA
 from labelnoise.numerics import row_dot, softmax
 from labelnoise.seeding import derive_seed, named_rng
-from labelnoise.synthdata import DEFAULT_WITHIN_CLASS_SPREAD, Dataset, NoiseSpec
+from labelnoise.synthdata import (
+    DEFAULT_WITHIN_CLASS_SPREAD,
+    FORMAT_VERSION,
+    MAX_DIRECTION_TRIES,
+    MAX_OVERLAP_COS,
+    Dataset,
+    NoiseSpec,
+    _row_dtype,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -1277,3 +1292,109 @@ def write_loss_curve(curve: list[tuple[int, float]], path) -> None:
         fh.write("step,loss\n")
         for step, value in curve:
             fh.write("%d,%s\n" % (step, format(value, ".17g")))
+
+
+# The simulate paths as one Python iteration per candidate, class or
+# utterance: the block-drawing ``synthdata`` paths must give the same bits.
+
+
+def scalar_sample_unit_directions(
+    count: int,
+    dim: int,
+    rng: np.random.Generator,
+    avoid: np.ndarray | None = None,
+) -> np.ndarray:
+    """Draw ``count`` unit vectors uniformly on the sphere.
+
+    When ``avoid`` (rows of unit vectors) is given, candidates with
+    |cosine| above ``MAX_OVERLAP_COS`` to any avoided direction are
+    redrawn, up to ``MAX_DIRECTION_TRIES`` draws per direction.
+    """
+    out = np.empty((count, dim), dtype=np.float64)
+    for i in range(count):
+        for _ in range(MAX_DIRECTION_TRIES):
+            v = rng.standard_normal(dim)
+            n = np.linalg.norm(v)
+            if n < 1e-12:
+                continue
+            v /= n
+            if avoid is not None and avoid.size and np.max(np.abs(avoid @ v)) > MAX_OVERLAP_COS:
+                continue
+            out[i] = v
+            break
+        else:
+            raise ConfigurationError(
+                f"could not place class direction {i} away from {len(avoid)} "
+                f"existing directions after {MAX_DIRECTION_TRIES} tries"
+            )
+    return out
+
+
+def per_class_features(directions: np.ndarray, mix: np.ndarray, per_class: int,
+                       within_class_spread: float, rng_feat: np.random.Generator) -> np.ndarray:
+    """``generate_dataset``'s features, one jitter draw and one ``@`` per class."""
+    class_count, latent_dim = directions.shape
+    feature_dim = mix.shape[0]
+    n = class_count * per_class
+    features = np.empty((n, feature_dim), dtype=np.float64)
+    for c in range(class_count):
+        eps = rng_feat.standard_normal((per_class, latent_dim)) * within_class_spread
+        features[c * per_class:(c + 1) * per_class] = (directions[c] + eps) @ mix.T
+    return features
+
+
+def scalar_flag_draws(rng: np.random.Generator, n: int, p: float, bound: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The flagged ``i`` and their ``k`` of ``for i in range(n): if
+    rng.random() < p: k = rng.integers(bound)``."""
+    flags, draws = [], []
+    for i in range(n):
+        if rng.random() < p:
+            flags.append(i)
+            draws.append(int(rng.integers(bound)))
+    return np.array(flags, dtype=np.intp), np.array(draws, dtype=np.int64)
+
+
+def scalar_permute_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
+    """Flag each utterance with probability q/100 and permute its label."""
+    if spec.level_q == 0.0:
+        return ds
+
+    rng = named_rng(spec.seed, "permute-noise")
+    p = spec.level_q / 100.0
+    observed = ds.observed_class.copy()
+    for i, true_class in enumerate(ds.true_class.tolist()):
+        if rng.random() < p:
+            k = int(rng.integers(ds.class_count - 1))
+            observed[i] = k + 1 if k >= true_class else k
+    return replace(ds, observed_class=observed, provenance=spec)
+
+
+def scalar_openset_noise(ds: Dataset, aux: Dataset, spec: NoiseSpec) -> Dataset:
+    """Flag each utterance with probability q/100 and swap in auxiliary features."""
+    if spec.level_q == 0.0:
+        return ds
+
+    rng = named_rng(spec.seed, "open-set-noise")
+    p = spec.level_q / 100.0
+    features = ds.features.copy()
+    is_ood = ds.is_ood.copy()
+    for i in range(len(ds)):
+        if rng.random() < p:
+            features[i] = aux.features[int(rng.integers(len(aux)))]
+            is_ood[i] = True
+    return replace(ds, features=features, is_ood=is_ood, provenance=spec)
+
+
+def bytesio_dataset_bytes(ds: Dataset) -> bytes:
+    """A dataset file's bytes: the JSON header line, then ``np.save`` of the
+    rows through a ``BytesIO``."""
+    rows = np.zeros(len(ds), _row_dtype(ds.feature_dim))
+    for name in rows.dtype.names:
+        rows[name] = getattr(ds, name)
+    array = io.BytesIO()
+    np.save(array, rows, allow_pickle=False)
+    provenance = ds.provenance if isinstance(ds.provenance, str) else asdict(ds.provenance)
+    header = {"C": ds.class_count, "d": ds.feature_dim, "format_version": FORMAT_VERSION,
+              "provenance": provenance}
+    return (dump_json17(header) + "\n").encode("ascii") + array.getvalue()

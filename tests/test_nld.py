@@ -556,6 +556,17 @@ def test_inter_names_the_first_non_probability_row_of_a_later_block():
         inter_inconsistency(ds.features, ds, clf)
 
 
+@pytest.mark.parametrize("row", [0, _SCORE_BLOCK + 5], ids=["first-block", "later-block"])
+@pytest.mark.parametrize("nan", [[np.nan, np.nan], [np.nan, 1.0], [0.5, np.nan]])
+def test_inter_rejects_a_nan_probability_row(row, nan):
+    """Every comparison with NaN is false, so the check is written to fail it."""
+    n = _SIZES[1]
+    ds = make_dataset(np.column_stack([np.arange(n), np.ones(n)]), [0] * n)
+    clf = StubClassifier([0, 1], lambda x: nan if int(x[0]) == row else [0.5, 0.5])
+    with pytest.raises(InternalError, match=re.escape("not a probability vector (sum nan, min")):
+        inter_inconsistency(ds.features, ds, clf)
+
+
 @pytest.mark.parametrize("output", [[1.0], [0.2, 0.3, 0.5]])
 def test_inter_rejects_an_output_of_the_wrong_length(output):
     ds = make_dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1])

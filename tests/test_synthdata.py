@@ -1,26 +1,38 @@
 """Synthetic data generation, label noising, and dataset serialization."""
 
 import dataclasses
+import hashlib
 import io
 import json
+import math
 import reprlib
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import BYTE_EDITS, edit_bytes, make_dataset
 from labelnoise import jsonutil, synthdata
+from labelnoise.cli import main
 from labelnoise.embedder import write_loss_curve
-from labelnoise.errors import ConfigurationError, LabelNoiseError, ParseError, ValidationError
+from labelnoise.errors import (
+    ConfigurationError,
+    InternalError,
+    LabelNoiseError,
+    ParseError,
+    ValidationError,
+)
 from labelnoise.evaluation import Trials, write_trials_csv
 from labelnoise.nld import write_histogram_csv, write_scores_csv
 from labelnoise.seeding import named_rng
 from labelnoise.synthdata import (
     MAX_DIRECTION_TRIES,
     MAX_OVERLAP_COS,
+    OPEN_SET,
+    PERMUTE,
     Dataset,
     NoiseSpec,
     apply_openset_noise,
@@ -29,6 +41,14 @@ from labelnoise.synthdata import (
     load_dataset,
     sample_unit_directions,
     save_dataset,
+)
+from oracles import (
+    bytesio_dataset_bytes,
+    per_class_features,
+    scalar_flag_draws,
+    scalar_openset_noise,
+    scalar_permute_noise,
+    scalar_sample_unit_directions,
 )
 
 
@@ -634,3 +654,182 @@ def test_class_table_groups_positions_by_class():
     kept = ds.class_table(min_members=3)
     assert kept.labels.tolist() == [0] and kept.sizes.tolist() == [3]
     assert kept.flat[kept.starts[0]:kept.starts[0] + 3].tolist() == [1, 3, 5]
+
+
+# ----------------------------------------------------------------------
+# what simulate writes, and the block-drawing paths against the scalar loops
+
+
+def _same_bits(a: Dataset, b: Dataset) -> bool:
+    """Equal datasets whose features have the same bits, -0.0 included."""
+    return a == b and np.array_equal(a.features.view(np.int64), b.features.view(np.int64))
+
+
+_TINY = {"class_count": 5, "per_class": 6, "latent_dim": 4, "feature_dim": 8,
+         "aux_class_count": 5, "aux_per_class": 3, "heldout_per_class": 4}
+_TINY_CLEAN = "5795a0890bddcd478207eaf58ffd1715b303ecb8cc44cbb5bcb46dc4d1a756b3"
+_TINY_AUX = "7d3ee4d16a337b087ed7f4fd6adae21756a7b9e72d7b57681f735769f53665ab"
+_TINY_HELDOUT = "ed15f2a042c65b796ccbbd9db853497eaeb4043cea4588df2293ff134a95e995"
+_PINNED = {
+    "tiny-permute": (_TINY, {"kind": "permute", "level_q": 25.0}, 1, (
+        _TINY_CLEAN, _TINY_AUX, _TINY_HELDOUT,
+        "a06f31254f24c980d0630d22168c7362fbe2bc36f0aefa852a86d3c2d867088c")),
+    "tiny-open-set": (_TINY, {"kind": "open_set", "level_q": 25.0}, 1, (
+        _TINY_CLEAN, _TINY_AUX, _TINY_HELDOUT,
+        "2f4649010e2c2734a5d3ca6783b41796a0fb02530985a5ec262f3621470e8693")),
+    "wide-open-set": ({"class_count": 200, "per_class": 40, "latent_dim": 16, "feature_dim": 20,
+                       "aux_class_count": 200, "aux_per_class": 40, "heldout_per_class": 20},
+                      {"kind": "open_set", "level_q": 50.0}, 0, (
+        "f108bfe84db6e24623162dd819414b83b0e8cd3842b467d891c10f1441dc172e",
+        "01774bb0d3c79aa029014d2b55d85cb83a9b838cd82b67d7f8a6bbea2c136a27",
+        "80a02c5ef93acb69307d0906681315a4a78089fb83ee12674557c40eac098d4c",
+        "ab9cf24c1bfc9132ac6cc84ed6393908c2147e183cefbfb991d179a48c38fb8f")),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED))
+def test_simulate_writes_the_pinned_datasets(tmp_path, case):
+    """The sha256 of the four files ``simulate`` writes for the CI tiny config
+    and a detect-wide-sized one, as the one-utterance-at-a-time simulate
+    wrote them. The features are BLAS products: a digest that moves under
+    another BLAS build may mean its products round differently, not that a
+    stream moved; ``test_*_match_*`` below tell the two apart."""
+    dataset, noise, seed, digests = _PINNED[case]
+    raw = {"output_dir": str(tmp_path / "run"), "seeds": [seed], "dataset": dataset,
+           "noise": noise}
+    (tmp_path / "c.json").write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(tmp_path / "c.json"), "--quiet"]) == 0
+    got = [hashlib.sha256((tmp_path / "run" / f"seed_{seed}" / f"{name}.dataset").read_bytes())
+           .hexdigest() for name in ("clean", "aux", "heldout", "noisy")]
+    assert got == list(digests)
+
+
+_LEVELS = st.sampled_from([0.0, 100.0]) | st.floats(0.0, 100.0)
+_SEEDS = st.integers(0, 2 ** 64 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SEEDS, st.integers(0, 3 * synthdata._RAW_BLOCK), _LEVELS,
+       st.sampled_from([1, 2, 3, 2 ** 31 + 12345, 2 ** 32 - 1]) | st.integers(1, 2 ** 32 - 1))
+def test_replay_draws_what_the_scalar_loop_draws(seed, n, q, bound):
+    got = synthdata._replay_flag_draws(np.random.default_rng(seed), n, q / 100.0, bound)
+    want = scalar_flag_draws(np.random.default_rng(seed), n, q / 100.0, bound)
+    assert [a.dtype for a in got] == [np.intp, np.int64]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEEDS, st.integers(2 ** 31, 2 ** 32 - 1), _LEVELS)
+@example(seed=0, bound=2 ** 31 + 12345, q=100.0)
+def test_replay_redraws_the_halves_lemire_rejects(seed, bound, q):
+    """Above 2**31 a half is rejected with probability (2**32 - bound) / 2**32,
+    up to one half: the redraws then take most of the stream."""
+    got = synthdata._replay_flag_draws(np.random.default_rng(seed), 2500, q / 100.0, bound)
+    want = scalar_flag_draws(np.random.default_rng(seed), 2500, q / 100.0, bound)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("rng, bound", [
+    (np.random.Generator(np.random.MT19937(0)), 5),
+    (np.random.Generator(np.random.Philox(0)), 5),
+    (np.random.default_rng(0), 0),
+    (np.random.default_rng(0), 2 ** 32),
+], ids=["MT19937", "Philox", "bound-0", "bound-2**32"])
+def test_replay_refuses_a_stream_it_does_not_model(rng, bound):
+    with pytest.raises(InternalError, match=f"^no replay of bounded draws from "
+                       f"{type(rng.bit_generator).__name__} at bound {bound}$"):
+        synthdata._replay_flag_draws(rng, 10, 0.5, bound)
+
+
+def test_replay_refuses_a_generator_holding_a_buffered_half():
+    rng = np.random.default_rng(0)
+    rng.integers(5)  # takes a word's low half and keeps its high half
+    with pytest.raises(InternalError, match="no replay of bounded draws"):
+        synthdata._replay_flag_draws(rng, 10, 0.5, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([2]) | st.integers(2, 30), st.integers(1, 30),
+       st.integers(1, 4), st.integers(1, 4), _LEVELS)
+def test_noise_matches_the_scalar_loops(seed, class_count, per_class, aux_classes, aux_per, q):
+    """Bound 1 comes up as permute noise at C = 2 and as a one-row aux."""
+    ds = generate_dataset(class_count, per_class, 3, 4, 0.2, seed=seed, mix_seed=seed)
+    aux = generate_dataset(aux_classes, aux_per, 3, 4, 0.2, seed=seed + 1, mix_seed=seed)
+    permute, open_set = NoiseSpec(PERMUTE, q, seed), NoiseSpec(OPEN_SET, q, seed)
+    assert _same_bits(apply_permute_noise(ds, permute), scalar_permute_noise(ds, permute))
+    assert _same_bits(apply_openset_noise(ds, aux, open_set),
+                      scalar_openset_noise(ds, aux, open_set))
+
+
+def _directions_or_refusal(sample, count, dim, seed, avoid):
+    try:
+        return sample(count, dim, named_rng(seed, "directions"), avoid=avoid).tobytes()
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 150), st.integers(1, 4), st.integers(0, 6),
+       st.sampled_from([1, 3, synthdata._DIRECTION_BLOCK, synthdata._DIRECTION_BLOCK + 1, 150,
+                        MAX_DIRECTION_TRIES]))
+def test_directions_match_the_scalar_sampler(seed, count, dim, avoided, tries):
+    """Both samplers at the same tries limit: small limits refuse later
+    directions, limits past a block carry the failed draws across blocks,
+    and at ``dim`` 1 every candidate is refused."""
+    avoid = None
+    if avoided:
+        avoid = named_rng(seed, "avoid").standard_normal((avoided, dim))
+        avoid /= np.linalg.norm(avoid, axis=1, keepdims=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthdata, "MAX_DIRECTION_TRIES", tries)
+        patch.setattr(oracles, "MAX_DIRECTION_TRIES", tries)
+        got = _directions_or_refusal(sample_unit_directions, count, dim, seed, avoid)
+        want = _directions_or_refusal(scalar_sample_unit_directions, count, dim, seed, avoid)
+    assert got == want
+
+
+def test_directions_refuse_a_later_direction_at_the_tries_limit():
+    """Five avoided directions leave one arc 0.05 degrees wide: about one
+    draw in 3600 lands there, so a direction past the first runs out."""
+    half = math.degrees(math.acos(MAX_OVERLAP_COS))
+    angles = np.radians(np.arange(5) * (180.0 - 2 * half - 0.05) / 4)
+    avoid = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    got = _directions_or_refusal(sample_unit_directions, 40, 2, 7, avoid)
+    assert got == (f"could not place class direction 3 away from 5 existing directions "
+                   f"after {MAX_DIRECTION_TRIES} tries")
+    assert got == _directions_or_refusal(scalar_sample_unit_directions, 40, 2, 7, avoid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 12),
+       st.sampled_from([2, 3, 300, synthdata._JITTER_ROWS + 1]) | st.integers(2, 40),
+       st.sampled_from([1]) | st.integers(1, 6), st.integers(1, 6), st.floats(0.0, 2.0))
+@example(seed=0, class_count=700, per_class=3, latent_dim=2, feature_dim=3, spread=0.2)
+def test_features_match_the_per_class_products(seed, class_count, per_class, latent_dim,
+                                               feature_dim, spread):
+    """Jitter drawn for many classes at once and mixed by one stacked product
+    per block, against one draw and one 2-D ``@`` per class."""
+    ds = generate_dataset(class_count, per_class, latent_dim, feature_dim, spread, seed=seed,
+                          mix_seed=seed + 1)
+    mix = (named_rng(seed + 1, "mixing-matrix").standard_normal((feature_dim, latent_dim))
+           / math.sqrt(latent_dim))
+    want = per_class_features(ds.directions, mix, per_class, spread,
+                              named_rng(seed, "feature-jitter"))
+    assert np.array_equal(ds.features.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("ds", [
+    make_dataset(np.zeros((0, 3)), [], class_count=2),
+    make_dataset([[-0.0, 1.0], [0.5, -0.0]], [0, 1]),
+], ids=["zero-rows", "negative-zero"])
+def test_save_writes_what_np_save_wrote(tmp_path, ds):
+    save_dataset(ds, tmp_path / "ds.dataset")
+    assert (tmp_path / "ds.dataset").read_bytes() == bytesio_dataset_bytes(ds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_datasets())
+def test_save_writes_what_np_save_wrote_for_any_dataset(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("save") / "ds.dataset"
+    save_dataset(ds, path)
+    assert path.read_bytes() == bytesio_dataset_bytes(ds)
