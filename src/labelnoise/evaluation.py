@@ -6,9 +6,9 @@ sweeping every distinct score as a threshold and linearly interpolating
 between the two adjacent operating points where FAR - FRR changes sign.
 
 Trials take the same-class pool one class size at a time (one
-``np.triu_indices`` and one gather per distinct size, not per class)
-and are written through ``jsonutil.write_rows``. No step calls plain
-``np.unique``, whose first call imports ``numpy.ma``.
+``np.triu_indices`` and one gather per distinct size, not per class), keep
+the rows scoring gathers by, and are written by ``jsonutil.write_rows``.
+No step calls ``np.lexsort`` or ``np.unique``, which imports ``numpy.ma``.
 
 ``retrain_after_removal`` closes the loop: drop the utterances a
 detection pass flagged, retrain with the same configuration and seed,
@@ -38,16 +38,20 @@ _TRIAL_BLOCK = 4096
 class Trials:
     """Enroll/test utterance pairs as columns: row ``i`` of each array is
     trial ``i``. ``enroll_id`` and ``test_id`` are int64 utterance ids
-    and ``is_target`` is bool; ``len`` is the number of trials."""
+    and ``is_target`` is bool; ``len`` is the number of trials. ``rows`` are
+    the pairs' ``(2, len)`` int64 dataset rows, -1 (no row) when left out."""
 
     enroll_id: np.ndarray
     test_id: np.ndarray
     is_target: np.ndarray
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         self.enroll_id = np.asarray(self.enroll_id, dtype=np.int64)
         self.test_id = np.asarray(self.test_id, dtype=np.int64)
         self.is_target = np.asarray(self.is_target, dtype=bool)
+        rows = np.full((2, len(self.enroll_id)), -1) if self.rows is None else self.rows
+        self.rows = np.asarray(rows, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.enroll_id)
@@ -82,8 +86,9 @@ def generate_trials(ds: Dataset, pairs_per_kind: int, seed: int) -> Trials:
         raise ConfigurationError("trials must come from a clean dataset")
     rng = named_rng(seed, "trials")
 
-    target_enroll, target_test = _same_class_pairs(ds.utt_id, ds.observed_class)
-    pool_size = len(target_enroll)
+    by_id = np.argsort(ds.utt_id)  # ids are unique, so any sort gives this order
+    target = _same_class_pairs(by_id, ds.observed_class)
+    pool_size = target.shape[1]
     if pool_size < pairs_per_kind:
         raise ConfigurationError(
             f"dataset supplies only {pool_size} same-class pairs, need {pairs_per_kind}"
@@ -97,47 +102,45 @@ def generate_trials(ds: Dataset, pairs_per_kind: int, seed: int) -> Trials:
         )
 
     pick = np.sort(rng.choice(pool_size, size=pairs_per_kind, replace=False))
-    lo, hi = _cross_class_pairs(ds.observed_class, pairs_per_kind, rng)
-    non_enroll, non_test = ds.utt_id[lo], ds.utt_id[hi]
-    order = np.lexsort((non_test, non_enroll))
-    return Trials(
-        enroll_id=np.concatenate([target_enroll[pick], non_enroll[order]]),
-        test_id=np.concatenate([target_test[pick], non_test[order]]),
-        is_target=np.arange(2 * pairs_per_kind) < pairs_per_kind,
-    )
+    cross = _cross_class_pairs(ds.observed_class, pairs_per_kind, rng)
+    # np.lexsort's (enroll id, test id) order from one sort: with rank[r] row r's place
+    # in id order, the keys are distinct and below n**2
+    rank = np.argsort(by_id)
+    order = np.argsort(rank[cross[0]] * n + rank[cross[1]])
+    rows = np.concatenate([target[:, pick], cross[:, order]], axis=1)
+    ids = ds.utt_id[rows]
+    return Trials(ids[0], ids[1], np.arange(2 * pairs_per_kind) < pairs_per_kind, rows)
 
 
-def _same_class_pairs(utt_id: np.ndarray, observed: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Every same-class pair of utterance ids ``(enroll, test)``, ``enroll``
-    before ``test`` in the class's ascending ids: class by class in
-    ascending order, each class's pairs in ``np.triu_indices`` order.
-
-    The classes of one size share one ``triu_indices`` and one gather from
-    their ``(classes, size)`` member matrix, written into each class's
-    slot of the pool.
+def _same_class_pairs(by_id: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Every same-class pair of rows ``(enroll, test)`` as a ``(2, pairs)``
+    array, ``enroll`` before ``test`` in the class's ascending ids (``by_id``
+    lists the rows in id order): class by class in ascending order, each
+    class's pairs in ``np.triu_indices`` order. The classes of one size share
+    one ``triu_indices`` and one gather from their ``(classes, size)`` member
+    matrix, written into each class's slot of the pool.
     """
-    order = np.lexsort((utt_id, observed))
-    members, labels = utt_id[order], observed[order]
+    members = by_id[np.argsort(observed[by_id], kind="stable")]
+    labels = observed[members]
     starts = np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1])))
     sizes = np.diff(np.append(starts, len(labels)))
     counts = sizes * (sizes - 1) // 2
     slots = np.cumsum(counts) - counts
-    enroll, test = np.empty((2, int(counts.sum())), dtype=np.int64)
+    pairs = np.empty((2, int(counts.sum())), dtype=np.int64)
     # ``np.unique`` would import ``numpy.ma``, 12-17 ms in a fresh process
     for size in sorted(set(sizes.tolist()) - {0, 1}):
         of_size = sizes == size
         i, j = np.triu_indices(size, 1)
         block = members[starts[of_size][:, None] + np.arange(size)]
         at = slots[of_size][:, None] + np.arange(len(i))
-        enroll[at], test[at] = block[:, i], block[:, j]
-    return enroll, test
+        pairs[0, at], pairs[1, at] = block[:, i], block[:, j]
+    return pairs
 
 
 def _cross_class_pairs(observed: np.ndarray, count: int, rng: np.random.Generator
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``count`` distinct cross-class position pairs ``(lo, hi)``,
-    ``lo < hi``, in the order ``rng`` draws them.
+                       ) -> np.ndarray:
+    """The first ``count`` distinct cross-class row pairs ``(lo, hi)``, ``lo <
+    hi``, in the order ``rng`` draws them, as a ``(2, count)`` array.
 
     Candidates are drawn in blocks by ``rng.integers(n, size=(block, 2))``,
     which makes the same bounded draws, in the same order, as a loop of
@@ -155,36 +158,41 @@ def _cross_class_pairs(observed: np.ndarray, count: int, rng: np.random.Generato
         cross = observed[a] != observed[b]  # also rules out a == b
         lo, hi = np.minimum(a, b)[cross], np.maximum(a, b)[cross]
         keys = np.concatenate([keys, lo * n + hi])
-        _, first = np.unique(keys, return_index=True)
+        first = _first_indices(keys)
         if len(first) >= count:
             break
         block *= 2
-    kept = keys[np.sort(first)[:count]]
-    return kept // n, kept % n
+    return np.stack(np.divmod(keys[np.sort(first)[:count]], n))
+
+
+def _first_indices(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys, return_index=True)[1]`` without its stable sort: the
+    least index in each run of equal sorted keys, in whatever order it ran."""
+    order = np.argsort(keys)
+    s = keys[order]
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = s[1:] != s[:-1]
+    return np.minimum.reduceat(order, np.flatnonzero(new))
 
 
 def score_trials(model: TrainedModel, trials: Trials, ds: Dataset
                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """Cosine score per trial; returns (scores, is_target, dropped_count).
 
-    Trials whose enroll or test embedding has zero norm are dropped with
-    a warning rather than given an arbitrary score; one whose norm is
-    not finite is refused.
+    Embeddings are gathered by the trials' rows, which must hold their ids in
+    ``ds``; a trial with a zero-norm embedding is dropped with a warning, not
+    given an arbitrary score, and one whose norm is not finite is refused.
     """
     emb = embed_batch(model.embedder, ds.features, ds.utt_id, model.source)
-    ids = np.stack([trials.enroll_id, trials.test_id])
-    order = np.argsort(ds.utt_id)
-    at = np.searchsorted(ds.utt_id, ids, sorter=order)
-    found = at < len(ds)  # a search past the end, or onto another id, is a miss
-    found[found] = ds.utt_id[order[at[found]]] == ids[found]
-    missing = ~found.all(axis=0)
-    if missing.any():
-        first = int(np.argmax(missing))
-        raise ConfigurationError(
-            f"{int(np.count_nonzero(missing))} trial(s) reference utterances absent from "
-            f"the dataset, first: enroll {ids[0, first]}, test {ids[1, first]}"
-        )
-    i, j = order[at]
+    rows, ids = trials.rows, np.stack([trials.enroll_id, trials.test_id])
+    held = (rows >= 0) & (rows < len(ds))
+    held[held] = ds.utt_id[rows[held]] == ids[held]
+    if (absent := ~held.all(axis=0)).any():
+        bad = int(np.argmax(absent))
+        raise ConfigurationError(f"{int(np.count_nonzero(absent))} trial(s) reference utterances "
+                                 f"absent from their rows, first: enroll {ids[0, bad]} at row "
+                                 f"{rows[0, bad]}, test {ids[1, bad]} at row {rows[1, bad]}")
+    i, j = rows
     norms = np.linalg.norm(emb, axis=1)
     keep = (norms[i] != 0.0) & (norms[j] != 0.0)
     dropped = int(np.count_nonzero(~keep))
@@ -308,9 +316,9 @@ def retrain_after_removal(ds: Dataset, predicted: np.ndarray, cfg: TrainConfig,
 
 def write_trials_csv(trials: Trials, path) -> None:
     """CSV columns: enroll_id,test_id,is_target."""
-    labels = np.where(trials.is_target, "true", "false")
+    labels = ["true" if t else "false" for t in trials.is_target.tolist()]
     write_rows(path, "enroll_id,test_id,is_target\n", "%d,%d,%s\n",
-               [trials.enroll_id.tolist(), trials.test_id.tolist(), labels.tolist()])
+               [trials.enroll_id.tolist(), trials.test_id.tolist(), labels])
 
 
 def _eer_fields(result: EERResult) -> dict:

@@ -21,6 +21,14 @@ from labelnoise.synthdata import Dataset
 settings.register_profile("ci", derandomize=True, deadline=None)
 
 
+# The dataset sections of the CI tiny config and of the detect-wide
+# benchmark workload, whose simulate and eval outputs are pinned by digest.
+TINY_DATASET = {"class_count": 5, "per_class": 6, "latent_dim": 4, "feature_dim": 8,
+                "aux_class_count": 5, "aux_per_class": 3, "heldout_per_class": 4}
+WIDE_DATASET = {"class_count": 200, "per_class": 40, "latent_dim": 16, "feature_dim": 20,
+                "aux_class_count": 200, "aux_per_class": 40, "heldout_per_class": 20}
+
+
 def identity_model(dim: int, loss_cfg: LossConfig | None = None,
                    classifier: ClassifierParams | None = None) -> TrainedModel:
     """A single linear layer with identity weights: embedding == features.

@@ -32,7 +32,10 @@ rounding. The fancy-indexed CE loss (``np.mean`` over
 ``ce_loss`` must reproduce.
 The dict-keyed centroid bank, intra-class score and centroid
 classifier are the per-class forms whose bits the array bank must
-reproduce. ``read_trials_csv`` reads back what ``write_trials_csv``
+reproduce. ``trials_in`` finds hand-built trials' rows by id, and
+``scores_by_id`` is the one-trial-at-a-time, found-by-id form whose
+scores the row-gathering ``score_trials`` must reproduce bit for bit.
+``read_trials_csv`` reads back what ``write_trials_csv``
 writes, and ``same_trials`` compares two trial lists. The four per-row
 CSV writers are the forms whose bytes the block-formatting
 ``write_rows`` writers must reproduce. The per-layer
@@ -1114,6 +1117,35 @@ def plain_inter_inconsistency(embeddings: np.ndarray, observed: np.ndarray,
             raise AssertionError(f"not a probability vector (sum {total!r}, min {lowest!r})")
         scores[i] = 1.0 - float(p[index_of[int(observed[i])]])
     return scores
+
+
+def trials_in(ds: Dataset, enroll_id, test_id, is_target) -> Trials:
+    """Hand-built trials over ``ds``: each id's row is found by id, and is
+    -1, a row of no dataset, for an id ``ds`` lacks."""
+    row_of = {u: r for r, u in enumerate(ds.utt_id.tolist())}
+    rows = [[row_of.get(u, -1) for u in np.asarray(ids).tolist()] for ids in (enroll_id, test_id)]
+    return Trials(enroll_id, test_id, is_target, rows)
+
+
+def scores_by_id(emb: np.ndarray, ds: Dataset, trials: Trials
+                 ) -> tuple[np.ndarray, np.ndarray, int]:
+    """``score_trials`` one trial at a time, each utterance's row found by
+    id in ``ds``, whatever rows the trials carry. A score is the ``np.dot``
+    of the pair's embeddings over the product of their norms, taken by
+    ``np.linalg.norm`` along the rows as ``score_trials`` takes them; a pair
+    with a zero norm is dropped and counted."""
+    found = trials_in(ds, trials.enroll_id, trials.test_id, trials.is_target)
+    scores, labels, dropped = [], [], 0
+    for (a, b), target in zip(found.rows.T.tolist(), trials.is_target.tolist()):
+        if a < 0 or b < 0:
+            raise ConfigurationError("trial references an utterance absent from the dataset")
+        norms = np.linalg.norm(emb[[a, b]], axis=1)
+        if norms[0] == 0.0 or norms[1] == 0.0:
+            dropped += 1
+            continue
+        scores.append(min(1.0, max(-1.0, np.dot(emb[a], emb[b]) / (norms[0] * norms[1]))))
+        labels.append(target)
+    return np.array(scores, dtype=np.float64), np.array(labels, dtype=bool), dropped
 
 
 def same_trials(a: Trials, b: Trials) -> bool:

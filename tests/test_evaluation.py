@@ -1,5 +1,7 @@
 """Trial generation, EER computation, and the remove-and-retrain loop."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -10,25 +12,30 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import labelnoise
+from labelnoise import evaluation
 
 from conftest import (
     BYTE_EDITS,
     JSON_VALUES,
+    TINY_DATASET,
+    WIDE_DATASET,
     edit_bytes,
     identity_model,
     make_dataset,
     replace_values,
 )
-from labelnoise.embedder import TrainConfig, model_to_dict, train
+from labelnoise.cli import main
+from labelnoise.embedder import TrainConfig, embed_batch, model_to_dict, train
 from labelnoise.errors import ConfigurationError, DomainError, LabelNoiseError, ParseError
 from labelnoise.evaluation import (
     EERResult,
     Trials,
     _distinct_sorted,
+    _first_indices,
     _same_class_pairs,
     compute_eer,
     evaluate_model,
@@ -43,7 +50,7 @@ from labelnoise.evaluation import (
 )
 from labelnoise.jsonutil import dump_json17
 from labelnoise.losses import CEConfig, GE2EConfig
-from labelnoise.synthdata import Dataset, generate_dataset, save_dataset
+from labelnoise.synthdata import Dataset, generate_dataset, load_dataset, save_dataset
 from oracles import (
     brute_eer_midpoint,
     cosine_similarity,
@@ -51,6 +58,8 @@ from oracles import (
     read_trials_csv,
     scalar_generate_trials,
     same_trials,
+    scores_by_id,
+    trials_in,
 )
 
 
@@ -279,7 +288,8 @@ def ragged_clean_datasets(draw):
 @given(ragged_clean_datasets(), st.integers(1, 60), st.integers(0, 3))
 @settings(max_examples=200, deadline=None)
 def test_same_class_pool_and_trials_match_the_per_class_loops(ds, pairs_per_kind, seed):
-    got, want = _same_class_pairs(ds.utt_id, ds.observed_class), per_class_target_pairs(ds)
+    got = ds.utt_id[_same_class_pairs(np.argsort(ds.utt_id), ds.observed_class)]
+    want = per_class_target_pairs(ds)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == np.int64
         assert np.array_equal(g, w)
@@ -291,13 +301,62 @@ def test_same_class_pool_and_trials_match_the_per_class_loops(ds, pairs_per_kind
         assert_same_refusal(ds, pairs_per_kind, seed)
 
 
+# Keys that repeat: a few values many times over, one value only, or any int64.
+REPEATED_KEYS = (st.lists(st.integers(-3, 3), max_size=300)
+                 | st.lists(st.just(2**62), min_size=1, max_size=40)
+                 | st.lists(st.integers(-2**63, 2**63 - 1), max_size=50))
+
+
+@given(REPEATED_KEYS)
+@settings(max_examples=300, deadline=None)
+def test_first_indices_are_np_unique_return_index(keys):
+    keys = np.array(keys, dtype=np.int64)
+    assert np.array_equal(_first_indices(keys), np.unique(keys, return_index=True)[1])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_first_indices_on_the_keys_of_a_doubled_block(monkeypatch, seed):
+    # one utterance outside a class of 20: a draw is cross-class about one
+    # time in 11, so 2 * 20 draws cannot give the 20 cross pairs there are
+    # and the block doubles, each time with the keys of every block so far
+    blocks = []
+
+    def checked(keys):
+        got = _first_indices(keys)
+        assert np.array_equal(got, np.unique(keys, return_index=True)[1])
+        blocks.append(len(keys))
+        return got
+
+    monkeypatch.setattr(evaluation, "_first_indices", checked)
+    lo, hi = evaluation._cross_class_pairs(np.array([0] * 20 + [1]), 20,
+                                           np.random.default_rng(seed))
+    assert len(blocks) >= 2
+    assert sorted(zip(lo.tolist(), hi.tolist())) == [(r, 20) for r in range(20)]
+
+
+@given(ragged_clean_datasets(), st.sampled_from([-2**62, 2**62 - 10**4, -10**4]),
+       st.integers(1, 60), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_nontargets_are_in_lexsort_order_of_ids_near_the_int64_ends(ds, offset, pairs_per_kind,
+                                                                     seed):
+    # ids unsorted, some negative, and near +-2**62, where a key built from the
+    # ids themselves, not from their ranks, would overflow
+    ds = dataclasses.replace(ds, utt_id=ds.utt_id + offset)
+    pool = len(per_class_target_pairs(ds)[0])
+    assume(pairs_per_kind <= min(pool, len(ds) * (len(ds) - 1) // 2 - pool))
+    trials = generate_trials(ds, pairs_per_kind, seed)
+    enroll, test = trials.enroll_id[pairs_per_kind:], trials.test_id[pairs_per_kind:]
+    assert np.array_equal(np.lexsort((test, enroll)), np.arange(pairs_per_kind))
+    assert_matches_scalar_oracle(ds, pairs_per_kind, seed)
+
+
 # ----------------------------------------------------------------------
 # trial scoring
 
 
 def test_score_trials_cosine_of_embeddings():
     ds = make_dataset([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 1, 0])
-    trials = Trials([0, 0], [1, 2], [False, True])
+    trials = trials_in(ds, [0, 0], [1, 2], [False, True])
     scores, labels, dropped = score_trials(identity_model(2), trials, ds)
     np.testing.assert_allclose(scores, [0.0, 1.0 / math.sqrt(2.0)], rtol=0, atol=1e-15)
     assert labels.tolist() == [False, True]
@@ -310,7 +369,7 @@ def test_score_trials_matches_per_pair_cosine():
     ds = make_dataset(feats, [i % 3 for i in range(30)])
     pairs = rng.choice(30, size=(40, 2))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    trials = Trials(pairs[:, 0], pairs[:, 1], pairs[:, 0] % 3 == pairs[:, 1] % 3)
+    trials = trials_in(ds, pairs[:, 0], pairs[:, 1], pairs[:, 0] % 3 == pairs[:, 1] % 3)
     scores, labels, dropped = score_trials(identity_model(5), trials, ds)
     ref = [cosine_similarity(feats[a], feats[b]) for a, b in pairs]
     np.testing.assert_allclose(scores, ref, rtol=0, atol=1e-15)
@@ -320,13 +379,23 @@ def test_score_trials_matches_per_pair_cosine():
 
 def test_score_trials_missing_utterance_rejected():
     ds = make_dataset([[1.0, 0.0], [0.0, 1.0]], [0, 1])
-    with pytest.raises(ConfigurationError, match="absent"):
-        score_trials(identity_model(2), Trials([0], [99], [False]), ds)
+    with pytest.raises(ConfigurationError, match="absent.*first: enroll 0 at row 0, "
+                                                 "test 99 at row -1$"):
+        score_trials(identity_model(2), trials_in(ds, [0], [99], [False]), ds)
+    # trials built without rows carry row -1 and score against no dataset
+    with pytest.raises(ConfigurationError, match="first: enroll 0 at row -1, test 1 at row -1$"):
+        score_trials(identity_model(2), Trials([0], [1], [False]), ds)
+    # a row below 0 is outside the dataset, though numpy would wrap it onto its id
+    with pytest.raises(ConfigurationError, match="first: enroll 1 at row -1, test 0 at row 0$"):
+        score_trials(identity_model(2), Trials([1], [0], [False], [[-1], [0]]), ds)
+    # and a row past the end is refused, not left to an IndexError
+    with pytest.raises(ConfigurationError, match="first: enroll 0 at row 0, test 1 at row 2$"):
+        score_trials(identity_model(2), Trials([0], [1], [False], [[0], [2]]), ds)
 
 
 def test_score_trials_drops_zero_norm_embeddings(caplog):
     ds = make_dataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0, 0, 1])
-    trials = Trials([0, 1], [1, 2], [True, False])
+    trials = trials_in(ds, [0, 1], [1, 2], [True, False])
     with caplog.at_level("WARNING"):
         scores, labels, dropped = score_trials(identity_model(2), trials, ds)
     assert dropped == 1
@@ -335,10 +404,77 @@ def test_score_trials_drops_zero_norm_embeddings(caplog):
     assert "dropped 1 trial" in caplog.text
 
 
+@st.composite
+def featured_datasets(draw):
+    """``ragged_clean_datasets`` with random features of 1 to 4 dimensions,
+    some rows all zero, and a number of trials per kind it can supply."""
+    ds = draw(ragged_clean_datasets())
+    n, dim = len(ds), draw(st.integers(1, 4))
+    pool = len(per_class_target_pairs(ds)[0])
+    limit = min(pool, n * (n - 1) // 2 - pool)
+    assume(limit >= 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = rng.standard_normal((n, dim)) * (rng.random((n, 1)) < 0.9)
+    featured = Dataset(features=features, utt_id=ds.utt_id, true_class=ds.true_class,
+                       observed_class=ds.observed_class, is_ood=ds.is_ood,
+                       class_count=ds.class_count, feature_dim=dim)
+    return featured, draw(st.integers(1, limit)), draw(st.integers(0, 3))
+
+
+def _first_misplaced(trials: Trials, ds: Dataset):
+    """The first trial whose rows do not hold its ids in ``ds``, or None."""
+    for k, rows in enumerate(trials.rows.T.tolist()):
+        ids = (int(trials.enroll_id[k]), int(trials.test_id[k]))
+        if any(not 0 <= r < len(ds) or int(ds.utt_id[r]) != u for r, u in zip(rows, ids)):
+            return k
+    return None
+
+
+def assert_scores_by_row_or_refuses(model, trials: Trials, ds: Dataset):
+    """``score_trials`` gives the found-by-id scores bit for bit when every
+    trial's rows hold its ids in ``ds``, and otherwise refuses, naming the
+    first trial whose rows do not."""
+    bad = _first_misplaced(trials, ds)
+    if bad is None:
+        emb = embed_batch(model.embedder, ds.features, ds.utt_id, model.source)
+        got, want = score_trials(model, trials, ds), scores_by_id(emb, ds, trials)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1]) and got[2] == want[2]
+        return
+    e, t = int(trials.enroll_id[bad]), int(trials.test_id[bad])
+    er, tr = trials.rows[:, bad].tolist()
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"first: enroll {e} at row {er}, test {t} at row {tr}") + "$"):
+        score_trials(model, trials, ds)
+
+
+@given(featured_datasets(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_score_trials_gathers_by_row_what_a_search_by_id_finds(case, data):
+    ds, pairs_per_kind, seed = case
+    model = identity_model(ds.feature_dim)
+    trials = generate_trials(ds, pairs_per_kind, seed)
+    assert np.array_equal(ds.utt_id[trials.rows], [trials.enroll_id, trials.test_id])
+    assert _first_misplaced(trials, ds) is None
+    assert_scores_by_row_or_refuses(model, trials, ds)
+
+    # the same trials against the rows permuted, or with one id changed:
+    # refused wherever a trial's rows no longer hold its ids, never scored
+    # from the wrong rows
+    perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(ds))
+    assert_scores_by_row_or_refuses(model, trials, ds.subset(perm))
+    k = data.draw(st.integers(0, len(trials) - 1))
+    changed = ds.subset(np.arange(len(ds)))
+    changed.utt_id[data.draw(st.sampled_from(trials.rows[:, k].tolist()))] = \
+        int(ds.utt_id.max()) + 1
+    assert _first_misplaced(trials, changed) <= k
+    assert_scores_by_row_or_refuses(model, trials, changed)
+
+
 def test_evaluate_model_end_to_end_separable():
     # class 0 along +x, class 1 along +y: cosine separates targets cleanly
     ds = make_dataset([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]], [0, 0, 1, 1])
-    trials = Trials([0, 2, 0, 1], [1, 3, 2, 3], [True, True, False, False])
+    trials = trials_in(ds, [0, 2, 0, 1], [1, 3, 2, 3], [True, True, False, False])
     got = evaluate_model(identity_model(2), ds, trials)
     assert got.eer == 0.0
     assert got.trial_count == 4
@@ -463,6 +599,48 @@ def test_read_trials_csv_rejects_ids_outside_64_bits(tmp_path):
     path.write_text("enroll_id,test_id,is_target\n1,2,true\n3,%d,false\n" % 2**63)
     with pytest.raises(ParseError, match=":3: utterance id outside the 64-bit range"):
         read_trials_csv(path)
+
+
+_CI_TINY_TRAIN = {"loss": {"kind": "aamsc", "subcenters": 2}, "total_steps": 30,
+                  "batch_speakers": 5, "hidden_dims": [8], "embed_dim": 6}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_eval_and_retrain_write_the_pinned_files(tmp_path):
+    """The sha256 of the CI tiny run's ``trials.csv``, ``eer.json`` and
+    ``retrain.json`` at seed 1, as the id-searching ``score_trials`` and the
+    ``lexsort``/``np.unique`` trial generator wrote them. ``trials.csv``
+    depends only on ids, labels and the trial stream. The EER files go
+    through the trained model's matmuls: a digest of theirs that moves under
+    another BLAS build may only be rounding, not a moved stream or pair."""
+    raw = {"output_dir": str(tmp_path / "run"), "seeds": [1], "dataset": TINY_DATASET,
+           "noise": {"kind": "permute", "level_q": 25.0}, "train": _CI_TINY_TRAIN,
+           "detect": {"histogram_bins": 4}, "eval": {"pairs_per_kind": 20}}
+    (tmp_path / "c.json").write_text(json.dumps(raw))
+    for stage in ("simulate", "train", "detect", "eval", "retrain"):
+        assert main([stage, "--config", str(tmp_path / "c.json"), "--quiet"]) == 0
+    got = [_sha256(tmp_path / "run" / "seed_1" / name)
+           for name in ("trials.csv", "eer.json", "retrain.json")]
+    assert got == ["446c0cbefc385cefebf523369dd2fb2561841a3bf2ed958fb0bec4853e459948",
+                   "2c876a30df1e756e50dee6dac6fc01c325bcbbd88f400970acb449dd34000470",
+                   "af2e74edc68ae2c69152cfafbfa64c7a4bc4502aeb0f7218f45e612f3ba18f8c"]
+
+
+def test_detect_wide_trials_are_the_pinned_file(tmp_path):
+    """The sha256 of ``generate_trials(heldout, 20000, 0)`` written through
+    ``write_trials_csv``, for the detect-wide benchmark's held-out dataset at
+    seed 0, as the ``lexsort``/``np.unique`` trial generator wrote it."""
+    raw = {"output_dir": str(tmp_path / "run"), "seeds": [0], "dataset": WIDE_DATASET,
+           "noise": {"kind": "open_set", "level_q": 50.0}}
+    (tmp_path / "c.json").write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(tmp_path / "c.json"), "--quiet"]) == 0
+    heldout = load_dataset(tmp_path / "run" / "seed_0" / "heldout.dataset")
+    write_trials_csv(generate_trials(heldout, 20000, 0), tmp_path / "trials.csv")
+    assert _sha256(tmp_path / "trials.csv") == \
+        "27e495a56ae542ff473adbb9dca4b4c54f67db2c29cd361a563a7b40517922f6"
 
 
 def test_write_eer_json(tmp_path):

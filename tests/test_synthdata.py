@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import BYTE_EDITS, edit_bytes, make_dataset
+from conftest import BYTE_EDITS, TINY_DATASET, WIDE_DATASET, edit_bytes, make_dataset
 from labelnoise import jsonutil, synthdata
 from labelnoise.cli import main
 from labelnoise.embedder import write_loss_curve
@@ -665,21 +665,17 @@ def _same_bits(a: Dataset, b: Dataset) -> bool:
     return a == b and np.array_equal(a.features.view(np.int64), b.features.view(np.int64))
 
 
-_TINY = {"class_count": 5, "per_class": 6, "latent_dim": 4, "feature_dim": 8,
-         "aux_class_count": 5, "aux_per_class": 3, "heldout_per_class": 4}
 _TINY_CLEAN = "5795a0890bddcd478207eaf58ffd1715b303ecb8cc44cbb5bcb46dc4d1a756b3"
 _TINY_AUX = "7d3ee4d16a337b087ed7f4fd6adae21756a7b9e72d7b57681f735769f53665ab"
 _TINY_HELDOUT = "ed15f2a042c65b796ccbbd9db853497eaeb4043cea4588df2293ff134a95e995"
 _PINNED = {
-    "tiny-permute": (_TINY, {"kind": "permute", "level_q": 25.0}, 1, (
+    "tiny-permute": (TINY_DATASET, {"kind": "permute", "level_q": 25.0}, 1, (
         _TINY_CLEAN, _TINY_AUX, _TINY_HELDOUT,
         "a06f31254f24c980d0630d22168c7362fbe2bc36f0aefa852a86d3c2d867088c")),
-    "tiny-open-set": (_TINY, {"kind": "open_set", "level_q": 25.0}, 1, (
+    "tiny-open-set": (TINY_DATASET, {"kind": "open_set", "level_q": 25.0}, 1, (
         _TINY_CLEAN, _TINY_AUX, _TINY_HELDOUT,
         "2f4649010e2c2734a5d3ca6783b41796a0fb02530985a5ec262f3621470e8693")),
-    "wide-open-set": ({"class_count": 200, "per_class": 40, "latent_dim": 16, "feature_dim": 20,
-                       "aux_class_count": 200, "aux_per_class": 40, "heldout_per_class": 20},
-                      {"kind": "open_set", "level_q": 50.0}, 0, (
+    "wide-open-set": (WIDE_DATASET, {"kind": "open_set", "level_q": 50.0}, 0, (
         "f108bfe84db6e24623162dd819414b83b0e8cd3842b467d891c10f1441dc172e",
         "01774bb0d3c79aa029014d2b55d85cb83a9b838cd82b67d7f8a6bbea2c136a27",
         "80a02c5ef93acb69307d0906681315a4a78089fb83ee12674557c40eac098d4c",
