@@ -224,6 +224,13 @@ def detection_config_digest(resolved: dict) -> str:
     return digest_config({k: resolved[k] for k in ("dataset", "noise", "train", "detect")})
 
 
+def eer_config_digest(resolved: dict, seed: int) -> str:
+    """Digest of the config sections and the seed an EER file's held-out set,
+    model and trials come from: an edit to ``detect`` or ``retrain`` leaves it valid."""
+    return digest_config({k: resolved[k] for k in ("dataset", "noise", "train", "eval")}
+                         | {"seed": seed})
+
+
 def build_train_config(resolved: dict, class_count: int, run_seed: int) -> TrainConfig:
     t = resolved["train"]
     make = LOSS_KINDS[t["loss"]["kind"]][0]
@@ -353,10 +360,10 @@ def _save_checked(model: TrainedModel, path: Path) -> None:
         raise ConfigurationError(f"round-trip validation failed for {path}")
 
 
-def _dataset_for(model: TrainedModel | None, path: Path) -> Dataset:
+def _dataset_for(model: TrainedModel, path: Path) -> Dataset:
     """The dataset at ``path``, refused if its width is not ``model``'s input width."""
     ds = load_dataset(path)
-    if model is not None and ds.feature_dim != (width := model.embedder.layer_dims[0]):
+    if ds.feature_dim != (width := model.embedder.layer_dims[0]):
         raise ConfigurationError(f"model file {model.source}: expects dim-{width} features, "
                                  f"dataset {path} has dim {ds.feature_dim}")
     return ds
@@ -427,7 +434,7 @@ def cmd_eval(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path], di
     trials_path = out / "trials.csv"
     eer_path = out / "eer.json"
     write_trials_csv(trials, trials_path)
-    write_eer_json(result, sha256_file(model_path), eer_path)
+    write_eer_json(result, sha256_file(model_path), eer_config_digest(resolved, seed), eer_path)
     logger.info("seed %d: EER %.4f over %d trials (%d dropped)",
                 seed, result.eer, result.trial_count, dropped)
     return [trials_path, eer_path], {"eer": result.eer, "trial_count": result.trial_count,
@@ -439,7 +446,9 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
 
     The method recorded is the one the detection file was made with; a
     ``retrain.detection_method`` that names another is refused. Left null,
-    it reads the seed directory's inter detection file.
+    it reads the seed directory's inter detection file. The baseline EER is
+    the seed directory's ``eer.json``, once shown to be the baseline model's
+    under this config and seed.
     """
     asked = resolved["retrain"]["detection_method"]
     det_path = (Path(args.detection) if args.detection else
@@ -455,26 +464,28 @@ def cmd_retrain(resolved: dict, seed: int, out: Path, args) -> tuple[list[Path],
             raise ConfigurationError(stale)
         logger.warning("%s; applying it as --detection asks", stale)
 
-    # only the seed directory's own model may be missing: then the baseline is trained here
+    eer_path = out / "eer.json"
+    before, scored, recorded = load_eer(eer_path)
     model_path = Path(args.model) if args.model else out / "model.json"
-    before_model = load_model(model_path) if args.model or model_path.exists() else None
+    if not model_path.exists():
+        raise ConfigurationError(f"model file not found: {model_path}")
+    if (model_digest := sha256_file(model_path)) != scored:
+        raise ConfigurationError(f"model file {model_path} has sha256 {model_digest}, but "
+                                 f"{eer_path} is the EER of sha256 {scored}; run eval on it first")
+    if recorded != (digest := eer_config_digest(resolved, seed)):
+        raise ConfigurationError(f"EER report {eer_path} has config digest {recorded}, the "
+                                 f"config has {digest}; run eval under this config first")
+
     ds_path = Path(args.dataset) if args.dataset else out / "noisy.dataset"
     heldout_path = out / "heldout.dataset"
-    ds = _dataset_for(before_model, ds_path)
-    heldout = _dataset_for(before_model, heldout_path)
-    # with a baseline model both widths were checked against it; without
-    # one the baseline is trained on ``ds`` and then embeds ``heldout``
+    ds, heldout = load_dataset(ds_path), load_dataset(heldout_path)
+    # the retrained model embeds ``heldout``, so the two widths must agree
     if heldout.feature_dim != ds.feature_dim:
         raise ConfigurationError(f"held-out dataset {heldout_path} has dim {heldout.feature_dim}, "
                                  f"training dataset {ds_path} has dim {ds.feature_dim}")
     trials = generate_trials(heldout, resolved["eval"]["pairs_per_kind"], seed)
-
     cfg = build_train_config(resolved, ds.class_count, seed)
-    if before_model is None:
-        logger.info("seed %d: no trained model at %s, training the baseline now", seed, model_path)
-
-    outcome = retrain_after_removal(ds, detection.predicted_noisy, cfg, heldout, trials,
-                                    before_model)
+    outcome = retrain_after_removal(ds, detection.predicted_noisy, cfg, heldout, trials, before)
 
     retrained_path = out / "model_retrained.json"
     report_path = out / "retrain.json"
@@ -526,7 +537,8 @@ def cmd_report(args) -> int:
                 f"{cfg_path}: config field name must be ASCII, got {resolved['name']!a}")
         noise = resolved["noise"] or {"kind": "clean", "level_q": 0.0}
         sdirs = [root / f"seed_{seed}" for seed in resolved["seeds"]]
-        eer = _mean_or_missing([_if_present(sdir / "eer.json", load_eer) for sdir in sdirs], "eer")
+        eer = _mean_or_missing([_if_present(sdir / "eer.json", lambda path: load_eer(path)[0])
+                                for sdir in sdirs], "eer")
         for method in METHODS:
             detections = [_if_present(sdir / f"detection_{method}.json",
                                       lambda path: load_detection(path)[1]) for sdir in sdirs]
@@ -589,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="trained model path")
     p = sub.add_parser("retrain", parents=[common], allow_abbrev=False,
                        help="drop predicted-noisy utterances and retrain")
-    p.add_argument("--model", default=None, help="baseline model path")
+    p.add_argument("--model", default=None, help="baseline model path, as eval scored it")
     p.add_argument("--dataset", default=None, help="training dataset path")
     p.add_argument("--detection", default=None, help="detection report to apply")
 

@@ -12,7 +12,8 @@ No step calls ``np.lexsort`` or ``np.unique``, which imports ``numpy.ma``.
 
 ``retrain_after_removal`` closes the loop: drop the utterances a
 detection pass flagged, retrain with the same configuration and seed,
-and compare held-out EER before and after.
+and set the retrained model's held-out EER beside the baseline's, which
+``eval`` computed on the same trials and ``load_eer`` reads back.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class RetrainOutcome:
     after: EERResult
     removed_count: int
     dropped_classes: list[int]
-    before_model: TrainedModel
     after_model: TrainedModel
 
 
@@ -253,11 +253,6 @@ def compute_eer(scores: np.ndarray, is_target: np.ndarray) -> EERResult:
     return EERResult(eer=eer, threshold_at_eer=thr, trial_count=int(scores.size))
 
 
-def evaluate_model(model: TrainedModel, heldout: Dataset, trials: Trials) -> EERResult:
-    scores, labels, _ = score_trials(model, trials, heldout)
-    return compute_eer(scores, labels)
-
-
 def remove_predicted(ds: Dataset, predicted: np.ndarray) -> Dataset:
     """Dataset minus the utterances whose ids are in ``predicted`` (same
     metadata). Ids absent from the dataset are ignored."""
@@ -268,11 +263,10 @@ def remove_predicted(ds: Dataset, predicted: np.ndarray) -> Dataset:
 
 
 def retrain_after_removal(ds: Dataset, predicted: np.ndarray, cfg: TrainConfig,
-                          heldout: Dataset, trials: Trials,
-                          before_model: TrainedModel | None = None) -> RetrainOutcome:
-    """Train (or reuse) a model on ``ds``, retrain on ``ds`` minus the
-    predicted-noisy utterances with identical config and seed, and report
-    held-out EER for both on the same trials.
+                          heldout: Dataset, trials: Trials, before: EERResult) -> RetrainOutcome:
+    """Retrain on ``ds`` minus the predicted-noisy utterances with the
+    baseline's config and seed, and report the retrained model's held-out
+    EER on ``trials`` beside ``before``, the baseline's EER on them.
 
     Classes left with fewer than ``utts_per_speaker`` utterances are
     dropped from sampling; if fewer than ``batch_speakers`` classes stay
@@ -299,19 +293,11 @@ def retrain_after_removal(ds: Dataset, predicted: np.ndarray, cfg: TrainConfig,
         logger.warning("clamping batch classes from %d to %d eligible after removal",
                        cfg.batch_speakers, eligible)
 
-    if before_model is None:
-        before_model, _ = train(ds, cfg)
-    # the baseline is scored first, so a baseline that cannot be scored costs no training
-    before = evaluate_model(before_model, heldout, trials)
     after_model, _ = train(filtered, cfg_after)
-    return RetrainOutcome(
-        before=before,
-        after=evaluate_model(after_model, heldout, trials),
-        removed_count=removed,
-        dropped_classes=dropped,
-        before_model=before_model,
-        after_model=after_model,
-    )
+    scores, labels, _ = score_trials(after_model, trials, heldout)
+    return RetrainOutcome(before=before, after=compute_eer(scores, labels),
+                          removed_count=removed, dropped_classes=dropped,
+                          after_model=after_model)
 
 
 def write_trials_csv(trials: Trials, path) -> None:
@@ -326,22 +312,23 @@ def _eer_fields(result: EERResult) -> dict:
             "trial_count": result.trial_count}
 
 
-def write_eer_json(result: EERResult, model_digest: str, path) -> None:
-    write_json17({**_eer_fields(result), "model_digest": model_digest}, path)
+def write_eer_json(result: EERResult, model_digest: str, config_digest: str, path) -> None:
+    write_json17({**_eer_fields(result), "model_digest": model_digest,
+                  "config_digest": config_digest}, path)
 
 
-def load_eer(path) -> EERResult:
-    """A ``write_eer_json`` file's result, its ``model_digest`` checked to be a
-    string; a fault raises a LabelNoiseError reading ``PATH: EER report...``."""
+def load_eer(path) -> tuple[EERResult, str, str]:
+    """A ``write_eer_json`` file's result, model digest and config digest; a
+    fault raises a LabelNoiseError reading ``PATH: EER report...``."""
     return read_json_object(path, "EER report", _eer_from_dict)
 
 
-def _eer_from_dict(d: dict) -> EERResult:
+def _eer_from_dict(d: dict) -> tuple[EERResult, str, str]:
     result = EERResult(json_field(d, "eer", float, "EER report", bounds=(0, 1)),
                        json_field(d, "threshold", float, "EER report"),
                        json_field(d, "trial_count", int, "EER report"))
-    json_field(d, "model_digest", str, "EER report")
-    return result
+    return (result, *(json_field(d, k, str, "EER report")
+                      for k in ("model_digest", "config_digest")))
 
 
 def write_retrain_json(outcome: RetrainOutcome, method: str, seed: int,

@@ -35,7 +35,8 @@ classifier are the per-class forms whose bits the array bank must
 reproduce. ``trials_in`` finds hand-built trials' rows by id, and
 ``scores_by_id`` is the one-trial-at-a-time, found-by-id form whose
 scores the row-gathering ``score_trials`` must reproduce bit for bit.
-``read_trials_csv`` reads back what ``write_trials_csv``
+``evaluate_model`` is a model's held-out EER as ``eval`` computes it, the
+baseline EER a test hands to ``retrain_after_removal``. ``read_trials_csv`` reads back what ``write_trials_csv``
 writes, and ``same_trials`` compares two trial lists. The four per-row
 CSV writers are the forms whose bytes the block-formatting
 ``write_rows`` writers must reproduce. The per-layer
@@ -62,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from labelnoise.embedder import AdamState, MlpParams, TrainConfig, _first_non_finite
+from labelnoise.embedder import AdamState, MlpParams, TrainConfig, TrainedModel, _first_non_finite
 from labelnoise.errors import (
     ConfigurationError,
     DivergenceError,
@@ -70,7 +71,7 @@ from labelnoise.errors import (
     LabelNoiseError,
     ParseError,
 )
-from labelnoise.evaluation import Trials
+from labelnoise.evaluation import EERResult, Trials, compute_eer, score_trials
 from labelnoise.jsonutil import dump_json17
 from labelnoise.losses import (
     AAMConfig,
@@ -1146,6 +1147,11 @@ def scores_by_id(emb: np.ndarray, ds: Dataset, trials: Trials
         scores.append(min(1.0, max(-1.0, np.dot(emb[a], emb[b]) / (norms[0] * norms[1]))))
         labels.append(target)
     return np.array(scores, dtype=np.float64), np.array(labels, dtype=bool), dropped
+
+
+def evaluate_model(model: TrainedModel, heldout: Dataset, trials: Trials) -> EERResult:
+    scores, labels, _ = score_trials(model, trials, heldout)
+    return compute_eer(scores, labels)
 
 
 def same_trials(a: Trials, b: Trials) -> bool:

@@ -60,6 +60,7 @@ from oracles import (
     brute_intra,
     brute_precision_recall,
     brute_top_q_percent,
+    evaluate_model,
 )
 
 
@@ -413,9 +414,9 @@ def test_criterion_6_removal_and_retraining_lower_eer():
         result, _ = _detect(seed, "aamsc", "open_set", 50.0, "inter")
         ds = _noised(seed, "open_set", 50.0)
         _, _, held, trials = _data_for(seed)
+        before = evaluate_model(_model(seed, "aamsc", "open_set", 50.0), held, trials)
         outcome = retrain_after_removal(
-            ds, result.predicted_noisy, _train_cfg(seed, "aamsc"), held, trials,
-            before_model=_model(seed, "aamsc", "open_set", 50.0))
+            ds, result.predicted_noisy, _train_cfg(seed, "aamsc"), held, trials, before)
         improved = outcome.after.eer < outcome.before.eer
         wins += improved
         pairs.append(f"seed {seed}: {outcome.before.eer:.4f} -> {outcome.after.eer:.4f}")

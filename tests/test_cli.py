@@ -24,12 +24,14 @@ from hypothesis import strategies as st
 import labelnoise
 import labelnoise.cli as cli
 import labelnoise.embedder as embedder
+import labelnoise.evaluation as evaluation
 import labelnoise.nld as nld
 from labelnoise.cli import (
     SECTIONS,
     TOP_LEVEL_KEYS,
     build_train_config,
     detection_config_digest,
+    eer_config_digest,
     main,
     resolve_config,
     run_config_digest,
@@ -182,6 +184,18 @@ def test_run_config_digest_ignores_location_and_label():
     assert run_config_digest(a) == run_config_digest(b)
     c = resolve_config({"output_dir": "a", "detect": {"q": 10.0}})
     assert run_config_digest(a) != run_config_digest(c)
+
+
+def test_eer_config_digest_covers_the_sections_an_eer_depends_on_and_the_seed():
+    base = {"output_dir": "a", "noise": {"kind": "permute", "level_q": 20.0}}
+    digest = eer_config_digest(resolve_config(base), 1)
+    for edit in ({"output_dir": "b", "name": "other"}, {"detect": {"q": 10.0}},
+                 {"retrain": {"detection_method": "intra"}}):
+        assert eer_config_digest(resolve_config({**base, **edit}), 1) == digest
+    assert eer_config_digest(resolve_config(base), 2) != digest
+    for edit in ({"dataset": {"per_class": 41}}, {"noise": None}, {"train": {"total_steps": 7}},
+                 {"eval": {"pairs_per_kind": 7}}):
+        assert eer_config_digest(resolve_config({**base, **edit}), 1) != digest
 
 
 def test_build_train_config_derives_the_stage_seed():
@@ -486,7 +500,7 @@ def test_negative_seed_flag_exits_one_and_writes_nothing(pipeline, tmp_path, cap
 def test_retrain_refuses_predicted_ids_outside_int64(pipeline, tmp_path, capsys):
     sdir = tmp_path / "run" / "seed_1"
     sdir.mkdir(parents=True)
-    for name in ("noisy.dataset", "heldout.dataset", "model.json"):
+    for name in ("noisy.dataset", "heldout.dataset", "model.json", "eer.json"):
         shutil.copy(pipeline.sdir / name, sdir)
     det = json.loads((pipeline.sdir / "detection_inter.json").read_text())
     det_path = tmp_path / "detection.json"
@@ -640,12 +654,14 @@ def test_retrain_applies_the_seed_directory_file_after_an_edit_detection_does_no
         pipeline, tmp_path, edit):
     run = copy_run(pipeline, tmp_path)
     sdir = run / "seed_1"
-    manifest = json.loads((sdir / "manifest.json").read_text())
     raw = {**pipeline.raw, "output_dir": str(run), **edit}
+    cfg_path = write_config(tmp_path / "edited.json", raw)
     resolved = resolve_config(raw)
     assert run_config_digest(resolved) != run_config_digest(resolve_config(pipeline.raw))
-    assert main(["retrain", "--config", str(write_config(tmp_path / "edited.json", raw)),
-                 "--quiet"]) == 0
+    if "eval" in edit:  # the baseline EER retrain reports is eval's under the same config
+        assert main(["eval", "--config", str(cfg_path), "--quiet"]) == 0
+    manifest = json.loads((sdir / "manifest.json").read_text())
+    assert main(["retrain", "--config", str(cfg_path), "--quiet"]) == 0
     method = resolved["retrain"]["detection_method"] or "inter"
     recorded = json.loads((sdir / f"detection_{method}.json").read_text())["config_digest"]
     assert recorded == detection_config_digest(resolved)
@@ -793,32 +809,131 @@ def test_retrain_refuses_a_missing_model_path(pipeline, tmp_path, capsys):
         (pipeline.sdir / "retrain.json").read_bytes()
 
 
-def test_retrain_without_the_seed_model_trains_the_baseline(pipeline, tmp_path, caplog):
+def _assert_retrain_refuses(run: Path, argv: list[str], message: str, capsys, monkeypatch):
+    """``retrain`` with ``argv`` exits 1 with ``error: message`` as its last
+    line, trains nothing, and leaves model_retrained.json and retrain.json
+    as they were."""
+    sdir = run / "seed_1"
+    kept = {name: (sdir / name).read_bytes() for name in ("model_retrained.json", "retrain.json")}
+    monkeypatch.setattr(cli, "train", _no_training)
+    monkeypatch.setattr(evaluation, "train", _no_training)
+    assert main(["retrain", *argv, "--quiet"]) == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert {name: (sdir / name).read_bytes() for name in kept} == kept
+
+
+def _not_the_scored_model(model_path: Path, sdir: Path) -> str:
+    scored = json.loads((sdir / "eer.json").read_text())["model_digest"]
+    return (f"model file {model_path} has sha256 {sha256_file(model_path)}, but "
+            f"{sdir / 'eer.json'} is the EER of sha256 {scored}; run eval on it first")
+
+
+def test_retrain_without_the_seed_model_refuses_and_trains_nothing(pipeline, tmp_path, capsys,
+                                                                   monkeypatch):
+    run = copy_run(pipeline, tmp_path)
+    (run / "seed_1" / "model.json").unlink()
+    _assert_retrain_refuses(run, ["--config", str(pipeline.cfg_path), "--out", str(run)],
+                            f"model file not found: {run / 'seed_1' / 'model.json'}",
+                            capsys, monkeypatch)
+
+
+def test_retrain_refuses_a_seed_directory_without_an_eer_file(pipeline, tmp_path, capsys,
+                                                              monkeypatch):
+    run = copy_run(pipeline, tmp_path)
+    eer_path = run / "seed_1" / "eer.json"
+    eer_path.unlink()
+    _assert_retrain_refuses(run, ["--config", str(pipeline.cfg_path), "--out", str(run)],
+                            f"EER report file not found: {eer_path}", capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("where", ["--model", "seed directory"])
+def test_retrain_refuses_an_eer_file_of_another_model(pipeline, tmp_path, capsys, monkeypatch,
+                                                      where):
+    # a model trained on the clean set: another run's, named by --model, or
+    # trained over the seed directory's own without running eval again
     run = copy_run(pipeline, tmp_path)
     sdir = run / "seed_1"
-    for name in ("model.json", "model_retrained.json", "retrain.json"):
-        (sdir / name).unlink()
-    with caplog.at_level(logging.INFO, logger="labelnoise.cli"):
-        assert main(["retrain", "--config", str(pipeline.cfg_path), "--out", str(run)]) == 0
-    assert f"seed 1: no trained model at {sdir / 'model.json'}, training the baseline now" in \
-        [r.getMessage() for r in caplog.records]
-    # the baseline trained here is the model train wrote, so the report is the pipeline's
+    other = tmp_path / "other" if where == "--model" else run
+    assert main(["train", "--config", str(pipeline.cfg_path), "--out", str(other),
+                 "--dataset", str(sdir / "clean.dataset"), "--quiet"]) == 0
+    model_path = other / "seed_1" / "model.json"
+    named = ["--model", str(model_path)] if where == "--model" else []
+    argv = ["--config", str(pipeline.cfg_path), "--out", str(run), *named]
+    _assert_retrain_refuses(run, argv, _not_the_scored_model(model_path, sdir), capsys,
+                            monkeypatch)
+    # eval on that model first, and retrain takes its EER as the baseline's
+    monkeypatch.undo()
+    assert main(["eval", "--config", str(pipeline.cfg_path), "--out", str(run), *named,
+                 "--quiet"]) == 0
+    assert main(["retrain", *argv, "--quiet"]) == 0
+    assert json.loads((sdir / "retrain.json").read_text())["before"] == {
+        k: v for k, v in json.loads((sdir / "eer.json").read_text()).items()
+        if k in ("eer", "threshold", "trial_count")}
+
+
+@pytest.mark.parametrize("edit", [{"eval": {"pairs_per_kind": 24}},
+                                  {"train": {"total_steps": 31}}], ids=["eval", "train"])
+def test_retrain_refuses_an_eer_file_made_under_another_config(pipeline, tmp_path, capsys,
+                                                               monkeypatch, edit):
+    run = copy_run(pipeline, tmp_path)
+    sdir = run / "seed_1"
+    section = next(iter(edit))
+    raw = {**pipeline.raw, "output_dir": str(run),
+           section: {**pipeline.raw[section], **edit[section]}}
+    recorded = json.loads((sdir / "eer.json").read_text())["config_digest"]
+    digest = eer_config_digest(resolve_config(raw), 1)
+    assert recorded == eer_config_digest(resolve_config(pipeline.raw), 1) != digest
+    # a train edit makes the detection file stale too, so it is named to be applied anyway
+    argv = ["--config", str(write_config(tmp_path / "edited.json", raw)),
+            "--detection", str(sdir / "detection_inter.json")]
+    _assert_retrain_refuses(run, argv, f"EER report {sdir / 'eer.json'} has config digest "
+                            f"{recorded}, the config has {digest}; run eval under this "
+                            "config first", capsys, monkeypatch)
+
+
+def test_retrain_and_report_refuse_an_eer_file_without_a_config_digest(pipeline, tmp_path,
+                                                                      capsys, monkeypatch):
+    run = copy_run(pipeline, tmp_path)
+    eer_path = run / "seed_1" / "eer.json"
+    eer = json.loads(eer_path.read_text())
+    del eer["config_digest"]
+    eer_path.write_text(json.dumps(eer))
+    message = f"{eer_path}: EER report.config_digest is missing"
+    _assert_retrain_refuses(run, ["--config", str(pipeline.cfg_path), "--out", str(run)],
+                            message, capsys, monkeypatch)
+    assert main(["report", str(run), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_retrain_scores_only_the_retrained_model_and_loads_only_its_read_back(
+        pipeline, tmp_path, monkeypatch):
+    run = copy_run(pipeline, tmp_path)
+    loaded, scored = [], []
+    real_score = evaluation.score_trials
+    monkeypatch.setattr(cli, "load_model", lambda path: loaded.append(path) or load_model(path))
+    monkeypatch.setattr(evaluation, "score_trials",
+                        lambda *args: scored.append(args) or real_score(*args))
+    assert main(["retrain", "--config", str(pipeline.cfg_path), "--out", str(run),
+                 "--quiet"]) == 0
+    assert loaded == [run / "seed_1" / "model_retrained.json"]
+    assert len(scored) == 1
     for name in ("model_retrained.json", "retrain.json"):
-        assert (sdir / name).read_bytes() == (pipeline.sdir / name).read_bytes(), name
+        assert (run / "seed_1" / name).read_bytes() == (pipeline.sdir / name).read_bytes(), name
 
 
 def test_retrain_without_a_model_refuses_a_held_out_set_of_another_width(pipeline, tmp_path,
                                                                         capsys, monkeypatch):
+    # retrain loads no model, so the held-out set is checked against the training set
     run = copy_run(pipeline, tmp_path)
     sdir = run / "seed_1"
-    for name in ("model.json", "model_retrained.json", "retrain.json"):
+    for name in ("model_retrained.json", "retrain.json"):
         (sdir / name).unlink()
     heldout = load_dataset(sdir / "heldout.dataset")
     wide = np.hstack([heldout.features, np.zeros((len(heldout), 1))])
     save_dataset(dataclasses.replace(heldout, features=wide, feature_dim=9),
                  sdir / "heldout.dataset")
     monkeypatch.setattr(cli, "train", _no_training)
-    monkeypatch.setattr("labelnoise.evaluation.train", _no_training)
+    monkeypatch.setattr(evaluation, "train", _no_training)
     assert main(["retrain", "--config", str(pipeline.cfg_path), "--out", str(run),
                  "--quiet"]) == 1
     assert capsys.readouterr().err == (
@@ -1077,8 +1192,11 @@ def test_a_model_of_another_width_is_refused_before_any_work(pipeline, tmp_path,
     monkeypatch.setattr("labelnoise.evaluation.train", _no_training)
     assert main([command, "--config", str(pipeline.cfg_path), "--out", str(run),
                  "--model", str(wide), "--quiet"]) == 1
-    assert capsys.readouterr().err == (f"error: model file {wide}: expects dim-9 features, "
-                                       f"dataset {run / 'seed_1' / dataset} has dim 8\n")
+    # retrain loads no model: it refuses one that is not the model eval scored
+    assert capsys.readouterr().err == (
+        f"error: {_not_the_scored_model(wide, run / 'seed_1')}\n" if command == "retrain" else
+        f"error: model file {wide}: expects dim-9 features, "
+        f"dataset {run / 'seed_1' / dataset} has dim 8\n")
     assert _seed_dir_bytes(run / "seed_1") == before
 
 
@@ -1112,8 +1230,9 @@ def test_a_model_with_non_finite_embeddings_is_refused(pipeline, tmp_path, capsy
         warnings.simplefilter("error")  # no RuntimeWarning reaches the user either
         assert main([command, "--config", str(pipeline.cfg_path), "--out", str(run),
                      "--model", str(bad), "--quiet"]) == 1
-    assert capsys.readouterr().err == (f"error: model file {bad}: utterance {first} "
-                                       f"has a non-finite embedding norm\n")
+    assert capsys.readouterr().err == (
+        f"error: {_not_the_scored_model(bad, run / 'seed_1')}\n" if command == "retrain" else
+        f"error: model file {bad}: utterance {first} has a non-finite embedding norm\n")
     assert _seed_dir_bytes(run / "seed_1") == before
 
 

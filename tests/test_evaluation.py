@@ -38,7 +38,6 @@ from labelnoise.evaluation import (
     _first_indices,
     _same_class_pairs,
     compute_eer,
-    evaluate_model,
     generate_trials,
     load_eer,
     remove_predicted,
@@ -54,6 +53,7 @@ from labelnoise.synthdata import Dataset, generate_dataset, load_dataset, save_d
 from oracles import (
     brute_eer_midpoint,
     cosine_similarity,
+    evaluate_model,
     per_class_target_pairs,
     read_trials_csv,
     scalar_generate_trials,
@@ -503,7 +503,7 @@ def test_remove_predicted_refuses_a_set():
         remove_predicted(ds, {0, 5})
     ds, heldout, trials, cfg = retrain_fixture()
     with pytest.raises(TypeError):
-        retrain_after_removal(ds, {0}, cfg, heldout, trials)
+        retrain_after_removal(ds, {0}, cfg, heldout, trials, STAND_IN)
 
 
 def test_remove_predicted_refuses_empty_result():
@@ -522,22 +522,31 @@ def retrain_fixture(seed=3):
     return ds, heldout, trials, cfg
 
 
+# a baseline EER for the retrain tests that never compare against it
+STAND_IN = EERResult(eer=0.25, threshold_at_eer=0.5, trial_count=24)
+
+
 def test_retrain_with_nothing_removed_reproduces_the_model():
     ds, heldout, trials, cfg = retrain_fixture()
-    outcome = retrain_after_removal(ds, np.empty(0, dtype=np.int64), cfg, heldout, trials)
+    model, _ = train(ds, cfg)
+    before = evaluate_model(model, heldout, trials)
+    outcome = retrain_after_removal(ds, np.empty(0, dtype=np.int64), cfg, heldout, trials, before)
     assert outcome.removed_count == 0
     assert outcome.dropped_classes == []
-    assert outcome.before.eer == outcome.after.eer
-    assert dump_json17(model_to_dict(outcome.before_model)) == \
-        dump_json17(model_to_dict(outcome.after_model))
+    assert outcome.after == outcome.before == before
+    assert dump_json17(model_to_dict(outcome.after_model)) == dump_json17(model_to_dict(model))
 
 
-def test_retrain_reuses_supplied_before_model():
+def test_retrain_reuses_the_supplied_baseline_eer(monkeypatch):
     ds, heldout, trials, cfg = retrain_fixture()
-    model, _ = train(ds, cfg)
-    outcome = retrain_after_removal(ds, [0], cfg, heldout, trials, before_model=model)
-    assert outcome.before_model is model
-    assert outcome.before == evaluate_model(model, heldout, trials)
+    scored = []
+    real = evaluation.score_trials
+    monkeypatch.setattr(evaluation, "score_trials",
+                        lambda model, *rest: scored.append(model) or real(model, *rest))
+    outcome = retrain_after_removal(ds, [0], cfg, heldout, trials, STAND_IN)
+    assert outcome.before is STAND_IN
+    assert scored == [outcome.after_model]  # only the retrained model is scored
+    assert outcome.after == evaluate_model(outcome.after_model, heldout, trials)
     assert outcome.removed_count == 1
 
 
@@ -545,7 +554,7 @@ def test_retrain_clamps_batch_when_removal_empties_a_class(caplog):
     ds, heldout, trials, cfg = retrain_fixture()
     class_zero = ds.utt_id[ds.observed_class == 0]
     with caplog.at_level("WARNING"):
-        outcome = retrain_after_removal(ds, class_zero, cfg, heldout, trials)
+        outcome = retrain_after_removal(ds, class_zero, cfg, heldout, trials, STAND_IN)
     assert outcome.removed_count == len(class_zero)
     assert outcome.dropped_classes == [0]
     assert "clamping batch classes from 4 to 3" in caplog.text
@@ -563,7 +572,7 @@ def test_retrain_refuses_a_removal_that_leaves_ge2e_too_few_classes(eligible):
     predicted = np.concatenate([ds.utt_id[ds.observed_class == c][2:]
                                 for c in range(eligible, ds.class_count)])
     with pytest.raises(ConfigurationError, match=f"removal left {eligible} class"):
-        retrain_after_removal(ds, predicted, cfg, heldout, trials)
+        retrain_after_removal(ds, predicted, cfg, heldout, trials, STAND_IN)
 
 
 # ----------------------------------------------------------------------
@@ -612,7 +621,9 @@ def _sha256(path) -> str:
 def test_eval_and_retrain_write_the_pinned_files(tmp_path):
     """The sha256 of the CI tiny run's ``trials.csv``, ``eer.json`` and
     ``retrain.json`` at seed 1, as the id-searching ``score_trials`` and the
-    ``lexsort``/``np.unique`` trial generator wrote them. ``trials.csv``
+    ``lexsort``/``np.unique`` trial generator wrote them; ``eer.json`` gained
+    its ``config_digest`` since, and ``retrain.json`` kept its bytes when
+    ``retrain`` began taking its baseline EER from ``eer.json``. ``trials.csv``
     depends only on ids, labels and the trial stream. The EER files go
     through the trained model's matmuls: a digest of theirs that moves under
     another BLAS build may only be rounding, not a moved stream or pair."""
@@ -625,7 +636,7 @@ def test_eval_and_retrain_write_the_pinned_files(tmp_path):
     got = [_sha256(tmp_path / "run" / "seed_1" / name)
            for name in ("trials.csv", "eer.json", "retrain.json")]
     assert got == ["446c0cbefc385cefebf523369dd2fb2561841a3bf2ed958fb0bec4853e459948",
-                   "2c876a30df1e756e50dee6dac6fc01c325bcbbd88f400970acb449dd34000470",
+                   "a7e7c5418d14db3953e48210123cbd9276a94b5ea5c984096003e5d595ae9d31",
                    "af2e74edc68ae2c69152cfafbfa64c7a4bc4502aeb0f7218f45e612f3ba18f8c"]
 
 
@@ -646,14 +657,15 @@ def test_detect_wide_trials_are_the_pinned_file(tmp_path):
 def test_write_eer_json(tmp_path):
     path = tmp_path / "eer.json"
     write_eer_json(EERResult(eer=0.125, threshold_at_eer=0.5, trial_count=40),
-                   model_digest="deadbeef", path=path)
+                   model_digest="deadbeef", config_digest="c0ffee", path=path)
     payload = json.loads(path.read_text())
     assert payload == {"eer": 0.125, "threshold": 0.5, "trial_count": 40,
-                       "model_digest": "deadbeef"}
+                       "model_digest": "deadbeef", "config_digest": "c0ffee"}
 
 
-def _write_eer(path, result=EERResult(eer=0.125, threshold_at_eer=0.5, trial_count=40)):
-    write_eer_json(result, model_digest="deadbeef", path=path)
+def _write_eer(path, result=EERResult(eer=0.125, threshold_at_eer=0.5, trial_count=40),
+               model_digest="deadbeef", config_digest="c0ffee"):
+    write_eer_json(result, model_digest, config_digest, path)
     return path
 
 
@@ -665,7 +677,8 @@ def _write_eer(path, result=EERResult(eer=0.125, threshold_at_eer=0.5, trial_cou
 def test_load_eer_reads_back_what_write_eer_json_wrote(tmp_path_factory, eer, threshold,
                                                        trial_count):
     result = EERResult(eer=eer, threshold_at_eer=threshold, trial_count=trial_count)
-    assert load_eer(_write_eer(tmp_path_factory.mktemp("eer") / "eer.json", result)) == result
+    assert load_eer(_write_eer(tmp_path_factory.mktemp("eer") / "eer.json", result)) == \
+        (result, "deadbeef", "c0ffee")
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -677,6 +690,9 @@ def test_load_eer_reads_back_what_write_eer_json_wrote(tmp_path_factory, eer, th
     (lambda d: {**d, "trial_count": 40.0}, "EER report.trial_count must be an integer, got 40.0"),
     (lambda d: {k: v for k, v in d.items() if k != "model_digest"},
      "EER report.model_digest is missing"),
+    (lambda d: {k: v for k, v in d.items() if k != "config_digest"},
+     "EER report.config_digest is missing"),
+    (lambda d: {**d, "config_digest": 7}, "EER report.config_digest must be a string, got 7"),
 ])
 def test_load_eer_refuses_a_malformed_file_naming_it(tmp_path, edit, message):
     path = _write_eer(tmp_path / "eer.json")
@@ -690,12 +706,12 @@ def _load_eer_or_refuse(path):
     LabelNoiseError naming it; any other exception fails the test. A
     result that loads writes out and reads back as itself."""
     try:
-        result = load_eer(path)
+        got = load_eer(path)
     except LabelNoiseError as exc:
         assert str(path) in str(exc)
         return None
-    assert load_eer(_write_eer(path.with_name("again.json"), result)) == result
-    return result
+    assert load_eer(_write_eer(path.with_name("again.json"), *got)) == got
+    return got
 
 
 @settings(max_examples=300, deadline=None)
@@ -705,7 +721,8 @@ def test_load_eer_takes_any_byte_edit_of_a_good_file(tmp_path_factory, edits):
     path.write_bytes(edit_bytes(path.read_bytes(), edits))
     got = _load_eer_or_refuse(path)
     if not edits:
-        assert got == EERResult(eer=0.125, threshold_at_eer=0.5, trial_count=40)
+        assert got == (EERResult(eer=0.125, threshold_at_eer=0.5, trial_count=40),
+                       "deadbeef", "c0ffee")
 
 
 @settings(max_examples=300, deadline=None)
@@ -720,12 +737,12 @@ def test_load_eer_takes_any_value_in_any_place(tmp_path_factory, edits):
 
 def test_write_retrain_json(tmp_path):
     ds, heldout, trials, cfg = retrain_fixture()
-    outcome = retrain_after_removal(ds, [1, 2], cfg, heldout, trials)
+    outcome = retrain_after_removal(ds, [1, 2], cfg, heldout, trials, STAND_IN)
     path = tmp_path / "retrain.json"
     write_retrain_json(outcome, method="inter", seed=9, config_digest="c0ffee", path=path)
     payload = json.loads(path.read_text())
     assert payload["detection_method"] == "inter"
     assert payload["removed_count"] == 2
-    assert payload["before"]["trial_count"] == 24
+    assert payload["before"] == {"eer": 0.25, "threshold": 0.5, "trial_count": 24}
     assert set(payload["after"]) == {"eer", "threshold", "trial_count"}
     assert payload["config_digest"] == "c0ffee"
